@@ -35,16 +35,7 @@ func New(a *sparse.CSR) (*Cholesky, error) {
 	}
 	n := a.NRows
 	// RCM on the matrix graph.
-	var edges [][2]int
-	for i := 0; i < n; i++ {
-		cols, _ := a.Row(i)
-		for _, j := range cols {
-			if j != i {
-				edges = append(edges, [2]int{i, j})
-			}
-		}
-	}
-	g := graph.NewGraph(n, edges)
+	g := graph.NewFromPattern(n, a.RowPtr, a.ColIdx)
 	perm := graph.ReverseCuthillMcKee(g)
 	iperm := make([]int, n)
 	for newI, old := range perm {
@@ -105,7 +96,7 @@ func New(a *sparse.CSR) (*Cholesky, error) {
 			}
 			c.FactorFlops += 2 * int64(j-lo)
 			if i == j {
-				if s <= 0 {
+				if !(s > 0) {
 					return nil, ErrNotSPD
 				}
 				ri[j-fi] = math.Sqrt(s)

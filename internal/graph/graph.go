@@ -41,6 +41,43 @@ func NewGraph(n int, edges [][2]int) *Graph {
 	return fromSets(n, adj)
 }
 
+// NewFromPattern builds the graph of a square sparse matrix straight from
+// its CSR pattern (rowPtr of length n+1; colIdx sorted and duplicate-free
+// within each row, the CSR invariant): the symmetrised strict upper
+// triangle, i.e. exactly NewGraph over the edges (i, j) of every stored
+// entry with i < j. One counting pass sizes the adjacency, one fill pass
+// writes it; no sorting is needed because a vertex receives its lower
+// neighbours from earlier rows in ascending row order and its upper
+// neighbours from its own row in ascending column order.
+func NewFromPattern(n int, rowPtr, colIdx []int) *Graph {
+	ptr := make([]int, n+1)
+	for i := 0; i < n; i++ {
+		for _, j := range colIdx[rowPtr[i]:rowPtr[i+1]] {
+			if i < j {
+				ptr[i+1]++
+				ptr[j+1]++
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		ptr[i+1] += ptr[i]
+	}
+	adj := make([]int, ptr[n])
+	next := make([]int, n)
+	copy(next, ptr)
+	for i := 0; i < n; i++ {
+		for _, j := range colIdx[rowPtr[i]:rowPtr[i+1]] {
+			if i < j {
+				adj[next[i]] = j
+				next[i]++
+				adj[next[j]] = i
+				next[j]++
+			}
+		}
+	}
+	return &Graph{N: n, Ptr: ptr, Adj: adj}
+}
+
 func fromSets(n int, adj []map[int]struct{}) *Graph {
 	ptr := make([]int, n+1)
 	total := 0

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -55,6 +56,42 @@ func TestNewGraphDedup(t *testing.T) {
 	}
 	if g.Degree(2) != 0 {
 		t.Fatal("vertex 2 should be isolated")
+	}
+}
+
+// TestNewFromPatternMatchesEdgeList: on random patterns that are NOT
+// structurally symmetric (an entry (i,j) says nothing about (j,i)), with
+// diagonals, empty rows and dense rows, the two-pass pattern constructor
+// returns the same arrays as NewGraph over the i<j edge list, and the
+// partitioner therefore the same parts.
+func TestNewFromPatternMatchesEdgeList(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(120)
+		density := rng.Float64() * 0.2
+		rowPtr := make([]int, n+1)
+		var colIdx []int
+		var edges [][2]int
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if rng.Float64() < density || (i == j && rng.Intn(2) == 0) {
+					colIdx = append(colIdx, j)
+					if i < j {
+						edges = append(edges, [2]int{i, j})
+					}
+				}
+			}
+			rowPtr[i+1] = len(colIdx)
+		}
+		want := NewGraph(n, edges)
+		got := NewFromPattern(n, rowPtr, colIdx)
+		if got.N != want.N || !slices.Equal(got.Ptr, want.Ptr) || !slices.Equal(got.Adj, want.Adj) {
+			t.Fatalf("trial %d (n=%d): pattern graph differs from edge-list graph", trial, n)
+		}
+		nparts := 1 + rng.Intn(8)
+		if !slices.Equal(GreedyPartition(got, nparts), GreedyPartition(want, nparts)) {
+			t.Fatalf("trial %d: partitions differ", trial)
+		}
 	}
 }
 

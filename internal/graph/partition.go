@@ -142,9 +142,16 @@ func CutEdges(g *Graph, part []int) int {
 	return cut
 }
 
-// PartMembers returns, for each part, the list of vertices in it.
+// PartMembers returns, for each part, the ascending list of vertices in
+// it. The lists are capacity-limited windows of one shared array.
 func PartMembers(part []int, nparts int) [][]int {
 	members := make([][]int, nparts)
+	flat := make([]int, len(part))
+	off := 0
+	for p, n := range PartSizes(part, nparts) {
+		members[p] = flat[off : off : off+n]
+		off += n
+	}
 	for v, p := range part {
 		members[p] = append(members[p], v)
 	}

@@ -114,14 +114,19 @@ var ErrNotSPD = errors.New("la: matrix is not positive definite")
 // ErrSingular is returned by LU when a zero pivot is encountered.
 var ErrSingular = errors.New("la: matrix is singular")
 
-// Cholesky holds the lower-triangular factor L with A = L·Lᵀ. The
-// transpose is stored explicitly so both triangular solves stream through
-// memory contiguously.
+// Cholesky is the factorization A = L·Lᵀ of a symmetric positive definite
+// matrix, held as one packed row-major lower triangle: row i occupies
+// l[i(i+1)/2 : i(i+1)/2+i+1] and its last slot holds the reciprocal
+// 1/L(i,i), so neither triangular solve divides. n(n+1)/2 values per
+// factor — a quarter of separate full-storage L and Lᵀ copies — keeps a
+// smoother block resident in L2 between the two substitution sweeps.
 type Cholesky struct {
-	N  int
-	L  []float64 // row-major lower triangle, full storage
-	Lt []float64 // row-major upper triangle (Lᵀ)
+	N int
+	l []float64
 }
+
+// PackedLen returns the length n(n+1)/2 of a packed lower triangle.
+func PackedLen(n int) int { return n * (n + 1) / 2 }
 
 // NewCholesky factors the symmetric positive definite matrix A (only the
 // lower triangle is referenced).
@@ -130,32 +135,57 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 		panic("la: Cholesky of non-square matrix")
 	}
 	n := a.Rows
-	l := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		li := l[i*n : i*n+i+1]
-		for j := 0; j <= i; j++ {
-			lj := l[j*n : j*n+j]
-			s := a.Data[i*n+j]
-			for k, lv := range lj {
-				s -= li[k] * lv
-			}
-			if i == j {
-				if s <= 0 {
-					return nil, ErrNotSPD
-				}
-				li[i] = math.Sqrt(s)
-			} else {
-				li[j] = s / l[j*n+j]
-			}
-		}
+	l := make([]float64, PackedLen(n))
+	for i, off := 0, 0; i < n; i++ {
+		copy(l[off:off+i+1], a.Data[i*n:i*n+i+1])
+		off += i + 1
 	}
-	lt := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			lt[j*n+i] = l[i*n+j]
-		}
+	return FactorPacked(n, l)
+}
+
+// FactorPacked factors in place the symmetric positive definite matrix
+// whose packed lower triangle (row i at a[i(i+1)/2:], i+1 values) is a.
+// The returned factor owns a. A pivot that is not a positive finite
+// number — an indefinite, NaN- or Inf-poisoned matrix — returns
+// ErrNotSPD and leaves a partially overwritten.
+func FactorPacked(n int, a []float64) (*Cholesky, error) {
+	if len(a) != PackedLen(n) {
+		panic("la: FactorPacked storage length mismatch")
 	}
-	return &Cholesky{N: n, L: l, Lt: lt}, nil
+	for i, oi := 0, 0; i < n; i++ {
+		ri := a[oi : oi+i+1 : oi+i+1]
+		for j, oj := 0, 0; j < i; j++ {
+			rj := a[oj : oj+j+1 : oj+j+1]
+			ri[j] = (ri[j] - dot4(ri[:j], rj[:j])) * rj[j]
+			oj += j + 1
+		}
+		s := ri[i] - dot4(ri[:i], ri[:i])
+		if !(s > 0 && s <= math.MaxFloat64) {
+			return nil, ErrNotSPD
+		}
+		ri[i] = 1 / math.Sqrt(s)
+		oi += i + 1
+	}
+	return &Cholesky{N: n, l: a}, nil
+}
+
+// dot4 returns Σ a[k]·b[k] over len(a) terms (len(b) >= len(a)) with
+// four independent accumulators, so consecutive multiply-adds overlap
+// instead of serializing on the add latency of a single running sum.
+func dot4(a, b []float64) float64 {
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float64
+	for len(a) >= 4 && len(b) >= 4 {
+		s0 += a[0] * b[0]
+		s1 += a[1] * b[1]
+		s2 += a[2] * b[2]
+		s3 += a[3] * b[3]
+		a, b = a[4:], b[4:]
+	}
+	for k, v := range a {
+		s0 += v * b[k]
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // Solve computes x with A·x = b, overwriting x. b and x may alias.
@@ -164,27 +194,32 @@ func (c *Cholesky) Solve(b, x []float64) {
 	if len(b) != n || len(x) != n {
 		panic("la: Cholesky.Solve dimension mismatch")
 	}
+	if n == 0 {
+		return
+	}
 	if &b[0] != &x[0] {
 		copy(x, b)
 	}
-	// Forward substitution L·y = b (row-contiguous).
-	for i := 0; i < n; i++ {
-		s := x[i]
-		row := c.L[i*n : i*n+i]
-		for k, lv := range row {
-			s -= lv * x[k]
-		}
-		x[i] = s / c.L[i*n+i]
+	// Forward substitution L·y = b: one multi-accumulator dot per row.
+	for i, off := 0, 0; i < n; i++ {
+		row := c.l[off : off+i+1 : off+i+1]
+		x[i] = (x[i] - dot4(row[:i], x)) * row[i]
+		off += i + 1
 	}
-	// Back substitution Lᵀ·x = y using the contiguous transpose rows.
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		row := c.Lt[i*n+i+1 : i*n+n]
-		xs := x[i+1 : n]
-		for k, lv := range row {
-			s -= lv * xs[k]
+	// Back substitution Lᵀ·x = y in axpy form: once x[i] is final, row i
+	// of L (contiguous) is eliminated from the unknowns above it. The
+	// updates are independent, so nothing serializes on a running sum and
+	// the packed triangle is streamed a second time in reverse while it
+	// is still cache resident.
+	for i, off := n-1, PackedLen(n-1); i >= 0; i-- {
+		row := c.l[off : off+i+1 : off+i+1]
+		xi := x[i] * row[i]
+		x[i] = xi
+		xs := x[:i]
+		for k, lv := range row[:i] {
+			xs[k] -= xi * lv
 		}
-		x[i] = s / c.Lt[i*n+i]
+		off -= i
 	}
 }
 

@@ -84,13 +84,24 @@ func TestMulAssociatesWithMulVec(t *testing.T) {
 	}
 }
 
+// TestCholeskySolve checks the packed factor and both substitution sweeps
+// against the dense matrix they came from: every size up to 34 (both sides
+// of each unroll boundary of the four-accumulator dot), then up to a few
+// hundred unknowns, with separate and aliased right-hand sides.
 func TestCholeskySolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{1, 2, 5, 20, 50} {
+	sizes := []int{50, 63, 64, 65, 127, 166, 167, 255, 299, 300}
+	for n := 1; n <= 34; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
 		a := randSPD(rng, n)
 		chol, err := NewCholesky(a)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
+		}
+		if len(chol.l) != PackedLen(n) {
+			t.Fatalf("n=%d: factor holds %d values, want %d", n, len(chol.l), PackedLen(n))
 		}
 		xTrue := make([]float64, n)
 		for i := range xTrue {
@@ -105,11 +116,17 @@ func TestCholeskySolve(t *testing.T) {
 				t.Fatalf("n=%d: x[%d]=%v want %v", n, i, x[i], xTrue[i])
 			}
 		}
-		// In-place solve.
+		ax := make([]float64, n)
+		a.MulVec(x, ax)
+		Axpy(-1, b, ax)
+		if rel := Norm2(ax) / Norm2(b); rel > 1e-12*float64(n) {
+			t.Fatalf("n=%d: relative residual %g", n, rel)
+		}
+		// In-place solve: same arithmetic, same bits.
 		chol.Solve(b, b)
 		for i := range b {
-			if math.Abs(b[i]-xTrue[i]) > 1e-8 {
-				t.Fatalf("in-place solve wrong at %d", i)
+			if b[i] != x[i] {
+				t.Fatalf("n=%d: aliased solve differs at %d: %v vs %v", n, i, b[i], x[i])
 			}
 		}
 	}
@@ -121,6 +138,22 @@ func TestCholeskyNotSPD(t *testing.T) {
 	a.Set(1, 1, -1)
 	if _, err := NewCholesky(a); err != ErrNotSPD {
 		t.Fatalf("err = %v, want ErrNotSPD", err)
+	}
+}
+
+// TestCholeskyRejectsNonFinite locks in the NaN-safe pivot test: a NaN or
+// Inf anywhere in the referenced triangle must surface as ErrNotSPD, never
+// as a factor full of NaN.
+func TestCholeskyRejectsNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, at := range [][2]int{{0, 0}, {4, 4}, {5, 2}, {8, 8}} {
+			a := randSPD(rng, 9)
+			a.Set(at[0], at[1], bad)
+			if _, err := NewCholesky(a); err != ErrNotSPD {
+				t.Fatalf("A(%d,%d)=%v: err = %v, want ErrNotSPD", at[0], at[1], bad, err)
+			}
+		}
 	}
 }
 

@@ -48,6 +48,7 @@ func DefaultHotRoots() []string {
 func KernelPackages() []string {
 	return []string{
 		"prometheus/internal/sparse",
+		"prometheus/internal/la",
 		"prometheus/internal/smooth",
 		"prometheus/internal/krylov",
 		"prometheus/internal/multigrid",

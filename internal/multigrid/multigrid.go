@@ -433,7 +433,9 @@ func newMG(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG
 			}
 			continue
 		}
+		sps := obs.Start(evSmoother)
 		s, err := mg.makeSmoother(lvl.A)
+		sps.End()
 		if err != nil {
 			return nil, err
 		}
@@ -505,31 +507,24 @@ func (mg *MG) makeSmoother(a sparse.Operator) (smooth.Smoother, error) {
 	}
 }
 
-// blockJacobi builds the paper's subdomain smoother for one level operator.
+// blockJacobi builds the paper's subdomain smoother for one level
+// operator: the scalar view is taken once, the matrix graph is read off
+// its pattern and partitioned (the paper uses METIS), and the blocks are
+// gathered from the same view and factored.
 func (mg *MG) blockJacobi(a sparse.Operator) (*smooth.DomainBlockJacobi, error) {
-	{
-		ac := sparse.AsCSR(a)
-		n := ac.NRows
-		nb := mg.Opts.BlockCount(n)
-		// Block partition on the matrix graph (the paper uses METIS).
-		var edges [][2]int
-		for i := 0; i < n; i++ {
-			cols, _ := ac.Row(i)
-			for _, j := range cols {
-				if i < j {
-					edges = append(edges, [2]int{i, j})
-				}
-			}
-		}
-		g := graph.NewGraph(n, edges)
-		part := graph.GreedyPartition(g, nb)
-		bj, err := smooth.NewDomainBlockJacobi(a, part, nb)
-		if err != nil {
-			return nil, fmt.Errorf("multigrid: block smoother: %w", err)
-		}
-		mg.SetupFlops += bj.SetupFlops
-		return bj, nil
+	view := sparse.AsCSR(a)
+	nb := mg.Opts.BlockCount(view.NRows)
+	spp := obs.Start(evSmootherPartition)
+	part := graph.GreedyPartition(graph.NewFromPattern(view.NRows, view.RowPtr, view.ColIdx), nb)
+	spp.End()
+	spf := obs.Start(evSmootherFactor)
+	bj, err := smooth.NewDomainBlockJacobi(a, view, part, nb)
+	spf.End()
+	if err != nil {
+		return nil, fmt.Errorf("multigrid: block smoother: %w", err)
 	}
+	mg.SetupFlops += bj.SetupFlops
+	return bj, nil
 }
 
 // NumLevels returns the number of grids.

@@ -1,7 +1,9 @@
 package multigrid
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"prometheus/internal/core"
@@ -280,6 +282,33 @@ func TestMGRejectsBadInput(t *testing.T) {
 	rbad.Add(0, 0, 1)
 	if _, err := New(id, []*sparse.CSR{rbad.Build()}, Options{}); err == nil {
 		t.Fatal("mismatched restriction should fail")
+	}
+}
+
+// TestNewRejectsBrokenSmootherBlock: a fine operator with a NaN-poisoned
+// or an indefinite smoother block fails hierarchy setup with the wrapped
+// block error on both storages and both domain smoothers — it never
+// panics and never hands back a smoother that sweeps NaN.
+func TestNewRejectsBrokenSmootherBlock(t *testing.T) {
+	k, _, rs := buildElasticity(t, 4, core.Options{MinCoarse: 30})
+	dof := k.NRows / 2
+	for name, bad := range map[string]float64{"NaN": math.NaN(), "indefinite": -1e3 * k.At(dof, dof)} {
+		a := k.Clone()
+		for p := a.RowPtr[dof]; p < a.RowPtr[dof+1]; p++ {
+			if a.ColIdx[p] == dof {
+				a.Val[p] = bad
+			}
+		}
+		for _, opts := range []Options{
+			{Storage: StorageCSR},
+			{Storage: StorageBSR},
+			{Storage: StorageCSR, Smoother: DomainBlockJacobi},
+		} {
+			mg, err := New(a, rs, opts)
+			if mg != nil || !errors.Is(err, la.ErrNotSPD) || !strings.Contains(err.Error(), "multigrid: block smoother: smooth: block ") {
+				t.Fatalf("%s diagonal, %+v: mg = %v, err = %v; want the wrapped block error", name, opts, mg, err)
+			}
+		}
 	}
 }
 

@@ -6,13 +6,18 @@ import (
 )
 
 // Observability events and metrics for the Epimetheus layer: hierarchy
-// setup (with the Galerkin triple products timed separately), the
-// preconditioner applies, and the coarsest-grid direct solves.
+// setup (with the Galerkin triple products and the per-level smoother
+// construction — graph partition and block gather/factorization for the
+// domain smoother — timed separately), the preconditioner applies, and the
+// coarsest-grid direct solves.
 var (
-	evSetup    = obs.Register("mg.setup")
-	evGalerkin = obs.Register("mg.setup.galerkin")
-	evApply    = obs.Register("mg.apply")
-	evCoarse   = obs.Register("mg.coarse_direct")
+	evSetup             = obs.Register("mg.setup")
+	evGalerkin          = obs.Register("mg.setup.galerkin")
+	evSmoother          = obs.Register("mg.setup.smoother")
+	evSmootherPartition = obs.Register("mg.setup.smoother.partition")
+	evSmootherFactor    = obs.Register("mg.setup.smoother.factor")
+	evApply             = obs.Register("mg.apply")
+	evCoarse            = obs.Register("mg.coarse_direct")
 
 	cApplies = obs.NewCounter("mg.applies")
 )

@@ -16,18 +16,9 @@ func TestSmootherSweepsZeroAlloc(t *testing.T) {
 	a := laplace3D(6)
 	n := a.NRows
 
-	var edges [][2]int
-	for i := 0; i < n; i++ {
-		cols, _ := a.Row(i)
-		for _, j := range cols {
-			if i < j {
-				edges = append(edges, [2]int{i, j})
-			}
-		}
-	}
-	g := graph.NewGraph(n, edges)
+	g := matrixGraph(a)
 	nb := DefaultBlockCount(n)
-	bj, err := NewDomainBlockJacobi(a, graph.GreedyPartition(g, nb), nb)
+	bj, err := NewDomainBlockJacobi(a, a, graph.GreedyPartition(g, nb), nb)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -291,20 +291,33 @@ type DomainBlockJacobi struct {
 	SetupFlops int64
 }
 
+// blockShiftTries bounds the escalating diagonal shifts a block
+// factorization is retried with: 1e-12, 1e-10, … 1e-4 of the block's
+// largest diagonal entry.
+const blockShiftTries = 5
+
 // BlocksPerThousand is the paper's block density for the domain smoother:
 // 6 blocks per 1000 unknowns.
 const BlocksPerThousand = 6
 
 // NewDomainBlockJacobi factors the diagonal blocks given by part
-// (dof -> block). Setup traverses rows through a scalar view of a; the
-// steady-state sweeps stay on the Operator interface.
-func NewDomainBlockJacobi(a sparse.Operator, part []int, nblocks int) (*DomainBlockJacobi, error) {
-	if len(part) != a.Rows() {
-		return nil, fmt.Errorf("smooth: partition covers %d of %d dofs", len(part), a.Rows())
+// (dof -> block). view is the scalar CSR view of a (a itself on CSR
+// storage, sparse.AsCSR(a) otherwise), taken once by the caller; setup
+// gathers every block from it straight into the packed storage its
+// Cholesky factor then occupies, and the steady-state sweeps stay on the
+// Operator interface.
+func NewDomainBlockJacobi(a sparse.Operator, view *sparse.CSR, part []int, nblocks int) (*DomainBlockJacobi, error) {
+	if len(part) != a.Rows() || view.NRows != a.Rows() {
+		return nil, fmt.Errorf("smooth: partition covers %d and the scalar view %d of %d dofs", len(part), view.NRows, a.Rows())
 	}
-	ac := sparse.AsCSR(a)
 	s := &DomainBlockJacobi{A: a, blocks: graph.PartMembers(part, nblocks), work: make([]float64, a.Rows()), Omega: 1}
 	s.chols = make([]*la.Cholesky, nblocks)
+	// Gather scratch: dof -> position inside the block being gathered, -1
+	// outside it.
+	pos := make([]int, len(part))
+	for i := range pos {
+		pos[i] = -1
+	}
 	maxBlock := 0
 	for _, dofs := range s.blocks {
 		if len(dofs) > maxBlock {
@@ -316,49 +329,51 @@ func NewDomainBlockJacobi(a sparse.Operator, part []int, nblocks int) (*DomainBl
 		if len(dofs) == 0 {
 			continue
 		}
-		sub := ac.Submatrix(dofs)
-		d := la.NewDense(len(dofs), len(dofs))
-		maxDiag := 0.0
-		for i := 0; i < sub.NRows; i++ {
-			cols, vals := sub.Row(i)
-			for k, j := range cols {
-				d.Set(i, j, vals[k])
-				if i == j && vals[k] > maxDiag {
-					maxDiag = vals[k]
-				}
-			}
-		}
-		if maxDiag == 0 {
-			maxDiag = 1
-		}
 		// Principal submatrices of an SPD operator are SPD, but aggressive
 		// Galerkin coarsening with 1e4 coefficient jumps can leave blocks
 		// positive definite only to within roundoff; retry with escalating
 		// diagonal shifts before giving up (the shift only weakens the
-		// preconditioner slightly).
-		var chol *la.Cholesky
-		var err error
-		for shift := 0.0; ; {
-			chol, err = la.NewCholesky(d)
+		// preconditioner slightly). The factorization overwrites its input,
+		// so a retry gathers the block again.
+		l := make([]float64, la.PackedLen(len(dofs)))
+		for try, shift := 0, 0.0; ; try++ {
+			view.GatherLowerPacked(dofs, pos, l)
+			maxDiag := shiftDiagonal(l, shift)
+			chol, err := la.FactorPacked(len(dofs), l)
 			if err == nil {
+				s.chols[bi] = chol
 				break
+			}
+			if try == blockShiftTries {
+				return nil, fmt.Errorf("smooth: block %d (%d dofs): %w", bi, len(dofs), err)
 			}
 			if shift == 0 {
 				shift = 1e-12 * maxDiag
 			} else {
 				shift *= 100
 			}
-			if shift > 1e-3*maxDiag {
-				return nil, fmt.Errorf("smooth: block %d (%d dofs): %w", bi, len(dofs), err)
-			}
-			for i := 0; i < len(dofs); i++ {
-				d.Add(i, i, shift)
-			}
 		}
-		s.chols[bi] = chol
 		s.SetupFlops += int64(len(dofs)) * int64(len(dofs)) * int64(len(dofs)) / 3
 	}
 	return s, nil
+}
+
+// shiftDiagonal adds shift to the diagonal of the packed lower triangle l
+// and returns its largest unshifted diagonal entry, 1 when none is
+// positive.
+func shiftDiagonal(l []float64, shift float64) float64 {
+	maxDiag := 0.0
+	// Row p ends with its diagonal, at index p(p+3)/2: 0, 2, 5, 9, …
+	for k, step := 0, 2; k < len(l); k, step = k+step, step+1 {
+		if l[k] > maxDiag {
+			maxDiag = l[k]
+		}
+		l[k] += shift
+	}
+	if maxDiag == 0 {
+		return 1
+	}
+	return maxDiag
 }
 
 // DefaultBlockCount returns the paper's 6-blocks-per-1000-unknowns rule
@@ -663,13 +678,16 @@ func (s *CGSmoother) smooth(x, b []float64, n int) {
 	copy(p, z)
 	rz := la.Dot(r, z)
 	for it := 0; it < n*s.Iters; it++ {
-		if rz == 0 {
+		// NaN-safe breakdown tests: a non-finite rz or a pap that is not
+		// a positive number ends the step with x as it stands instead of
+		// sweeping NaN arithmetic through the level.
+		if rz == 0 || math.IsNaN(rz) || math.IsInf(rz, 0) {
 			return
 		}
 		s.A.MulVec(p, ap)
 		pap := la.Dot(p, ap)
 		s.flops += s.A.MulVecFlops() + 2*int64(nn)
-		if pap <= 0 {
+		if !(pap > 0) {
 			return
 		}
 		alpha := rz / pap

@@ -1,7 +1,9 @@
 package smooth
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"prometheus/internal/graph"
@@ -248,19 +250,10 @@ func TestBlockJacobi(t *testing.T) {
 	a := laplace3D(6)
 	n := a.NRows
 	// Graph partition on the matrix pattern, paper block density.
-	var edges [][2]int
-	for i := 0; i < n; i++ {
-		cols, _ := a.Row(i)
-		for _, j := range cols {
-			if i < j {
-				edges = append(edges, [2]int{i, j})
-			}
-		}
-	}
-	g := graph.NewGraph(n, edges)
+	g := matrixGraph(a)
 	nb := DefaultBlockCount(n)
 	part := graph.GreedyPartition(g, nb)
-	s, err := NewDomainBlockJacobi(a, part, nb)
+	s, err := NewDomainBlockJacobi(a, a, part, nb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +269,7 @@ func TestBlockJacobi(t *testing.T) {
 	for i := range part1 {
 		part1[i] = i
 	}
-	s1, err := NewDomainBlockJacobi(a, part1, n)
+	s1, err := NewDomainBlockJacobi(a, a, part1, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +293,7 @@ func TestBlockJacobiSingleBlockIsDirect(t *testing.T) {
 	// One block covering everything solves the system exactly in one sweep.
 	a := laplace1D(20)
 	part := make([]int, 20)
-	s, err := NewDomainBlockJacobi(a, part, 1)
+	s, err := NewDomainBlockJacobi(a, a, part, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,6 +306,99 @@ func TestBlockJacobiSingleBlockIsDirect(t *testing.T) {
 	if r := errorNorm(a, x, b); r > 1e-10 {
 		t.Fatalf("single-block residual = %v", r)
 	}
+}
+
+// TestBlockJacobiShiftRetry: a block that is positive definite only to
+// within roundoff (here exactly singular, the free-free 1D Laplacian) is
+// factored after a diagonal shift; the gather runs again for the retry
+// because the failed factorization overwrote its input.
+func TestBlockJacobiShiftRetry(t *testing.T) {
+	const n = 12
+	b := sparse.NewBuilder(n, n)
+	for i := 0; i < n; i++ {
+		d := 2.0
+		if i == 0 || i == n-1 {
+			d = 1
+		}
+		b.Add(i, i, d)
+		if i > 0 {
+			b.Add(i, i-1, -1)
+			b.Add(i-1, i, -1)
+		}
+	}
+	a := b.Build()
+	s, err := NewDomainBlockJacobi(a, a, make([]int, n), 1)
+	if err != nil {
+		t.Fatalf("singular block was not rescued by a shift: %v", err)
+	}
+	// The constant vector spans the null space; any other right-hand side
+	// must come back finite and solve the block to the accuracy the 1e-12
+	// shift allows.
+	r := make([]float64, n)
+	r[0], r[n-1] = 1, -1
+	z := make([]float64, n)
+	s.Apply(r, z)
+	az := make([]float64, n)
+	a.MulVec(z, az)
+	for i := range az {
+		if math.IsNaN(z[i]) || math.Abs(az[i]-r[i]) > 1e-6 {
+			t.Fatalf("shifted solve wrong at %d: z=%v A·z=%v r=%v", i, z[i], az[i], r[i])
+		}
+	}
+}
+
+// TestBlockJacobiRejectsBrokenBlock: a block no admissible shift can make
+// positive definite — indefinite, or poisoned with NaN or Inf — ends the
+// bounded shift escalation in the typed error, never in a NaN factor.
+func TestBlockJacobiRejectsBrokenBlock(t *testing.T) {
+	for _, bad := range []float64{-4, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		a := laplace1D(10)
+		for k := a.RowPtr[6]; k < a.RowPtr[7]; k++ {
+			if a.ColIdx[k] == 6 {
+				a.Val[k] = bad
+			}
+		}
+		part := make([]int, 10)
+		for i := 5; i < 10; i++ {
+			part[i] = 1
+		}
+		_, err := NewDomainBlockJacobi(a, a, part, 2)
+		if !errors.Is(err, la.ErrNotSPD) || !strings.Contains(err.Error(), "smooth: block 1 (5 dofs)") {
+			t.Fatalf("diagonal %v: err = %v, want the wrapped block error", bad, err)
+		}
+	}
+}
+
+// TestCGSmootherBreakdownLeavesX: a poisoned right-hand side (non-finite
+// rz) or an operator that is not positive definite (pᵀAp <= 0) stops the
+// smoothing step before it touches x.
+func TestCGSmootherBreakdownLeavesX(t *testing.T) {
+	a := laplace1D(16)
+	b := make([]float64, 16)
+	for i := range b {
+		b[i] = float64(i%3) - 1
+	}
+	check := func(name string, s *CGSmoother, rhs []float64) {
+		x := make([]float64, 16)
+		for i := range x {
+			x[i] = 0.25
+		}
+		s.Smooth(x, rhs, 3)
+		for i, v := range x {
+			if v != 0.25 {
+				t.Fatalf("%s: x[%d] = %v after breakdown, want it untouched", name, i, v)
+			}
+		}
+	}
+	nan := append([]float64(nil), b...)
+	nan[7] = math.NaN()
+	check("NaN rhs", NewCGSmoother(a, NewJacobi(a, 1), 2), nan)
+	inf := append([]float64(nil), b...)
+	inf[7] = math.Inf(1)
+	check("Inf rhs", NewCGSmoother(a, NewJacobi(a, 1), 2), inf)
+	neg := a.Clone()
+	neg.Scale(-1)
+	check("negative definite", NewCGSmoother(neg, NewJacobi(a, 1), 2), b)
 }
 
 func TestDefaultBlockCount(t *testing.T) {
@@ -332,19 +418,8 @@ func TestSmootherSymmetryForPCG(t *testing.T) {
 	// check ⟨M⁻¹u, v⟩ = ⟨u, M⁻¹v⟩.
 	a := laplace3D(4)
 	n := a.NRows
-	part := graph.GreedyPartition(func() *graph.Graph {
-		var edges [][2]int
-		for i := 0; i < n; i++ {
-			cols, _ := a.Row(i)
-			for _, j := range cols {
-				if i < j {
-					edges = append(edges, [2]int{i, j})
-				}
-			}
-		}
-		return graph.NewGraph(n, edges)
-	}(), 5)
-	bj, err := NewDomainBlockJacobi(a, part, 5)
+	part := graph.GreedyPartition(matrixGraph(a), 5)
+	bj, err := NewDomainBlockJacobi(a, a, part, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +447,7 @@ func TestCGSmootherStrongerThanInner(t *testing.T) {
 	a := laplace3D(5)
 	n := a.NRows
 	part := graph.GreedyPartition(matrixGraph(a), 4)
-	inner, err := NewDomainBlockJacobi(a, part, 4)
+	inner, err := NewDomainBlockJacobi(a, a, part, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,22 +476,13 @@ func TestCGSmootherStrongerThanInner(t *testing.T) {
 
 // matrixGraph builds the adjacency graph of a matrix pattern.
 func matrixGraph(a *sparse.CSR) *graph.Graph {
-	var edges [][2]int
-	for i := 0; i < a.NRows; i++ {
-		cols, _ := a.Row(i)
-		for _, j := range cols {
-			if i < j {
-				edges = append(edges, [2]int{i, j})
-			}
-		}
-	}
-	return graph.NewGraph(a.NRows, edges)
+	return graph.NewFromPattern(a.NRows, a.RowPtr, a.ColIdx)
 }
 
 func TestBlockJacobiAutoDamp(t *testing.T) {
 	a := laplace3D(4)
 	part := graph.GreedyPartition(matrixGraph(a), 3)
-	s, err := NewDomainBlockJacobi(a, part, 3)
+	s, err := NewDomainBlockJacobi(a, a, part, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -290,22 +290,38 @@ func (a *CSR) IsSymmetric(tol float64) bool {
 	return true
 }
 
-// Submatrix extracts the principal submatrix A(idx, idx). The returned
-// matrix is dense-ordered by the position of each index in idx.
-func (a *CSR) Submatrix(idx []int) *CSR {
-	pos := make(map[int]int, len(idx))
+// GatherLowerPacked extracts the lower triangle of the principal
+// submatrix A(idx, idx) into l as a packed row-major triangle: entry
+// (p, q), q <= p, pairing rows idx[p] and idx[q], lands at l[p(p+1)/2+q];
+// positions A does not store are zero. l has len(idx)(len(idx)+1)/2
+// entries — the layout la.FactorPacked factors in place. pos is
+// caller-owned scratch of length NCols that holds -1 everywhere on entry
+// and again on return, so one array serves any number of disjoint or
+// repeated gathers.
+func (a *CSR) GatherLowerPacked(idx, pos []int, l []float64) {
+	for i := range l {
+		l[i] = 0
+	}
 	for p, i := range idx {
 		pos[i] = p
 	}
-	b := NewBuilder(len(idx), len(idx))
+	off := 0
 	for p, i := range idx {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if q, ok := pos[a.ColIdx[k]]; ok {
-				b.Set(p, q, a.Val[k])
+		row := l[off : off+p+1]
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		cols := a.ColIdx[lo:hi]
+		vals := a.Val[lo:hi:hi]
+		vals = vals[:len(cols)]
+		for k, j := range cols {
+			if q := pos[j]; uint(q) < uint(len(row)) {
+				row[q] = vals[k]
 			}
 		}
+		off += p + 1
 	}
-	return b.Build()
+	for _, i := range idx {
+		pos[i] = -1
+	}
 }
 
 // Identity returns the n×n identity matrix.

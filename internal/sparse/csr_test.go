@@ -275,20 +275,6 @@ func TestResidual(t *testing.T) {
 	}
 }
 
-func TestSubmatrix(t *testing.T) {
-	b := NewBuilder(4, 4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			b.Add(i, j, float64(10*i+j))
-		}
-	}
-	a := b.Build()
-	s := a.Submatrix([]int{3, 1})
-	if s.At(0, 0) != 33 || s.At(0, 1) != 31 || s.At(1, 0) != 13 || s.At(1, 1) != 11 {
-		t.Fatalf("Submatrix wrong: %v %v %v %v", s.At(0, 0), s.At(0, 1), s.At(1, 0), s.At(1, 1))
-	}
-}
-
 func TestIdentityAndNorms(t *testing.T) {
 	a := Identity(4)
 	x := []float64{1, 2, 3, 4}

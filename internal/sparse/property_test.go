@@ -68,27 +68,6 @@ func TestTransposeMulVecConsistency(t *testing.T) {
 	}
 }
 
-// Property: a principal submatrix of a symmetric matrix is symmetric.
-func TestSubmatrixPreservesSymmetry(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	f := func(seed int64) bool {
-		n := 4 + int(uint(seed)%10)
-		b := NewBuilder(n, n)
-		for k := 0; k < 3*n; k++ {
-			i, j := rng.Intn(n), rng.Intn(n)
-			v := rng.Float64()
-			b.Add(i, j, v)
-			b.Add(j, i, v)
-		}
-		a := b.Build()
-		idx := []int{0, n / 2, n - 1}
-		return a.Submatrix(idx).IsSymmetric(1e-12)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: Galerkin with the identity restriction is the identity map.
 func TestGalerkinIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
