@@ -7,8 +7,8 @@
 package prometheus
 
 import (
-	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -394,8 +394,15 @@ func BenchmarkSmoother(b *testing.B) {
 
 // TestSmootherObsOverhead gates the cost of the observability spans on
 // the smoother hot path: with recording enabled, a relaxation sweep may
-// be at most 5% slower than with recording off. Minimum-of-batches
-// timing on both sides keeps scheduler noise out of the comparison.
+// be at most 5% slower than with recording off. Off and on batches
+// alternate, the order within a pair alternates too, and the verdict is
+// the median of the per-pair on/off ratios: the
+// two batches of a pair run within milliseconds of each other, so a host
+// whose core speed drifts from second to second slows both alike, and
+// the median discards the pairs a scheduler hiccup split. (Over 100 runs
+// on a 2-vCPU guest the median stayed in 0.99-1.03, while the ratio of
+// the two sides' fastest batches reached 1.22: one side can catch a fast
+// moment of the host that the other never sees.)
 func TestSmootherObsOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate skipped in -short mode")
@@ -416,31 +423,45 @@ func TestSmootherObsOverhead(t *testing.T) {
 	jac := smooth.NewJacobi(k, 2.0/3)
 	x := make([]float64, n)
 
-	// Minimum wall time of many fixed-size batches: the most
-	// noise-robust estimator for a sub-millisecond kernel.
 	const sweepsPerBatch = 10
-	const batches = 30
-	minBatch := func() time.Duration {
-		best := time.Duration(math.MaxInt64)
-		for b := 0; b < batches; b++ {
-			t0 := time.Now()
-			for i := 0; i < sweepsPerBatch; i++ {
-				jac.Smooth(x, rhs, 1)
-			}
-			if d := time.Since(t0); d < best {
-				best = d
-			}
+	const pairs = 100
+	batch := func() time.Duration {
+		t0 := time.Now()
+		for i := 0; i < sweepsPerBatch; i++ {
+			jac.Smooth(x, rhs, 1)
 		}
-		return best
+		return time.Since(t0)
 	}
-	obs.Disable()
-	jac.Smooth(x, rhs, 1) // warm caches before either measurement
-	off := minBatch()
-	obs.EnableWith(obs.Config{RingCap: 1 << 16})
+	// The first EnableWith allocates the trace ring; the ones in the loop
+	// find it at the requested size and only reset counters, so no pair
+	// times an allocation or the collection after it.
+	cfg := obs.Config{RingCap: 1 << 16}
+	obs.EnableWith(cfg)
 	defer obs.Disable()
-	on := minBatch()
-	ratio := float64(on) / float64(off)
-	t.Logf("smoother sweep obs on/off: %.4fx (%v vs %v per %d sweeps)", ratio, on, off, sweepsPerBatch)
+	jac.Smooth(x, rhs, 1) // warm caches before the first measurement
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		// Even pairs run off then on, odd pairs on then off: whatever the
+		// second batch of a pair inherits from the first lands on each
+		// side equally often.
+		var off, on time.Duration
+		if i%2 == 0 {
+			obs.Disable()
+			off = batch()
+			obs.EnableWith(cfg)
+			on = batch()
+		} else {
+			obs.EnableWith(cfg)
+			on = batch()
+			obs.Disable()
+			off = batch()
+		}
+		ratios[i] = float64(on) / float64(off)
+	}
+	sort.Float64s(ratios)
+	ratio := ratios[pairs/2]
+	t.Logf("smoother sweep obs on/off: median %.4fx of %d pairs of %d sweeps (range %.3f-%.3f)",
+		ratio, pairs, sweepsPerBatch, ratios[0], ratios[pairs-1])
 	if ratio > 1.05 {
 		t.Errorf("obs-enabled smoother sweep is %.1f%% slower than disabled, gate is 5%%", 100*(ratio-1))
 	}

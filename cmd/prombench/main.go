@@ -2,25 +2,16 @@
 // evaluation (section 7) on laptop-scale reproductions of the model
 // problem. Run with -exp all (default) for the full suite or name a single
 // experiment; -full enlarges the scaled series and uses the paper's ten
-// load steps in the nonlinear study.
+// load steps in the nonlinear study. Timing the product is not this
+// command's job: that is bench/ (see BENCHMARK.json).
 //
 // Usage:
 //
 //	prombench [-exp name] [-full] [-csv path]
 //
 // Experiments: table1, table2, fig7, fig9, fig10, fig11, fig12, fig13,
-// thinbody, ordering, parmis, amg, phases, headline, ablations,
-// blockbench, obsbench, parbench, mixedbench, mfbench, servebench,
-// serveobs, all.
+// thinbody, ordering, parmis, amg, phases, headline, ablations, all.
 // -csv additionally writes the scaled series as CSV for plotting.
-// -json writes a kernel study as JSON to the given path: the obsbench
-// observability report when -exp obsbench, the parbench real-core
-// speedup study when -exp parbench, the mixedbench mixed-precision
-// coarse-level study when -exp mixedbench, the mfbench matrix-free
-// storage-mode study when -exp mfbench, the servebench
-// solver-as-a-service study when -exp servebench, the request-scoped
-// observability overhead study when -exp serveobs, otherwise the
-// blockbench CSR-vs-BSR study (schemas in EXPERIMENTS.md).
 // -obs enables the observability subsystem for the whole run and prints
 // the -log_view-style event table after the experiments finish.
 package main
@@ -28,10 +19,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"prometheus/internal/experiments"
-	"prometheus/internal/experiments/servebench"
 	"prometheus/internal/multigrid"
 	"prometheus/internal/obs"
 )
@@ -40,7 +31,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run (see package doc)")
 	full := flag.Bool("full", false, "run the larger series and full load schedule")
 	csvPath := flag.String("csv", "", "also write the scaled series as CSV to this path")
-	jsonPath := flag.String("json", "", "write the obsbench (with -exp obsbench) or blockbench kernel study as JSON to this path")
 	obsOn := flag.Bool("obs", false, "record obs events for the run and print the event table at the end")
 	flag.Parse()
 
@@ -59,13 +49,6 @@ func main() {
 
 	w := os.Stdout
 	var runs []*experiments.LinearRun
-	var blockRep *experiments.BlockBenchReport
-	var obsRep *experiments.ObsBenchReport
-	var parRep *experiments.ParBenchReport
-	var mixedRep *experiments.MixedBenchReport
-	var mfRep *experiments.MFBenchReport
-	var serveRep *servebench.Report
-	var serveObsRep *servebench.ObsReport
 	needSeries := func() error {
 		if runs != nil {
 			return nil
@@ -75,143 +58,62 @@ func main() {
 		return err
 	}
 
-	run := func(name string) error {
-		switch name {
-		case "table1":
-			return experiments.Table1(w)
-		case "table2":
+	// onSeries adapts a report over the scaled series, which is run once
+	// and shared.
+	onSeries := func(report func(io.Writer, []*experiments.LinearRun) error) func(io.Writer) error {
+		return func(w io.Writer) error {
 			if err := needSeries(); err != nil {
 				return err
 			}
-			return experiments.Table2(w, runs)
-		case "fig7":
-			return experiments.Fig7(w)
-		case "fig9":
-			return experiments.Fig9(w)
-		case "fig10":
-			if err := needSeries(); err != nil {
-				return err
-			}
-			return experiments.Fig10(w, runs)
-		case "fig11":
-			if err := needSeries(); err != nil {
-				return err
-			}
-			return experiments.Fig11(w, runs)
-		case "fig12":
-			if err := needSeries(); err != nil {
-				return err
-			}
-			return experiments.Fig12(w, runs)
-		case "fig13":
-			return experiments.Fig13(w, nlK, steps)
-		case "thinbody":
-			return experiments.ThinBody(w)
-		case "ordering":
-			return experiments.Ordering(w)
-		case "parmis":
-			return experiments.ParallelMISStudy(w)
-		case "amg":
-			return experiments.AMGCompare(w)
-		case "phases":
-			return experiments.Amortization(w)
-		case "headline":
-			if err := needSeries(); err != nil {
-				return err
-			}
-			return experiments.Headline(w, runs)
-		case "blockbench":
-			rep, err := experiments.BlockBench()
-			if err != nil {
-				return err
-			}
-			blockRep = rep
-			experiments.BlockBenchTable(w, rep)
-			return nil
-		case "obsbench":
-			rep, err := experiments.ObsBench()
-			if err != nil {
-				return err
-			}
-			obsRep = rep
-			experiments.ObsBenchTable(w, rep)
-			return nil
-		case "parbench":
-			rep, err := experiments.ParBench()
-			if err != nil {
-				return err
-			}
-			parRep = rep
-			experiments.ParBenchTable(w, rep)
-			return nil
-		case "mixedbench":
-			rep, err := experiments.MixedBench()
-			if err != nil {
-				return err
-			}
-			mixedRep = rep
-			experiments.MixedBenchTable(w, rep)
-			return nil
-		case "mfbench":
-			rep, err := experiments.MFBench()
-			if err != nil {
-				return err
-			}
-			mfRep = rep
-			experiments.MFBenchTable(w, rep)
-			return nil
-		case "servebench":
-			rep, err := servebench.Run()
-			if err != nil {
-				return err
-			}
-			serveRep = rep
-			servebench.Table(w, rep)
-			return nil
-		case "serveobs":
-			rep, err := servebench.RunObs()
-			if err != nil {
-				return err
-			}
-			serveObsRep = rep
-			servebench.ObsTable(w, rep)
-			return nil
-		case "ablations":
-			if err := experiments.AblationTOL(w); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-			if err := experiments.AblationReclassify(w); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-			if err := experiments.AblationBlocks(w); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-			if err := experiments.AblationCycle(w); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-			return experiments.AblationKrylov(w)
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
+			return report(w, runs)
 		}
+	}
+	reports := map[string]func(io.Writer) error{
+		"table1":   experiments.Table1,
+		"table2":   onSeries(experiments.Table2),
+		"fig7":     experiments.Fig7,
+		"fig9":     experiments.Fig9,
+		"fig10":    onSeries(experiments.Fig10),
+		"fig11":    onSeries(experiments.Fig11),
+		"fig12":    onSeries(experiments.Fig12),
+		"fig13":    func(w io.Writer) error { return experiments.Fig13(w, nlK, steps) },
+		"thinbody": experiments.ThinBody,
+		"ordering": experiments.Ordering,
+		"parmis":   experiments.ParallelMISStudy,
+		"amg":      experiments.AMGCompare,
+		"phases":   experiments.Amortization,
+		"headline": onSeries(experiments.Headline),
+		"ablations": func(w io.Writer) error {
+			for i, ablation := range []func(io.Writer) error{
+				experiments.AblationTOL, experiments.AblationReclassify, experiments.AblationBlocks,
+				experiments.AblationCycle, experiments.AblationKrylov,
+			} {
+				if i > 0 {
+					fmt.Fprintln(w)
+				}
+				if err := ablation(w); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
 	}
 
 	names := []string{*exp}
 	if *exp == "all" {
 		names = []string{"table1", "fig9", "fig7", "table2", "fig10", "fig11",
-			"fig12", "headline", "fig13", "thinbody", "ordering", "parmis", "amg", "phases", "ablations", "blockbench", "obsbench", "parbench", "mixedbench", "mfbench", "servebench", "serveobs"}
-	}
-	if *jsonPath != "" && *exp != "blockbench" && *exp != "obsbench" && *exp != "parbench" && *exp != "mixedbench" && *exp != "mfbench" && *exp != "servebench" && *exp != "serveobs" && *exp != "all" {
-		names = append(names, "blockbench")
+			"fig12", "headline", "fig13", "thinbody", "ordering", "parmis", "amg", "phases", "ablations"}
 	}
 	for i, name := range names {
 		if i > 0 {
 			fmt.Fprintln(w)
 		}
-		if err := run(name); err != nil {
+		report, ok := reports[name]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "prombench: unknown experiment %q\n", name)
+			os.Exit(1)
+		}
+		if err := report(w); err != nil {
 			fmt.Fprintf(os.Stderr, "prombench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
@@ -235,37 +137,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(w, "\nwrote %s\n", *csvPath)
-	}
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prombench: json: %v\n", err)
-			os.Exit(1)
-		}
-		switch {
-		case *exp == "obsbench":
-			err = experiments.WriteObsBenchJSON(f, obsRep)
-		case *exp == "parbench":
-			err = experiments.WriteParBenchJSON(f, parRep)
-		case *exp == "mixedbench":
-			err = experiments.WriteMixedBenchJSON(f, mixedRep)
-		case *exp == "mfbench":
-			err = experiments.WriteMFBenchJSON(f, mfRep)
-		case *exp == "servebench":
-			err = servebench.WriteJSON(f, serveRep)
-		case *exp == "serveobs":
-			err = servebench.WriteObsJSON(f, serveObsRep)
-		default:
-			err = experiments.WriteBlockBenchJSON(f, blockRep)
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prombench: json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", *jsonPath)
 	}
 	if *obsOn {
 		fmt.Fprintln(w)

@@ -20,9 +20,13 @@ func fmtDur(d time.Duration) string {
 // RunSeries executes the scaled linear study once and reuses it across the
 // Figure 10/11/12 and Table 2 reports.
 func RunSeries(maxK int, mgOpts multigrid.Options) ([]*LinearRun, error) {
+	return runSeries(Series(maxK), mgOpts)
+}
+
+func runSeries(specs []SizeSpec, mgOpts multigrid.Options) ([]*LinearRun, error) {
 	machine := perf.PaperIBM()
 	var runs []*LinearRun
-	for _, spec := range Series(maxK) {
+	for _, spec := range specs {
 		r, err := RunLinear(spec, machine, mgOpts)
 		if err != nil {
 			return nil, fmt.Errorf("series %s: %w", spec.Name, err)
@@ -105,7 +109,7 @@ func Fig9(w io.Writer) error {
 		})
 	}
 	fmt.Fprint(w, perf.Table([]string{"configuration", "n radial", "elements", "dof"}, rows))
-	s := problems.NewSpheresConfig(problems.SpheresConfig{Layers: 5, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2})
+	s := problems.NewSpheresConfig(seriesCfg(1))
 	fmt.Fprintf(w, "reduced series base: %d elements, %d dof, hard fraction %.2f\n",
 		s.Mesh.NumElems(), s.Mesh.NumDOF(), s.HardFraction())
 	return nil
@@ -148,12 +152,7 @@ func Fig11(w io.Writer, runs []*LinearRun) error {
 	base := runs[0]
 	rows := [][]string{}
 	for _, r := range runs {
-		e := perf.Decompose(base.Iters, r.Iters,
-			base.SolveFlops, r.SolveFlops,
-			base.Free, r.Free,
-			base.Spec.Ranks, r.Spec.Ranks,
-			base.RatePerProc(), r.RatePerProc(),
-			r.LoadBalance())
+		e := r.efficiencies(base)
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", r.Spec.Ranks),
 			fmt.Sprintf("%d", r.Free),
@@ -231,7 +230,7 @@ func Headline(w io.Writer, runs []*LinearRun) error {
 // Fig7 reports the hierarchy statistics behind Figure 7: per-level vertex
 // and element counts and reduction ratios for the model problem.
 func Fig7(w io.Writer) error {
-	s := problems.NewSpheresConfig(problems.SpheresConfig{Layers: 5, ElemsPerLayer: 2, CoreElems: 4, OuterElems: 4})
+	s := problems.NewSpheresConfig(seriesCfg(2))
 	h, err := core.Coarsen(s.Mesh, core.Options{})
 	if err != nil {
 		return err
@@ -274,9 +273,7 @@ func WriteSeriesCSV(w io.Writer, runs []*LinearRun) error {
 		"eFs,ec,eIs,total_e,"+
 		"wall_partition_ms,wall_mesh_setup_ms,wall_fine_grid_ms,wall_matrix_setup_ms,wall_solve_ms,model_solve_s")
 	for _, r := range runs {
-		e := perf.Decompose(base.Iters, r.Iters, base.SolveFlops, r.SolveFlops,
-			base.Free, r.Free, base.Spec.Ranks, r.Spec.Ranks,
-			base.RatePerProc(), r.RatePerProc(), r.LoadBalance())
+		e := r.efficiencies(base)
 		ms := func(name string) float64 {
 			return float64(r.Wall[name].Microseconds()) / 1000
 		}

@@ -3,12 +3,21 @@ package experiments
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"prometheus/internal/multigrid"
 	"prometheus/internal/perf"
 	"prometheus/internal/problems"
 )
+
+// tinySpec is the grid the render tests run on: 648 dof, four levels.
+// prombench runs the same report bodies at the paper-series sizes.
+var tinySpec = SizeSpec{
+	Name:  "tiny",
+	Cfg:   problems.SpheresConfig{Layers: 3, ElemsPerLayer: 1, CoreElems: 1, OuterElems: 1},
+	Ranks: 2,
+}
 
 func TestSeriesSpecs(t *testing.T) {
 	specs := Series(3)
@@ -32,10 +41,11 @@ func TestSeriesSpecs(t *testing.T) {
 }
 
 func TestRunLinearSmallest(t *testing.T) {
-	r, err := RunLinear(Series(1)[0], perf.PaperIBM(), multigrid.Options{})
+	runs, err := series1()
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := runs[0]
 	if r.Iters < 5 || r.Iters > 100 {
 		t.Fatalf("iters = %d", r.Iters)
 	}
@@ -69,7 +79,7 @@ func TestRunLinearSmallest(t *testing.T) {
 }
 
 func TestReportsRender(t *testing.T) {
-	runs, err := RunSeries(1, multigrid.Options{})
+	runs, err := series1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +121,25 @@ func TestScaledYieldStress(t *testing.T) {
 	}
 }
 
-func TestRunNonlinearTiny(t *testing.T) {
-	spec := SizeSpec{
+// tinyNonlinear is a three-step crush run once for the tests that check
+// its statistics and its rendering, on a grid a size below tinySpec (375
+// dof): a crush costs some twenty linear solves. newton's own tests cover
+// the solver at 1536 dof.
+var tinyNonlinear = sync.OnceValues(func() (*NonlinearRun, error) {
+	return RunNonlinear(SizeSpec{
 		Name: "tiny",
-		Cfg:  problems.SpheresConfig{Layers: 3, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2},
-	}
-	r, err := RunNonlinear(spec, 3)
+		Cfg:  problems.SpheresConfig{Layers: 2, ElemsPerLayer: 1, CoreElems: 1, OuterElems: 1},
+	}, 3)
+})
+
+// series1 is the smallest point of the paper series (3000 dof), run once
+// for the tests that check the run and those that render it.
+var series1 = sync.OnceValues(func() ([]*LinearRun, error) {
+	return RunSeries(1, multigrid.Options{})
+})
+
+func TestRunNonlinearTiny(t *testing.T) {
+	r, err := tinyNonlinear()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +162,21 @@ func TestSlowReportsRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	nl, err := tinyNonlinear()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var b bytes.Buffer
+	cfg := tinySpec.Cfg
 	for name, fn := range map[string]func() error{
-		"fig13":      func() error { return Fig13(&b, 1, 2) },
-		"amg":        func() error { return AMGCompare(&b) },
-		"phases":     func() error { return Amortization(&b) },
-		"abl-tol":    func() error { return AblationTOL(&b) },
-		"abl-blocks": func() error { return AblationBlocks(&b) },
-		"abl-krylov": func() error { return AblationKrylov(&b) },
+		"fig13":      func() error { return renderFig13(&b, []*NonlinearRun{nl}, 3) },
+		"amg":        func() error { return amgCompare(&b, cfg) },
+		"phases":     func() error { return amortization(&b, cfg) },
+		"abl-tol":    func() error { return ablationTOL(&b, cfg) },
+		"abl-recl":   func() error { return ablationReclassify(&b, cfg) },
+		"abl-blocks": func() error { return ablationBlocks(&b, cfg) },
+		"abl-cycle":  func() error { return ablationCycle(&b, cfg) },
+		"abl-krylov": func() error { return ablationKrylov(&b, cfg) },
 	} {
 		if err := fn(); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -154,7 +184,7 @@ func TestSlowReportsRender(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{"Figure 13", "smoothed aggregation", "amortization",
-		"tolerance TOL", "block Jacobi density", "Krylov"} {
+		"tolerance TOL", "reclassification policy", "block Jacobi density", "multigrid cycle", "Krylov"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q", want)
 		}
@@ -162,7 +192,9 @@ func TestSlowReportsRender(t *testing.T) {
 }
 
 func TestHeadlineRenders(t *testing.T) {
-	runs, err := RunSeries(2, multigrid.Options{})
+	bigger := tinySpec
+	bigger.Cfg.CoreElems, bigger.Cfg.OuterElems, bigger.Ranks = 2, 2, 4
+	runs, err := runSeries([]SizeSpec{tinySpec, bigger}, multigrid.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +212,7 @@ func TestHeadlineRenders(t *testing.T) {
 }
 
 func TestWriteSeriesCSV(t *testing.T) {
-	runs, err := RunSeries(1, multigrid.Options{})
+	runs, err := series1()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,6 +35,14 @@ type SizeSpec struct {
 // processor.
 const TargetDofPerRank = 1500
 
+// seriesCfg is the reduced (5-layer) geometry with k elements per layer:
+// the sizes every report runs at under prombench. The report bodies take
+// the configuration as an argument so the package's tests can render
+// them on a smaller grid.
+func seriesCfg(k int) problems.SpheresConfig {
+	return problems.SpheresConfig{Layers: 5, ElemsPerLayer: k, CoreElems: 2 * k, OuterElems: 2 * k}
+}
+
 // Series returns the scaled problem series: the reduced (5-layer) geometry
 // with k = 1..maxK elements per layer, simulated rank counts chosen to
 // hold dof/rank constant. With TargetDofPerRank = 1500 the rank series
@@ -42,9 +50,7 @@ const TargetDofPerRank = 1500
 func Series(maxK int) []SizeSpec {
 	var out []SizeSpec
 	for k := 1; k <= maxK; k++ {
-		cfg := problems.SpheresConfig{
-			Layers: 5, ElemsPerLayer: k, CoreElems: 2 * k, OuterElems: 2 * k,
-		}
+		cfg := seriesCfg(k)
 		n := cfg.NumRadial()
 		dof := 3 * (n + 1) * (n + 1) * (n + 1)
 		ranks := dof / TargetDofPerRank
@@ -58,6 +64,65 @@ func Series(maxK int) []SizeSpec {
 		})
 	}
 	return out
+}
+
+// assembleFirstTangent integrates the tangent and internal force of the
+// first Newton iteration of the crush (the displacement scaled to the
+// first of ten steps): the operator of the section 7.1 linear study.
+func assembleFirstTangent(s *problems.Spheres) (*fem.Problem, *sparse.CSR, []float64, error) {
+	p := fem.NewProblem(s.Mesh, s.Models, true)
+	p.Workers = assemblyWorkers()
+	u := make([]float64, s.Mesh.NumDOF())
+	s.Cons.Scaled(0.1).Apply(u)
+	k, fint, err := p.AssembleTangent(u)
+	return p, k, fint, err
+}
+
+// incrementDofMap numbers the free dofs of the homogeneous form of the
+// problem's constraints, the form Newton increments satisfy.
+func incrementDofMap(s *problems.Spheres) (*fem.Constraints, *fem.DofMap) {
+	zero := fem.NewConstraints()
+	for d := range s.Cons.Fixed {
+		zero.FixDof(d, 0)
+	}
+	return zero, zero.NewDofMap(s.Mesh.NumDOF())
+}
+
+// reduceFirstTangent eliminates the constrained dofs from k and from the
+// Newton right-hand side -fint.
+func reduceFirstTangent(s *problems.Spheres, k *sparse.CSR, fint []float64) (*fem.DofMap, *sparse.CSR, []float64) {
+	zero, dm := incrementDofMap(s)
+	r := make([]float64, len(fint))
+	for i := range r {
+		r[i] = -fint[i]
+	}
+	kred, rred := zero.Reduce(k, r, dm)
+	return dm, kred, rred
+}
+
+// firstSystem is assembleFirstTangent followed by reduceFirstTangent, for
+// the reports that do not time the two apart.
+func firstSystem(s *problems.Spheres) (*fem.DofMap, *sparse.CSR, []float64, error) {
+	_, k, fint, err := assembleFirstTangent(s)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	dm, kred, rred := reduceFirstTangent(s, k, fint)
+	return dm, kred, rred, nil
+}
+
+// restrictions returns the restriction chain of h for a fine operator
+// reduced by dm: the first restriction loses its constrained columns.
+func restrictions(h *core.Hierarchy, dm *fem.DofMap) []*sparse.CSR {
+	var rs []*sparse.CSR
+	for l := 1; l < h.NumLevels(); l++ {
+		r := h.Grids[l].R
+		if l == 1 {
+			r = multigrid.CompressCols(r, dm.Full2Red, dm.NumFree())
+		}
+		rs = append(rs, r)
+	}
+	return rs
 }
 
 // LinearRun is the outcome of one scaled linear solve (the section 7.1
@@ -93,7 +158,7 @@ type LinearRun struct {
 // RunLinear executes one point of the scaled study.
 func RunLinear(spec SizeSpec, machine perf.Machine, mgOpts multigrid.Options) (*LinearRun, error) {
 	phases := perf.NewPhases()
-	out := &LinearRun{Spec: spec, Wall: map[string]time.Duration{}}
+	out := &LinearRun{Spec: spec, Wall: phases.Wall}
 
 	s := problems.NewSpheresConfig(spec.Cfg)
 	out.Dof = s.Mesh.NumDOF()
@@ -119,42 +184,22 @@ func RunLinear(spec SizeSpec, machine perf.Machine, mgOpts multigrid.Options) (*
 	}
 
 	// Fine grid creation (FEAP): element integration and assembly of the
-	// first Newton tangent (crush scaled to the first of ten steps).
-	p := fem.NewProblem(s.Mesh, s.Models, true)
-	p.Workers = assemblyWorkers()
-	u := make([]float64, s.Mesh.NumDOF())
-	s.Cons.Scaled(0.1).Apply(u)
+	// first Newton tangent.
+	var p *fem.Problem
 	var k *sparse.CSR
 	var fint []float64
 	phases.Time("fine grid", func() {
-		k, fint, err = p.AssembleTangent(u)
+		p, k, fint, err = assembleFirstTangent(s)
 	})
 	if err != nil {
 		return nil, err
 	}
 	out.FineFlops = p.AssembleFlops
-
-	zero := fem.NewConstraints()
-	for d := range s.Cons.Fixed {
-		zero.FixDof(d, 0)
-	}
-	dm := zero.NewDofMap(s.Mesh.NumDOF())
-	r := make([]float64, len(fint))
-	for i := range r {
-		r[i] = -fint[i]
-	}
-	kred, rred := zero.Reduce(k, r, dm)
+	dm, kred, rred := reduceFirstTangent(s, k, fint)
 	out.Free = kred.NRows
 
 	// Matrix setup (Epimetheus/PETSc): Galerkin products, factorizations.
-	var rs []*sparse.CSR
-	for l := 1; l < h.NumLevels(); l++ {
-		rr := h.Grids[l].R
-		if l == 1 {
-			rr = multigrid.CompressCols(rr, dm.Full2Red, dm.NumFree())
-		}
-		rs = append(rs, rr)
-	}
+	rs := restrictions(h, dm)
 	var mg *multigrid.MG
 	phases.Time("matrix setup", func() {
 		mg, err = multigrid.New(kred, rs, mgOpts)
@@ -175,11 +220,6 @@ func RunLinear(spec SizeSpec, machine perf.Machine, mgOpts multigrid.Options) (*
 	}
 	out.Iters = res.Iterations
 	out.SolveFlops = res.Flops + mg.Flops()
-	out.Wall["partition"] = phases.Wall["partition"]
-	out.Wall["mesh setup"] = phases.Wall["mesh setup"]
-	out.Wall["fine grid"] = phases.Wall["fine grid"]
-	out.Wall["matrix setup"] = phases.Wall["matrix setup"]
-	out.Wall["solve"] = phases.Wall["solve"]
 
 	// Distribute the measured work over the simulated ranks and model the
 	// solve time.
@@ -281,6 +321,14 @@ func (lr *LinearRun) RatePerProc() float64 {
 		return 0
 	}
 	return float64(perf.Sum(lr.RankFlops)) / lr.ModelSolveMax / float64(lr.Spec.Ranks)
+}
+
+// efficiencies is the section 6 decomposition of the run's scaled
+// efficiency against the base run of its series.
+func (lr *LinearRun) efficiencies(base *LinearRun) perf.Efficiencies {
+	return perf.Decompose(base.Iters, lr.Iters, base.SolveFlops, lr.SolveFlops,
+		base.Free, lr.Free, base.Spec.Ranks, lr.Spec.Ranks,
+		base.RatePerProc(), lr.RatePerProc(), lr.LoadBalance())
 }
 
 // LoadBalance returns the flop balance across ranks.

@@ -87,15 +87,7 @@ func ThinBody(w io.Writer) error {
 		}
 		dm := cons.NewDofMap(m.NumDOF())
 		kred, fred := cons.Reduce(k, f, dm)
-		var rs []*sparse.CSR
-		for l := 1; l < h.NumLevels(); l++ {
-			r := h.Grids[l].R
-			if l == 1 {
-				r = multigrid.CompressCols(r, dm.Full2Red, dm.NumFree())
-			}
-			rs = append(rs, r)
-		}
-		mgp, err := multigrid.New(kred, rs, multigrid.Options{})
+		mgp, err := multigrid.New(kred, restrictions(h, dm), multigrid.Options{})
 		if err != nil {
 			return 0, 0, err
 		}
@@ -191,8 +183,9 @@ func ParallelMISStudy(w io.Writer) error {
 
 // AblationTOL sweeps the face identification tolerance and reports face
 // counts and solver iterations on the model problem (experiment E16).
-func AblationTOL(w io.Writer) error {
-	cfg := problems.SpheresConfig{Layers: 5, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2}
+func AblationTOL(w io.Writer) error { return ablationTOL(w, seriesCfg(1)) }
+
+func ablationTOL(w io.Writer, cfg problems.SpheresConfig) error {
 	rows := [][]string{}
 	for _, tol := range []float64{0.5, 0.707, 0.866, 0.966} {
 		its, faces, err := solveSpheresWith(cfg, core.Options{TOL: tol}, multigrid.Options{})
@@ -210,8 +203,9 @@ func AblationTOL(w io.Writer) error {
 
 // AblationReclassify compares inheriting classifications on all grids
 // against the paper's reclassify-from-the-third-grid policy (E17).
-func AblationReclassify(w io.Writer) error {
-	cfg := problems.SpheresConfig{Layers: 5, ElemsPerLayer: 2, CoreElems: 4, OuterElems: 4}
+func AblationReclassify(w io.Writer) error { return ablationReclassify(w, seriesCfg(2)) }
+
+func ablationReclassify(w io.Writer, cfg problems.SpheresConfig) error {
 	rows := [][]string{}
 	for _, rf := range []struct {
 		name string
@@ -230,8 +224,9 @@ func AblationReclassify(w io.Writer) error {
 
 // AblationBlocks sweeps the block-Jacobi density around the paper's
 // 6-per-1000 rule (E18).
-func AblationBlocks(w io.Writer) error {
-	cfg := problems.SpheresConfig{Layers: 5, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2}
+func AblationBlocks(w io.Writer) error { return ablationBlocks(w, seriesCfg(1)) }
+
+func ablationBlocks(w io.Writer, cfg problems.SpheresConfig) error {
 	rows := [][]string{}
 	for _, bpt := range []int{1, 6, 24, 96} {
 		bpt := bpt
@@ -255,8 +250,9 @@ func AblationBlocks(w io.Writer) error {
 }
 
 // AblationCycle compares FMG against V-cycle preconditioning (E19).
-func AblationCycle(w io.Writer) error {
-	cfg := problems.SpheresConfig{Layers: 5, ElemsPerLayer: 2, CoreElems: 4, OuterElems: 4}
+func AblationCycle(w io.Writer) error { return ablationCycle(w, seriesCfg(2)) }
+
+func ablationCycle(w io.Writer, cfg problems.SpheresConfig) error {
 	rows := [][]string{}
 	for _, c := range []struct {
 		name string
@@ -290,32 +286,11 @@ func solveSpheresWith(cfg problems.SpheresConfig, copts core.Options, mopts mult
 	}
 	_, faces := topo.IdentifyFaces(facets, adjF, tol)
 
-	p := fem.NewProblem(s.Mesh, s.Models, true)
-	u := make([]float64, s.Mesh.NumDOF())
-	s.Cons.Scaled(0.1).Apply(u)
-	k, fint, err := p.AssembleTangent(u)
+	dm, kred, rred, err := firstSystem(s)
 	if err != nil {
 		return 0, 0, err
 	}
-	zero := fem.NewConstraints()
-	for d := range s.Cons.Fixed {
-		zero.FixDof(d, 0)
-	}
-	dm := zero.NewDofMap(s.Mesh.NumDOF())
-	r := make([]float64, len(fint))
-	for i := range r {
-		r[i] = -fint[i]
-	}
-	kred, rred := zero.Reduce(k, r, dm)
-	var rs []*sparse.CSR
-	for l := 1; l < h.NumLevels(); l++ {
-		rr := h.Grids[l].R
-		if l == 1 {
-			rr = multigrid.CompressCols(rr, dm.Full2Red, dm.NumFree())
-		}
-		rs = append(rs, rr)
-	}
-	mg, err := multigrid.New(kred, rs, mopts)
+	mg, err := multigrid.New(kred, restrictions(h, dm), mopts)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -330,38 +305,29 @@ func solveSpheresWith(cfg problems.SpheresConfig, copts core.Options, mopts mult
 // AMGCompare runs the section 8 comparison the paper planned: the MIS
 // geometric coarsening of this paper against smoothed aggregation [25] on
 // the same model problem, same smoother, same outer Krylov method.
-func AMGCompare(w io.Writer) error {
-	cfg := problems.SpheresConfig{Layers: 5, ElemsPerLayer: 2, CoreElems: 4, OuterElems: 4}
+func AMGCompare(w io.Writer) error { return amgCompare(w, seriesCfg(2)) }
+
+func amgCompare(w io.Writer, cfg problems.SpheresConfig) error {
 	s := problems.NewSpheresConfig(cfg)
-	p := fem.NewProblem(s.Mesh, s.Models, true)
-	u := make([]float64, s.Mesh.NumDOF())
-	s.Cons.Scaled(0.1).Apply(u)
-	k, fint, err := p.AssembleTangent(u)
+	dm, kred, rred, err := firstSystem(s)
 	if err != nil {
 		return err
 	}
-	zero := fem.NewConstraints()
-	for d := range s.Cons.Fixed {
-		zero.FixDof(d, 0)
-	}
-	dm := zero.NewDofMap(s.Mesh.NumDOF())
-	r := make([]float64, len(fint))
-	for i := range r {
-		r[i] = -fint[i]
-	}
-	kred, rred := zero.Reduce(k, r, dm)
 
-	solveWith := func(rs []*sparse.CSR) (int, float64, int, error) {
+	rows := [][]string{}
+	solveWith := func(name string, rs []*sparse.CSR) error {
 		mg, err := multigrid.New(kred, rs, multigrid.Options{})
 		if err != nil {
-			return 0, 0, 0, err
+			return fmt.Errorf("%s: %w", name, err)
 		}
 		x := make([]float64, kred.NRows)
 		res := krylov.FPCG(kred, rred, x, mg, 1e-4, 3000)
 		if !res.Converged {
-			return res.Iterations, 0, 0, fmt.Errorf("not converged")
+			return fmt.Errorf("%s: not converged", name)
 		}
-		return res.Iterations, mg.OperatorComplexity(), mg.NumLevels(), nil
+		rows = append(rows, []string{name, fmt.Sprintf("%d", mg.NumLevels()),
+			fmt.Sprintf("%d", res.Iterations), fmt.Sprintf("%.2f", mg.OperatorComplexity())})
+		return nil
 	}
 
 	// Prometheus (this paper): geometric MIS hierarchy.
@@ -369,17 +335,8 @@ func AMGCompare(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var rsGeo []*sparse.CSR
-	for l := 1; l < h.NumLevels(); l++ {
-		rr := h.Grids[l].R
-		if l == 1 {
-			rr = multigrid.CompressCols(rr, dm.Full2Red, dm.NumFree())
-		}
-		rsGeo = append(rsGeo, rr)
-	}
-	itGeo, ocGeo, lvGeo, err := solveWith(rsGeo)
-	if err != nil {
-		return fmt.Errorf("geometric: %w", err)
+	if err := solveWith("MIS geometric (this paper)", restrictions(h, dm)); err != nil {
+		return err
 	}
 
 	// Smoothed aggregation [25] with rigid body modes.
@@ -388,15 +345,10 @@ func AMGCompare(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	itSA, ocSA, lvSA, err := solveWith(rsSA)
-	if err != nil {
-		return fmt.Errorf("smoothed aggregation: %w", err)
+	if err := solveWith("smoothed aggregation [25]", rsSA); err != nil {
+		return err
 	}
 
-	rows := [][]string{
-		{"MIS geometric (this paper)", fmt.Sprintf("%d", lvGeo), fmt.Sprintf("%d", itGeo), fmt.Sprintf("%.2f", ocGeo)},
-		{"smoothed aggregation [25]", fmt.Sprintf("%d", lvSA), fmt.Sprintf("%d", itSA), fmt.Sprintf("%.2f", ocSA)},
-	}
 	fmt.Fprintln(w, "Section 8 — MIS geometric coarsening vs smoothed aggregation on the model problem")
 	fmt.Fprint(w, perf.Table([]string{"hierarchy", "levels", "MG-PCG iters (rtol=1e-4)", "op complexity"}, rows))
 	return nil
@@ -405,69 +357,44 @@ func AMGCompare(w io.Writer) error {
 // AblationKrylov compares the outer Krylov methods with the same multigrid
 // preconditioner: flexible CG (our default), plain PCG, and GMRES(30) (the
 // solver family of the paper's reference [18]).
-func AblationKrylov(w io.Writer) error {
-	cfg := problems.SpheresConfig{Layers: 5, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2}
+func AblationKrylov(w io.Writer) error { return ablationKrylov(w, seriesCfg(1)) }
+
+func ablationKrylov(w io.Writer, cfg problems.SpheresConfig) error {
 	s := problems.NewSpheresConfig(cfg)
-	p := fem.NewProblem(s.Mesh, s.Models, true)
-	u := make([]float64, s.Mesh.NumDOF())
-	s.Cons.Scaled(0.1).Apply(u)
-	k, fint, err := p.AssembleTangent(u)
+	dm, kred, rred, err := firstSystem(s)
 	if err != nil {
 		return err
 	}
-	zero := fem.NewConstraints()
-	for d := range s.Cons.Fixed {
-		zero.FixDof(d, 0)
-	}
-	dm := zero.NewDofMap(s.Mesh.NumDOF())
-	r := make([]float64, len(fint))
-	for i := range r {
-		r[i] = -fint[i]
-	}
-	kred, rred := zero.Reduce(k, r, dm)
 	h, err := core.Coarsen(s.Mesh, core.Options{})
 	if err != nil {
 		return err
 	}
-	var rs []*sparse.CSR
-	for l := 1; l < h.NumLevels(); l++ {
-		rr := h.Grids[l].R
-		if l == 1 {
-			rr = multigrid.CompressCols(rr, dm.Full2Red, dm.NumFree())
-		}
-		rs = append(rs, rr)
-	}
+	rs := restrictions(h, dm)
 	rows := [][]string{}
-	run := func(name string, solve func(mg *multigrid.MG) krylov.Result) error {
+	for _, method := range []struct {
+		name  string
+		solve func(x []float64, mg *multigrid.MG) krylov.Result
+	}{
+		{"flexible CG (default)", func(x []float64, mg *multigrid.MG) krylov.Result {
+			return krylov.FPCG(kred, rred, x, mg, 1e-4, 500)
+		}},
+		{"plain PCG", func(x []float64, mg *multigrid.MG) krylov.Result {
+			return krylov.PCG(kred, rred, x, mg, 1e-4, 500)
+		}},
+		{"GMRES(30) [18]", func(x []float64, mg *multigrid.MG) krylov.Result {
+			return krylov.GMRES(kred, rred, x, mg, 30, 1e-4, 500)
+		}},
+	} {
 		mg, err := multigrid.New(kred, rs, multigrid.Options{})
 		if err != nil {
 			return err
 		}
-		res := solve(mg)
+		res := method.solve(make([]float64, kred.NRows), mg)
 		conv := "yes"
 		if !res.Converged {
 			conv = "NO"
 		}
-		rows = append(rows, []string{name, fmt.Sprintf("%d", res.Iterations), conv})
-		return nil
-	}
-	if err := run("flexible CG (default)", func(mg *multigrid.MG) krylov.Result {
-		x := make([]float64, kred.NRows)
-		return krylov.FPCG(kred, rred, x, mg, 1e-4, 500)
-	}); err != nil {
-		return err
-	}
-	if err := run("plain PCG", func(mg *multigrid.MG) krylov.Result {
-		x := make([]float64, kred.NRows)
-		return krylov.PCG(kred, rred, x, mg, 1e-4, 500)
-	}); err != nil {
-		return err
-	}
-	if err := run("GMRES(30) [18]", func(mg *multigrid.MG) krylov.Result {
-		x := make([]float64, kred.NRows)
-		return krylov.GMRES(kred, rred, x, mg, 30, 1e-4, 500)
-	}); err != nil {
-		return err
+		rows = append(rows, []string{method.name, fmt.Sprintf("%d", res.Iterations), conv})
 	}
 	fmt.Fprintln(w, "Ablation — outer Krylov method with the same FMG preconditioner")
 	fmt.Fprint(w, perf.Table([]string{"method", "iters (rtol=1e-4)", "converged"}, rows))
@@ -480,45 +407,26 @@ func AblationKrylov(w io.Writer) error {
 // and the solve once per right-hand side. Linear transient analysis
 // amortizes the first two; fully nonlinear analysis amortizes only the
 // first (exactly the paper's discussion).
-func Amortization(w io.Writer) error {
-	cfg := problems.SpheresConfig{Layers: 5, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2}
-	s := problems.NewSpheresConfig(cfg)
-	p := fem.NewProblem(s.Mesh, s.Models, true)
-	u := make([]float64, s.Mesh.NumDOF())
-	s.Cons.Scaled(0.1).Apply(u)
+func Amortization(w io.Writer) error { return amortization(w, seriesCfg(1)) }
 
+func amortization(w io.Writer, cfg problems.SpheresConfig) error {
+	s := problems.NewSpheresConfig(cfg)
 	phases := perf.NewPhases()
 	var k *sparse.CSR
 	var fint []float64
 	var err error
-	phases.Time("fine grid (per mesh)", func() { k, fint, err = p.AssembleTangent(u) })
+	phases.Time("fine grid (per mesh)", func() { _, k, fint, err = assembleFirstTangent(s) })
 	if err != nil {
 		return err
 	}
-	zero := fem.NewConstraints()
-	for d := range s.Cons.Fixed {
-		zero.FixDof(d, 0)
-	}
-	dm := zero.NewDofMap(s.Mesh.NumDOF())
-	rhs := make([]float64, len(fint))
-	for i := range rhs {
-		rhs[i] = -fint[i]
-	}
-	kred, rred := zero.Reduce(k, rhs, dm)
+	dm, kred, rred := reduceFirstTangent(s, k, fint)
 
 	var h *core.Hierarchy
 	phases.Time("mesh setup (per mesh)", func() { h, err = core.Coarsen(s.Mesh, core.Options{}) })
 	if err != nil {
 		return err
 	}
-	var rs []*sparse.CSR
-	for l := 1; l < h.NumLevels(); l++ {
-		rr := h.Grids[l].R
-		if l == 1 {
-			rr = multigrid.CompressCols(rr, dm.Full2Red, dm.NumFree())
-		}
-		rs = append(rs, rr)
-	}
+	rs := restrictions(h, dm)
 	var mg *multigrid.MG
 	phases.Time("matrix setup (per matrix)", func() { mg, err = multigrid.New(kred, rs, multigrid.Options{}) })
 	if err != nil {

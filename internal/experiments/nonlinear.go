@@ -54,19 +54,8 @@ func RunNonlinear(spec SizeSpec, steps int) (*NonlinearRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	zero := fem.NewConstraints()
-	for d := range s.Cons.Fixed {
-		zero.FixDof(d, 0)
-	}
-	dm := zero.NewDofMap(s.Mesh.NumDOF())
-	var rs []*sparse.CSR
-	for l := 1; l < h.NumLevels(); l++ {
-		r := h.Grids[l].R
-		if l == 1 {
-			r = multigrid.CompressCols(r, dm.Full2Red, dm.NumFree())
-		}
-		rs = append(rs, r)
-	}
+	_, dm := incrementDofMap(s)
+	rs := restrictions(h, dm)
 	factory := func(k sparse.Operator) (krylov.Preconditioner, error) {
 		return multigrid.New(k, rs, multigrid.Options{})
 	}
@@ -92,7 +81,10 @@ func Fig13(w io.Writer, maxK, steps int) error {
 		}
 		runs = append(runs, r)
 	}
+	return renderFig13(w, runs, steps)
+}
 
+func renderFig13(w io.Writer, runs []*NonlinearRun, steps int) error {
 	// Left panel: plastic percentage per step.
 	headers := []string{"dof \\ step"}
 	for s := 1; s <= steps; s++ {

@@ -33,6 +33,11 @@ type identity struct{}
 
 func (identity) Apply(r, z []float64) { copy(z, r) }
 
+// finite reports whether v is neither NaN nor infinite. A residual norm
+// that is not finite ends the CG iterations with Converged=false: every
+// later iterate would be NaN, and Inf <= rtol·Inf would read as converged.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // CG solves A·x = b with plain conjugate gradients.
 func CG(a sparse.Operator, b, x []float64, rtol float64, maxIter int) Result {
 	return PCG(a, b, x, identity{}, rtol, maxIter)
@@ -69,6 +74,9 @@ func pcg(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, maxI
 	rnorm := la.Norm2(r)
 	res.Residuals = append(res.Residuals, rnorm)
 	obs.RecordResidual(0, rnorm)
+	if !finite(rnorm) {
+		return res
+	}
 	if rnorm <= rtol*bnorm {
 		res.Converged = true
 		return res
@@ -82,8 +90,8 @@ func pcg(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, maxI
 		a.MulVec(p, ap)
 		pap := la.Dot(p, ap)
 		res.Flops += a.MulVecFlops() + 2*int64(n)
-		if pap <= 0 {
-			// Indefinite preconditioned operator: abort (caller sees
+		if !(pap > 0) {
+			// Indefinite or poisoned (NaN) operator: abort (caller sees
 			// Converged=false).
 			break
 		}
@@ -96,6 +104,9 @@ func pcg(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, maxI
 		res.Iterations++
 		res.Residuals = append(res.Residuals, rnorm)
 		obs.RecordResidual(res.Iterations, rnorm)
+		if !finite(rnorm) {
+			return res
+		}
 		if rnorm <= rtol*bnorm {
 			res.Converged = true
 			return res
@@ -128,38 +139,20 @@ type Monitor func(iter int, rnorm float64) bool
 // preconditions with is such an operator. For a symmetric preconditioner
 // FPCG reproduces PCG at the cost of one extra stored vector.
 func FPCG(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, maxIter int) Result {
-	return FPCGMonitored(a, b, x, m, rtol, maxIter, nil)
+	return FPCGMonitoredCtx(context.TODO(), a, b, x, m, rtol, maxIter, nil)
 }
 
-// FPCGMonitored is FPCG with a progress monitor. A nil monitor is exactly
-// FPCG: the iteration performs the same floating-point operations in the
-// same order, so results are bitwise identical with or without a monitor
-// (a monitor only observes norms and may cut the iteration short).
-func FPCGMonitored(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, maxIter int, mon Monitor) Result {
-	return fpcgTask(nil, a, b, x, m, rtol, maxIter, mon)
-}
-
-// FPCGCtx is FPCG with request-scoped observability: the obs task
-// carried by ctx (if any) is credited with the solve's outer-iteration
-// flops and iteration count, in addition to the process-global stats.
-// The task only observes — the iteration is bitwise identical to FPCG.
-func FPCGCtx(ctx context.Context, a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, maxIter int) Result {
-	return fpcgTask(obs.FromContext(ctx), a, b, x, m, rtol, maxIter, nil)
-}
-
-// FPCGMonitoredCtx is FPCGMonitored with request-scoped observability
-// (see FPCGCtx).
+// FPCGMonitoredCtx is FPCG with a progress monitor and request-scoped
+// observability: the obs task carried by ctx (if any) is credited with
+// the solve's outer-iteration flops and iteration count, in addition to
+// the process-global stats. Monitor and task only observe: the iteration
+// performs the same floating-point operations in the same order, so
+// results are bitwise identical to FPCG (a monitor may cut the iteration
+// short). The span's flop credit covers fpcg's own work (matrix-vector
+// products and vector ops), not the preconditioner applications — those
+// record under their own events, so per-event totals never double count.
 func FPCGMonitoredCtx(ctx context.Context, a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, maxIter int, mon Monitor) Result {
-	return fpcgTask(obs.FromContext(ctx), a, b, x, m, rtol, maxIter, mon)
-}
-
-// fpcgTask runs the flexible PCG iteration under one obs span,
-// crediting the outer-iteration work to both the global evFPCG stats
-// and, when non-nil, the request task. The span's flop credit covers
-// fpcg's own work (matrix-vector products and vector ops), not the
-// preconditioner applications — those record under their own events,
-// so per-event totals never double count.
-func fpcgTask(t *obs.Task, a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, maxIter int, mon Monitor) Result {
+	t := obs.FromContext(ctx)
 	sp := obs.StartTask(evFPCG, t)
 	res := fpcg(a, b, x, m, rtol, maxIter, mon)
 	sp.EndFlops(res.Flops)
@@ -192,6 +185,9 @@ func fpcg(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, max
 	if mon != nil && !mon(0, rnorm) {
 		return res
 	}
+	if !finite(rnorm) {
+		return res
+	}
 	if rnorm <= rtol*bnorm {
 		res.Converged = true
 		return res
@@ -205,7 +201,7 @@ func fpcg(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, max
 		a.MulVec(p, ap)
 		pap := la.Dot(p, ap)
 		res.Flops += a.MulVecFlops() + 2*int64(n)
-		if pap <= 0 {
+		if !(pap > 0) {
 			break
 		}
 		alpha := rz / pap
@@ -219,6 +215,9 @@ func fpcg(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, max
 		res.Residuals = append(res.Residuals, rnorm)
 		obs.RecordResidual(res.Iterations, rnorm)
 		if mon != nil && !mon(res.Iterations, rnorm) {
+			return res
+		}
+		if !finite(rnorm) {
 			return res
 		}
 		if rnorm <= rtol*bnorm {

@@ -278,3 +278,47 @@ func TestFPCGZeroRHS(t *testing.T) {
 		t.Fatalf("zero RHS: %+v", res)
 	}
 }
+
+// nanPrecon poisons every preconditioned residual.
+type nanPrecon struct{}
+
+func (nanPrecon) Apply(r, z []float64) {
+	for i := range z {
+		z[i] = math.NaN()
+	}
+}
+
+// TestCGStopsOnPoison: NaN fails every ordered comparison, so a poisoned
+// solve must be stopped by tests written for it — not run max_iters of
+// NaN arithmetic, and not read Inf <= rtol·Inf as convergence.
+func TestCGStopsOnPoison(t *testing.T) {
+	clean := laplace2D(6)
+	poisoned := laplace2D(6)
+	poisoned.Val[7] = math.NaN()
+	ones := make([]float64, clean.NRows)
+	huge := make([]float64, clean.NRows)
+	for i := range ones {
+		ones[i], huge[i] = 1, 1e200
+	}
+	for _, tc := range []struct {
+		name     string
+		a        *sparse.CSR
+		b        []float64
+		m        Preconditioner
+		maxIters int // most iterations the stop may take
+	}{
+		{"NaN entry in the operator", poisoned, ones, nil, 1},
+		{"right-hand side whose norm overflows", clean, huge, nil, 1},
+		{"NaN from the preconditioner", clean, ones, nanPrecon{}, 0},
+	} {
+		for name, solve := range map[string]func(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, maxIter int) Result{
+			"PCG": PCG, "FPCG": FPCG,
+		} {
+			res := solve(tc.a, tc.b, make([]float64, clean.NRows), tc.m, 1e-8, 1000)
+			if res.Converged || res.Iterations > tc.maxIters {
+				t.Errorf("%s, %s: converged=%v after %d iterations, want a stop within %d",
+					tc.name, name, res.Converged, res.Iterations, tc.maxIters)
+			}
+		}
+	}
+}

@@ -20,34 +20,45 @@ func TestMixedNarrowsCoarseLevels(t *testing.T) {
 	if len(rs) < 2 {
 		t.Fatal("need an intermediate coarse level so the f32 smoother actually runs")
 	}
-	mixed, err := New(k, rs, Options{CoarsePrecision: PrecisionMixedF32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := New(k, rs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := mixed.Levels[0].A.(*sparse.CSR); !ok {
-		t.Fatalf("fine level narrowed to %T; level 0 must stay f64", mixed.Levels[0].A)
-	}
-	var bytes64, bytes32 int64
-	for l := 1; l < len(mixed.Levels); l++ {
-		if _, ok := mixed.Levels[l].A.(*sparse.CSR32); !ok {
-			t.Fatalf("level %d is %T, want *sparse.CSR32", l, mixed.Levels[l].A)
-		}
-		bytes64 += sparse.StorageBytes(full.Levels[l].A)
-		bytes32 += sparse.StorageBytes(mixed.Levels[l].A)
-	}
-	if ratio := float64(bytes64) / float64(bytes32); ratio < 1.3 {
-		t.Fatalf("coarse-level bytes ratio %.2fx, want >= 1.3x (%d -> %d bytes)", ratio, bytes64, bytes32)
-	}
-	// The f32 coarse grids bound the convergence rate, not the attainable
-	// accuracy: the f64 fine-level residual still reaches 1e-10.
-	x := make([]float64, k.NRows)
-	cycles, rel := mixed.Solve(f, x, 1e-10, 100)
-	if rel > 1e-10 {
-		t.Fatalf("mixed MG stalled: rel = %v after %d cycles", rel, cycles)
+	for _, tc := range []struct {
+		name    string
+		storage StorageKind
+		narrow  func(sparse.Operator) bool
+	}{
+		{"csr", StorageCSR, func(a sparse.Operator) bool { _, ok := a.(*sparse.CSR32); return ok }},
+		{"bsr", StorageBSR, func(a sparse.Operator) bool { _, ok := a.(*sparse.BSR32); return ok }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mixed, err := New(k, rs, Options{Storage: tc.storage, CoarsePrecision: PrecisionMixedF32})
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := New(k, rs, Options{Storage: tc.storage})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.narrow(mixed.Levels[0].A) {
+				t.Fatalf("fine level narrowed to %T; level 0 must stay f64", mixed.Levels[0].A)
+			}
+			var bytes64, bytes32 int64
+			for l := 1; l < len(mixed.Levels); l++ {
+				if !tc.narrow(mixed.Levels[l].A) {
+					t.Fatalf("level %d is %T, want f32 storage", l, mixed.Levels[l].A)
+				}
+				bytes64 += sparse.StorageBytes(full.Levels[l].A)
+				bytes32 += sparse.StorageBytes(mixed.Levels[l].A)
+			}
+			if ratio := float64(bytes64) / float64(bytes32); ratio < 1.3 {
+				t.Fatalf("coarse-level bytes ratio %.2fx, want >= 1.3x (%d -> %d bytes)", ratio, bytes64, bytes32)
+			}
+			// The f32 coarse grids bound the convergence rate, not the attainable
+			// accuracy: the f64 fine-level residual still reaches 1e-10.
+			x := make([]float64, k.NRows)
+			cycles, rel := mixed.Solve(f, x, 1e-10, 100)
+			if rel > 1e-10 {
+				t.Fatalf("mixed MG stalled: rel = %v after %d cycles", rel, cycles)
+			}
+		})
 	}
 }
 

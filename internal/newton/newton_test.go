@@ -2,6 +2,7 @@ package newton
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"prometheus/internal/core"
@@ -16,8 +17,7 @@ import (
 // mgFactory builds the per-matrix multigrid preconditioner from a fixed
 // grid hierarchy (the paper's split: mesh setup once, matrix setup per
 // Newton iteration).
-func mgFactory(t *testing.T, h *core.Hierarchy, dm *fem.DofMap) PreconFactory {
-	t.Helper()
+func mgFactory(h *core.Hierarchy, dm *fem.DofMap) PreconFactory {
 	var rs []*sparse.CSR
 	for l := 1; l < h.NumLevels(); l++ {
 		r := h.Grids[l].R
@@ -31,8 +31,7 @@ func mgFactory(t *testing.T, h *core.Hierarchy, dm *fem.DofMap) PreconFactory {
 	}
 }
 
-func setupSpheres(t *testing.T, _ int) (*fem.Problem, *fem.Constraints, PreconFactory) {
-	t.Helper()
+func setupSpheres() (*fem.Problem, *fem.Constraints, PreconFactory, error) {
 	s := problems.NewSpheresConfig(problems.SpheresConfig{
 		Layers: 3, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2,
 	})
@@ -44,24 +43,50 @@ func setupSpheres(t *testing.T, _ int) (*fem.Problem, *fem.Constraints, PreconFa
 	p := fem.NewProblem(s.Mesh, s.Models, true)
 	h, err := core.Coarsen(s.Mesh, core.Options{MinCoarse: 30})
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, nil, err
 	}
 	zero := fem.NewConstraints()
 	for d := range s.Cons.Fixed {
 		zero.FixDof(d, 0)
 	}
 	dm := zero.NewDofMap(s.Mesh.NumDOF())
-	return p, s.Cons, mgFactory(t, h, dm)
+	return p, s.Cons, mgFactory(h, dm), nil
 }
 
-func TestNonlinearSpheresSmall(t *testing.T) {
-	p, cons, factory := setupSpheres(t, 4)
-	cfg := Config{Steps: 3, MaxNewton: 20, MaxPCG: 400}
-	u, stats, err := Solve(p, cons, cfg, factory, material.MatHard)
+// crush runs the four-step crush of the test geometry once, for the three
+// tests that check different properties of the same solve: a crush is some
+// thirty linear solves, and three of them were the slowest package of
+// tier-1. A failure of the shared solve fails every test that asks for it.
+func crush(t *testing.T) crushResult {
+	t.Helper()
+	c, err := crushOnce()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats.Steps) != 3 {
+	return c
+}
+
+const crushSteps = 4
+
+type crushResult struct {
+	p     *fem.Problem
+	u     []float64
+	stats *Stats
+}
+
+var crushOnce = sync.OnceValues(func() (crushResult, error) {
+	p, cons, factory, err := setupSpheres()
+	if err != nil {
+		return crushResult{}, err
+	}
+	u, stats, err := Solve(p, cons, Config{Steps: crushSteps, MaxNewton: 20, MaxPCG: 400}, factory, material.MatHard)
+	return crushResult{p, u, stats}, err
+})
+
+func TestNonlinearSpheresSmall(t *testing.T) {
+	c := crush(t)
+	p, u, stats := c.p, c.u, c.stats
+	if len(stats.Steps) != crushSteps {
 		t.Fatalf("steps recorded = %d", len(stats.Steps))
 	}
 	// The top surface must carry the full prescribed displacement.
@@ -99,12 +124,7 @@ func TestNonlinearSpheresSmall(t *testing.T) {
 }
 
 func TestPlasticFractionMonotoneGrowth(t *testing.T) {
-	p, cons, factory := setupSpheres(t, 4)
-	cfg := Config{Steps: 4, MaxNewton: 20, MaxPCG: 400}
-	_, stats, err := Solve(p, cons, cfg, factory, material.MatHard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := crush(t).stats
 	// Figure 13 left: the plastic fraction grows over the load schedule
 	// (monotone up to small unload effects; require non-decreasing within
 	// a tolerance).
@@ -152,7 +172,7 @@ func TestLinearProblemConvergesInOneIteration(t *testing.T) {
 		zero.FixDof(d, 0)
 	}
 	dm := zero.NewDofMap(c.Mesh.NumDOF())
-	factory := mgFactory(t, h, dm)
+	factory := mgFactory(h, dm)
 	_, stats, err := Solve(p, c.Cons, Config{Steps: 1, MaxNewton: 10, EnergyTol: 1e-12}, factory, -1)
 	if err != nil {
 		t.Fatal(err)
@@ -166,11 +186,7 @@ func TestDynamicToleranceSchedule(t *testing.T) {
 	// The paper's heuristic: rtol_1 = 1e-4; rtol_m = min(1e-3,
 	// 1e-1·‖r_m‖/‖r_{m-1}‖). The first tolerance of every step must be
 	// 1e-4 and later ones capped at 1e-3.
-	p, cons, factory := setupSpheres(t, 0)
-	_, stats, err := Solve(p, cons, Config{Steps: 2, MaxNewton: 15, MaxPCG: 600}, factory, material.MatHard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := crush(t).stats
 	for si, ss := range stats.Steps {
 		if len(ss.RTols) != ss.NewtonIters {
 			t.Fatalf("step %d: %d rtols for %d iterations", si, len(ss.RTols), ss.NewtonIters)

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -59,6 +61,33 @@ func (r SolveRequest) withDefaults() SolveRequest {
 		r.Cycle = "fmg"
 	}
 	return r
+}
+
+// Bounds on the numeric request fields. The solver squares the load
+// (residual norms, energy products), so the scale needs float64 headroom
+// for its square on both sides; the iteration cap bounds how long one
+// request may hold an admission slot and how long its residual history
+// can grow.
+const (
+	minLoadScale = 1e-100
+	maxLoadScale = 1e100
+	maxItersCap  = 10000
+)
+
+// validate rejects numeric fields the solver cannot give a meaningful
+// answer for, naming the field. It runs on the defaulted request, before
+// any geometry is built. The comparisons are written so NaN fails them.
+func (r SolveRequest) validate() error {
+	if s := math.Abs(r.LoadScale); !(s >= minLoadScale && s <= maxLoadScale) {
+		return fmt.Errorf("serve: load_scale must have magnitude in [%g, %g], got %g", minLoadScale, maxLoadScale, r.LoadScale)
+	}
+	if !(r.RTol > 0 && r.RTol < 1) {
+		return fmt.Errorf("serve: rtol must be in (0, 1), got %g", r.RTol)
+	}
+	if r.MaxIters < 1 || r.MaxIters > maxItersCap {
+		return fmt.Errorf("serve: max_iters must be in [1, %d], got %d", maxItersCap, r.MaxIters)
+	}
+	return nil
 }
 
 // Progress is one streamed residual line: the Krylov iteration number and
@@ -122,13 +151,22 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// writeJSON writes v as a JSON response. The returned error only means
-// the client stopped reading; there is nothing left to do with it but
-// stop writing, which every caller does by returning.
+// writeJSON writes v as a JSON response. v is encoded before the status
+// line goes out, so a value JSON cannot carry (a NaN) answers 500 with
+// the reason instead of the intended status and an empty body. The
+// returned error only means the client stopped reading; there is nothing
+// left to do with it but stop writing, which every caller does by
+// returning.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) error {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(errorBody{Error: fmt.Sprintf("serve: encode response: %v", err)}) // a string always encodes
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	return json.NewEncoder(w).Encode(v)
+	_, err = w.Write(append(body, '\n'))
+	return err
 }
 
 // failJSON writes an error envelope, ignoring client-gone write errors.
@@ -155,11 +193,20 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	var req SolveRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		failJSON(w, http.StatusBadRequest, fmt.Sprintf("serve: bad request body: %v", err))
 		return
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		failJSON(w, http.StatusBadRequest, "serve: bad request body: trailing data after the request object")
+		return
+	}
 	req = req.withDefaults()
+	if err := req.validate(); err != nil {
+		failJSON(w, http.StatusBadRequest, err.Error())
+		return
+	}
 
 	g, err := BuildGeometry(req.Spec)
 	if err != nil {

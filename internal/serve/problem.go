@@ -187,8 +187,7 @@ func solverOptions(rtol float64, maxIters int, cycle, storage, precision string)
 
 // DirectSolve runs the promsolve-style pipeline for a spec without any
 // service machinery: build, assemble, NewSolver, SolveLinear. It is the
-// reference the serve path is verified bitwise-identical against, and the
-// cold-path baseline of the servebench experiment.
+// reference the serve path is verified bitwise-identical against.
 func DirectSolve(spec Spec, scale, rtol float64, maxIters int, cycle, storage, precision string) ([]float64, *prometheus.Result, error) {
 	g, err := BuildGeometry(spec)
 	if err != nil {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -253,9 +254,11 @@ func TestServeStreaming(t *testing.T) {
 
 // TestServeConcurrentSessions races concurrent sessions against one
 // cached hierarchy (run under -race in CI): every request must succeed
-// and produce the identical solution hash.
+// and produce the identical solution hash. Then the open-loop half: with
+// every slot taken, requests that do not wait are shed with 503, and the
+// service accounts for each request as either admitted or rejected.
 func TestServeConcurrentSessions(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxConcurrent: 4})
+	svc, ts := newTestServer(t, Config{MaxConcurrent: 4})
 	spec := Spec{Problem: "cube", Size: 1}
 	// Warm the cache once so the racing requests share one entry.
 	warm := postSolve(t, ts, SolveRequest{Spec: spec})
@@ -308,6 +311,31 @@ func TestServeConcurrentSessions(t *testing.T) {
 				t.Fatalf("worker %d request %d hash %s, want %s", w, i, h, warm.SolutionHash)
 			}
 		}
+	}
+
+	const shed = 3
+	for i := 0; i < 4; i++ {
+		if err := svc.adm.Acquire(context.Background(), false); err != nil {
+			t.Fatalf("taking slot %d of an idle service: %v", i, err)
+		}
+	}
+	for i := 0; i < shed; i++ {
+		if _, status := postSolveStatus(t, ts, SolveRequest{Spec: spec}); status != http.StatusServiceUnavailable {
+			t.Fatalf("request %d to a saturated service: status %d, want 503", i, status)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		svc.adm.Release()
+	}
+	if got := postSolve(t, ts, SolveRequest{Spec: spec}); got.SolutionHash != warm.SolutionHash {
+		t.Fatalf("hash after backpressure %s, want %s", got.SolutionHash, warm.SolutionHash)
+	}
+	var h Health
+	getJSON(t, ts.URL+"/healthz", &h)
+	admitted := int64(1 + workers*perWorker + 1)
+	if h.Rejected != shed || h.Requests != admitted+shed || int64(h.TotalSessions) != admitted {
+		t.Fatalf("request accounting: %d requests, %d sessions admitted, %d rejected; want %d = %d + %d",
+			h.Requests, h.TotalSessions, h.Rejected, admitted+shed, admitted, shed)
 	}
 }
 
@@ -402,6 +430,45 @@ func TestServeRequestValidation(t *testing.T) {
 	}
 	if _, status := postSolveStatus(t, ts, SolveRequest{Spec: Spec{Problem: "cube", Size: 1}, Precision: "f16"}); status != http.StatusBadRequest {
 		t.Fatalf("unknown precision: status %d, want 400", status)
+	}
+
+	// Hostile numbers and malformed bodies: each must answer 400 with a
+	// JSON error naming the offending field, before any geometry is built.
+	for _, tc := range []struct{ body, names string }{
+		{`{"problem":"cube","size":1,"load_scale":1e308,"wait":true}`, "load_scale"},
+		{`{"problem":"cube","size":1,"load_scale":-1e101}`, "load_scale"},
+		{`{"problem":"cube","size":1,"load_scale":1e-300}`, "load_scale"},
+		{`{"problem":"cube","size":1,"load_scale":1e999}`, "load_scale"},
+		{`{"problem":"cube","size":1,"rtol":-1e-4}`, "rtol"},
+		{`{"problem":"cube","size":1,"rtol":1}`, "rtol"},
+		{`{"problem":"cube","size":1,"rtol":"NaN"}`, "rtol"},
+		{`{"problem":"cube","size":1,"max_iters":-1}`, "max_iters"},
+		{`{"problem":"cube","size":1,"max_iters":10001}`, "max_iters"},
+		{`{"problem":"cube","size":1,"max_iters":1e30}`, "max_iters"},
+		{`{"problem":"cube","size":1,"tolerance":1e-4}`, "tolerance"},
+		{`{"problem":"cube","size":1}{"problem":"cube","size":2}`, "trailing"},
+		{`{"problem":"cube","size":1}]`, "trailing"},
+	} {
+		hr, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		err = json.NewDecoder(hr.Body).Decode(&eb)
+		if cerr := hr.Body.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatalf("%s: status %d, body is not a JSON error: %v", tc.body, hr.StatusCode, err)
+		}
+		if hr.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, tc.names) {
+			t.Errorf("%s: status %d error %q, want 400 naming %q", tc.body, hr.StatusCode, eb.Error, tc.names)
+		}
+	}
+	var cb cacheBody
+	getJSON(t, ts.URL+"/v1/cache", &cb)
+	if cb.Misses != 0 {
+		t.Errorf("rejected requests built %d cache entries", cb.Misses)
 	}
 
 	hr, err := http.Get(ts.URL + "/v1/solve")

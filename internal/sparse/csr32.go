@@ -150,8 +150,9 @@ func (a *CSR32) Row(i int) ([]int32, []float32) {
 
 // StorageBytes reports the bytes one storage format holds resident per
 // operator: values, column indices and row pointers. It feeds the
-// mixedbench bytes/dof accounting; unsupported operator types count only
-// what the Operator interface exposes (8 bytes per stored entry).
+// bytes/dof accounting of the storage-mode gates and of bench/;
+// unsupported operator types count only what the Operator interface
+// exposes (8 bytes per stored entry).
 func StorageBytes(op Operator) int64 {
 	switch a := op.(type) {
 	case *CSR:

@@ -186,9 +186,10 @@ func TestF32MulVecParallelBitwise(t *testing.T) {
 	}
 }
 
-// TestStorageBytes pins the bytes-per-storage accounting the mixedbench
-// experiment reports: f32 storage must halve the per-entry footprint
-// (8 -> 4 value bytes, 8 -> 4 index bytes).
+// TestStorageBytes pins the bytes-per-storage accounting behind the
+// bytes/dof gates (TestMixedNarrowsCoarseLevels, TestStorageParityMF):
+// f32 storage must halve the per-entry footprint (8 -> 4 value bytes,
+// 8 -> 4 index bytes).
 func TestStorageBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	a := randCSR(rng, 60, 60, 0.1)
