@@ -638,3 +638,39 @@ func BenchmarkAMGCompare(b *testing.B) {
 		b.ReportMetric(float64(its), "PCG-iters")
 	})
 }
+
+// BenchmarkAssembleReduce measures the per-matrix phases ahead of matrix
+// setup on the two library systems of BENCHMARK.json at the benchmark's
+// sizes: tangent assembly (pattern, element integration, scatter, scalar
+// expansion) and Dirichlet reduction.
+func BenchmarkAssembleReduce(b *testing.B) {
+	sp := problems.NewSpheresConfig(problems.SpheresConfig{Layers: 5, ElemsPerLayer: 2, CoreElems: 4, OuterElems: 4})
+	u0 := make([]float64, sp.Mesh.NumDOF())
+	sp.Cons.Scaled(0.1).Apply(u0)
+	cube := problems.NewCube(24, LinearElastic{E: 1, Nu: 0.3}, -0.001)
+	for _, tc := range []struct {
+		name string
+		p    *Problem
+		cons *Constraints
+		u    []float64
+	}{
+		{"cube_46.9k", NewProblem(cube.Mesh, cube.Models, false), cube.Cons, make([]float64, cube.Mesh.NumDOF())},
+		{"spheres_20.6k", NewProblem(sp.Mesh, sp.Models, true), sp.Cons, u0},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			dm := tc.cons.NewDofMap(tc.p.M.NumDOF())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k, f, err := tc.p.AssembleTangent(tc.u)
+				if err != nil {
+					b.Fatal(err)
+				}
+				kred, _ := tc.cons.Reduce(k, f, dm)
+				if kred.NRows != dm.NumFree() {
+					b.Fatal("reduced system has the wrong size")
+				}
+			}
+		})
+	}
+}

@@ -2,11 +2,13 @@ package fem
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"prometheus/internal/geom"
 	"prometheus/internal/material"
 	"prometheus/internal/mesh"
+	"prometheus/internal/obs"
 	"prometheus/internal/sparse"
 )
 
@@ -32,15 +34,8 @@ type Problem struct {
 // NewProblem allocates a Problem with fresh (zero) material states.
 func NewProblem(m *mesh.Mesh, models []material.Model, bbar bool) *Problem {
 	p := &Problem{M: m, Models: models, BBar: bbar}
-	var ngp int
-	switch m.Type {
-	case mesh.Tet4:
-		ngp = len(TetGauss1)
-	case mesh.Hex20:
-		ngp = len(HexGauss3)
-	default:
-		ngp = len(HexGauss2)
-	}
+	gps, _ := quadrature(m.Type)
+	ngp := len(gps)
 	p.States = make([][]material.State, m.NumElems())
 	for e := range p.States {
 		p.States[e] = make([]material.State, ngp)
@@ -48,63 +43,53 @@ func NewProblem(m *mesh.Mesh, models []material.Model, bbar bool) *Problem {
 	return p
 }
 
-// gauss returns the quadrature rule for the mesh's element type.
-func (p *Problem) gauss() []GaussPoint {
-	switch p.M.Type {
-	case mesh.Tet4:
-		return TetGauss1
-	case mesh.Hex20:
-		return HexGauss3
-	default:
-		return HexGauss2
-	}
-}
-
-// shapeAt evaluates shape gradients for element type at a Gauss point.
-func (p *Problem) shapeAt(xi geom.Vec3) []geom.Vec3 {
-	switch p.M.Type {
-	case mesh.Tet4:
-		_, dn := TetShape(xi)
-		return dn[:]
-	case mesh.Hex20:
-		_, dn := Hex20Shape(xi)
-		return dn[:]
-	default:
-		_, dn := HexShape(xi)
-		return dn[:]
-	}
-}
-
-// elementData holds per-Gauss-point geometry for one element.
+// elementData holds the geometry of one element at its Gauss points. The
+// buffers are sized once for the element type and refilled by geometry, so
+// integrating an element allocates nothing.
 type elementData struct {
-	detJ []float64
-	dndx [][]geom.Vec3
-	vol  float64
+	coords []geom.Vec3 // nodal coordinates
+	detJ   []float64
+	dndx   [][]geom.Vec3 // physical gradients dN/dx per Gauss point
+	vol    float64
 	// bbar holds the volume-averaged gradients (B-bar correction).
 	bbar []geom.Vec3
 }
 
-// geometry integrates the element Jacobians (and the B-bar means).
-func (p *Problem) geometry(e int) (*elementData, error) {
-	conn := p.M.Elems[e]
-	coords := make([]geom.Vec3, len(conn))
-	for a, v := range conn {
-		coords[a] = p.M.Coords[v]
-	}
-	gps := p.gauss()
+func newElementData(t mesh.ElemType) *elementData {
+	gps, _ := quadrature(t)
+	npe := t.NodesPerElem()
 	ed := &elementData{
-		detJ: make([]float64, len(gps)),
-		dndx: make([][]geom.Vec3, len(gps)),
-		bbar: make([]geom.Vec3, len(conn)),
+		coords: make([]geom.Vec3, npe),
+		detJ:   make([]float64, len(gps)),
+		dndx:   make([][]geom.Vec3, len(gps)),
+		bbar:   make([]geom.Vec3, npe),
 	}
+	flat := make([]geom.Vec3, len(gps)*npe)
+	for g := range ed.dndx {
+		ed.dndx[g] = flat[g*npe : (g+1)*npe]
+	}
+	return ed
+}
+
+// geometry integrates the Jacobians of element e (and the B-bar means)
+// into ed.
+func (p *Problem) geometry(e int, ed *elementData) error {
+	conn := p.M.Elems[e]
+	for a, v := range conn {
+		ed.coords[a] = p.M.Coords[v]
+		ed.bbar[a] = geom.Vec3{}
+	}
+	ed.vol = 0
+	gps, dn := quadrature(p.M.Type)
 	for g, gp := range gps {
-		dn := p.shapeAt(gp.Xi)
-		detJ, dndx := jacobian(coords, dn)
-		if detJ <= 0 {
-			return nil, fmt.Errorf("fem: element %d has non-positive Jacobian %g at gp %d", e, detJ, g)
+		dndx := ed.dndx[g]
+		detJ := jacobian(ed.coords, dn[g], dndx)
+		// Negated so that a NaN Jacobian (a non-finite coordinate) is
+		// rejected too.
+		if !(detJ > 0) {
+			return fmt.Errorf("fem: element %d has non-positive Jacobian %g at gp %d", e, detJ, g)
 		}
 		ed.detJ[g] = detJ
-		ed.dndx[g] = dndx
 		w := gp.W * detJ
 		ed.vol += w
 		for a := range conn {
@@ -114,7 +99,7 @@ func (p *Problem) geometry(e int) (*elementData, error) {
 	for a := range conn {
 		ed.bbar[a] = ed.bbar[a].Scale(1 / ed.vol)
 	}
-	return ed, nil
+	return nil
 }
 
 // strainAt computes the (possibly B-bar) strain at Gauss point g of element
@@ -190,10 +175,12 @@ func (p *Problem) bMatrix(ed *elementData, g, nNodes int, b [][]float64) {
 // elemScratch holds the per-worker buffers of element integration.
 type elemScratch struct {
 	b, db [][]float64
+	ed    *elementData
 }
 
-func newElemScratch(ndof int) *elemScratch {
-	s := &elemScratch{b: make([][]float64, 6), db: make([][]float64, 6)}
+func newElemScratch(t mesh.ElemType) *elemScratch {
+	ndof := 3 * t.NodesPerElem()
+	s := &elemScratch{b: make([][]float64, 6), db: make([][]float64, 6), ed: newElementData(t)}
 	for i := range s.b {
 		s.b[i] = make([]float64, ndof)
 		s.db[i] = make([]float64, ndof)
@@ -205,8 +192,8 @@ func newElemScratch(ndof int) *elemScratch {
 // and internal force of element e at displacement u, returning the flop
 // estimate.
 func (p *Problem) integrateElement(e int, u []float64, scr *elemScratch, ke, fe []float64) (int64, error) {
-	ed, err := p.geometry(e)
-	if err != nil {
+	ed := scr.ed
+	if err := p.geometry(e, ed); err != nil {
 		return 0, err
 	}
 	nNodes := p.M.Type.NodesPerElem()
@@ -219,7 +206,8 @@ func (p *Problem) integrateElement(e int, u []float64, scr *elemScratch, ke, fe 
 		ke[i] = 0
 	}
 	var flops int64
-	for g, gp := range p.gauss() {
+	gps, _ := quadrature(p.M.Type)
+	for g, gp := range gps {
 		eps := p.strainAt(e, ed, g, u)
 		sig, d, _ := model.Update(p.States[e][g], eps)
 		p.bMatrix(ed, g, nNodes, scr.b)
@@ -269,18 +257,22 @@ func (p *Problem) AssembleTangent(u []float64) (*sparse.CSR, []float64, error) {
 	return k.ToCSR(), fint, nil
 }
 
-// AssembleBlockTangent is the blocked form of AssembleTangent: the element
-// loop emits one dense 3x3 block per node pair (BlockBuilder.AddBlock)
-// instead of nine scalar triplets, and the tangent comes back in BSR — the
-// paper's BAIJ storage — ready for the blocked solver stack without a
-// conversion pass.
+// AssembleBlockTangent is the blocked form of AssembleTangent: the tangent
+// comes back in BSR — the paper's BAIJ storage — ready for the blocked
+// solver stack without a conversion pass. The block pattern is known before
+// any number is: the arrays are allocated once from the mesh's NodePattern
+// and each element's 3x3 node-pair blocks are added straight into Val.
 func (p *Problem) AssembleBlockTangent(u []float64) (*sparse.BSR, []float64, error) {
+	sp := obs.Start(evAssemble)
+	defer sp.End()
 	n := p.M.NumDOF()
 	if len(u) != n {
 		return nil, nil, fmt.Errorf("fem: u has %d entries, want %d", len(u), n)
 	}
-	nv := p.M.NumVerts()
-	kb := sparse.NewBlockBuilder(nv, nv, 3)
+	spp := obs.Start(evAssemblePattern)
+	rowPtr, colIdx := p.M.NodePattern()
+	spp.End()
+	val := make([]float64, 9*len(colIdx))
 	fint := make([]float64, n)
 	ndof := 3 * p.M.Type.NodesPerElem()
 
@@ -290,21 +282,18 @@ func (p *Problem) AssembleBlockTangent(u []float64) (*sparse.BSR, []float64, err
 	}
 	nElems := p.M.NumElems()
 	const chunk = 256
-	// Chunk buffers: ke/fe per element slot, filled concurrently, drained
-	// in element order.
-	kes := make([][]float64, chunk)
-	fes := make([][]float64, chunk)
-	for i := range kes {
-		kes[i] = make([]float64, ndof*ndof)
-		fes[i] = make([]float64, ndof)
-	}
+	// Chunk buffers: one ke/fe slot per element, filled concurrently,
+	// drained in element order.
+	kes := make([]float64, chunk*ndof*ndof)
+	fes := make([]float64, chunk*ndof)
+	slotKe := func(s int) []float64 { return kes[s*ndof*ndof : (s+1)*ndof*ndof] }
+	slotFe := func(s int) []float64 { return fes[s*ndof : (s+1)*ndof] }
 	scratch := make([]*elemScratch, workers)
 	for w := range scratch {
-		scratch[w] = newElemScratch(ndof)
+		scratch[w] = newElemScratch(p.M.Type)
 	}
 	flopsPerWorker := make([]int64, workers)
 	errPerWorker := make([]error, workers)
-	var blk [9]float64 // staging for one 3x3 node-pair block
 
 	for e0 := 0; e0 < nElems; e0 += chunk {
 		e1 := e0 + chunk
@@ -313,7 +302,7 @@ func (p *Problem) AssembleBlockTangent(u []float64) (*sparse.BSR, []float64, err
 		}
 		if workers == 1 {
 			for e := e0; e < e1; e++ {
-				fl, err := p.integrateElement(e, u, scratch[0], kes[e-e0], fes[e-e0])
+				fl, err := p.integrateElement(e, u, scratch[0], slotKe(e-e0), slotFe(e-e0))
 				if err != nil {
 					return nil, nil, err
 				}
@@ -326,7 +315,7 @@ func (p *Problem) AssembleBlockTangent(u []float64) (*sparse.BSR, []float64, err
 				go func(w, e0, e1 int) {
 					defer wg.Done()
 					for e := e0 + w; e < e1; e += workers {
-						fl, err := p.integrateElement(e, u, scratch[w], kes[e-e0], fes[e-e0])
+						fl, err := p.integrateElement(e, u, scratch[w], slotKe(e-e0), slotFe(e-e0))
 						if err != nil {
 							errPerWorker[w] = err
 							return
@@ -342,26 +331,28 @@ func (p *Problem) AssembleBlockTangent(u []float64) (*sparse.BSR, []float64, err
 				}
 			}
 		}
-		// Deterministic accumulation in element order. Each node pair
-		// contributes one dense 3x3 block; AddBlock accumulates entry-wise
-		// in the same element sequence as the old scalar triplets, so the
-		// expanded matrix is bitwise identical.
+		// Deterministic accumulation in element order, node pair by node
+		// pair: every stored entry is the same sum in the same order
+		// whatever the worker count.
 		for e := e0; e < e1; e++ {
 			conn := p.M.Elems[e]
-			ke := kes[e-e0]
-			fe := fes[e-e0]
+			ke := slotKe(e - e0)
+			fe := slotFe(e - e0)
 			for a, va := range conn {
 				for i := 0; i < 3; i++ {
 					fint[3*va+i] += fe[3*a+i]
 				}
+				lo := rowPtr[va]
+				row := colIdx[lo:rowPtr[va+1]]
 				for bn, vb := range conn {
+					k, _ := slices.BinarySearch(row, vb)
+					blk := val[9*(lo+k) : 9*(lo+k)+9]
 					for i := 0; i < 3; i++ {
-						li := 3*a + i
-						blk[3*i+0] = ke[li*ndof+3*bn+0]
-						blk[3*i+1] = ke[li*ndof+3*bn+1]
-						blk[3*i+2] = ke[li*ndof+3*bn+2]
+						src := ke[(3*a+i)*ndof+3*bn : (3*a+i)*ndof+3*bn+3]
+						blk[3*i+0] += src[0]
+						blk[3*i+1] += src[1]
+						blk[3*i+2] += src[2]
 					}
-					kb.AddBlock(va, vb, blk[:])
 				}
 			}
 		}
@@ -369,7 +360,8 @@ func (p *Problem) AssembleBlockTangent(u []float64) (*sparse.BSR, []float64, err
 	for _, fl := range flopsPerWorker {
 		p.AssembleFlops += fl
 	}
-	return kb.Build(), fint, nil
+	nv := p.M.NumVerts()
+	return &sparse.BSR{NBRows: nv, NBCols: nv, B: 3, RowPtr: rowPtr, ColIdx: colIdx, Val: val}, fint, nil
 }
 
 // Commit recomputes the material response at u and stores the new history
@@ -386,14 +378,15 @@ func (p *Problem) Commit(u []float64) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			ed := newElementData(p.M.Type)
+			gps, _ := quadrature(p.M.Type)
 			for e := w; e < p.M.NumElems(); e += workers {
-				ed, err := p.geometry(e)
-				if err != nil {
+				if err := p.geometry(e, ed); err != nil {
 					errs[w] = err
 					return
 				}
 				model := p.Models[p.M.Mat[e]]
-				for g := range p.gauss() {
+				for g := range gps {
 					eps := p.strainAt(e, ed, g, u)
 					_, _, next := model.Update(p.States[e][g], eps)
 					p.States[e][g] = next

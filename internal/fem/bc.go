@@ -1,6 +1,7 @@
 package fem
 
 import (
+	"prometheus/internal/obs"
 	"prometheus/internal/sparse"
 )
 
@@ -97,24 +98,20 @@ func (c *Constraints) Apply(u []float64) {
 // it returns the reduced matrix over free dofs and the reduced right-hand
 // side fRed = f_free - K_fc·u_c with the prescribed values u_c.
 func (c *Constraints) Reduce(k *sparse.CSR, f []float64, m *DofMap) (*sparse.CSR, []float64) {
-	nRed := m.NumFree()
-	kb := sparse.NewBuilder(nRed, nRed)
-	fr := make([]float64, nRed)
-	for rFull, rRed := range m.Full2Red {
-		if rRed < 0 {
-			continue
-		}
+	sp := obs.Start(evReduce)
+	defer sp.End()
+	kRed := k.Select(m.Red2Full, m.Full2Red, m.NumFree(), 0)
+	fr := make([]float64, m.NumFree())
+	for rRed, rFull := range m.Red2Full {
 		fr[rRed] = f[rFull]
 		cols, vals := k.Row(rFull)
 		for i, cFull := range cols {
-			if cRed := m.Full2Red[cFull]; cRed >= 0 {
-				kb.Add(rRed, cRed, vals[i])
-			} else {
+			if m.Full2Red[cFull] < 0 {
 				fr[rRed] -= vals[i] * c.Fixed[cFull]
 			}
 		}
 	}
-	return kb.Build(), fr
+	return kRed, fr
 }
 
 // Expand scatters a reduced vector into a full vector, filling constrained

@@ -152,7 +152,7 @@ func (a *EBEOperator) integrate(p *Problem, u []float64) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			scr := newElemScratch(ndof)
+			scr := newElemScratch(p.M.Type)
 			ke := make([]float64, ndof*ndof)
 			fe := make([]float64, ndof)
 			for e := w; e < a.ne; e += workers {

@@ -3,6 +3,7 @@ package fem
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"prometheus/internal/geom"
@@ -68,7 +69,8 @@ func TestJacobianUnitCube(t *testing.T) {
 		coords[a] = m.Coords[v]
 	}
 	_, dn := HexShape(geom.Vec3{})
-	detJ, dndx := jacobian(coords, dn[:])
+	dndx := make([]geom.Vec3, 8)
+	detJ := jacobian(coords, dn[:], dndx)
 	if math.Abs(detJ-1.0/8) > 1e-14 {
 		t.Fatalf("detJ = %v, want 1/8", detJ)
 	}
@@ -500,5 +502,22 @@ func TestParallelCommitMatchesSerial(t *testing.T) {
 	}
 	if serial.PlasticFraction(0) != par.PlasticFraction(0) {
 		t.Fatal("plastic fractions differ")
+	}
+}
+
+// TestAssembleRejectsNonFiniteCoords: a NaN Jacobian fails `detJ <= 0`
+// silently, and the mesh would assemble into a NaN matrix.
+func TestAssembleRejectsNonFiniteCoords(t *testing.T) {
+	for name, bad := range map[string]float64{"NaN": math.NaN(), "Inf": math.Inf(1)} {
+		for _, workers := range []int{0, 2} {
+			m := mesh.StructuredHex(3, 3, 3, 1, 1, 1, nil)
+			m.Coords[13].Y = bad
+			p := NewProblem(m, []material.Model{material.LinearElastic{E: 1, Nu: 0.3}}, false)
+			p.Workers = workers
+			_, _, err := p.AssembleTangent(make([]float64, m.NumDOF()))
+			if err == nil || !strings.Contains(err.Error(), "non-positive Jacobian") {
+				t.Fatalf("%s coordinate, workers=%d: err = %v, want the non-positive Jacobian error", name, workers, err)
+			}
+		}
 	}
 }

@@ -8,6 +8,7 @@ package fem
 
 import (
 	"prometheus/internal/geom"
+	"prometheus/internal/mesh"
 )
 
 // GaussPoint is one quadrature point in the reference element.
@@ -73,9 +74,10 @@ func TetShape(xi geom.Vec3) (n [4]float64, dn [4]geom.Vec3) {
 }
 
 // jacobian computes the 3×3 Jacobian dx/dxi from nodal coordinates and
-// reference gradients, returning its determinant and the physical gradients
-// dN/dx (via J^{-T} dN/dxi).
-func jacobian(coords []geom.Vec3, dn []geom.Vec3) (detJ float64, dndx []geom.Vec3) {
+// reference gradients, returning its determinant and writing the physical
+// gradients dN/dx (via J^{-T} dN/dxi) into dndx. A singular Jacobian
+// returns 0 and leaves dndx as it was.
+func jacobian(coords, dn, dndx []geom.Vec3) (detJ float64) {
 	var j [3][3]float64
 	for a := range coords {
 		c := coords[a]
@@ -94,7 +96,7 @@ func jacobian(coords []geom.Vec3, dn []geom.Vec3) (detJ float64, dndx []geom.Vec
 		j[0][1]*(j[1][0]*j[2][2]-j[1][2]*j[2][0]) +
 		j[0][2]*(j[1][0]*j[2][1]-j[1][1]*j[2][0])
 	if detJ == 0 {
-		return 0, nil
+		return 0
 	}
 	inv := 1 / detJ
 	var ji [3][3]float64 // inverse of J
@@ -108,7 +110,6 @@ func jacobian(coords []geom.Vec3, dn []geom.Vec3) (detJ float64, dndx []geom.Vec
 	ji[2][1] = (j[0][1]*j[2][0] - j[0][0]*j[2][1]) * inv
 	ji[2][2] = (j[0][0]*j[1][1] - j[0][1]*j[1][0]) * inv
 	// dN/dx = J^{-T} dN/dxi.
-	dndx = make([]geom.Vec3, len(dn))
 	for a := range dn {
 		g := dn[a]
 		dndx[a] = geom.Vec3{
@@ -117,7 +118,7 @@ func jacobian(coords []geom.Vec3, dn []geom.Vec3) (detJ float64, dndx []geom.Vec
 			Z: ji[0][2]*g.X + ji[1][2]*g.Y + ji[2][2]*g.Z,
 		}
 	}
-	return detJ, dndx
+	return detJ
 }
 
 // HexGauss3 is the 3×3×3 Gauss rule used for Hex20 elements.
@@ -202,4 +203,42 @@ func Hex20Shape(xi geom.Vec3) (n [20]float64, dn [20]geom.Vec3) {
 		}
 	}
 	return
+}
+
+// Reference shape gradients at the Gauss points of each element type's
+// rule, tabulated once: they depend on the reference element only.
+var (
+	hexGrads2 = tabulate(HexGauss2, func(xi geom.Vec3) []geom.Vec3 {
+		_, dn := HexShape(xi)
+		return dn[:]
+	})
+	tetGrads1 = tabulate(TetGauss1, func(xi geom.Vec3) []geom.Vec3 {
+		_, dn := TetShape(xi)
+		return dn[:]
+	})
+	hex20Grads3 = tabulate(HexGauss3, func(xi geom.Vec3) []geom.Vec3 {
+		_, dn := Hex20Shape(xi)
+		return dn[:]
+	})
+)
+
+func tabulate(gps []GaussPoint, grads func(geom.Vec3) []geom.Vec3) [][]geom.Vec3 {
+	out := make([][]geom.Vec3, len(gps))
+	for g, gp := range gps {
+		out[g] = grads(gp.Xi)
+	}
+	return out
+}
+
+// quadrature returns the Gauss rule of an element type and the reference
+// shape gradients dN/dxi at its points, indexed [gauss point][node].
+func quadrature(t mesh.ElemType) ([]GaussPoint, [][]geom.Vec3) {
+	switch t {
+	case mesh.Tet4:
+		return TetGauss1, tetGrads1
+	case mesh.Hex20:
+		return HexGauss3, hex20Grads3
+	default:
+		return HexGauss2, hexGrads2
+	}
 }

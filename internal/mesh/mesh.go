@@ -8,6 +8,7 @@ package mesh
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"prometheus/internal/geom"
@@ -83,15 +84,88 @@ func (m *Mesh) Validate() error {
 // NodeGraph returns the vertex adjacency graph: two vertices are adjacent
 // when they share an element. This is the graph the MIS coarsening runs on.
 func (m *Mesh) NodeGraph() *graph.Graph {
-	var edges [][2]int
+	ptr, adj := m.adjacency(false)
+	return &graph.Graph{N: len(m.Coords), Ptr: ptr, Adj: adj}
+}
+
+// NodePattern returns, in CSR form, the block sparsity pattern of every
+// operator assembled on the mesh: row v lists in ascending order the
+// vertices that share an element with v, v itself included. A vertex no
+// element references has an empty row.
+func (m *Mesh) NodePattern() (ptr, idx []int) {
+	return m.adjacency(true)
+}
+
+// adjacency is the kernel of NodeGraph and NodePattern. It inverts the
+// connectivity into a vertex→element incidence, then merges the
+// connectivity of each vertex's elements through a marker array: one pass
+// counts the distinct neighbours of every vertex, a second writes and
+// sorts them, so the arrays are allocated once at their final size. With
+// self a vertex is listed in its own row, without it self references
+// (the graph's would-be loops) are skipped.
+func (m *Mesh) adjacency(self bool) (ptr, adj []int) {
+	nv := len(m.Coords)
+	// Incidence: the elements of vertex v are inc[incPtr[v]:incPtr[v+1]].
+	incPtr := make([]int, nv+1)
 	for _, conn := range m.Elems {
-		for i := 0; i < len(conn); i++ {
-			for j := i + 1; j < len(conn); j++ {
-				edges = append(edges, [2]int{conn[i], conn[j]})
-			}
+		for _, v := range conn {
+			incPtr[v+1]++
 		}
 	}
-	return graph.NewGraph(len(m.Coords), edges)
+	for v := 0; v < nv; v++ {
+		incPtr[v+1] += incPtr[v]
+	}
+	inc := make([]int, incPtr[nv])
+	next := make([]int, nv)
+	copy(next, incPtr)
+	for e, conn := range m.Elems {
+		for _, v := range conn {
+			inc[next[v]] = e
+			next[v]++
+		}
+	}
+
+	// mark[w] holds the stamp of the last row that listed w; the fill
+	// pass stamps v+nv so the count pass's stamps read as unseen.
+	mark := next
+	for i := range mark {
+		mark[i] = -1
+	}
+	ptr = make([]int, nv+1)
+	for v := 0; v < nv; v++ {
+		if !self {
+			mark[v] = v
+		}
+		n := 0
+		for _, e := range inc[incPtr[v]:incPtr[v+1]] {
+			for _, w := range m.Elems[e] {
+				if mark[w] != v {
+					mark[w] = v
+					n++
+				}
+			}
+		}
+		ptr[v+1] = ptr[v] + n
+	}
+	adj = make([]int, ptr[nv])
+	for v := 0; v < nv; v++ {
+		stamp := v + nv
+		if !self {
+			mark[v] = stamp
+		}
+		n := ptr[v]
+		for _, e := range inc[incPtr[v]:incPtr[v+1]] {
+			for _, w := range m.Elems[e] {
+				if mark[w] != stamp {
+					mark[w] = stamp
+					adj[n] = w
+					n++
+				}
+			}
+		}
+		slices.Sort(adj[ptr[v]:n])
+	}
+	return ptr, adj
 }
 
 // hexFaces lists the local quad faces of a Hex8 with outward orientation.

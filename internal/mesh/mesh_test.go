@@ -2,9 +2,11 @@ package mesh
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"prometheus/internal/geom"
+	"prometheus/internal/graph"
 )
 
 func TestStructuredHexCounts(t *testing.T) {
@@ -74,6 +76,58 @@ func TestNodeGraph(t *testing.T) {
 	}
 	if g.Degree(shared[0]) != 11 {
 		t.Fatalf("shared face degree = %d", g.Degree(shared[0]))
+	}
+}
+
+// edgeListGraph is the reference NodeGraph: every vertex pair of every
+// element poured into graph.NewGraph's per-vertex sets.
+func edgeListGraph(m *Mesh) *graph.Graph {
+	var edges [][2]int
+	for _, conn := range m.Elems {
+		for i := 0; i < len(conn); i++ {
+			for j := i + 1; j < len(conn); j++ {
+				edges = append(edges, [2]int{conn[i], conn[j]})
+			}
+		}
+	}
+	return graph.NewGraph(len(m.Coords), edges)
+}
+
+func TestNodeGraphMatchesEdgeList(t *testing.T) {
+	hex := StructuredHex(4, 3, 5, 4, 3, 5, nil)
+	isolated := StructuredHex(2, 2, 2, 1, 1, 1, nil)
+	isolated.Coords = append(isolated.Coords, geom.Vec3{X: 9}) // in no element
+	// An element that names one vertex twice must not give it a loop.
+	repeated := StructuredHex(2, 1, 1, 2, 1, 1, nil)
+	repeated.Elems[1][7] = repeated.Elems[1][6]
+	for name, m := range map[string]*Mesh{
+		"hex8":     hex,
+		"tet4":     HexToTets(hex),
+		"hex20":    StructuredHex20(3, 2, 2, 3, 2, 2, nil),
+		"isolated": isolated,
+		"repeated": repeated,
+	} {
+		got, want := m.NodeGraph(), edgeListGraph(m)
+		if got.N != want.N || !slices.Equal(got.Ptr, want.Ptr) || !slices.Equal(got.Adj, want.Adj) {
+			t.Fatalf("%s: NodeGraph differs from the edge-list graph", name)
+		}
+		// NodePattern is the same rows with the diagonal merged in, for
+		// every vertex some element references.
+		ptr, idx := m.NodePattern()
+		for v := 0; v < m.NumVerts(); v++ {
+			row := idx[ptr[v]:ptr[v+1]]
+			wantRow := append([]int(nil), want.Neighbors(v)...)
+			if want.Degree(v) > 0 {
+				wantRow = append(wantRow, v)
+				slices.Sort(wantRow)
+			}
+			if !slices.Equal(row, wantRow) {
+				t.Fatalf("%s: pattern row %d = %v, want %v", name, v, row, wantRow)
+			}
+		}
+	}
+	if isolated.NodeGraph().Degree(isolated.NumVerts()-1) != 0 {
+		t.Fatal("isolated vertex has neighbours")
 	}
 }
 

@@ -218,16 +218,15 @@ func (mg *MG) SetTask(t *obs.Task) {
 // full dof -> reduced dof or -1. Used to align the first restriction
 // operator (built on all vertex dofs) with the reduced fine system.
 func CompressCols(r *sparse.CSR, full2red []int, nred int) *sparse.CSR {
-	b := sparse.NewBuilder(r.NRows, nred)
-	for i := 0; i < r.NRows; i++ {
-		cols, vals := r.Row(i)
-		for k, j := range cols {
-			if jr := full2red[j]; jr >= 0 {
-				b.Add(i, jr, vals[k])
-			}
-		}
+	return r.Select(identity(r.NRows), full2red, nred, 0)
+}
+
+func identity(n int) []int {
+	id := make([]int, n)
+	for i := range id {
+		id[i] = i
 	}
-	return b.Build()
+	return id
 }
 
 // fixEmptyRows pins coarse dofs whose basis functions have no free
@@ -238,8 +237,18 @@ func CompressCols(r *sparse.CSR, full2red []int, nred int) *sparse.CSR {
 // diagonal with the matrix's largest diagonal keeps the operator SPD
 // without changing the preconditioner's action.
 func fixEmptyRows(a *sparse.CSR) *sparse.CSR {
-	d := a.Diag()
-	maxd := 0.0
+	keep, maxd := pinList(a.Diag())
+	if keep == nil {
+		return a
+	}
+	return a.Select(keep, keep, a.NCols, maxd)
+}
+
+// pinList finds the dofs fixEmptyRows pins from the diagonal d: it returns
+// the value to pin them with (the largest diagonal) and the identity list
+// with -1 at every bad dof — read as a row list it pins the bad rows, read
+// as a column map it drops the bad columns — or nil when no dof is bad.
+func pinList(d []float64) (keep []int, maxd float64) {
 	for _, v := range d {
 		if v > maxd {
 			maxd = v
@@ -248,33 +257,15 @@ func fixEmptyRows(a *sparse.CSR) *sparse.CSR {
 	if maxd == 0 {
 		maxd = 1
 	}
-	var bad []int
 	for i, v := range d {
 		if v <= 1e-13*maxd {
-			bad = append(bad, i)
-		}
-	}
-	if len(bad) == 0 {
-		return a
-	}
-	b := sparse.NewBuilder(a.NRows, a.NCols)
-	isBad := make(map[int]bool, len(bad))
-	for _, i := range bad {
-		isBad[i] = true
-	}
-	for i := 0; i < a.NRows; i++ {
-		if isBad[i] {
-			b.Set(i, i, maxd)
-			continue
-		}
-		cols, vals := a.Row(i)
-		for k, j := range cols {
-			if !isBad[j] {
-				b.Add(i, j, vals[k])
+			if keep == nil {
+				keep = identity(len(d))
 			}
+			keep[i] = -1
 		}
 	}
-	return b.Build()
+	return keep, maxd
 }
 
 // fixEmptyRowsOp is the storage-polymorphic wrapper: the common no-bad-rows
@@ -289,22 +280,11 @@ func fixEmptyRowsOp(a sparse.Operator) sparse.Operator {
 	if !ok {
 		return fixEmptyRows(a.(*sparse.CSR))
 	}
-	d := a.Diag()
-	maxd := 0.0
-	for _, v := range d {
-		if v > maxd {
-			maxd = v
-		}
+	keep, maxd := pinList(ab.Diag())
+	if keep == nil {
+		return a
 	}
-	if maxd == 0 {
-		maxd = 1
-	}
-	for _, v := range d {
-		if v <= 1e-13*maxd {
-			return fixEmptyRows(ab.ToCSR())
-		}
-	}
-	return a
+	return ab.ToCSR().Select(keep, keep, ab.Cols(), maxd)
 }
 
 // opSymmetric is the storage-polymorphic symmetry diagnostic used by the

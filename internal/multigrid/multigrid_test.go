@@ -3,6 +3,7 @@ package multigrid
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -411,6 +412,134 @@ func TestFixEmptyRows(t *testing.T) {
 	c := sparse.Identity(4)
 	if got := fixEmptyRows(c); got != c {
 		t.Fatal("healthy matrix should be returned as-is")
+	}
+}
+
+// compressColsBuilder and fixEmptyRowsBuilder are the references the
+// Select-based functions are pinned to: the same filters poured entry by
+// entry through sparse.Builder.
+func compressColsBuilder(r *sparse.CSR, full2red []int, nred int) *sparse.CSR {
+	b := sparse.NewBuilder(r.NRows, nred)
+	for i := 0; i < r.NRows; i++ {
+		cols, vals := r.Row(i)
+		for k, j := range cols {
+			if jr := full2red[j]; jr >= 0 {
+				b.Add(i, jr, vals[k])
+			}
+		}
+	}
+	return b.Build()
+}
+
+func fixEmptyRowsBuilder(a *sparse.CSR) *sparse.CSR {
+	d := a.Diag()
+	maxd := 0.0
+	for _, v := range d {
+		maxd = math.Max(maxd, v)
+	}
+	if maxd == 0 {
+		maxd = 1
+	}
+	isBad := make(map[int]bool)
+	for i, v := range d {
+		if v <= 1e-13*maxd {
+			isBad[i] = true
+		}
+	}
+	b := sparse.NewBuilder(a.NRows, a.NCols)
+	for i := 0; i < a.NRows; i++ {
+		if isBad[i] {
+			b.Set(i, i, maxd)
+			continue
+		}
+		cols, vals := a.Row(i)
+		for k, j := range cols {
+			if !isBad[j] {
+				b.Add(i, j, vals[k])
+			}
+		}
+	}
+	return b.Build()
+}
+
+func sameBits(a, b *sparse.CSR) bool {
+	return a.NRows == b.NRows && a.NCols == b.NCols &&
+		slices.Equal(a.RowPtr, b.RowPtr) && slices.Equal(a.ColIdx, b.ColIdx) &&
+		slices.EqualFunc(a.Val, b.Val, func(x, y float64) bool {
+			return math.Float64bits(x) == math.Float64bits(y)
+		})
+}
+
+// plantNegZero stores -0.0 on the first entry of row i whose column passes
+// kept, so that the filter under test has to carry it.
+func plantNegZero(t *testing.T, a *sparse.CSR, i int, kept func(j int) bool) {
+	t.Helper()
+	for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+		if kept(a.ColIdx[k]) {
+			a.Val[k] = math.Copysign(0, -1)
+			return
+		}
+	}
+	t.Fatalf("row %d keeps no entry to plant -0.0 on", i)
+}
+
+// TestSelectMatchesBuilder pins CompressCols and fixEmptyRows, now callers
+// of sparse.Select, to the Builder copies they replaced, bit for bit: on a
+// restriction that loses a whole row to the constraints, and on a Galerkin
+// operator with an empty row, a bad row of stored zeros and a stored -0.0.
+func TestSelectMatchesBuilder(t *testing.T) {
+	kr, _, rs := buildElasticity(t, 4, core.Options{MinCoarse: 10})
+	r := rs[0]
+
+	// CompressCols: drop every third column and all of row 1's.
+	full2red := make([]int, r.NCols)
+	nred := 0
+	row1, _ := r.Row(1)
+	for j := range full2red {
+		full2red[j] = -1
+		if _, inRow1 := slices.BinarySearch(row1, j); j%3 != 0 && !inRow1 {
+			full2red[j] = nred
+			nred++
+		}
+	}
+	plantNegZero(t, r, 2, func(j int) bool { return full2red[j] >= 0 })
+	got := CompressCols(r, full2red, nred)
+	if got.RowNNZ(1) != 0 || !sameBits(got, compressColsBuilder(r, full2red, nred)) {
+		t.Fatal("CompressCols differs from the Builder reference")
+	}
+
+	// fixEmptyRows: coarse dof 2 has no fine support at all (an empty
+	// row and column of the Galerkin operator), coarse dof 7 has support
+	// of weight zero (stored zeros on row and column 7).
+	rows := make([]int, r.NRows)
+	keepAll := make([]int, r.NCols)
+	for i := range rows {
+		rows[i] = i
+	}
+	for j := range keepAll {
+		keepAll[j] = j
+	}
+	rBad := r.Select(rows, keepAll, r.NCols, 0)
+	lo, hi := rBad.RowPtr[2], rBad.RowPtr[3]
+	rBad.ColIdx = slices.Delete(rBad.ColIdx, lo, hi)
+	rBad.Val = slices.Delete(rBad.Val, lo, hi)
+	for i := 3; i <= rBad.NRows; i++ {
+		rBad.RowPtr[i] -= hi - lo
+	}
+	for k := rBad.RowPtr[7]; k < rBad.RowPtr[8]; k++ {
+		rBad.Val[k] = 0
+	}
+	ac := sparse.Galerkin(rBad, kr)
+	if ac.RowNNZ(2) != 0 || ac.RowNNZ(7) == 0 {
+		t.Fatal("the fixture lost a case it is meant to cover")
+	}
+	plantNegZero(t, ac, 4, func(j int) bool { return j != 2 && j != 4 && j != 7 })
+	fixed := fixEmptyRows(ac)
+	if fixed == ac || fixed.RowNNZ(2) != 1 || fixed.RowNNZ(7) != 1 || fixed.At(7, 7) <= 0 {
+		t.Fatal("bad rows not pinned")
+	}
+	if !sameBits(fixed, fixEmptyRowsBuilder(ac)) {
+		t.Fatal("fixEmptyRows differs from the Builder reference")
 	}
 }
 

@@ -55,6 +55,9 @@ func (b *Builder) Add(i, j int, v float64) {
 
 // Set assigns A(i,j) = v, replacing any accumulated value.
 func (b *Builder) Set(i, j int, v float64) {
+	if i < 0 || i >= b.nRows || j < 0 || j >= b.nCols {
+		panic(fmt.Sprintf("sparse: Set index (%d,%d) out of range %dx%d", i, j, b.nRows, b.nCols))
+	}
 	if b.rows[i] == nil {
 		b.rows[i] = make(map[int]float64, 8)
 	}
@@ -90,6 +93,57 @@ func (b *Builder) Build() *CSR {
 	out := &CSR{NRows: b.nRows, NCols: b.nCols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
 	if check.Enabled {
 		check.CSRWellFormed(out.NRows, out.NCols, out.RowPtr, out.ColIdx, len(out.Val), "sparse.Builder.Build")
+	}
+	return out
+}
+
+// Select returns the len(rows)×nCols matrix whose row i is row rows[i] of
+// a with its columns renumbered through colMap (old column → new column; a
+// negative value drops the column). A negative rows[i] makes row i the
+// single entry (i, pin) instead: the pinned row of an eliminated dof. One
+// pass counts what is kept and one fills it, so the result is allocated at
+// its final size. colMap must be increasing over the columns it keeps,
+// which leaves every row sorted without a sort. Values are stored as 0+v,
+// as Builder.Add stores them: a stored -0.0 comes out +0.0 and every other
+// value unchanged.
+func (a *CSR) Select(rows, colMap []int, nCols int, pin float64) *CSR {
+	rowPtr := make([]int, len(rows)+1)
+	for i, r := range rows {
+		n := 1
+		if r >= 0 {
+			n = 0
+			for _, j := range a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]] {
+				if colMap[j] >= 0 {
+					n++
+				}
+			}
+		}
+		rowPtr[i+1] = rowPtr[i] + n
+	}
+	nnz := rowPtr[len(rows)]
+	colIdx := make([]int, nnz)
+	val := make([]float64, nnz)
+	n := 0
+	for i, r := range rows {
+		if r < 0 {
+			colIdx[n], val[n] = i, pin
+			n++
+			continue
+		}
+		lo, hi := a.RowPtr[r], a.RowPtr[r+1]
+		cols := a.ColIdx[lo:hi]
+		vals := a.Val[lo:hi:hi]
+		vals = vals[:len(cols)]
+		for k, j := range cols {
+			if jn := colMap[j]; jn >= 0 {
+				colIdx[n], val[n] = jn, 0+vals[k]
+				n++
+			}
+		}
+	}
+	out := &CSR{NRows: len(rows), NCols: nCols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
+	if check.Enabled {
+		check.CSRWellFormed(out.NRows, out.NCols, out.RowPtr, out.ColIdx, len(out.Val), "sparse.Select")
 	}
 	return out
 }

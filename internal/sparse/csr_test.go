@@ -3,6 +3,8 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -53,12 +55,107 @@ func TestBuilderDuplicatesSum(t *testing.T) {
 }
 
 func TestBuilderPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	for name, f := range map[string]func(*Builder){
+		"Add row": func(b *Builder) { b.Add(2, 0, 1) },
+		"Set row": func(b *Builder) { b.Set(-1, 0, 1) },
+		// A column past nCols used to build a CSR MulVec reads out of
+		// bounds.
+		"Set col": func(b *Builder) { b.Set(0, 3, 1) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "sparse: "+name[:3]+" index (") || !strings.HasSuffix(msg, "out of range 2x3") {
+					t.Fatalf("%s: panic %q does not name the index and the shape", name, msg)
+				}
+			}()
+			f(NewBuilder(2, 3))
+		}()
+	}
+}
+
+// selectReference is Select spelled with Builder, the way Reduce,
+// CompressCols and fixEmptyRows were written before Select.
+func selectReference(a *CSR, rows, colMap []int, nCols int, pin float64) *CSR {
+	b := NewBuilder(len(rows), nCols)
+	for i, r := range rows {
+		if r < 0 {
+			b.Set(i, i, pin)
+			continue
 		}
-	}()
-	NewBuilder(2, 2).Add(2, 0, 1)
+		cols, vals := a.Row(r)
+		for k, j := range cols {
+			if jn := colMap[j]; jn >= 0 {
+				b.Add(i, jn, vals[k])
+			}
+		}
+	}
+	return b.Build()
+}
+
+// sameBits reports whether two matrices have equal shape, pattern and
+// value bits.
+func sameBits(a, b *CSR) bool {
+	if a.NRows != b.NRows || a.NCols != b.NCols || !slices.Equal(a.RowPtr, b.RowPtr) || !slices.Equal(a.ColIdx, b.ColIdx) {
+		return false
+	}
+	return slices.EqualFunc(a.Val, b.Val, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
+}
+
+func TestSelectMatchesBuilder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a := randCSR(rng, 40, 50, 0.15)
+	// One empty row, one stored -0.0 that Builder.Add would have
+	// normalised had it seen it, and a row whose every column is dropped.
+	lo, hi := a.RowPtr[3], a.RowPtr[4]
+	a = &CSR{NRows: a.NRows, NCols: a.NCols,
+		RowPtr: append([]int(nil), a.RowPtr...),
+		ColIdx: append(append([]int(nil), a.ColIdx[:lo]...), a.ColIdx[hi:]...),
+		Val:    append(append([]float64(nil), a.Val[:lo]...), a.Val[hi:]...)}
+	for i := 4; i <= a.NRows; i++ {
+		a.RowPtr[i] -= hi - lo
+	}
+	negZeroCol := a.ColIdx[a.RowPtr[10]]
+	a.Val[a.RowPtr[10]] = math.Copysign(0, -1)
+
+	colMap := make([]int, a.NCols)
+	nCols := 0
+	for j := range colMap {
+		colMap[j] = -1
+		if rng.Intn(4) > 0 || j == negZeroCol {
+			colMap[j] = nCols
+			nCols++
+		}
+	}
+	for _, j := range a.ColIdx[a.RowPtr[20]:a.RowPtr[21]] {
+		colMap[j] = -1
+	}
+	if colMap[negZeroCol] < 0 || a.RowNNZ(3) != 0 || a.RowNNZ(20) == 0 {
+		t.Fatal("the fixture lost a case it is meant to cover")
+	}
+	var rows []int
+	for i := 0; i < a.NRows; i++ {
+		switch rng.Intn(5) {
+		case 0: // dropped
+		case 1:
+			if len(rows) < nCols {
+				rows = append(rows, -1) // pinned
+			}
+		default:
+			rows = append(rows, i)
+		}
+	}
+	rows = append(rows, 3, 10, 20)
+
+	got, want := a.Select(rows, colMap, nCols, 2.5), selectReference(a, rows, colMap, nCols, 2.5)
+	if !sameBits(got, want) {
+		t.Fatal("Select differs from the Builder reference")
+	}
+	if math.Signbit(got.At(len(rows)-2, colMap[negZeroCol])) {
+		t.Fatal("a stored -0.0 must come out +0.0, as Builder.Add stores it")
+	}
 }
 
 func TestSortedRows(t *testing.T) {
