@@ -467,6 +467,35 @@ func TestSmootherObsOverhead(t *testing.T) {
 	}
 }
 
+// BenchmarkFMGApply measures one preconditioner application — the default
+// FMG cycle with the CG-wrapped block-Jacobi smoother — on the two library
+// systems of BENCHMARK.json at the benchmark's sizes: spheres (20.6k dofs,
+// CSR fine level over blocked Galerkin levels) and the cube (46.9k dofs,
+// BSR throughout). It must not allocate.
+func BenchmarkFMGApply(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		sys  func(testing.TB, bool, multigrid.Options) reducedSystem
+	}{
+		{"spheres20k", spheresSystem},
+		{"cube47k", cubeSystem},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			mg := tc.sys(b, true, multigrid.Options{}).hierarchy(b)
+			r := make([]float64, mg.Levels[0].A.Rows())
+			z := make([]float64, len(r))
+			for i := range r {
+				r[i] = float64(i%7) - 3
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mg.Apply(r, z)
+			}
+		})
+	}
+}
+
 // BenchmarkGalerkin measures the coarse operator triple product R·A·Rᵀ.
 func BenchmarkGalerkin(b *testing.B) {
 	s := problems.NewSpheresConfig(problems.SpheresConfig{

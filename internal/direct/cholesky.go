@@ -24,6 +24,7 @@ type Cholesky struct {
 	iperm []int // old -> new
 	first []int // first stored column of each row
 	rows  [][]float64
+	work  []float64 // Solve's permuted vector, hoisted so a solve never allocates
 	// FactorFlops is the flop count of the factorization.
 	FactorFlops int64
 }
@@ -60,7 +61,7 @@ func New(a *sparse.CSR) (*Cholesky, error) {
 			}
 		}
 	}
-	c := &Cholesky{n: n, perm: perm, iperm: iperm, first: first}
+	c := &Cholesky{n: n, perm: perm, iperm: iperm, first: first, work: make([]float64, n)}
 	c.rows = make([][]float64, n)
 	for i := 0; i < n; i++ {
 		c.rows[i] = make([]float64, i-first[i]+1)
@@ -108,10 +109,11 @@ func New(a *sparse.CSR) (*Cholesky, error) {
 	return c, nil
 }
 
-// Solve computes x = A⁻¹·b. b and x may alias.
+// Solve computes x = A⁻¹·b. b and x may alias. It works in the factor's own
+// scratch vector, so one factorization serves one solve at a time.
 func (c *Cholesky) Solve(b, x []float64) {
 	n := c.n
-	y := make([]float64, n)
+	y := c.work
 	for i := 0; i < n; i++ {
 		y[i] = b[c.perm[i]]
 	}

@@ -20,12 +20,77 @@ type Preconditioner interface {
 	Apply(r, z []float64)
 }
 
+// StopReason says why a Krylov iteration ended. Converged is the only one
+// that sets Result.Converged; every other reason names what stopped a solve
+// short of its tolerance.
+type StopReason int
+
+const (
+	// StopMaxIters: the iteration budget ran out (the zero value).
+	StopMaxIters StopReason = iota
+	// StopConverged: the relative residual reached rtol.
+	StopConverged
+	// StopIndefinite: pᵀAp was not positive, so the operator (or the
+	// preconditioned one) is not positive definite.
+	StopIndefinite
+	// StopNonFinite: a NaN or an infinity reached the residual norm or
+	// pᵀAp; every later iterate would be NaN.
+	StopNonFinite
+	// StopBreakdown: r·z vanished, so the preconditioner left no search
+	// direction.
+	StopBreakdown
+	// StopCancelled: the monitor vetoed the next iteration.
+	StopCancelled
+)
+
+// String returns the reason as it appears in responses and metric labels.
+func (r StopReason) String() string {
+	switch r {
+	case StopMaxIters:
+		return "max_iters"
+	case StopConverged:
+		return "converged"
+	case StopIndefinite:
+		return "indefinite"
+	case StopNonFinite:
+		return "non_finite"
+	case StopBreakdown:
+		return "breakdown"
+	case StopCancelled:
+		return "cancelled"
+	default:
+		return "unknown"
+	}
+}
+
 // Result reports the outcome of a Krylov solve.
 type Result struct {
 	Iterations int
 	Residuals  []float64 // ‖r‖₂ after each iteration (index 0 = initial)
 	Flops      int64
 	Converged  bool
+	// Reason is why the iteration ended; Converged == (Reason == StopConverged).
+	Reason StopReason
+}
+
+// stop records why the iteration ended.
+func (r *Result) stop(reason StopReason) {
+	r.Reason = reason
+	r.Converged = reason == StopConverged
+}
+
+// curvatureStop classifies a pᵀAp that is not a positive number: poisoned
+// arithmetic, a null direction (r·z was zero), or a genuinely indefinite
+// operator.
+func curvatureStop(pap, rz float64) StopReason {
+	switch {
+	case !finite(pap):
+		return StopNonFinite
+	case rz == 0:
+		return StopBreakdown
+	default:
+		return StopIndefinite
+	}
 }
 
 // identity is the trivial preconditioner.
@@ -75,10 +140,11 @@ func pcg(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, maxI
 	res.Residuals = append(res.Residuals, rnorm)
 	obs.RecordResidual(0, rnorm)
 	if !finite(rnorm) {
+		res.stop(StopNonFinite)
 		return res
 	}
 	if rnorm <= rtol*bnorm {
-		res.Converged = true
+		res.stop(StopConverged)
 		return res
 	}
 	m.Apply(r, z)
@@ -91,9 +157,9 @@ func pcg(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, maxI
 		pap := la.Dot(p, ap)
 		res.Flops += a.MulVecFlops() + 2*int64(n)
 		if !(pap > 0) {
-			// Indefinite or poisoned (NaN) operator: abort (caller sees
-			// Converged=false).
-			break
+			// Indefinite or poisoned (NaN) operator: abort.
+			res.stop(curvatureStop(pap, rz))
+			return res
 		}
 		alpha := rz / pap
 		la.Axpy(alpha, p, x)
@@ -105,10 +171,11 @@ func pcg(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, maxI
 		res.Residuals = append(res.Residuals, rnorm)
 		obs.RecordResidual(res.Iterations, rnorm)
 		if !finite(rnorm) {
+			res.stop(StopNonFinite)
 			return res
 		}
 		if rnorm <= rtol*bnorm {
-			res.Converged = true
+			res.stop(StopConverged)
 			return res
 		}
 		m.Apply(r, z)
@@ -127,7 +194,7 @@ func pcg(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, maxI
 // Monitor observes a solve in flight: it is called once with the initial
 // residual (iter 0) and once per iteration with the current residual norm.
 // Returning false cancels the solve — the iteration stops where it is and
-// the Result reports Converged=false with the history so far. A monitor
+// the Result reports StopCancelled with the history so far. A monitor
 // must not retain or mutate solver state; it exists so long-running
 // callers (the serve streaming path) can forward progress and honor
 // context cancellation without polling.
@@ -183,13 +250,15 @@ func fpcg(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, max
 	res.Residuals = append(res.Residuals, rnorm)
 	obs.RecordResidual(0, rnorm)
 	if mon != nil && !mon(0, rnorm) {
+		res.stop(StopCancelled)
 		return res
 	}
 	if !finite(rnorm) {
+		res.stop(StopNonFinite)
 		return res
 	}
 	if rnorm <= rtol*bnorm {
-		res.Converged = true
+		res.stop(StopConverged)
 		return res
 	}
 	m.Apply(r, z)
@@ -202,7 +271,8 @@ func fpcg(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, max
 		pap := la.Dot(p, ap)
 		res.Flops += a.MulVecFlops() + 2*int64(n)
 		if !(pap > 0) {
-			break
+			res.stop(curvatureStop(pap, rz))
+			return res
 		}
 		alpha := rz / pap
 		la.Axpy(alpha, p, x)
@@ -215,13 +285,15 @@ func fpcg(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, max
 		res.Residuals = append(res.Residuals, rnorm)
 		obs.RecordResidual(res.Iterations, rnorm)
 		if mon != nil && !mon(res.Iterations, rnorm) {
+			res.stop(StopCancelled)
 			return res
 		}
 		if !finite(rnorm) {
+			res.stop(StopNonFinite)
 			return res
 		}
 		if rnorm <= rtol*bnorm {
-			res.Converged = true
+			res.stop(StopConverged)
 			return res
 		}
 		m.Apply(r, z)
@@ -238,7 +310,8 @@ func fpcg(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, max
 		rz = la.Dot(r, z)
 		res.Flops += 2 * int64(n)
 		if rz == 0 {
-			break
+			res.stop(StopBreakdown)
+			return res
 		}
 		for i := range p {
 			p[i] = z[i] + beta*p[i]
@@ -302,7 +375,7 @@ func gmres(a sparse.Operator, b, x []float64, m Preconditioner, restart int, rto
 		beta := la.Norm2(z)
 		res.Flops += 2 * int64(n)
 		if beta == 0 {
-			res.Converged = true
+			res.stop(StopConverged)
 			return res
 		}
 		for i := range g {
@@ -352,7 +425,7 @@ func gmres(a sparse.Operator, b, x []float64, m Preconditioner, restart int, rto
 			obs.RecordResidual(res.Iterations, math.Abs(g[k+1]))
 			if math.Abs(g[k+1]) <= rtol*bnorm {
 				k++
-				res.Converged = true
+				res.stop(StopConverged)
 				break
 			}
 		}

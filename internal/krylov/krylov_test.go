@@ -1,6 +1,7 @@
 package krylov
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -288,13 +289,26 @@ func (nanPrecon) Apply(r, z []float64) {
 	}
 }
 
+// zeroPrecon returns no search direction at all.
+type zeroPrecon struct{}
+
+func (zeroPrecon) Apply(r, z []float64) {
+	for i := range z {
+		z[i] = 0
+	}
+}
+
 // TestCGStopsOnPoison: NaN fails every ordered comparison, so a poisoned
 // solve must be stopped by tests written for it — not run max_iters of
-// NaN arithmetic, and not read Inf <= rtol·Inf as convergence.
+// NaN arithmetic, and not read Inf <= rtol·Inf as convergence. Every way
+// out of the loop names itself in Result.Reason, and only convergence sets
+// Converged.
 func TestCGStopsOnPoison(t *testing.T) {
 	clean := laplace2D(6)
 	poisoned := laplace2D(6)
 	poisoned.Val[7] = math.NaN()
+	negative := laplace2D(6)
+	negative.Scale(-1)
 	ones := make([]float64, clean.NRows)
 	huge := make([]float64, clean.NRows)
 	for i := range ones {
@@ -305,20 +319,33 @@ func TestCGStopsOnPoison(t *testing.T) {
 		a        *sparse.CSR
 		b        []float64
 		m        Preconditioner
+		budget   int // maxIter handed to the solver
 		maxIters int // most iterations the stop may take
+		reason   StopReason
 	}{
-		{"NaN entry in the operator", poisoned, ones, nil, 1},
-		{"right-hand side whose norm overflows", clean, huge, nil, 1},
-		{"NaN from the preconditioner", clean, ones, nanPrecon{}, 0},
+		{"NaN entry in the operator", poisoned, ones, nil, 1000, 1, StopNonFinite},
+		{"right-hand side whose norm overflows", clean, huge, nil, 1000, 1, StopNonFinite},
+		{"NaN from the preconditioner", clean, ones, nanPrecon{}, 1000, 0, StopNonFinite},
+		{"negative definite operator", negative, ones, nil, 1000, 0, StopIndefinite},
+		{"preconditioner that returns no direction", clean, ones, zeroPrecon{}, 1000, 0, StopBreakdown},
+		{"iteration budget of two", clean, ones, nil, 2, 2, StopMaxIters},
+		{"healthy solve", clean, ones, nil, 1000, 1000, StopConverged},
 	} {
 		for name, solve := range map[string]func(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, maxIter int) Result{
 			"PCG": PCG, "FPCG": FPCG,
 		} {
-			res := solve(tc.a, tc.b, make([]float64, clean.NRows), tc.m, 1e-8, 1000)
-			if res.Converged || res.Iterations > tc.maxIters {
-				t.Errorf("%s, %s: converged=%v after %d iterations, want a stop within %d",
-					tc.name, name, res.Converged, res.Iterations, tc.maxIters)
+			res := solve(tc.a, tc.b, make([]float64, clean.NRows), tc.m, 1e-8, tc.budget)
+			if res.Reason != tc.reason || res.Converged != (tc.reason == StopConverged) || res.Iterations > tc.maxIters {
+				t.Errorf("%s, %s: stopped as %v (converged=%v) after %d iterations, want %v within %d",
+					tc.name, name, res.Reason, res.Converged, res.Iterations, tc.reason, tc.maxIters)
 			}
 		}
+	}
+	// A monitor's veto is the one stop only the monitored entry point has.
+	res := FPCGMonitoredCtx(context.Background(), clean, ones, make([]float64, clean.NRows), nil, 1e-8, 1000,
+		func(iter int, _ float64) bool { return iter < 3 })
+	if res.Reason != StopCancelled || res.Converged || res.Iterations != 3 {
+		t.Errorf("vetoing monitor: stopped as %v (converged=%v) after %d iterations, want %v after 3",
+			res.Reason, res.Converged, res.Iterations, StopCancelled)
 	}
 }

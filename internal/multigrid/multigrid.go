@@ -50,14 +50,20 @@ const (
 type StorageKind int
 
 const (
-	// StorageAuto (the default) follows the fine operator: a BSR fine grid
-	// gets BSR coarse grids via the blocked Galerkin product, a CSR fine
-	// grid keeps the scalar pipeline.
+	// StorageAuto (the default) takes the fine operator as handed in and
+	// gives every Galerkin level the block kernel when that level's own
+	// shape allows (sparse.AutoBlock: BlockSize-divisible dimension, fill at
+	// most 2x). A BSR fine grid gets BSR coarse grids straight from the
+	// blocked Galerkin product; under a CSR fine grid — or below a level
+	// fixEmptyRowsOp repaired to scalar — setup runs the scalar pipeline
+	// and only the operator the cycle and the smoother apply is blocked.
+	// Blocking is a kernel choice, not arithmetic: solutions are bitwise
+	// those of StorageCSR.
 	StorageAuto StorageKind = iota
 	// StorageCSR forces scalar CSR on every level.
 	StorageCSR
-	// StorageBSR blocks the fine operator (3x3 node blocks) when its
-	// dimensions and sparsity allow, then follows the BSR pipeline.
+	// StorageBSR also blocks the fine operator (3x3 node blocks) when its
+	// dimensions and sparsity allow; the levels below follow StorageAuto.
 	StorageBSR
 	// StorageMatrixFree keeps the fine operator matrix-free: level 0 is the
 	// caller's assembly-free operator (fem.EBEOperator) applied element by
@@ -151,10 +157,25 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// blocksGalerkinLevels reports whether the levels below the fine one take
+// the block kernel when their shape allows. StorageCSR asks for scalar
+// everywhere and StorageMatrixFree for assembled CSR below the fine level;
+// GaussSeidel and NodeBlockJacobi read their arithmetic off the storage
+// (nodal against scalar sweeps), so they keep the storage the Galerkin
+// chain produces.
+func (o Options) blocksGalerkinLevels() bool {
+	if o.Storage == StorageCSR || o.Storage == StorageMatrixFree {
+		return false
+	}
+	return o.Smoother != GaussSeidel && o.Smoother != NodeBlockJacobi
+}
+
 // Level is one grid of the algebraic hierarchy.
 type Level struct {
-	// A is the level operator — CSR or BSR behind the storage-agnostic
-	// interface; the cycles never look behind it.
+	// A is the level operator the cycle and the smoother apply — CSR or
+	// BSR behind the storage-agnostic interface; the cycles never look
+	// behind it. Setup read the scalar matrix of the Galerkin chain, which
+	// is gone once New returns.
 	A sparse.Operator
 	// R restricts residuals from the next finer level to this one; nil on
 	// level 0. P = Rᵀ prolongates corrections.
@@ -381,19 +402,11 @@ func newMG(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG
 		}
 		check.StrictlyDecreasing(dims, "multigrid.New level dims")
 	}
-	// Mixed precision: the whole hierarchy above was built — Galerkin
-	// triple products included — and checked in full float64; only now is
-	// the *storage* of the coarse levels narrowed, so narrowing perturbs
-	// each stored entry by at most one f32 rounding and never compounds
-	// through the coarsening products. The smoothers constructed below see
-	// the narrowed operators; the coarsest level keeps f64 until its exact
-	// direct factorization is taken and is narrowed right after.
-	if opts.CoarsePrecision == PrecisionMixedF32 {
-		for l := opts.CoarseF32Level; l < len(mg.Levels)-1; l++ {
-			mg.Levels[l].A = narrowOp(mg.Levels[l].A)
-		}
-	}
-	// Smoothers on all but the coarsest; direct solve on the coarsest.
+	// Smoothers on all but the coarsest; direct solve on the coarsest. Up to
+	// here lvl.A is what the Galerkin chain produced — the setup view: the
+	// smoother's partition graph, its block factors and the coarsest
+	// Cholesky read it, so they do not depend on the kernel choice below.
+	narrow := opts.CoarsePrecision == PrecisionMixedF32
 	for li, lvl := range mg.Levels {
 		lvl.x = make([]float64, lvl.A.Rows())
 		lvl.b = make([]float64, lvl.A.Rows())
@@ -405,7 +418,7 @@ func newMG(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG
 			}
 			lvl.Direct = ch
 			mg.SetupFlops += ch.FactorFlops
-			if opts.CoarsePrecision == PrecisionMixedF32 && li >= opts.CoarseF32Level {
+			if narrow && li >= opts.CoarseF32Level {
 				// The cycles never apply the coarsest operator once the
 				// exact f64 factorization exists, so its storage narrows
 				// too — the factor keeps the direct solve full-precision.
@@ -413,8 +426,29 @@ func newMG(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG
 			}
 			continue
 		}
+		view := lvl.A
+		if li > 0 && opts.blocksGalerkinLevels() {
+			// The BSR product adds a row's entries in the scalar order, so
+			// this changes the kernel and no bit of the result.
+			lvl.A = sparse.AutoBlockOp(view, opts.BlockSize)
+		}
+		// Mixed precision: the whole hierarchy was built — Galerkin triple
+		// products included — and checked in full float64; only now is the
+		// *storage* of the coarse levels narrowed, so narrowing perturbs
+		// each stored entry by at most one f32 rounding and never compounds
+		// through the coarsening products. Blocking came first, so a
+		// blocked level narrows BSR to BSR32, and the smoother's setup sees
+		// the narrowed values as its sweeps will.
+		if narrow && li >= opts.CoarseF32Level {
+			if lvl.A == view {
+				view = narrowOp(view)
+				lvl.A = view
+			} else {
+				view, lvl.A = narrowOp(view), narrowOp(lvl.A)
+			}
+		}
 		sps := obs.Start(evSmoother)
-		s, err := mg.makeSmoother(lvl.A)
+		s, err := mg.makeSmoother(lvl.A, view)
 		sps.End()
 		if err != nil {
 			return nil, err
@@ -448,7 +482,9 @@ func rowTraversable(a sparse.Operator) bool {
 	return ok
 }
 
-func (mg *MG) makeSmoother(a sparse.Operator) (smooth.Smoother, error) {
+// makeSmoother builds the smoother that applies a. view is the operator
+// setup reads — a itself, or the scalar matrix a was blocked from.
+func (mg *MG) makeSmoother(a, view sparse.Operator) (smooth.Smoother, error) {
 	switch mg.Opts.Smoother {
 	case Jacobi:
 		return smooth.NewJacobi(a, 2.0/3), nil
@@ -469,7 +505,7 @@ func (mg *MG) makeSmoother(a sparse.Operator) (smooth.Smoother, error) {
 		if !rowTraversable(a) {
 			return smooth.NewChebyshev(a, mg.Opts.ChebDegree, 30), nil
 		}
-		bj, err := mg.blockJacobi(a)
+		bj, err := mg.blockJacobi(a, view)
 		if err != nil {
 			return nil, err
 		}
@@ -479,7 +515,7 @@ func (mg *MG) makeSmoother(a sparse.Operator) (smooth.Smoother, error) {
 		if !rowTraversable(a) {
 			return smooth.NewChebyshev(a, mg.Opts.ChebDegree, 30), nil
 		}
-		bj, err := mg.blockJacobi(a)
+		bj, err := mg.blockJacobi(a, view)
 		if err != nil {
 			return nil, err
 		}
@@ -488,11 +524,12 @@ func (mg *MG) makeSmoother(a sparse.Operator) (smooth.Smoother, error) {
 }
 
 // blockJacobi builds the paper's subdomain smoother for one level
-// operator: the scalar view is taken once, the matrix graph is read off
-// its pattern and partitioned (the paper uses METIS), and the blocks are
-// gathered from the same view and factored.
-func (mg *MG) blockJacobi(a sparse.Operator) (*smooth.DomainBlockJacobi, error) {
-	view := sparse.AsCSR(a)
+// operator: the scalar form of the setup view is taken once, the matrix
+// graph is read off its pattern and partitioned (the paper uses METIS),
+// and the blocks are gathered from the same matrix and factored. The
+// sweeps apply a.
+func (mg *MG) blockJacobi(a, setup sparse.Operator) (*smooth.DomainBlockJacobi, error) {
+	view := sparse.AsCSR(setup)
 	nb := mg.Opts.BlockCount(view.NRows)
 	spp := obs.Start(evSmootherPartition)
 	part := graph.GreedyPartition(graph.NewFromPattern(view.NRows, view.RowPtr, view.ColIdx), nb)
@@ -510,14 +547,13 @@ func (mg *MG) blockJacobi(a sparse.Operator) (*smooth.DomainBlockJacobi, error) 
 // NumLevels returns the number of grids.
 func (mg *MG) NumLevels() int { return len(mg.Levels) }
 
-// vcycle improves x (initial guess respected) for A_l·x = b. gamma is the
-// cycle index: 1 = V-cycle, 2 = W-cycle.
-func (mg *MG) vcycle(l int, b, x []float64) { mg.cycle(l, b, x, 1) }
-
-// wcycle is the gamma = 2 variant.
-func (mg *MG) wcycle(l int, b, x []float64) { mg.cycle(l, b, x, 2) }
-
-func (mg *MG) cycle(l int, b, x []float64, gamma int) {
+// cycle improves x for A_l·x = b. gamma is the cycle index: 1 = V-cycle,
+// 2 = W-cycle. zero promises that x is all zeros on entry; otherwise the
+// guess it holds is respected. One visit of a smoothed level applies A_l
+// four times when the smoother hands back its residual — two per CG step
+// before and after the coarse correction — and three times from a zero
+// guess, whose residual is b.
+func (mg *MG) cycle(l int, b, x []float64, gamma int, zero bool) {
 	lvl := mg.Levels[l]
 	if lvl.Direct != nil {
 		spd := obs.Start(evCoarse)
@@ -527,20 +563,27 @@ func (mg *MG) cycle(l int, b, x []float64, gamma int) {
 		lvl.Work += lvl.Direct.SolveFlops()
 		return
 	}
-	lvl.Smoother.Smooth(x, b, mg.Opts.PreSmooth)
-	lvl.A.Residual(b, x, lvl.res)
-	mg.CycleFlops += lvl.A.MulVecFlops() + int64(len(b))
-	lvl.Work += lvl.A.MulVecFlops() + int64(len(b))
+	// The residual to restrict is the smoother's own when it carries one;
+	// only a smoother that does not is followed by an explicit b - A·x.
+	res := lvl.res
+	if rs, ok := lvl.Smoother.(smooth.ResidualSmoother); ok {
+		res = rs.SmoothResidual(x, b, mg.Opts.PreSmooth, zero)
+	} else {
+		lvl.Smoother.Smooth(x, b, mg.Opts.PreSmooth)
+		lvl.A.Residual(b, x, res)
+		mg.CycleFlops += lvl.A.MulVecFlops() + int64(len(b))
+		lvl.Work += lvl.A.MulVecFlops() + int64(len(b))
+	}
 	next := mg.Levels[l+1]
-	next.R.MulVec(lvl.res, next.b)
+	next.R.MulVec(res, next.b)
 	mg.CycleFlops += next.R.MulVecFlops()
 	next.Work += next.R.MulVecFlops()
 	for i := range next.x {
 		next.x[i] = 0
 	}
 	for g := 0; g < gamma; g++ {
-		mg.cycle(l+1, next.b, next.x, gamma)
-		if mg.Levels[l+1].Direct != nil {
+		mg.cycle(l+1, next.b, next.x, gamma, g == 0)
+		if next.Direct != nil {
 			break // the coarsest solve is exact; repeating it is a no-op
 		}
 	}
@@ -569,18 +612,7 @@ func (mg *MG) fmg(b, x []float64) {
 	}
 	// Coarsest solve.
 	last := mg.Levels[n-1]
-	if last.Direct != nil {
-		spd := obs.Start(evCoarse)
-		last.Direct.Solve(last.b, last.x)
-		spd.EndFlops(last.Direct.SolveFlops())
-		mg.CycleFlops += last.Direct.SolveFlops()
-		last.Work += last.Direct.SolveFlops()
-	} else {
-		for i := range last.x {
-			last.x[i] = 0
-		}
-		mg.vcycle(n-1, last.b, last.x)
-	}
+	mg.cycle(n-1, last.b, last.x, 1, false)
 	// Work back up: prolong and V-cycle.
 	for l := n - 2; l >= 0; l-- {
 		lvl := mg.Levels[l]
@@ -588,7 +620,7 @@ func (mg *MG) fmg(b, x []float64) {
 		next.P.MulVec(next.x, lvl.x)
 		mg.CycleFlops += next.P.MulVecFlops()
 		next.Work += next.P.MulVecFlops()
-		mg.vcycle(l, lvl.b, lvl.x)
+		mg.cycle(l, lvl.b, lvl.x, 1, false)
 	}
 	copy(x, mg.Levels[0].x)
 }
@@ -612,16 +644,15 @@ func (mg *MG) Apply(r, z []float64) {
 func (mg *MG) apply(r, z []float64) {
 	mg.Applies++
 	switch mg.Opts.Cycle {
-	case VCycle:
+	case VCycle, WCycle:
+		gamma := 1
+		if mg.Opts.Cycle == WCycle {
+			gamma = 2
+		}
 		for i := range z {
 			z[i] = 0
 		}
-		mg.vcycle(0, r, z)
-	case WCycle:
-		for i := range z {
-			z[i] = 0
-		}
-		mg.wcycle(0, r, z)
+		mg.cycle(0, r, z, gamma, true)
 	default:
 		mg.fmg(r, z)
 	}

@@ -44,6 +44,12 @@ func buildElasticity(t *testing.T, n int, coarsenOpts core.Options) (*sparse.CSR
 	if err != nil {
 		t.Fatal(err)
 	}
+	return kr, fr, restrictionChain(h, dm)
+}
+
+// restrictionChain lists the hierarchy's restrictions with the first one
+// compressed against the constraints, as prometheus.NewSolver does.
+func restrictionChain(h *core.Hierarchy, dm *fem.DofMap) []*sparse.CSR {
 	var rs []*sparse.CSR
 	for l := 1; l < h.NumLevels(); l++ {
 		r := h.Grids[l].R
@@ -52,7 +58,7 @@ func buildElasticity(t *testing.T, n int, coarsenOpts core.Options) (*sparse.CSR
 		}
 		rs = append(rs, r)
 	}
-	return kr, fr, rs
+	return rs
 }
 
 func TestCompressCols(t *testing.T) {
@@ -462,6 +468,23 @@ func fixEmptyRowsBuilder(a *sparse.CSR) *sparse.CSR {
 	return b.Build()
 }
 
+// emptyRowRestriction returns a copy of r that leaves coarse dof 2 without
+// fine support (row 2 emptied) and coarse dof 7 with support of weight zero
+// (stored zeros on row 7): the two kinds of row fixEmptyRows pins.
+func emptyRowRestriction(r *sparse.CSR) *sparse.CSR {
+	rBad := r.Select(identity(r.NRows), identity(r.NCols), r.NCols, 0)
+	lo, hi := rBad.RowPtr[2], rBad.RowPtr[3]
+	rBad.ColIdx = slices.Delete(rBad.ColIdx, lo, hi)
+	rBad.Val = slices.Delete(rBad.Val, lo, hi)
+	for i := 3; i <= rBad.NRows; i++ {
+		rBad.RowPtr[i] -= hi - lo
+	}
+	for k := rBad.RowPtr[7]; k < rBad.RowPtr[8]; k++ {
+		rBad.Val[k] = 0
+	}
+	return rBad
+}
+
 func sameBits(a, b *sparse.CSR) bool {
 	return a.NRows == b.NRows && a.NCols == b.NCols &&
 		slices.Equal(a.RowPtr, b.RowPtr) && slices.Equal(a.ColIdx, b.ColIdx) &&
@@ -511,24 +534,7 @@ func TestSelectMatchesBuilder(t *testing.T) {
 	// fixEmptyRows: coarse dof 2 has no fine support at all (an empty
 	// row and column of the Galerkin operator), coarse dof 7 has support
 	// of weight zero (stored zeros on row and column 7).
-	rows := make([]int, r.NRows)
-	keepAll := make([]int, r.NCols)
-	for i := range rows {
-		rows[i] = i
-	}
-	for j := range keepAll {
-		keepAll[j] = j
-	}
-	rBad := r.Select(rows, keepAll, r.NCols, 0)
-	lo, hi := rBad.RowPtr[2], rBad.RowPtr[3]
-	rBad.ColIdx = slices.Delete(rBad.ColIdx, lo, hi)
-	rBad.Val = slices.Delete(rBad.Val, lo, hi)
-	for i := 3; i <= rBad.NRows; i++ {
-		rBad.RowPtr[i] -= hi - lo
-	}
-	for k := rBad.RowPtr[7]; k < rBad.RowPtr[8]; k++ {
-		rBad.Val[k] = 0
-	}
+	rBad := emptyRowRestriction(r)
 	ac := sparse.Galerkin(rBad, kr)
 	if ac.RowNNZ(2) != 0 || ac.RowNNZ(7) == 0 {
 		t.Fatal("the fixture lost a case it is meant to cover")
@@ -573,15 +579,7 @@ func buildElasticityMF(t *testing.T, n int) (*sparse.CSR, *fem.EBEOperator, []fl
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rs []*sparse.CSR
-	for l := 1; l < h.NumLevels(); l++ {
-		r := h.Grids[l].R
-		if l == 1 {
-			r = CompressCols(r, dm.Full2Red, dm.NumFree())
-		}
-		rs = append(rs, r)
-	}
-	return kr, op, fr, rs
+	return kr, op, fr, restrictionChain(h, dm)
 }
 
 // TestStorageParityMF extends the storage-parity invariant to the third

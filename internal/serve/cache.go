@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,17 +52,20 @@ type cacheEntry struct {
 	lastUse uint64
 }
 
+// errBuildPanicked is what the requests waiting on a single-flight build
+// are told when the build panicked on the request that ran it.
+var errBuildPanicked = errors.New("serve: the setup this request was waiting on panicked")
+
 // build runs the cold-path setup: coarsening, assembly, constraint
 // reduction and the first multigrid construction. It runs to completion
 // even if the requesting client goes away — the product is shared state,
 // and a half-built entry poisoned by one caller's cancellation would
 // break every later request for the key.
-func (e *cacheEntry) build(g *Geometry, scale float64, opts prometheus.Options) {
+func (e *cacheEntry) build(g *Geometry, scale float64, opts prometheus.Options) error {
 	t0 := time.Now()
 	solver, err := prometheus.NewSolver(g.Mesh, g.Cons, opts)
 	if err != nil {
-		e.err = err
-		return
+		return err
 	}
 	var kred prometheus.Operator
 	var fred []float64
@@ -70,21 +74,18 @@ func (e *cacheEntry) build(g *Geometry, scale float64, opts prometheus.Options) 
 		// cached operator applies element stiffnesses directly.
 		kred, fred, err = g.MatrixFreeLinear(solver, scale)
 		if err != nil {
-			e.err = err
-			return
+			return err
 		}
 	} else {
 		k, f, err := g.AssembleLinear(scale)
 		if err != nil {
-			e.err = err
-			return
+			return err
 		}
 		kred, fred = solver.ReduceSystem(k, f)
 	}
 	mg, err := solver.Preconditioner(kred)
 	if err != nil {
-		e.err = err
-		return
+		return err
 	}
 	e.solver = solver
 	e.kred = kred
@@ -94,6 +95,7 @@ func (e *cacheEntry) build(g *Geometry, scale float64, opts prometheus.Options) 
 	e.setupNs = time.Since(t0).Nanoseconds()
 	e.builds.Add(1)
 	e.checkinMG(mg)
+	return nil
 }
 
 // Checkout leases a multigrid preconditioner from the idle pool, building
@@ -173,7 +175,10 @@ func newHierCache(maxEntries int) *hierCache {
 // Acquire returns the entry for key, building it (single-flight) on a
 // miss. hit reports whether the setup products already existed. A nil
 // error guarantees a usable entry the caller must Release on all paths;
-// on error the reference is already released.
+// on error the reference is already released. A build that panics is a
+// failed build: the panic unwinds through the request that ran it, with
+// its reference released and the key dropped on the way, and the requests
+// waiting on it get errBuildPanicked.
 func (c *hierCache) Acquire(key, fp string, g *Geometry, scale float64, opts prometheus.Options) (e *cacheEntry, hit bool, err error) {
 	c.mu.Lock()
 	e, hit = c.entries[key]
@@ -196,13 +201,23 @@ func (c *hierCache) Acquire(key, fp string, g *Geometry, scale float64, opts pro
 	}
 	c.mu.Unlock()
 
-	e.once.Do(func() { e.build(g, scale, opts) })
+	// The named result e is nil again by the time a deferred function runs
+	// on the error return, so the cleanup holds the entry itself.
+	ok, pinned := false, e
+	defer func() {
+		if !ok { // a failed build, or a panicking one unwinding through here
+			c.Release(pinned)
+			c.dropFailed(pinned)
+		}
+	}()
+	e.once.Do(func() {
+		e.err = errBuildPanicked // what the waiters read if build does not return
+		e.err = e.build(g, scale, opts)
+	})
 	if e.err != nil {
-		err = e.err
-		c.Release(e)
-		c.dropFailed(e)
-		return nil, false, err
+		return nil, false, e.err
 	}
+	ok = true
 	return e, hit, nil
 }
 

@@ -122,9 +122,12 @@ type SolveResponse struct {
 	// NumDOF and Levels describe the solved system.
 	NumDOF int `json:"num_dof"`
 	Levels int `json:"levels"`
-	// Iterations, Converged and Residuals report the Krylov iteration.
+	// Iterations, Converged and Residuals report the Krylov iteration;
+	// Reason says why it ended: converged, max_iters, indefinite,
+	// non_finite, breakdown or cancelled (krylov.StopReason).
 	Iterations int       `json:"iterations"`
 	Converged  bool      `json:"converged"`
+	Reason     string    `json:"reason"`
 	Residuals  []float64 `json:"residuals"`
 	// SolutionHash is the sha256 over the solution's float64 bit
 	// patterns (see SolutionHash); Solution is the full vector when
@@ -146,9 +149,12 @@ type SolveResponse struct {
 	Error string `json:"error,omitempty"`
 }
 
-// errorBody is the JSON error envelope for non-200 responses.
+// errorBody is the JSON error envelope for non-200 responses. TraceID is
+// set on the 500 a recovered panic answers with, so the caller can quote
+// it and the operator can find the stack.
 type errorBody struct {
-	Error string `json:"error"`
+	Error   string `json:"error"`
+	TraceID string `json:"trace_id,omitempty"`
 }
 
 // writeJSON writes v as a JSON response. v is encoded before the status
@@ -182,7 +188,8 @@ const maxRequestBody = 1 << 20
 
 // handleSolve is POST /v1/solve: admission → session → cache → solve.
 // Every acquired resource is released by a defer directly under its
-// acquisition, so error returns and panics unwind cleanly.
+// acquisition, so error returns and panics unwind cleanly (the
+// instrumentation layer turns a panic into a 500).
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		failJSON(w, http.StatusMethodNotAllowed, "serve: POST only")
@@ -313,12 +320,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	resp.SolveNs = time.Since(t0).Nanoseconds()
 	resp.Iterations = res.Iterations
 	resp.Converged = res.Converged
+	resp.Reason = res.Reason.String()
 	resp.Residuals = res.Residuals
 	resp.TaskFlops = task.Flops()
 	resp.TaskMsgs = task.Msgs()
 	resp.TaskBytes = task.Bytes()
 	resp.TaskVCycles = task.VCycles()
 	mSolves.With(storageLabel(opts.MG.Storage)).Inc()
+	mSolveStops.With(resp.Reason).Inc()
 
 	if ctx.Err() != nil {
 		s.cancelled.Add(1)
@@ -337,7 +346,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		resp.Solution = u
 	}
 	if !res.Converged {
-		resp.Error = fmt.Sprintf("serve: did not reach rtol=%g in %d iterations", req.RTol, req.MaxIters)
+		resp.Error = fmt.Sprintf("serve: did not reach rtol=%g within %d iterations: stopped as %s after %d", req.RTol, req.MaxIters, resp.Reason, res.Iterations)
 	}
 	if enc != nil {
 		if err := enc.Encode(resp); err != nil {

@@ -3,6 +3,7 @@ package serve
 import (
 	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"time"
 
@@ -17,11 +18,14 @@ type statusWriter struct {
 	status int
 }
 
-// WriteHeader records the first status code written.
+// WriteHeader records and forwards the first status code written; a
+// response has one status line, so later calls are dropped (the panic
+// answer arrives after a streamed response has sent its own).
 func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
+	if w.status != 0 {
+		return
 	}
+	w.status = code
 	w.ResponseWriter.WriteHeader(code)
 }
 
@@ -50,6 +54,8 @@ func (w *statusWriter) Flush() {
 //   - one obs.Task per request, attached to the request context, so
 //     every layer below (session → multigrid → krylov/smooth →
 //     pool/par) attributes its work to this request;
+//   - panic recovery (see recovered): a handler that panics answers 500
+//     and is counted and logged like any other request;
 //   - route/status request counters and a latency histogram;
 //   - one structured request log line; the trace id attribute is
 //     stamped by the TraceHandler from the context.
@@ -67,7 +73,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		w.Header().Set("Traceparent", obs.Traceparent(task.TraceID(), obs.NewSpanID()))
 		ctx := obs.WithTask(r.Context(), task)
 		sw := &statusWriter{ResponseWriter: w}
-		h(sw, r.WithContext(ctx))
+		s.recovered(route, h, sw, r.WithContext(ctx))
 		status := sw.status
 		if status == 0 {
 			status = http.StatusOK
@@ -83,4 +89,32 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			slog.Int64("dur_ns", durNs),
 		)
 	}
+}
+
+// recovered runs h and turns a panic inside it into an answer: 500 with
+// the error envelope and the request's trace id (or, once a streamed
+// response is under way, a last line carrying them), one error record
+// with the panic value and its stack, and a count on the route. Without
+// it net/http would drop the connection and the caller would learn
+// nothing. The handler's own defers have released its admission slot,
+// session, cache reference and multigrid lease by the time this runs.
+func (s *Server) recovered(route string, h http.HandlerFunc, sw *statusWriter, r *http.Request) {
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		mPanics.With(route).Inc()
+		ctx := r.Context()
+		s.log.LogAttrs(ctx, slog.LevelError, "panic",
+			slog.String("route", route),
+			slog.Any("panic", p),
+			slog.String("stack", string(debug.Stack())),
+		)
+		body := errorBody{Error: "serve: internal error: the request panicked", TraceID: obs.FromContext(ctx).TraceID()}
+		if err := writeJSON(sw, http.StatusInternalServerError, body); err != nil {
+			return
+		}
+	}()
+	h(sw, r)
 }

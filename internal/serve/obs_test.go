@@ -315,6 +315,41 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestServeStopReason: why the Krylov iteration ended reaches the caller as
+// the response's reason and the operator as a labelled /metrics counter; a
+// solve that runs out of iterations answers 200 with converged=false, the
+// reason max_iters and an error naming it.
+func TestServeStopReason(t *testing.T) {
+	obs.EnableWith(obs.Config{})
+	defer obs.Disable()
+	_, ts := newTestServer(t, Config{})
+	done := postSolve(t, ts, SolveRequest{Spec: Spec{Problem: "cube", Size: 1}})
+	if !done.Converged || done.Reason != "converged" || done.Error != "" {
+		t.Fatalf("default solve: converged=%v reason=%q error=%q", done.Converged, done.Reason, done.Error)
+	}
+	short := postSolve(t, ts, SolveRequest{Spec: Spec{Problem: "cube", Size: 2}, RTol: 1e-12, MaxIters: 1})
+	if short.Converged || short.Reason != "max_iters" || short.Iterations != 1 || !strings.Contains(short.Error, "max_iters") {
+		t.Fatalf("rtol=1e-12, max_iters=1: converged=%v reason=%q iterations=%d error=%q", short.Converged, short.Reason, short.Iterations, short.Error)
+	}
+	hr, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer hr.Body.Close()
+	raw, err := io.ReadAll(hr.Body)
+	if err != nil {
+		t.Fatalf("read /metrics: %v", err)
+	}
+	for _, want := range []string{
+		`prometheus_serve_solve_stops_total{reason="converged"} 1`,
+		`prometheus_serve_solve_stops_total{reason="max_iters"} 1`,
+	} {
+		if !strings.Contains(string(raw), want) {
+			t.Fatalf("/metrics lacks %q:\n%s", want, raw)
+		}
+	}
+}
+
 // TestSessionTraceEndpoint checks the per-request Chrome-trace export:
 // after an obs-on solve, /v1/sessions/{id}/trace returns that request's
 // span events, and unknown ids 404.

@@ -21,14 +21,27 @@ import (
 
 // Smoother applies fixed-point iterations to A·x = b in place.
 type Smoother interface {
-	// Smooth performs n sweeps updating x. r may be nil; when non-nil it is
-	// used as scratch of length dim.
+	// Smooth performs n sweeps updating x in place, respecting the guess it
+	// holds on entry. The smoother owns whatever scratch a sweep needs.
 	Smooth(x, b []float64, n int)
 	// Apply is the preconditioner form: z ≈ A⁻¹·r from a zero initial
 	// guess (one sweep).
 	Apply(r, z []float64)
 	// Flops returns the accumulated floating point work.
 	Flops() int64
+}
+
+// ResidualSmoother is the residual hand-off capability, optional in the way
+// sparse's RowScanner and Sweeper are: a smoother whose iteration carries
+// the residual of its own iterate implements it, and the multigrid cycle
+// then restricts that vector instead of forming b - A·x a second time.
+// Smoothers without it are followed by an explicit Residual.
+type ResidualSmoother interface {
+	// SmoothResidual is Smooth that also returns b - A·x for the x it
+	// leaves, in a vector the smoother owns and overwrites on its next
+	// call. zero promises that x is all zeros on entry, so the starting
+	// residual is b and no product is spent on finding that out.
+	SmoothResidual(x, b []float64, n int, zero bool) []float64
 }
 
 // taskRef carries the request-scoped obs task a smoother attributes
@@ -461,6 +474,10 @@ func (s *DomainBlockJacobi) Apply(r, z []float64) {
 // Flops implements Smoother.
 func (s *DomainBlockJacobi) Flops() int64 { return s.flops }
 
+// Blocks returns the partition: the dof indices of every block, in block
+// order. The slices are the smoother's own; callers must not modify them.
+func (s *DomainBlockJacobi) Blocks() [][]int { return s.blocks }
+
 // NumBlocks returns the number of non-empty blocks.
 func (s *DomainBlockJacobi) NumBlocks() int {
 	n := 0
@@ -661,22 +678,36 @@ func NewCGSmoother(a sparse.Operator, inner Smoother, iters int) *CGSmoother {
 // Smooth implements Smoother: n×Iters preconditioned CG iterations
 // continuing from the current x.
 func (s *CGSmoother) Smooth(x, b []float64, n int) {
+	s.SmoothResidual(x, b, n, false)
+}
+
+// SmoothResidual implements ResidualSmoother. The vector returned is the
+// CG recurrence residual r, updated by r -= α·A·p in step with x += α·p: it
+// is b - A·x (to rounding) for the x left behind on every return path, the
+// breakdown returns included, because those leave x and r untouched.
+func (s *CGSmoother) SmoothResidual(x, b []float64, n int, zero bool) []float64 {
 	sp := obs.StartTask(evCG, s.task)
-	f0 := s.flops
-	s.smooth(x, b, n)
-	sp.EndFlops(s.flops - f0)
+	f0 := s.Flops()
+	s.smooth(x, b, n, zero)
+	sp.EndFlops(s.Flops() - f0)
+	return s.r
 }
 
 // smooth is the span-free body; it returns early on breakdown, so the
 // wrapper above keeps the obs span balanced on every path.
-func (s *CGSmoother) smooth(x, b []float64, n int) {
+func (s *CGSmoother) smooth(x, b []float64, n int, zero bool) {
 	nn := s.A.Rows()
 	r, z, p, ap := s.r, s.z, s.p, s.ap
-	s.A.Residual(b, x, r)
-	s.flops += s.A.MulVecFlops() + int64(nn)
+	if zero {
+		copy(r, b)
+	} else {
+		s.A.Residual(b, x, r)
+		s.flops += s.A.MulVecFlops() + int64(nn)
+	}
 	s.Inner.Apply(r, z)
 	copy(p, z)
 	rz := la.Dot(r, z)
+	s.flops += 2 * int64(nn)
 	for it := 0; it < n*s.Iters; it++ {
 		// NaN-safe breakdown tests: a non-finite rz or a pap that is not
 		// a positive number ends the step with x as it stands instead of
@@ -713,11 +744,12 @@ func (s *CGSmoother) Apply(r, z []float64) {
 	for i := range z {
 		z[i] = 0
 	}
-	s.Smooth(z, r, 1)
+	s.SmoothResidual(z, r, 1, true)
 }
 
-// Flops implements Smoother.
-func (s *CGSmoother) Flops() int64 { return s.flops }
+// Flops implements Smoother: the CG iteration's own work plus the inner
+// smoother's, which runs nowhere else.
+func (s *CGSmoother) Flops() int64 { return s.flops + s.Inner.Flops() }
 
 // SetTask attaches the request task to the outer iteration and, when
 // the inner smoother supports attribution, forwards it there too.

@@ -401,6 +401,47 @@ func TestCGSmootherBreakdownLeavesX(t *testing.T) {
 	check("negative definite", NewCGSmoother(neg, NewJacobi(a, 1), 2), b)
 }
 
+// TestCGSmootherResidualHandOff pins the ResidualSmoother contract: the
+// vector SmoothResidual returns is b - A·x of the x it leaves, after full
+// steps and on the breakdown return alike, and a guess declared zero yields
+// the x a zeroed guess does, bit for bit, for one operator product fewer.
+func TestCGSmootherResidualHandOff(t *testing.T) {
+	a := laplace3D(5)
+	n := a.NRows
+	b := make([]float64, n)
+	guess := make([]float64, n)
+	for i := range b {
+		b[i] = math.Sin(float64(i) * 0.7)
+		guess[i] = math.Cos(float64(i) * 0.3)
+	}
+	neg := a.Clone()
+	neg.Scale(-1)
+	want := make([]float64, n)
+	for name, op := range map[string]*sparse.CSR{"three CG steps": a, "breakdown before the first": neg} {
+		var rs ResidualSmoother = NewCGSmoother(op, NewJacobi(a, 1), 1)
+		x := append([]float64(nil), guess...)
+		r := rs.SmoothResidual(x, b, 3, false)
+		op.Residual(b, x, want)
+		for i := range r {
+			if math.Abs(r[i]-want[i]) > 1e-12 {
+				t.Fatalf("%s: returned residual[%d] = %v, b - A·x = %v", name, i, r[i], want[i])
+			}
+		}
+	}
+	cold, declared := NewCGSmoother(a, NewJacobi(a, 1), 1), NewCGSmoother(a, NewJacobi(a, 1), 1)
+	xc, xd := make([]float64, n), make([]float64, n)
+	rc := cold.SmoothResidual(xc, b, 2, false)
+	rd := declared.SmoothResidual(xd, b, 2, true)
+	for i := range xc {
+		if math.Float64bits(xc[i]) != math.Float64bits(xd[i]) || math.Float64bits(rc[i]) != math.Float64bits(rd[i]) {
+			t.Fatalf("dof %d: a guess declared zero gives x = %v, r = %v; a zeroed guess %v, %v", i, xd[i], rd[i], xc[i], rc[i])
+		}
+	}
+	if saved := cold.Flops() - declared.Flops(); saved != a.MulVecFlops()+int64(n) {
+		t.Fatalf("the zero guess saved %d flops, want one residual (%d)", saved, a.MulVecFlops()+int64(n))
+	}
+}
+
 func TestDefaultBlockCount(t *testing.T) {
 	if DefaultBlockCount(1000) != 6 {
 		t.Fatal("paper rule: 6 blocks per 1000")

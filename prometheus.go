@@ -69,6 +69,10 @@ type (
 	NewtonConfig = newton.Config
 	// NewtonStats reports the nonlinear solve (newton.Stats).
 	NewtonStats = newton.Stats
+	// StopReason says why a linear solve ended (krylov.StopReason): its
+	// String form is one of converged, max_iters, indefinite, non_finite,
+	// breakdown, cancelled.
+	StopReason = krylov.StopReason
 	// Hierarchy is the coarse grid stack built by the solver.
 	Hierarchy = core.Hierarchy
 	// LinearElastic, NeoHookean and J2Plasticity are the bundled material
@@ -227,6 +231,9 @@ type Result struct {
 	Iterations int
 	Residuals  []float64
 	Converged  bool
+	// Reason is why the Krylov iteration ended; anything but convergence
+	// also comes back as the error of the solve call.
+	Reason     StopReason
 	SolveFlops int64
 	SetupFlops int64
 	Levels     int
@@ -239,6 +246,8 @@ type Result struct {
 // Geometric hierarchies on node-aligned constraint sets (every vertex
 // fully free or fully fixed) re-block a scalar tangent into 3x3-node BSR
 // before building the hierarchy; Options.MG.Storage overrides the choice.
+// The Galerkin levels below are blocked level by level whatever the fine
+// level is (multigrid.StorageAuto).
 func (s *Solver) Preconditioner(kred Operator) (*multigrid.MG, error) {
 	if s.Opts.Hierarchy == SmoothedAggregation && s.rs == nil {
 		kc, ok := sparse.TryCSR(kred)
@@ -325,13 +334,14 @@ func (s *Solver) SolveReduced(kred Operator, fred []float64) ([]float64, *Result
 		Iterations: res.Iterations,
 		Residuals:  res.Residuals,
 		Converged:  res.Converged,
+		Reason:     res.Reason,
 		SolveFlops: res.Flops + mg.Flops(),
 		SetupFlops: mg.SetupFlops,
 		Levels:     mg.NumLevels(),
 	}
 	if !res.Converged {
-		return u, out, fmt.Errorf("prometheus: linear solve did not reach rtol=%g in %d iterations",
-			s.Opts.RTol, res.Iterations)
+		return u, out, fmt.Errorf("prometheus: linear solve did not reach rtol=%g in %d iterations (%v)",
+			s.Opts.RTol, res.Iterations, res.Reason)
 	}
 	return u, out, nil
 }
