@@ -32,19 +32,23 @@ func TestSelectRulesByName(t *testing.T) {
 }
 
 func TestSelectRulesUnknownListsValidNames(t *testing.T) {
-	_, err := selectRules("float-equality,no-such-rule")
-	if err == nil {
-		t.Fatal("unknown rule name must be rejected")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, `"no-such-rule"`) {
-		t.Errorf("error %q does not name the offending rule", msg)
-	}
-	// The message must enumerate the valid rules so the typo is fixable
-	// without reading the source.
-	for _, want := range []string{"float-equality", "shared-write", "narrowing-discipline", "accumulation-width", "krylov-precision"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("error %q does not list valid rule %q", msg, want)
+	// shared-write was a rule until the ownership verifier was retired; a
+	// script still passing it must fail, not lint with nothing.
+	for _, unknown := range []string{"no-such-rule", "shared-write"} {
+		_, err := selectRules("float-equality," + unknown)
+		if err == nil {
+			t.Fatalf("unknown rule name %q must be rejected", unknown)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, `"`+unknown+`"`) {
+			t.Errorf("error %q does not name the offending rule", msg)
+		}
+		// The message must enumerate the valid rules so the typo is fixable
+		// without reading the source.
+		for _, want := range []string{"float-equality", "sync-discipline", "narrowing-discipline", "accumulation-width", "krylov-precision"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("error %q does not list valid rule %q", msg, want)
+			}
 		}
 	}
 }

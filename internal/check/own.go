@@ -10,12 +10,13 @@ import (
 )
 
 // Owners is the runtime write-ownership sanitizer behind the promdebug
-// tag: the dynamic counterpart of the shared-write / range-partition lint
-// rules. Each worker claims the half-open index range of the shared slice
-// it is about to write; a claim that overlaps another worker's active
-// claim on the same backing array panics with both workers' stacks, so a
-// bad partition is caught at the first racy dispatch instead of
-// corrupting results silently.
+// tag: it checks the ranges a dispatch hands out, where TestKernelContract
+// (module root) checks what a kernel does with its range. Each worker
+// claims the half-open index range of the shared slice it is about to
+// write; a claim that overlaps another worker's active claim on the same
+// backing array panics with both workers' stacks, so a bad partition is
+// caught at the first racy dispatch instead of corrupting results
+// silently.
 //
 // The discipline mirrors internal/obs: storage is preallocated by Init,
 // Claim fills a fixed per-worker stack buffer with runtime.Stack (no

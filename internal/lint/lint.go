@@ -35,18 +35,9 @@
 //     constants (never fmt.Sprintf), and every obs.Start span must be
 //     ended on all paths (End/EndFlops, deferred End, or the balanced
 //     obs.Start(id).End() chain);
-//   - shared-write: the ownership verifier — every MulVecRange contract
-//     implementation must provably confine its writes to y[lo:hi]
-//     (symbolic interval arithmetic over index expressions, see
-//     affine.go and ownership.go), and every goroutine spawned in a
-//     kernel package may write only spawn-distinct or received state;
 //   - sync-discipline: raw synchronization (channels, sync, atomic,
 //     go) is banned from compute-kernel hot paths and confined, in the
 //     substrate, to methods of package-local types or credit channels;
-//   - range-partition: fan-out loops handing row ranges to workers must
-//     match the telescoping partition shape (hi := lo + width; optional
-//     last-iteration clamp; lo = hi) with provably nonnegative width,
-//     so chunks are disjoint and cover [0, n) by construction;
 //   - narrowing-discipline: every float64 -> float32 narrowing must go
 //     through the sanctioned la.Narrow32/la.To32 boundary — a bare
 //     float32(x) on solver data is an unaudited precision cut;
@@ -175,9 +166,7 @@ func DefaultRules() []Rule {
 		MapOrder{},
 		BlockShape{},
 		&ObsDiscipline{},
-		SharedWrite{},
 		&SyncDiscipline{},
-		RangePartition{},
 		NarrowingDiscipline{LaPath: "prometheus/internal/la"},
 		AccumulationWidth{LaPath: "prometheus/internal/la"},
 		KrylovPrecision{

@@ -448,9 +448,7 @@ func TestDefaultRulesComplete(t *testing.T) {
 		"map-order":             true,
 		"block-shape":           true,
 		"obs-discipline":        true,
-		"shared-write":          true,
 		"sync-discipline":       true,
-		"range-partition":       true,
 		"narrowing-discipline":  true,
 		"accumulation-width":    true,
 		"krylov-precision":      true,

@@ -112,14 +112,14 @@ func (r *SyncDiscipline) Check(pkg *Package) []Issue {
 			continue
 		}
 		if inCompute {
-			out = append(out, issueAt(pkg, op.node.Pos(), r.Name(), Error,
+			out = append(out, issue(pkg, op.node, r.Name(), Error,
 				"%s on the hot path of compute package %s; kernels must express parallelism through the substrate (pool.Dispatch, par collectives), not synchronize themselves", op.what, pkg.Path))
 			continue
 		}
 		if r.sanctioned(pkg, op) {
 			continue
 		}
-		out = append(out, issueAt(pkg, op.node.Pos(), r.Name(), Error,
+		out = append(out, issue(pkg, op.node, r.Name(), Error,
 			"hot-path %s is outside any method of a package-local type and not on a buffered credit channel; substrate synchronization must stay on the audited protocol surface", op.what))
 	}
 	return out
@@ -268,7 +268,7 @@ func isCreditChannel(pkg *Package, ch ast.Expr) bool {
 					if i >= len(x.Rhs) {
 						break
 					}
-					if chanExprObj(pkg, lhs) == obj && makeChanCapOK(pkg, x.Rhs[i]) {
+					if chanObject(pkg, lhs) == obj && makeChanCapOK(pkg, x.Rhs[i]) {
 						found = true
 					}
 				}
@@ -277,7 +277,7 @@ func isCreditChannel(pkg *Package, ch ast.Expr) bool {
 					if i >= len(x.Values) {
 						break
 					}
-					if objOf(pkg, name) == obj && makeChanCapOK(pkg, x.Values[i]) {
+					if pkg.Info.ObjectOf(name) == obj && makeChanCapOK(pkg, x.Values[i]) {
 						found = true
 					}
 				}
@@ -292,16 +292,6 @@ func isCreditChannel(pkg *Package, ch ast.Expr) bool {
 		})
 	}
 	return found
-}
-
-func chanExprObj(pkg *Package, e ast.Expr) types.Object {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return objOf(pkg, x)
-	case *ast.SelectorExpr:
-		return pkg.Info.Uses[x.Sel]
-	}
-	return nil
 }
 
 // makeChanCapOK matches make(chan T, N) with constant N >= 1.

@@ -2,6 +2,16 @@ package lint
 
 import "testing"
 
+// syncDep is a minimal source-level stand-in for the sync package so
+// fixtures can exercise mutex calls without export data.
+var syncDep = fixtureDep{path: "sync", src: `package sync
+
+type Mutex struct{ state int32 }
+
+func (m *Mutex) Lock()   {}
+func (m *Mutex) Unlock() {}
+`}
+
 func fixtureSyncCompute() *SyncDiscipline {
 	return &SyncDiscipline{Compute: []string{"fixture"}, Substrate: []string{"none"}}
 }

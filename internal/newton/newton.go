@@ -7,7 +7,6 @@
 package newton
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -140,8 +139,13 @@ func Solve(p *fem.Problem, cons *fem.Constraints, cfg Config, factory PreconFact
 			if stats.FirstSolveIters == 0 {
 				stats.FirstSolveIters = res.Iterations
 			}
+			// A solve poisoned by NaN or Inf stops before MaxPCG and leaves
+			// du meaningless; every other early stop keeps the best iterate.
+			if res.Reason == krylov.StopNonFinite {
+				return nil, stats, fmt.Errorf("newton: step %d iter %d: linear solver stopped after %d iterations (%v)", step, m, res.Iterations, res.Reason)
+			}
 			if !res.Converged && res.Iterations >= cfg.MaxPCG {
-				return nil, stats, errors.New("newton: linear solver hit iteration bound")
+				return nil, stats, fmt.Errorf("newton: step %d iter %d: linear solver hit iteration bound %d (%v)", step, m, cfg.MaxPCG, res.Reason)
 			}
 
 			// Energy norm |δuᵀ·r| of the correction.

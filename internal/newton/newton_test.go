@@ -2,6 +2,7 @@ package newton
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -197,6 +198,55 @@ func TestDynamicToleranceSchedule(t *testing.T) {
 		for m, r := range ss.RTols[1:] {
 			if r > 1e-3 || r <= 0 {
 				t.Fatalf("step %d iter %d: rtol = %v", si, m+2, r)
+			}
+		}
+	}
+}
+
+// poisonOnce is the identity preconditioner, except that its at-th
+// application returns a NaN (at = 0: never).
+type poisonOnce struct{ calls, at int }
+
+func (p *poisonOnce) Apply(r, z []float64) {
+	copy(z, r)
+	if p.calls++; p.calls == p.at {
+		z[0] = math.NaN()
+	}
+}
+
+// TestNonFiniteLinearSolveStopsNewton: an inner solve that stops on NaN
+// before MaxPCG must end the Newton solve with the reason, not have its du
+// added to u; running out of iterations names its reason too.
+func TestNonFiniteLinearSolveStopsNewton(t *testing.T) {
+	c := problems.NewCube(2, material.LinearElastic{E: 1, Nu: 0.3}, 0)
+	for v, pt := range c.Mesh.Coords {
+		if pt.Z == 1 {
+			c.Cons.FixDof(3*v+2, -0.05)
+		}
+	}
+	solve := func(at, maxPCG int) error {
+		p := fem.NewProblem(c.Mesh, c.Models, false)
+		factory := func(sparse.Operator) (krylov.Preconditioner, error) {
+			return &poisonOnce{at: at}, nil
+		}
+		_, _, err := Solve(p, c.Cons, Config{Steps: 1, MaxNewton: 4, MaxPCG: maxPCG}, factory, -1)
+		return err
+	}
+	for _, tc := range []struct {
+		name       string
+		at, maxPCG int
+		want       []string
+	}{
+		{"poisoned", 3, 500, []string{"step 1 iter 1", "non_finite"}},
+		{"bound", 0, 2, []string{"step 1 iter 1", "iteration bound", "max_iters"}},
+	} {
+		err := solve(tc.at, tc.maxPCG)
+		if err == nil {
+			t.Fatalf("%s: Solve returned no error", tc.name)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not contain %q", tc.name, err, w)
 			}
 		}
 	}

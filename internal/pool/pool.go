@@ -5,14 +5,17 @@
 // the paper's MPI ranks with message passing, pool runs actual
 // runtime.NumCPU-wide data parallelism over shared vectors.
 //
-// Safety is enforced on three levels:
+// Safety is checked by running the code (DESIGN.md §9):
 //
-//   - statically, the promlint shared-write / range-partition rules prove
-//     that Dispatch hands out a disjoint cover of [0, n) and that every
-//     kernel writes only inside its assigned range;
-//   - dynamically (promdebug builds), each worker claims its range in the
-//     check.Owners shadow table before writing, so an overlapping claim
-//     panics with both workers' stacks;
+//   - the Kernel contract — a kernel writes only inside its assigned
+//     range — by TestKernelContract (kernel_contract_test.go at the module
+//     root), which runs every Kernel in the tree over a sweep of windows
+//     and through Dispatch, under the race detector too;
+//   - the partition — Dispatch hands out a disjoint cover of [0, n) — by
+//     TestDispatchCoversDomainOnce and, in promdebug builds, at every
+//     dispatch: each worker claims its range in the check.Owners shadow
+//     table before writing, so an overlapping claim panics with both
+//     workers' stacks;
 //   - operationally, dispatch is allocation-free in steady state: jobs
 //     travel by value through a buffered channel, workers never die, and
 //     there is no per-call goroutine churn.
@@ -27,9 +30,10 @@ import (
 )
 
 // Kernel is a row-partitioned compute kernel. MulVecRange must write
-// exactly the rows y[lo:hi] and must not write x — the contract every
-// sparse matrix type and smoother update kernel implements, and the one
-// the shared-write lint rule verifies at each implementation.
+// exactly the rows y[lo:hi], must not write x or its own receiver, and
+// must give a row the same bits whatever window it arrives in — the
+// contract every sparse matrix type and fem.EBEOperator implements, and
+// the one TestKernelContract checks for each of them.
 type Kernel interface {
 	MulVecRange(x, y []float64, lo, hi int)
 }
@@ -109,7 +113,7 @@ func (p *Pool) Close() { close(p.jobs) }
 
 // worker executes jobs until the pool is closed. Worker w's writes are
 // confined to y[lo:hi] of each job it receives: the kernel honors the
-// Kernel contract (statically verified), and under promdebug the range is
+// Kernel contract (TestKernelContract), and under promdebug the range is
 // claimed in the ownership table so overlap panics at the first racy
 // dispatch rather than corrupting data silently.
 func (p *Pool) worker(w int) {
@@ -160,10 +164,10 @@ func (p *Pool) runItems(w int, j job) {
 // the workers, and returns when every row is written. The partition
 // telescopes — each chunk starts where the previous ended, the first
 // starts at 0, and the last is clamped to n — so the chunks are pairwise
-// disjoint and cover [0, n) exactly; the range-partition lint rule proves
-// this shape at compile time. Small or misaligned problems fall back to
-// a single serial call, which keeps results bitwise identical to the
-// serial kernel for every pool size.
+// disjoint and cover [0, n) exactly (TestDispatchCoversDomainOnce; every
+// chunk is claimed in check.Owners under promdebug). Small or misaligned
+// problems fall back to a single serial call, which keeps results bitwise
+// identical to the serial kernel for every pool size.
 func (p *Pool) Dispatch(k Kernel, x, y []float64, n, align int) {
 	p.DispatchTask(nil, k, x, y, n, align)
 }

@@ -11,5 +11,4 @@ var (
 	evDomainBJ    = obs.Register("smooth.domain_block_jacobi")
 	evNodeBJ      = obs.Register("smooth.node_block_jacobi")
 	evCG          = obs.Register("smooth.cg")
-	evParJacobi   = obs.Register("smooth.jacobi.par")
 )

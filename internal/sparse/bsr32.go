@@ -164,7 +164,7 @@ func (a *BSR32) mulVecBlocks(x, y []float64, lo, hi int) {
 // MulVecRange computes y[i] = (A·x)[i] for scalar rows i in [lo, hi) —
 // block-aligned ranges take the blocked kernels, ragged edges fall back to
 // a per-scalar-row loop, mirroring BSR.MulVecRange so the pool dispatch
-// and ownership proof carry over.
+// carries over.
 func (a *BSR32) MulVecRange(x, y []float64, lo, hi int) {
 	b := a.B
 	if lo%b == 0 && hi%b == 0 {

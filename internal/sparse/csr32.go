@@ -93,8 +93,8 @@ func (a *CSR32) MulVec(x, y []float64) {
 
 // MulVecRange computes y[i] = (A·x)[i] for i in [lo, hi) — the same
 // row-partitioned kernel contract as CSR.MulVecRange, so the pool path
-// and the shared-write ownership proof carry over unchanged. Each stored
-// value is widened in-register; the row sum is a float64.
+// carries over unchanged. Each stored value is widened in-register; the
+// row sum is a float64.
 func (a *CSR32) MulVecRange(x, y []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		p, q := a.RowPtr[i], a.RowPtr[i+1]

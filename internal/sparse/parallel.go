@@ -60,8 +60,7 @@ func (a *BSR32) MulVecParallel(p *pool.Pool, x, y []float64) {
 }
 
 // ParallelOperator is implemented by storage formats whose product can
-// run on a worker pool. All four storages qualify; algorithms that can
-// exploit real cores (the parallel Jacobi smoother) type-switch on it.
+// run on a worker pool. All four storages qualify.
 type ParallelOperator interface {
 	Operator
 	MulVecParallel(p *pool.Pool, x, y []float64)
