@@ -120,14 +120,12 @@ func TestSmootherPartitionMatchesEdgeListGraph(t *testing.T) {
 }
 
 // TestBlockGatherMatchesAt checks the packed block gather entry by entry
-// against the level operator's own At on all four assembled storages (the
-// mixed-precision hierarchies narrow their coarse levels to CSR32/BSR32):
-// the first and last smoother block of every level, then the first block
+// against the level operator's own At on both assembled storages: the
+// first and last smoother block of every level, then the first block
 // again in reversed dof order through the same scratch array.
 func TestBlockGatherMatchesAt(t *testing.T) {
-	mixed := multigrid.Options{CoarsePrecision: multigrid.PrecisionMixedF32}
 	seen := map[string]bool{}
-	for _, mg := range []*multigrid.MG{spheresSystem(t, false, mixed).hierarchy(t), cubeSystem(t, false, mixed).hierarchy(t)} {
+	for _, mg := range []*multigrid.MG{spheresSystem(t, false, multigrid.Options{}).hierarchy(t), cubeSystem(t, false, multigrid.Options{}).hierarchy(t)} {
 		for li, lvl := range mg.Levels {
 			seen[fmt.Sprintf("%T", lvl.A)] = true
 			at := lvl.A.(sparse.RowScanner)
@@ -165,7 +163,7 @@ func TestBlockGatherMatchesAt(t *testing.T) {
 			}
 		}
 	}
-	for _, st := range []string{"*sparse.CSR", "*sparse.BSR", "*sparse.CSR32", "*sparse.BSR32"} {
+	for _, st := range []string{"*sparse.CSR", "*sparse.BSR"} {
 		if !seen[st] {
 			t.Errorf("no %s level was exercised", st)
 		}

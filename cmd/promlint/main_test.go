@@ -18,23 +18,24 @@ func TestSelectRulesDefault(t *testing.T) {
 }
 
 func TestSelectRulesByName(t *testing.T) {
-	rules, err := selectRules(" float-equality , krylov-precision ,")
+	rules, err := selectRules(" float-equality , operator-seam ,")
 	if err != nil {
 		t.Fatalf("selectRules error: %v", err)
 	}
-	if len(rules) != 2 || rules[0].Name() != "float-equality" || rules[1].Name() != "krylov-precision" {
+	if len(rules) != 2 || rules[0].Name() != "float-equality" || rules[1].Name() != "operator-seam" {
 		names := make([]string, len(rules))
 		for i, r := range rules {
 			names[i] = r.Name()
 		}
-		t.Fatalf("selected %v, want [float-equality krylov-precision]", names)
+		t.Fatalf("selected %v, want [float-equality operator-seam]", names)
 	}
 }
 
 func TestSelectRulesUnknownListsValidNames(t *testing.T) {
-	// shared-write was a rule until the ownership verifier was retired; a
-	// script still passing it must fail, not lint with nothing.
-	for _, unknown := range []string{"no-such-rule", "shared-write"} {
+	// shared-write was a rule until the ownership verifier was retired,
+	// narrowing-discipline until the f32 storages were; a script still
+	// passing either must fail, not lint with nothing.
+	for _, unknown := range []string{"no-such-rule", "shared-write", "narrowing-discipline"} {
 		_, err := selectRules("float-equality," + unknown)
 		if err == nil {
 			t.Fatalf("unknown rule name %q must be rejected", unknown)
@@ -45,7 +46,7 @@ func TestSelectRulesUnknownListsValidNames(t *testing.T) {
 		}
 		// The message must enumerate the valid rules so the typo is fixable
 		// without reading the source.
-		for _, want := range []string{"float-equality", "sync-discipline", "narrowing-discipline", "accumulation-width", "krylov-precision"} {
+		for _, want := range []string{"float-equality", "sync-discipline", "operator-seam"} {
 			if !strings.Contains(msg, want) {
 				t.Errorf("error %q does not list valid rule %q", msg, want)
 			}

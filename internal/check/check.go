@@ -2,10 +2,7 @@
 
 package check
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Enabled reports whether invariant checking is compiled in. It is a
 // constant so that "if check.Enabled { ... }" blocks vanish entirely from
@@ -40,19 +37,6 @@ func CSRWellFormed(nRows, nCols int, rowPtr, colIdx []int, nVal int, ctx string)
 				Assert(colIdx[k-1] < j, "%s: row %d columns not strictly increasing (%d then %d)", ctx, i, colIdx[k-1], j)
 			}
 		}
-	}
-}
-
-// F32Representable asserts that every value survives narrowing to float32:
-// finite and within ±math.MaxFloat32. Called at the mixed-precision storage
-// boundaries (sparse.ToCSR32/ToBSR32) so a coarse-level matrix that would
-// overflow or produce NaN in f32 storage fails loudly at build time rather
-// than corrupting the smoother silently.
-func F32Representable(vals []float64, ctx string) {
-	for i, v := range vals {
-		Assert(!math.IsNaN(v), "%s: value %d is NaN, not representable in float32", ctx, i)
-		Assert(math.Abs(v) <= math.MaxFloat32,
-			"%s: value %d (%g) overflows float32 range", ctx, i, v)
 	}
 }
 

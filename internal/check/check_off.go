@@ -13,9 +13,6 @@ func Assert(cond bool, format string, args ...interface{}) {}
 // CSRWellFormed is a no-op in release builds.
 func CSRWellFormed(nRows, nCols int, rowPtr, colIdx []int, nVal int, ctx string) {}
 
-// F32Representable is a no-op in release builds.
-func F32Representable(vals []float64, ctx string) {}
-
 // SortedUnique is a no-op in release builds.
 func SortedUnique(idx []int, n int, ctx string) {}
 

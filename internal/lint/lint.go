@@ -38,18 +38,6 @@
 //   - sync-discipline: raw synchronization (channels, sync, atomic,
 //     go) is banned from compute-kernel hot paths and confined, in the
 //     substrate, to methods of package-local types or credit channels;
-//   - narrowing-discipline: every float64 -> float32 narrowing must go
-//     through the sanctioned la.Narrow32/la.To32 boundary — a bare
-//     float32(x) on solver data is an unaudited precision cut;
-//   - accumulation-width: reductions must be carried in float64 even
-//     over f32 operands — float32-typed `s += e` accumulators in loops,
-//     and looping calls to functions that (transitively) accumulate
-//     into float32 parameters, are flagged (see precision.go);
-//   - krylov-precision: internal/krylov is a float64-only zone — no
-//     float32 storage inside the package, and no f32-tainted value may
-//     reach a krylov call from importing packages without passing a
-//     sanctioned la.W64/la.Wide64 widening (interprocedural taint
-//     fixpoint, see precision.go);
 //   - goroutine-lifecycle: every goroutine spawned in a service package
 //     (internal/serve, cmd/promserve) must have a provable termination
 //     path — blocking channel operations reachable from a go statement
@@ -74,11 +62,11 @@
 //     default or done/ctx case, so backpressure is a 503 rather than a
 //     stuck request;
 //   - operator-seam: type assertions and type switches on the concrete
-//     storage types (*sparse.CSR, *sparse.BSR and their f32 variants)
-//     are confined to the storage seam (internal/sparse and
-//     internal/multigrid) — everywhere else must use the sparse
-//     capability interfaces or the sanctioned TryCSR/AutoBlockOp
-//     helpers, so the matrix-free operator flows through every layer.
+//     storage types (*sparse.CSR, *sparse.BSR) are confined to the
+//     storage seam (internal/sparse and internal/multigrid) —
+//     everywhere else must use the sparse capability interfaces or the
+//     sanctioned TryCSR/AutoBlockOp helpers, so the matrix-free
+//     operator flows through every layer.
 //
 // A finding can be suppressed in place with a directive comment on the
 // same line or the line above:
@@ -167,12 +155,6 @@ func DefaultRules() []Rule {
 		BlockShape{},
 		&ObsDiscipline{},
 		&SyncDiscipline{},
-		NarrowingDiscipline{LaPath: "prometheus/internal/la"},
-		AccumulationWidth{LaPath: "prometheus/internal/la"},
-		KrylovPrecision{
-			KrylovPath: "prometheus/internal/krylov",
-			LaPath:     "prometheus/internal/la",
-		},
 		GoroutineLifecycle{},
 		CtxFlow{},
 		LogDiscipline{},

@@ -7,6 +7,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
 	"strings"
 	"testing"
 )
@@ -449,9 +450,6 @@ func TestDefaultRulesComplete(t *testing.T) {
 		"block-shape":           true,
 		"obs-discipline":        true,
 		"sync-discipline":       true,
-		"narrowing-discipline":  true,
-		"accumulation-width":    true,
-		"krylov-precision":      true,
 		"goroutine-lifecycle":   true,
 		"ctx-flow":              true,
 		"log-discipline":        true,
@@ -468,6 +466,40 @@ func TestDefaultRulesComplete(t *testing.T) {
 	}
 	if len(names) != len(want) {
 		t.Fatalf("DefaultRules has %d rules (%s), want %d", len(names), strings.Join(names, ", "), len(want))
+	}
+
+	// README's "full rule set at a glance" table must carry exactly these
+	// rules, one row each, so the table cannot go stale.
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, found := strings.Cut(string(readme), "| rule | guards |\n")
+	if !found {
+		t.Fatal("README.md has no `| rule | guards |` table")
+	}
+	rows := map[string]bool{}
+	for i, line := range strings.Split(table, "\n") {
+		line = strings.TrimSpace(line)
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		if i == 0 { // the |---|---| separator
+			continue
+		}
+		name := strings.Trim(strings.TrimSpace(strings.Split(line, "|")[1]), "`")
+		if rows[name] {
+			t.Errorf("README rule table lists %q twice", name)
+		}
+		rows[name] = true
+		if !want[name] {
+			t.Errorf("README rule table lists %q, which is not in DefaultRules", name)
+		}
+	}
+	for _, name := range names {
+		if !rows[name] {
+			t.Errorf("README rule table has no row for %q", name)
+		}
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 
 // OperatorSeam confines concrete storage knowledge to the storage seam.
 // With the matrix-free mode, a solver-stack level operator may be an
-// assembled *sparse.CSR/BSR (or their f32 variants) or an
-// element-by-element operator with no stored entries at all; code that
-// type-asserts or type-switches on the concrete matrix types silently
-// excludes the matrix-free path (or panics on it). Outside the seam —
+// assembled *sparse.CSR/BSR or an element-by-element operator with no
+// stored entries at all; code that type-asserts or type-switches on the
+// concrete matrix types silently excludes the matrix-free path (or
+// panics on it). Outside the seam —
 // the sparse package itself and the multigrid level plumbing, which by
 // design choose per-level storage — consumers must program against the
 // sparse capability interfaces (RowScanner, BlockDiagonaler, Sweeper,
@@ -29,7 +29,7 @@ type OperatorSeam struct {
 }
 
 // concreteStorageTypes are the storage types the seam protects.
-var concreteStorageTypes = []string{"CSR", "BSR", "CSR32", "BSR32"}
+var concreteStorageTypes = []string{"CSR", "BSR"}
 
 // Name implements Rule.
 func (OperatorSeam) Name() string { return "operator-seam" }

@@ -3,7 +3,7 @@ package lint
 import "testing"
 
 // sparseSeamSrc is a miniature of internal/sparse: the operator
-// interface, one capability interface, and the four concrete storage
+// interface, one capability interface, and the two concrete storage
 // types the seam protects.
 const sparseSeamSrc = `package sparse
 
@@ -22,14 +22,6 @@ func (a *CSR) Rows() int { return a.n }
 type BSR struct{ n int }
 
 func (a *BSR) Rows() int { return a.n }
-
-type CSR32 struct{ n int }
-
-func (a *CSR32) Rows() int { return a.n }
-
-type BSR32 struct{ n int }
-
-func (a *BSR32) Rows() int { return a.n }
 `
 
 func sparseSeamDep() fixtureDep { return fixtureDep{path: "sparse", src: sparseSeamSrc} }
@@ -46,9 +38,9 @@ func consume(a sparse.Operator) int {
 	b := a.(*sparse.BSR) // line 9: flagged
 	_ = b
 	switch a.(type) {
-	case *sparse.CSR32: // line 12: flagged
+	case *sparse.CSR: // line 12: flagged
 		return 2
-	case *sparse.BSR32: // line 14: flagged
+	case *sparse.BSR: // line 14: flagged
 		return 3
 	case sparse.Labeler: // capability interface: fine
 		return 4

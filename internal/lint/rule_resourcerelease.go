@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -328,6 +329,19 @@ func errGuardRanges(pkg *Package, body *ast.BlockStmt, acquires []*acqSite) map[
 		return true
 	})
 	return out
+}
+
+// posRange is a half-open source position interval.
+type posRange struct{ lo, hi token.Pos }
+
+// inRanges reports whether the position falls inside any of the ranges.
+func inRanges(rs []posRange, p token.Pos) bool {
+	for _, r := range rs {
+		if r.lo <= p && p < r.hi {
+			return true
+		}
+	}
+	return false
 }
 
 // condUses reports whether the condition expression mentions obj.

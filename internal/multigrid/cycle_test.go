@@ -201,24 +201,20 @@ func solveOutcomeOf(t *testing.T, fine sparse.Operator, f []float64, rs []*spars
 // where the applied operator and the setup view differ: a CSR-fine
 // hierarchy whose Galerkin levels have pinned rows (so blocking them adds
 // fill), and a BSR-fine hierarchy with a Galerkin level that fixEmptyRowsOp
-// repaired to scalar. Under mixed precision the blocked levels narrow to
-// BSR32.
+// repaired to scalar.
 func TestBlockingIsAKernelChoice(t *testing.T) {
 	sk, sf, srs := buildSpheres(t)
 	ck, cf, crs := buildElasticity(t, 5, core.Options{MinCoarse: 10})
 	crs = append([]*sparse.CSR{emptyRowRestriction(crs[0])}, crs[1:]...)
 	for _, tc := range []struct {
-		name         string
-		fine         sparse.Operator
-		f            []float64
-		rs           []*sparse.CSR
-		storage      []string
-		mixedStorage []string
+		name    string
+		fine    sparse.Operator
+		f       []float64
+		rs      []*sparse.CSR
+		storage []string
 	}{
-		{"spheres, CSR fine", sk, sf, srs,
-			[]string{"csr", "bsr", "bsr", "csr"}, []string{"csr", "bsr32", "bsr32", "csr32"}},
-		{"cube with a repaired level, BSR fine", sparse.AutoBlock(ck, 3), cf, crs,
-			[]string{"bsr", "bsr", "csr"}, []string{"bsr", "bsr32", "csr32"}},
+		{"spheres, CSR fine", sk, sf, srs, []string{"csr", "bsr", "bsr", "csr"}},
+		{"cube with a repaired level, BSR fine", sparse.AutoBlock(ck, 3), cf, crs, []string{"bsr", "bsr", "csr"}},
 	} {
 		scalar := solveOutcomeOf(t, tc.fine, tc.f, tc.rs, Options{Storage: StorageCSR})
 		auto := solveOutcomeOf(t, tc.fine, tc.f, tc.rs, Options{})
@@ -243,13 +239,6 @@ func TestBlockingIsAKernelChoice(t *testing.T) {
 			return slices.EqualFunc(a, b, slices.Equal[[]int])
 		}) {
 			t.Errorf("%s: smoother partitions differ between the blocked and the scalar hierarchy", tc.name)
-		}
-		mixed, err := New(tc.fine, tc.rs, Options{CoarsePrecision: PrecisionMixedF32})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := levelStorage(mixed); !slices.Equal(got, tc.mixedStorage) {
-			t.Errorf("%s: mixed-precision level storage %v, want %v", tc.name, got, tc.mixedStorage)
 		}
 	}
 }

@@ -70,31 +70,10 @@ const (
 	// element, and the first coarse operator is assembled directly from
 	// element contributions through the sparse.GalerkinAssembler
 	// capability, so no fine-grid matrix ever exists. Coarse levels are
-	// assembled Galerkin CSR exactly as in the scalar pipeline (and narrow
-	// under PrecisionMixedF32 as usual). Row-traversal smoothers fall back
-	// to Chebyshev on the matrix-free level.
+	// assembled Galerkin CSR exactly as in the scalar pipeline.
+	// Row-traversal smoothers fall back to Chebyshev on the matrix-free
+	// level.
 	StorageMatrixFree
-)
-
-// PrecisionKind selects the per-level value precision of the hierarchy.
-type PrecisionKind int
-
-const (
-	// PrecisionF64 (the default) keeps float64 storage on every level —
-	// bitwise identical to the pre-mixed-precision solver on both storages
-	// and at every pool worker count.
-	PrecisionF64 PrecisionKind = iota
-	// PrecisionMixedF32 narrows the storage of coarse levels (level >=
-	// CoarseF32Level) to float32 after the full hierarchy is built in
-	// float64: the Galerkin triple products, the coarsest direct
-	// factorization and every residual/correction transfer stay f64, and
-	// the smoothers on narrowed levels run f32 storage with f64
-	// accumulation. The fine level is never narrowed, so the f64-only
-	// contract of internal/krylov (enforced by the krylov-precision lint
-	// rule) holds structurally. Halves the bytes/dof of CSR coarse levels
-	// (CSR32: 8 B per entry vs 16) and matches the ROADMAP's
-	// "float32 coarse levels, Krylov stays float64" memory lever.
-	PrecisionMixedF32
 )
 
 // CycleKind selects the multigrid cycle used per preconditioner apply.
@@ -123,13 +102,6 @@ type Options struct {
 	// BlockSize is the node-block size used by StorageBSR (default 3, the
 	// elasticity dofs-per-node).
 	BlockSize int
-	// CoarsePrecision selects f64 (default) or mixed f32 coarse-level
-	// storage; see PrecisionKind.
-	CoarsePrecision PrecisionKind
-	// CoarseF32Level is the first level narrowed by PrecisionMixedF32
-	// (default 1: every Galerkin level). Level 0 is never narrowed
-	// regardless of the threshold.
-	CoarseF32Level int
 }
 
 func (o Options) withDefaults() Options {
@@ -150,9 +122,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BlockSize == 0 {
 		o.BlockSize = 3
-	}
-	if o.CoarseF32Level < 1 {
-		o.CoarseF32Level = 1
 	}
 	return o
 }
@@ -406,7 +375,6 @@ func newMG(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG
 	// here lvl.A is what the Galerkin chain produced — the setup view: the
 	// smoother's partition graph, its block factors and the coarsest
 	// Cholesky read it, so they do not depend on the kernel choice below.
-	narrow := opts.CoarsePrecision == PrecisionMixedF32
 	for li, lvl := range mg.Levels {
 		lvl.x = make([]float64, lvl.A.Rows())
 		lvl.b = make([]float64, lvl.A.Rows())
@@ -418,12 +386,6 @@ func newMG(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG
 			}
 			lvl.Direct = ch
 			mg.SetupFlops += ch.FactorFlops
-			if narrow && li >= opts.CoarseF32Level {
-				// The cycles never apply the coarsest operator once the
-				// exact f64 factorization exists, so its storage narrows
-				// too — the factor keeps the direct solve full-precision.
-				lvl.A = narrowOp(lvl.A)
-			}
 			continue
 		}
 		view := lvl.A
@@ -431,21 +393,6 @@ func newMG(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG
 			// The BSR product adds a row's entries in the scalar order, so
 			// this changes the kernel and no bit of the result.
 			lvl.A = sparse.AutoBlockOp(view, opts.BlockSize)
-		}
-		// Mixed precision: the whole hierarchy was built — Galerkin triple
-		// products included — and checked in full float64; only now is the
-		// *storage* of the coarse levels narrowed, so narrowing perturbs
-		// each stored entry by at most one f32 rounding and never compounds
-		// through the coarsening products. Blocking came first, so a
-		// blocked level narrows BSR to BSR32, and the smoother's setup sees
-		// the narrowed values as its sweeps will.
-		if narrow && li >= opts.CoarseF32Level {
-			if lvl.A == view {
-				view = narrowOp(view)
-				lvl.A = view
-			} else {
-				view, lvl.A = narrowOp(view), narrowOp(lvl.A)
-			}
 		}
 		sps := obs.Start(evSmoother)
 		s, err := mg.makeSmoother(lvl.A, view)
@@ -456,20 +403,6 @@ func newMG(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG
 		lvl.Smoother = s
 	}
 	return mg, nil
-}
-
-// narrowOp narrows one level operator into f32 storage, preserving the
-// blocked/scalar format. The conversions run through the sanctioned
-// la.To32 boundary and assert f32 representability under promdebug.
-func narrowOp(a sparse.Operator) sparse.Operator {
-	switch m := a.(type) {
-	case *sparse.CSR:
-		return sparse.ToCSR32(m)
-	case *sparse.BSR:
-		return sparse.ToBSR32(m)
-	default:
-		return a
-	}
 }
 
 // rowTraversable reports whether the level operator exposes stored

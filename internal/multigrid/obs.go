@@ -29,10 +29,6 @@ func storageName(a sparse.Operator) string {
 		return "bsr"
 	case *sparse.CSR:
 		return "csr"
-	case *sparse.BSR32:
-		return "bsr32"
-	case *sparse.CSR32:
-		return "csr32"
 	default:
 		if l, ok := a.(sparse.StorageLabeler); ok {
 			return l.StorageLabel()

@@ -130,7 +130,7 @@ func (e *cacheEntry) checkinMG(mg *multigrid.MG) {
 // EntryInfo is the JSON view of one cache entry for /v1/cache.
 type EntryInfo struct {
 	// Key is the full cache key
-	// (fingerprint/cycle/storage/precision/scale-bits).
+	// (fingerprint/cycle/storage/scale-bits).
 	Key string `json:"key"`
 	// Fingerprint is the mesh fingerprint component of the key.
 	Fingerprint string `json:"fingerprint"`

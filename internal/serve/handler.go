@@ -25,15 +25,12 @@ type SolveRequest struct {
 	RTol float64 `json:"rtol"`
 	// MaxIters bounds the Krylov iterations (default 1000).
 	MaxIters int `json:"max_iters"`
-	// Cycle selects the multigrid cycle: "fmg" (default), "v" or "w".
+	// Cycle selects the multigrid cycle: "fmg" (default) or "v".
 	Cycle string `json:"cycle"`
 	// Storage selects the operator storage mode: "auto" (default — follow
 	// the assembled fine matrix), "csr", "bsr", or "mf" (matrix-free
 	// element-by-element fine operator; no fine matrix is assembled).
 	Storage string `json:"storage"`
-	// Precision selects the coarse-level value precision: "f64" (default)
-	// or "f32" (float32 Galerkin levels).
-	Precision string `json:"precision"`
 	// Stream switches the response to newline-delimited JSON: one
 	// Progress line per Krylov iteration as it happens, then the final
 	// SolveResponse line.
@@ -220,7 +217,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		failJSON(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	opts, err := solverOptions(req.RTol, req.MaxIters, req.Cycle, req.Storage, req.Precision)
+	opts, err := solverOptions(req.RTol, req.MaxIters, req.Cycle, req.Storage)
 	if err != nil {
 		failJSON(w, http.StatusBadRequest, err.Error())
 		return

@@ -57,7 +57,7 @@ func TestPanicInsideSolveAnswers500(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := solverOptions(1e-4, 1000, "fmg", "", "")
+	opts, err := solverOptions(1e-4, 1000, "fmg", "")
 	if err != nil {
 		t.Fatal(err)
 	}

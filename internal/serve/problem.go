@@ -10,7 +10,6 @@ import (
 
 	prometheus "prometheus"
 	"prometheus/internal/core"
-	"prometheus/internal/multigrid"
 	"prometheus/internal/problems"
 )
 
@@ -122,45 +121,32 @@ func storageLabel(k prometheus.StorageKind) string {
 	}
 }
 
-// precisionLabel is the canonical cache-key component for the coarse-level
-// precision mode.
-func precisionLabel(k multigrid.PrecisionKind) string {
-	if k == multigrid.PrecisionMixedF32 {
-		return "f32"
-	}
-	return "f64"
-}
-
 // cacheKey derives the full cache key: the mesh fingerprint plus the
 // solve-variant parameters that change the cached setup products (cycle
-// shapes the multigrid built from the hierarchy, storage and coarse
-// precision shape the cached operator hierarchy itself, the load scale
-// bakes into the cached reduced right-hand side). Float bits, not
-// formatted decimals, so distinct scales can never collide. Storage and
-// precision come from the resolved options: a "mf" entry caches an
-// element-by-element operator and a "f32" entry caches narrowed coarse
-// matrices, so sharing an entry across those modes would hand one
-// request's variant to another.
+// shapes the multigrid built from the hierarchy, storage shapes the
+// cached operator hierarchy itself, the load scale bakes into the cached
+// reduced right-hand side). Float bits, not formatted decimals, so
+// distinct scales can never collide. Storage comes from the resolved
+// options: a "mf" entry caches an element-by-element operator, so sharing
+// an entry across storage modes would hand one request's variant to
+// another.
 func cacheKey(fp string, cycle string, opts prometheus.Options, scale float64) string {
 	return fp + "/" + cycle + "/" + storageLabel(opts.MG.Storage) + "/" +
-		precisionLabel(opts.MG.CoarsePrecision) + "/" +
 		strconv.FormatUint(math.Float64bits(scale), 16)
 }
 
 // solverOptions maps request-level solve parameters onto the library
 // options. The same mapping is used by the cache build and by
 // DirectSolve, so the two paths configure identical solvers.
-func solverOptions(rtol float64, maxIters int, cycle, storage, precision string) (prometheus.Options, error) {
+func solverOptions(rtol float64, maxIters int, cycle, storage string) (prometheus.Options, error) {
 	opts := prometheus.Options{RTol: rtol, MaxIters: maxIters}
 	switch cycle {
 	case "", "fmg":
 		// FMG is the default cycle (the paper's preconditioner).
 	case "v":
 		opts.MG.Cycle = prometheus.VCycle
-	case "w":
-		opts.MG.Cycle = prometheus.WCycle
 	default:
-		return opts, fmt.Errorf("serve: unknown cycle %q (want fmg, v or w)", cycle)
+		return opts, fmt.Errorf("serve: unknown cycle %q (want fmg or v)", cycle)
 	}
 	switch storage {
 	case "", "auto":
@@ -174,26 +160,26 @@ func solverOptions(rtol float64, maxIters int, cycle, storage, precision string)
 	default:
 		return opts, fmt.Errorf("serve: unknown storage %q (want auto, csr, bsr or mf)", storage)
 	}
-	switch precision {
-	case "", "f64":
-		// Full float64 on every level (the default).
-	case "f32":
-		opts.MG.CoarsePrecision = multigrid.PrecisionMixedF32
-	default:
-		return opts, fmt.Errorf("serve: unknown precision %q (want f64 or f32)", precision)
-	}
 	return opts, nil
 }
 
 // DirectSolve runs the promsolve-style pipeline for a spec without any
 // service machinery: build, assemble, NewSolver, SolveLinear. It is the
 // reference the serve path is verified bitwise-identical against.
+//
+// The trailing precision parameter is a leftover of the retired
+// single-precision storage mode, kept because bench/ passes it and
+// product PRs may not edit bench/: only "" and "f64" are accepted. The
+// next [benchmark] PR drops it (ROADMAP item 4).
 func DirectSolve(spec Spec, scale, rtol float64, maxIters int, cycle, storage, precision string) ([]float64, *prometheus.Result, error) {
+	if precision != "" && precision != "f64" {
+		return nil, nil, fmt.Errorf("serve: unknown precision %q (every level is f64)", precision)
+	}
 	g, err := BuildGeometry(spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	opts, err := solverOptions(rtol, maxIters, cycle, storage, precision)
+	opts, err := solverOptions(rtol, maxIters, cycle, storage)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -428,12 +428,11 @@ func TestServeRequestValidation(t *testing.T) {
 	if _, status := postSolveStatus(t, ts, SolveRequest{Spec: Spec{Problem: "cube", Size: 1}, Storage: "coo"}); status != http.StatusBadRequest {
 		t.Fatalf("unknown storage: status %d, want 400", status)
 	}
-	if _, status := postSolveStatus(t, ts, SolveRequest{Spec: Spec{Problem: "cube", Size: 1}, Precision: "f16"}); status != http.StatusBadRequest {
-		t.Fatalf("unknown precision: status %d, want 400", status)
-	}
 
 	// Hostile numbers and malformed bodies: each must answer 400 with a
-	// JSON error naming the offending field, before any geometry is built.
+	// JSON error naming the offending field, before any hierarchy is built.
+	// "precision" and cycle "w" are retired: the first is an unknown field
+	// to the strict decoder, the second an unknown cycle.
 	for _, tc := range []struct{ body, names string }{
 		{`{"problem":"cube","size":1,"load_scale":1e308,"wait":true}`, "load_scale"},
 		{`{"problem":"cube","size":1,"load_scale":-1e101}`, "load_scale"},
@@ -446,6 +445,8 @@ func TestServeRequestValidation(t *testing.T) {
 		{`{"problem":"cube","size":1,"max_iters":10001}`, "max_iters"},
 		{`{"problem":"cube","size":1,"max_iters":1e30}`, "max_iters"},
 		{`{"problem":"cube","size":1,"tolerance":1e-4}`, "tolerance"},
+		{`{"problem":"cube","size":1,"precision":"f32"}`, "precision"},
+		{`{"problem":"cube","size":1,"cycle":"w"}`, "cycle"},
 		{`{"problem":"cube","size":1}{"problem":"cube","size":2}`, "trailing"},
 		{`{"problem":"cube","size":1}]`, "trailing"},
 	} {

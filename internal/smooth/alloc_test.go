@@ -5,7 +5,6 @@ import (
 
 	"prometheus/internal/graph"
 	"prometheus/internal/obs"
-	"prometheus/internal/sparse"
 )
 
 // TestSmootherSweepsZeroAlloc asserts every smoother's steady-state
@@ -90,49 +89,6 @@ func TestNodeBlockSweepsZeroAlloc(t *testing.T) {
 			t.Errorf("%s.Smooth allocates %.1f per call, want 0", tc.name, got)
 		}
 		if got := testing.AllocsPerRun(20, func() { tc.s.Apply(r, z) }); got != 0 {
-			t.Errorf("%s.Apply allocates %.1f per call, want 0", tc.name, got)
-		}
-	}
-}
-
-// TestF32SweepsZeroAlloc locks in the zero-allocation guarantee for the
-// mixed-precision smoother paths: the f32 Gauss-Seidel sweeps (scalar and
-// nodal), node-block Jacobi over BSR32, and point Jacobi over CSR32 hoist
-// all scratch (including the f64 block inverses widened at setup) into
-// the smoother and never allocate per sweep.
-func TestF32SweepsZeroAlloc(t *testing.T) {
-	a32 := sparse.ToCSR32(laplace3D(6))
-	ab32 := sparse.ToBSR32(blockLaplace(60))
-	smoothers := []struct {
-		name string
-		s    Smoother
-	}{
-		{"GaussSeidelCSR32", NewGaussSeidel(a32, 1, true)},
-		{"JacobiCSR32", NewJacobi(a32, 2.0/3)},
-		{"GaussSeidelBSR32", NewGaussSeidel(ab32, 1, true)},
-		{"NodeBlockJacobi32", mustNodeBlockJacobi(t, ab32, 2.0/3)},
-	}
-	n := a32.Rows()
-	b := make([]float64, n)
-	x := make([]float64, n)
-	r := make([]float64, n)
-	z := make([]float64, n)
-	for i := range b {
-		b[i] = float64(i%5) - 2
-		r[i] = float64(i%3) - 1
-	}
-	nb := ab32.Rows()
-	bb := make([]float64, nb)
-	xb := make([]float64, nb)
-	for _, tc := range smoothers {
-		xx, rr, zz, bv := x, r, z, b
-		if tc.name == "GaussSeidelBSR32" || tc.name == "NodeBlockJacobi32" {
-			xx, rr, zz, bv = xb, bb, xb, bb
-		}
-		if got := testing.AllocsPerRun(20, func() { tc.s.Smooth(xx, bv, 2) }); got != 0 {
-			t.Errorf("%s.Smooth allocates %.1f per call, want 0", tc.name, got)
-		}
-		if got := testing.AllocsPerRun(20, func() { tc.s.Apply(rr, zz) }); got != 0 {
 			t.Errorf("%s.Apply allocates %.1f per call, want 0", tc.name, got)
 		}
 	}

@@ -131,9 +131,6 @@ func NewGaussSeidel(a sparse.Operator, omega float64, sym bool) *GaussSeidel {
 	s := &GaussSeidel{A: a, Omega: omega, Sym: sym}
 	s.sw, _ = a.(sparse.Sweeper)
 	if bd, ok := a.(sparse.BlockDiagonaler); ok && s.sw != nil {
-		// For f32 storages the blocks arrive widened and the inverses are
-		// computed and held in f64: narrowing touches the operator, never
-		// the smoother math.
 		if blocks := bd.DiagBlocks(); blocks != nil {
 			s.invBlk = invertDiagBlocks(blocks, bd.BlockSize())
 			s.sum = make([]float64, bd.BlockSize())
@@ -146,7 +143,7 @@ func NewGaussSeidel(a sparse.Operator, omega float64, sym bool) *GaussSeidel {
 // accumulating the reported flops.
 func (s *GaussSeidel) sweep(x, b []float64, backward bool) {
 	if s.sw == nil {
-		panic("smooth: GaussSeidel needs the SOR-sweep capability (CSR, BSR, CSR32 or BSR32)")
+		panic("smooth: GaussSeidel needs the SOR-sweep capability (CSR or BSR)")
 	}
 	s.flops += s.sw.SORSweep(x, b, s.Omega, backward, s.invBlk, s.sum)
 }
@@ -499,7 +496,7 @@ func (s *DomainBlockJacobi) NumBlocks() int {
 // partitioned subdomains solved by dense Cholesky.
 type NodeBlockJacobi struct {
 	taskRef
-	A      sparse.Operator // BSR or BSR32 level operator
+	A      sparse.Operator // BSR level operator
 	Omega  float64
 	bs, nb int       // block size and block-row count of A
 	invD   []float64 // inverted BxB diagonal blocks, packed row-major
@@ -508,12 +505,9 @@ type NodeBlockJacobi struct {
 }
 
 // NewNodeBlockJacobi inverts the nodal diagonal blocks of an operator
-// with the sparse.BlockDiagonaler capability (BSR, BSR32, or the
-// matrix-free element operator when node-aligned). omega damps the update
-// exactly as in scalar Jacobi (2/3 is customary in multigrid). For f32
-// storages the diagonal blocks arrive widened to float64 before
-// inversion, so the smoother's update math is identical to the f64
-// variant applied to the narrowed operator.
+// with the sparse.BlockDiagonaler capability (BSR, or the matrix-free
+// element operator when node-aligned). omega damps the update exactly as
+// in scalar Jacobi (2/3 is customary in multigrid).
 func NewNodeBlockJacobi(a sparse.Operator, omega float64) (*NodeBlockJacobi, error) {
 	bd, ok := a.(sparse.BlockDiagonaler)
 	if !ok {

@@ -77,41 +77,3 @@ func TestSpMVZeroAllocObsEnabled(t *testing.T) {
 		t.Errorf("BSR.MulVec with obs enabled allocates %.1f per call, want 0", n)
 	}
 }
-
-// TestF32SpMVZeroAlloc extends the lock-in to the narrowed storages: the
-// f32 kernels widen per-operand in registers and must not touch the
-// allocator either, with or without observability recording.
-func TestF32SpMVZeroAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	a := ToCSR32(randCSR(rng, 300, 300, 0.05))
-	ab := ToBSR32(randBSR(rng, 100, 100, 3, 0.05))
-	x := make([]float64, a.NCols)
-	y := make([]float64, a.NRows)
-	r := make([]float64, a.NRows)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	if n := testing.AllocsPerRun(50, func() { a.MulVec(x, y) }); n != 0 {
-		t.Errorf("CSR32.MulVec allocates %.1f per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(50, func() { a.MulVecRange(x, y, 0, a.NRows/2) }); n != 0 {
-		t.Errorf("CSR32.MulVecRange allocates %.1f per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(50, func() { a.Residual(y, x, r) }); n != 0 {
-		t.Errorf("CSR32.Residual allocates %.1f per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(50, func() { ab.MulVec(x, y) }); n != 0 {
-		t.Errorf("BSR32.MulVec allocates %.1f per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(50, func() { ab.MulVecRange(x, y, 1, ab.Rows()-1) }); n != 0 {
-		t.Errorf("BSR32.MulVecRange allocates %.1f per call, want 0", n)
-	}
-	obs.EnableWith(obs.Config{RingCap: 1 << 12})
-	defer obs.Disable()
-	if n := testing.AllocsPerRun(50, func() { a.MulVec(x, y) }); n != 0 {
-		t.Errorf("CSR32.MulVec with obs enabled allocates %.1f per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(50, func() { ab.MulVec(x, y) }); n != 0 {
-		t.Errorf("BSR32.MulVec with obs enabled allocates %.1f per call, want 0", n)
-	}
-}

@@ -324,3 +324,21 @@ func TestBSRDiagAndAt(t *testing.T) {
 		}
 	}
 }
+
+// TestStorageBytes pins the bytes-per-storage accounting behind the
+// bytes/dof gate (TestStorageParityMF) and bench/'s fine_bytes_per_dof:
+// values, column indices and row pointers at 8 bytes each.
+func TestStorageBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	a := randCSR(rng, 60, 60, 0.1)
+	nnz := int64(a.NNZ())
+	rows := int64(a.NRows)
+	if got, want := StorageBytes(a), 16*nnz+8*(rows+1); got != want {
+		t.Fatalf("StorageBytes(CSR) = %d, want %d", got, want)
+	}
+	bsr := randBSR(rng, 20, 20, 3, 0.2)
+	nb := int64(len(bsr.ColIdx))
+	if got, want := StorageBytes(bsr), 72*nb+8*nb+8*int64(bsr.NBRows+1); got != want {
+		t.Fatalf("StorageBytes(BSR) = %d, want %d", got, want)
+	}
+}

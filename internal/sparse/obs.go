@@ -5,12 +5,8 @@ import "prometheus/internal/obs"
 // Observability events. Separate CSR/BSR SpMV events let the phase
 // benchmarks report measured Mflop/s per storage format.
 var (
-	evSpMVCSR      = obs.Register("sparse.spmv.csr")
-	evSpMVBSR      = obs.Register("sparse.spmv.bsr")
-	evSpMVCSRPar   = obs.Register("sparse.spmv.csr.par")
-	evSpMVBSRPar   = obs.Register("sparse.spmv.bsr.par")
-	evSpMVCSR32    = obs.Register("sparse.spmv.csr32")
-	evSpMVBSR32    = obs.Register("sparse.spmv.bsr32")
-	evSpMVCSR32Par = obs.Register("sparse.spmv.csr32.par")
-	evSpMVBSR32Par = obs.Register("sparse.spmv.bsr32.par")
+	evSpMVCSR    = obs.Register("sparse.spmv.csr")
+	evSpMVBSR    = obs.Register("sparse.spmv.bsr")
+	evSpMVCSRPar = obs.Register("sparse.spmv.csr.par")
+	evSpMVBSRPar = obs.Register("sparse.spmv.bsr.par")
 )

@@ -55,8 +55,8 @@ type BlockDiagonaler interface {
 	// BlockSize returns the scalar block dimension b.
 	BlockSize() int
 	// DiagBlocks returns a copy of the BxB diagonal blocks, packed
-	// row-major per block in block-row order (widened to float64 for f32
-	// storages). Implementations that are not node-aligned return nil.
+	// row-major per block in block-row order. Implementations that are
+	// not node-aligned return nil.
 	DiagBlocks() []float64
 }
 
@@ -100,28 +100,39 @@ type ByteAccounter interface {
 	StorageBytes() int64
 }
 
-// Compile-time interface conformance for all four assembled storage
+// Compile-time interface conformance for both assembled storage
 // formats, and for the capabilities each provides.
 var (
 	_ Operator = (*CSR)(nil)
 	_ Operator = (*BSR)(nil)
-	_ Operator = (*CSR32)(nil)
-	_ Operator = (*BSR32)(nil)
 
 	_ RowScanner = (*CSR)(nil)
 	_ RowScanner = (*BSR)(nil)
-	_ RowScanner = (*CSR32)(nil)
-	_ RowScanner = (*BSR32)(nil)
 
 	_ BlockDiagonaler = (*BSR)(nil)
-	_ BlockDiagonaler = (*BSR32)(nil)
 )
 
+// StorageBytes reports the bytes one storage format holds resident per
+// operator: values, column indices and row pointers. It feeds the
+// bytes/dof accounting of the storage-mode gates and of bench/;
+// unsupported operator types count only what the Operator interface
+// exposes (8 bytes per stored entry).
+func StorageBytes(op Operator) int64 {
+	switch a := op.(type) {
+	case *CSR:
+		return int64(8*len(a.Val) + 8*len(a.ColIdx) + 8*len(a.RowPtr))
+	case *BSR:
+		return int64(8*len(a.Val) + 8*len(a.ColIdx) + 8*len(a.RowPtr))
+	default:
+		return 8 * int64(op.NNZ())
+	}
+}
+
 // AsCSR returns a scalar CSR view of op: the identity for *CSR, the
-// expanded (and for f32 storage, widened) scalar matrix otherwise. It is
-// the escape hatch for setup-time code that genuinely needs row traversal
-// (graph partitioning, direct factorization, submatrix extraction);
-// steady-state kernels should stay on the Operator interface.
+// expanded scalar matrix for *BSR. It is the escape hatch for setup-time
+// code that genuinely needs row traversal (graph partitioning, direct
+// factorization, submatrix extraction); steady-state kernels should stay
+// on the Operator interface.
 func AsCSR(op Operator) *CSR {
 	c, ok := TryCSR(op)
 	if !ok {
@@ -139,10 +150,6 @@ func TryCSR(op Operator) (*CSR, bool) {
 	case *CSR:
 		return a, true
 	case *BSR:
-		return a.ToCSR(), true
-	case *CSR32:
-		return a.ToCSR(), true
-	case *BSR32:
 		return a.ToCSR(), true
 	default:
 		return nil, false
@@ -168,7 +175,7 @@ func AutoBlock(a *CSR, b int) Operator {
 
 // AutoBlockOp is AutoBlock lifted to the Operator interface: scalar CSR
 // inputs get the blocking heuristic, every other operator (already
-// blocked, f32, matrix-free) passes through unchanged. Consumers outside
+// blocked, matrix-free) passes through unchanged. Consumers outside
 // the sparse package use it instead of asserting concrete storage types.
 func AutoBlockOp(op Operator, b int) Operator {
 	if a, ok := op.(*CSR); ok {

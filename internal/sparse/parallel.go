@@ -36,52 +36,24 @@ func (a *BSR) MulVecParallel(p *pool.Pool, x, y []float64) {
 	sp.EndFlops(a.MulVecFlops())
 }
 
-// MulVecParallel computes y = A·x with rows partitioned over p's workers.
-// The f32 kernel runs the same per-row arithmetic on every partition, so
-// the parallel product is bitwise identical to the serial CSR32 MulVec.
-func (a *CSR32) MulVecParallel(p *pool.Pool, x, y []float64) {
-	if len(x) != a.NCols || len(y) != a.NRows {
-		panic("sparse: CSR32.MulVecParallel dimension mismatch")
-	}
-	sp := obs.Start(evSpMVCSR32Par)
-	p.Dispatch(a, x, y, a.NRows, 1)
-	sp.EndFlops(2 * int64(len(a.ColIdx)))
-}
-
-// MulVecParallel computes y = A·x with scalar rows partitioned over p's
-// workers in block-aligned chunks. Bitwise identical to BSR32.MulVec.
-func (a *BSR32) MulVecParallel(p *pool.Pool, x, y []float64) {
-	if len(x) != a.Cols() || len(y) != a.Rows() {
-		panic("sparse: BSR32.MulVecParallel dimension mismatch")
-	}
-	sp := obs.Start(evSpMVBSR32Par)
-	p.Dispatch(a, x, y, a.Rows(), a.B)
-	sp.EndFlops(a.MulVecFlops())
-}
-
 // ParallelOperator is implemented by storage formats whose product can
-// run on a worker pool. All four storages qualify.
+// run on a worker pool. Both assembled storages qualify.
 type ParallelOperator interface {
 	Operator
 	MulVecParallel(p *pool.Pool, x, y []float64)
 }
 
-// Compile-time conformance for all storage formats.
+// Compile-time conformance for both storage formats.
 var (
 	_ ParallelOperator = (*CSR)(nil)
 	_ ParallelOperator = (*BSR)(nil)
-	_ ParallelOperator = (*CSR32)(nil)
-	_ ParallelOperator = (*BSR32)(nil)
 )
 
 // DispatchAlign returns the partition alignment a row-range dispatch over
 // op must respect: the block size for blocked storage (so chunks hit the
 // blocked fast path and never split a node), 1 otherwise.
 func DispatchAlign(op Operator) int {
-	switch ab := op.(type) {
-	case *BSR:
-		return ab.B
-	case *BSR32:
+	if ab, ok := op.(*BSR); ok {
 		return ab.B
 	}
 	return 1

@@ -197,10 +197,8 @@ func TestKernelContract(t *testing.T) {
 		op   sparse.Operator
 	}{
 		{"CSR", bsr3.ToCSR()},
-		{"CSR32", sparse.ToCSR32(bsr3.ToCSR())},
 		{"BSR3", bsr3},
 		{"BSR2", bsr2},
-		{"BSR32", sparse.ToBSR32(bsr3)},
 		{"EBEOperator", contractEBE(t)},
 	}
 	for _, c := range kernels {
