@@ -2,9 +2,8 @@
 // module with the stdlib go/parser + go/types toolchain and enforces the
 // solver-specific correctness rules (see internal/lint): float equality,
 // library panic conventions, unchecked errors (including defer/go),
-// naked type assertions on the par hot paths, exported API
-// documentation, per-iteration allocations in kernel hot paths,
-// Comm protocol discipline, and check.Enabled guards.
+// exported API documentation, per-iteration allocations in kernel hot
+// paths, and check.Enabled guards.
 //
 // Usage:
 //

@@ -33,9 +33,12 @@ func TestSelectRulesByName(t *testing.T) {
 
 func TestSelectRulesUnknownListsValidNames(t *testing.T) {
 	// shared-write was a rule until the ownership verifier was retired,
-	// narrowing-discipline until the f32 storages were; a script still
-	// passing either must fail, not lint with nothing.
-	for _, unknown := range []string{"no-such-rule", "shared-write", "narrowing-discipline"} {
+	// narrowing-discipline until the f32 storages were, the last four
+	// until internal/par's protocol moved to its promdebug run-time
+	// checks; a script still passing any of them must fail, not lint
+	// with nothing.
+	for _, unknown := range []string{"no-such-rule", "shared-write", "narrowing-discipline",
+		"naked-type-assert", "comm-protocol", "collective-uniformity", "sendrecv-match"} {
 		_, err := selectRules("float-equality," + unknown)
 		if err == nil {
 			t.Fatalf("unknown rule name %q must be rejected", unknown)
@@ -46,8 +49,12 @@ func TestSelectRulesUnknownListsValidNames(t *testing.T) {
 		}
 		// The message must enumerate the valid rules so the typo is fixable
 		// without reading the source.
+		_, valid, _ := strings.Cut(msg, "valid rules: ")
+		if got, want := len(strings.Split(valid, ", ")), len(lint.DefaultRules()); got != want {
+			t.Errorf("error %q lists %d valid rules, want %d", msg, got, want)
+		}
 		for _, want := range []string{"float-equality", "sync-discipline", "operator-seam"} {
-			if !strings.Contains(msg, want) {
+			if !strings.Contains(valid, want) {
 				t.Errorf("error %q does not list valid rule %q", msg, want)
 			}
 		}

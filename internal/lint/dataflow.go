@@ -118,7 +118,7 @@ func analyzeHot(pkg *Package, kernels, roots []string, checkPath string) *hotAna
 	return h
 }
 
-// collectUnits adopts the shared function index (spmd.go), seeding
+// collectUnits adopts the shared function index (index.go), seeding
 // hotness at kernel entry points.
 func (h *hotAnalysis) collectUnits() {
 	ix := indexFuncs(h.pkg)
@@ -138,7 +138,7 @@ func (h *hotAnalysis) inKernelSet(path string) bool {
 }
 
 // calleeObj resolves the called object through the shared resolver
-// (spmd.go): a *types.Func for ordinary and interface calls, or the
+// (index.go): a *types.Func for ordinary and interface calls, or the
 // bound-closure variable for local closures.
 func (h *hotAnalysis) calleeObj(call *ast.CallExpr) types.Object {
 	return calleeObject(h.pkg, call)

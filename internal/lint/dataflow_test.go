@@ -19,56 +19,6 @@ func Assert(cond bool, msg string, args ...interface{}) {}
 func Sorted(xs []int, what string) {}
 `}
 
-// fakePar is the fixture stand-in for the message-passing package, used
-// by the comm-protocol fixtures under ParPath "fixture/par".
-var fakePar = fixtureDep{path: "fixture/par", src: `package par
-
-// Rank is a fixture communicator rank.
-type Rank struct{}
-
-// Send sends data.
-func (r *Rank) Send(to, tag int, data interface{}, bytes int) {}
-
-// Recv receives a payload.
-func (r *Rank) Recv(from, tag int) interface{} { return nil }
-
-// RecvAs receives a typed payload.
-func RecvAs[T any](r *Rank, from, tag int) T {
-	var zero T
-	return zero
-}
-
-// Comm is a fixture communicator.
-type Comm struct{}
-
-// NewComm builds a fixture communicator.
-func NewComm(p int) *Comm { return &Comm{} }
-
-// Run runs a rank body on every rank.
-func (c *Comm) Run(fn func(r *Rank)) {}
-
-// RunCounted runs a rank body and reports a flop count.
-func (c *Comm) RunCounted(fn func(r *Rank)) int { return 0 }
-
-// ID returns the rank id.
-func (r *Rank) ID() int { return 0 }
-
-// Barrier synchronizes all ranks.
-func (r *Rank) Barrier() {}
-
-// AllReduceSum reduces a float sum.
-func (r *Rank) AllReduceSum(v float64) float64 { return v }
-
-// AllReduceIntSum reduces an int sum.
-func (r *Rank) AllReduceIntSum(v int) int { return v }
-
-// AllGather gathers boxed values.
-func (r *Rank) AllGather(v interface{}) []interface{} { return nil }
-
-// AllGatherAs gathers typed values.
-func AllGatherAs[T any](r *Rank, v T) []T { return nil }
-`}
-
 func TestHotLoopAllocRegions(t *testing.T) {
 	pkg := checkFixtureWith(t, []fixtureDep{fakeCheck}, `package fixture
 
@@ -185,63 +135,6 @@ func drive() {
 	got := Run([]*Package{pkg}, []Rule{rule})
 	if !sameLines(got, 13, 14) {
 		t.Fatalf("hotloop-alloc fired on lines %v, want [13 14]\n%v", lines(got), got)
-	}
-}
-
-func TestCommProtocolTags(t *testing.T) {
-	pkg := checkFixtureWith(t, []fixtureDep{fakePar}, `package fixture
-
-import "fixture/par"
-
-const okTag = 7
-
-func talk(r *par.Rank, tags []int) {
-	r.Send(1, okTag, nil, 8) // named constant: fine
-	r.Send(1, 3, nil, 8)     // literal: fine
-	t := tags[0]
-	r.Send(1, t, nil, 8)                // line 11: flagged
-	_ = r.Recv(0, t+1)                  // line 12: flagged
-	v := par.RecvAs[int](r, 0, tags[1]) // line 13: flagged
-	_ = v
-	w := par.RecvAs[int](r, 0, okTag) // fine
-	_ = w
-	//promlint:ignore comm-protocol fixture shows a justified suppression
-	r.Send(1, t, nil, 8)
-}
-`)
-	rule := CommProtocol{ParPath: "fixture/par"}
-	kept, suppressed := RunAll([]*Package{pkg}, []Rule{rule})
-	if !sameLines(kept, 11, 12, 13) {
-		t.Fatalf("comm-protocol fired on lines %v, want [11 12 13]\n%v", lines(kept), kept)
-	}
-	if len(suppressed) != 1 {
-		t.Fatalf("suppression accounting: got %v, want one suppressed finding", suppressed)
-	}
-}
-
-func TestCommProtocolLoopCapture(t *testing.T) {
-	pkg := checkFixtureWith(t, []fixtureDep{fakePar}, `package fixture
-
-import "fixture/par"
-
-func spawn(r *par.Rank, n int, vs []int) {
-	for i := 0; i < n; i++ {
-		go func() {
-			r.Send(i, 1, nil, 8) // line 8: flagged (captures i)
-		}()
-		go func(i int) {
-			r.Send(i, 2, nil, 8) // argument copy: fine
-		}(i)
-	}
-	for _, v := range vs {
-		go func() { println(v) }() // line 15: flagged (captures v)
-	}
-}
-`)
-	rule := CommProtocol{ParPath: "fixture/par"}
-	got := Run([]*Package{pkg}, []Rule{rule})
-	if !sameLines(got, 8, 15) {
-		t.Fatalf("comm-protocol fired on lines %v, want [8 15]\n%v", lines(got), got)
 	}
 }
 

@@ -9,21 +9,10 @@
 //   - library-panic: panics in library packages must be diagnosable —
 //     a constant message prefixed with the package name ("sparse: ...");
 //   - unchecked-error: error results must not be silently discarded;
-//   - naked-type-assert: interface type assertions on the par hot paths
-//     must use the two-value comma-ok form;
 //   - exported-doc: exported solver API needs doc comments;
 //   - hotloop-alloc: no per-iteration heap allocation in the kernel
 //     packages' hot regions (see dataflow.go for the region analysis);
-//   - comm-protocol: par message tags must be constants, and go
-//     statements must not capture loop variables;
 //   - check-guard: invariant computation must sit under if check.Enabled;
-//   - collective-uniformity: no collective (Barrier, AllReduce family,
-//     AllGather) may be reachable under rank-dependent control flow — a
-//     rank that skips a collective deadlocks the communicator (see
-//     spmd.go for the interprocedural taint analysis);
-//   - sendrecv-match: per constant message tag, Send payload types must
-//     match Recv/RecvAs payload types, every sent tag must be received
-//     (and vice versa), and self-sends are flagged;
 //   - map-order: the coarsening pipeline must not range over maps while
 //     writing output slices; iterate sortutil.Keys instead so runs are
 //     bitwise reproducible;
@@ -67,6 +56,10 @@
 //     everywhere else must use the sparse capability interfaces or the
 //     sanctioned TryCSR/AutoBlockOp helpers, so the matrix-free
 //     operator flows through every layer.
+//
+// The message protocol of internal/par is not among them: it is checked
+// where it runs, by the promdebug watchdog and the drain check that ends
+// Comm.Run (par/trace.go, par/comm.go).
 //
 // A finding can be suppressed in place with a directive comment on the
 // same line or the line above:
@@ -144,13 +137,9 @@ func DefaultRules() []Rule {
 		FloatEquality{},
 		LibraryPanic{},
 		UncheckedError{},
-		NakedTypeAssert{HotPaths: []string{"prometheus/internal/par"}},
 		ExportedDoc{},
 		HotLoopAlloc{},
-		CommProtocol{},
 		CheckGuard{},
-		CollectiveUniformity{},
-		SendRecvMatch{},
 		MapOrder{},
 		BlockShape{},
 		&ObsDiscipline{},

@@ -231,35 +231,6 @@ func caller() {
 	}
 }
 
-func TestNakedTypeAssert(t *testing.T) {
-	src := `package fixture
-
-func handle(v interface{}) int {
-	n := v.(int) // line 4: flagged
-	if m, ok := v.(int); ok { // comma-ok: fine
-		n += m
-	}
-	switch x := v.(type) { // type switch: fine
-	case int:
-		n += x
-	}
-	return n
-}
-`
-	pkg := checkFixture(t, src)
-	rule := NakedTypeAssert{HotPaths: []string{"fixture"}}
-	got := Run([]*Package{pkg}, []Rule{rule})
-	if !sameLines(got, 4) {
-		t.Fatalf("naked-type-assert fired on lines %v, want [4]\n%v", lines(got), got)
-	}
-
-	// A package outside the hot-path list is exempt.
-	cold := NakedTypeAssert{HotPaths: []string{"somewhere/else"}}
-	if got := Run([]*Package{pkg}, []Rule{cold}); len(got) != 0 {
-		t.Fatalf("rule must not fire outside its hot paths, got %v", got)
-	}
-}
-
 func TestExportedDoc(t *testing.T) {
 	pkg := checkFixture(t, `package fixture
 
@@ -344,12 +315,12 @@ func TestIssueString(t *testing.T) {
 func TestRunSortsIssues(t *testing.T) {
 	pkg := checkFixture(t, `package fixture
 
-func f(v interface{}, a, b float64) {
+func f(a, b float64) {
 	_ = a == b
-	_ = v.(int)
+	panic("no package prefix")
 }
 `)
-	rules := []Rule{NakedTypeAssert{}, FloatEquality{}}
+	rules := []Rule{LibraryPanic{}, FloatEquality{}}
 	got := Run([]*Package{pkg}, rules)
 	if len(got) != 2 || got[0].Pos.Line > got[1].Pos.Line {
 		t.Fatalf("issues not sorted by position: %v", got)
@@ -436,26 +407,22 @@ func mixed(bb *sparse.BlockBuilder, kb *sparse.Builder) {
 
 func TestDefaultRulesComplete(t *testing.T) {
 	want := map[string]bool{
-		"float-equality":        true,
-		"library-panic":         true,
-		"unchecked-error":       true,
-		"naked-type-assert":     true,
-		"exported-doc":          true,
-		"hotloop-alloc":         true,
-		"comm-protocol":         true,
-		"check-guard":           true,
-		"collective-uniformity": true,
-		"sendrecv-match":        true,
-		"map-order":             true,
-		"block-shape":           true,
-		"obs-discipline":        true,
-		"sync-discipline":       true,
-		"goroutine-lifecycle":   true,
-		"ctx-flow":              true,
-		"log-discipline":        true,
-		"resource-release":      true,
-		"bounded-queue":         true,
-		"operator-seam":         true,
+		"float-equality":      true,
+		"library-panic":       true,
+		"unchecked-error":     true,
+		"exported-doc":        true,
+		"hotloop-alloc":       true,
+		"check-guard":         true,
+		"map-order":           true,
+		"block-shape":         true,
+		"obs-discipline":      true,
+		"sync-discipline":     true,
+		"goroutine-lifecycle": true,
+		"ctx-flow":            true,
+		"log-discipline":      true,
+		"resource-release":    true,
+		"bounded-queue":       true,
+		"operator-seam":       true,
 	}
 	names := make([]string, 0, len(want))
 	for _, r := range DefaultRules() {

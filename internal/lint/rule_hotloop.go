@@ -23,10 +23,6 @@ type HotLoopAlloc struct {
 	// CheckPath is the invariant package whose Enabled guard exempts a
 	// block (default prometheus/internal/check).
 	CheckPath string
-	// ParPath is the message-passing package (default
-	// prometheus/internal/par); calls to its deprecated boxing AllGather
-	// are flagged in every package, hot or not.
-	ParPath string
 }
 
 // Name implements Rule.
@@ -46,22 +42,12 @@ func (r HotLoopAlloc) Check(pkg *Package) []Issue {
 	if checkPath == "" {
 		checkPath = "prometheus/internal/check"
 	}
-	parPath := r.ParPath
-	if parPath == "" {
-		parPath = "prometheus/internal/par"
+	if !pathInSet(pkg.Path, kernels) {
+		return nil
 	}
 	var out []Issue
 	report := func(n ast.Node, format string, args ...interface{}) {
 		out = append(out, issue(pkg, n, r.Name(), Error, format, args...))
-	}
-	// The deprecated AllGather boxes every value through interface{}; the
-	// check applies tree-wide (not just hot regions) so the typed
-	// replacement actually displaces the old API.
-	if pkg.Path != parPath {
-		r.checkDeprecatedGather(pkg, parPath, report)
-	}
-	if !pathInSet(pkg.Path, kernels) {
-		return out
 	}
 	h := analyzeHot(pkg, kernels, roots, checkPath)
 	h.HotRegions(func(n ast.Node) {
@@ -90,24 +76,6 @@ func (r HotLoopAlloc) Check(pkg *Package) []Issue {
 		}
 	})
 	return out
-}
-
-// checkDeprecatedGather flags calls to par's interface{}-returning
-// AllGather outside par itself.
-func (r HotLoopAlloc) checkDeprecatedGather(pkg *Package, parPath string, report func(ast.Node, string, ...interface{})) {
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := resolvedCallee(pkg, call)
-			if fn != nil && fn.Name() == "AllGather" && fn.Pkg() != nil && fn.Pkg().Path() == parPath {
-				report(call, "deprecated interface{}-returning AllGather boxes every rank's value; use the typed par.AllGatherAs")
-			}
-			return true
-		})
-	}
 }
 
 // checkCall flags allocating calls: make/new builtins, appends that grow

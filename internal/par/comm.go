@@ -27,9 +27,8 @@ type message struct {
 
 // eventKind classifies one protocol event for the promdebug tracer. The
 // kinds double as the alphabet of the per-rank collective sequences that
-// the deadlock watchdog dumps — the runtime counterpart of the static
-// collective-uniformity rule, which proves every rank executes the same
-// kind sequence.
+// the deadlock watchdog dumps and CollectiveTrace returns: every rank of
+// a correct run executes the same kind sequence.
 type eventKind uint8
 
 const (
@@ -96,7 +95,7 @@ type Comm struct {
 	// Typed reducers back the per-iteration collectives
 	// (AllReduceSum/AllReduceIntSum/AllReduceMax) without boxing or
 	// per-round allocation; the interface-based allReduce remains for
-	// the generic setup-path collectives (AllReduce/AllGather).
+	// the generic setup-path collectives (AllReduce/AllGatherAs).
 	redSum    *reducer[float64]
 	redMax    *reducer[float64]
 	redIntSum *reducer[int]
@@ -239,6 +238,23 @@ func (c *Comm) runTask(t *obs.Task, fn func(r *Rank)) {
 	for id, p := range panics {
 		if p != nil {
 			panic(fmt.Sprintf("par: rank %d panicked: %v", id, p))
+		}
+	}
+	if check.Enabled {
+		// A message sent during this run and never received would stay in
+		// its channel, which outlives the run, and open the first exchange
+		// of the next Run on c.
+		for to, r := range ranks {
+			for from, q := range r.pending {
+				select {
+				case m := <-c.chans[from][to]:
+					q = append(q, m)
+				default:
+				}
+				if len(q) > 0 {
+					panic(fmt.Sprintf("par: rank %d sent tag %d to rank %d, never received", from, q[0].tag, to))
+				}
+			}
 		}
 	}
 }
@@ -455,9 +471,8 @@ type gathered[T any] struct {
 }
 
 // AllGatherAs collects one value of type T from each rank into a slice
-// indexed by rank; every rank receives equal contents. It is the typed
-// replacement for the interface{}-returning AllGather: no boxing on the
-// contribution path and no per-element type assertions at the call site.
+// indexed by rank; every rank receives equal contents, with no boxing on
+// the contribution path and no type assertions at the call site.
 func AllGatherAs[T any](r *Rank, v T) []T {
 	if check.Enabled {
 		r.comm.trace.block(r.id, evAllGather, -1, -1)
@@ -475,16 +490,6 @@ func AllGatherAs[T any](r *Rank, v T) []T {
 		out[t.id] = t.v
 	}
 	return out
-}
-
-// AllGather collects one value from each rank into a slice indexed by rank.
-// Every rank receives the same slice contents.
-//
-// Deprecated: AllGather boxes every element and forces naked type
-// assertions at each call site; use AllGatherAs instead. The hotloop-alloc
-// lint flags callers outside this package.
-func (r *Rank) AllGather(v interface{}) []interface{} {
-	return AllGatherAs[interface{}](r, v)
 }
 
 // Counters holds the per-rank instrumentation gathered by RunCounted.

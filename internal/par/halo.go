@@ -36,7 +36,7 @@ type Halo struct {
 
 // haloTag is the message tag of ghost-value exchanges. Tags are unique
 // across the package (see pmis.go) so each tag names exactly one payload
-// type — the invariant the sendrecv-match lint checks.
+// type; RecvAs panics with both types if one ever carries another.
 const haloTag = 3
 
 // NewHalo builds the halo pattern for matrix a with the given row/column

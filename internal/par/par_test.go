@@ -71,20 +71,6 @@ func TestAllGather(t *testing.T) {
 	})
 }
 
-func TestAllGatherDeprecatedBoxing(t *testing.T) {
-	// The deprecated interface{} wrapper must stay behaviourally identical
-	// to AllGatherAs while it remains in the API.
-	c := NewComm(3)
-	c.Run(func(r *Rank) {
-		vals := r.AllGather(r.ID() + 1)
-		for i, v := range vals {
-			if v != i+1 {
-				t.Errorf("gather[%d] = %v", i, v)
-			}
-		}
-	})
-}
-
 func TestRunCounted(t *testing.T) {
 	c := NewComm(3)
 	counters := c.RunCounted(func(r *Rank) {

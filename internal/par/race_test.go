@@ -1,7 +1,9 @@
 package par
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -95,18 +97,77 @@ func TestCommStressConcurrentComms(t *testing.T) {
 	}
 }
 
-// TestRecvAsMismatchPanics pins the diagnostic on a protocol type error.
-func TestRecvAsMismatchPanics(t *testing.T) {
+// seededFault is one row of TestSeededFaults: a protocol with a fault
+// planted in it (or, with no want, deliberately without one) and the text
+// its failure must carry.
+type seededFault struct {
+	name string
+	fail func(t *testing.T) string // runs the protocol; how it failed, "" if it did not
+	want []string                  // substrings the failure must contain; none: must run clean
+}
+
+// seededFaults holds the rows every build can run; trace_test.go appends
+// the ones that need the promdebug watchdog and drain check.
+var seededFaults = []seededFault{
+	{
+		name: "wrong-payload-type",
+		fail: func(*testing.T) string {
+			return panicText(2, func(r *Rank) {
+				if r.ID() == 0 {
+					r.Send(1, 1, "not an int", 8)
+				} else {
+					RecvAs[int](r, 0, 1)
+				}
+			})
+		},
+		want: []string{"Recv(from=0, tag=1) on rank 1", "payload is string, want int"},
+	},
+	{
+		// A communicator is reused across Runs (RunCounted in a loop):
+		// one that ended clean must start the next one clean.
+		name: "clean-second-run",
+		fail: func(*testing.T) string {
+			ring := func(r *Rank) {
+				p := r.Size()
+				r.Send((r.ID()+1)%p, 5, r.ID(), 8)
+				RecvAs[int](r, (r.ID()+p-1)%p, 5)
+				r.Barrier()
+			}
+			return panicText(3, ring, ring)
+		},
+	},
+}
+
+// panicText runs the bodies one after another on one p-rank communicator
+// and returns the text of the first panic, "" if there is none.
+func panicText(p int, bodies ...func(r *Rank)) (text string) {
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic from mismatched RecvAs")
+		if e := recover(); e != nil {
+			text = fmt.Sprint(e)
 		}
 	}()
-	NewComm(2).Run(func(r *Rank) {
-		if r.ID() == 0 {
-			r.Send(1, 1, "not an int", 8)
-		} else {
-			RecvAs[int](r, 0, 1)
-		}
-	})
+	c := NewComm(p)
+	for _, body := range bodies {
+		c.Run(body)
+	}
+	return ""
+}
+
+// TestSeededFaults plants one protocol fault per row and requires the
+// failure to name it — rank, peer and tag, or both payload types — which
+// is how a wrong protocol is found in this package: by running it.
+func TestSeededFaults(t *testing.T) {
+	for _, row := range seededFaults {
+		t.Run(row.name, func(t *testing.T) {
+			got := row.fail(t)
+			if len(row.want) == 0 && got != "" {
+				t.Fatalf("clean protocol failed: %s", got)
+			}
+			for _, want := range row.want {
+				if !strings.Contains(got, want) {
+					t.Errorf("failure does not contain %q:\n%s", want, got)
+				}
+			}
+		})
+	}
 }

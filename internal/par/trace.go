@@ -11,13 +11,13 @@ import (
 	"time"
 )
 
-// This file is the runtime counterpart of the static SPMD protocol
-// verifier in internal/lint: where the collective-uniformity rule proves
-// at analysis time that every rank executes the same collective sequence,
-// the tracer records the sequence each rank actually executed, and the
-// deadlock watchdog turns a silent hang — the symptom of a protocol bug
-// that slipped past the static rules — into a diagnostic dump naming each
-// rank's last completed protocol event and the operation it is blocked on.
+// This file is where the message protocol is checked: the tracer records
+// the collective sequence each rank actually executed (every rank of a
+// correct run reports the same one), and the deadlock watchdog turns a
+// silent hang — a receive nobody sends, a collective some rank skips —
+// into a diagnostic dump naming each rank's last completed protocol event
+// and the operation it is blocked on. A send nobody receives is caught by
+// the drain check at the end of Comm.runTask.
 //
 // The per-event hooks are allocation-free (fixed rings, per-rank mutexes,
 // one atomic progress counter); all formatting happens at dump time. This
