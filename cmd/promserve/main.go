@@ -69,7 +69,7 @@ func newLogger(format, level string) (*slog.Logger, error) {
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	maxConc := flag.Int("max-concurrent", 4, "max concurrently admitted solves")
+	maxConc := flag.Int("max-concurrent", 4, "max concurrently admitted solves; one solve uses every idle core, concurrent ones degrade towards one core each")
 	cacheEntries := flag.Int("cache-entries", 8, "max cached hierarchies")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain timeout for in-flight solves")
 	withObs := flag.Bool("obs", true, "record obs events/metrics (published on /debug/vars)")

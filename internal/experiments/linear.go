@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"prometheus/internal/core"
@@ -71,7 +70,6 @@ func Series(maxK int) []SizeSpec {
 // first of ten steps): the operator of the section 7.1 linear study.
 func assembleFirstTangent(s *problems.Spheres) (*fem.Problem, *sparse.CSR, []float64, error) {
 	p := fem.NewProblem(s.Mesh, s.Models, true)
-	p.Workers = assemblyWorkers()
 	u := make([]float64, s.Mesh.NumDOF())
 	s.Cons.Scaled(0.1).Apply(u)
 	k, fint, err := p.AssembleTangent(u)
@@ -333,16 +331,3 @@ func (lr *LinearRun) efficiencies(base *LinearRun) perf.Efficiencies {
 
 // LoadBalance returns the flop balance across ranks.
 func (lr *LinearRun) LoadBalance() float64 { return perf.LoadBalance(lr.RankFlops) }
-
-// assemblyWorkers picks the element-integration concurrency for the
-// experiment harness (the paper's FEAP phase is per-processor too).
-func assemblyWorkers() int {
-	w := runtime.NumCPU()
-	if w > 8 {
-		w = 8
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}

@@ -49,7 +49,6 @@ func RunNonlinear(spec SizeSpec, steps int) (*NonlinearRun, error) {
 		E: 1, Nu: 0.3, SigmaY: ScaledYieldStress(spec.Cfg), H: 0.002,
 	}
 	p := fem.NewProblem(s.Mesh, s.Models, true)
-	p.Workers = assemblyWorkers()
 	h, err := core.Coarsen(s.Mesh, core.Options{})
 	if err != nil {
 		return nil, err

@@ -3,12 +3,12 @@ package fem
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"prometheus/internal/geom"
 	"prometheus/internal/material"
 	"prometheus/internal/mesh"
 	"prometheus/internal/obs"
+	"prometheus/internal/pool"
 	"prometheus/internal/sparse"
 )
 
@@ -21,10 +21,6 @@ type Problem struct {
 	Models []material.Model   // indexed by element material id
 	States [][]material.State // committed state per element per Gauss point
 	BBar   bool               // mean-dilatation treatment of the volumetric strain
-	// Workers > 1 integrates elements concurrently (goroutines); results
-	// are accumulated in element order in fixed-size chunks, so the
-	// assembled matrix is bit-for-bit identical to the serial one.
-	Workers int
 
 	// AssembleFlops accumulates an estimate of the floating point work in
 	// element integration (the paper's "fine grid creation (FEAP)" phase).
@@ -242,13 +238,126 @@ func (p *Problem) integrateElement(e int, u []float64, scr *elemScratch, ke, fe 
 	return flops, nil
 }
 
+// Element integration runs on the shared worker set, assembleChunk
+// elements to a dispatch: their tangents and forces land in one slot each
+// of a chunk-long buffer, whoever integrates them, and are drained in
+// element order afterwards, so every assembled entry is the same sum in
+// the same order as a one-core run's. Inside a dispatch integrateGroup
+// consecutive elements are the unit of work and share one scratch.
+const (
+	assembleChunk  = 256
+	integrateGroup = 16
+)
+
+// elemKernel is element integration (kes non-nil) and the material commit
+// (kes nil) as a pool.Kernel. Integrating, a row is one scalar of the
+// chunk's tangent buffer: slot s, element e0+s, owns kes[s·ndof²:(s+1)·ndof²]
+// and fes[s·ndof:(s+1)·ndof], and MulVecRange(u, kes, lo, hi) fills exactly
+// the slots of [lo, hi). Committing, a row is one element and the writes
+// go to its States. Dispatches are aligned to integrateGroup slots, so a
+// group's scratch, error and flop count belong to one participant.
+type elemKernel struct {
+	p       *Problem
+	e0      int
+	ndof    int
+	kes     []float64
+	fes     []float64
+	scratch [assembleChunk / integrateGroup]*elemScratch
+	errs    [assembleChunk / integrateGroup]error
+	flops   [assembleChunk / integrateGroup]int64
+}
+
+// newElemKernel allocates the group scratch and, for integration, the
+// chunk's slot buffers.
+func (p *Problem) newElemKernel(integrate bool) *elemKernel {
+	ndof := 3 * p.M.Type.NodesPerElem()
+	k := &elemKernel{p: p, ndof: ndof}
+	for g := range k.scratch {
+		k.scratch[g] = newElemScratch(p.M.Type)
+	}
+	if integrate {
+		k.kes = make([]float64, assembleChunk*ndof*ndof)
+		k.fes = make([]float64, assembleChunk*ndof)
+	}
+	return k
+}
+
+// MulVecRange implements pool.Kernel (see elemKernel). A group that has
+// failed skips its remaining elements; run reports the failure.
+func (k *elemKernel) MulVecRange(u, kes []float64, lo, hi int) {
+	ndof, stride := k.ndof, 1
+	if kes != nil {
+		stride = ndof * ndof
+	}
+	for s := lo / stride; s < hi/stride; s++ {
+		g := s / integrateGroup
+		if k.errs[g] != nil {
+			continue
+		}
+		if kes == nil {
+			k.errs[g] = k.p.commitElement(k.e0+s, u, k.scratch[g].ed)
+			continue
+		}
+		fl, err := k.p.integrateElement(k.e0+s, u, k.scratch[g], kes[s*stride:(s+1)*stride], k.fes[s*ndof:(s+1)*ndof])
+		k.errs[g] = err
+		k.flops[g] += fl
+	}
+}
+
+// run dispatches elements [e0, e1), at most assembleChunk of them, and
+// returns the error of the first one that failed.
+func (k *elemKernel) run(u []float64, e0, e1 int) error {
+	k.e0 = e0
+	stride := 1
+	var kes []float64
+	if k.kes != nil {
+		stride = k.ndof * k.ndof
+		kes = k.kes[:(e1-e0)*stride]
+	}
+	// No cost model: the helpers take part whenever there are two groups
+	// to hand out. A group is some 600 k multiply-adds integrating (a hex8
+	// is about 38 k) and of the order of pool.Grain committing.
+	pool.Run(k, u, kes, (e1-e0)*stride, integrateGroup*stride, (e1-e0)*pool.Grain)
+	for _, err := range k.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// integrateChunks integrates every element at u and hands each chunk's
+// tangents (ndof² per element, row-major) and internal forces to drain,
+// chunks and the elements inside them in ascending order.
+func (p *Problem) integrateChunks(u []float64, drain func(e0, e1 int, kes, fes []float64)) error {
+	k := p.newElemKernel(true)
+	for e0, n := 0, p.M.NumElems(); e0 < n; e0 += assembleChunk {
+		e1 := min(e0+assembleChunk, n)
+		if err := k.run(u, e0, e1); err != nil {
+			return err
+		}
+		drain(e0, e1, k.kes, k.fes)
+	}
+	for _, fl := range k.flops {
+		p.AssembleFlops += fl
+	}
+	return nil
+}
+
+// IntegrationKernel returns element integration over the first chunk of
+// the mesh as the kernel AssembleBlockTangent dispatches, with its row
+// count and alignment, for TestKernelContract.
+func (p *Problem) IntegrationKernel() (k pool.Kernel, rows, align int) {
+	ek := p.newElemKernel(true)
+	stride := ek.ndof * ek.ndof
+	return ek, min(p.M.NumElems(), assembleChunk) * stride, integrateGroup * stride
+}
+
 // AssembleTangent computes the global consistent tangent K(u) and internal
 // force vector fint(u) from the committed material states. Both use the
-// full 3·NumVerts dof numbering; apply Constraints to reduce. With
-// Workers > 1 element integration runs concurrently; the result is
-// identical to the serial assembly. The scalar matrix is the expansion of
-// the blocked assembly — same pattern (elements touch all 9 entries of
-// every node pair) and bitwise-identical values.
+// full 3·NumVerts dof numbering; apply Constraints to reduce. The scalar
+// matrix is the expansion of the blocked assembly — same pattern (elements
+// touch all 9 entries of every node pair) and bitwise-identical values.
 func (p *Problem) AssembleTangent(u []float64) (*sparse.CSR, []float64, error) {
 	k, fint, err := p.AssembleBlockTangent(u)
 	if err != nil {
@@ -276,68 +385,14 @@ func (p *Problem) AssembleBlockTangent(u []float64) (*sparse.BSR, []float64, err
 	fint := make([]float64, n)
 	ndof := 3 * p.M.Type.NodesPerElem()
 
-	workers := p.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	nElems := p.M.NumElems()
-	const chunk = 256
-	// Chunk buffers: one ke/fe slot per element, filled concurrently,
-	// drained in element order.
-	kes := make([]float64, chunk*ndof*ndof)
-	fes := make([]float64, chunk*ndof)
-	slotKe := func(s int) []float64 { return kes[s*ndof*ndof : (s+1)*ndof*ndof] }
-	slotFe := func(s int) []float64 { return fes[s*ndof : (s+1)*ndof] }
-	scratch := make([]*elemScratch, workers)
-	for w := range scratch {
-		scratch[w] = newElemScratch(p.M.Type)
-	}
-	flopsPerWorker := make([]int64, workers)
-	errPerWorker := make([]error, workers)
-
-	for e0 := 0; e0 < nElems; e0 += chunk {
-		e1 := e0 + chunk
-		if e1 > nElems {
-			e1 = nElems
-		}
-		if workers == 1 {
-			for e := e0; e < e1; e++ {
-				fl, err := p.integrateElement(e, u, scratch[0], slotKe(e-e0), slotFe(e-e0))
-				if err != nil {
-					return nil, nil, err
-				}
-				flopsPerWorker[0] += fl
-			}
-		} else {
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w, e0, e1 int) {
-					defer wg.Done()
-					for e := e0 + w; e < e1; e += workers {
-						fl, err := p.integrateElement(e, u, scratch[w], slotKe(e-e0), slotFe(e-e0))
-						if err != nil {
-							errPerWorker[w] = err
-							return
-						}
-						flopsPerWorker[w] += fl
-					}
-				}(w, e0, e1)
-			}
-			wg.Wait()
-			for _, err := range errPerWorker {
-				if err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		// Deterministic accumulation in element order, node pair by node
-		// pair: every stored entry is the same sum in the same order
-		// whatever the worker count.
+	// Deterministic accumulation in element order, node pair by node
+	// pair: every stored entry is the same sum in the same order whoever
+	// integrated the elements.
+	err := p.integrateChunks(u, func(e0, e1 int, kes, fes []float64) {
 		for e := e0; e < e1; e++ {
 			conn := p.M.Elems[e]
-			ke := slotKe(e - e0)
-			fe := slotFe(e - e0)
+			ke := kes[(e-e0)*ndof*ndof : (e-e0+1)*ndof*ndof]
+			fe := fes[(e-e0)*ndof : (e-e0+1)*ndof]
 			for a, va := range conn {
 				for i := 0; i < 3; i++ {
 					fint[3*va+i] += fe[3*a+i]
@@ -356,49 +411,39 @@ func (p *Problem) AssembleBlockTangent(u []float64) (*sparse.BSR, []float64, err
 				}
 			}
 		}
-	}
-	for _, fl := range flopsPerWorker {
-		p.AssembleFlops += fl
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	nv := p.M.NumVerts()
 	return &sparse.BSR{NBRows: nv, NBCols: nv, B: 3, RowPtr: rowPtr, ColIdx: colIdx, Val: val}, fint, nil
 }
 
 // Commit recomputes the material response at u and stores the new history
-// (called once per converged load step). Elements are independent, so with
-// Workers > 1 the update runs concurrently.
+// (called once per converged load step). Elements are independent, so the
+// update runs on the shared worker set like integration.
 func (p *Problem) Commit(u []float64) error {
-	workers := p.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ed := newElementData(p.M.Type)
-			gps, _ := quadrature(p.M.Type)
-			for e := w; e < p.M.NumElems(); e += workers {
-				if err := p.geometry(e, ed); err != nil {
-					errs[w] = err
-					return
-				}
-				model := p.Models[p.M.Mat[e]]
-				for g := range gps {
-					eps := p.strainAt(e, ed, g, u)
-					_, _, next := model.Update(p.States[e][g], eps)
-					p.States[e][g] = next
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	k := p.newElemKernel(false)
+	for e0, n := 0, p.M.NumElems(); e0 < n; e0 += assembleChunk {
+		if err := k.run(u, e0, min(e0+assembleChunk, n)); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// commitElement stores the material response of element e at u as its
+// committed state.
+func (p *Problem) commitElement(e int, u []float64, ed *elementData) error {
+	if err := p.geometry(e, ed); err != nil {
+		return err
+	}
+	model := p.Models[p.M.Mat[e]]
+	gps, _ := quadrature(p.M.Type)
+	for g := range gps {
+		eps := p.strainAt(e, ed, g, u)
+		_, _, next := model.Update(p.States[e][g], eps)
+		p.States[e][g] = next
 	}
 	return nil
 }

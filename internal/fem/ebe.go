@@ -3,7 +3,6 @@ package fem
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"prometheus/internal/mesh"
 	"prometheus/internal/pool"
@@ -135,54 +134,25 @@ func NewEBEOperator(p *Problem, u []float64, cons *Constraints, dm *DofMap) (*EB
 	return a, nil
 }
 
-// integrate fills kp with each element's packed tangent, reusing the
-// Problem's strided worker pattern: element slots are disjoint, so the
-// concurrent fill needs no ordering pass to stay deterministic.
+// integrate fills kp with each element's packed tangent: the Problem's
+// chunked integration, drained by copying the upper triangle of every
+// element's slot.
 func (a *EBEOperator) integrate(p *Problem, u []float64) error {
 	a.kp = make([]float64, a.ne*a.packLen)
-	workers := p.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	ndof := a.ndof
-	errs := make([]error, workers)
-	flops := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			scr := newElemScratch(p.M.Type)
-			ke := make([]float64, ndof*ndof)
-			fe := make([]float64, ndof)
-			for e := w; e < a.ne; e += workers {
-				fl, err := p.integrateElement(e, u, scr, ke, fe)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				flops[w] += fl
-				kp := a.kp[e*a.packLen : (e+1)*a.packLen]
-				idx := 0
-				for i := 0; i < ndof; i++ {
-					for j := i; j < ndof; j++ {
-						kp[idx] = ke[i*ndof+j]
-						idx++
-					}
+	return p.integrateChunks(u, func(e0, e1 int, kes, _ []float64) {
+		for e := e0; e < e1; e++ {
+			ke := kes[(e-e0)*ndof*ndof : (e-e0+1)*ndof*ndof]
+			kp := a.kp[e*a.packLen : (e+1)*a.packLen]
+			idx := 0
+			for i := 0; i < ndof; i++ {
+				for j := i; j < ndof; j++ {
+					kp[idx] = ke[i*ndof+j]
+					idx++
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
 		}
-	}
-	for _, fl := range flops {
-		p.AssembleFlops += fl
-	}
-	return nil
+	})
 }
 
 // color greedily colors the elements so no two elements sharing a mesh

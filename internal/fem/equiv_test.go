@@ -2,6 +2,7 @@ package fem_test
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -41,24 +42,25 @@ func TestAssembleMatchesBuilderReference(t *testing.T) {
 	hex := mesh.StructuredHex(5, 4, 3, 5, 4, 3, nil)
 	j2 := []material.Model{material.J2Plasticity{E: 1, Nu: 0.3, SigmaY: 1e-3, H: 0.002}}
 	for _, tc := range []struct {
-		name    string
-		p       *fem.Problem
-		workers int
+		name  string
+		p     *fem.Problem
+		procs int // GOMAXPROCS of the assembly: 1 is serial, more is pooled
 	}{
-		{"spheres B-bar J2", fem.NewProblem(spheres.Mesh, spheres.Models, true), 0},
-		{"cube", fem.NewProblem(cube.Mesh, cube.Models, false), 0},
-		{"tet4", fem.NewProblem(mesh.HexToTets(hex), j2, false), 0},
-		{"tet4 workers=3", fem.NewProblem(mesh.HexToTets(hex), j2, false), 3},
-		{"hex20", fem.NewProblem(mesh.StructuredHex20(3, 2, 2, 3, 2, 2, nil), j2, true), 0},
-		{"hex20 workers=3", fem.NewProblem(mesh.StructuredHex20(3, 2, 2, 3, 2, 2, nil), j2, true), 3},
+		{"spheres B-bar J2", fem.NewProblem(spheres.Mesh, spheres.Models, true), 2},
+		{"cube", fem.NewProblem(cube.Mesh, cube.Models, false), 2},
+		{"tet4", fem.NewProblem(mesh.HexToTets(hex), j2, false), 1},
+		{"tet4 procs=3", fem.NewProblem(mesh.HexToTets(hex), j2, false), 3},
+		{"hex20", fem.NewProblem(mesh.StructuredHex20(3, 2, 2, 3, 2, 2, nil), j2, true), 1},
+		{"hex20 procs=3", fem.NewProblem(mesh.StructuredHex20(3, 2, 2, 3, 2, 2, nil), j2, true), 3},
 	} {
 		u := crushed(tc.p.M)
 		want, wantF, err := fem.AssembleBlockTangentBuilder(tc.p, u)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", tc.name, err)
 		}
-		tc.p.Workers = tc.workers
+		prev := runtime.GOMAXPROCS(tc.procs)
 		got, gotF, err := tc.p.AssembleBlockTangent(u)
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

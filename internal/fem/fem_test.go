@@ -3,6 +3,7 @@ package fem
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -432,6 +433,14 @@ func TestGalerkinOnFEMatrix(t *testing.T) {
 	}
 }
 
+// withProcs runs f with GOMAXPROCS set to n. The shared worker set follows
+// GOMAXPROCS, so n = 1 is the serial path and larger n runs the pooled one
+// whatever this host has.
+func withProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
 func TestParallelAssemblyMatchesSerial(t *testing.T) {
 	m := mesh.StructuredHex(4, 4, 4, 1, 1, 1, func(c geom.Vec3) int {
 		if c.X < 0.5 {
@@ -446,14 +455,18 @@ func TestParallelAssemblyMatchesSerial(t *testing.T) {
 		u[i] = (rng.Float64() - 0.5) * 0.01
 	}
 	serial := NewProblem(m, models, true)
-	kS, fS, err := serial.AssembleTangent(u)
+	var kS *sparse.CSR
+	var fS []float64
+	var err error
+	withProcs(1, func() { kS, fS, err = serial.AssembleTangent(u) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 7} {
 		par := NewProblem(m, models, true)
-		par.Workers = workers
-		kP, fP, err := par.AssembleTangent(u)
+		var kP *sparse.CSR
+		var fP []float64
+		withProcs(workers, func() { kP, fP, err = par.AssembleTangent(u) })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -485,13 +498,12 @@ func TestParallelCommitMatchesSerial(t *testing.T) {
 		u[i] = (rng.Float64() - 0.5) * 0.01
 	}
 	serial := NewProblem(m, models, true)
-	if err := serial.Commit(u); err != nil {
-		t.Fatal(err)
-	}
 	par := NewProblem(m, models, true)
-	par.Workers = 5
-	if err := par.Commit(u); err != nil {
-		t.Fatal(err)
+	var errS, errP error
+	withProcs(1, func() { errS = serial.Commit(u) })
+	withProcs(5, func() { errP = par.Commit(u) })
+	if errS != nil || errP != nil {
+		t.Fatal(errS, errP)
 	}
 	for e := range serial.States {
 		for g := range serial.States[e] {
@@ -509,12 +521,12 @@ func TestParallelCommitMatchesSerial(t *testing.T) {
 // silently, and the mesh would assemble into a NaN matrix.
 func TestAssembleRejectsNonFiniteCoords(t *testing.T) {
 	for name, bad := range map[string]float64{"NaN": math.NaN(), "Inf": math.Inf(1)} {
-		for _, workers := range []int{0, 2} {
+		for _, workers := range []int{1, 2} {
 			m := mesh.StructuredHex(3, 3, 3, 1, 1, 1, nil)
 			m.Coords[13].Y = bad
 			p := NewProblem(m, []material.Model{material.LinearElastic{E: 1, Nu: 0.3}}, false)
-			p.Workers = workers
-			_, _, err := p.AssembleTangent(make([]float64, m.NumDOF()))
+			var err error
+			withProcs(workers, func() { _, _, err = p.AssembleTangent(make([]float64, m.NumDOF())) })
 			if err == nil || !strings.Contains(err.Error(), "non-positive Jacobian") {
 				t.Fatalf("%s coordinate, workers=%d: err = %v, want the non-positive Jacobian error", name, workers, err)
 			}

@@ -180,6 +180,14 @@ func validate(n int, err error) {
 	panic(err)                                 // line 12: flagged
 	panic(fmt.Sprintf("no prefix %d", n))      // line 13: flagged
 }
+
+func reraise() {
+	defer func() {
+		if v := recover(); v != nil {
+			panic(v) // a recovered value passed on: allowed
+		}
+	}()
+}
 `)
 	got := Run([]*Package{pkg}, []Rule{LibraryPanic{}})
 	if !sameLines(got, 11, 12, 13) {

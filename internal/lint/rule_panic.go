@@ -13,7 +13,10 @@ import (
 // (optionally built with fmt.Sprintf or string concatenation) prefixed
 // with the package name, e.g. panic("sparse: MulVec dimension mismatch").
 // Dynamic panics (panic(err), panic(v)) hide the failing subsystem from
-// the crash report and are flagged.
+// the crash report and are flagged. The one dynamic panic allowed is the
+// re-raise: an argument of static type any is what recover() returned
+// (internal/pool carries a kernel panic from a helper to the dispatching
+// goroutine), and passing it on unchanged is what keeps its message.
 type LibraryPanic struct{}
 
 // Name implements Rule.
@@ -30,6 +33,9 @@ func (r LibraryPanic) Check(pkg *Package) []Issue {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || !isBuiltinPanic(pkg, call.Fun) || len(call.Args) != 1 {
+				return true
+			}
+			if t, ok := pkg.Info.TypeOf(call.Args[0]).Underlying().(*types.Interface); ok && t.Empty() {
 				return true
 			}
 			if !hasConstPrefix(pkg, call.Args[0], prefix) {

@@ -2,6 +2,7 @@ package multigrid
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -82,6 +83,13 @@ func TestCycleOperatorApplications(t *testing.T) {
 			t.Fatalf("level storage %v, want %v", got, want)
 		}
 		z := make([]float64, k.NRows)
+		// AllocsPerRun counts the process's mallocs, a collection cycle's own
+		// included. Its GOMAXPROCS(1) waits for a running cycle to end, but
+		// returns at once when GOMAXPROCS is 1 already (CI's one-core step),
+		// and the cycle the setup above started then runs on inside the
+		// measurement: finish it first. Apply allocates nothing, so none
+		// starts after it.
+		runtime.GC()
 		if a := testing.AllocsPerRun(5, func() { mg.Apply(f, z) }); a != 0 {
 			t.Errorf("cycle %v: Apply allocates %v times per run on a CSR-fine/BSR-coarse hierarchy", cyc, a)
 		}

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,8 @@ import (
 	"prometheus/internal/material"
 	"prometheus/internal/multigrid"
 	"prometheus/internal/obs"
+	"prometheus/internal/pool"
+	"prometheus/internal/sparse"
 )
 
 // syncBuffer is a log sink the server's goroutines and the test share.
@@ -127,6 +130,77 @@ func TestPanicInsideSolveAnswers500(t *testing.T) {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("/metrics lacks %q", want)
 		}
+	}
+}
+
+// panickyOperator is a request's fine operator whose product runs on the
+// shared worker set, as the assembled storages' does, with a kernel that
+// panics on every chunk but the first: whichever participant draws one —
+// a helper goroutine the request never started, or the handler's own —
+// the panic has to come out of MulVec on the handler's goroutine.
+type panickyOperator struct{ prometheus.Operator }
+
+func (o panickyOperator) MulVec(x, y []float64) {
+	pool.Run(o, x, y, len(y), 1, pool.Grain)
+}
+
+func (panickyOperator) MulVecRange(x, y []float64, lo, hi int) {
+	if lo > 0 {
+		panic("serve test: kernel panicked")
+	}
+}
+
+// TestPanicInsideKernelAnswers500: a panic inside a kernel the worker set
+// runs for a request is that request's 500, not the process's death: the
+// set carries it back to the dispatching goroutine, where the recovering
+// middleware answers it. The next request is served, and the set takes
+// the next dispatch.
+func TestPanicInsideKernelAnswers500(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	svc, ts := newTestServer(t, Config{MaxConcurrent: 1, Log: slog.New(slog.NewJSONHandler(io.Discard, nil))})
+	req := SolveRequest{Spec: Spec{Problem: "cube", Size: 1}}
+	built := postSolve(t, ts, req)
+	svc.cache.mu.Lock()
+	entry := svc.cache.entries[built.Key]
+	entry.kred = panickyOperator{entry.kred}
+	svc.cache.mu.Unlock()
+
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("a request whose kernel panicked dropped the connection: %v", err)
+	}
+	defer hr.Body.Close()
+	var envelope errorBody
+	if err := json.NewDecoder(hr.Body).Decode(&envelope); err != nil {
+		t.Fatalf("decode the 500 body: %v", err)
+	}
+	if hr.StatusCode != http.StatusInternalServerError || envelope.TraceID == "" || !strings.Contains(envelope.Error, "panicked") {
+		t.Fatalf("status %d, envelope %+v; want 500 with a trace id", hr.StatusCode, envelope)
+	}
+	if held := svc.adm.held.Load(); held != 0 {
+		t.Errorf("%d admission slots still held after the panic", held)
+	}
+	if next := postSolve(t, ts, SolveRequest{Spec: Spec{Problem: "cantilever", Size: 1}}); !next.Converged {
+		t.Errorf("the request after the panic did not converge: %+v", next)
+	}
+	// The set is not wedged: a dispatch above the grain returns.
+	n := 64
+	x, y := make([]float64, n), make([]float64, n)
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		pool.Run(sparse.Identity(n), x, y, n, 1, pool.Grain)
+	}()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the worker set did not take a dispatch after the panic")
 	}
 }
 

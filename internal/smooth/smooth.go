@@ -16,6 +16,7 @@ import (
 	"prometheus/internal/graph"
 	"prometheus/internal/la"
 	"prometheus/internal/obs"
+	"prometheus/internal/pool"
 	"prometheus/internal/sparse"
 )
 
@@ -285,12 +286,23 @@ func (s *Chebyshev) Flops() int64 { return s.flops }
 // diagonal blocks of a vector-valued operator.
 type DomainBlockJacobi struct {
 	taskRef
-	A       sparse.Operator
-	blocks  [][]int // dof indices per block
-	chols   []*la.Cholesky
-	work    []float64
-	scratch []float64 // per-block solve buffer
-	flops   int64
+	A      sparse.Operator
+	blocks [][]int // dof indices per block
+	chols  []*la.Cholesky
+	work   []float64
+	// The block solves of one application run side by side on the shared
+	// worker set (pool.RunIndexed, item = block), so no two may share a
+	// buffer: block bi gathers into scratch[off[bi]:off[bi+1]], and
+	// ws[off[bi]:off[bi+1]] is its dofs again as the write set the
+	// dispatch claims under promdebug.
+	scratch []float64
+	ws      []int32
+	off     []int
+	// solveWork is the multiply-adds of one application, Σ|block|²: what
+	// the dispatch weighs against pool.Grain and, doubled, the flops every
+	// application adds.
+	solveWork int
+	flops     int64
 	// Omega damps the update x += Omega·M⁻¹r. Undamped block Jacobi can
 	// diverge on stiff elasticity operators; AutoDamp sets Omega from a
 	// power-iteration estimate of λmax(M⁻¹A) so the iteration contracts
@@ -315,57 +327,113 @@ const BlocksPerThousand = 6
 // storage, sparse.AsCSR(a) otherwise), taken once by the caller; setup
 // gathers every block from it straight into the packed storage its
 // Cholesky factor then occupies, and the steady-state sweeps stay on the
-// Operator interface.
+// Operator interface. Blocks are independent, so the gathers and
+// factorizations run on the shared worker set.
 func NewDomainBlockJacobi(a sparse.Operator, view *sparse.CSR, part []int, nblocks int) (*DomainBlockJacobi, error) {
-	if len(part) != a.Rows() || view.NRows != a.Rows() {
-		return nil, fmt.Errorf("smooth: partition covers %d and the scalar view %d of %d dofs", len(part), view.NRows, a.Rows())
+	n := a.Rows()
+	if len(part) != n || view.NRows != n {
+		return nil, fmt.Errorf("smooth: partition covers %d and the scalar view %d of %d dofs", len(part), view.NRows, n)
 	}
-	s := &DomainBlockJacobi{A: a, blocks: graph.PartMembers(part, nblocks), work: make([]float64, a.Rows()), Omega: 1}
-	s.chols = make([]*la.Cholesky, nblocks)
-	// Gather scratch: dof -> position inside the block being gathered, -1
-	// outside it.
-	pos := make([]int, len(part))
-	for i := range pos {
-		pos[i] = -1
+	s := &DomainBlockJacobi{
+		A: a, blocks: graph.PartMembers(part, nblocks), Omega: 1,
+		chols: make([]*la.Cholesky, nblocks),
+		work:  make([]float64, n), scratch: make([]float64, n),
+		ws: make([]int32, 0, n), off: make([]int, nblocks+1),
 	}
-	maxBlock := 0
-	for _, dofs := range s.blocks {
-		if len(dofs) > maxBlock {
-			maxBlock = len(dofs)
-		}
-	}
-	s.scratch = make([]float64, maxBlock)
+	factorWork := 0
 	for bi, dofs := range s.blocks {
-		if len(dofs) == 0 {
-			continue
+		for _, d := range dofs {
+			s.ws = append(s.ws, int32(d))
 		}
-		// Principal submatrices of an SPD operator are SPD, but aggressive
-		// Galerkin coarsening with 1e4 coefficient jumps can leave blocks
-		// positive definite only to within roundoff; retry with escalating
-		// diagonal shifts before giving up (the shift only weakens the
-		// preconditioner slightly). The factorization overwrites its input,
-		// so a retry gathers the block again.
-		l := make([]float64, la.PackedLen(len(dofs)))
-		for try, shift := 0, 0.0; ; try++ {
-			view.GatherLowerPacked(dofs, pos, l)
-			maxDiag := shiftDiagonal(l, shift)
-			chol, err := la.FactorPacked(len(dofs), l)
-			if err == nil {
-				s.chols[bi] = chol
-				break
-			}
-			if try == blockShiftTries {
-				return nil, fmt.Errorf("smooth: block %d (%d dofs): %w", bi, len(dofs), err)
-			}
-			if shift == 0 {
-				shift = 1e-12 * maxDiag
-			} else {
-				shift *= 100
-			}
+		nb := len(dofs)
+		s.off[bi+1] = len(s.ws)
+		s.solveWork += nb * nb
+		factorWork += nb * nb * nb / 6
+		s.SetupFlops += int64(nb) * int64(nb) * int64(nb) / 3
+	}
+	f := s.newBlockFactor(view)
+	pool.Run(f, nil, make([]float64, nblocks), nblocks, 1, factorWork)
+	for bi, err := range f.errs {
+		if err != nil {
+			return nil, fmt.Errorf("smooth: block %d (%d dofs): %w", bi, len(s.blocks[bi]), err)
 		}
-		s.SetupFlops += int64(len(dofs)) * int64(len(dofs)) * int64(len(dofs)) / 3
 	}
 	return s, nil
+}
+
+// blockFactor is the setup loop of NewDomainBlockJacobi as a pool.Kernel
+// over blocks: "row" bi gathers block bi of view, factors it, stores the
+// factor in s and writes the diagonal shift it needed to y[bi].
+type blockFactor struct {
+	s    *DomainBlockJacobi
+	view *sparse.CSR
+	// pos[d] is dof d's position inside its own block: read-only during
+	// the dispatch, so every block gathers through the one array.
+	pos []int
+	// fac is the packed storage of every factor, block bi's triangle at
+	// fac[facOff[bi]:facOff[bi+1]].
+	fac    []float64
+	facOff []int
+	errs   []error
+}
+
+func (s *DomainBlockJacobi) newBlockFactor(view *sparse.CSR) *blockFactor {
+	f := &blockFactor{
+		s: s, view: view, pos: make([]int, view.NRows),
+		facOff: make([]int, len(s.blocks)+1), errs: make([]error, len(s.blocks)),
+	}
+	for bi, dofs := range s.blocks {
+		for k, d := range dofs {
+			f.pos[d] = k
+		}
+		f.facOff[bi+1] = f.facOff[bi] + la.PackedLen(len(dofs))
+	}
+	f.fac = make([]float64, f.facOff[len(s.blocks)])
+	return f
+}
+
+// FactorKernel returns the setup kernel that gathers and factors s's
+// blocks from view, for TestKernelContract: running it factors the
+// blocks again, to the same bits.
+func (s *DomainBlockJacobi) FactorKernel(view *sparse.CSR) pool.Kernel { return s.newBlockFactor(view) }
+
+// MulVecRange implements pool.Kernel over the blocks [lo, hi).
+func (f *blockFactor) MulVecRange(_, y []float64, lo, hi int) {
+	for bi := lo; bi < hi; bi++ {
+		y[bi], f.errs[bi] = f.factor(bi)
+	}
+}
+
+// factor gathers and factors block bi and returns the shift it took.
+// Principal submatrices of an SPD operator are SPD, but aggressive
+// Galerkin coarsening with 1e4 coefficient jumps can leave blocks positive
+// definite only to within roundoff; retry with escalating diagonal shifts
+// before giving up (the shift only weakens the preconditioner slightly).
+// The factorization overwrites its input, so a retry gathers the block
+// again.
+func (f *blockFactor) factor(bi int) (float64, error) {
+	dofs := f.s.blocks[bi]
+	if len(dofs) == 0 {
+		return 0, nil
+	}
+	l := f.fac[f.facOff[bi]:f.facOff[bi+1]:f.facOff[bi+1]]
+	for try, shift := 0, 0.0; ; try++ {
+		f.view.GatherLowerPacked(dofs, f.pos, l)
+		maxDiag := shiftDiagonal(l, shift)
+		chol, err := la.FactorPacked(len(dofs), l)
+		if err == nil {
+			f.s.chols[bi] = chol
+			return shift, nil
+		}
+		if try == blockShiftTries {
+			return shift, err
+		}
+		if shift == 0 {
+			shift = 1e-12 * maxDiag
+		} else {
+			shift *= 100
+		}
+	}
 }
 
 // shiftDiagonal adds shift to the diagonal of the packed lower triangle l
@@ -442,23 +510,40 @@ func (s *DomainBlockJacobi) Smooth(x, b []float64, n int) {
 	sp.EndFlops(s.flops - f0)
 }
 
-// applyBlocks solves M·z = r block by block (r and z may alias).
+// applyBlocks solves M·z = r, every block against its own entries of r
+// (r and z may alias): the blocks are the items of one indexed dispatch.
 func (s *DomainBlockJacobi) applyBlocks(r, z []float64) {
-	for bi, dofs := range s.blocks {
-		if len(dofs) == 0 {
-			continue
-		}
-		rb := s.scratch[:len(dofs)]
-		for k, d := range dofs {
-			rb[k] = r[d]
-		}
-		s.chols[bi].Solve(rb, rb)
-		for k, d := range dofs {
-			z[d] = rb[k]
-		}
-		s.flops += 2 * int64(len(dofs)) * int64(len(dofs))
+	pool.RunIndexed(s.task, (*blockSolve)(s), r, z, len(s.blocks), s.solveWork)
+	s.flops += 2 * int64(s.solveWork)
+}
+
+// blockSolve is a DomainBlockJacobi seen as the pool.IndexedKernel of its
+// block solves: item = block, write set = the block's dofs.
+type blockSolve DomainBlockJacobi
+
+// SolveKernel returns the block solves of one application as the indexed
+// kernel applyBlocks dispatches, for TestKernelContract.
+func (s *DomainBlockJacobi) SolveKernel() pool.IndexedKernel { return (*blockSolve)(s) }
+
+// ApplyOne implements pool.IndexedKernel: z = M⁻¹·r on block bi, through
+// the block's own stretch of the scratch vector.
+func (k *blockSolve) ApplyOne(r, z []float64, bi int) {
+	dofs := k.blocks[bi]
+	if len(dofs) == 0 {
+		return
+	}
+	rb := k.scratch[k.off[bi]:k.off[bi+1]]
+	for i, d := range dofs {
+		rb[i] = r[d]
+	}
+	k.chols[bi].Solve(rb, rb)
+	for i, d := range dofs {
+		z[d] = rb[i]
 	}
 }
+
+// WriteSet implements pool.IndexedKernel.
+func (k *blockSolve) WriteSet(bi int) []int32 { return k.ws[k.off[bi]:k.off[bi+1]] }
 
 // Apply implements Smoother.
 func (s *DomainBlockJacobi) Apply(r, z []float64) {

@@ -7,6 +7,7 @@ import (
 
 	"prometheus/internal/check"
 	"prometheus/internal/obs"
+	"prometheus/internal/pool"
 )
 
 // BSR is a block compressed sparse row matrix: the sparsity pattern is
@@ -47,27 +48,25 @@ func (a *BSR) BlockSize() int { return a.B }
 // MulVecFlops returns the flop count of one MulVec (2·nnz).
 func (a *BSR) MulVecFlops() int64 { return 2 * int64(a.NNZ()) }
 
-// MulVec computes y = A·x.
+// MulVec computes y = A·x, dispatched like CSR.MulVec in block-aligned
+// chunks so every participant runs the register-blocked kernel.
 func (a *BSR) MulVec(x, y []float64) {
 	if len(x) != a.Cols() || len(y) != a.Rows() {
 		panic("sparse: BSR.MulVec dimension mismatch")
 	}
 	sp := obs.Start(evSpMVBSR)
-	if a.B == 3 {
-		a.mulVec3(x, y, 0, a.NBRows)
-	} else {
-		a.mulVecBlocks(x, y, 0, a.NBRows)
-	}
+	pool.Run(a, x, y, a.Rows(), a.B, a.NNZ())
 	sp.EndFlops(a.MulVecFlops())
 }
 
-// mulVec3 is the register-blocked 3x3 micro-kernel: y rows [3*lo, 3*hi).
+// mulVec3 is the register-blocked 3x3 micro-kernel: y rows [3*lo, 3*hi),
+// as the product A·x when b is nil and as the residual b - A·x otherwise.
 // The three row accumulators live in registers across the whole block row,
 // and each block contributes with the same left-to-right addition order as
 // the expanded CSR row — y0 += v0*x0; y0 += v1*x1; ... — so the result is
 // bitwise identical to CSR.MulVec on the expanded matrix (ulp_equal_csr,
 // locked by TestBSRMulVecMatchesCSR).
-func (a *BSR) mulVec3(x, y []float64, lo, hi int) {
+func (a *BSR) mulVec3(b, x, y []float64, lo, hi int) {
 	for ib := lo; ib < hi; ib++ {
 		p, q := a.RowPtr[ib], a.RowPtr[ib+1]
 		cols := a.ColIdx[p:q]
@@ -87,14 +86,19 @@ func (a *BSR) mulVec3(x, y []float64, lo, hi int) {
 			y2 += v[7] * x1
 			y2 += v[8] * x2
 		}
+		if b != nil {
+			bb := b[3*ib : 3*ib+3 : 3*ib+3]
+			y0, y1, y2 = bb[0]-y0, bb[1]-y1, bb[2]-y2
+		}
 		y[3*ib] = y0
 		y[3*ib+1] = y1
 		y[3*ib+2] = y2
 	}
 }
 
-// mulVecBlocks is the generic block-size kernel for block rows [lo, hi).
-func (a *BSR) mulVecBlocks(x, y []float64, lo, hi int) {
+// mulVecBlocks is the generic block-size kernel for block rows [lo, hi);
+// rhs is nil for the product and b for the residual, as in mulVec3.
+func (a *BSR) mulVecBlocks(rhs, x, y []float64, lo, hi int) {
 	b := a.B
 	bb := b * b
 	for ib := lo; ib < hi; ib++ {
@@ -116,6 +120,12 @@ func (a *BSR) mulVecBlocks(x, y []float64, lo, hi int) {
 				yr[d] = s
 			}
 		}
+		if rhs != nil {
+			br := rhs[ib*b : ib*b+b : ib*b+b]
+			for d := range yr {
+				yr[d] = br[d] - yr[d]
+			}
+		}
 	}
 }
 
@@ -123,12 +133,23 @@ func (a *BSR) mulVecBlocks(x, y []float64, lo, hi int) {
 // Block-aligned ranges take the blocked kernel; ragged edges fall back to
 // a per-scalar-row loop with the same left-to-right addition order.
 func (a *BSR) MulVecRange(x, y []float64, lo, hi int) {
+	a.rangeKernel(nil, x, y, lo, hi)
+}
+
+// ResidualRange computes r[i] = b[i] - (A·x)[i] for scalar rows i in
+// [lo, hi): the row kernel of Residual, one pass with MulVecRange's sums.
+func (a *BSR) ResidualRange(b, x, r []float64, lo, hi int) {
+	a.rangeKernel(b, x, r, lo, hi)
+}
+
+// rangeKernel is MulVecRange (rhs nil) and ResidualRange (rhs = b) in one.
+func (a *BSR) rangeKernel(rhs, x, y []float64, lo, hi int) {
 	b := a.B
 	if lo%b == 0 && hi%b == 0 {
 		if b == 3 {
-			a.mulVec3(x, y, lo/3, hi/3)
+			a.mulVec3(rhs, x, y, lo/3, hi/3)
 		} else {
-			a.mulVecBlocks(x, y, lo/b, hi/b)
+			a.mulVecBlocks(rhs, x, y, lo/b, hi/b)
 		}
 		return
 	}
@@ -144,16 +165,22 @@ func (a *BSR) MulVecRange(x, y []float64, lo, hi int) {
 				s += vv * xr[c]
 			}
 		}
+		if rhs != nil {
+			s = rhs[i] - s
+		}
 		y[i] = s
 	}
 }
 
-// Residual computes r = b - A·x.
+// Residual computes r = b - A·x in one pass over the block rows,
+// dispatched like MulVec.
 func (a *BSR) Residual(b, x, r []float64) {
-	a.MulVec(x, r)
-	for i := range r {
-		r[i] = b[i] - r[i]
+	if len(x) != a.Cols() || len(r) != a.Rows() || len(b) < a.Rows() {
+		panic("sparse: BSR.Residual dimension mismatch")
 	}
+	sp := obs.Start(evSpMVBSR)
+	pool.RunResidual(a, b, x, r, a.Rows(), a.B, a.NNZ())
+	sp.EndFlops(a.MulVecFlops())
 }
 
 // At returns A(i,j) in scalar coordinates (zero when the block is absent).

@@ -12,6 +12,7 @@ import (
 
 	"prometheus/internal/check"
 	"prometheus/internal/obs"
+	"prometheus/internal/pool"
 )
 
 // CSR is a sparse matrix in compressed sparse row format.
@@ -158,21 +159,37 @@ func (a *CSR) At(i, j int) float64 {
 	return 0
 }
 
-// MulVec computes y = A·x.
+// MulVec computes y = A·x. Rows are independent, so a product above
+// pool.Grain is cut over the shared worker set when its helpers are free;
+// MulVecRange gives a row the same bits in any window, so the result does
+// not depend on whether, or how, it was.
 func (a *CSR) MulVec(x, y []float64) {
 	if len(x) != a.NCols || len(y) != a.NRows {
 		panic("sparse: MulVec dimension mismatch")
 	}
 	sp := obs.Start(evSpMVCSR)
-	a.MulVecRange(x, y, 0, a.NRows)
+	pool.Run(a, x, y, a.NRows, 1, len(a.ColIdx))
 	sp.EndFlops(2 * int64(len(a.ColIdx)))
 }
 
 // MulVecRange computes y[i] = (A·x)[i] for i in [lo, hi). It is the kernel
-// for row-partitioned parallel products. The inner loop ranges over
-// per-row subslices of equal length so the compiler can prove the
-// accesses in-bounds and drop the checks (see promlint -bce).
+// for row-partitioned parallel products.
 func (a *CSR) MulVecRange(x, y []float64, lo, hi int) {
+	a.rangeKernel(nil, x, y, lo, hi)
+}
+
+// ResidualRange computes r[i] = b[i] - (A·x)[i] for i in [lo, hi): the
+// row kernel of Residual, with the subtraction MulVec-then-subtract did in
+// a second pass applied to the same row sum.
+func (a *CSR) ResidualRange(b, x, r []float64, lo, hi int) {
+	a.rangeKernel(b, x, r, lo, hi)
+}
+
+// rangeKernel is MulVecRange (rhs nil) and ResidualRange (rhs = b) in
+// one. The inner loop ranges over per-row subslices of equal length so the
+// compiler can prove the accesses in-bounds and drop the checks (see
+// promlint -bce).
+func (a *CSR) rangeKernel(rhs, x, y []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		p, q := a.RowPtr[i], a.RowPtr[i+1]
 		cols := a.ColIdx[p:q]
@@ -182,6 +199,9 @@ func (a *CSR) MulVecRange(x, y []float64, lo, hi int) {
 		for k, j := range cols {
 			s += vals[k] * x[j]
 		}
+		if rhs != nil {
+			s = rhs[i] - s
+		}
 		y[i] = s
 	}
 }
@@ -190,12 +210,15 @@ func (a *CSR) MulVecRange(x, y []float64, lo, hi int) {
 // convention used in the paper's Mflop rates).
 func (a *CSR) MulVecFlops() int64 { return 2 * int64(a.NNZ()) }
 
-// Residual computes r = b - A·x.
+// Residual computes r = b - A·x in one pass over the rows, dispatched
+// like MulVec.
 func (a *CSR) Residual(b, x, r []float64) {
-	a.MulVec(x, r)
-	for i := range r {
-		r[i] = b[i] - r[i]
+	if len(x) != a.NCols || len(r) != a.NRows || len(b) < a.NRows {
+		panic("sparse: Residual dimension mismatch")
 	}
+	sp := obs.Start(evSpMVCSR)
+	pool.RunResidual(a, b, x, r, a.NRows, 1, len(a.ColIdx))
+	sp.EndFlops(2 * int64(len(a.ColIdx)))
 }
 
 // Diag returns the diagonal of A as a slice (zeros where absent).
@@ -348,16 +371,14 @@ func (a *CSR) IsSymmetric(tol float64) bool {
 // submatrix A(idx, idx) into l as a packed row-major triangle: entry
 // (p, q), q <= p, pairing rows idx[p] and idx[q], lands at l[p(p+1)/2+q];
 // positions A does not store are zero. l has len(idx)(len(idx)+1)/2
-// entries — the layout la.FactorPacked factors in place. pos is
-// caller-owned scratch of length NCols that holds -1 everywhere on entry
-// and again on return, so one array serves any number of disjoint or
-// repeated gathers.
+// entries — the layout la.FactorPacked factors in place. pos, of length
+// NCols, maps every column in idx to its position there; what it holds
+// for other columns does not matter (membership is checked against idx),
+// so one array holding each column's position inside its own set serves a
+// whole partition, and since it is only read, concurrent gathers too.
 func (a *CSR) GatherLowerPacked(idx, pos []int, l []float64) {
 	for i := range l {
 		l[i] = 0
-	}
-	for p, i := range idx {
-		pos[i] = p
 	}
 	off := 0
 	for p, i := range idx {
@@ -367,14 +388,11 @@ func (a *CSR) GatherLowerPacked(idx, pos []int, l []float64) {
 		vals := a.Val[lo:hi:hi]
 		vals = vals[:len(cols)]
 		for k, j := range cols {
-			if q := pos[j]; uint(q) < uint(len(row)) {
+			if q := pos[j]; uint(q) < uint(len(row)) && idx[q] == j {
 				row[q] = vals[k]
 			}
 		}
 		off += p + 1
-	}
-	for _, i := range idx {
-		pos[i] = -1
 	}
 }
 

@@ -5,14 +5,14 @@ import (
 	"prometheus/internal/pool"
 )
 
-// This file holds the real-core shared-memory products: MulVec partitioned
-// over a worker pool. Both storages dispatch their own MulVecRange, whose
-// per-row arithmetic is identical on every partition, so the parallel
-// product is bitwise equal to the serial one for any worker count (locked
-// in by TestMulVecParallelBitwise). BSR dispatches block-aligned chunks so
-// every worker runs the register-blocked fast path; the ragged fallback is
-// reached only by a misaligned final clamp, which the aligned partition
-// never produces.
+// MulVecParallel is MulVec on a pool the caller names: the same dispatch
+// of the same MulVecRange, without the grain and busy rules of the shared
+// set, for tests and benchmarks that fix the width. The per-row arithmetic
+// is identical on every partition, so the product is bitwise equal to the
+// serial one for any worker count (TestMulVecParallelBitwise). BSR
+// dispatches block-aligned chunks so every participant runs the
+// register-blocked fast path; the ragged fallback is reached only by a
+// misaligned final clamp, which the aligned partition never produces.
 
 // MulVecParallel computes y = A·x with rows partitioned over p's workers.
 // The result is bitwise identical to MulVec.

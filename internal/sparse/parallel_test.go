@@ -33,8 +33,8 @@ func randomBlocked(t *testing.T, nb, b int, rng *rand.Rand) (*CSR, *BSR) {
 }
 
 // TestMulVecParallelBitwise locks in the acceptance criterion: the
-// pool-partitioned product equals the serial product bit for bit, on both
-// storages, for every pool size.
+// pool-partitioned product, and the pool-partitioned fused residual, equal
+// the serial ones bit for bit, on both storages, for every pool size.
 func TestMulVecParallelBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	csr, bsr := randomBlocked(t, 67, 3, rng)
@@ -47,6 +47,12 @@ func TestMulVecParallelBitwise(t *testing.T) {
 	csr.MulVec(x, wantC)
 	wantB := make([]float64, n)
 	bsr.MulVec(x, wantB)
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	wantR := make([]float64, n)
+	csr.Residual(b, x, wantR)
 
 	for _, nw := range []int{1, 2, 3, 4, 8} {
 		p := pool.New(nw)
@@ -61,6 +67,16 @@ func TestMulVecParallelBitwise(t *testing.T) {
 		for i := range got {
 			if math.Float64bits(got[i]) != math.Float64bits(wantB[i]) {
 				t.Fatalf("BSR nw=%d row %d: %v != %v", nw, i, got[i], wantB[i])
+			}
+		}
+		// The blocked matrix is the scalar one regrouped, so one
+		// reference serves both residuals.
+		for name, op := range map[string]pool.ResidualKernel{"CSR": csr, "BSR": bsr} {
+			p.DispatchResidual(op, b, x, got, n, DispatchAlign(op.(Operator)))
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(wantR[i]) {
+					t.Fatalf("%s residual nw=%d row %d: %v != %v", name, nw, i, got[i], wantR[i])
+				}
 			}
 		}
 		p.Close()

@@ -7,41 +7,44 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"prometheus/internal/fem"
 	"prometheus/internal/geom"
+	"prometheus/internal/graph"
 	"prometheus/internal/material"
 	"prometheus/internal/mesh"
 	"prometheus/internal/pool"
+	"prometheus/internal/smooth"
 	"prometheus/internal/sparse"
 )
 
 // The pool.Kernel contract, stated once and executably: MulVecRange(x, y,
 // lo, hi) writes exactly y[lo:hi], never x, and what it writes to a row
 // does not depend on the window the row arrived in. This file is the one
-// place that can import sparse, fem and pool together, so every Kernel in
-// the tree is a row of TestKernelContract. What it cannot see — a kernel
-// that writes its own receiver, harmless serially and a data race under
-// Dispatch — is the race job's: checkKernelContract ends by running the
-// kernel through pool.Dispatch so `go test -race` and the promdebug
-// ownership table (check.Owners) both observe it.
+// place that can import sparse, smooth, fem and pool together, so every
+// Kernel in the tree is a row of TestKernelContract: the products, the
+// fused residuals (through residualKernel), element integration and the
+// block-Jacobi factorization, with the block solves — an IndexedKernel —
+// under checkIndexedContract. What it cannot see — a kernel that writes
+// its own receiver, harmless serially and a data race under Dispatch — is
+// the race job's: both checks end by running the kernel through the pool
+// so `go test -race` and the promdebug ownership table (check.Owners)
+// observe it.
 
 // contractSentinel pre-fills y: a quiet NaN whose payload no product
 // computes, so an unwritten row, an accumulated-into row and a row
 // written outside the window all stay recognisable bit for bit.
 var contractSentinel = math.Float64frombits(0x7ff8_dead_beef_cafe)
 
-// checkKernelContract verifies k on n rows over a sweep of windows whose
-// bounds are multiples of align (sparse.DispatchAlign of the kernel): for
-// every start, the empty window, one unit, half of what is left and all
-// of what is left. It returns the first violation, naming the index.
-func checkKernelContract(k pool.Kernel, n, align int) error {
-	rng := rand.New(rand.NewSource(1))
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
+// checkKernelContract verifies k on n rows, reading an x of nx entries,
+// over a sweep of windows whose bounds are multiples of align
+// (sparse.DispatchAlign of the kernel): for every start, the empty window,
+// one unit, half of what is left and all of what is left. It returns the
+// first violation, naming the index.
+func checkKernelContract(k pool.Kernel, nx, n, align int) error {
+	x := contractVector(nx, 1)
 	x0 := slices.Clone(x)
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	sentinels := func() []float64 {
@@ -117,12 +120,8 @@ func checkKernelContract(k pool.Kernel, n, align int) error {
 
 	for _, nw := range []int{1, 2, 3, 8} {
 		y := sentinels()
-		// Dispatch cuts [0, n) into one chunk per worker, at most one per
-		// unit. abreast holds them all inside their claims at once.
-		var wg sync.WaitGroup
-		wg.Add(max(1, min(nw, units)))
 		p := pool.New(nw)
-		p.Dispatch(abreast{k, &wg}, x, y, n, align)
+		p.Dispatch(abreast{k, newRendezvous(nw, units)}, x, y, n, align)
 		p.Close()
 		if err := xIntact(fmt.Sprintf("Dispatch on %d workers", nw)); err != nil {
 			return err
@@ -136,20 +135,147 @@ func checkKernelContract(k pool.Kernel, n, align int) error {
 	return nil
 }
 
-// abreast makes the chunks of one Dispatch run side by side: no call
-// starts its kernel before every call has arrived, so each chunk is on a
-// worker of its own whatever the scheduler would have done with rows this
-// few. That is what lets the race detector see two chunks write one
-// receiver field, and check.Owners see two live claims that overlap.
+// contractVector returns n seeded normal deviates.
+func contractVector(n int, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	return x
+}
+
+// rendezvous holds the participants of one dispatch inside the kernel at
+// once. A dispatch of two units or more runs on min(nw, units)
+// participants and cuts at least that many chunks, so each participant
+// draws a first chunk while the others wait in theirs: the first
+// min(nw, units) calls meet here, later ones pass. That is what lets the
+// race detector see two chunks write one receiver field, and check.Owners
+// see two live claims that overlap, whatever the scheduler would have done
+// with rows this few.
+type rendezvous struct {
+	wg   sync.WaitGroup
+	left atomic.Int32
+}
+
+func newRendezvous(nw, units int) *rendezvous {
+	r := &rendezvous{}
+	n := max(1, min(nw, units))
+	r.wg.Add(n)
+	r.left.Store(int32(n))
+	return r
+}
+
+func (r *rendezvous) arrive() {
+	if r.left.Add(-1) >= 0 {
+		r.wg.Done()
+		r.wg.Wait()
+	}
+}
+
+// abreast is a Kernel whose calls meet at a rendezvous before they run.
 type abreast struct {
-	k  pool.Kernel
-	wg *sync.WaitGroup
+	k pool.Kernel
+	r *rendezvous
 }
 
 func (a abreast) MulVecRange(x, y []float64, lo, hi int) {
-	a.wg.Done()
-	a.wg.Wait()
+	a.r.arrive()
 	a.k.MulVecRange(x, y, lo, hi)
+}
+
+// abreastItems is abreast for an IndexedKernel.
+type abreastItems struct {
+	pool.IndexedKernel
+	r *rendezvous
+}
+
+func (a abreastItems) ApplyOne(x, y []float64, item int) {
+	a.r.arrive()
+	a.IndexedKernel.ApplyOne(x, y, item)
+}
+
+// residualKernel presents a fused residual as the Kernel it must behave
+// as: r[lo:hi] written, b and x read.
+type residualKernel struct {
+	rk pool.ResidualKernel
+	b  []float64
+}
+
+func (k residualKernel) MulVecRange(x, r []float64, lo, hi int) {
+	k.rk.ResidualRange(k.b, x, r, lo, hi)
+}
+
+// checkIndexedContract verifies an item kernel over m items on vectors of
+// n entries: the write sets are pairwise disjoint, ApplyOne writes y
+// nowhere outside its item's set and x nowhere, and the items applied in
+// descending order, and through DispatchIndexed at several widths, leave
+// the bits the ascending loop leaves.
+func checkIndexedContract(k pool.IndexedKernel, n, m int) error {
+	x, y0 := contractVector(n, 1), contractVector(n, 2)
+	x0 := slices.Clone(x)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	owner := make([]int, n)
+	for item := 0; item < m; item++ {
+		for _, i := range k.WriteSet(item) {
+			if owner[i] != 0 {
+				return fmt.Errorf("items %d and %d both write y[%d]", owner[i]-1, item, i)
+			}
+			owner[i] = item + 1
+		}
+	}
+	ref := slices.Clone(y0)
+	for item := 0; item < m; item++ {
+		before := slices.Clone(ref)
+		k.ApplyOne(x, ref, item)
+		for i := range ref {
+			if owner[i] != item+1 && !same(ref[i], before[i]) {
+				return fmt.Errorf("ApplyOne(x, y, %d) wrote y[%d] outside its write set", item, i)
+			}
+			if !same(x[i], x0[i]) {
+				return fmt.Errorf("ApplyOne(x, y, %d) wrote x[%d]", item, i)
+			}
+		}
+	}
+	agree := func(how string, y []float64) error {
+		for i := range y {
+			if !same(y[i], ref[i]) {
+				return fmt.Errorf("%s gives y[%d] = %v, the ascending loop gives %v", how, i, y[i], ref[i])
+			}
+		}
+		return nil
+	}
+	y := slices.Clone(y0)
+	for item := m - 1; item >= 0; item-- {
+		k.ApplyOne(x, y, item)
+	}
+	if err := agree("the descending loop", y); err != nil {
+		return err
+	}
+	for _, nw := range []int{1, 2, 3, 8} {
+		y := slices.Clone(y0)
+		p := pool.New(nw)
+		p.DispatchIndexed(abreastItems{k, newRendezvous(nw, m)}, x, y, m)
+		p.Close()
+		if err := agree(fmt.Sprintf("DispatchIndexed on %d workers", nw), y); err != nil {
+			return err
+		}
+	}
+	// In place, as the smoother's sweep runs it: x and y one vector.
+	y = slices.Clone(x)
+	want := slices.Clone(y0)
+	for item := 0; item < m; item++ {
+		k.ApplyOne(x, want, item)
+	}
+	p := pool.New(3)
+	p.DispatchIndexed(k, y, y, m)
+	p.Close()
+	for i := range y {
+		if owner[i] != 0 && !same(y[i], want[i]) {
+			return fmt.Errorf("DispatchIndexed in place gives y[%d] = %v, out of place gives %v", i, y[i], want[i])
+		}
+	}
+	return nil
 }
 
 // contractBSR builds a random nb x nb block matrix of block size b with
@@ -186,27 +312,97 @@ func contractEBE(t *testing.T) *fem.EBEOperator {
 	return op
 }
 
+// reducedCube assembles the stiffness of an n x n x n hex cube clamped on
+// z = 0 and reduces it to the free dofs: a small SPD elasticity operator.
+func reducedCube(t *testing.T, n int) *sparse.CSR {
+	t.Helper()
+	m := mesh.StructuredHex(n, n, n, 1, 1, 1, nil)
+	c := fem.NewConstraints()
+	for _, v := range m.VertsWhere(func(p geom.Vec3) bool { return p.Z == 0 }) {
+		c.FixVert(v, 0, 0, 0)
+	}
+	k, f, err := fem.NewProblem(m, []material.Model{material.LinearElastic{E: 1, Nu: 0.3}}, false).AssembleTangent(make([]float64, m.NumDOF()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kred, _ := c.Reduce(k, f, c.NewDofMap(m.NumDOF()))
+	return kred
+}
+
+// contractSmoother builds the paper's block-Jacobi smoother on a (six
+// blocks per thousand unknowns, at least two) and returns it with a's
+// scalar view.
+func contractSmoother(t *testing.T, a sparse.Operator) (*smooth.DomainBlockJacobi, *sparse.CSR) {
+	t.Helper()
+	view := sparse.AsCSR(a)
+	nb := max(2, smooth.DefaultBlockCount(view.NRows))
+	g := graph.NewFromPattern(view.NRows, view.RowPtr, view.ColIdx)
+	s, err := smooth.NewDomainBlockJacobi(a, view, graph.GreedyPartition(g, nb), nb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, view
+}
+
 // TestKernelContract runs every pool.Kernel in the tree through
-// checkKernelContract. It is not skipped under -short: the full-tree race
-// job runs -short and is the half of this check that sees receiver
-// writes.
+// checkKernelContract and the block solves through checkIndexedContract.
+// It is not skipped under -short: the full-tree race job runs -short and
+// is the half of this check that sees receiver writes.
 func TestKernelContract(t *testing.T) {
 	bsr3, bsr2 := contractBSR(23, 3), contractBSR(17, 2)
-	kernels := []struct {
-		name string
-		op   sparse.Operator
+	csr := bsr3.ToCSR()
+	ebe := contractEBE(t)
+
+	// Four groups of hex8 elements: the integration kernel's rows are the
+	// scalars of their tangents, and it reads a displacement per dof.
+	hex := mesh.StructuredHex(4, 4, 4, 1, 1, 1, nil)
+	integrate, intRows, intAlign := fem.NewProblem(hex, []material.Model{material.LinearElastic{E: 1, Nu: 0.3}}, true).IntegrationKernel()
+
+	// The smoother of a small elasticity operator: 54 dofs in two blocks.
+	bj, view := contractSmoother(t, reducedCube(t, 2))
+
+	for _, c := range []struct {
+		name         string
+		k            pool.Kernel
+		nx, n, align int
 	}{
-		{"CSR", bsr3.ToCSR()},
-		{"BSR3", bsr3},
-		{"BSR2", bsr2},
-		{"EBEOperator", contractEBE(t)},
-	}
-	for _, c := range kernels {
+		{"CSR", csr, csr.NCols, csr.NRows, 1},
+		{"BSR3", bsr3, bsr3.Cols(), bsr3.Rows(), 3},
+		{"BSR2", bsr2, bsr2.Cols(), bsr2.Rows(), 2},
+		{"EBEOperator", ebe, ebe.Cols(), ebe.Rows(), 1},
+		{"CSR residual", residualKernel{csr, contractVector(csr.NRows, 3)}, csr.NCols, csr.NRows, 1},
+		{"BSR3 residual", residualKernel{bsr3, contractVector(bsr3.Rows(), 3)}, bsr3.Cols(), bsr3.Rows(), 3},
+		{"BSR2 residual", residualKernel{bsr2, contractVector(bsr2.Rows(), 3)}, bsr2.Cols(), bsr2.Rows(), 2},
+		{"element integration", integrate, hex.NumDOF(), intRows, intAlign},
+		{"block factor", bj.FactorKernel(view), 0, len(bj.Blocks()), 1},
+	} {
 		t.Run(c.name, func(t *testing.T) {
-			if err := checkKernelContract(c.op, c.op.Rows(), sparse.DispatchAlign(c.op)); err != nil {
+			if err := checkKernelContract(c.k, c.nx, c.n, c.align); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+	t.Run("block solve", func(t *testing.T) {
+		if err := checkIndexedContract(bj.SolveKernel(), view.NRows, len(bj.Blocks())); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestFusedResidualIsProductThenSubtract pins the fused kernels to the two
+// passes they replaced: r = b - A·x with A·x rounded to a float64 first.
+func TestFusedResidualIsProductThenSubtract(t *testing.T) {
+	bsr3, bsr2 := contractBSR(23, 3), contractBSR(17, 2)
+	for name, a := range map[string]sparse.Operator{"CSR": bsr3.ToCSR(), "BSR3": bsr3, "BSR2": bsr2} {
+		x, b := contractVector(a.Cols(), 1), contractVector(a.Rows(), 3)
+		ax, r := make([]float64, a.Rows()), make([]float64, a.Rows())
+		a.MulVec(x, ax)
+		a.Residual(b, x, r)
+		for i := range r {
+			if math.Float64bits(r[i]) != math.Float64bits(b[i]-ax[i]) {
+				t.Fatalf("%s: r[%d] = %v, b - A·x = %v", name, i, r[i], b[i]-ax[i])
+			}
+		}
 	}
 }
 
@@ -251,7 +447,7 @@ func TestKernelContractSeededFaults(t *testing.T) {
 		{"WritesX", writesXKernel{}, "wrote x[0]"},
 		{"WholeVector", wholeVectorKernel{}, "wrote y[0] outside the window"},
 	} {
-		err := checkKernelContract(c.k, 12, 1)
+		err := checkKernelContract(c.k, 12, 12, 1)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
 		}
