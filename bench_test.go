@@ -417,8 +417,8 @@ func BenchmarkSmoother(b *testing.B) {
 // with 15 µs of busy work planted in the helper's span): it fails when the
 // pairs show the overhead, not when they cannot tell.
 func TestSmootherObsOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing gate skipped in -short mode")
+	if testing.Short() || raceEnabled {
+		t.Skip("timing gate skipped in -short mode and under the race detector")
 	}
 	s := problems.NewSpheresConfig(problems.SpheresConfig{
 		Layers: 5, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2,
@@ -556,6 +556,43 @@ func BenchmarkGalerkin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = sparse.Galerkin(r, k)
+	}
+}
+
+// BenchmarkPreconditioner measures one hierarchy build on the
+// spheres_newton tangent: "plan" from a Solver without a plan (the first
+// build of a mesh), "fill" into the plan of an earlier operator of the
+// same pattern (every Newton rebuild after the first).
+func BenchmarkPreconditioner(b *testing.B) {
+	s := problems.NewSpheresConfig(problems.SpheresConfig{
+		Layers: 5, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2,
+	})
+	solver, err := NewSolver(s.Mesh, s.Cons, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	k, _, err := NewProblem(s.Mesh, s.Models, true).AssembleTangent(make([]float64, s.Mesh.NumDOF()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	kred, _ := solver.ReduceSystem(k, make([]float64, s.Mesh.NumDOF()))
+	if _, err := solver.Preconditioner(kred); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		solver func() *Solver
+	}{
+		{"plan", func() *Solver { return withoutPlan(solver) }},
+		{"fill", func() *Solver { return solver }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := c.solver().Preconditioner(kred); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -120,24 +120,28 @@ func TestSmootherPartitionMatchesEdgeListGraph(t *testing.T) {
 }
 
 // TestBlockGatherMatchesAt checks the packed block gather entry by entry
-// against the level operator's own At on both assembled storages: the
-// first and last smoother block of every level through one position array
-// for the whole partition (the form concurrent block setup shares), then
-// the first block again in reversed dof order.
+// against the level operator's own At on both assembled storages, reading
+// each level's own storage (BSR levels through their blocks): the first
+// and last smoother block of every level through one position array for
+// the whole partition (the form concurrent block setup shares), then the
+// first block again in reversed dof order.
 func TestBlockGatherMatchesAt(t *testing.T) {
+	type gatherer interface {
+		GatherLowerPacked(idx, pos []int, l []float64)
+	}
 	seen := map[string]bool{}
 	for _, mg := range []*multigrid.MG{spheresSystem(t, false, multigrid.Options{}).hierarchy(t), cubeSystem(t, false, multigrid.Options{}).hierarchy(t)} {
 		for li, lvl := range mg.Levels {
 			seen[fmt.Sprintf("%T", lvl.A)] = true
 			at := lvl.A.(sparse.RowScanner)
-			view := sparse.AsCSR(lvl.A)
-			nb := smooth.DefaultBlockCount(view.NRows)
-			g := graph.NewFromPattern(view.NRows, view.RowPtr, view.ColIdx)
+			e := sparse.EntriesOf(lvl.A)
+			nb := smooth.DefaultBlockCount(e.NRows)
+			g := graph.NewFromPattern(e.NRows, e.RowPtr, e.ColIdx)
 			blocks := graph.PartMembers(graph.GreedyPartition(g, nb), nb)
 			// pos[d] is d's position inside its own block, as the
 			// smoother's setup builds it: every other block's entries
 			// are the garbage the gather must see through.
-			pos := make([]int, view.NRows)
+			pos := make([]int, e.NRows)
 			for _, dofs := range blocks {
 				for k, d := range dofs {
 					pos[d] = k
@@ -157,7 +161,7 @@ func TestBlockGatherMatchesAt(t *testing.T) {
 					l[i] = -7 // the gather must overwrite every slot
 				}
 				before := slices.Clone(c.pos)
-				view.GatherLowerPacked(dofs, c.pos, l)
+				lvl.A.(gatherer).GatherLowerPacked(dofs, c.pos, l)
 				for p, i := range dofs {
 					for q, j := range dofs[:p+1] {
 						if got, want := l[la.PackedLen(p)+q], at.At(i, j); got != want {

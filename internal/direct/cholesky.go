@@ -19,24 +19,48 @@ var ErrNotSPD = errors.New("direct: matrix is not positive definite")
 
 // Cholesky is a profile Cholesky factorization P·A·Pᵀ = L·Lᵀ.
 type Cholesky struct {
-	n     int
-	perm  []int // new -> old
-	iperm []int // old -> new
-	first []int // first stored column of each row
-	rows  [][]float64
-	work  []float64 // Solve's permuted vector, hoisted so a solve never allocates
+	*Symbolic
+	rows [][]float64 // row i of L: columns first[i]..i
+	work []float64   // Solve's permuted vector, hoisted so a solve never allocates
 	// FactorFlops is the flop count of the factorization.
 	FactorFlops int64
 }
 
-// New factors the SPD matrix a.
+// Symbolic is the pattern half of the factorization: the reverse
+// Cuthill-McKee order, the profile it gives, and where each stored entry
+// of A's lower triangle lands in the profile. It is shared, read-only, by
+// every factor made from it.
+type Symbolic struct {
+	n     int
+	perm  []int // new -> old
+	iperm []int // old -> new
+	first []int // first stored column of each row
+	off   []int // row i of the profile at [off[i], off[i+1]) of the factor
+	// Entry t of A's lower triangle goes to profile position dst[t] from
+	// value src[t] of A's value array.
+	dst, src []int32
+}
+
+// New factors the SPD matrix a: Plan and Factor in one.
 func New(a *sparse.CSR) (*Cholesky, error) {
-	if a.NRows != a.NCols {
+	s, err := Plan(sparse.EntriesOf(a))
+	if err != nil {
+		return nil, err
+	}
+	return s.Factor(a.Val)
+}
+
+// Plan orders and profiles the pattern e.
+func Plan(e *sparse.Entries) (*Symbolic, error) {
+	if e.NRows != e.NCols {
 		return nil, errors.New("direct: matrix must be square")
 	}
-	n := a.NRows
+	if len(e.ColIdx) > math.MaxInt32 {
+		return nil, errors.New("direct: matrix too large to factor")
+	}
+	n := e.NRows
 	// RCM on the matrix graph.
-	g := graph.NewFromPattern(n, a.RowPtr, a.ColIdx)
+	g := graph.NewFromPattern(n, e.RowPtr, e.ColIdx)
 	perm := graph.ReverseCuthillMcKee(g)
 	iperm := make([]int, n)
 	for newI, old := range perm {
@@ -50,8 +74,7 @@ func New(a *sparse.CSR) (*Cholesky, error) {
 	}
 	for oldI := 0; oldI < n; oldI++ {
 		i := iperm[oldI]
-		cols, _ := a.Row(oldI)
-		for _, oldJ := range cols {
+		for _, oldJ := range e.ColIdx[e.RowPtr[oldI]:e.RowPtr[oldI+1]] {
 			j := iperm[oldJ]
 			if j < first[i] {
 				first[i] = j
@@ -61,22 +84,43 @@ func New(a *sparse.CSR) (*Cholesky, error) {
 			}
 		}
 	}
-	c := &Cholesky{n: n, perm: perm, iperm: iperm, first: first, work: make([]float64, n)}
-	c.rows = make([][]float64, n)
+	s := &Symbolic{n: n, perm: perm, iperm: iperm, first: first, off: make([]int, n+1)}
 	for i := 0; i < n; i++ {
-		c.rows[i] = make([]float64, i-first[i]+1)
+		s.off[i+1] = s.off[i] + i - first[i] + 1
 	}
-	// Scatter A into the profile (lower triangle, permuted).
+	if s.off[n] > math.MaxInt32 {
+		return nil, errors.New("direct: profile too large to factor")
+	}
+	// The scatter of A into the profile (lower triangle, permuted).
 	for oldI := 0; oldI < n; oldI++ {
 		i := iperm[oldI]
-		cols, vals := a.Row(oldI)
-		for k, oldJ := range cols {
-			j := iperm[oldJ]
+		for k := e.RowPtr[oldI]; k < e.RowPtr[oldI+1]; k++ {
+			j := iperm[e.ColIdx[k]]
 			if j > i {
 				continue
 			}
-			c.rows[i][j-first[i]] += vals[k]
+			src := k
+			if e.Src != nil {
+				src = e.Src[k]
+			}
+			s.dst = append(s.dst, int32(s.off[i]+j-first[i]))
+			s.src = append(s.src, int32(src))
 		}
+	}
+	return s, nil
+}
+
+// Factor factors the matrix whose values are vals, in the storage the
+// plan's Entries index.
+func (s *Symbolic) Factor(vals []float64) (*Cholesky, error) {
+	n := s.n
+	c := &Cholesky{Symbolic: s, rows: make([][]float64, n), work: make([]float64, n)}
+	l := make([]float64, s.off[n])
+	for i := range c.rows {
+		c.rows[i] = l[s.off[i]:s.off[i+1]:s.off[i+1]]
+	}
+	for t, d := range s.dst {
+		l[d] += vals[s.src[t]]
 	}
 	// Profile Cholesky: for each row i, for j in [first[i], i]:
 	// L(i,j) = (A(i,j) - sum_k L(i,k) L(j,k)) / L(j,j), k from
@@ -143,13 +187,7 @@ func (c *Cholesky) Solve(b, x []float64) {
 }
 
 // SolveFlops returns the flop count of one Solve call.
-func (c *Cholesky) SolveFlops() int64 {
-	var nnz int64
-	for i := range c.rows {
-		nnz += int64(len(c.rows[i]))
-	}
-	return 4 * nnz
-}
+func (c *Cholesky) SolveFlops() int64 { return 4 * int64(c.off[c.n]) }
 
 // N returns the system size.
 func (c *Cholesky) N() int { return c.n }

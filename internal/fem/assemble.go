@@ -168,6 +168,11 @@ func (p *Problem) bMatrix(ed *elementData, g, nNodes int, b [][]float64) {
 	}
 }
 
+// shearComponents lists, for the shear rows of B (strains xy, yz, zx),
+// the displacement components whose columns bMatrix fills; the normal
+// rows hold one component each, all three with B-bar.
+var shearComponents = [3][2]int{{0, 1}, {1, 2}, {0, 2}}
+
 // elemScratch holds the per-worker buffers of element integration.
 type elemScratch struct {
 	b, db [][]float64
@@ -208,28 +213,47 @@ func (p *Problem) integrateElement(e int, u []float64, scr *elemScratch, ke, fe 
 		sig, d, _ := model.Update(p.States[e][g], eps)
 		p.bMatrix(ed, g, nNodes, scr.b)
 		w := gp.W * ed.detJ[g]
-		// db = D·B.
+		// db = D·B, row by row: onto +0, the terms d[i][k]·b[k][j] for k
+		// ascending, over the columns j where row k of B can be nonzero.
+		// A sum that starts at +0 never holds -0, so the terms left out,
+		// ±0 for a finite D, change no bit.
 		for i := 0; i < 6; i++ {
-			for j := 0; j < ndof; j++ {
-				s := 0.0
-				for k := 0; k < 6; k++ {
-					s += d[i][k] * scr.b[k][j]
+			dbi := scr.db[i][:ndof]
+			clear(dbi)
+			for k := 0; k < 6; k++ {
+				dik, bk := d[i][k], scr.b[k][:ndof]
+				switch {
+				case k < 3 && p.BBar:
+					for j, v := range bk {
+						dbi[j] += dik * v
+					}
+				case k < 3:
+					for j := k; j < ndof; j += 3 {
+						dbi[j] += dik * bk[j]
+					}
+				default:
+					c0, c1 := shearComponents[k-3][0], shearComponents[k-3][1]
+					for j := 0; j+2 < ndof; j += 3 {
+						dbi[j+c0] += dik * bk[j+c0]
+						dbi[j+c1] += dik * bk[j+c1]
+					}
 				}
-				scr.db[i][j] = s
 			}
 		}
-		// ke += w·Bᵀ·(D·B); fe += w·Bᵀ·σ.
+		// ke += w·Bᵀ·(D·B); fe += w·Bᵀ·σ. w·b is rounded once per (i, k),
+		// as the product w·b·x already rounded it first.
 		for i := 0; i < ndof; i++ {
+			krow := ke[i*ndof : (i+1)*ndof]
 			for k := 0; k < 6; k++ {
 				bki := scr.b[k][i]
 				if bki == 0 {
 					continue
 				}
-				fe[i] += w * bki * sig[k]
-				row := scr.db[k]
-				krow := ke[i*ndof : (i+1)*ndof]
-				for j := 0; j < ndof; j++ {
-					krow[j] += w * bki * row[j]
+				wb := w * bki
+				fe[i] += wb * sig[k]
+				row := scr.db[k][:len(krow)]
+				for j, v := range row {
+					krow[j] += wb * v
 				}
 			}
 		}
@@ -242,39 +266,35 @@ func (p *Problem) integrateElement(e int, u []float64, scr *elemScratch, ke, fe 
 // elements to a dispatch: their tangents and forces land in one slot each
 // of a chunk-long buffer, whoever integrates them, and are drained in
 // element order afterwards, so every assembled entry is the same sum in
-// the same order as a one-core run's. Inside a dispatch integrateGroup
-// consecutive elements are the unit of work and share one scratch.
+// the same order as a one-core run's. A dispatch hands out integrateGroup
+// consecutive elements at a time.
 const (
 	assembleChunk  = 256
 	integrateGroup = 16
 )
 
 // elemKernel is element integration (kes non-nil) and the material commit
-// (kes nil) as a pool.Kernel. Integrating, a row is one scalar of the
-// chunk's tangent buffer: slot s, element e0+s, owns kes[s·ndof²:(s+1)·ndof²]
-// and fes[s·ndof:(s+1)·ndof], and MulVecRange(u, kes, lo, hi) fills exactly
-// the slots of [lo, hi). Committing, a row is one element and the writes
-// go to its States. Dispatches are aligned to integrateGroup slots, so a
-// group's scratch, error and flop count belong to one participant.
+// (kes nil) at u as a pool.ItemKernel over the elements of one chunk:
+// item s is element e0+s. Integrating, it owns slot s of the chunk's
+// buffers, kes[s·ndof²:(s+1)·ndof²] and fes[s·ndof:(s+1)·ndof];
+// committing, the element's States. Each lane integrates with scratch of
+// its own and counts its flops apart.
 type elemKernel struct {
 	p       *Problem
+	u       []float64
 	e0      int
 	ndof    int
 	kes     []float64
 	fes     []float64
-	scratch [assembleChunk / integrateGroup]*elemScratch
-	errs    [assembleChunk / integrateGroup]error
-	flops   [assembleChunk / integrateGroup]int64
+	scratch [pool.Lanes]*elemScratch
+	flops   [pool.Lanes]int64
+	errs    [assembleChunk]error
 }
 
-// newElemKernel allocates the group scratch and, for integration, the
-// chunk's slot buffers.
+// newElemKernel allocates, for integration, the chunk's slot buffers.
 func (p *Problem) newElemKernel(integrate bool) *elemKernel {
 	ndof := 3 * p.M.Type.NodesPerElem()
 	k := &elemKernel{p: p, ndof: ndof}
-	for g := range k.scratch {
-		k.scratch[g] = newElemScratch(p.M.Type)
-	}
 	if integrate {
 		k.kes = make([]float64, assembleChunk*ndof*ndof)
 		k.fes = make([]float64, assembleChunk*ndof)
@@ -282,43 +302,34 @@ func (p *Problem) newElemKernel(integrate bool) *elemKernel {
 	return k
 }
 
-// MulVecRange implements pool.Kernel (see elemKernel). A group that has
-// failed skips its remaining elements; run reports the failure.
-func (k *elemKernel) MulVecRange(u, kes []float64, lo, hi int) {
-	ndof, stride := k.ndof, 1
-	if kes != nil {
-		stride = ndof * ndof
+// Items implements pool.ItemKernel (see elemKernel).
+func (k *elemKernel) Items(w, lo, hi int) {
+	scr := k.scratch[w]
+	if scr == nil {
+		scr = newElemScratch(k.p.M.Type)
+		k.scratch[w] = scr
 	}
-	for s := lo / stride; s < hi/stride; s++ {
-		g := s / integrateGroup
-		if k.errs[g] != nil {
+	ndof := k.ndof
+	for s := lo; s < hi; s++ {
+		if k.kes == nil {
+			k.errs[s] = k.p.commitElement(k.e0+s, k.u, scr.ed)
 			continue
 		}
-		if kes == nil {
-			k.errs[g] = k.p.commitElement(k.e0+s, u, k.scratch[g].ed)
-			continue
-		}
-		fl, err := k.p.integrateElement(k.e0+s, u, k.scratch[g], kes[s*stride:(s+1)*stride], k.fes[s*ndof:(s+1)*ndof])
-		k.errs[g] = err
-		k.flops[g] += fl
+		fl, err := k.p.integrateElement(k.e0+s, k.u, scr, k.kes[s*ndof*ndof:(s+1)*ndof*ndof], k.fes[s*ndof:(s+1)*ndof])
+		k.errs[s] = err
+		k.flops[w] += fl
 	}
 }
 
 // run dispatches elements [e0, e1), at most assembleChunk of them, and
 // returns the error of the first one that failed.
 func (k *elemKernel) run(u []float64, e0, e1 int) error {
-	k.e0 = e0
-	stride := 1
-	var kes []float64
-	if k.kes != nil {
-		stride = k.ndof * k.ndof
-		kes = k.kes[:(e1-e0)*stride]
-	}
+	k.u, k.e0 = u, e0
 	// No cost model: the helpers take part whenever there are two groups
 	// to hand out. A group is some 600 k multiply-adds integrating (a hex8
 	// is about 38 k) and of the order of pool.Grain committing.
-	pool.Run(k, u, kes, (e1-e0)*stride, integrateGroup*stride, (e1-e0)*pool.Grain)
-	for _, err := range k.errs {
+	pool.RunItems(k, e1-e0, integrateGroup, (e1-e0)*pool.Grain)
+	for _, err := range k.errs[:e1-e0] {
 		if err != nil {
 			return err
 		}
@@ -344,13 +355,15 @@ func (p *Problem) integrateChunks(u []float64, drain func(e0, e1 int, kes, fes [
 	return nil
 }
 
-// IntegrationKernel returns element integration over the first chunk of
-// the mesh as the kernel AssembleBlockTangent dispatches, with its row
-// count and alignment, for TestKernelContract.
-func (p *Problem) IntegrationKernel() (k pool.Kernel, rows, align int) {
+// IntegrationKernel returns element integration at u over the first chunk
+// of the mesh as the kernel AssembleBlockTangent dispatches, with the
+// tangent and force buffers it writes and its element count, for
+// TestKernelContract.
+func (p *Problem) IntegrationKernel(u []float64) (k pool.ItemKernel, kes, fes []float64, n int) {
 	ek := p.newElemKernel(true)
-	stride := ek.ndof * ek.ndof
-	return ek, min(p.M.NumElems(), assembleChunk) * stride, integrateGroup * stride
+	ek.u = u
+	n = min(p.M.NumElems(), assembleChunk)
+	return ek, ek.kes[:n*ek.ndof*ek.ndof], ek.fes[:n*ek.ndof], n
 }
 
 // AssembleTangent computes the global consistent tangent K(u) and internal

@@ -54,7 +54,7 @@
 //     storage types (*sparse.CSR, *sparse.BSR) are confined to the
 //     storage seam (internal/sparse and internal/multigrid) —
 //     everywhere else must use the sparse capability interfaces or the
-//     sanctioned TryCSR/AutoBlockOp helpers, so the matrix-free
+//     sanctioned TryCSR helper, so the matrix-free
 //     operator flows through every layer.
 //
 // The message protocol of internal/par is not among them: it is checked

@@ -15,8 +15,8 @@ import (
 // the sparse package itself and the multigrid level plumbing, which by
 // design choose per-level storage — consumers must program against the
 // sparse capability interfaces (RowScanner, BlockDiagonaler, Sweeper,
-// GalerkinAssembler, ...) or go through the sanctioned sparse.TryCSR /
-// sparse.AutoBlockOp helpers.
+// GalerkinAssembler, ...) or go through the sanctioned sparse.TryCSR
+// helper.
 type OperatorSeam struct {
 	// SparsePath is the import path of the sparse package (default
 	// prometheus/internal/sparse; fixtures override it).

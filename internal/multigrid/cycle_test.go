@@ -208,12 +208,14 @@ func solveOutcomeOf(t *testing.T, fine sparse.Operator, f []float64, rs []*spars
 // residual history and every level's smoother partition, on the two shapes
 // where the applied operator and the setup view differ: a CSR-fine
 // hierarchy whose Galerkin levels have pinned rows (so blocking them adds
-// fill), and a BSR-fine hierarchy with a Galerkin level that fixEmptyRowsOp
-// repaired to scalar.
+// fill), and BSR-fine hierarchies with a pinned Galerkin level, reached
+// through the scalar product (a restriction that is not node-conforming)
+// and through the blocked one (a whole node pinned).
 func TestBlockingIsAKernelChoice(t *testing.T) {
 	sk, sf, srs := buildSpheres(t)
 	ck, cf, crs := buildElasticity(t, 5, core.Options{MinCoarse: 10})
-	crs = append([]*sparse.CSR{emptyRowRestriction(crs[0])}, crs[1:]...)
+	rowRS := append([]*sparse.CSR{emptyRowRestriction(crs[0])}, crs[1:]...)
+	nodeRS := append([]*sparse.CSR{zeroNodeRestriction(crs[0])}, crs[1:]...)
 	for _, tc := range []struct {
 		name    string
 		fine    sparse.Operator
@@ -222,7 +224,8 @@ func TestBlockingIsAKernelChoice(t *testing.T) {
 		storage []string
 	}{
 		{"spheres, CSR fine", sk, sf, srs, []string{"csr", "bsr", "bsr", "csr"}},
-		{"cube with a repaired level, BSR fine", sparse.AutoBlock(ck, 3), cf, crs, []string{"bsr", "bsr", "csr"}},
+		{"cube with a repaired level, BSR fine", sparse.AutoBlock(ck, 3), cf, rowRS, []string{"bsr", "bsr", "csr"}},
+		{"cube with a pinned node, BSR fine", sparse.AutoBlock(ck, 3), cf, nodeRS, []string{"bsr", "bsr", "csr"}},
 	} {
 		scalar := solveOutcomeOf(t, tc.fine, tc.f, tc.rs, Options{Storage: StorageCSR})
 		auto := solveOutcomeOf(t, tc.fine, tc.f, tc.rs, Options{})

@@ -13,7 +13,6 @@ import (
 
 	"prometheus/internal/check"
 	"prometheus/internal/direct"
-	"prometheus/internal/graph"
 	"prometheus/internal/la"
 	"prometheus/internal/obs"
 	"prometheus/internal/smooth"
@@ -55,10 +54,10 @@ const (
 	// shape allows (sparse.AutoBlock: BlockSize-divisible dimension, fill at
 	// most 2x). A BSR fine grid gets BSR coarse grids straight from the
 	// blocked Galerkin product; under a CSR fine grid — or below a level
-	// fixEmptyRowsOp repaired to scalar — setup runs the scalar pipeline
-	// and only the operator the cycle and the smoother apply is blocked.
-	// Blocking is a kernel choice, not arithmetic: solutions are bitwise
-	// those of StorageCSR.
+	// whose pinned rows take entries out of its blocks — setup and the next
+	// product read the scalar matrix of the Galerkin chain and the cycle
+	// applies a BSR copy of it. Blocking is a kernel choice, not
+	// arithmetic: solutions are bitwise those of StorageCSR.
 	StorageAuto StorageKind = iota
 	// StorageCSR forces scalar CSR on every level.
 	StorageCSR
@@ -258,25 +257,6 @@ func pinList(d []float64) (keep []int, maxd float64) {
 	return keep, maxd
 }
 
-// fixEmptyRowsOp is the storage-polymorphic wrapper: the common no-bad-rows
-// case is detected from the diagonal without converting storage. A BSR
-// operator that does need pinning is repaired through the scalar rebuild
-// and *stays* scalar — pinning strips entries out of blocks, and re-blocking
-// the ragged pattern would add fill that changes the smoother's partition
-// graph relative to the CSR pipeline. Levels below a repaired one follow
-// the scalar path, bitwise identical to the pre-refactor hierarchy.
-func fixEmptyRowsOp(a sparse.Operator) sparse.Operator {
-	ab, ok := a.(*sparse.BSR)
-	if !ok {
-		return fixEmptyRows(a.(*sparse.CSR))
-	}
-	keep, maxd := pinList(ab.Diag())
-	if keep == nil {
-		return a
-	}
-	return ab.ToCSR().Select(keep, keep, ab.Cols(), maxd)
-}
-
 // opSymmetric is the storage-polymorphic symmetry diagnostic used by the
 // promdebug hierarchy checks.
 func opSymmetric(a sparse.Operator, tol float64) bool {
@@ -292,73 +272,24 @@ func opSymmetric(a sparse.Operator, tol float64) bool {
 
 // New assembles the hierarchy: fineA is the (reduced) fine operator and
 // restrictions[l] maps level l dofs to level l+1 dofs, already aligned with
-// fineA's dof numbering on level 0.
+// fineA's dof numbering on level 0. It is Build without a plan to reuse.
 func New(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG, error) {
-	sp := obs.Start(evSetup)
-	mg, err := newMG(fineA, restrictions, opts)
-	sp.End()
-	if mg != nil {
-		for li, lvl := range mg.Levels {
-			obs.RecordLevel(li, lvl.A.Rows(), lvl.A.NNZ(), storageName(lvl.A))
-		}
-	}
+	mg, _, err := Build(nil, fineA, restrictions, opts)
 	return mg, err
 }
 
-func newMG(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG, error) {
-	opts = opts.withDefaults()
-	if fineA.Rows() != fineA.Cols() {
-		return nil, errors.New("multigrid: fine operator must be square")
-	}
-	mg := &MG{Opts: opts}
-	a := fineA
-	switch opts.Storage {
-	case StorageCSR:
-		a = sparse.AsCSR(fineA)
-	case StorageBSR:
-		if _, ok := a.(*sparse.BSR); !ok {
-			a = sparse.AutoBlock(sparse.AsCSR(fineA), opts.BlockSize)
-		}
-	case StorageMatrixFree:
-		// The fine operator stays exactly as handed in; the only demands a
-		// matrix-free hierarchy makes of it are the Galerkin capability for
-		// the first coarsening and at least one coarse level to hand the
-		// direct solver an assembled matrix.
-		if _, ok := fineA.(sparse.GalerkinAssembler); !ok {
-			return nil, errors.New("multigrid: StorageMatrixFree needs a fine operator with the Galerkin-assembly capability (fem.EBEOperator)")
-		}
-		if len(restrictions) == 0 {
-			return nil, errors.New("multigrid: StorageMatrixFree needs at least one coarse level for the direct solve")
-		}
-	}
-	mg.Levels = append(mg.Levels, &Level{A: a})
-	for _, r := range restrictions {
-		if r.NCols != a.Rows() {
-			return nil, fmt.Errorf("multigrid: restriction %dx%d does not match operator %d",
-				r.NRows, r.NCols, a.Rows())
-		}
-		// The blocked Galerkin product accumulates each scalar entry in the
-		// same order as the scalar one, so a BSR hierarchy is bitwise equal
-		// to the CSR hierarchy it replaces (iteration counts included).
-		spg := obs.Start(evGalerkin)
-		var ac sparse.Operator
-		if ga, ok := a.(sparse.GalerkinAssembler); ok {
-			// Matrix-free level: R·A·Rᵀ assembled from element
-			// contributions, never from a stored fine matrix. The chain
-			// continues as scalar CSR below.
-			ac = fixEmptyRows(ga.AssembleGalerkin(r))
-		} else if _, blocked := a.(*sparse.BSR); blocked {
-			ac = fixEmptyRowsOp(sparse.GalerkinBSR(r, a))
-		} else {
-			ac = fixEmptyRows(sparse.Galerkin(r, a.(*sparse.CSR)))
-		}
-		spg.End()
-		// Galerkin product cost estimate: ~2 flops per multiply-add over
-		// the row-merge; use 4·nnz(A)·avg row of R as a proxy.
-		mg.SetupFlops += 4 * int64(ac.NNZ())
-		lvl := &Level{A: ac, R: r, P: r.Transpose()}
-		mg.Levels = append(mg.Levels, lvl)
-		a = ac
+// Build assembles the hierarchy as New does, from plan when plan was made
+// for fineA's pattern, the same restrictions and the same options, and
+// from a new plan otherwise. It returns the plan the hierarchy was filled
+// from, for the caller to hand to the next Build; nil when the fine level
+// is matrix-free, which has no pattern to compare. A hierarchy filled from
+// a reused plan is bitwise the one a new plan gives.
+func Build(plan *Plan, fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG, *Plan, error) {
+	sp := obs.Start(evSetup)
+	mg, plan, err := build(plan, fineA, restrictions, opts.withDefaults())
+	sp.End()
+	if err != nil {
+		return nil, nil, err
 	}
 	if check.Enabled {
 		// The hierarchy the cycles recurse over must strictly shrink, and
@@ -371,53 +302,102 @@ func newMG(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG
 		}
 		check.StrictlyDecreasing(dims, "multigrid.New level dims")
 	}
-	// Smoothers on all but the coarsest; direct solve on the coarsest. Up to
-	// here lvl.A is what the Galerkin chain produced — the setup view: the
-	// smoother's partition graph, its block factors and the coarsest
-	// Cholesky read it, so they do not depend on the kernel choice below.
 	for li, lvl := range mg.Levels {
-		lvl.x = make([]float64, lvl.A.Rows())
-		lvl.b = make([]float64, lvl.A.Rows())
-		lvl.res = make([]float64, lvl.A.Rows())
-		if li == len(mg.Levels)-1 {
-			ch, err := direct.New(sparse.AsCSR(lvl.A))
-			if err != nil {
-				return nil, fmt.Errorf("multigrid: coarsest factorization: %w", err)
-			}
-			lvl.Direct = ch
-			mg.SetupFlops += ch.FactorFlops
-			continue
-		}
-		view := lvl.A
-		if li > 0 && opts.blocksGalerkinLevels() {
-			// The BSR product adds a row's entries in the scalar order, so
-			// this changes the kernel and no bit of the result.
-			lvl.A = sparse.AutoBlockOp(view, opts.BlockSize)
-		}
-		sps := obs.Start(evSmoother)
-		s, err := mg.makeSmoother(lvl.A, view)
-		sps.End()
-		if err != nil {
-			return nil, err
-		}
-		lvl.Smoother = s
+		obs.RecordLevel(li, lvl.A.Rows(), lvl.A.NNZ(), storageName(lvl.A))
 	}
+	return mg, plan, nil
+}
+
+func build(plan *Plan, fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG, *Plan, error) {
+	if fineA.Rows() != fineA.Cols() {
+		return nil, nil, errors.New("multigrid: fine operator must be square")
+	}
+	if !assembled(fineA) {
+		mg, err := newMatrixFree(fineA, restrictions, opts)
+		return mg, nil, err
+	}
+	if opts.Storage == StorageMatrixFree {
+		return nil, nil, errors.New("multigrid: StorageMatrixFree needs a fine operator with the Galerkin-assembly capability (fem.EBEOperator)")
+	}
+	if plan != nil && plan.matches(fineA, restrictions, opts) {
+		mg, err := plan.fill(fineA)
+		if !errors.Is(err, errPinsMoved) {
+			cPlanReused.Inc()
+			return mg, plan, err
+		}
+	}
+	plan = newPlan(fineA, restrictions, opts)
+	mg, err := plan.fill(fineA)
+	if err != nil {
+		return nil, nil, err
+	}
+	cPlanBuilt.Inc()
+	return mg, plan, nil
+}
+
+// assembled reports whether a stores its entries (CSR or BSR).
+func assembled(a sparse.Operator) bool {
+	switch a.(type) {
+	case *sparse.CSR, *sparse.BSR:
+		return true
+	}
+	return false
+}
+
+// newMatrixFree builds the hierarchy under a matrix-free fine operator: the
+// first coarse operator is assembled from element contributions through
+// the sparse.GalerkinAssembler capability, the levels below are planned and
+// filled from it as from an assembled fine operator, and the fine level
+// gets an apply-only smoother.
+func newMatrixFree(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG, error) {
+	ga, ok := fineA.(sparse.GalerkinAssembler)
+	if !ok {
+		return nil, errors.New("multigrid: StorageMatrixFree needs a fine operator with the Galerkin-assembly capability (fem.EBEOperator)")
+	}
+	if len(restrictions) == 0 {
+		return nil, errors.New("multigrid: StorageMatrixFree needs at least one coarse level for the direct solve")
+	}
+	r := restrictions[0]
+	if r.NCols != fineA.Rows() {
+		return nil, fmt.Errorf("multigrid: restriction %dx%d does not match operator %d", r.NRows, r.NCols, fineA.Rows())
+	}
+	spg := obs.Start(evGalerkin)
+	first := fixEmptyRows(ga.AssembleGalerkin(r))
+	spg.End()
+	// Below the fine level a matrix-free hierarchy is the scalar one. Its
+	// plan is not kept: there is no fine pattern to compare the next
+	// operator with.
+	below := opts
+	below.Storage = StorageCSR
+	coarse, err := newPlan(first, restrictions[1:], below).fill(first)
+	if err != nil {
+		return nil, err
+	}
+	coarse.Levels[0].R, coarse.Levels[0].P = r, r.Transpose()
+	mg := &MG{Opts: opts, SetupFlops: coarse.SetupFlops + 4*int64(first.NNZ())}
+	fine := newLevel(fineA)
+	sps := obs.Start(evSmoother)
+	fine.Smoother, err = mg.makeSmoother(fineA, nil, nil)
+	sps.End()
+	if err != nil {
+		return nil, err
+	}
+	mg.Levels = append([]*Level{fine}, coarse.Levels...)
 	return mg, nil
 }
 
-// rowTraversable reports whether the level operator exposes stored
-// entries (the RowScanner capability). The domain-decomposed smoothers
-// need the matrix graph to partition, so on a matrix-free level
-// makeSmoother silently substitutes Chebyshev — the natural apply-only
-// smoother — instead of failing the whole hierarchy.
-func rowTraversable(a sparse.Operator) bool {
-	_, ok := a.(sparse.RowScanner)
-	return ok
+// newLevel returns a level applying a, with its cycle scratch.
+func newLevel(a sparse.Operator) *Level {
+	n := a.Rows()
+	return &Level{A: a, x: make([]float64, n), b: make([]float64, n), res: make([]float64, n)}
 }
 
-// makeSmoother builds the smoother that applies a. view is the operator
-// setup reads — a itself, or the scalar matrix a was blocked from.
-func (mg *MG) makeSmoother(a, view sparse.Operator) (smooth.Smoother, error) {
+// makeSmoother builds the smoother that applies a. The domain smoothers
+// factor the blocks bj plans, gathered from setup, the matrix of the
+// Galerkin chain (a itself, or the scalar matrix a was blocked from); an
+// operator that cannot be partitioned (matrix-free, bj nil) gets Chebyshev
+// instead.
+func (mg *MG) makeSmoother(a sparse.Operator, bj *smooth.BlockPlan, setup sparse.Operator) (smooth.Smoother, error) {
 	switch mg.Opts.Smoother {
 	case Jacobi:
 		return smooth.NewJacobi(a, 2.0/3), nil
@@ -434,47 +414,23 @@ func (mg *MG) makeSmoother(a, view sparse.Operator) (smooth.Smoother, error) {
 			return nil, fmt.Errorf("multigrid: NodeBlockJacobi smoother requires node-blocked storage (set Options.Storage = StorageBSR or use a node-aligned matrix-free operator): %w", err)
 		}
 		return s, nil
-	case DomainBlockJacobi:
-		if !rowTraversable(a) {
-			return smooth.NewChebyshev(a, mg.Opts.ChebDegree, 30), nil
-		}
-		bj, err := mg.blockJacobi(a, view)
-		if err != nil {
-			return nil, err
-		}
-		bj.AutoDamp()
-		return bj, nil
-	default: // DomainBlockJacobiCG
-		if !rowTraversable(a) {
-			return smooth.NewChebyshev(a, mg.Opts.ChebDegree, 30), nil
-		}
-		bj, err := mg.blockJacobi(a, view)
-		if err != nil {
-			return nil, err
-		}
-		return smooth.NewCGSmoother(a, bj, 1), nil
 	}
-}
-
-// blockJacobi builds the paper's subdomain smoother for one level
-// operator: the scalar form of the setup view is taken once, the matrix
-// graph is read off its pattern and partitioned (the paper uses METIS),
-// and the blocks are gathered from the same matrix and factored. The
-// sweeps apply a.
-func (mg *MG) blockJacobi(a, setup sparse.Operator) (*smooth.DomainBlockJacobi, error) {
-	view := sparse.AsCSR(setup)
-	nb := mg.Opts.BlockCount(view.NRows)
-	spp := obs.Start(evSmootherPartition)
-	part := graph.GreedyPartition(graph.NewFromPattern(view.NRows, view.RowPtr, view.ColIdx), nb)
-	spp.End()
+	// The domain smoothers: the paper's block Jacobi, stationary or inside CG.
+	if bj == nil {
+		return smooth.NewChebyshev(a, mg.Opts.ChebDegree, 30), nil
+	}
 	spf := obs.Start(evSmootherFactor)
-	bj, err := smooth.NewDomainBlockJacobi(a, view, part, nb)
+	s, err := bj.Factor(a, setup)
 	spf.End()
 	if err != nil {
 		return nil, fmt.Errorf("multigrid: block smoother: %w", err)
 	}
-	mg.SetupFlops += bj.SetupFlops
-	return bj, nil
+	mg.SetupFlops += s.SetupFlops
+	if mg.Opts.Smoother == DomainBlockJacobi {
+		s.AutoDamp()
+		return s, nil
+	}
+	return smooth.NewCGSmoother(a, s, 1), nil
 }
 
 // NumLevels returns the number of grids.

@@ -485,6 +485,18 @@ func emptyRowRestriction(r *sparse.CSR) *sparse.CSR {
 	return rBad
 }
 
+// zeroNodeRestriction returns a copy of r, a node-conforming restriction of
+// 3-dof nodes, whose coarse node 1 has support of weight zero (rows 3–5
+// stored zeros): r stays node-conforming, so the Galerkin product stays
+// blocked and pins a whole node.
+func zeroNodeRestriction(r *sparse.CSR) *sparse.CSR {
+	rBad := r.Select(identity(r.NRows), identity(r.NCols), r.NCols, 0)
+	for k := rBad.RowPtr[3]; k < rBad.RowPtr[6]; k++ {
+		rBad.Val[k] = 0
+	}
+	return rBad
+}
+
 func sameBits(a, b *sparse.CSR) bool {
 	return a.NRows == b.NRows && a.NCols == b.NCols &&
 		slices.Equal(a.RowPtr, b.RowPtr) && slices.Equal(a.ColIdx, b.ColIdx) &&

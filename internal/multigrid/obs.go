@@ -6,12 +6,14 @@ import (
 )
 
 // Observability events and metrics for the Epimetheus layer: hierarchy
-// setup (with the Galerkin triple products and the per-level smoother
-// construction — graph partition and block gather/factorization for the
-// domain smoother — timed separately), the preconditioner applies, and the
-// coarsest-grid direct solves.
+// setup (with its symbolic phase, the Galerkin triple products — symbolic
+// and numeric — and the per-level smoother construction — graph partition
+// and block gather/factorization for the domain smoother — timed
+// separately), the preconditioner applies, and the coarsest-grid direct
+// solves.
 var (
 	evSetup             = obs.Register("mg.setup")
+	evPlan              = obs.Register("mg.setup.plan")
 	evGalerkin          = obs.Register("mg.setup.galerkin")
 	evSmoother          = obs.Register("mg.setup.smoother")
 	evSmootherPartition = obs.Register("mg.setup.smoother.partition")
@@ -20,6 +22,11 @@ var (
 	evCoarse            = obs.Register("mg.coarse_direct")
 
 	cApplies = obs.NewCounter("mg.applies")
+	// A hierarchy build either plans and fills or, when the operator's
+	// pattern repeats, only fills: a Newton solve shows one plan built and
+	// a reuse per rebuild after it.
+	cPlanBuilt  = obs.NewCounter("multigrid.plan.built")
+	cPlanReused = obs.NewCounter("multigrid.plan.reused")
 )
 
 // storageName labels a level operator for obs.RecordLevel.

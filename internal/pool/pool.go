@@ -1,11 +1,11 @@
 // Package pool is the shared-memory runtime under every solve: a set of
 // long-lived helper goroutines that execute row- and item-partitioned
 // kernels beside the goroutine that dispatches them. There is one
-// process-wide set (GOMAXPROCS-1 helpers; Run, RunResidual and RunIndexed
-// use it) and nothing to switch on: sparse.CSR.MulVec, BSR.MulVec, both
-// Residuals, the block-Jacobi solves and fem's element integration all
-// dispatch through it, and two rules decide per operation whether the
-// helpers are used at all.
+// process-wide set (GOMAXPROCS-1 helpers; Run, RunResidual, RunIndexed and
+// RunItems use it) and nothing to switch on: sparse.CSR.MulVec, BSR.MulVec,
+// both Residuals, the sparse products, the block-Jacobi factorizations and
+// solves and fem's element integration all dispatch through it, and two
+// rules decide per operation whether the helpers are used at all.
 //
 //   - Grain: an operation whose serial work is below Grain multiply-adds
 //     runs the kernel over its whole range on the caller. Handing a chunk
@@ -14,9 +14,9 @@
 //     finds it taken (a second request, an internal/par rank) does not
 //     wait: it runs its whole range itself, exactly the one-core path.
 //
-// Neither choice is visible in a result. A Kernel gives a row the same
-// bits whatever window it arrives in and an IndexedKernel's items have
-// disjoint write sets, so who ran a chunk and how the range was cut move
+// Neither choice is visible in a result. A Kernel gives a row and an
+// ItemKernel an item the same bits whatever window it arrives in, and an
+// IndexedKernel's items have disjoint write sets, so who ran a chunk and how the range was cut move
 // no bit; reductions (dots, norms) are never dispatched, so no summation
 // order moves either (DESIGN.md §14).
 //
@@ -35,7 +35,7 @@
 //
 // Safety is checked by running the code (DESIGN.md §9):
 //
-//   - the Kernel and IndexedKernel contracts by TestKernelContract
+//   - the Kernel, IndexedKernel and ItemKernel contracts by TestKernelContract
 //     (kernel_contract_test.go at the module root), which runs every
 //     kernel in the tree over a sweep of windows and through Dispatch,
 //     under the race detector too;
@@ -94,6 +94,22 @@ type IndexedKernel interface {
 	WriteSet(item int) []int32
 }
 
+// ItemKernel is a range-partitioned kernel whose results land in storage it
+// owns rather than in a y vector: the symbolic and numeric passes of a
+// sparse product (item = row of the result), element integration (item =
+// element) and the block factorizations of the domain smoother (item =
+// block). Items(w, lo, hi) must write
+// exactly what items [lo, hi) own and give an item the same bits whatever
+// range it arrives in. w is the calling participant's lane, in [0, Lanes):
+// no two calls with the same lane overlap in time, so a kernel may keep
+// per-lane scratch without locking.
+type ItemKernel interface {
+	Items(w, lo, hi int)
+}
+
+// Lanes bounds the lane an ItemKernel is called on.
+const Lanes = maxParts
+
 // Grain is the serial work, in multiply-adds (stored matrix entries for a
 // product, factor entries for a block solve), below which the shared set
 // is not used. It is a measurement, not a setting: see the grain table in
@@ -122,13 +138,14 @@ const (
 )
 
 // job is the one dispatch in flight: a row range over k or rk, or an item
-// range over ik. It lives in the Pool, written by the dispatcher under mu
+// range over ik or it. It lives in the Pool, written by the dispatcher under mu
 // before the dispatch opens and read-only until the helpers that joined
 // have left, so a dispatch allocates nothing.
 type job struct {
 	k       Kernel
 	rk      ResidualKernel
 	ik      IndexedKernel
+	it      ItemKernel
 	b, x, y []float64
 	n       int // rows or items
 	chunk   int // rows or items per chunk; the last chunk ends at n
@@ -332,6 +349,10 @@ func (p *Pool) takeChunks(w int) {
 			hi = j.n
 		}
 		ran += int64(hi - lo)
+		if j.it != nil {
+			j.it.Items(w, lo, hi)
+			continue
+		}
 		if j.ik != nil {
 			for e := lo; e < hi; e++ {
 				if check.Enabled {
@@ -357,7 +378,7 @@ func (p *Pool) takeChunks(w int) {
 		}
 	}
 	ev := evPoolRows
-	if j.ik != nil {
+	if j.ik != nil || j.it != nil {
 		ev = evPoolItems
 	}
 	obs.AddCount(ev, w, ran)
@@ -369,6 +390,8 @@ func (p *Pool) takeChunks(w int) {
 // every dispatch is bitwise equal to.
 func (j *job) serial() {
 	switch {
+	case j.it != nil:
+		j.it.Items(0, 0, j.n)
 	case j.ik != nil:
 		for e := 0; e < j.n; e++ {
 			j.ik.ApplyOne(j.x, j.y, e)
@@ -462,6 +485,13 @@ func (p *Pool) DispatchIndexed(k IndexedKernel, x, y []float64, m int) {
 	p.dispatch(job{ik: k, x: x, y: y, n: m}, 1, true)
 }
 
+// DispatchItems partitions the items [0, n) into contiguous chunks aligned
+// to align, runs k over the chunks on p's participants, and returns when
+// every item is done.
+func (p *Pool) DispatchItems(k ItemKernel, n, align int) {
+	p.dispatch(job{it: k, n: n}, align, true)
+}
+
 // run is the default path's decision, taken per operation on the shared
 // set: below the grain the kernel runs serially, above it the helpers
 // take part unless another dispatch holds them.
@@ -484,6 +514,12 @@ func Run(k Kernel, x, y []float64, n, align, work int) {
 // RunResidual is Run for the fused residual r = b - A·x.
 func RunResidual(k ResidualKernel, b, x, r []float64, n, align, work int) {
 	run(job{rk: k, b: b, x: x, y: r, n: n}, align, work)
+}
+
+// RunItems runs items [0, n) of k on the shared set: DispatchItems with
+// the grain and busy rules.
+func RunItems(k ItemKernel, n, align, work int) {
+	run(job{it: k, n: n}, align, work)
 }
 
 // RunIndexed applies items [0, m) of k on the shared set: DispatchIndexed

@@ -304,6 +304,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"prometheus_serve_cache_misses_total 1",
 		"prometheus_serve_cache_hits_total 1",
 		`prometheus_serve_http_request_ns_bucket{`,
+		"prometheus_multigrid_plan_built_total ",
+		"prometheus_multigrid_plan_reused_total ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics lacks %q:\n%s", want, text)

@@ -286,23 +286,17 @@ func (s *Chebyshev) Flops() int64 { return s.flops }
 // diagonal blocks of a vector-valued operator.
 type DomainBlockJacobi struct {
 	taskRef
-	A      sparse.Operator
-	blocks [][]int // dof indices per block
-	chols  []*la.Cholesky
-	work   []float64
+	plan  *BlockPlan // shared, read-only
+	A     sparse.Operator
+	chols []*la.Cholesky
+	work  []float64
 	// The block solves of one application run side by side on the shared
 	// worker set (pool.RunIndexed, item = block), so no two may share a
 	// buffer: block bi gathers into scratch[off[bi]:off[bi+1]], and
 	// ws[off[bi]:off[bi+1]] is its dofs again as the write set the
 	// dispatch claims under promdebug.
 	scratch []float64
-	ws      []int32
-	off     []int
-	// solveWork is the multiply-adds of one application, Σ|block|²: what
-	// the dispatch weighs against pool.Grain and, doubled, the flops every
-	// application adds.
-	solveWork int
-	flops     int64
+	flops   int64
 	// Omega damps the update x += Omega·M⁻¹r. Undamped block Jacobi can
 	// diverge on stiff elasticity operators; AutoDamp sets Omega from a
 	// power-iteration estimate of λmax(M⁻¹A) so the iteration contracts
@@ -311,6 +305,29 @@ type DomainBlockJacobi struct {
 	// SetupFlops records the factorization cost (the paper's "matrix
 	// setup" phase includes the subdomain factorizations).
 	SetupFlops int64
+}
+
+// BlockPlan is the partition half of a DomainBlockJacobi: the blocks and
+// their write sets, the layout of the packed factors, and each dof's
+// position inside its block, which the block gathers read. It depends on
+// the partition only, so one plan serves every operator the partition was
+// made for; it is read-only once made and shared by the smoothers Factor
+// makes from it.
+type BlockPlan struct {
+	n      int
+	blocks [][]int // dof indices per block
+	ws     []int32
+	off    []int
+	// facOff places block bi's packed factor at [facOff[bi], facOff[bi+1]).
+	facOff []int
+	// pos[d] is dof d's position inside its own block: read-only, so every
+	// block gathers through the one array.
+	pos []int
+	// solveWork is the multiply-adds of one application, Σ|block|²: what
+	// the dispatch weighs against pool.Grain and, doubled, the flops every
+	// application adds. factorWork is the factorizations' Σ|block|³/6.
+	solveWork, factorWork int
+	setupFlops            int64
 }
 
 // blockShiftTries bounds the escalating diagonal shifts a block
@@ -323,110 +340,130 @@ const blockShiftTries = 5
 const BlocksPerThousand = 6
 
 // NewDomainBlockJacobi factors the diagonal blocks given by part
-// (dof -> block). view is the scalar CSR view of a (a itself on CSR
-// storage, sparse.AsCSR(a) otherwise), taken once by the caller; setup
-// gathers every block from it straight into the packed storage its
-// Cholesky factor then occupies, and the steady-state sweeps stay on the
-// Operator interface. Blocks are independent, so the gathers and
-// factorizations run on the shared worker set.
+// (dof -> block) of view, a's scalar CSR form (a itself on CSR storage):
+// PlanBlocks and Factor in one. The steady-state sweeps stay on the
+// Operator interface.
 func NewDomainBlockJacobi(a sparse.Operator, view *sparse.CSR, part []int, nblocks int) (*DomainBlockJacobi, error) {
 	n := a.Rows()
 	if len(part) != n || view.NRows != n {
 		return nil, fmt.Errorf("smooth: partition covers %d and the scalar view %d of %d dofs", len(part), view.NRows, n)
 	}
-	s := &DomainBlockJacobi{
-		A: a, blocks: graph.PartMembers(part, nblocks), Omega: 1,
-		chols: make([]*la.Cholesky, nblocks),
-		work:  make([]float64, n), scratch: make([]float64, n),
-		ws: make([]int32, 0, n), off: make([]int, nblocks+1),
+	return PlanBlocks(n, graph.PartMembers(part, nblocks)).Factor(a, view)
+}
+
+// PlanBlocks plans the smoother on n dofs with the given blocks (dof
+// lists, each dof in at most one): write sets, positions and factor
+// layout.
+func PlanBlocks(n int, blocks [][]int) *BlockPlan {
+	p := &BlockPlan{
+		n: n, blocks: blocks, ws: make([]int32, 0, n), pos: make([]int, n),
+		off: make([]int, len(blocks)+1), facOff: make([]int, len(blocks)+1),
 	}
-	factorWork := 0
-	for bi, dofs := range s.blocks {
-		for _, d := range dofs {
-			s.ws = append(s.ws, int32(d))
-		}
+	for bi, dofs := range blocks {
 		nb := len(dofs)
-		s.off[bi+1] = len(s.ws)
-		s.solveWork += nb * nb
-		factorWork += nb * nb * nb / 6
-		s.SetupFlops += int64(nb) * int64(nb) * int64(nb) / 3
+		for r, d := range dofs {
+			p.pos[d] = r
+			p.ws = append(p.ws, int32(d))
+		}
+		p.off[bi+1] = len(p.ws)
+		p.facOff[bi+1] = p.facOff[bi] + la.PackedLen(nb)
+		p.solveWork += nb * nb
+		p.factorWork += nb * nb * nb / 6
+		p.setupFlops += int64(nb) * int64(nb) * int64(nb) / 3
 	}
-	f := s.newBlockFactor(view)
-	pool.Run(f, nil, make([]float64, nblocks), nblocks, 1, factorWork)
+	return p
+}
+
+// lowerGatherer is the block gather of the assembled storages
+// (sparse.CSR, sparse.BSR).
+type lowerGatherer interface {
+	GatherLowerPacked(idx, pos []int, l []float64)
+}
+
+// Factor gathers every block from setup, the matrix the partition was
+// made on (a, or the scalar matrix a was blocked from), and factors it;
+// the smoother applies a. Blocks are independent, so the gathers and
+// factorizations run on the shared worker set.
+func (p *BlockPlan) Factor(a, setup sparse.Operator) (*DomainBlockJacobi, error) {
+	g, ok := setup.(lowerGatherer)
+	if !ok || setup.Rows() != p.n {
+		return nil, fmt.Errorf("smooth: the block smoother gathers from assembled storage of %d rows, not %T", p.n, setup)
+	}
+	nblocks := len(p.blocks)
+	s := &DomainBlockJacobi{
+		plan: p, A: a, Omega: 1, SetupFlops: p.setupFlops,
+		chols: make([]*la.Cholesky, nblocks),
+		work:  make([]float64, p.n), scratch: make([]float64, p.n),
+	}
+	f := s.newBlockFactor(g)
+	pool.RunItems(f, nblocks, 1, p.factorWork)
 	for bi, err := range f.errs {
 		if err != nil {
-			return nil, fmt.Errorf("smooth: block %d (%d dofs): %w", bi, len(s.blocks[bi]), err)
+			return nil, fmt.Errorf("smooth: block %d (%d dofs): %w", bi, len(p.blocks[bi]), err)
 		}
 	}
 	return s, nil
 }
 
-// blockFactor is the setup loop of NewDomainBlockJacobi as a pool.Kernel
-// over blocks: "row" bi gathers block bi of view, factors it, stores the
-// factor in s and writes the diagonal shift it needed to y[bi].
+// blockFactor is the setup loop of Factor as a pool.ItemKernel over
+// blocks: item bi gathers block bi of setup into its stretch of fac,
+// factors it there and stores the factor in s.
 type blockFactor struct {
-	s    *DomainBlockJacobi
-	view *sparse.CSR
-	// pos[d] is dof d's position inside its own block: read-only during
-	// the dispatch, so every block gathers through the one array.
-	pos []int
+	s     *DomainBlockJacobi
+	setup lowerGatherer
 	// fac is the packed storage of every factor, block bi's triangle at
 	// fac[facOff[bi]:facOff[bi+1]].
-	fac    []float64
-	facOff []int
-	errs   []error
+	fac  []float64
+	errs []error
 }
 
-func (s *DomainBlockJacobi) newBlockFactor(view *sparse.CSR) *blockFactor {
-	f := &blockFactor{
-		s: s, view: view, pos: make([]int, view.NRows),
-		facOff: make([]int, len(s.blocks)+1), errs: make([]error, len(s.blocks)),
+func (s *DomainBlockJacobi) newBlockFactor(setup lowerGatherer) *blockFactor {
+	return &blockFactor{
+		s: s, setup: setup, fac: make([]float64, s.plan.facOff[len(s.plan.blocks)]),
+		errs: make([]error, len(s.plan.blocks)),
 	}
-	for bi, dofs := range s.blocks {
-		for k, d := range dofs {
-			f.pos[d] = k
-		}
-		f.facOff[bi+1] = f.facOff[bi] + la.PackedLen(len(dofs))
-	}
-	f.fac = make([]float64, f.facOff[len(s.blocks)])
-	return f
 }
 
 // FactorKernel returns the setup kernel that gathers and factors s's
-// blocks from view, for TestKernelContract: running it factors the
-// blocks again, to the same bits.
-func (s *DomainBlockJacobi) FactorKernel(view *sparse.CSR) pool.Kernel { return s.newBlockFactor(view) }
+// blocks from setup (CSR or BSR), with the packed factors it writes, for
+// TestKernelContract: running it factors the blocks again, to the same
+// bits.
+func (s *DomainBlockJacobi) FactorKernel(setup sparse.Operator) (pool.ItemKernel, []float64) {
+	f := s.newBlockFactor(setup.(lowerGatherer))
+	return f, f.fac
+}
 
-// MulVecRange implements pool.Kernel over the blocks [lo, hi).
-func (f *blockFactor) MulVecRange(_, y []float64, lo, hi int) {
+// Items implements pool.ItemKernel over the blocks [lo, hi).
+func (f *blockFactor) Items(_, lo, hi int) {
 	for bi := lo; bi < hi; bi++ {
-		y[bi], f.errs[bi] = f.factor(bi)
+		f.errs[bi] = f.factor(bi)
 	}
 }
 
-// factor gathers and factors block bi and returns the shift it took.
+// factor gathers and factors block bi.
 // Principal submatrices of an SPD operator are SPD, but aggressive
 // Galerkin coarsening with 1e4 coefficient jumps can leave blocks positive
 // definite only to within roundoff; retry with escalating diagonal shifts
 // before giving up (the shift only weakens the preconditioner slightly).
 // The factorization overwrites its input, so a retry gathers the block
 // again.
-func (f *blockFactor) factor(bi int) (float64, error) {
-	dofs := f.s.blocks[bi]
+func (f *blockFactor) factor(bi int) error {
+	p := f.s.plan
+	dofs := p.blocks[bi]
 	if len(dofs) == 0 {
-		return 0, nil
+		return nil
 	}
-	l := f.fac[f.facOff[bi]:f.facOff[bi+1]:f.facOff[bi+1]]
+	l := f.fac[p.facOff[bi]:p.facOff[bi+1]:p.facOff[bi+1]]
 	for try, shift := 0, 0.0; ; try++ {
-		f.view.GatherLowerPacked(dofs, f.pos, l)
+		f.setup.GatherLowerPacked(dofs, p.pos, l)
 		maxDiag := shiftDiagonal(l, shift)
 		chol, err := la.FactorPacked(len(dofs), l)
 		if err == nil {
 			f.s.chols[bi] = chol
-			return shift, nil
+			return nil
 		}
 		if try == blockShiftTries {
-			return shift, err
+			return err
 		}
 		if shift == 0 {
 			shift = 1e-12 * maxDiag
@@ -513,8 +550,8 @@ func (s *DomainBlockJacobi) Smooth(x, b []float64, n int) {
 // applyBlocks solves M·z = r, every block against its own entries of r
 // (r and z may alias): the blocks are the items of one indexed dispatch.
 func (s *DomainBlockJacobi) applyBlocks(r, z []float64) {
-	pool.RunIndexed(s.task, (*blockSolve)(s), r, z, len(s.blocks), s.solveWork)
-	s.flops += 2 * int64(s.solveWork)
+	pool.RunIndexed(s.task, (*blockSolve)(s), r, z, len(s.plan.blocks), s.plan.solveWork)
+	s.flops += 2 * int64(s.plan.solveWork)
 }
 
 // blockSolve is a DomainBlockJacobi seen as the pool.IndexedKernel of its
@@ -528,11 +565,11 @@ func (s *DomainBlockJacobi) SolveKernel() pool.IndexedKernel { return (*blockSol
 // ApplyOne implements pool.IndexedKernel: z = M⁻¹·r on block bi, through
 // the block's own stretch of the scratch vector.
 func (k *blockSolve) ApplyOne(r, z []float64, bi int) {
-	dofs := k.blocks[bi]
+	dofs := k.plan.blocks[bi]
 	if len(dofs) == 0 {
 		return
 	}
-	rb := k.scratch[k.off[bi]:k.off[bi+1]]
+	rb := k.scratch[k.plan.off[bi]:k.plan.off[bi+1]]
 	for i, d := range dofs {
 		rb[i] = r[d]
 	}
@@ -543,7 +580,7 @@ func (k *blockSolve) ApplyOne(r, z []float64, bi int) {
 }
 
 // WriteSet implements pool.IndexedKernel.
-func (k *blockSolve) WriteSet(bi int) []int32 { return k.ws[k.off[bi]:k.off[bi+1]] }
+func (k *blockSolve) WriteSet(bi int) []int32 { return k.plan.ws[k.plan.off[bi]:k.plan.off[bi+1]] }
 
 // Apply implements Smoother.
 func (s *DomainBlockJacobi) Apply(r, z []float64) {
@@ -558,12 +595,12 @@ func (s *DomainBlockJacobi) Flops() int64 { return s.flops }
 
 // Blocks returns the partition: the dof indices of every block, in block
 // order. The slices are the smoother's own; callers must not modify them.
-func (s *DomainBlockJacobi) Blocks() [][]int { return s.blocks }
+func (s *DomainBlockJacobi) Blocks() [][]int { return s.plan.blocks }
 
 // NumBlocks returns the number of non-empty blocks.
 func (s *DomainBlockJacobi) NumBlocks() int {
 	n := 0
-	for _, b := range s.blocks {
+	for _, b := range s.plan.blocks {
 		if len(b) > 0 {
 			n++
 		}

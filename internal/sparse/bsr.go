@@ -241,8 +241,20 @@ func (a *BSR) DiagBlocks() []float64 {
 // entry lands in a block; positions never stored in the scalar matrix
 // become explicit zeros (fill). Assembly-produced elasticity matrices
 // block with zero fill because the element loop touches all b*b entries of
-// every node pair. Dimensions must be divisible by b.
+// every node pair. Dimensions must be divisible by b. It is BlockPattern
+// and FillFromCSR in one.
 func FromCSR(a *CSR, b int) (*BSR, error) {
+	t, err := BlockPattern(a, b)
+	if err != nil {
+		return nil, err
+	}
+	return t.FillFromCSR(a), nil
+}
+
+// BlockPattern is the pattern half of FromCSR (Val nil): one pass counts
+// the distinct block columns of every block row, one collects and sorts
+// them.
+func BlockPattern(a *CSR, b int) (*BSR, error) {
 	if b < 1 {
 		return nil, fmt.Errorf("sparse: FromCSR block size %d < 1", b)
 	}
@@ -250,99 +262,141 @@ func FromCSR(a *CSR, b int) (*BSR, error) {
 		return nil, fmt.Errorf("sparse: FromCSR %dx%d not divisible by block size %d", a.NRows, a.NCols, b)
 	}
 	nbr, nbc := a.NRows/b, a.NCols/b
-	bb := b * b
 	rowPtr := make([]int, nbr+1)
 	mark := make([]int, nbc)
 	for i := range mark {
 		mark[i] = -1
 	}
-	// Pass 1: count distinct block columns per block row.
 	for ib := 0; ib < nbr; ib++ {
 		n := 0
-		for d := 0; d < b; d++ {
-			i := ib*b + d
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				jb := a.ColIdx[k] / b
-				if mark[jb] != ib {
-					mark[jb] = ib
-					n++
-				}
+		for _, j := range a.ColIdx[a.RowPtr[ib*b]:a.RowPtr[ib*b+b]] {
+			if jb := j / b; mark[jb] != ib {
+				mark[jb] = ib
+				n++
 			}
 		}
 		rowPtr[ib+1] = rowPtr[ib] + n
 	}
 	colIdx := make([]int, rowPtr[nbr])
-	val := make([]float64, rowPtr[nbr]*bb)
 	for i := range mark {
 		mark[i] = -1
 	}
-	pos := make([]int, nbc)
-	// Pass 2: collect sorted block columns, then scatter values.
 	for ib := 0; ib < nbr; ib++ {
-		start := rowPtr[ib]
-		n := start
-		for d := 0; d < b; d++ {
-			i := ib*b + d
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				jb := a.ColIdx[k] / b
-				if mark[jb] != ib {
-					mark[jb] = ib
-					colIdx[n] = jb
-					n++
-				}
+		n := rowPtr[ib]
+		for _, j := range a.ColIdx[a.RowPtr[ib*b]:a.RowPtr[ib*b+b]] {
+			if jb := j / b; mark[jb] != ib {
+				mark[jb] = ib
+				colIdx[n] = jb
+				n++
 			}
 		}
-		cols := colIdx[start:n]
-		sort.Ints(cols)
-		for p, jb := range cols {
-			pos[jb] = start + p
-		}
-		for d := 0; d < b; d++ {
-			i := ib*b + d
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				j := a.ColIdx[k]
-				val[pos[j/b]*bb+d*b+j%b] = a.Val[k]
-			}
-		}
+		sort.Ints(colIdx[rowPtr[ib]:n])
 	}
-	out := &BSR{NBRows: nbr, NBCols: nbc, B: b, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
 	if check.Enabled {
-		check.CSRWellFormed(nbr, nbc, rowPtr, colIdx, len(colIdx), "sparse.FromCSR")
+		check.CSRWellFormed(nbr, nbc, rowPtr, colIdx, len(colIdx), "sparse.BlockPattern")
 	}
-	return out, nil
+	return &BSR{NBRows: nbr, NBCols: nbc, B: b, RowPtr: rowPtr, ColIdx: colIdx}, nil
+}
+
+// FillFromCSR is the value half of FromCSR: a new matrix with t's pattern
+// holding a's values, where t is BlockPattern of a matrix with a's
+// pattern. A scalar row's columns are sorted, so its block columns are
+// met in t's order and one cursor per row finds each entry's block.
+func (t *BSR) FillFromCSR(a *CSR) *BSR {
+	b := t.B
+	bb := b * b
+	val := make([]float64, len(t.ColIdx)*bb)
+	for i := 0; i < a.NRows; i++ {
+		ib, d := i/b, i%b
+		p := t.RowPtr[ib]
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		cols := a.ColIdx[lo:hi]
+		vals := a.Val[lo:hi:hi]
+		vals = vals[:len(cols)]
+		for k, j := range cols {
+			for t.ColIdx[p] != j/b {
+				p++
+			}
+			val[p*bb+d*b+j%b] = vals[k]
+		}
+	}
+	return &BSR{NBRows: t.NBRows, NBCols: t.NBCols, B: b, RowPtr: t.RowPtr, ColIdx: t.ColIdx, Val: val}
 }
 
 // ToCSR expands the blocked matrix to scalar CSR, emitting all B*B entries
 // of every stored block (explicit zeros included). The expansion of an
-// assembled matrix round-trips bitwise through FromCSR.
+// assembled matrix round-trips bitwise through FromCSR. It is
+// ScalarPattern and FillFromBSR in one.
 func (a *BSR) ToCSR() *CSR {
+	return a.ScalarPattern().FillFromBSR(a)
+}
+
+// ScalarPattern is the pattern half of ToCSR (Val nil).
+func (a *BSR) ScalarPattern() *CSR {
 	b := a.B
-	bb := b * b
-	nnzb := len(a.ColIdx)
 	rowPtr := make([]int, a.Rows()+1)
-	colIdx := make([]int, nnzb*bb)
-	val := make([]float64, nnzb*bb)
+	colIdx := make([]int, len(a.ColIdx)*b*b)
 	n := 0
 	for ib := 0; ib < a.NBRows; ib++ {
-		p, q := a.RowPtr[ib], a.RowPtr[ib+1]
+		blockCols := a.ColIdx[a.RowPtr[ib]:a.RowPtr[ib+1]]
 		for d := 0; d < b; d++ {
-			for k := p; k < q; k++ {
-				jb := a.ColIdx[k]
-				base := k*bb + d*b
+			for _, jb := range blockCols {
 				for c := 0; c < b; c++ {
 					colIdx[n] = jb*b + c
-					val[n] = a.Val[base+c]
 					n++
 				}
 			}
 			rowPtr[ib*b+d+1] = n
 		}
 	}
-	out := &CSR{NRows: a.Rows(), NCols: a.Cols(), RowPtr: rowPtr, ColIdx: colIdx, Val: val}
+	out := &CSR{NRows: a.Rows(), NCols: a.Cols(), RowPtr: rowPtr, ColIdx: colIdx}
 	if check.Enabled {
-		check.CSRWellFormed(out.NRows, out.NCols, out.RowPtr, out.ColIdx, len(out.Val), "sparse.BSR.ToCSR")
+		check.CSRWellFormed(out.NRows, out.NCols, out.RowPtr, out.ColIdx, len(out.ColIdx), "sparse.BSR.ScalarPattern")
 	}
 	return out
+}
+
+// FillFromBSR is the value half of ToCSR: a new matrix with t's pattern
+// holding a's values, where t is the ScalarPattern of a matrix with a's
+// pattern.
+func (t *CSR) FillFromBSR(a *BSR) *CSR {
+	b := a.B
+	bb := b * b
+	val := make([]float64, len(t.ColIdx))
+	n := 0
+	for ib := 0; ib < a.NBRows; ib++ {
+		p, q := a.RowPtr[ib], a.RowPtr[ib+1]
+		for d := 0; d < b; d++ {
+			for k := p; k < q; k++ {
+				n += copy(val[n:], a.Val[k*bb+d*b:k*bb+d*b+b])
+			}
+		}
+	}
+	return &CSR{NRows: t.NRows, NCols: t.NCols, RowPtr: t.RowPtr, ColIdx: t.ColIdx, Val: val}
+}
+
+// GatherLowerPacked is CSR.GatherLowerPacked for the expanded matrix,
+// read straight from the blocks: scalar row i is row i%B of block row
+// i/B, and column c of stored block k is scalar column B·ColIdx[k]+c.
+func (a *BSR) GatherLowerPacked(idx, pos []int, l []float64) {
+	clear(l)
+	b := a.B
+	bb := b * b
+	off := 0
+	for p, i := range idx {
+		row := l[off : off+p+1]
+		ib, d := i/b, i%b
+		for k := a.RowPtr[ib]; k < a.RowPtr[ib+1]; k++ {
+			j0 := a.ColIdx[k] * b
+			for c, v := range a.Val[k*bb+d*b : k*bb+d*b+b] {
+				j := j0 + c
+				if q := pos[j]; uint(q) < uint(len(row)) && idx[q] == j {
+					row[q] = v
+				}
+			}
+		}
+		off += p + 1
+	}
 }
 
 // IsSymmetric reports whether the expanded matrix equals its transpose to
@@ -523,126 +577,4 @@ func ExpandBlocks(rn *CSR, b int) *CSR {
 		check.CSRWellFormed(out.NRows, out.NCols, out.RowPtr, out.ColIdx, len(out.Val), "sparse.ExpandBlocks")
 	}
 	return out
-}
-
-// GalerkinBSR builds the coarse-grid operator R·A·Rᵀ, staying in blocked
-// storage when it can: if A is BSR and R has the node-conforming w·I
-// structure of the geometric restrictions, the triple product runs as two
-// blocked Gustavson passes over node-level weights and returns BSR. A
-// non-conforming R (smoothed aggregation) or a scalar A falls back to the
-// scalar Galerkin product, re-blocking the result when it stays
-// node-aligned.
-func GalerkinBSR(r *CSR, a Operator) Operator {
-	ab, ok := a.(*BSR)
-	if !ok {
-		return Galerkin(r, AsCSR(a))
-	}
-	rn, conforming := NodeWeights(r, ab.B)
-	if !conforming {
-		return AutoBlock(Galerkin(r, ab.ToCSR()), ab.B)
-	}
-	ra := mulScalarBSR(rn, ab)
-	out := mulBSRScalar(ra, rn.Transpose())
-	if check.Enabled {
-		if ab.IsSymmetric(1e-10) {
-			check.Assert(out.IsSymmetric(1e-8), "sparse.GalerkinBSR: coarse operator lost symmetry")
-		}
-	}
-	return out
-}
-
-// mulScalarBSR returns C = S·A where S is scalar (block-row weights) and A
-// is blocked: C[i,j] = sum_k S(i,k)·A[k,j], a Gustavson row merge with
-// dense-block accumulators.
-func mulScalarBSR(s *CSR, a *BSR) *BSR {
-	if s.NCols != a.NBRows {
-		panic("sparse: mulScalarBSR dimension mismatch")
-	}
-	bb := a.B * a.B
-	rowPtr := make([]int, s.NRows+1)
-	var colIdx []int
-	var val []float64
-	acc := make([]float64, a.NBCols*bb)
-	mark := make([]int, a.NBCols)
-	for i := range mark {
-		mark[i] = -1
-	}
-	pattern := make([]int, 0, 64)
-	for i := 0; i < s.NRows; i++ {
-		pattern = pattern[:0]
-		for ks := s.RowPtr[i]; ks < s.RowPtr[i+1]; ks++ {
-			k := s.ColIdx[ks]
-			sv := s.Val[ks]
-			for ka := a.RowPtr[k]; ka < a.RowPtr[k+1]; ka++ {
-				jb := a.ColIdx[ka]
-				dst := acc[jb*bb : (jb+1)*bb]
-				if mark[jb] != i {
-					mark[jb] = i
-					for t := range dst {
-						dst[t] = 0
-					}
-					pattern = append(pattern, jb)
-				}
-				src := a.Val[ka*bb : (ka+1)*bb : (ka+1)*bb]
-				src = src[:len(dst)]
-				for t, v := range src {
-					dst[t] += sv * v
-				}
-			}
-		}
-		sort.Ints(pattern)
-		for _, jb := range pattern {
-			colIdx = append(colIdx, jb)
-			val = append(val, acc[jb*bb:(jb+1)*bb]...)
-		}
-		rowPtr[i+1] = len(colIdx)
-	}
-	return &BSR{NBRows: s.NRows, NBCols: a.NBCols, B: a.B, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
-}
-
-// mulBSRScalar returns C = A·S where A is blocked and S scalar:
-// C[i,j] = sum_k A[i,k]·S(k,j).
-func mulBSRScalar(a *BSR, s *CSR) *BSR {
-	if a.NBCols != s.NRows {
-		panic("sparse: mulBSRScalar dimension mismatch")
-	}
-	bb := a.B * a.B
-	rowPtr := make([]int, a.NBRows+1)
-	var colIdx []int
-	var val []float64
-	acc := make([]float64, s.NCols*bb)
-	mark := make([]int, s.NCols)
-	for i := range mark {
-		mark[i] = -1
-	}
-	pattern := make([]int, 0, 64)
-	for i := 0; i < a.NBRows; i++ {
-		pattern = pattern[:0]
-		for ka := a.RowPtr[i]; ka < a.RowPtr[i+1]; ka++ {
-			k := a.ColIdx[ka]
-			src := a.Val[ka*bb : (ka+1)*bb : (ka+1)*bb]
-			for ks := s.RowPtr[k]; ks < s.RowPtr[k+1]; ks++ {
-				j := s.ColIdx[ks]
-				sv := s.Val[ks]
-				dst := acc[j*bb : (j+1)*bb]
-				if mark[j] != i {
-					mark[j] = i
-					for t := range dst {
-						dst[t] = 0
-					}
-					pattern = append(pattern, j)
-				}
-				for t, v := range src {
-					dst[t] += v * sv
-				}
-			}
-		}
-		sort.Ints(pattern)
-		for _, j := range pattern {
-			colIdx = append(colIdx, j)
-			val = append(val, acc[j*bb:(j+1)*bb]...)
-		}
-		rowPtr[i+1] = len(colIdx)
-	}
-	return &BSR{NBRows: a.NBRows, NBCols: s.NCols, B: a.B, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
 }

@@ -101,13 +101,21 @@ func (b *Builder) Build() *CSR {
 // Select returns the len(rows)×nCols matrix whose row i is row rows[i] of
 // a with its columns renumbered through colMap (old column → new column; a
 // negative value drops the column). A negative rows[i] makes row i the
-// single entry (i, pin) instead: the pinned row of an eliminated dof. One
-// pass counts what is kept and one fills it, so the result is allocated at
-// its final size. colMap must be increasing over the columns it keeps,
-// which leaves every row sorted without a sort. Values are stored as 0+v,
-// as Builder.Add stores them: a stored -0.0 comes out +0.0 and every other
-// value unchanged.
+// single entry (i, pin) instead: the pinned row of an eliminated dof. It is
+// SelectPattern and FillSelect in one. colMap must be increasing over the
+// columns it keeps, which leaves every row sorted without a sort. Values
+// are stored as 0+v, as Builder.Add stores them: a stored -0.0 comes out
+// +0.0 and every other value unchanged.
 func (a *CSR) Select(rows, colMap []int, nCols int, pin float64) *CSR {
+	t := a.SelectPattern(rows, colMap, nCols)
+	t.Val = t.selectValues(a, rows, colMap, pin)
+	return t
+}
+
+// SelectPattern is the pattern half of Select (Val nil): one pass counts
+// what is kept and one writes it, so the result is allocated at its final
+// size.
+func (a *CSR) SelectPattern(rows, colMap []int, nCols int) *CSR {
 	rowPtr := make([]int, len(rows)+1)
 	for i, r := range rows {
 		n := 1
@@ -121,13 +129,42 @@ func (a *CSR) Select(rows, colMap []int, nCols int, pin float64) *CSR {
 		}
 		rowPtr[i+1] = rowPtr[i] + n
 	}
-	nnz := rowPtr[len(rows)]
-	colIdx := make([]int, nnz)
-	val := make([]float64, nnz)
+	colIdx := make([]int, rowPtr[len(rows)])
 	n := 0
 	for i, r := range rows {
 		if r < 0 {
-			colIdx[n], val[n] = i, pin
+			colIdx[n] = i
+			n++
+			continue
+		}
+		for _, j := range a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]] {
+			if jn := colMap[j]; jn >= 0 {
+				colIdx[n] = jn
+				n++
+			}
+		}
+	}
+	out := &CSR{NRows: len(rows), NCols: nCols, RowPtr: rowPtr, ColIdx: colIdx}
+	if check.Enabled {
+		check.CSRWellFormed(out.NRows, out.NCols, out.RowPtr, out.ColIdx, len(out.ColIdx), "sparse.SelectPattern")
+	}
+	return out
+}
+
+// FillSelect is the value half of Select: a new matrix with t's pattern
+// holding a.Select(rows, colMap, ·, pin)'s values, where t is
+// a.SelectPattern(rows, colMap, ·) of a matrix with a's pattern.
+func (t *CSR) FillSelect(a *CSR, rows, colMap []int, pin float64) *CSR {
+	return &CSR{NRows: t.NRows, NCols: t.NCols, RowPtr: t.RowPtr, ColIdx: t.ColIdx, Val: t.selectValues(a, rows, colMap, pin)}
+}
+
+// selectValues returns the values FillSelect stores in t's pattern.
+func (t *CSR) selectValues(a *CSR, rows, colMap []int, pin float64) []float64 {
+	val := make([]float64, len(t.ColIdx))
+	n := 0
+	for _, r := range rows {
+		if r < 0 {
+			val[n] = pin
 			n++
 			continue
 		}
@@ -136,17 +173,13 @@ func (a *CSR) Select(rows, colMap []int, nCols int, pin float64) *CSR {
 		vals := a.Val[lo:hi:hi]
 		vals = vals[:len(cols)]
 		for k, j := range cols {
-			if jn := colMap[j]; jn >= 0 {
-				colIdx[n], val[n] = jn, 0+vals[k]
+			if colMap[j] >= 0 {
+				val[n] = 0 + vals[k]
 				n++
 			}
 		}
 	}
-	out := &CSR{NRows: len(rows), NCols: nCols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
-	if check.Enabled {
-		check.CSRWellFormed(out.NRows, out.NCols, out.RowPtr, out.ColIdx, len(out.Val), "sparse.Select")
-	}
-	return out
+	return val
 }
 
 // At returns A(i,j) (zero when the entry is not stored). O(log row nnz).
@@ -265,60 +298,11 @@ func (a *CSR) Transpose() *CSR {
 	return out
 }
 
-// Mul returns C = A·B using a Gustavson row-merge.
+// Mul returns C = A·B: a one-shot PlanProduct and Fill.
 func (a *CSR) Mul(b *CSR) *CSR {
-	if a.NCols != b.NRows {
-		panic("sparse: Mul dimension mismatch")
-	}
-	rowPtr := make([]int, a.NRows+1)
-	var colIdx []int
-	var val []float64
-	acc := make([]float64, b.NCols)
-	mark := make([]int, b.NCols)
-	for i := range mark {
-		mark[i] = -1
-	}
-	pattern := make([]int, 0, 64)
-	for i := 0; i < a.NRows; i++ {
-		pattern = pattern[:0]
-		for ka := a.RowPtr[i]; ka < a.RowPtr[i+1]; ka++ {
-			j := a.ColIdx[ka]
-			av := a.Val[ka]
-			for kb := b.RowPtr[j]; kb < b.RowPtr[j+1]; kb++ {
-				c := b.ColIdx[kb]
-				if mark[c] != i {
-					mark[c] = i
-					acc[c] = 0
-					pattern = append(pattern, c)
-				}
-				acc[c] += av * b.Val[kb]
-			}
-		}
-		sort.Ints(pattern)
-		for _, c := range pattern {
-			colIdx = append(colIdx, c)
-			val = append(val, acc[c])
-		}
-		rowPtr[i+1] = len(colIdx)
-	}
-	out := &CSR{NRows: a.NRows, NCols: b.NCols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
-	if check.Enabled {
-		check.CSRWellFormed(out.NRows, out.NCols, out.RowPtr, out.ColIdx, len(out.Val), "sparse.Mul")
-	}
-	return out
-}
-
-// Galerkin returns the coarse-grid operator R·A·Rᵀ (the paper's
-// Acoarse = R·Afine·Rᵀ). R is nc×nf, A is nf×nf; the result is nc×nc.
-func Galerkin(r, a *CSR) *CSR {
-	ra := r.Mul(a)
-	out := ra.Mul(r.Transpose())
-	if check.Enabled {
-		// The triple product must preserve symmetry of the fine operator.
-		if a.IsSymmetric(1e-10) {
-			check.Assert(out.IsSymmetric(1e-8), "sparse.Galerkin: coarse operator lost symmetry")
-		}
-	}
+	p := PlanProduct(a, b)
+	out := p.csr(make([]float64, p.ValLen()))
+	p.Fill(a.Val, b.Val, out.Val)
 	return out
 }
 
@@ -377,9 +361,7 @@ func (a *CSR) IsSymmetric(tol float64) bool {
 // so one array holding each column's position inside its own set serves a
 // whole partition, and since it is only read, concurrent gathers too.
 func (a *CSR) GatherLowerPacked(idx, pos []int, l []float64) {
-	for i := range l {
-		l[i] = 0
-	}
+	clear(l)
 	off := 0
 	for p, i := range idx {
 		row := l[off : off+p+1]

@@ -1,5 +1,7 @@
 package sparse
 
+import "slices"
+
 // Operator is the storage-agnostic interface every solver algorithm in the
 // tree is written against: Krylov methods, smoothers, the multigrid cycle
 // and the parallel kernels only need a matrix-vector product, a residual,
@@ -161,25 +163,150 @@ func TryCSR(op Operator) (*CSR, bool) {
 // and blocking does not bloat the pattern (fill beyond 2x the scalar nnz
 // means the sparsity is not node-aligned), the original CSR otherwise.
 // Matrices assembled per node pair (the elasticity stack) block with zero
-// fill; b <= 1 or misaligned patterns fall back to CSR unchanged.
+// fill; b <= 1 or misaligned patterns fall back to CSR unchanged. It is
+// PlanBlock and FillFromCSR in one.
 func AutoBlock(a *CSR, b int) Operator {
-	if b <= 1 || a.NRows != a.NCols || a.NRows%b != 0 {
-		return a
+	if t := PlanBlock(a, b); t != nil {
+		return t.FillFromCSR(a)
 	}
-	bsr, err := FromCSR(a, b)
-	if err != nil || bsr.NNZ() > 2*a.NNZ() {
-		return a
-	}
-	return bsr
+	return a
 }
 
-// AutoBlockOp is AutoBlock lifted to the Operator interface: scalar CSR
-// inputs get the blocking heuristic, every other operator (already
-// blocked, matrix-free) passes through unchanged. Consumers outside
-// the sparse package use it instead of asserting concrete storage types.
-func AutoBlockOp(op Operator, b int) Operator {
-	if a, ok := op.(*CSR); ok {
-		return AutoBlock(a, b)
+// PlanBlock is AutoBlock's decision, which reads only the pattern: the
+// blocked pattern (no values) when AutoBlock blocks a, nil when it keeps
+// CSR.
+func PlanBlock(a *CSR, b int) *BSR {
+	if b <= 1 || a.NRows != a.NCols || a.NRows%b != 0 {
+		return nil
 	}
-	return op
+	t, err := BlockPattern(a, b)
+	if err != nil || t.NNZ() > 2*a.NNZ() {
+		return nil
+	}
+	return t
+}
+
+// Entries is an assembled operator's pattern in scalar rows, together with
+// where each entry's value sits in the operator's value array: what setup
+// plans on for either storage — the smoother's partition graph and block
+// gathers, the coarse factorization's profile — without a scalar copy of
+// the values.
+type Entries struct {
+	NRows, NCols   int
+	RowPtr, ColIdx []int
+	// Src[k] is the index in Values(op) of entry k; nil means k itself.
+	Src []int
+}
+
+// EntriesOf returns op's Entries. Only the pattern is read, so a
+// pattern-only operator (nil Val) is fine; on BSR the scalar rows are the
+// ToCSR expansion.
+func EntriesOf(op Operator) *Entries {
+	switch a := op.(type) {
+	case *CSR:
+		return &Entries{NRows: a.NRows, NCols: a.NCols, RowPtr: a.RowPtr, ColIdx: a.ColIdx}
+	case *BSR:
+		c := a.ScalarPattern()
+		b := a.B
+		src := make([]int, len(c.ColIdx))
+		n := 0
+		for ib := 0; ib < a.NBRows; ib++ {
+			for d := 0; d < b; d++ {
+				for k := a.RowPtr[ib]; k < a.RowPtr[ib+1]; k++ {
+					for cc := 0; cc < b; cc++ {
+						src[n] = (k*b+d)*b + cc
+						n++
+					}
+				}
+			}
+		}
+		return &Entries{NRows: c.NRows, NCols: c.NCols, RowPtr: c.RowPtr, ColIdx: c.ColIdx, Src: src}
+	default:
+		panic("sparse: EntriesOf needs an assembled operator (CSR or BSR)")
+	}
+}
+
+// ScalarPatternOf returns op's pattern in scalar rows as a CSR with no
+// values: a CSR's own index arrays, the ToCSR expansion of a BSR.
+func ScalarPatternOf(op Operator) *CSR {
+	switch a := op.(type) {
+	case *CSR:
+		return &CSR{NRows: a.NRows, NCols: a.NCols, RowPtr: a.RowPtr, ColIdx: a.ColIdx}
+	case *BSR:
+		return a.ScalarPattern()
+	default:
+		panic("sparse: ScalarPatternOf needs an assembled operator (CSR or BSR)")
+	}
+}
+
+// Values returns the value array of an assembled operator, the array
+// Entries.Src indexes.
+func Values(op Operator) []float64 {
+	switch a := op.(type) {
+	case *CSR:
+		return a.Val
+	case *BSR:
+		return a.Val
+	default:
+		panic("sparse: Values needs an assembled operator (CSR or BSR)")
+	}
+}
+
+// PatternOf returns an assembled operator's pattern: the same storage
+// and dimensions sharing its index arrays, with no values.
+func PatternOf(op Operator) Operator {
+	switch a := op.(type) {
+	case *CSR:
+		return &CSR{NRows: a.NRows, NCols: a.NCols, RowPtr: a.RowPtr, ColIdx: a.ColIdx}
+	case *BSR:
+		return &BSR{NBRows: a.NBRows, NBCols: a.NBCols, B: a.B, RowPtr: a.RowPtr, ColIdx: a.ColIdx}
+	default:
+		panic("sparse: PatternOf needs an assembled operator (CSR or BSR)")
+	}
+}
+
+// SamePattern reports whether a and b are the same storage with the same
+// dimensions and, index for index, the same pattern — compared entry by
+// entry even when the two share their arrays. Values are not compared.
+func SamePattern(a, b Operator) bool {
+	switch x := a.(type) {
+	case *CSR:
+		y, ok := b.(*CSR)
+		return ok && x.NRows == y.NRows && x.NCols == y.NCols &&
+			slices.Equal(x.RowPtr, y.RowPtr) && slices.Equal(x.ColIdx, y.ColIdx)
+	case *BSR:
+		y, ok := b.(*BSR)
+		return ok && x.NBRows == y.NBRows && x.NBCols == y.NBCols && x.B == y.B &&
+			slices.Equal(x.RowPtr, y.RowPtr) && slices.Equal(x.ColIdx, y.ColIdx)
+	default:
+		return false
+	}
+}
+
+// Expands reports whether c's pattern is exactly the ToCSR expansion of
+// t's — every entry of every block, rows and columns in order — compared
+// index for index.
+func (t *BSR) Expands(c *CSR) bool {
+	b := t.B
+	if c.NRows != t.Rows() || c.NCols != t.Cols() || len(c.ColIdx) != t.NNZ() {
+		return false
+	}
+	k := 0
+	for ib := 0; ib < t.NBRows; ib++ {
+		blockCols := t.ColIdx[t.RowPtr[ib]:t.RowPtr[ib+1]]
+		for i := ib * b; i < ib*b+b; i++ {
+			if c.RowPtr[i] != k {
+				return false
+			}
+			for _, jb := range blockCols {
+				for j := jb * b; j < jb*b+b; j++ {
+					if c.ColIdx[k] != j {
+						return false
+					}
+					k++
+				}
+			}
+		}
+	}
+	return c.RowPtr[c.NRows] == k
 }

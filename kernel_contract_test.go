@@ -24,10 +24,12 @@ import (
 // lo, hi) writes exactly y[lo:hi], never x, and what it writes to a row
 // does not depend on the window the row arrived in. This file is the one
 // place that can import sparse, smooth, fem and pool together, so every
-// Kernel in the tree is a row of TestKernelContract: the products, the
-// fused residuals (through residualKernel), element integration and the
-// block-Jacobi factorization, with the block solves — an IndexedKernel —
-// under checkIndexedContract. What it cannot see — a kernel that writes
+// Kernel in the tree is a row of TestKernelContract: the products and the
+// fused residuals (through residualKernel), with the block solves — an
+// IndexedKernel — under checkIndexedContract, and element integration, the
+// block-Jacobi factorization and the sparse products' symbolic and numeric
+// passes — ItemKernels, writing storage of their own — under
+// checkItemContract. What it cannot see — a kernel that writes
 // its own receiver, harmless serially and a data race under Dispatch — is
 // the race job's: both checks end by running the kernel through the pool
 // so `go test -race` and the promdebug ownership table (check.Owners)
@@ -278,6 +280,158 @@ func checkIndexedContract(k pool.IndexedKernel, n, m int) error {
 	return nil
 }
 
+// abreastItemKernel is abreast for an ItemKernel.
+type abreastItemKernel struct {
+	k pool.ItemKernel
+	r *rendezvous
+}
+
+func (a abreastItemKernel) Items(w, lo, hi int) {
+	a.r.arrive()
+	a.k.Items(w, lo, hi)
+}
+
+// itemRun is an item kernel with nothing run yet and read, which returns
+// what it has written so far as floats in one fixed layout,
+// contractSentinel where nothing is.
+type itemRun struct {
+	k    pool.ItemKernel
+	read func() []float64
+}
+
+// checkItemContract verifies an item kernel over n items, fresh giving a
+// new one with nothing written. Running each item alone finds the entries
+// it owns: no two items may write one entry, and the one full-range call
+// may write no other. Then every window of items — run alone on a lane, or
+// on a lane after another window whose scratch it left behind — must write
+// exactly its items' entries, with the bits the full-range call gives, and
+// so must DispatchItems at several widths.
+func checkItemContract(fresh func() itemRun, n int) error {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	full := fresh()
+	full.k.Items(0, 0, n)
+	ref := full.read()
+	owner := make([]int, len(ref))
+	for i := 0; i < n; i++ {
+		r := fresh()
+		r.k.Items(i%pool.Lanes, i, i+1)
+		for e, v := range r.read() {
+			if same(v, contractSentinel) {
+				continue
+			}
+			if owner[e] != 0 {
+				return fmt.Errorf("items %d and %d both write entry %d", owner[e]-1, i, e)
+			}
+			owner[e] = i + 1
+		}
+	}
+	for e, v := range ref {
+		if !same(v, contractSentinel) && owner[e] == 0 {
+			return fmt.Errorf("the full range writes entry %d, which no item alone writes", e)
+		}
+	}
+	check := func(how string, got []float64, lo, hi int) error {
+		for e, v := range got {
+			if owner[e] > lo && owner[e] <= hi {
+				if !same(v, ref[e]) {
+					return fmt.Errorf("%s gives entry %d = %v, the full range gives %v", how, e, v, ref[e])
+				}
+			} else if !same(v, contractSentinel) {
+				return fmt.Errorf("%s wrote entry %d, which is item %d's", how, e, owner[e]-1)
+			}
+		}
+		return nil
+	}
+	for lo := 0; lo <= n; lo++ {
+		for _, hi := range []int{lo, lo + 1, (lo + n + 1) / 2, n} {
+			if hi > n {
+				continue
+			}
+			r := fresh()
+			w := lo % pool.Lanes
+			r.k.Items(w, lo, hi)
+			if err := check(fmt.Sprintf("Items(%d, %d, %d)", w, lo, hi), r.read(), lo, hi); err != nil {
+				return err
+			}
+			r = fresh()
+			r.k.Items(1, 0, lo)
+			r.k.Items(1, lo, hi)
+			if err := check(fmt.Sprintf("Items(1, 0, %d) then Items(1, %d, %d)", lo, lo, hi), r.read(), 0, hi); err != nil {
+				return err
+			}
+		}
+	}
+	for _, nw := range []int{1, 2, 3, 8} {
+		r := fresh()
+		p := pool.New(nw)
+		p.DispatchItems(abreastItemKernel{r.k, newRendezvous(nw, n)}, n, 1)
+		p.Close()
+		if err := check(fmt.Sprintf("DispatchItems on %d workers", nw), r.read(), 0, n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sentinelFilled returns v filled with contractSentinel.
+func sentinelFilled(v []float64) []float64 {
+	for i := range v {
+		v[i] = contractSentinel
+	}
+	return v
+}
+
+// fillRun is a numeric pass writing val, which it returns sentinel-filled.
+func fillRun(k pool.ItemKernel, val []float64) itemRun {
+	sentinelFilled(val)
+	return itemRun{k, func() []float64 { return slices.Clone(val) }}
+}
+
+// symbolicRun reads a symbolic pass's rows into one slot of ncols+1
+// entries each: the count, then the columns.
+func symbolicRun(k *sparse.SymbolicKernel, n, ncols int) itemRun {
+	return itemRun{k, func() []float64 {
+		out := sentinelFilled(make([]float64, n*(ncols+1)))
+		for i := 0; i < n; i++ {
+			cols, ok := k.Row(i)
+			if !ok {
+				continue
+			}
+			slot := out[i*(ncols+1):]
+			slot[0] = float64(len(cols))
+			for t, c := range cols {
+				slot[1+t] = float64(c)
+			}
+		}
+		return out
+	}}
+}
+
+// itemCase is one row of TestKernelContract's item kernels.
+type itemCase struct {
+	name  string
+	fresh func() itemRun
+	n     int
+}
+
+// contractGalerkin returns the item-kernel rows of the Galerkin plan of a
+// under r, written into its own pattern (keep nil) or that pattern pinned
+// by keep: both products' symbolic and numeric passes.
+func contractGalerkin(name string, r *sparse.CSR, a sparse.Operator, keep []int) []itemCase {
+	g := sparse.PlanGalerkin(r, r.Transpose(), a)
+	if keep != nil {
+		c := sparse.ScalarPatternOf(g.Pattern())
+		g.Target(c.SelectPattern(keep, keep, c.NCols))
+	}
+	ra, rar := g.Products()
+	return []itemCase{
+		{name + " R·A symbolic", func() itemRun { return symbolicRun(ra.SymbolicKernel(), ra.NRows, ra.NCols) }, ra.NRows},
+		{name + " R·A·Rᵀ symbolic", func() itemRun { return symbolicRun(rar.SymbolicKernel(), rar.NRows, rar.NCols) }, rar.NRows},
+		{name + " R·A fill", func() itemRun { k, v, _, _ := g.FillKernels(a, keep); return fillRun(k, v) }, ra.NRows},
+		{name + " R·A·Rᵀ fill", func() itemRun { _, _, k, v := g.FillKernels(a, keep); return fillRun(k, v) }, rar.NRows},
+	}
+}
+
 // contractBSR builds a random nb x nb block matrix of block size b with
 // three blocks per block row, the diagonal among them.
 func contractBSR(nb, b int) *sparse.BSR {
@@ -345,18 +499,18 @@ func contractSmoother(t *testing.T, a sparse.Operator) (*smooth.DomainBlockJacob
 }
 
 // TestKernelContract runs every pool.Kernel in the tree through
-// checkKernelContract and the block solves through checkIndexedContract.
-// It is not skipped under -short: the full-tree race job runs -short and
+// checkKernelContract, the block solves through checkIndexedContract and
+// every pool.ItemKernel through checkItemContract. It is not skipped under -short: the full-tree race job runs -short and
 // is the half of this check that sees receiver writes.
 func TestKernelContract(t *testing.T) {
 	bsr3, bsr2 := contractBSR(23, 3), contractBSR(17, 2)
 	csr := bsr3.ToCSR()
 	ebe := contractEBE(t)
 
-	// Four groups of hex8 elements: the integration kernel's rows are the
-	// scalars of their tangents, and it reads a displacement per dof.
+	// Four groups of hex8 elements, integrated at a displacement per dof.
 	hex := mesh.StructuredHex(4, 4, 4, 1, 1, 1, nil)
-	integrate, intRows, intAlign := fem.NewProblem(hex, []material.Model{material.LinearElastic{E: 1, Nu: 0.3}}, true).IntegrationKernel()
+	hexProblem := fem.NewProblem(hex, []material.Model{material.LinearElastic{E: 1, Nu: 0.3}}, true)
+	u := contractVector(hex.NumDOF(), 1)
 
 	// The smoother of a small elasticity operator: 54 dofs in two blocks.
 	bj, view := contractSmoother(t, reducedCube(t, 2))
@@ -373,8 +527,6 @@ func TestKernelContract(t *testing.T) {
 		{"CSR residual", residualKernel{csr, contractVector(csr.NRows, 3)}, csr.NCols, csr.NRows, 1},
 		{"BSR3 residual", residualKernel{bsr3, contractVector(bsr3.Rows(), 3)}, bsr3.Cols(), bsr3.Rows(), 3},
 		{"BSR2 residual", residualKernel{bsr2, contractVector(bsr2.Rows(), 3)}, bsr2.Cols(), bsr2.Rows(), 2},
-		{"element integration", integrate, hex.NumDOF(), intRows, intAlign},
-		{"block factor", bj.FactorKernel(view), 0, len(bj.Blocks()), 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if err := checkKernelContract(c.k, c.nx, c.n, c.align); err != nil {
@@ -387,6 +539,92 @@ func TestKernelContract(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+
+	// Element integration: item s fills slot s of the tangent and force
+	// buffers. The block factorization: item bi gathers and factors block
+	// bi into its stretch of the packed factors.
+	_, _, _, nElems := hexProblem.IntegrationKernel(u)
+	items := []itemCase{
+		{"element integration", func() itemRun {
+			k, kes, fes, _ := hexProblem.IntegrationKernel(u)
+			sentinelFilled(kes)
+			sentinelFilled(fes)
+			return itemRun{k, func() []float64 { return append(slices.Clone(kes), fes...) }}
+		}, nElems},
+		{"block factor", func() itemRun { return fillRun(bj.FactorKernel(view)) }, len(bj.Blocks())},
+	}
+
+	// The sparse products' symbolic and numeric passes: a plain product,
+	// and the Galerkin products on every path a hierarchy takes — blocked
+	// under a node-conforming restriction, scalar into a pinned CSR, and a
+	// BSR operator expanded under a restriction that is not
+	// node-conforming, re-blocked or into a pinned CSR.
+	mul := sparse.PlanProduct(csr, csr)
+	items = append(items, []itemCase{
+		{"Mul symbolic", func() itemRun { return symbolicRun(mul.SymbolicKernel(), mul.NRows, mul.NCols) }, mul.NRows},
+		{"Mul fill", func() itemRun {
+			c := make([]float64, mul.ValLen())
+			return fillRun(mul.FillKernel(csr.Val, csr.Val, c), c)
+		}, mul.NRows},
+	}...)
+	r := contractRestriction(bsr3.NBRows, 8, 3)
+	keep := make([]int, r.NRows)
+	for i := range keep {
+		keep[i] = i
+	}
+	keep[2], keep[5] = -1, -1
+	notConforming := r.Select(identity(r.NRows), identity(r.NCols), r.NCols, 0)
+	notConforming.Val[notConforming.RowPtr[1]] *= 2
+	items = append(items, contractGalerkin("Galerkin blocked", r, bsr3, nil)...)
+	items = append(items, contractGalerkin("Galerkin pinned CSR", r, contractRagged(csr), keep)...)
+	items = append(items, contractGalerkin("Galerkin expanded", notConforming, bsr3, nil)...)
+	items = append(items, contractGalerkin("Galerkin expanded pinned", notConforming, bsr3, keep)...)
+	for _, c := range items {
+		if want := r.NRows / 3; strings.HasPrefix(c.name, "Galerkin blocked") != (c.n == want) {
+			t.Fatalf("%s runs over %d rows: the blocked path's products have %d node rows, the others more", c.name, c.n, want)
+		}
+		t.Run(c.name, func(t *testing.T) {
+			if err := checkItemContract(c.fresh, c.n); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// contractRestriction returns a node-conforming restriction from nf fine
+// to nc coarse nodes of b dofs: coarse node c takes fine nodes c, c+nc, …
+// with weight 1 and their successors with weight 1/2.
+func contractRestriction(nf, nc, b int) *sparse.CSR {
+	rb := sparse.NewBuilder(nc, nf)
+	for j := 0; j < nf; j++ {
+		rb.Add(j%nc, j, 1)
+		rb.Add(j%nc, (j+1)%nf, 0.5)
+	}
+	return sparse.ExpandBlocks(rb.Build(), b)
+}
+
+// contractRagged returns a with a quarter of its off-diagonal entries
+// dropped: a scalar pattern its 3x3 blocks hold only in part.
+func contractRagged(a *sparse.CSR) *sparse.CSR {
+	b := sparse.NewBuilder(a.NRows, a.NCols)
+	for i := 0; i < a.NRows; i++ {
+		cols, vals := a.Row(i)
+		for k, j := range cols {
+			if i == j || (7*i+j)%4 != 0 {
+				b.Add(i, j, vals[k])
+			}
+		}
+	}
+	return b.Build()
+}
+
+// identity returns 0, 1, …, n-1.
+func identity(n int) []int {
+	id := make([]int, n)
+	for i := range id {
+		id[i] = i
+	}
+	return id
 }
 
 // TestFusedResidualIsProductThenSubtract pins the fused kernels to the two

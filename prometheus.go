@@ -17,6 +17,7 @@ package prometheus
 
 import (
 	"fmt"
+	"sync"
 
 	"prometheus/internal/aggregation"
 	"prometheus/internal/core"
@@ -183,7 +184,14 @@ type Solver struct {
 
 	cons   *Constraints
 	dofMap *fem.DofMap
-	rs     []*sparse.CSR
+
+	// mu guards rs, which a smoothed-aggregation solver builds from the
+	// first operator it sees, and plan, the symbolic half of the last
+	// hierarchy built. Concurrent Preconditioner calls (a serve entry's
+	// leases) share both; each returned MG owns its values.
+	mu   sync.Mutex
+	rs   []*sparse.CSR
+	plan *multigrid.Plan
 }
 
 // NewSolver runs the mesh setup: coarsening, remeshing and restriction
@@ -221,6 +229,8 @@ func NewSolver(m *Mesh, cons *Constraints, opts Options) (*Solver, error) {
 // aggregation, the number of operators once the chain has been built).
 func (s *Solver) NumLevels() int {
 	if s.Hier == nil {
+		s.mu.Lock()
+		defer s.mu.Unlock()
 		return len(s.rs) + 1
 	}
 	return s.Hier.NumLevels()
@@ -244,27 +254,62 @@ type Result struct {
 // factorizations). For SmoothedAggregation hierarchies the restriction
 // chain is built from the first operator seen and reused afterwards.
 // Geometric hierarchies on node-aligned constraint sets (every vertex
-// fully free or fully fixed) re-block a scalar tangent into 3x3-node BSR
-// before building the hierarchy; Options.MG.Storage overrides the choice.
-// The Galerkin levels below are blocked level by level whatever the fine
-// level is (multigrid.StorageAuto).
+// fully free or fully fixed) under the default storage block the fine
+// operator into 3x3-node BSR (multigrid.StorageBSR); the Galerkin levels
+// below are blocked level by level whatever the fine level is.
+//
+// The solver keeps the plan of the last hierarchy it built — patterns,
+// partitions, orderings (multigrid.Plan). An operator with the same
+// dimensions and, index for index, the same pattern as the last one (every
+// Newton tangent of a mesh) only fills it with values, bit for bit the
+// hierarchy a fresh Solver builds. Every returned MG owns its values and
+// scratch and shares only the plan's immutable patterns, so hierarchies
+// built by concurrent calls are independent.
 func (s *Solver) Preconditioner(kred Operator) (*multigrid.MG, error) {
-	if s.Opts.Hierarchy == SmoothedAggregation && s.rs == nil {
-		kc, ok := sparse.TryCSR(kred)
-		if !ok {
-			return nil, fmt.Errorf("prometheus: aggregation setup needs an assembled fine matrix, not a matrix-free operator")
-		}
-		b := aggregation.RigidBodyModes(s.Mesh.Coords, s.dofMap.Full2Red, s.dofMap.NumFree())
-		rs, err := aggregation.BuildRestrictions(kc, b, aggregation.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("prometheus: aggregation setup: %w", err)
-		}
-		s.rs = rs
+	rs, err := s.restrictions(kred)
+	if err != nil {
+		return nil, err
 	}
-	if s.Opts.Hierarchy == GeometricMIS && s.dofMap.NodeAligned(3) {
-		kred = sparse.AutoBlockOp(kred, 3)
+	opts := s.Opts.MG
+	if s.Opts.Hierarchy == GeometricMIS && s.dofMap.NodeAligned(3) && opts.Storage == StorageAuto &&
+		(opts.BlockSize == 0 || opts.BlockSize == 3) {
+		opts.Storage, opts.BlockSize = StorageBSR, 3
 	}
-	return multigrid.New(kred, s.rs, s.Opts.MG)
+	s.mu.Lock()
+	plan := s.plan
+	s.mu.Unlock()
+	mg, plan, err := multigrid.Build(plan, kred, rs, opts)
+	if err != nil {
+		return nil, err
+	}
+	if plan != nil {
+		s.mu.Lock()
+		s.plan = plan
+		s.mu.Unlock()
+	}
+	return mg, nil
+}
+
+// restrictions returns the restriction chain, building it from kred on
+// the first call of a smoothed-aggregation solver. Concurrent first calls
+// wait for one build.
+func (s *Solver) restrictions(kred Operator) ([]*sparse.CSR, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.Opts.Hierarchy != SmoothedAggregation || s.rs != nil {
+		return s.rs, nil
+	}
+	kc, ok := sparse.TryCSR(kred)
+	if !ok {
+		return nil, fmt.Errorf("prometheus: aggregation setup needs an assembled fine matrix, not a matrix-free operator")
+	}
+	b := aggregation.RigidBodyModes(s.Mesh.Coords, s.dofMap.Full2Red, s.dofMap.NumFree())
+	rs, err := aggregation.BuildRestrictions(kc, b, aggregation.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("prometheus: aggregation setup: %w", err)
+	}
+	s.rs = rs
+	return rs, nil
 }
 
 // ReduceSystem eliminates the Dirichlet-constrained dofs from a
