@@ -114,6 +114,90 @@ func (c *Constraints) Reduce(k *sparse.CSR, f []float64, m *DofMap) (*sparse.CSR
 	return kRed, fr
 }
 
+// ReduceOperator is Reduce without a right-hand side: it returns the
+// reduced matrix and the load map that gives the right-hand side of any
+// load, for a system solved under many loads.
+func (c *Constraints) ReduceOperator(k *sparse.CSR, m *DofMap) (*sparse.CSR, *LoadMap) {
+	sp := obs.Start(evReduce)
+	defer sp.End()
+	return k.Select(m.Red2Full, m.Full2Red, m.NumFree(), 0), c.newLoadMap(k, m)
+}
+
+// LoadMap is the right-hand-side half of a reduction kept as an object:
+// it turns a load on the full dof numbering into the reduced right-hand
+// side fRed = (s·f)_free - K_fc·u_c of one operator and constraint set,
+// so a system solved under many loads is reduced once. Only the free rows
+// that couple to a constrained dof carry terms: row rows[j] subtracts
+// coef[t]·val[t] for t in [ptr[j], ptr[j+1]), the entries of K_fc in
+// column order beside the prescribed values they multiply. A built map is
+// never written, so concurrent Applies may share it.
+type LoadMap struct {
+	red2Full []int
+	rows     []int
+	ptr      []int
+	coef     []float64
+	val      []float64
+}
+
+// newLoadMap extracts the load map of the full-numbering matrix k under
+// the constraints. A counting pass over the free rows sizes the map, and
+// a second pass fills it.
+func (c *Constraints) newLoadMap(k *sparse.CSR, m *DofMap) *LoadMap {
+	nrows, nterms := 0, 0
+	for _, rFull := range m.Red2Full {
+		cols, _ := k.Row(rFull)
+		n := 0
+		for _, cFull := range cols {
+			if m.Full2Red[cFull] < 0 {
+				n++
+			}
+		}
+		if n > 0 {
+			nrows++
+			nterms += n
+		}
+	}
+	lm := &LoadMap{
+		red2Full: m.Red2Full,
+		rows:     make([]int, 0, nrows),
+		ptr:      make([]int, 1, nrows+1),
+		coef:     make([]float64, 0, nterms),
+		val:      make([]float64, 0, nterms),
+	}
+	for rRed, rFull := range m.Red2Full {
+		cols, vals := k.Row(rFull)
+		n := len(lm.coef)
+		for i, cFull := range cols {
+			if m.Full2Red[cFull] < 0 {
+				lm.coef = append(lm.coef, vals[i])
+				lm.val = append(lm.val, c.Fixed[cFull])
+			}
+		}
+		if len(lm.coef) > n {
+			lm.rows = append(lm.rows, rRed)
+			lm.ptr = append(lm.ptr, len(lm.coef))
+		}
+	}
+	return lm
+}
+
+// Apply writes the reduced right-hand side of the load s·f into dst (one
+// entry per free dof): each row starts from its scaled load and subtracts
+// its terms in column order, the order Reduce uses, so Apply with f and s
+// gives bit for bit what Reduce gives for the vector s·f (s = 1 leaves
+// f's bits as they are). The conversion rounds s·f before the
+// subtractions, so no fused multiply-add can join them.
+func (lm *LoadMap) Apply(dst, f []float64, s float64) {
+	for r, d := range lm.red2Full {
+		dst[r] = float64(s * f[d])
+	}
+	for j, r := range lm.rows {
+		for t := lm.ptr[j]; t < lm.ptr[j+1]; t++ {
+			dst[r] -= lm.coef[t] * lm.val[t]
+		}
+	}
+}
+
 // Expand scatters a reduced vector into a full vector, filling constrained
 // entries with their prescribed values.
 func (c *Constraints) Expand(red []float64, m *DofMap, full []float64) {
@@ -124,13 +208,4 @@ func (c *Constraints) Expand(red []float64, m *DofMap, full []float64) {
 	for r, d := range m.Red2Full {
 		full[d] = red[r]
 	}
-}
-
-// RestrictVec gathers the free entries of a full vector.
-func (m *DofMap) RestrictVec(full []float64) []float64 {
-	out := make([]float64, m.NumFree())
-	for r, d := range m.Red2Full {
-		out[r] = full[d]
-	}
-	return out
 }

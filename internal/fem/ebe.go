@@ -2,6 +2,7 @@ package fem
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"prometheus/internal/mesh"
@@ -405,13 +406,21 @@ func (a *EBEOperator) StorageBytes() int64 {
 	return b
 }
 
-// ConstraintForce returns a copy of K_fc·u_c over the free dofs: subtract
-// it from the restricted load vector to form the reduced right-hand side,
-// exactly as Constraints.Reduce does for the assembled pipeline.
-func (a *EBEOperator) ConstraintForce() []float64 {
-	out := make([]float64, a.n)
-	copy(out, a.cf)
-	return out
+// LoadMap returns the operator's load map over the free dofs of m (the
+// numbering it was built on): each row with a nonzero constraint force
+// K_fc·u_c carries it as its one term, cf·1, which subtracts cf exactly.
+// A row whose force is +0 carries none, since x - (+0) is x for every x.
+func (a *EBEOperator) LoadMap(m *DofMap) *LoadMap {
+	lm := &LoadMap{red2Full: m.Red2Full, ptr: []int{0}}
+	for r, cf := range a.cf {
+		if math.Float64bits(cf) != 0 {
+			lm.rows = append(lm.rows, r)
+			lm.coef = append(lm.coef, cf)
+			lm.val = append(lm.val, 1)
+			lm.ptr = append(lm.ptr, len(lm.coef))
+		}
+	}
+	return lm
 }
 
 // NumColors returns the number of element colors (diagnostics).

@@ -97,12 +97,45 @@ func checkEBEParity(t *testing.T, fx *ebeFixture, rng *rand.Rand) {
 			t.Fatalf("diag %d: ebe %v vs assembled %v", i, de[i], da[i])
 		}
 	}
-	// Reduced right-hand side parity: RestrictVec(f=0) - K_fc·u_c against
-	// Reduce's fred.
-	cf := fx.op.ConstraintForce()
-	for i := range cf {
-		if d := math.Abs(-cf[i] - fx.fred[i]); d > 1e-12*math.Abs(fx.fred[i])+1e-10 {
-			t.Fatalf("rhs %d: ebe %v vs assembled %v", i, -cf[i], fx.fred[i])
+	// Reduced right-hand side parity: the operator's load map applied to
+	// f = 0 (that is, -K_fc·u_c) against Reduce's fred.
+	fr := make([]float64, fx.n)
+	fx.op.LoadMap(fx.dm).Apply(fr, make([]float64, len(fx.dm.Full2Red)), 1)
+	for i := range fr {
+		if d := math.Abs(fr[i] - fx.fred[i]); d > 1e-12*math.Abs(fx.fred[i])+1e-10 {
+			t.Fatalf("rhs %d: ebe %v vs assembled %v", i, fr[i], fx.fred[i])
+		}
+	}
+}
+
+// TestEBELoadMap: the matrix-free load map applied at scale s is bit for
+// bit the restricted scaled load minus the constraint force, one
+// subtraction per free dof, at every scale the service is tested with.
+func TestEBELoadMap(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		fx := buildEBEFixture(t, seed)
+		f := make([]float64, len(fx.dm.Full2Red))
+		for i := range f {
+			f[i] = float64(i%5-2) * 1e-3
+		}
+		lm := fx.op.LoadMap(fx.dm)
+		got := make([]float64, fx.n)
+		sf := make([]float64, len(f))
+		for _, s := range []float64{1, 0.5, 2, -1, 1e-3, 3} {
+			for i, v := range f {
+				sf[i] = s * v
+			}
+			want := make([]float64, fx.n)
+			for i, d := range fx.dm.Red2Full {
+				want[i] = sf[d]
+				want[i] -= fx.op.cf[i]
+			}
+			lm.Apply(got, f, s)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("seed %d, scale %g, dof %d: load map %v, restrict minus force %v", seed, s, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }

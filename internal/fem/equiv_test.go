@@ -146,6 +146,63 @@ func TestSelectMatchesBuilder(t *testing.T) {
 	}
 }
 
+// TestLoadMapIsReduce: ReduceOperator's matrix is bit for bit Reduce's,
+// and its load map, built once and applied at scale s, gives bit for bit
+// the right-hand side that Reduce and the Builder reference give for the
+// vector s·f — on the cube and cantilever (zero prescribed values) and on
+// the crushed spheres (nonzero ones), at every scale the service is tested
+// with. A negative scale turns the zero entries of f into -0, and the
+// signed zeros must come out as the reference has them.
+func TestLoadMapIsReduce(t *testing.T) {
+	elastic := material.LinearElastic{E: 1, Nu: 0.3}
+	cube := problems.NewCube(4, elastic, -0.001)
+	beam := problems.NewCantilever(12, 2, 2, 6, elastic, -0.0001)
+	spheres := problems.NewSpheresConfig(problems.SpheresConfig{Layers: 3, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2})
+	// The spheres are driven by displacement alone; give them a load with
+	// zero, positive and negative entries.
+	sphereLoad := make([]float64, spheres.Mesh.NumDOF())
+	for i := range sphereLoad {
+		sphereLoad[i] = float64(i%5-2) * 1e-3
+	}
+	for _, tc := range []struct {
+		name string
+		p    *fem.Problem
+		cons *fem.Constraints
+		f    []float64
+	}{
+		{"cube", fem.NewProblem(cube.Mesh, cube.Models, false), cube.Cons, cube.Load},
+		{"cantilever", fem.NewProblem(beam.Mesh, beam.Models, false), beam.Cons, beam.Load},
+		{"spheres crush", fem.NewProblem(spheres.Mesh, spheres.Models, true), spheres.Cons, sphereLoad},
+	} {
+		k, _, err := tc.p.AssembleTangent(make([]float64, tc.p.M.NumDOF()))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		dm := tc.cons.NewDofMap(k.NRows)
+		kRed, lm := tc.cons.ReduceOperator(k, dm)
+		want, _ := tc.cons.Reduce(k, tc.f, dm)
+		if !slices.Equal(kRed.RowPtr, want.RowPtr) || !slices.Equal(kRed.ColIdx, want.ColIdx) || !sameFloatBits(kRed.Val, want.Val) {
+			t.Fatalf("%s: ReduceOperator's matrix differs from Reduce's", tc.name)
+		}
+		got := make([]float64, dm.NumFree())
+		sf := make([]float64, len(tc.f))
+		for _, s := range []float64{1, 0.5, 2, -1, 1e-3, 3} {
+			for i, v := range tc.f {
+				sf[i] = s * v
+			}
+			lm.Apply(got, tc.f, s)
+			_, viaReduce := tc.cons.Reduce(k, sf, dm)
+			_, want := reduceBuilder(tc.cons, k, sf, dm)
+			if !sameFloatBits(got, want) || !sameFloatBits(viaReduce, want) {
+				t.Fatalf("%s, scale %g: load map or Reduce differs from the reference loop", tc.name, s)
+			}
+			if s < 0 && !slices.ContainsFunc(got, func(x float64) bool { return x == 0 && math.Signbit(x) }) {
+				t.Fatalf("%s, scale %g: oracle broken, no -0 in the right-hand side", tc.name, s)
+			}
+		}
+	}
+}
+
 // dropRow returns a copy of k with row r emptied.
 func dropRow(k *sparse.CSR, r int) *sparse.CSR {
 	lo, hi := k.RowPtr[r], k.RowPtr[r+1]

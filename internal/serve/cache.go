@@ -20,10 +20,11 @@ const mgPoolCap = 8
 const cacheEntryCap = 64
 
 // cacheEntry is one cached setup product: everything a warm request can
-// reuse — the solver (hierarchy + restrictions), the reduced operator and
-// right-hand side, and a pool of ready multigrid preconditioners. The
-// entry is built exactly once (single-flight); concurrent first requests
-// for the same key block on the build instead of duplicating it.
+// reuse, whatever its load scale — the solver (hierarchy + restrictions),
+// the reduced operator, the load map that reduces a load against it, and
+// a pool of ready leases. The entry is built exactly once (single-flight);
+// concurrent first requests for the same key block on the build instead
+// of duplicating it.
 type cacheEntry struct {
 	key string
 	fp  string
@@ -35,16 +36,17 @@ type cacheEntry struct {
 	// kred is the reduced fine operator: an assembled matrix on the
 	// csr/bsr paths, a matrix-free element-by-element operator under
 	// storage "mf" — the solve only needs Operator either way.
-	kred    prometheus.Operator
-	fred    []float64
+	kred prometheus.Operator
+	// loads turns a request's load into kred's right-hand side.
+	loads   *prometheus.LoadMap
 	numDOF  int
 	levels  int
 	setupNs int64
 
-	// mgs is the idle preconditioner pool. A multigrid instance carries
-	// per-level scratch vectors, so one instance must never serve two
-	// concurrent solves; Checkout leases an instance, Checkin returns it.
-	mgs    chan *multigrid.MG
+	// mgs is the idle lease pool. A multigrid instance carries per-level
+	// scratch vectors, so one instance must never serve two concurrent
+	// solves; Checkout leases one, Checkin returns it.
+	mgs    chan *lease
 	builds atomic.Int64 // lifetime MG constructions (1 = never rebuilt)
 
 	// refs and lastUse are guarded by the owning cache's mutex.
@@ -56,32 +58,30 @@ type cacheEntry struct {
 // are told when the build panicked on the request that ran it.
 var errBuildPanicked = errors.New("serve: the setup this request was waiting on panicked")
 
+// lease is one solve's exclusive state on an entry: a multigrid
+// preconditioner and the reduced right-hand side the request writes its
+// load into.
+type lease struct {
+	mg   *multigrid.MG
+	fred []float64
+}
+
 // build runs the cold-path setup: coarsening, assembly, constraint
-// reduction and the first multigrid construction. It runs to completion
-// even if the requesting client goes away — the product is shared state,
-// and a half-built entry poisoned by one caller's cancellation would
-// break every later request for the key.
-func (e *cacheEntry) build(g *Geometry, scale float64, opts prometheus.Options) error {
+// reduction, the load map and the first multigrid construction. It runs
+// to completion even if the requesting client goes away — the product is
+// shared state, and a half-built entry poisoned by one caller's
+// cancellation would break every later request for the key.
+func (e *cacheEntry) build(g *Geometry, opts prometheus.Options) error {
 	t0 := time.Now()
 	solver, err := prometheus.NewSolver(g.Mesh, g.Cons, opts)
 	if err != nil {
 		return err
 	}
-	var kred prometheus.Operator
-	var fred []float64
-	if opts.MG.Storage == prometheus.StorageMatrixFree {
-		// Matrix-free mode: no fine-grid matrix is ever assembled; the
-		// cached operator applies element stiffnesses directly.
-		kred, fred, err = g.MatrixFreeLinear(solver, scale)
-		if err != nil {
-			return err
-		}
-	} else {
-		k, f, err := g.AssembleLinear(scale)
-		if err != nil {
-			return err
-		}
-		kred, fred = solver.ReduceSystem(k, f)
+	// No right-hand side is built here: each request writes its own load
+	// through the map.
+	kred, loads, err := solver.LinearOperator(prometheus.NewProblem(g.Mesh, g.Models, false))
+	if err != nil {
+		return err
 	}
 	mg, err := solver.Preconditioner(kred)
 	if err != nil {
@@ -89,22 +89,22 @@ func (e *cacheEntry) build(g *Geometry, scale float64, opts prometheus.Options) 
 	}
 	e.solver = solver
 	e.kred = kred
-	e.fred = fred
+	e.loads = loads
 	e.numDOF = g.Mesh.NumDOF()
 	e.levels = mg.NumLevels()
 	e.setupNs = time.Since(t0).Nanoseconds()
 	e.builds.Add(1)
-	e.checkinMG(mg)
+	e.Checkin(&lease{mg: mg, fred: make([]float64, kred.Rows())})
 	return nil
 }
 
-// Checkout leases a multigrid preconditioner from the idle pool, building
-// a fresh instance when the pool is empty (concurrent solves on one
-// entry). Never blocks. Pair with Checkin on all paths.
-func (e *cacheEntry) Checkout() (*multigrid.MG, error) {
+// Checkout leases a preconditioner and a right-hand side from the idle
+// pool, building a fresh pair when the pool is empty (concurrent solves
+// on one entry). Never blocks. Pair with Checkin on all paths.
+func (e *cacheEntry) Checkout() (*lease, error) {
 	select {
-	case mg := <-e.mgs:
-		return mg, nil
+	case l := <-e.mgs:
+		return l, nil
 	default:
 	}
 	mg, err := e.solver.Preconditioner(e.kred)
@@ -112,25 +112,22 @@ func (e *cacheEntry) Checkout() (*multigrid.MG, error) {
 		return nil, err
 	}
 	e.builds.Add(1)
-	return mg, nil
+	return &lease{mg: mg, fred: make([]float64, e.kred.Rows())}, nil
 }
 
-// Checkin returns a leased preconditioner to the idle pool.
-func (e *cacheEntry) Checkin(mg *multigrid.MG) { e.checkinMG(mg) }
-
-// checkinMG puts an instance back; a full pool drops it (the next
-// checkout past mgPoolCap concurrent solves rebuilds).
-func (e *cacheEntry) checkinMG(mg *multigrid.MG) {
+// Checkin returns a lease to the idle pool; a full pool drops it (the
+// next checkout past mgPoolCap concurrent solves rebuilds).
+func (e *cacheEntry) Checkin(l *lease) {
 	select {
-	case e.mgs <- mg:
+	case e.mgs <- l:
 	default:
 	}
 }
 
 // EntryInfo is the JSON view of one cache entry for /v1/cache.
 type EntryInfo struct {
-	// Key is the full cache key
-	// (fingerprint/cycle/storage/scale-bits).
+	// Key is the full cache key (fingerprint/cycle/storage); one entry
+	// serves every load scale.
 	Key string `json:"key"`
 	// Fingerprint is the mesh fingerprint component of the key.
 	Fingerprint string `json:"fingerprint"`
@@ -179,11 +176,11 @@ func newHierCache(maxEntries int) *hierCache {
 // failed build: the panic unwinds through the request that ran it, with
 // its reference released and the key dropped on the way, and the requests
 // waiting on it get errBuildPanicked.
-func (c *hierCache) Acquire(key, fp string, g *Geometry, scale float64, opts prometheus.Options) (e *cacheEntry, hit bool, err error) {
+func (c *hierCache) Acquire(key, fp string, g *Geometry, opts prometheus.Options) (e *cacheEntry, hit bool, err error) {
 	c.mu.Lock()
 	e, hit = c.entries[key]
 	if !hit {
-		e = &cacheEntry{key: key, fp: fp, mgs: make(chan *multigrid.MG, mgPoolCap)}
+		e = &cacheEntry{key: key, fp: fp, mgs: make(chan *lease, mgPoolCap)}
 		c.entries[key] = e
 		c.misses++
 		mCacheMisses.Inc()
@@ -212,7 +209,7 @@ func (c *hierCache) Acquire(key, fp string, g *Geometry, scale float64, opts pro
 	}()
 	e.once.Do(func() {
 		e.err = errBuildPanicked // what the waiters read if build does not return
-		e.err = e.build(g, scale, opts)
+		e.err = e.build(g, opts)
 	})
 	if e.err != nil {
 		return nil, false, e.err

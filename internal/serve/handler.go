@@ -19,7 +19,10 @@ import (
 // geometry (see Spec); the rest tune the solve and the response shape.
 type SolveRequest struct {
 	Spec
-	// LoadScale multiplies the problem's reference load (default 1).
+	// LoadScale multiplies the problem's reference load (default 1). It
+	// is per request and not part of the cache key: every scale of a
+	// geometry shares one entry, and the request reduces its own scaled
+	// load against the cached operator.
 	LoadScale float64 `json:"load_scale"`
 	// RTol is the relative residual tolerance (default 1e-4).
 	RTol float64 `json:"rtol"`
@@ -71,10 +74,14 @@ const (
 	maxItersCap  = 10000
 )
 
-// validate rejects numeric fields the solver cannot give a meaningful
-// answer for, naming the field. It runs on the defaulted request, before
-// any geometry is built. The comparisons are written so NaN fails them.
+// validate rejects a spec BuildGeometry cannot build and numeric fields
+// the solver cannot give a meaningful answer for, naming the field. It
+// runs on the defaulted request, before admission and before any
+// geometry is built. The comparisons are written so NaN fails them.
 func (r SolveRequest) validate() error {
+	if err := r.Spec.validate(); err != nil {
+		return err
+	}
 	if s := math.Abs(r.LoadScale); !(s >= minLoadScale && s <= maxLoadScale) {
 		return fmt.Errorf("serve: load_scale must have magnitude in [%g, %g], got %g", minLoadScale, maxLoadScale, r.LoadScale)
 	}
@@ -183,7 +190,8 @@ func failJSON(w http.ResponseWriter, status int, msg string) {
 // not mesh-upload, so requests are tiny).
 const maxRequestBody = 1 << 20
 
-// handleSolve is POST /v1/solve: admission → session → cache → solve.
+// handleSolve is POST /v1/solve: validation → admission → session →
+// geometry → cache → load → solve.
 // Every acquired resource is released by a defer directly under its
 // acquisition, so error returns and panics unwind cleanly (the
 // instrumentation layer turns a panic into a 500).
@@ -211,18 +219,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		failJSON(w, http.StatusBadRequest, err.Error())
 		return
 	}
-
-	g, err := BuildGeometry(req.Spec)
-	if err != nil {
-		failJSON(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	opts, err := solverOptions(req.RTol, req.MaxIters, req.Cycle, req.Storage)
 	if err != nil {
 		failJSON(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
+	// Admission comes before any geometry: a request the service sheds
+	// builds no mesh.
 	if err := s.adm.Acquire(ctx, req.Wait); err != nil {
 		s.rejected.Add(1)
 		if errors.Is(err, ErrBusy) {
@@ -240,11 +244,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	sess := s.sessions.Checkout(req.Problem, req.Size, task)
 	defer s.sessions.Checkin(sess)
 
+	g, err := BuildGeometry(req.Spec)
+	if err != nil {
+		failJSON(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	fp := g.Fingerprint(opts.Coarsen)
-	key := cacheKey(fp, req.Cycle, opts, req.LoadScale)
+	key := cacheKey(fp, req.Cycle, opts)
 	sess.setKey(key)
 
-	entry, hit, err := s.cache.Acquire(key, fp, g, req.LoadScale, opts)
+	entry, hit, err := s.cache.Acquire(key, fp, g, opts)
 	if err != nil {
 		failJSON(w, http.StatusInternalServerError, fmt.Sprintf("serve: setup: %v", err))
 		return
@@ -256,18 +265,23 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		task.AddCacheMiss()
 	}
 
-	mg, err := entry.Checkout()
+	ls, err := entry.Checkout()
 	if err != nil {
 		failJSON(w, http.StatusInternalServerError, fmt.Sprintf("serve: preconditioner: %v", err))
 		return
 	}
-	defer entry.Checkin(mg)
-	// The lease is exclusive until Checkin, so attaching the task is
-	// race-free; detach before the MG returns to the pool. This defer
-	// runs before entry.Checkin's (LIFO), so a pooled MG never carries
-	// a stale task.
+	defer entry.Checkin(ls)
+	// The lease is exclusive until Checkin, so attaching the task and
+	// writing the right-hand side are race-free; detach before the MG
+	// returns to the pool. This defer runs before entry.Checkin's (LIFO),
+	// so a pooled MG never carries a stale task.
+	mg := ls.mg
 	mg.SetTask(task)
 	defer mg.SetTask(nil)
+
+	sp := obs.StartTask(evLoad, task)
+	entry.loads.Apply(ls.fred, g.Load, req.LoadScale)
+	sp.End()
 
 	resp := SolveResponse{
 		Session:     sess.id,
@@ -311,9 +325,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 
-	x := make([]float64, len(entry.fred))
+	x := make([]float64, len(ls.fred))
 	t0 := time.Now()
-	res := krylov.FPCGMonitoredCtx(ctx, entry.kred, entry.fred, x, mg, req.RTol, req.MaxIters, mon)
+	res := krylov.FPCGMonitoredCtx(ctx, entry.kred, ls.fred, x, mg, req.RTol, req.MaxIters, mon)
 	resp.SolveNs = time.Since(t0).Nanoseconds()
 	resp.Iterations = res.Iterations
 	resp.Converged = res.Converged

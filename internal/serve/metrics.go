@@ -34,4 +34,7 @@ var (
 	// mSolveStops counts completed solves by why the Krylov iteration
 	// ended (krylov.StopReason: converged, max_iters, indefinite, ...).
 	mSolveStops = obs.NewCounterVec("serve.solve.stops", "reason")
+	// evLoad spans a request's load reduction: its scaled load written
+	// through the entry's load map into the lease's right-hand side.
+	evLoad = obs.Register("serve.load")
 )

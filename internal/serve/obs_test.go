@@ -385,8 +385,10 @@ func TestSessionTraceEndpoint(t *testing.T) {
 	for _, ev := range doc.TraceEvents {
 		seen[ev.Name] = true
 	}
-	if !seen["krylov.fpcg"] {
-		t.Fatalf("session trace lacks the krylov.fpcg span; saw %v", seen)
+	for _, span := range []string{"serve.load", "krylov.fpcg"} {
+		if !seen[span] {
+			t.Fatalf("session trace lacks the %s span; saw %v", span, seen)
+		}
 	}
 
 	if hr2, err := http.Get(ts.URL + "/v1/sessions/999999/trace"); err != nil {

@@ -16,7 +16,6 @@ import (
 
 	prometheus "prometheus"
 	"prometheus/internal/material"
-	"prometheus/internal/multigrid"
 	"prometheus/internal/obs"
 	"prometheus/internal/pool"
 	"prometheus/internal/sparse"
@@ -65,7 +64,7 @@ func TestPanicInsideSolveAnswers500(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := g.Fingerprint(opts.Coarsen)
-	broken := &cacheEntry{key: cacheKey(fp, "fmg", opts, 1), fp: fp, mgs: make(chan *multigrid.MG, mgPoolCap)}
+	broken := &cacheEntry{key: cacheKey(fp, "fmg", opts), fp: fp, mgs: make(chan *lease, mgPoolCap)}
 	broken.once.Do(func() {})
 	svc.cache.entries[broken.key] = broken
 
@@ -256,7 +255,7 @@ func TestPanickingBuildReleasesWaiters(t *testing.T) {
 	g.Models = []prometheus.Model{gatedPanicModel{gate}}
 	opts := prometheus.Options{}
 	fp := g.Fingerprint(opts.Coarsen)
-	key := cacheKey(fp, "fmg", opts, 1)
+	key := cacheKey(fp, "fmg", opts)
 	c := newHierCache(4)
 
 	var wg sync.WaitGroup
@@ -267,7 +266,7 @@ func TestPanickingBuildReleasesWaiters(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			defer func() { panics[i] = recover() }()
-			_, _, errs[i] = c.Acquire(key, fp, g, 1, opts)
+			_, _, errs[i] = c.Acquire(key, fp, g, opts)
 		}(i)
 	}
 	// Let the build go on only once every request holds its reference:
@@ -307,7 +306,7 @@ func TestPanickingBuildReleasesWaiters(t *testing.T) {
 		t.Fatal("the failed entry stayed in the cache")
 	}
 	g.Models = healthy
-	e, hit, err := c.Acquire(key, fp, g, 1, opts)
+	e, hit, err := c.Acquire(key, fp, g, opts)
 	if err != nil || hit {
 		t.Fatalf("rebuilding the key after the panic: hit=%v err=%v", hit, err)
 	}

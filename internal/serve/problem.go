@@ -6,7 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"strconv"
+	"sync/atomic"
 
 	prometheus "prometheus"
 	"prometheus/internal/core"
@@ -40,27 +40,42 @@ type Geometry struct {
 	Load []float64
 }
 
+// validate rejects a spec BuildGeometry cannot build: an unknown problem
+// or a size outside 1..maxSize. The handler runs it with the rest of the
+// request's checks, before admission, so a bad spec costs no slot.
+func (spec Spec) validate() error {
+	if spec.Problem != "cube" && spec.Problem != "cantilever" {
+		return fmt.Errorf("serve: unknown problem %q (want cube or cantilever)", spec.Problem)
+	}
+	if spec.Size < 1 {
+		return fmt.Errorf("serve: size must be >= 1, got %d", spec.Size)
+	}
+	if spec.Size > maxSize {
+		return fmt.Errorf("serve: size %d exceeds the service limit %d", spec.Size, maxSize)
+	}
+	return nil
+}
+
+// geometryBuilds counts the geometries BuildGeometry has built, so tests
+// can tell which requests got as far as building a mesh.
+var geometryBuilds atomic.Int64
+
 // BuildGeometry constructs the named problem exactly as cmd/promsolve
 // does, so served solves are comparable (bitwise) to command-line runs of
 // the same spec.
 func BuildGeometry(spec Spec) (*Geometry, error) {
-	if spec.Size < 1 {
-		return nil, fmt.Errorf("serve: size must be >= 1, got %d", spec.Size)
+	if err := spec.validate(); err != nil {
+		return nil, err
 	}
-	if spec.Size > maxSize {
-		return nil, fmt.Errorf("serve: size %d exceeds the service limit %d", spec.Size, maxSize)
-	}
-	switch spec.Problem {
-	case "cube":
+	geometryBuilds.Add(1)
+	if spec.Problem == "cube" {
 		c := problems.NewCube(4*spec.Size, prometheus.LinearElastic{E: 1, Nu: 0.3}, -0.001)
 		return &Geometry{Mesh: c.Mesh, Cons: c.Cons, Models: c.Models, Load: c.Load}, nil
-	case "cantilever":
-		c := problems.NewCantilever(6*spec.Size, spec.Size, spec.Size, 6,
-			prometheus.LinearElastic{E: 1, Nu: 0.3}, -0.0001)
-		return &Geometry{Mesh: c.Mesh, Cons: c.Cons, Models: c.Models, Load: c.Load}, nil
-	default:
-		return nil, fmt.Errorf("serve: unknown problem %q (want cube or cantilever)", spec.Problem)
 	}
+	// "cantilever", the only other problem validate admits.
+	c := problems.NewCantilever(6*spec.Size, spec.Size, spec.Size, 6,
+		prometheus.LinearElastic{E: 1, Nu: 0.3}, -0.0001)
+	return &Geometry{Mesh: c.Mesh, Cons: c.Cons, Models: c.Models, Load: c.Load}, nil
 }
 
 // maxSize bounds the refinement parameter a request may ask for: the
@@ -121,18 +136,17 @@ func storageLabel(k prometheus.StorageKind) string {
 	}
 }
 
-// cacheKey derives the full cache key: the mesh fingerprint plus the
-// solve-variant parameters that change the cached setup products (cycle
-// shapes the multigrid built from the hierarchy, storage shapes the
-// cached operator hierarchy itself, the load scale bakes into the cached
-// reduced right-hand side). Float bits, not formatted decimals, so
-// distinct scales can never collide. Storage comes from the resolved
-// options: a "mf" entry caches an element-by-element operator, so sharing
-// an entry across storage modes would hand one request's variant to
-// another.
-func cacheKey(fp string, cycle string, opts prometheus.Options, scale float64) string {
-	return fp + "/" + cycle + "/" + storageLabel(opts.MG.Storage) + "/" +
-		strconv.FormatUint(math.Float64bits(scale), 16)
+// cacheKey derives the full cache key, fingerprint/cycle/storage: the
+// mesh fingerprint plus the solve-variant parameters that change the
+// cached setup products (cycle shapes the multigrid built from the
+// hierarchy, storage shapes the cached operator hierarchy itself). The
+// load scale is not part of it: an entry keeps the load map, and each
+// request reduces its own scaled load through it. Storage comes from the
+// resolved options: a "mf" entry caches an element-by-element operator,
+// so sharing an entry across storage modes would hand one request's
+// variant to another.
+func cacheKey(fp string, cycle string, opts prometheus.Options) string {
+	return fp + "/" + cycle + "/" + storageLabel(opts.MG.Storage)
 }
 
 // solverOptions maps request-level solve parameters onto the library

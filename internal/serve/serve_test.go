@@ -6,8 +6,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -37,59 +39,136 @@ func postSolve(t *testing.T, ts *httptest.Server, req SolveRequest) SolveRespons
 
 func postSolveStatus(t *testing.T, ts *httptest.Server, req SolveRequest) (SolveResponse, int) {
 	t.Helper()
+	out, status, err := trySolve(ts, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, status
+}
+
+// trySolve sends a solve request and decodes the response, returning what
+// went wrong instead of failing the test, so goroutines other than the
+// test's own can use it.
+func trySolve(ts *httptest.Server, req SolveRequest) (SolveResponse, int, error) {
+	var out SolveResponse
 	body, err := json.Marshal(req)
 	if err != nil {
-		t.Fatalf("marshal request: %v", err)
+		return out, 0, fmt.Errorf("marshal request: %w", err)
 	}
 	hr, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /v1/solve: %v", err)
+		return out, 0, fmt.Errorf("POST /v1/solve: %w", err)
 	}
 	defer hr.Body.Close()
-	var out SolveResponse
 	if err := json.NewDecoder(hr.Body).Decode(&out); err != nil {
-		t.Fatalf("decode response (status %d): %v", hr.StatusCode, err)
+		return out, hr.StatusCode, fmt.Errorf("decode response (status %d): %w", hr.StatusCode, err)
 	}
-	return out, hr.StatusCode
+	return out, hr.StatusCode, nil
+}
+
+// servedScales are the load scales the bitwise tests serve from one cache
+// entry: the default, fractions and multiples, a negative scale (which
+// turns every zero load entry into -0) and a small one.
+var servedScales = []float64{1, 0.5, 2, -1, 1e-3, 3}
+
+// checkBitwiseDirect fails unless a served reply (with its solution
+// returned) is bit for bit the direct solver's run of the same request:
+// solution vector, residual history and iteration count.
+func checkBitwiseDirect(t *testing.T, req SolveRequest, got SolveResponse) {
+	t.Helper()
+	uDirect, resDirect, err := DirectSolve(req.Spec, req.LoadScale, 1e-4, 1000, "fmg", req.Storage, "")
+	if err != nil {
+		t.Fatalf("direct solve at scale %g: %v", req.LoadScale, err)
+	}
+	if !got.Converged || got.Iterations != resDirect.Iterations {
+		t.Fatalf("scale %g: served %d iterations (converged %v), direct %d", req.LoadScale, got.Iterations, got.Converged, resDirect.Iterations)
+	}
+	if !sameBits(got.Residuals, resDirect.Residuals) {
+		t.Fatalf("scale %g: residual history %v, direct %v", req.LoadScale, got.Residuals, resDirect.Residuals)
+	}
+	if !sameBits(got.Solution, uDirect) {
+		t.Fatalf("scale %g: served solution differs from the direct one", req.LoadScale)
+	}
+	if want := SolutionHash(uDirect); got.SolutionHash != want {
+		t.Fatalf("scale %g: solution hash %s, direct %s", req.LoadScale, got.SolutionHash, want)
+	}
+}
+
+// sameBits reports whether two vectors hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // TestServeBitwiseIdentical is the end-to-end oracle: a served solve must
 // be bitwise identical — solution vector, residual history, iteration
-// count — to a direct solver run of the same spec.
+// count — to a direct solver run of the same request. Every load scale of
+// a storage mode is served from one cache entry, built by the first
+// request; the others hit it and reduce their own load against it.
 func TestServeBitwiseIdentical(t *testing.T) {
 	spec := Spec{Problem: "cube", Size: 1}
-	uDirect, resDirect, err := DirectSolve(spec, 1, 1e-4, 1000, "fmg", "", "")
-	if err != nil {
-		t.Fatalf("direct solve: %v", err)
-	}
-
-	_, ts := newTestServer(t, Config{})
-	got := postSolve(t, ts, SolveRequest{Spec: spec, ReturnSolution: true})
-
-	if got.Iterations != resDirect.Iterations {
-		t.Fatalf("served %d iterations, direct %d", got.Iterations, resDirect.Iterations)
-	}
-	if !got.Converged {
-		t.Fatalf("served solve did not converge: %+v", got)
-	}
-	if len(got.Residuals) != len(resDirect.Residuals) {
-		t.Fatalf("served %d residuals, direct %d", len(got.Residuals), len(resDirect.Residuals))
-	}
-	for i := range got.Residuals {
-		if got.Residuals[i] != resDirect.Residuals[i] {
-			t.Fatalf("residual %d differs: served %v direct %v", i, got.Residuals[i], resDirect.Residuals[i])
+	for _, storage := range []string{"auto", "csr", "bsr", "mf"} {
+		_, ts := newTestServer(t, Config{})
+		var key string
+		for i, scale := range servedScales {
+			req := SolveRequest{Spec: spec, LoadScale: scale, Storage: storage, ReturnSolution: true}
+			got := postSolve(t, ts, req)
+			checkBitwiseDirect(t, req, got)
+			if i == 0 {
+				key = got.Key
+			}
+			if got.Key != key || got.CacheHit != (i > 0) {
+				t.Fatalf("%s, scale %g: key %s, cache_hit %v; want the first request's key %s and a hit after it", storage, scale, got.Key, got.CacheHit, key)
+			}
+		}
+		if parts := strings.Split(key, "/"); len(parts) != 3 || parts[2] != storage {
+			t.Fatalf("%s: key %s, want fingerprint/cycle/storage", storage, key)
+		}
+		var cb cacheBody
+		getJSON(t, ts.URL+"/v1/cache", &cb)
+		if cb.Misses != 1 || cb.Hits != int64(len(servedScales)-1) || len(cb.Entries) != 1 {
+			t.Fatalf("%s: %d misses, %d hits, %d entries after %d scales; want 1, %d, 1", storage, cb.Misses, cb.Hits, len(cb.Entries), len(servedScales), len(servedScales)-1)
 		}
 	}
-	if len(got.Solution) != len(uDirect) {
-		t.Fatalf("served solution length %d, direct %d", len(got.Solution), len(uDirect))
-	}
-	for i := range uDirect {
-		if got.Solution[i] != uDirect[i] {
-			t.Fatalf("solution dof %d differs: served %v direct %v", i, got.Solution[i], uDirect[i])
+}
+
+// TestConcurrentScalesShareOneEntry: requests for one geometry at
+// distinct load scales, all sent at once, share one single-flight build —
+// one miss, one entry — and every reply is bit for bit its direct solve.
+// On a one-slot service the solves queue and the entry's first
+// preconditioner serves all of them (Builds = 1); with a slot each they
+// overlap, and every overlapping solve leases a preconditioner of its own.
+func TestConcurrentScalesShareOneEntry(t *testing.T) {
+	scales := servedScales[:4]
+	for _, slots := range []int{1, len(scales)} {
+		_, ts := newTestServer(t, Config{MaxConcurrent: slots})
+		reqs := make([]SolveRequest, len(scales))
+		replies := make([]SolveResponse, len(scales))
+		statuses := make([]int, len(scales))
+		errs := make([]error, len(scales))
+		var wg sync.WaitGroup
+		for i, scale := range scales {
+			reqs[i] = SolveRequest{Spec: Spec{Problem: "cube", Size: 1}, LoadScale: scale, ReturnSolution: true, Wait: true}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				replies[i], statuses[i], errs[i] = trySolve(ts, reqs[i])
+			}(i)
 		}
-	}
-	if want := SolutionHash(uDirect); got.SolutionHash != want {
-		t.Fatalf("solution hash %s, direct %s", got.SolutionHash, want)
+		wg.Wait()
+		for i := range reqs {
+			if errs[i] != nil || statuses[i] != http.StatusOK {
+				t.Fatalf("%d slots, scale %g: status %d, error %v", slots, reqs[i].LoadScale, statuses[i], errs[i])
+			}
+			checkBitwiseDirect(t, reqs[i], replies[i])
+		}
+		var cb cacheBody
+		getJSON(t, ts.URL+"/v1/cache", &cb)
+		if cb.Misses != 1 || len(cb.Entries) != 1 {
+			t.Fatalf("%d slots: %d misses and %d entries for %d scales of one geometry, want 1 and 1", slots, cb.Misses, len(cb.Entries), len(scales))
+		}
+		if b := cb.Entries[0].Builds; b < 1 || b > int64(slots) {
+			t.Fatalf("%d slots: the entry built %d preconditioners, want 1..%d", slots, b, slots)
+		}
 	}
 }
 
@@ -149,14 +228,16 @@ func TestServeMatrixFree(t *testing.T) {
 }
 
 // TestServeCacheSkipsSetup asserts the performance heart of the service:
-// the second request for a geometry runs zero coarsening and zero
-// multigrid setup — the obs phase counters for both must not move.
+// the second request for a geometry, at a load scale the entry has not
+// seen, runs zero coarsening, assembly, reduction and multigrid setup —
+// the obs phase counters for all of them must not move. Only its own load
+// reduction runs, under serve.load.
 func TestServeCacheSkipsSetup(t *testing.T) {
 	obs.EnableWith(obs.Config{})
 	defer obs.Disable()
 
 	_, ts := newTestServer(t, Config{})
-	spec := Spec{Problem: "cantilever", Size: 1}
+	spec := Spec{Problem: "cube", Size: 1}
 
 	first := postSolve(t, ts, SolveRequest{Spec: spec})
 	if first.CacheHit {
@@ -173,12 +254,15 @@ func TestServeCacheSkipsSetup(t *testing.T) {
 		}
 		return e.Totals().Count
 	}
+	setup := []string{"core.coarsen", "fem.assemble", "fem.reduce", "mg.setup", "mg.setup.galerkin"}
 	before := obs.Snapshot()
-	if count(before, "core.coarsen") == 0 {
-		t.Fatalf("oracle broken: no core.coarsen events recorded by the cold request")
+	for _, ev := range setup {
+		if count(before, ev) == 0 {
+			t.Fatalf("oracle broken: no %s events recorded by the cold request", ev)
+		}
 	}
 
-	second := postSolve(t, ts, SolveRequest{Spec: spec})
+	second := postSolve(t, ts, SolveRequest{Spec: spec, LoadScale: 2})
 	if !second.CacheHit {
 		t.Fatalf("second request missed the cache: %+v", second)
 	}
@@ -186,13 +270,19 @@ func TestServeCacheSkipsSetup(t *testing.T) {
 		t.Fatalf("warm request reported setup_ns = %d, want 0", second.SetupNs)
 	}
 	after := obs.Snapshot()
-	for _, ev := range []string{"core.coarsen", "mg.setup", "mg.setup.galerkin"} {
+	for _, ev := range setup {
 		if b, a := count(before, ev), count(after, ev); a != b {
 			t.Fatalf("warm request ran setup phase %s: count %d -> %d", ev, b, a)
 		}
 	}
-	if first.SolutionHash != second.SolutionHash {
-		t.Fatalf("warm solution hash %s differs from cold %s", second.SolutionHash, first.SolutionHash)
+	if b, a := count(before, "serve.load"), count(after, "serve.load"); a != b+1 {
+		t.Fatalf("warm request reduced its load %d times, want once", a-b)
+	}
+	if first.SolutionHash == second.SolutionHash {
+		t.Fatal("scales 1 and 2 gave one solution hash")
+	}
+	if third := postSolve(t, ts, SolveRequest{Spec: spec}); third.SolutionHash != first.SolutionHash {
+		t.Fatalf("warm solution hash %s differs from cold %s", third.SolutionHash, first.SolutionHash)
 	}
 }
 
@@ -336,6 +426,34 @@ func TestServeConcurrentSessions(t *testing.T) {
 	if h.Rejected != shed || h.Requests != admitted+shed || int64(h.TotalSessions) != admitted {
 		t.Fatalf("request accounting: %d requests, %d sessions admitted, %d rejected; want %d = %d + %d",
 			h.Requests, h.TotalSessions, h.Rejected, admitted+shed, admitted, shed)
+	}
+}
+
+// TestAdmissionBeforeGeometry: on a saturated service a bad spec still
+// answers 400 and a good one 503, and neither builds a geometry — the spec
+// is checked with the rest of the request, and a mesh is built only after
+// admission.
+func TestAdmissionBeforeGeometry(t *testing.T) {
+	svc, ts := newTestServer(t, Config{MaxConcurrent: 1})
+	if err := svc.adm.Acquire(context.Background(), false); err != nil {
+		t.Fatalf("taking the only slot of an idle service: %v", err)
+	}
+	defer svc.adm.Release()
+	builds := geometryBuilds.Load()
+	for _, tc := range []struct {
+		spec   Spec
+		status int
+	}{
+		{Spec{Problem: "torus", Size: 1}, http.StatusBadRequest},
+		{Spec{Problem: "cube", Size: maxSize + 1}, http.StatusBadRequest},
+		{Spec{Problem: "cube", Size: 1}, http.StatusServiceUnavailable},
+	} {
+		if _, status := postSolveStatus(t, ts, SolveRequest{Spec: tc.spec}); status != tc.status {
+			t.Fatalf("%+v on a saturated service: status %d, want %d", tc.spec, status, tc.status)
+		}
+	}
+	if n := geometryBuilds.Load() - builds; n != 0 {
+		t.Fatalf("requests that were refused built %d geometries", n)
 	}
 }
 

@@ -93,8 +93,8 @@ func TestCacheEvictionLRU(t *testing.T) {
 			t.Fatal(err)
 		}
 		fp := g.Fingerprint(opts.Coarsen)
-		keys[i] = cacheKey(fp, "fmg", opts, 1)
-		e, hit, err := c.Acquire(keys[i], fp, g, 1, opts)
+		keys[i] = cacheKey(fp, "fmg", opts)
+		e, hit, err := c.Acquire(keys[i], fp, g, opts)
 		if err != nil {
 			t.Fatalf("acquire %d: %v", i, err)
 		}
@@ -122,7 +122,7 @@ func TestCacheEvictionLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := g.Fingerprint(opts.Coarsen)
-	e, hit, err := c.Acquire(keys[1], fp, g, 1, opts)
+	e, hit, err := c.Acquire(keys[1], fp, g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestCachePinnedEntryNotEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp1 := g1.Fingerprint(opts.Coarsen)
-	e1, _, err := c.Acquire(cacheKey(fp1, "fmg", opts, 1), fp1, g1, 1, opts)
+	e1, _, err := c.Acquire(cacheKey(fp1, "fmg", opts), fp1, g1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestCachePinnedEntryNotEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp2 := g2.Fingerprint(opts.Coarsen)
-	e2, _, err := c.Acquire(cacheKey(fp2, "fmg", opts, 1), fp2, g2, 1, opts)
+	e2, _, err := c.Acquire(cacheKey(fp2, "fmg", opts), fp2, g2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,10 +169,11 @@ func TestCachePinnedEntryNotEvicted(t *testing.T) {
 
 // TestCacheKeyDistinguishesVariants is the cache-correctness regression
 // test for the key derivation: every request parameter that changes the
-// cached setup products — fingerprint, cycle, load scale, storage mode —
-// must land in the key. A shared key across storage modes would hand one
-// request a cached matrix-free operator when it asked for an assembled
-// one (or vice versa).
+// cached setup products — fingerprint, cycle, storage mode — must land in
+// the key. A shared key across storage modes would hand one request a
+// cached matrix-free operator when it asked for an assembled one (or vice
+// versa). The load scale changes none of them, so two scales of one
+// geometry must share a key.
 func TestCacheKeyDistinguishesVariants(t *testing.T) {
 	mustOpts := func(storage string) prometheus.Options {
 		t.Helper()
@@ -184,21 +185,28 @@ func TestCacheKeyDistinguishesVariants(t *testing.T) {
 	}
 	def := mustOpts("")
 	keys := map[string]bool{
-		cacheKey("fp", "fmg", def, 1):             true,
-		cacheKey("fp", "v", def, 1):               true,
-		cacheKey("fp", "fmg", def, 2):             true,
-		cacheKey("fp2", "fmg", def, 1):            true,
-		cacheKey("fp", "fmg", mustOpts("csr"), 1): true,
-		cacheKey("fp", "fmg", mustOpts("bsr"), 1): true,
-		cacheKey("fp", "fmg", mustOpts("mf"), 1):  true,
+		cacheKey("fp", "fmg", def):             true,
+		cacheKey("fp", "v", def):               true,
+		cacheKey("fp2", "fmg", def):            true,
+		cacheKey("fp", "fmg", mustOpts("csr")): true,
+		cacheKey("fp", "fmg", mustOpts("bsr")): true,
+		cacheKey("fp", "fmg", mustOpts("mf")):  true,
 	}
-	if len(keys) != 7 {
+	if len(keys) != 6 {
 		t.Fatalf("cache key variants collide: %v", keys)
 	}
 	// Equivalent spellings of the defaults must share a key: the label is
 	// derived from the resolved options, not the raw request strings.
-	if cacheKey("fp", "fmg", mustOpts("auto"), 1) != cacheKey("fp", "fmg", def, 1) {
+	if cacheKey("fp", "fmg", mustOpts("auto")) != cacheKey("fp", "fmg", def) {
 		t.Fatal("canonical default spellings produced distinct cache keys")
+	}
+	// Two load scales of one spec resolve to one key, and the second hits.
+	_, ts := newTestServer(t, Config{})
+	spec := Spec{Problem: "cube", Size: 1}
+	one := postSolve(t, ts, SolveRequest{Spec: spec, LoadScale: 1})
+	two := postSolve(t, ts, SolveRequest{Spec: spec, LoadScale: 2})
+	if one.Key != two.Key || !two.CacheHit {
+		t.Fatalf("load scales 1 and 2: keys %s and %s, second cache_hit %v; want one key and a hit", one.Key, two.Key, two.CacheHit)
 	}
 }
 
@@ -210,7 +218,7 @@ func TestMGLeasePool(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := g.Fingerprint(opts.Coarsen)
-	e, _, err := c.Acquire(cacheKey(fp, "fmg", opts, 1), fp, g, 1, opts)
+	e, _, err := c.Acquire(cacheKey(fp, "fmg", opts), fp, g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,6 +59,10 @@ type (
 	// fine-grid matrix (fem.EBEOperator). Build one with
 	// Solver.MatrixFreeSystem.
 	EBEOperator = fem.EBEOperator
+	// LoadMap turns a load vector into the reduced right-hand side of one
+	// operator and constraint set (fem.LoadMap); get one from
+	// Solver.LinearOperator.
+	LoadMap = fem.LoadMap
 	// StorageKind selects the per-level operator storage of the multigrid
 	// hierarchy (multigrid.StorageKind); set it on MGOptions.Storage.
 	StorageKind = multigrid.StorageKind
@@ -317,7 +321,8 @@ func (s *Solver) restrictions(kred Operator) ([]*sparse.CSR, error) {
 // operator and right-hand side FPCG actually solves. It exposes the first
 // half of SolveLinear so long-running callers (the serve layer) can split
 // the solve into cacheable setup and per-request iteration while staying
-// bitwise identical to SolveLinear.
+// bitwise identical to SolveLinear; LinearOperator keeps the load map
+// instead, for an operator solved under many loads.
 func (s *Solver) ReduceSystem(k *CSR, f []float64) (*CSR, []float64) {
 	return s.cons.Reduce(k, f, s.dofMap)
 }
@@ -353,12 +358,32 @@ func (s *Solver) MatrixFreeSystem(p *Problem, f []float64) (Operator, []float64,
 	if err != nil {
 		return nil, nil, fmt.Errorf("prometheus: matrix-free setup: %w", err)
 	}
-	fred := s.dofMap.RestrictVec(f)
-	cf := op.ConstraintForce()
-	for i := range fred {
-		fred[i] -= cf[i]
-	}
+	fred := make([]float64, s.dofMap.NumFree())
+	op.LoadMap(s.dofMap).Apply(fred, f, 1)
 	return op, fred, nil
+}
+
+// LinearOperator builds the reduced operator of p at zero displacement and
+// its load map (fem.LoadMap), with no right-hand side: the tangent
+// assembled and reduced, or under StorageMatrixFree the element-by-element
+// operator of MatrixFreeSystem. Kept beside the operator, the map serves
+// every load: Apply(fred, f, s) writes, bit for bit, the right-hand side
+// that ReduceSystem (or MatrixFreeSystem) returns for the load vector s·f.
+func (s *Solver) LinearOperator(p *Problem) (Operator, *LoadMap, error) {
+	u := make([]float64, s.Mesh.NumDOF())
+	if s.Opts.MG.Storage == StorageMatrixFree {
+		op, err := fem.NewEBEOperator(p, u, s.cons, s.dofMap)
+		if err != nil {
+			return nil, nil, fmt.Errorf("prometheus: matrix-free setup: %w", err)
+		}
+		return op, op.LoadMap(s.dofMap), nil
+	}
+	k, _, err := p.AssembleTangent(u)
+	if err != nil {
+		return nil, nil, fmt.Errorf("prometheus: assembly: %w", err)
+	}
+	kred, lm := s.cons.ReduceOperator(k, s.dofMap)
+	return kred, lm, nil
 }
 
 // SolveReduced solves the already-reduced system kred·x = fred with the

@@ -3,6 +3,7 @@ package prometheus
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -113,6 +114,67 @@ func TestPreconditionerAutoBlocks(t *testing.T) {
 	}
 	if _, ok := mg2.Levels[0].A.(*CSR); !ok {
 		t.Fatalf("component-constrained problem: fine level is %T, want *CSR", mg2.Levels[0].A)
+	}
+}
+
+// TestSolverLinearOperator: LinearOperator gives ReduceSystem's matrix on
+// the assembled path and an element-by-element operator under
+// StorageMatrixFree, and its load map reduces s·f bit for bit as
+// ReduceSystem and MatrixFreeSystem do for the vector s·f, under
+// prescribed values that are not zero.
+func TestSolverLinearOperator(t *testing.T) {
+	m, cons, f := buildCube(t, 3)
+	for d := range cons.Fixed {
+		cons.Fixed[d] = 1e-3 * float64(d%4)
+	}
+	p := NewProblem(m, []Model{LinearElastic{E: 1, Nu: 0.3}}, false)
+	k, _, err := p.AssembleTangent(make([]float64, m.NumDOF()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	for _, storage := range []StorageKind{StorageAuto, StorageMatrixFree} {
+		opts := Options{}
+		opts.MG.Storage = storage
+		solver, err := NewSolver(m, cons, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, loads, err := solver.LinearOperator(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kred, _ := solver.ReduceSystem(k, f)
+		if storage == StorageMatrixFree {
+			if _, ok := op.(*EBEOperator); !ok {
+				t.Fatalf("matrix-free solver: operator is %T, want *EBEOperator", op)
+			}
+		} else if kc, ok := op.(*CSR); !ok || !slices.Equal(kc.ColIdx, kred.ColIdx) || !same(kc.Val, kred.Val) {
+			t.Fatalf("assembled solver: operator %T is not ReduceSystem's matrix", op)
+		}
+		got := make([]float64, kred.Rows())
+		sf := make([]float64, len(f))
+		for _, s := range []float64{2, -1} {
+			for i, v := range f {
+				sf[i] = s * v
+			}
+			_, want := solver.ReduceSystem(k, sf)
+			if storage == StorageMatrixFree {
+				if _, want, err = solver.MatrixFreeSystem(p, sf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if loads.Apply(got, f, s); !same(got, want) {
+				t.Fatalf("storage %v, scale %g: the load map differs from the reduction of s·f", storage, s)
+			}
+		}
 	}
 }
 
