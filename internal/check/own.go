@@ -46,8 +46,8 @@ type ownClaim struct {
 	lo, hi int
 	// idx, when non-nil, makes this a set claim: the worker owns exactly
 	// the listed indices of y instead of a contiguous range. Set claims
-	// are how colored element scatters (disjoint but non-contiguous write
-	// sets) register with the sanitizer. The slice is retained, not
+	// are how indexed dispatches such as the block solves (disjoint but
+	// non-contiguous write sets) register with the sanitizer. The slice is retained, not
 	// copied — callers pass precomputed immutable write sets.
 	idx    []int32
 	active bool
@@ -108,7 +108,7 @@ func (o *Owners) Claim(w int, y []float64, lo, hi int) {
 }
 
 // ClaimIndices records that worker w is about to write exactly the listed
-// indices of y (a set claim — the colored-scatter counterpart of Claim).
+// indices of y (a set claim — the indexed-dispatch counterpart of Claim).
 // It panics if any listed index lies inside another worker's active range
 // claim, or is shared with another worker's active set claim, on the same
 // backing array. The index slice is retained until Release; callers pass

@@ -54,8 +54,7 @@
 //     storage types (*sparse.CSR, *sparse.BSR) are confined to the
 //     storage seam (internal/sparse and internal/multigrid) —
 //     everywhere else must use the sparse capability interfaces or the
-//     sanctioned TryCSR helper, so the matrix-free
-//     operator flows through every layer.
+//     sanctioned AsCSR helper, so storage stays a kernel choice.
 //
 // The message protocol of internal/par is not among them: it is checked
 // where it runs, by the promdebug watchdog and the drain check that ends

@@ -11,8 +11,8 @@ type Operator interface {
 	Rows() int
 }
 
-type Labeler interface {
-	StorageLabel() string
+type BlockDiagonaler interface {
+	BlockSize() int
 }
 
 type CSR struct{ n int }
@@ -42,12 +42,11 @@ func consume(a sparse.Operator) int {
 		return 2
 	case *sparse.BSR: // line 14: flagged
 		return 3
-	case sparse.Labeler: // capability interface: fine
+	case sparse.BlockDiagonaler: // capability interface: fine
 		return 4
 	}
-	if l, ok := a.(sparse.Labeler); ok { // capability interface: fine
-		_ = l.StorageLabel()
-		return 5
+	if d, ok := a.(sparse.BlockDiagonaler); ok { // capability interface: fine
+		return d.BlockSize()
 	}
 	return 0
 }

@@ -64,15 +64,6 @@ const (
 	// StorageBSR also blocks the fine operator (3x3 node blocks) when its
 	// dimensions and sparsity allow; the levels below follow StorageAuto.
 	StorageBSR
-	// StorageMatrixFree keeps the fine operator matrix-free: level 0 is the
-	// caller's assembly-free operator (fem.EBEOperator) applied element by
-	// element, and the first coarse operator is assembled directly from
-	// element contributions through the sparse.GalerkinAssembler
-	// capability, so no fine-grid matrix ever exists. Coarse levels are
-	// assembled Galerkin CSR exactly as in the scalar pipeline.
-	// Row-traversal smoothers fall back to Chebyshev on the matrix-free
-	// level.
-	StorageMatrixFree
 )
 
 // CycleKind selects the multigrid cycle used per preconditioner apply.
@@ -127,12 +118,11 @@ func (o Options) withDefaults() Options {
 
 // blocksGalerkinLevels reports whether the levels below the fine one take
 // the block kernel when their shape allows. StorageCSR asks for scalar
-// everywhere and StorageMatrixFree for assembled CSR below the fine level;
-// GaussSeidel and NodeBlockJacobi read their arithmetic off the storage
-// (nodal against scalar sweeps), so they keep the storage the Galerkin
-// chain produces.
+// everywhere; GaussSeidel and NodeBlockJacobi read their arithmetic off the
+// storage (nodal against scalar sweeps), so they keep the storage the
+// Galerkin chain produces.
 func (o Options) blocksGalerkinLevels() bool {
-	if o.Storage == StorageCSR || o.Storage == StorageMatrixFree {
+	if o.Storage == StorageCSR {
 		return false
 	}
 	return o.Smoother != GaussSeidel && o.Smoother != NodeBlockJacobi
@@ -281,10 +271,14 @@ func New(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG, 
 // Build assembles the hierarchy as New does, from plan when plan was made
 // for fineA's pattern, the same restrictions and the same options, and
 // from a new plan otherwise. It returns the plan the hierarchy was filled
-// from, for the caller to hand to the next Build; nil when the fine level
-// is matrix-free, which has no pattern to compare. A hierarchy filled from
-// a reused plan is bitwise the one a new plan gives.
+// from, for the caller to hand to the next Build. A hierarchy filled from a
+// reused plan is bitwise the one a new plan gives. The fine operator must
+// store its entries (*sparse.CSR or *sparse.BSR): the plan is made from its
+// pattern.
 func Build(plan *Plan, fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG, *Plan, error) {
+	if err := CheckAssembled(fineA); err != nil {
+		return nil, nil, err
+	}
 	sp := obs.Start(evSetup)
 	mg, plan, err := build(plan, fineA, restrictions, opts.withDefaults())
 	sp.End()
@@ -312,13 +306,6 @@ func build(plan *Plan, fineA sparse.Operator, restrictions []*sparse.CSR, opts O
 	if fineA.Rows() != fineA.Cols() {
 		return nil, nil, errors.New("multigrid: fine operator must be square")
 	}
-	if !assembled(fineA) {
-		mg, err := newMatrixFree(fineA, restrictions, opts)
-		return mg, nil, err
-	}
-	if opts.Storage == StorageMatrixFree {
-		return nil, nil, errors.New("multigrid: StorageMatrixFree needs a fine operator with the Galerkin-assembly capability (fem.EBEOperator)")
-	}
 	if plan != nil && plan.matches(fineA, restrictions, opts) {
 		mg, err := plan.fill(fineA)
 		if !errors.Is(err, errPinsMoved) {
@@ -335,55 +322,15 @@ func build(plan *Plan, fineA sparse.Operator, restrictions []*sparse.CSR, opts O
 	return mg, plan, nil
 }
 
-// assembled reports whether a stores its entries (CSR or BSR).
-func assembled(a sparse.Operator) bool {
+// CheckAssembled returns an error unless a stores its entries: a
+// hierarchy is planned from the fine operator's pattern, which only *CSR
+// and *BSR have.
+func CheckAssembled(a sparse.Operator) error {
 	switch a.(type) {
 	case *sparse.CSR, *sparse.BSR:
-		return true
+		return nil
 	}
-	return false
-}
-
-// newMatrixFree builds the hierarchy under a matrix-free fine operator: the
-// first coarse operator is assembled from element contributions through
-// the sparse.GalerkinAssembler capability, the levels below are planned and
-// filled from it as from an assembled fine operator, and the fine level
-// gets an apply-only smoother.
-func newMatrixFree(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG, error) {
-	ga, ok := fineA.(sparse.GalerkinAssembler)
-	if !ok {
-		return nil, errors.New("multigrid: StorageMatrixFree needs a fine operator with the Galerkin-assembly capability (fem.EBEOperator)")
-	}
-	if len(restrictions) == 0 {
-		return nil, errors.New("multigrid: StorageMatrixFree needs at least one coarse level for the direct solve")
-	}
-	r := restrictions[0]
-	if r.NCols != fineA.Rows() {
-		return nil, fmt.Errorf("multigrid: restriction %dx%d does not match operator %d", r.NRows, r.NCols, fineA.Rows())
-	}
-	spg := obs.Start(evGalerkin)
-	first := fixEmptyRows(ga.AssembleGalerkin(r))
-	spg.End()
-	// Below the fine level a matrix-free hierarchy is the scalar one. Its
-	// plan is not kept: there is no fine pattern to compare the next
-	// operator with.
-	below := opts
-	below.Storage = StorageCSR
-	coarse, err := newPlan(first, restrictions[1:], below).fill(first)
-	if err != nil {
-		return nil, err
-	}
-	coarse.Levels[0].R, coarse.Levels[0].P = r, r.Transpose()
-	mg := &MG{Opts: opts, SetupFlops: coarse.SetupFlops + 4*int64(first.NNZ())}
-	fine := newLevel(fineA)
-	sps := obs.Start(evSmoother)
-	fine.Smoother, err = mg.makeSmoother(fineA, nil, nil)
-	sps.End()
-	if err != nil {
-		return nil, err
-	}
-	mg.Levels = append([]*Level{fine}, coarse.Levels...)
-	return mg, nil
+	return fmt.Errorf("multigrid: fine operator must be *sparse.CSR or *sparse.BSR, got %T", a)
 }
 
 // newLevel returns a level applying a, with its cycle scratch.
@@ -394,31 +341,23 @@ func newLevel(a sparse.Operator) *Level {
 
 // makeSmoother builds the smoother that applies a. The domain smoothers
 // factor the blocks bj plans, gathered from setup, the matrix of the
-// Galerkin chain (a itself, or the scalar matrix a was blocked from); an
-// operator that cannot be partitioned (matrix-free, bj nil) gets Chebyshev
-// instead.
+// Galerkin chain (a itself, or the scalar matrix a was blocked from).
 func (mg *MG) makeSmoother(a sparse.Operator, bj *smooth.BlockPlan, setup sparse.Operator) (smooth.Smoother, error) {
 	switch mg.Opts.Smoother {
 	case Jacobi:
 		return smooth.NewJacobi(a, 2.0/3), nil
 	case GaussSeidel:
-		if _, ok := a.(sparse.Sweeper); !ok {
-			return nil, errors.New("multigrid: GaussSeidel needs ordered sweeps over stored entries; a matrix-free level cannot provide them (use Chebyshev or NodeBlockJacobi)")
-		}
 		return smooth.NewGaussSeidel(a, mg.Opts.Omega, true), nil
 	case Chebyshev:
 		return smooth.NewChebyshev(a, mg.Opts.ChebDegree, 30), nil
 	case NodeBlockJacobi:
 		s, err := smooth.NewNodeBlockJacobi(a, 2.0/3)
 		if err != nil {
-			return nil, fmt.Errorf("multigrid: NodeBlockJacobi smoother requires node-blocked storage (set Options.Storage = StorageBSR or use a node-aligned matrix-free operator): %w", err)
+			return nil, fmt.Errorf("multigrid: NodeBlockJacobi smoother requires node-blocked storage (set Options.Storage = StorageBSR): %w", err)
 		}
 		return s, nil
 	}
 	// The domain smoothers: the paper's block Jacobi, stationary or inside CG.
-	if bj == nil {
-		return smooth.NewChebyshev(a, mg.Opts.ChebDegree, 30), nil
-	}
 	spf := obs.Start(evSmootherFactor)
 	s, err := bj.Factor(a, setup)
 	spf.End()

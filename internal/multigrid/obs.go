@@ -37,9 +37,6 @@ func storageName(a sparse.Operator) string {
 	case *sparse.CSR:
 		return "csr"
 	default:
-		if l, ok := a.(sparse.StorageLabeler); ok {
-			return l.StorageLabel()
-		}
 		return "op"
 	}
 }

@@ -6,7 +6,7 @@ import "prometheus/internal/obs"
 // on its lane (the dispatcher's share sits inside its caller's span);
 // pool.rows counts the rows each lane ran, so the log view exposes the
 // balance directly; pool.items counts the items of indexed dispatches
-// (colored batches, block solves) the same way.
+// (block solves) the same way.
 var (
 	evPoolTask  = obs.Register("pool.task")
 	evPoolRows  = obs.Register("pool.rows")

@@ -62,8 +62,8 @@ import (
 // Kernel is a row-partitioned compute kernel. MulVecRange must write
 // exactly the rows y[lo:hi], must not write x or its own receiver, and
 // must give a row the same bits whatever window it arrives in — the
-// contract every sparse matrix type and fem.EBEOperator implements, and
-// the one TestKernelContract checks for each of them.
+// contract every sparse matrix type implements, and the one
+// TestKernelContract checks for each of them.
 type Kernel interface {
 	MulVecRange(x, y []float64, lo, hi int)
 }
@@ -76,12 +76,10 @@ type ResidualKernel interface {
 }
 
 // IndexedKernel is an item-partitioned compute kernel for work whose
-// writes are disjoint but not contiguous: colored element batches (item =
-// element, the scatter touches its dofs) and the block-Jacobi solves (item
-// = block, write set = its dofs). ApplyOne must write y only at the
-// indices WriteSet returns for the same item. Items dispatched in one call
-// must have pairwise-disjoint write sets — the caller's coloring or
-// partition invariant; under promdebug every item's set is claimed in the
+// writes are disjoint but not contiguous: the block-Jacobi solves (item =
+// block, write set = its dofs). ApplyOne must write y only at the indices
+// WriteSet returns for the same item. Items dispatched in one call must
+// have pairwise-disjoint write sets — the caller's partition invariant; under promdebug every item's set is claimed in the
 // ownership table, so a bug there panics with both stacks at the first
 // overlapping scatter. x may alias y when ApplyOne reads x only at the
 // item's own write set.

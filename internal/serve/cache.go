@@ -33,9 +33,7 @@ type cacheEntry struct {
 	err  error
 
 	solver *prometheus.Solver
-	// kred is the reduced fine operator: an assembled matrix on the
-	// csr/bsr paths, a matrix-free element-by-element operator under
-	// storage "mf" — the solve only needs Operator either way.
+	// kred is the reduced fine operator.
 	kred prometheus.Operator
 	// loads turns a request's load into kred's right-hand side.
 	loads   *prometheus.LoadMap

@@ -31,8 +31,7 @@ type SolveRequest struct {
 	// Cycle selects the multigrid cycle: "fmg" (default) or "v".
 	Cycle string `json:"cycle"`
 	// Storage selects the operator storage mode: "auto" (default — follow
-	// the assembled fine matrix), "csr", "bsr", or "mf" (matrix-free
-	// element-by-element fine operator; no fine matrix is assembled).
+	// the assembled fine matrix), "csr" or "bsr".
 	Storage string `json:"storage"`
 	// Stream switches the response to newline-delimited JSON: one
 	// Progress line per Krylov iteration as it happens, then the final

@@ -8,7 +8,7 @@ import (
 // exposed in Prometheus text format by /metrics (obs.WritePrometheus).
 // Names are tree-unique string constants (obs-discipline); the labeled
 // families carry bounded label sets only — routes are the fixed route
-// table, statuses are HTTP codes, storage modes the four storage kinds,
+// table, statuses are HTTP codes, storage modes the three storage kinds,
 // stop reasons the six of krylov.StopReason — so series cardinality is
 // bounded by construction.
 var (

@@ -99,19 +99,6 @@ func (g *Geometry) AssembleLinear(scale float64) (*prometheus.CSR, []float64, er
 	return k, f, nil
 }
 
-// MatrixFreeLinear builds the reduced system for the "mf" storage mode:
-// an element-by-element operator at zero displacement plus the reduced,
-// scaled right-hand side — the matrix-free counterpart of AssembleLinear
-// followed by ReduceSystem, with no fine-grid matrix ever assembled.
-func (g *Geometry) MatrixFreeLinear(solver *prometheus.Solver, scale float64) (prometheus.Operator, []float64, error) {
-	p := prometheus.NewProblem(g.Mesh, g.Models, false)
-	f := make([]float64, len(g.Load))
-	for i, v := range g.Load {
-		f[i] = scale * v
-	}
-	return solver.MatrixFreeSystem(p, f)
-}
-
 // Fingerprint returns the deterministic content hash of the geometry
 // under the given coarsening options (core.Fingerprint): the part of the
 // cache key that identifies the hierarchy.
@@ -129,8 +116,6 @@ func storageLabel(k prometheus.StorageKind) string {
 		return "csr"
 	case prometheus.StorageBSR:
 		return "bsr"
-	case prometheus.StorageMatrixFree:
-		return "mf"
 	default:
 		return "auto"
 	}
@@ -142,9 +127,7 @@ func storageLabel(k prometheus.StorageKind) string {
 // hierarchy, storage shapes the cached operator hierarchy itself). The
 // load scale is not part of it: an entry keeps the load map, and each
 // request reduces its own scaled load through it. Storage comes from the
-// resolved options: a "mf" entry caches an element-by-element operator,
-// so sharing an entry across storage modes would hand one request's
-// variant to another.
+// resolved options, so two spellings of one mode share an entry.
 func cacheKey(fp string, cycle string, opts prometheus.Options) string {
 	return fp + "/" + cycle + "/" + storageLabel(opts.MG.Storage)
 }
@@ -169,10 +152,8 @@ func solverOptions(rtol float64, maxIters int, cycle, storage string) (prometheu
 		opts.MG.Storage = prometheus.StorageCSR
 	case "bsr":
 		opts.MG.Storage = prometheus.StorageBSR
-	case "mf":
-		opts.MG.Storage = prometheus.StorageMatrixFree
 	default:
-		return opts, fmt.Errorf("serve: unknown storage %q (want auto, csr, bsr or mf)", storage)
+		return opts, fmt.Errorf("serve: unknown storage %q (want auto, csr or bsr)", storage)
 	}
 	return opts, nil
 }
@@ -200,13 +181,6 @@ func DirectSolve(spec Spec, scale, rtol float64, maxIters int, cycle, storage, p
 	solver, err := prometheus.NewSolver(g.Mesh, g.Cons, opts)
 	if err != nil {
 		return nil, nil, err
-	}
-	if opts.MG.Storage == prometheus.StorageMatrixFree {
-		kred, fred, err := g.MatrixFreeLinear(solver, scale)
-		if err != nil {
-			return nil, nil, err
-		}
-		return solver.SolveReduced(kred, fred)
 	}
 	k, f, err := g.AssembleLinear(scale)
 	if err != nil {

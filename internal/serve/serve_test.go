@@ -106,7 +106,7 @@ func sameBits(a, b []float64) bool {
 // request; the others hit it and reduce their own load against it.
 func TestServeBitwiseIdentical(t *testing.T) {
 	spec := Spec{Problem: "cube", Size: 1}
-	for _, storage := range []string{"auto", "csr", "bsr", "mf"} {
+	for _, storage := range []string{"auto", "csr", "bsr"} {
 		_, ts := newTestServer(t, Config{})
 		var key string
 		for i, scale := range servedScales {
@@ -172,58 +172,13 @@ func TestConcurrentScalesShareOneEntry(t *testing.T) {
 	}
 }
 
-// TestServeMatrixFree drives the "mf" storage mode through the full HTTP
-// path: the served solve must be bitwise identical to a direct
-// matrix-free run, must converge, and must cache under a key distinct
-// from the assembled-storage entry for the same spec (two entries after
-// the two requests, not one shared one).
+// TestServeMatrixFree: the retired "mf" storage is refused by DirectSolve
+// as it is by the handler (TestServeRequestValidation), with an error that
+// names the field and the modes there are.
 func TestServeMatrixFree(t *testing.T) {
-	spec := Spec{Problem: "cube", Size: 1}
-	uDirect, resDirect, err := DirectSolve(spec, 1, 1e-4, 1000, "fmg", "mf", "")
-	if err != nil {
-		t.Fatalf("direct matrix-free solve: %v", err)
-	}
-
-	_, ts := newTestServer(t, Config{})
-	assembled := postSolve(t, ts, SolveRequest{Spec: spec})
-	got := postSolve(t, ts, SolveRequest{Spec: spec, Storage: "mf"})
-
-	if !got.Converged {
-		t.Fatalf("matrix-free served solve did not converge: %+v", got)
-	}
-	if got.Iterations != resDirect.Iterations {
-		t.Fatalf("served %d iterations, direct %d", got.Iterations, resDirect.Iterations)
-	}
-	if want := SolutionHash(uDirect); got.SolutionHash != want {
-		t.Fatalf("solution hash %s, direct %s", got.SolutionHash, want)
-	}
-	if got.Key == assembled.Key {
-		t.Fatalf("matrix-free request shared cache key %s with the assembled one", got.Key)
-	}
-	if got.CacheHit {
-		t.Fatal("matrix-free request hit the assembled entry")
-	}
-	var cb cacheBody
-	getJSON(t, ts.URL+"/v1/cache", &cb)
-	if len(cb.Entries) != 2 {
-		t.Fatalf("cache holds %d entries after csr+mf requests, want 2", len(cb.Entries))
-	}
-
-	// The solutions agree physically even though the iteration paths (and
-	// so the exact bits) differ between assembled and matrix-free applies.
-	mf := postSolve(t, ts, SolveRequest{Spec: spec, Storage: "mf", ReturnSolution: true})
-	csr := postSolve(t, ts, SolveRequest{Spec: spec, ReturnSolution: true})
-	if !mf.CacheHit || !csr.CacheHit {
-		t.Fatal("repeat requests missed their cache entries")
-	}
-	var num, den float64
-	for i := range mf.Solution {
-		d := mf.Solution[i] - csr.Solution[i]
-		num += d * d
-		den += csr.Solution[i] * csr.Solution[i]
-	}
-	if num > 1e-2*1e-2*den {
-		t.Fatalf("matrix-free and assembled solutions diverge: rel %g", num/den)
+	_, _, err := DirectSolve(Spec{Problem: "cube", Size: 1}, 1, 1e-4, 1000, "fmg", "mf", "")
+	if err == nil || !strings.Contains(err.Error(), "storage") || !strings.Contains(err.Error(), "auto, csr or bsr") {
+		t.Fatalf("DirectSolve with storage mf: error %v, want one naming storage and auto, csr or bsr", err)
 	}
 }
 
@@ -549,8 +504,8 @@ func TestServeRequestValidation(t *testing.T) {
 
 	// Hostile numbers and malformed bodies: each must answer 400 with a
 	// JSON error naming the offending field, before any hierarchy is built.
-	// "precision" and cycle "w" are retired: the first is an unknown field
-	// to the strict decoder, the second an unknown cycle.
+	// "precision", cycle "w" and storage "mf" are retired: the first is an
+	// unknown field to the strict decoder, the others unknown values.
 	for _, tc := range []struct{ body, names string }{
 		{`{"problem":"cube","size":1,"load_scale":1e308,"wait":true}`, "load_scale"},
 		{`{"problem":"cube","size":1,"load_scale":-1e101}`, "load_scale"},
@@ -565,6 +520,7 @@ func TestServeRequestValidation(t *testing.T) {
 		{`{"problem":"cube","size":1,"tolerance":1e-4}`, "tolerance"},
 		{`{"problem":"cube","size":1,"precision":"f32"}`, "precision"},
 		{`{"problem":"cube","size":1,"cycle":"w"}`, "cycle"},
+		{`{"problem":"cube","size":1,"storage":"mf"}`, "storage"},
 		{`{"problem":"cube","size":1}{"problem":"cube","size":2}`, "trailing"},
 		{`{"problem":"cube","size":1}]`, "trailing"},
 	} {

@@ -3,6 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	prometheus "prometheus"
@@ -171,9 +175,8 @@ func TestCachePinnedEntryNotEvicted(t *testing.T) {
 // test for the key derivation: every request parameter that changes the
 // cached setup products — fingerprint, cycle, storage mode — must land in
 // the key. A shared key across storage modes would hand one request a
-// cached matrix-free operator when it asked for an assembled one (or vice
-// versa). The load scale changes none of them, so two scales of one
-// geometry must share a key.
+// hierarchy built for another storage. The load scale changes none of
+// them, so two scales of one geometry must share a key.
 func TestCacheKeyDistinguishesVariants(t *testing.T) {
 	mustOpts := func(storage string) prometheus.Options {
 		t.Helper()
@@ -190,9 +193,8 @@ func TestCacheKeyDistinguishesVariants(t *testing.T) {
 		cacheKey("fp2", "fmg", def):            true,
 		cacheKey("fp", "fmg", mustOpts("csr")): true,
 		cacheKey("fp", "fmg", mustOpts("bsr")): true,
-		cacheKey("fp", "fmg", mustOpts("mf")):  true,
 	}
-	if len(keys) != 6 {
+	if len(keys) != 5 {
 		t.Fatalf("cache key variants collide: %v", keys)
 	}
 	// Equivalent spellings of the defaults must share a key: the label is
@@ -261,21 +263,19 @@ func TestSolverOptionsValidation(t *testing.T) {
 			t.Fatalf("cycle %q accepted", cyc)
 		}
 	}
-	if _, err := solverOptions(1e-4, 100, "fmg", "ebe"); err == nil {
-		t.Fatal("unknown storage accepted")
+	for _, st := range []string{"ebe", "mf"} {
+		if _, err := solverOptions(1e-4, 100, "fmg", st); err == nil {
+			t.Fatalf("storage %q accepted", st)
+		}
 	}
 	for _, cyc := range []string{"", "fmg", "v"} {
 		if _, err := solverOptions(1e-4, 100, cyc, ""); err != nil {
 			t.Fatalf("cycle %q rejected: %v", cyc, err)
 		}
 	}
-	for _, st := range []string{"", "auto", "csr", "bsr", "mf"} {
-		opts, err := solverOptions(1e-4, 100, "fmg", st)
-		if err != nil {
+	for _, st := range []string{"", "auto", "csr", "bsr"} {
+		if _, err := solverOptions(1e-4, 100, "fmg", st); err != nil {
 			t.Fatalf("storage %q rejected: %v", st, err)
-		}
-		if st == "mf" && opts.MG.Storage != prometheus.StorageMatrixFree {
-			t.Fatalf("storage mf mapped to %v", opts.MG.Storage)
 		}
 	}
 	// DirectSolve's trailing precision parameter outlives the mode it
@@ -283,6 +283,61 @@ func TestSolverOptionsValidation(t *testing.T) {
 	// before any work is done.
 	if _, _, err := DirectSolve(Spec{Problem: "cube", Size: 1}, 1, 1e-4, 100, "fmg", "", "f32"); err == nil {
 		t.Fatal(`DirectSolve accepted precision "f32"`)
+	}
+}
+
+// storageModes are the storage modes solverOptions accepts, each the label
+// of the kind it resolves to.
+var storageModes = []string{"auto", "csr", "bsr"}
+
+// checkStorageTable reports whether the `| mode |` table of readme lists
+// exactly storageModes, one row each and in that order.
+func checkStorageTable(readme string) error {
+	_, table, found := strings.Cut(readme, "| mode |")
+	if !found {
+		return errors.New("README.md has no `| mode |` table")
+	}
+	var rows []string
+	for i, line := range strings.Split(table, "\n") {
+		line = strings.TrimSpace(line)
+		if i == 0 || strings.HasPrefix(line, "|---") { // header rest, separator
+			continue
+		}
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		rows = append(rows, strings.Trim(strings.TrimSpace(strings.Split(line, "|")[1]), "`"))
+	}
+	if !slices.Equal(rows, storageModes) {
+		return fmt.Errorf("README storage table lists modes %v, solverOptions accepts %v", rows, storageModes)
+	}
+	return nil
+}
+
+// TestReadmeStorageTable: README's storage table lists exactly the modes
+// solverOptions accepts, so it cannot go stale; a row for a retired mode
+// fails it.
+func TestReadmeStorageTable(t *testing.T) {
+	for _, st := range storageModes {
+		opts, err := solverOptions(1e-4, 100, "fmg", st)
+		if err != nil || storageLabel(opts.MG.Storage) != st {
+			t.Fatalf("storage %q: label %q, error %v", st, storageLabel(opts.MG.Storage), err)
+		}
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkStorageTable(string(readme)); err != nil {
+		t.Fatal(err)
+	}
+	bsrRow := strings.Index(string(readme), "| `bsr` |")
+	if bsrRow < 0 {
+		t.Fatal("README storage table has no `bsr` row")
+	}
+	stale := string(readme[:bsrRow]) + "| `mf` | packed element stiffnesses |\n  " + string(readme[bsrRow:])
+	if checkStorageTable(stale) == nil {
+		t.Fatal("a README with an `mf` row passes the storage table check")
 	}
 }
 

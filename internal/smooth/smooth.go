@@ -112,8 +112,7 @@ func (s *Jacobi) Flops() int64 { return s.flops }
 // sparse.Sweeper capability): on scalar storage it updates one unknown at
 // a time; on blocked storage it runs the paper's nodal variant, solving
 // each node's BxB diagonal block exactly per visit (precomputed
-// inverses). Operators without the capability (matrix-free) cannot be
-// Gauss-Seidel smoothed — use Jacobi or Chebyshev there.
+// inverses).
 type GaussSeidel struct {
 	taskRef
 	A     sparse.Operator
@@ -627,9 +626,8 @@ type NodeBlockJacobi struct {
 }
 
 // NewNodeBlockJacobi inverts the nodal diagonal blocks of an operator
-// with the sparse.BlockDiagonaler capability (BSR, or the matrix-free
-// element operator when node-aligned). omega damps the update exactly as
-// in scalar Jacobi (2/3 is customary in multigrid).
+// with the sparse.BlockDiagonaler capability (BSR). omega damps the update
+// exactly as in scalar Jacobi (2/3 is customary in multigrid).
 func NewNodeBlockJacobi(a sparse.Operator, omega float64) (*NodeBlockJacobi, error) {
 	bd, ok := a.(sparse.BlockDiagonaler)
 	if !ok {

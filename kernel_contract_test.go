@@ -449,23 +449,6 @@ func contractBSR(nb, b int) *sparse.BSR {
 	return bb.Build()
 }
 
-// contractEBE builds the matrix-free operator of a 2x2x2 hex cube
-// clamped on z = 0 (54 free dofs).
-func contractEBE(t *testing.T) *fem.EBEOperator {
-	t.Helper()
-	m := mesh.StructuredHex(2, 2, 2, 1, 1, 1, nil)
-	c := fem.NewConstraints()
-	for _, v := range m.VertsWhere(func(p geom.Vec3) bool { return p.Z == 0 }) {
-		c.FixVert(v, 0, 0, 0)
-	}
-	p := fem.NewProblem(m, []material.Model{material.LinearElastic{E: 1, Nu: 0.3}}, false)
-	op, err := fem.NewEBEOperator(p, make([]float64, m.NumDOF()), c, c.NewDofMap(m.NumDOF()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return op
-}
-
 // reducedCube assembles the stiffness of an n x n x n hex cube clamped on
 // z = 0 and reduces it to the free dofs: a small SPD elasticity operator.
 func reducedCube(t *testing.T, n int) *sparse.CSR {
@@ -505,7 +488,6 @@ func contractSmoother(t *testing.T, a sparse.Operator) (*smooth.DomainBlockJacob
 func TestKernelContract(t *testing.T) {
 	bsr3, bsr2 := contractBSR(23, 3), contractBSR(17, 2)
 	csr := bsr3.ToCSR()
-	ebe := contractEBE(t)
 
 	// Four groups of hex8 elements, integrated at a displacement per dof.
 	hex := mesh.StructuredHex(4, 4, 4, 1, 1, 1, nil)
@@ -523,7 +505,6 @@ func TestKernelContract(t *testing.T) {
 		{"CSR", csr, csr.NCols, csr.NRows, 1},
 		{"BSR3", bsr3, bsr3.Cols(), bsr3.Rows(), 3},
 		{"BSR2", bsr2, bsr2.Cols(), bsr2.Rows(), 2},
-		{"EBEOperator", ebe, ebe.Cols(), ebe.Rows(), 1},
 		{"CSR residual", residualKernel{csr, contractVector(csr.NRows, 3)}, csr.NCols, csr.NRows, 1},
 		{"BSR3 residual", residualKernel{bsr3, contractVector(bsr3.Rows(), 3)}, bsr3.Cols(), bsr3.Rows(), 3},
 		{"BSR2 residual", residualKernel{bsr2, contractVector(bsr2.Rows(), 3)}, bsr2.Cols(), bsr2.Rows(), 2},

@@ -51,13 +51,12 @@ type (
 	// per-processor Mflop rate.
 	BSR = sparse.BSR
 	// Operator is the storage-agnostic sparse operator interface the
-	// solver stack is written against; CSR, BSR and the matrix-free
-	// EBEOperator all implement it.
+	// solver stack is written against; CSR and BSR implement it.
 	Operator = sparse.Operator
-	// EBEOperator is the matrix-free element-by-element fine operator:
-	// per-element stiffnesses applied gather/scatter with no assembled
-	// fine-grid matrix (fem.EBEOperator). Build one with
-	// Solver.MatrixFreeSystem.
+	// EBEOperator is the element-by-element product of the reduced
+	// stiffness (fem.EBEOperator): per-element stiffnesses applied
+	// gather/scatter with no assembled matrix. It is not an Operator and
+	// no solver takes one; Solver.MatrixFreeSystem builds it to be timed.
 	EBEOperator = fem.EBEOperator
 	// LoadMap turns a load vector into the reduced right-hand side of one
 	// operator and constraint set (fem.LoadMap); get one from
@@ -96,13 +95,13 @@ const (
 	WCycle = multigrid.WCycle
 )
 
-// Storage modes for MGOptions.Storage: assembled scalar rows, assembled
-// 3x3 node blocks, or the matrix-free element-by-element fine level.
+// Storage modes for MGOptions.Storage: the operator as handed in with
+// blocked Galerkin levels, assembled scalar rows everywhere, or assembled
+// 3x3 node blocks from the fine level down.
 const (
-	StorageAuto       = multigrid.StorageAuto
-	StorageCSR        = multigrid.StorageCSR
-	StorageBSR        = multigrid.StorageBSR
-	StorageMatrixFree = multigrid.StorageMatrixFree
+	StorageAuto = multigrid.StorageAuto
+	StorageCSR  = multigrid.StorageCSR
+	StorageBSR  = multigrid.StorageBSR
 )
 
 // NewStructuredHexMesh builds an nx×ny×nz hexahedral mesh of a box; matFn
@@ -268,7 +267,8 @@ type Result struct {
 // Newton tangent of a mesh) only fills it with values, bit for bit the
 // hierarchy a fresh Solver builds. Every returned MG owns its values and
 // scratch and shares only the plan's immutable patterns, so hierarchies
-// built by concurrent calls are independent.
+// built by concurrent calls are independent. kred must be a *CSR or a
+// *BSR; any other operator is an error.
 func (s *Solver) Preconditioner(kred Operator) (*multigrid.MG, error) {
 	rs, err := s.restrictions(kred)
 	if err != nil {
@@ -286,29 +286,27 @@ func (s *Solver) Preconditioner(kred Operator) (*multigrid.MG, error) {
 	if err != nil {
 		return nil, err
 	}
-	if plan != nil {
-		s.mu.Lock()
-		s.plan = plan
-		s.mu.Unlock()
-	}
+	s.mu.Lock()
+	s.plan = plan
+	s.mu.Unlock()
 	return mg, nil
 }
 
 // restrictions returns the restriction chain, building it from kred on
-// the first call of a smoothed-aggregation solver. Concurrent first calls
-// wait for one build.
+// the first call of a smoothed-aggregation solver, which reads its entries
+// and so first checks that it has them. Concurrent first calls wait for
+// one build.
 func (s *Solver) restrictions(kred Operator) ([]*sparse.CSR, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.Opts.Hierarchy != SmoothedAggregation || s.rs != nil {
 		return s.rs, nil
 	}
-	kc, ok := sparse.TryCSR(kred)
-	if !ok {
-		return nil, fmt.Errorf("prometheus: aggregation setup needs an assembled fine matrix, not a matrix-free operator")
+	if err := multigrid.CheckAssembled(kred); err != nil {
+		return nil, err
 	}
 	b := aggregation.RigidBodyModes(s.Mesh.Coords, s.dofMap.Full2Red, s.dofMap.NumFree())
-	rs, err := aggregation.BuildRestrictions(kc, b, aggregation.Options{})
+	rs, err := aggregation.BuildRestrictions(sparse.AsCSR(kred), b, aggregation.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("prometheus: aggregation setup: %w", err)
 	}
@@ -319,10 +317,10 @@ func (s *Solver) restrictions(kred Operator) ([]*sparse.CSR, error) {
 // ReduceSystem eliminates the Dirichlet-constrained dofs from a
 // full-numbering stiffness matrix and load vector, returning the reduced
 // operator and right-hand side FPCG actually solves. It exposes the first
-// half of SolveLinear so long-running callers (the serve layer) can split
-// the solve into cacheable setup and per-request iteration while staying
-// bitwise identical to SolveLinear; LinearOperator keeps the load map
-// instead, for an operator solved under many loads.
+// half of SolveLinear so callers can split the solve into setup and
+// iteration while staying bitwise identical to SolveLinear;
+// LinearOperator keeps the load map instead, for an operator solved under
+// many loads.
 func (s *Solver) ReduceSystem(k *CSR, f []float64) (*CSR, []float64) {
 	return s.cons.Reduce(k, f, s.dofMap)
 }
@@ -344,19 +342,15 @@ func (s *Solver) Fingerprint() string {
 	return core.Fingerprint(s.Mesh, s.cons.Fixed, s.Opts.Coarsen)
 }
 
-// MatrixFreeSystem builds the reduced linear system in matrix-free form:
-// an element-by-element operator over the free dofs (no assembled
-// fine-grid matrix anywhere) plus the reduced right-hand side — the
-// storage-mode-"mf" counterpart of assembling a stiffness and calling
-// ReduceSystem. Pair the returned operator with
-// Options.MG.Storage = StorageMatrixFree so the hierarchy
-// Galerkin-assembles its first coarse level directly from the element
-// stiffnesses.
-func (s *Solver) MatrixFreeSystem(p *Problem, f []float64) (Operator, []float64, error) {
+// MatrixFreeSystem builds the reduced linear system in element-by-element
+// form: the operator over the free dofs, with no assembled matrix, and the
+// reduced right-hand side of f. It exists to be timed against the
+// assembled product; the operator goes to no solver.
+func (s *Solver) MatrixFreeSystem(p *Problem, f []float64) (*EBEOperator, []float64, error) {
 	u := make([]float64, s.Mesh.NumDOF())
 	op, err := fem.NewEBEOperator(p, u, s.cons, s.dofMap)
 	if err != nil {
-		return nil, nil, fmt.Errorf("prometheus: matrix-free setup: %w", err)
+		return nil, nil, fmt.Errorf("prometheus: element-by-element setup: %w", err)
 	}
 	fred := make([]float64, s.dofMap.NumFree())
 	op.LoadMap(s.dofMap).Apply(fred, f, 1)
@@ -365,20 +359,11 @@ func (s *Solver) MatrixFreeSystem(p *Problem, f []float64) (Operator, []float64,
 
 // LinearOperator builds the reduced operator of p at zero displacement and
 // its load map (fem.LoadMap), with no right-hand side: the tangent
-// assembled and reduced, or under StorageMatrixFree the element-by-element
-// operator of MatrixFreeSystem. Kept beside the operator, the map serves
-// every load: Apply(fred, f, s) writes, bit for bit, the right-hand side
-// that ReduceSystem (or MatrixFreeSystem) returns for the load vector s·f.
+// assembled and reduced. Kept beside the operator, the map serves every
+// load: Apply(fred, f, s) writes, bit for bit, the right-hand side that
+// ReduceSystem returns for the load vector s·f.
 func (s *Solver) LinearOperator(p *Problem) (Operator, *LoadMap, error) {
-	u := make([]float64, s.Mesh.NumDOF())
-	if s.Opts.MG.Storage == StorageMatrixFree {
-		op, err := fem.NewEBEOperator(p, u, s.cons, s.dofMap)
-		if err != nil {
-			return nil, nil, fmt.Errorf("prometheus: matrix-free setup: %w", err)
-		}
-		return op, op.LoadMap(s.dofMap), nil
-	}
-	k, _, err := p.AssembleTangent(u)
+	k, _, err := p.AssembleTangent(make([]float64, s.Mesh.NumDOF()))
 	if err != nil {
 		return nil, nil, fmt.Errorf("prometheus: assembly: %w", err)
 	}
@@ -386,12 +371,12 @@ func (s *Solver) LinearOperator(p *Problem) (Operator, *LoadMap, error) {
 	return kred, lm, nil
 }
 
-// SolveReduced solves the already-reduced system kred·x = fred with the
-// multigrid-preconditioned FPCG and returns the full-length displacement
-// with the prescribed values in place — the storage-agnostic core of
-// SolveLinear, and the solve entry point for matrix-free systems built
-// with MatrixFreeSystem.
-func (s *Solver) SolveReduced(kred Operator, fred []float64) ([]float64, *Result, error) {
+// SolveLinear solves K·u = f where K and f are assembled on the full dof
+// numbering of the mesh and the solver's constraints prescribe u on the
+// Dirichlet set, with the multigrid-preconditioned FPCG. The returned u is
+// full-length with the prescribed values in place.
+func (s *Solver) SolveLinear(k *CSR, f []float64) ([]float64, *Result, error) {
+	kred, fred := s.cons.Reduce(k, f, s.dofMap)
 	mg, err := s.Preconditioner(kred)
 	if err != nil {
 		return nil, nil, fmt.Errorf("prometheus: matrix setup: %w", err)
@@ -414,15 +399,6 @@ func (s *Solver) SolveReduced(kred Operator, fred []float64) ([]float64, *Result
 			s.Opts.RTol, res.Iterations, res.Reason)
 	}
 	return u, out, nil
-}
-
-// SolveLinear solves K·u = f where K and f are assembled on the full dof
-// numbering of the mesh and the solver's constraints prescribe u on the
-// Dirichlet set. The returned u is full-length with the prescribed values
-// in place.
-func (s *Solver) SolveLinear(k *CSR, f []float64) ([]float64, *Result, error) {
-	kred, fred := s.cons.Reduce(k, f, s.dofMap)
-	return s.SolveReduced(kred, fred)
 }
 
 // SolveNonlinear runs the paper's Newton strategy on a problem assembled

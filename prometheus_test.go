@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -117,11 +118,9 @@ func TestPreconditionerAutoBlocks(t *testing.T) {
 	}
 }
 
-// TestSolverLinearOperator: LinearOperator gives ReduceSystem's matrix on
-// the assembled path and an element-by-element operator under
-// StorageMatrixFree, and its load map reduces s·f bit for bit as
-// ReduceSystem and MatrixFreeSystem do for the vector s·f, under
-// prescribed values that are not zero.
+// TestSolverLinearOperator: LinearOperator gives ReduceSystem's matrix,
+// and its load map reduces s·f bit for bit as ReduceSystem does for the
+// vector s·f, under prescribed values that are not zero.
 func TestSolverLinearOperator(t *testing.T) {
 	m, cons, f := buildCube(t, 3)
 	for d := range cons.Fixed {
@@ -140,40 +139,94 @@ func TestSolverLinearOperator(t *testing.T) {
 		}
 		return len(a) == len(b)
 	}
-	for _, storage := range []StorageKind{StorageAuto, StorageMatrixFree} {
-		opts := Options{}
-		opts.MG.Storage = storage
-		solver, err := NewSolver(m, cons, opts)
+	solver, err := NewSolver(m, cons, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, loads, err := solver.LinearOperator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kred, _ := solver.ReduceSystem(k, f)
+	if kc, ok := op.(*CSR); !ok || !slices.Equal(kc.ColIdx, kred.ColIdx) || !same(kc.Val, kred.Val) {
+		t.Fatalf("operator %T is not ReduceSystem's matrix", op)
+	}
+	got := make([]float64, kred.Rows())
+	sf := make([]float64, len(f))
+	for _, s := range []float64{2, -1} {
+		for i, v := range f {
+			sf[i] = s * v
+		}
+		_, want := solver.ReduceSystem(k, sf)
+		if loads.Apply(got, f, s); !same(got, want) {
+			t.Fatalf("scale %g: the load map differs from the reduction of s·f", s)
+		}
+	}
+}
+
+// TestMatrixFreeSystem: the right-hand side MatrixFreeSystem returns is
+// ReduceSystem's bit for bit under zero prescribed values. Under nonzero
+// ones it agrees to a few ULPs: ReduceSystem subtracts the assembled
+// entries of K_fc·u_c one by one, the operator its element sums at once.
+func TestMatrixFreeSystem(t *testing.T) {
+	m, cons, f := buildCube(t, 3)
+	p := NewProblem(m, []Model{LinearElastic{E: 1, Nu: 0.3}}, false)
+	k, _, err := p.AssembleTangent(make([]float64, m.NumDOF()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prescribed := range []bool{false, true} {
+		if prescribed {
+			for d := range cons.Fixed {
+				cons.Fixed[d] = 1e-3 * float64(d%4)
+			}
+		}
+		solver, err := NewSolver(m, cons, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		op, loads, err := solver.LinearOperator(p)
+		op, got, err := solver.MatrixFreeSystem(p, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kred, want := solver.ReduceSystem(k, f)
+		if op.Rows() != kred.Rows() {
+			t.Fatalf("operator has %d rows, ReduceSystem %d", op.Rows(), kred.Rows())
+		}
+		tol := 0.0
+		for _, v := range want {
+			tol = max(tol, 1e-12*math.Abs(v))
+		}
+		for i := range want {
+			same := math.Float64bits(got[i]) == math.Float64bits(want[i])
+			if !same && (!prescribed || math.Abs(got[i]-want[i]) > tol) {
+				t.Fatalf("prescribed %v, dof %d: right-hand side %v, ReduceSystem %v", prescribed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// unassembled hides an operator's storage type behind the interface.
+type unassembled struct{ Operator }
+
+// TestPreconditionerRejectsUnassembledOperator: an operator that is
+// neither *CSR nor *BSR gets the typed error from Preconditioner, before
+// any restriction or plan reads its pattern, on either hierarchy.
+func TestPreconditionerRejectsUnassembledOperator(t *testing.T) {
+	m, cons, f := buildCube(t, 3)
+	k, _, err := NewProblem(m, []Model{LinearElastic{E: 1, Nu: 0.3}}, false).AssembleTangent(make([]float64, m.NumDOF()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []HierarchyKind{GeometricMIS, SmoothedAggregation} {
+		solver, err := NewSolver(m, cons, Options{Hierarchy: h})
 		if err != nil {
 			t.Fatal(err)
 		}
 		kred, _ := solver.ReduceSystem(k, f)
-		if storage == StorageMatrixFree {
-			if _, ok := op.(*EBEOperator); !ok {
-				t.Fatalf("matrix-free solver: operator is %T, want *EBEOperator", op)
-			}
-		} else if kc, ok := op.(*CSR); !ok || !slices.Equal(kc.ColIdx, kred.ColIdx) || !same(kc.Val, kred.Val) {
-			t.Fatalf("assembled solver: operator %T is not ReduceSystem's matrix", op)
-		}
-		got := make([]float64, kred.Rows())
-		sf := make([]float64, len(f))
-		for _, s := range []float64{2, -1} {
-			for i, v := range f {
-				sf[i] = s * v
-			}
-			_, want := solver.ReduceSystem(k, sf)
-			if storage == StorageMatrixFree {
-				if _, want, err = solver.MatrixFreeSystem(p, sf); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if loads.Apply(got, f, s); !same(got, want) {
-				t.Fatalf("storage %v, scale %g: the load map differs from the reduction of s·f", storage, s)
-			}
+		_, err = solver.Preconditioner(unassembled{kred})
+		if err == nil || !strings.Contains(err.Error(), "must be *sparse.CSR or *sparse.BSR, got prometheus.unassembled") {
+			t.Fatalf("hierarchy %v: error %v, want the typed fine-operator error", h, err)
 		}
 	}
 }
