@@ -291,32 +291,6 @@ func BenchmarkAblationCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSmoother compares the paper smoother reading (CG wrapped
-// block Jacobi) against the stationary variants.
-func BenchmarkAblationSmoother(b *testing.B) {
-	for _, sc := range []struct {
-		name string
-		kind multigrid.SmootherKind
-	}{
-		{"BlockJacobiCG", multigrid.DomainBlockJacobiCG},
-		{"BlockJacobi", multigrid.DomainBlockJacobi},
-		{"Chebyshev", multigrid.Chebyshev},
-	} {
-		b.Run(sc.name, func(b *testing.B) {
-			spec := experiments.Series(1)[0]
-			var last *experiments.LinearRun
-			for i := 0; i < b.N; i++ {
-				r, err := experiments.RunLinear(spec, perf.PaperIBM(), multigrid.Options{Smoother: sc.kind})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = r
-			}
-			b.ReportMetric(float64(last.Iters), "PCG-iters")
-		})
-	}
-}
-
 // --- Substrate kernel benches ---
 
 // BenchmarkSpMV measures the sparse matrix-vector kernel on the assembled
@@ -344,121 +318,121 @@ func BenchmarkSpMV(b *testing.B) {
 	b.ReportMetric(float64(k.MulVecFlops())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mflop/s")
 }
 
-// BenchmarkSmoother measures one relaxation sweep of each smoother on
-// the assembled fine operator. Allocation counts are reported so the
-// zero-alloc steady-state guarantee is visible in -benchmem output.
-func BenchmarkSmoother(b *testing.B) {
+// fineSmoother returns the smoother of the fine level of the hierarchy a
+// Solver builds for the small spheres system (the 3k-dof tangent of
+// BenchmarkPreconditioner), and a right-hand side for it.
+func fineSmoother(tb testing.TB) (*smooth.CGSmoother, []float64) {
+	tb.Helper()
 	s := problems.NewSpheresConfig(problems.SpheresConfig{
 		Layers: 5, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2,
 	})
-	p := fem.NewProblem(s.Mesh, s.Models, true)
-	k, _, err := p.AssembleTangent(make([]float64, s.Mesh.NumDOF()))
+	solver, err := NewSolver(s.Mesh, s.Cons, Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	n := k.NRows
-	rhs := make([]float64, n)
+	k, _, err := NewProblem(s.Mesh, s.Models, true).AssembleTangent(make([]float64, s.Mesh.NumDOF()))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	kred, _ := solver.ReduceSystem(k, make([]float64, s.Mesh.NumDOF()))
+	mg, err := solver.Preconditioner(kred)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rhs := make([]float64, kred.NRows)
 	for i := range rhs {
 		rhs[i] = float64(i%5) - 2
 	}
-	for _, tc := range []struct {
-		name string
-		s    smooth.Smoother
-	}{
-		{"Jacobi", smooth.NewJacobi(k, 2.0/3)},
-		{"GaussSeidel", smooth.NewGaussSeidel(k, 1, true)},
-		{"Chebyshev", smooth.NewChebyshev(k, 3, 30)},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			x := make([]float64, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tc.s.Smooth(x, rhs, 1)
-			}
-		})
-		// The same sweep with observability recording on, so -benchmem
-		// output shows the span overhead (and its zero allocations)
-		// next to the uninstrumented number.
-		b.Run(tc.name+"/obs", func(b *testing.B) {
-			obs.EnableWith(obs.Config{RingCap: 1 << 12})
-			defer obs.Disable()
-			x := make([]float64, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tc.s.Smooth(x, rhs, 1)
-			}
-		})
-	}
+	return mg.Levels[0].Smoother, rhs
+}
+
+// BenchmarkSmoother measures one smoothing step of the fine level's
+// smoother — a CG iteration preconditioned by block Jacobi — on the small
+// spheres system. Allocation counts are reported so the zero-alloc
+// steady-state guarantee is visible in -benchmem output.
+func BenchmarkSmoother(b *testing.B) {
+	sm, rhs := fineSmoother(b)
+	b.Run("CGSmoother", func(b *testing.B) {
+		x := make([]float64, len(rhs))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sm.Smooth(x, rhs, 1)
+		}
+	})
+	// The same step with observability recording on, so -benchmem output
+	// shows the span overhead (and its zero allocations) next to the
+	// uninstrumented number.
+	b.Run("CGSmoother/obs", func(b *testing.B) {
+		obs.EnableWith(obs.Config{RingCap: 1 << 12})
+		defer obs.Disable()
+		x := make([]float64, len(rhs))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sm.Smooth(x, rhs, 1)
+		}
+	})
 }
 
 // TestSmootherObsOverhead gates the cost of the observability spans on
-// the smoother hot path: with recording enabled, a relaxation sweep may
-// be at most 5% slower than with recording off. Off and on batches
+// the smoother hot path: with recording enabled, a smoothing step of the
+// fine level's smoother — the CG iteration with its block-Jacobi solves
+// that every solve runs — may be at most 5% slower than with recording
+// off. Off and on batches
 // alternate, the order within a pair alternates too, and the verdict is
 // read from the per-pair on/off ratios: the two batches of a pair run
 // within milliseconds of each other, so a host whose core speed drifts
 // from second to second slows both alike, and the middle of the sorted
 // ratios discards the pairs a scheduler hiccup split. (Over 100 runs on a
-// 2-vCPU guest the median stayed in 0.99-1.03, while the ratio of the two
-// sides' fastest batches reached 1.22: one side can catch a fast moment of
-// the host that the other never sees.)
+// 2-vCPU guest the median of a Jacobi sweep stayed in 0.99-1.03, while the
+// ratio of the two sides' fastest batches reached 1.22: one side can catch
+// a fast moment of the host that the other never sees.)
 //
-// The sweep is gated twice. On one core it is the serial loop and the gate
-// is the median. On the default path its residual is cut over the shared
-// worker set, and recording adds a pool.task span per helper per dispatch,
-// the per-lane row counts and the dispatch counters; a sweep that wants
-// both cores is timed by whatever else wants one (the other test binaries
-// of `go test ./...`, for one: medians of 0.90-1.06 over ten runs beside
-// them, 1.00-1.01 alone), so there the gate is the lower end of the
-// median's 99.9% confidence interval (order statistics 121 and 180 of 300
-// pairs; 0.97-0.98 alone, 0.76-0.99 beside the other binaries, 1.06-1.14
-// with 15 µs of busy work planted in the helper's span): it fails when the
-// pairs show the overhead, not when they cannot tell.
+// The step is gated twice. On one core it is the serial loop and the gate
+// is the median. On the default path its residual, operator product and
+// block solves are cut over the shared worker set — every dispatch of a
+// batch must run there — and recording adds a pool.task span per helper
+// per dispatch, the per-lane row counts and the dispatch counters; a step
+// that wants both cores is timed by whatever else wants one (the other
+// test binaries of `go test ./...`, for one), so there the gate is the
+// lower end of the median's 99.9% confidence interval (order statistics
+// 121 and 180 of 300 pairs; 0.99-1.02 alone on a 2-vCPU guest): it fails
+// when the pairs show the overhead, not when they cannot tell.
 func TestSmootherObsOverhead(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("timing gate skipped in -short mode and under the race detector")
 	}
-	s := problems.NewSpheresConfig(problems.SpheresConfig{
-		Layers: 5, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2,
-	})
-	p := fem.NewProblem(s.Mesh, s.Models, true)
-	k, _, err := p.AssembleTangent(make([]float64, s.Mesh.NumDOF()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := k.NRows
-	rhs := make([]float64, n)
-	for i := range rhs {
-		rhs[i] = float64(i%5) - 2
-	}
-	jac := smooth.NewJacobi(k, 2.0/3)
-	x := make([]float64, n)
+	sm, rhs := fineSmoother(t)
+	x := make([]float64, len(rhs))
 
 	const sweepsPerBatch = 10
 	batch := func() time.Duration {
-		// Switching recording on resets every counter, long enough for
-		// the shared set's helper to stop polling and park: one untimed
-		// sweep, on either side, has it polling again when the clock starts.
-		jac.Smooth(x, rhs, 1)
+		// Every batch smooths from the same guess, so both sides do the
+		// same arithmetic. Switching recording on resets every counter,
+		// long enough for the shared set's helper to stop polling and park:
+		// one untimed step, on either side, has it polling again when the
+		// clock starts.
+		clear(x)
+		sm.Smooth(x, rhs, 1)
 		t0 := time.Now()
 		for i := 0; i < sweepsPerBatch; i++ {
-			jac.Smooth(x, rhs, 1)
+			sm.Smooth(x, rhs, 1)
 		}
 		return time.Since(t0)
 	}
-	// ratios returns the sorted on/off ratios of the pairs and how many of
-	// the last on batch's sweeps ran on the shared worker set.
-	ratios := func(pairs int) ([]float64, int64) {
+	// ratios returns the sorted on/off ratios of the pairs and, of the pool
+	// dispatches of the last on batch, how many ran on the shared worker
+	// set and how many ran serially.
+	ratios := func(pairs int) (rs []float64, pooled, serial int64) {
 		// The first EnableWith allocates the trace ring; the ones in the loop
 		// find it at the requested size and only reset counters, so no pair
 		// times an allocation or the collection after it.
 		cfg := obs.Config{RingCap: 1 << 16}
 		obs.EnableWith(cfg)
 		defer obs.Disable()
-		jac.Smooth(x, rhs, 1) // warm caches before the first measurement
-		rs := make([]float64, pairs)
+		sm.Smooth(x, rhs, 1) // warm caches before the first measurement
+		rs = make([]float64, pairs)
 		for i := range rs {
 			// Even pairs run off then on, odd pairs on then off: whatever the
 			// second batch of a pair inherits from the first lands on each
@@ -479,32 +453,34 @@ func TestSmootherObsOverhead(t *testing.T) {
 		}
 		sort.Float64s(rs)
 		// The last pair ran on then off, so the counters hold its on batch.
-		return rs, obs.Snapshot().Counter("pool.dispatch.pooled")
+		snap := obs.Snapshot()
+		return rs, snap.Counter("pool.dispatch.pooled"),
+			snap.Counter("pool.dispatch.serial_grain") + snap.Counter("pool.dispatch.serial_busy")
 	}
 	t.Run("serial", func(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		const pairs, mid = 100, 50
-		rs, pooled := ratios(pairs)
-		t.Logf("smoother sweep obs on/off: median %.4fx of %d pairs of %d sweeps (range %.3f-%.3f)",
+		rs, pooled, _ := ratios(pairs)
+		t.Logf("smoothing step obs on/off: median %.4fx of %d pairs of %d steps (range %.3f-%.3f)",
 			rs[mid], pairs, sweepsPerBatch, rs[0], rs[pairs-1])
 		if pooled != 0 {
-			t.Fatalf("%d sweeps of a batch ran on the shared worker set on one core", pooled)
+			t.Fatalf("%d dispatches of a batch ran on the shared worker set on one core", pooled)
 		}
 		if rs[mid] > 1.05 {
-			t.Errorf("obs-enabled smoother sweep is %.1f%% slower than disabled, gate is 5%%", 100*(rs[mid]-1))
+			t.Errorf("obs-enabled smoothing step is %.1f%% slower than disabled, gate is 5%%", 100*(rs[mid]-1))
 		}
 	})
 	t.Run("pooled", func(t *testing.T) {
 		atLeastTwoProcs(t)
 		const pairs, lo, mid, hi = 300, 120, 150, 179
-		rs, pooled := ratios(pairs)
-		t.Logf("smoother sweep obs on/off: median %.4fx [%.4f, %.4f] of %d pairs of %d sweeps (range %.3f-%.3f)",
+		rs, pooled, serial := ratios(pairs)
+		t.Logf("smoothing step obs on/off: median %.4fx [%.4f, %.4f] of %d pairs of %d steps (range %.3f-%.3f)",
 			rs[mid], rs[lo], rs[hi], pairs, sweepsPerBatch, rs[0], rs[pairs-1])
-		if pooled != sweepsPerBatch+1 {
-			t.Fatalf("%d of the %d sweeps of a batch ran on the shared worker set: the gate is not on the pooled path", pooled, sweepsPerBatch+1)
+		if pooled == 0 || serial != 0 {
+			t.Fatalf("%d of the %d dispatches of a batch ran on the shared worker set: the gate is not on the pooled path", pooled, pooled+serial)
 		}
 		if rs[lo] > 1.05 {
-			t.Errorf("obs-enabled smoother sweep is at least %.1f%% slower than disabled on the shared worker set, gate is 5%%", 100*(rs[lo]-1))
+			t.Errorf("obs-enabled smoothing step is at least %.1f%% slower than disabled on the shared worker set, gate is 5%%", 100*(rs[lo]-1))
 		}
 	})
 }

@@ -187,7 +187,7 @@ func TestBlockGatherMatchesAt(t *testing.T) {
 func domainBlockJacobi(b *testing.B, a *sparse.CSR) *smooth.DomainBlockJacobi {
 	nb := smooth.DefaultBlockCount(a.NRows)
 	part := graph.GreedyPartition(graph.NewFromPattern(a.NRows, a.RowPtr, a.ColIdx), nb)
-	bj, err := smooth.NewDomainBlockJacobi(a, a, part, nb)
+	bj, err := smooth.NewDomainBlockJacobi(a, part, nb)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -29,12 +29,12 @@ import (
 // DefaultHotRoots are the per-iteration kernel entry points: any
 // function or method with one of these names, defined in a kernel
 // package, executes once per solver iteration (they are dispatched from
-// iteration loops, usually through the Smoother/Preconditioner
-// interfaces or the Comm hot protocol).
+// iteration loops, usually through the multigrid cycle, the
+// krylov.Preconditioner interface or the Comm hot protocol).
 func DefaultHotRoots() []string {
 	return []string{
 		"MulVec", "MulVecRange", "Residual", // SpMV kernels (CSR and BSR)
-		"Smooth", "Apply", // smoother / preconditioner interfaces
+		"Smooth", "Apply", // smoother / preconditioner entry points
 		"Exchange", "Dot", "MulVecBSR", // halo protocol (scalar + blocked)
 		"Send", "Recv", "RecvAs", "Barrier", // point-to-point + barrier
 		"AllReduceSum", "AllReduceIntSum", "AllReduceMax", // typed collectives

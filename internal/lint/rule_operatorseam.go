@@ -12,9 +12,8 @@ import (
 // matrix types ties itself to one of them, so the choice stops being a
 // kernel choice. Outside the seam — the sparse package itself and the
 // multigrid level plumbing, which by design choose per-level storage —
-// consumers must program against the sparse capability interfaces
-// (RowScanner, BlockDiagonaler, Sweeper) or go through the sanctioned
-// sparse.AsCSR helper.
+// consumers must program against the sparse capability interface
+// (RowScanner) or go through the sanctioned sparse.AsCSR helper.
 type OperatorSeam struct {
 	// SparsePath is the import path of the sparse package (default
 	// prometheus/internal/sparse; fixtures override it).

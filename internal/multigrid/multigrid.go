@@ -2,9 +2,11 @@
 // the fine-grid operator and the restriction operators built by the core
 // coarsening and assembles the algebraic hierarchy (A_{l+1} = R·A_l·Rᵀ,
 // section 3), provides the V-cycle of Figure 1 and the full multigrid (FMG)
-// cycle used in the experiments, the block-Jacobi smoothers of section 7.2,
-// a direct solve on the coarsest grid, and the preconditioner adapter for
-// PCG. All phases count flops for the efficiency analysis of section 6.
+// cycle used in the experiments, the smoother of section 7.2 (one CG step
+// preconditioned by block Jacobi, smooth.CGSmoother) on every level above
+// the coarsest, a direct solve on the coarsest grid, and the preconditioner
+// adapter for PCG. All phases count flops for the efficiency analysis of
+// section 6.
 package multigrid
 
 import (
@@ -19,45 +21,20 @@ import (
 	"prometheus/internal/sparse"
 )
 
-// SmootherKind selects the smoother.
-type SmootherKind int
-
-const (
-	// DomainBlockJacobiCG (the default) wraps the domain-decomposed block
-	// Jacobi in a conjugate gradient iteration — the literal reading of
-	// the paper's smoother ("one pre-smoothing and one post-smoothing step
-	// within multigrid, preconditioned with block Jacobi with 6 blocks for
-	// every 1,000 unknowns"). Slightly nonlinear: the outer Krylov method
-	// must be flexible (krylov.FPCG), which the solver uses throughout.
-	DomainBlockJacobiCG SmootherKind = iota
-	// DomainBlockJacobi is a stationary damped sweep of the same
-	// graph-partitioned subdomain smoother.
-	DomainBlockJacobi
-	// Jacobi is damped pointwise Jacobi.
-	Jacobi
-	// GaussSeidel is symmetric SOR (nodal block sweeps on BSR storage).
-	GaussSeidel
-	// Chebyshev is polynomial smoothing.
-	Chebyshev
-	// NodeBlockJacobi is the paper's "block diagonal" smoother for
-	// vector-valued problems: damped Jacobi on the inverted 3x3 nodal
-	// diagonal blocks. Requires BSR level operators.
-	NodeBlockJacobi
-)
-
 // StorageKind selects the per-level matrix storage.
 type StorageKind int
 
 const (
 	// StorageAuto (the default) takes the fine operator as handed in and
 	// gives every Galerkin level the block kernel when that level's own
-	// shape allows (sparse.AutoBlock: BlockSize-divisible dimension, fill at
-	// most 2x). A BSR fine grid gets BSR coarse grids straight from the
-	// blocked Galerkin product; under a CSR fine grid — or below a level
-	// whose pinned rows take entries out of its blocks — setup and the next
-	// product read the scalar matrix of the Galerkin chain and the cycle
-	// applies a BSR copy of it. Blocking is a kernel choice, not
-	// arithmetic: solutions are bitwise those of StorageCSR.
+	// shape allows (sparse.AutoBlock: dimension divisible by nodeDofs, fill
+	// at most 2x). A BSR fine grid gets BSR coarse grids straight from the
+	// Galerkin product; under a CSR fine grid — or below a level whose
+	// pinned rows take entries out of its blocks, or under a restriction
+	// that is not node-conforming whose product blocks only with fill —
+	// setup and the next product read the scalar matrix of the Galerkin
+	// chain and the cycle applies a BSR copy of it. Blocking is a kernel
+	// choice, not arithmetic: solutions are bitwise those of StorageCSR.
 	StorageAuto StorageKind = iota
 	// StorageCSR forces scalar CSR on every level.
 	StorageCSR
@@ -65,6 +42,10 @@ const (
 	// dimensions and sparsity allow; the levels below follow StorageAuto.
 	StorageBSR
 )
+
+// nodeDofs is the block size of the blocked storage: the three
+// displacement dofs of a vertex.
+const nodeDofs = 3
 
 // CycleKind selects the multigrid cycle used per preconditioner apply.
 type CycleKind int
@@ -81,17 +62,11 @@ const (
 
 // Options configures the solver.
 type Options struct {
-	PreSmooth  int // default 1 (paper)
-	PostSmooth int // default 1 (paper)
-	Smoother   SmootherKind
+	PreSmooth  int // CG smoothing steps before the coarse correction (default 1, paper)
+	PostSmooth int // CG smoothing steps after it (default 1, paper)
 	Cycle      CycleKind
-	Omega      float64         // damping for Jacobi/SOR (default 1)
-	BlockCount func(n int) int // block rule (default: paper's 6/1000)
-	ChebDegree int             // default 3
+	BlockCount func(n int) int // block-Jacobi block rule (default: paper's 6/1000)
 	Storage    StorageKind     // per-level storage (default: follow the fine operator)
-	// BlockSize is the node-block size used by StorageBSR (default 3, the
-	// elasticity dofs-per-node).
-	BlockSize int
 }
 
 func (o Options) withDefaults() Options {
@@ -101,31 +76,10 @@ func (o Options) withDefaults() Options {
 	if o.PostSmooth == 0 {
 		o.PostSmooth = 1
 	}
-	if o.Omega == 0 {
-		o.Omega = 1
-	}
 	if o.BlockCount == nil {
 		o.BlockCount = smooth.DefaultBlockCount
 	}
-	if o.ChebDegree == 0 {
-		o.ChebDegree = 3
-	}
-	if o.BlockSize == 0 {
-		o.BlockSize = 3
-	}
 	return o
-}
-
-// blocksGalerkinLevels reports whether the levels below the fine one take
-// the block kernel when their shape allows. StorageCSR asks for scalar
-// everywhere; GaussSeidel and NodeBlockJacobi read their arithmetic off the
-// storage (nodal against scalar sweeps), so they keep the storage the
-// Galerkin chain produces.
-func (o Options) blocksGalerkinLevels() bool {
-	if o.Storage == StorageCSR {
-		return false
-	}
-	return o.Smoother != GaussSeidel && o.Smoother != NodeBlockJacobi
 }
 
 // Level is one grid of the algebraic hierarchy.
@@ -138,8 +92,8 @@ type Level struct {
 	// R restricts residuals from the next finer level to this one; nil on
 	// level 0. P = Rᵀ prolongates corrections.
 	R, P     *sparse.CSR
-	Smoother smooth.Smoother
-	Direct   *direct.Cholesky // coarsest level only
+	Smoother *smooth.CGSmoother // nil on the coarsest level
+	Direct   *direct.Cholesky   // coarsest level only
 
 	// Work counts the flops attributed to this level by the cycles run so
 	// far (matvecs, transfers into the level, direct solves); smoother
@@ -172,12 +126,6 @@ type MG struct {
 	task *obs.Task
 }
 
-// taskSetter is implemented by smoothers that can attribute their sweep
-// work to a request task.
-type taskSetter interface {
-	SetTask(t *obs.Task)
-}
-
 // SetTask attaches a request-scoped obs task to the preconditioner and
 // its level smoothers: every subsequent Apply credits its cycle flops
 // (grid transfers and coarse solves) and V-cycle count to the task, and
@@ -187,8 +135,8 @@ type taskSetter interface {
 func (mg *MG) SetTask(t *obs.Task) {
 	mg.task = t
 	for _, l := range mg.Levels {
-		if s, ok := l.Smoother.(taskSetter); ok {
-			s.SetTask(t)
+		if l.Smoother != nil {
+			l.Smoother.SetTask(t)
 		}
 	}
 }
@@ -339,37 +287,18 @@ func newLevel(a sparse.Operator) *Level {
 	return &Level{A: a, x: make([]float64, n), b: make([]float64, n), res: make([]float64, n)}
 }
 
-// makeSmoother builds the smoother that applies a. The domain smoothers
-// factor the blocks bj plans, gathered from setup, the matrix of the
-// Galerkin chain (a itself, or the scalar matrix a was blocked from).
-func (mg *MG) makeSmoother(a sparse.Operator, bj *smooth.BlockPlan, setup sparse.Operator) (smooth.Smoother, error) {
-	switch mg.Opts.Smoother {
-	case Jacobi:
-		return smooth.NewJacobi(a, 2.0/3), nil
-	case GaussSeidel:
-		return smooth.NewGaussSeidel(a, mg.Opts.Omega, true), nil
-	case Chebyshev:
-		return smooth.NewChebyshev(a, mg.Opts.ChebDegree, 30), nil
-	case NodeBlockJacobi:
-		s, err := smooth.NewNodeBlockJacobi(a, 2.0/3)
-		if err != nil {
-			return nil, fmt.Errorf("multigrid: NodeBlockJacobi smoother requires node-blocked storage (set Options.Storage = StorageBSR): %w", err)
-		}
-		return s, nil
-	}
-	// The domain smoothers: the paper's block Jacobi, stationary or inside CG.
+// makeSmoother builds the smoother that applies a: it factors the blocks
+// bj plans, gathered from setup, the matrix of the Galerkin chain (a
+// itself, or the scalar matrix a was blocked from), and wraps them in CG.
+func (mg *MG) makeSmoother(a sparse.Operator, bj *smooth.BlockPlan, setup sparse.Operator) (*smooth.CGSmoother, error) {
 	spf := obs.Start(evSmootherFactor)
-	s, err := bj.Factor(a, setup)
+	s, err := bj.Factor(setup)
 	spf.End()
 	if err != nil {
 		return nil, fmt.Errorf("multigrid: block smoother: %w", err)
 	}
 	mg.SetupFlops += s.SetupFlops
-	if mg.Opts.Smoother == DomainBlockJacobi {
-		s.AutoDamp()
-		return s, nil
-	}
-	return smooth.NewCGSmoother(a, s, 1), nil
+	return smooth.NewCGSmoother(a, s), nil
 }
 
 // NumLevels returns the number of grids.
@@ -378,9 +307,9 @@ func (mg *MG) NumLevels() int { return len(mg.Levels) }
 // cycle improves x for A_l·x = b. gamma is the cycle index: 1 = V-cycle,
 // 2 = W-cycle. zero promises that x is all zeros on entry; otherwise the
 // guess it holds is respected. One visit of a smoothed level applies A_l
-// four times when the smoother hands back its residual — two per CG step
-// before and after the coarse correction — and three times from a zero
-// guess, whose residual is b.
+// four times — two per CG step before and after the coarse correction —
+// and three times from a zero guess, whose residual is b: the residual the
+// cycle restricts is the smoother's own.
 func (mg *MG) cycle(l int, b, x []float64, gamma int, zero bool) {
 	lvl := mg.Levels[l]
 	if lvl.Direct != nil {
@@ -391,17 +320,7 @@ func (mg *MG) cycle(l int, b, x []float64, gamma int, zero bool) {
 		lvl.Work += lvl.Direct.SolveFlops()
 		return
 	}
-	// The residual to restrict is the smoother's own when it carries one;
-	// only a smoother that does not is followed by an explicit b - A·x.
-	res := lvl.res
-	if rs, ok := lvl.Smoother.(smooth.ResidualSmoother); ok {
-		res = rs.SmoothResidual(x, b, mg.Opts.PreSmooth, zero)
-	} else {
-		lvl.Smoother.Smooth(x, b, mg.Opts.PreSmooth)
-		lvl.A.Residual(b, x, res)
-		mg.CycleFlops += lvl.A.MulVecFlops() + int64(len(b))
-		lvl.Work += lvl.A.MulVecFlops() + int64(len(b))
-	}
+	res := lvl.Smoother.SmoothResidual(x, b, mg.Opts.PreSmooth, zero)
 	next := mg.Levels[l+1]
 	next.R.MulVec(res, next.b)
 	mg.CycleFlops += next.R.MulVecFlops()

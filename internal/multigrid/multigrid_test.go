@@ -178,21 +178,6 @@ func TestVCycleAndFMGBothWork(t *testing.T) {
 	}
 }
 
-func TestSmootherVariants(t *testing.T) {
-	k, f, rs := buildElasticity(t, 4, core.Options{MinCoarse: 30})
-	for _, s := range []SmootherKind{DomainBlockJacobiCG, DomainBlockJacobi, Jacobi, GaussSeidel, Chebyshev} {
-		mg, err := New(k, rs, Options{Smoother: s, Cycle: VCycle})
-		if err != nil {
-			t.Fatalf("smoother %v: %v", s, err)
-		}
-		x := make([]float64, k.NRows)
-		res := krylov.FPCG(k, f, x, mg, 1e-8, 400)
-		if !res.Converged {
-			t.Fatalf("smoother %v did not converge", s)
-		}
-	}
-}
-
 func TestOperatorComplexityModest(t *testing.T) {
 	k, _, rs := buildElasticity(t, 5, core.Options{MinCoarse: 30})
 	mg, err := New(k, rs, Options{})
@@ -260,24 +245,6 @@ func TestStorageParity(t *testing.T) {
 	}
 }
 
-// TestNodeBlockJacobiSmootherConverges exercises the BSR-only smoother
-// end to end: it requires blocked storage and must reject CSR.
-func TestNodeBlockJacobiSmootherConverges(t *testing.T) {
-	k, f, rs := buildElasticity(t, 4, core.Options{MinCoarse: 30})
-	if _, err := New(k, rs, Options{Smoother: NodeBlockJacobi, Storage: StorageCSR}); err == nil {
-		t.Fatal("NodeBlockJacobi on CSR storage should fail")
-	}
-	mg, err := New(k, rs, Options{Smoother: NodeBlockJacobi, Storage: StorageBSR})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, k.NRows)
-	res := krylov.FPCG(k, f, x, mg, 1e-8, 400)
-	if !res.Converged {
-		t.Fatal("NodeBlockJacobi-smoothed MG did not converge")
-	}
-}
-
 func TestMGRejectsBadInput(t *testing.T) {
 	b := sparse.NewBuilder(4, 3)
 	b.Add(0, 0, 1)
@@ -294,8 +261,8 @@ func TestMGRejectsBadInput(t *testing.T) {
 
 // TestNewRejectsBrokenSmootherBlock: a fine operator with a NaN-poisoned
 // or an indefinite smoother block fails hierarchy setup with the wrapped
-// block error on both storages and both domain smoothers — it never
-// panics and never hands back a smoother that sweeps NaN.
+// block error on both storages — it never panics and never hands back a
+// smoother that sweeps NaN.
 func TestNewRejectsBrokenSmootherBlock(t *testing.T) {
 	k, _, rs := buildElasticity(t, 4, core.Options{MinCoarse: 30})
 	dof := k.NRows / 2
@@ -309,7 +276,6 @@ func TestNewRejectsBrokenSmootherBlock(t *testing.T) {
 		for _, opts := range []Options{
 			{Storage: StorageCSR},
 			{Storage: StorageBSR},
-			{Storage: StorageCSR, Smoother: DomainBlockJacobi},
 		} {
 			mg, err := New(a, rs, opts)
 			if mg != nil || !errors.Is(err, la.ErrNotSPD) || !strings.Contains(err.Error(), "multigrid: block smoother: smooth: block ") {

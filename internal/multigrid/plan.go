@@ -23,7 +23,7 @@ import (
 //   - the storage decisions: the fine level's conversion, the pinned
 //     layout each Galerkin product is written in, and the blocked layout a
 //     scalar level is copied into to be applied;
-//   - the domain smoother's partition, block members and factor layout
+//   - the smoother's partition, block members and factor layout
 //     (smooth.BlockPlan);
 //   - on the coarsest level, the Cholesky ordering and profile
 //     (direct.Symbolic).
@@ -157,7 +157,7 @@ func (p *Plan) planFine() {
 		}
 	case StorageBSR:
 		if c, ok := p.fine.(*sparse.CSR); ok {
-			if t := sparse.PlanBlock(c, p.opts.BlockSize); t != nil {
+			if t := sparse.PlanBlock(c, nodeDofs); t != nil {
 				p.fineAs = t
 				if t.NNZ() == c.NNZ() {
 					p.fine, p.expanded = t, true
@@ -220,9 +220,9 @@ func (lp *levelPlan) restrict(s sparse.Operator) (ra []float64, keep []int, maxd
 // planStorage plans what level l's Galerkin product is written into — its
 // pattern with the rows and columns fixEmptyRows pins, which a blocked
 // product leaves in scalar rows — and, when that is a scalar matrix on a
-// smoothed level and the block kernel is wanted and fits, the blocked
-// layout it is copied into to be applied. Setup and the next product read
-// the scalar matrix.
+// smoothed level and the block kernel is wanted (any storage but
+// StorageCSR) and fits, the blocked layout it is copied into to be applied.
+// Setup and the next product read the scalar matrix.
 func (p *Plan) planStorage(l int) {
 	lp := p.levels[l]
 	t := lp.gal.Pattern()
@@ -232,13 +232,13 @@ func (p *Plan) planStorage(l int) {
 		lp.gal.Target(c)
 		t = c
 	}
-	if c, ok := t.(*sparse.CSR); ok && l < len(p.rs) && p.opts.blocksGalerkinLevels() {
-		lp.apply = sparse.PlanBlock(c, p.opts.BlockSize)
+	if c, ok := t.(*sparse.CSR); ok && l < len(p.rs) && p.opts.Storage != StorageCSR {
+		lp.apply = sparse.PlanBlock(c, nodeDofs)
 	}
 }
 
 // planLevel plans what level l does with its matrix s: the ordering of the
-// coarsest level's factorization, or the domain smoother's blocks.
+// coarsest level's factorization, or the smoother's blocks.
 func (p *Plan) planLevel(l int, s sparse.Operator) error {
 	sp := obs.Start(evPlan)
 	defer sp.End()
@@ -251,14 +251,12 @@ func (p *Plan) planLevel(l int, s sparse.Operator) error {
 		lp.chol = ch
 		return nil
 	}
-	if p.opts.Smoother == DomainBlockJacobi || p.opts.Smoother == DomainBlockJacobiCG {
-		e := sparse.ScalarPatternOf(s)
-		nb := p.opts.BlockCount(e.NRows)
-		spp := obs.Start(evSmootherPartition)
-		part := graph.GreedyPartition(graph.NewFromPattern(e.NRows, e.RowPtr, e.ColIdx), nb)
-		spp.End()
-		lp.bj = smooth.PlanBlocks(e.NRows, graph.PartMembers(part, nb))
-	}
+	e := sparse.ScalarPatternOf(s)
+	nb := p.opts.BlockCount(e.NRows)
+	spp := obs.Start(evSmootherPartition)
+	part := graph.GreedyPartition(graph.NewFromPattern(e.NRows, e.RowPtr, e.ColIdx), nb)
+	spp.End()
+	lp.bj = smooth.PlanBlocks(e.NRows, graph.PartMembers(part, nb))
 	return nil
 }
 

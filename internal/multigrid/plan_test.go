@@ -10,7 +10,6 @@ import (
 	"prometheus/internal/core"
 	"prometheus/internal/krylov"
 	"prometheus/internal/la"
-	"prometheus/internal/smooth"
 	"prometheus/internal/sparse"
 )
 
@@ -280,12 +279,8 @@ func hierarchyValueBytes(mg *MG) uint64 {
 		if lvl.Direct != nil {
 			n += int(lvl.Direct.SolveFlops() / 4)
 		}
-		s := lvl.Smoother
-		if cg, ok := s.(*smooth.CGSmoother); ok {
-			s = cg.Inner
-		}
-		if bj, ok := s.(*smooth.DomainBlockJacobi); ok {
-			for _, b := range bj.Blocks() {
+		if lvl.Smoother != nil {
+			for _, b := range lvl.Smoother.Inner.Blocks() {
 				n += la.PackedLen(len(b))
 			}
 		}

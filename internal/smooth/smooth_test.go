@@ -59,7 +59,7 @@ func laplace3D(n int) *sparse.CSR {
 
 // blockLaplace returns an n-node block-tridiagonal SPD operator with 3x3
 // node blocks: coupled diagonal blocks and -I off-diagonal blocks — a toy
-// vector-valued elasticity stand-in for the node-block smoothers.
+// vector-valued elasticity stand-in on node-blocked storage.
 func blockLaplace(n int) *sparse.BSR {
 	bb := sparse.NewBlockBuilder(n, n, 3)
 	diag := []float64{4, 1, 0, 1, 4, 1, 0, 1, 4}
@@ -81,9 +81,9 @@ func errorNorm(a sparse.Operator, x, b []float64) float64 {
 	return la.Norm2(r)
 }
 
-// checkReduces verifies that n sweeps reduce the residual monotonically to
-// below frac of the initial.
-func checkReduces(t *testing.T, s Smoother, a sparse.Operator, sweeps int, frac float64) {
+// checkReduces verifies that n smoothing steps reduce the residual
+// monotonically to below frac of the initial.
+func checkReduces(t *testing.T, s *CGSmoother, a sparse.Operator, sweeps int, frac float64) {
 	t.Helper()
 	n := a.Rows()
 	b := make([]float64, n)
@@ -109,143 +109,6 @@ func checkReduces(t *testing.T, s Smoother, a sparse.Operator, sweeps int, frac 
 	}
 }
 
-func TestJacobiReduces(t *testing.T) {
-	a := laplace1D(50)
-	checkReduces(t, NewJacobi(a, 2.0/3), a, 200, 0.5)
-}
-
-func TestJacobiApply(t *testing.T) {
-	a := laplace1D(10)
-	s := NewJacobi(a, 1)
-	r := make([]float64, 10)
-	z := make([]float64, 10)
-	for i := range r {
-		r[i] = float64(i)
-	}
-	s.Apply(r, z)
-	for i := range z {
-		if math.Abs(z[i]-r[i]/2) > 1e-15 {
-			t.Fatalf("z[%d] = %v", i, z[i])
-		}
-	}
-}
-
-func TestGaussSeidelReduces(t *testing.T) {
-	a := laplace1D(50)
-	checkReduces(t, NewGaussSeidel(a, 1, false), a, 120, 0.2)
-	checkReduces(t, NewGaussSeidel(a, 1, true), a, 60, 0.2)
-	checkReduces(t, NewGaussSeidel(a, 1.5, false), a, 60, 0.2)
-}
-
-// mustNodeBlockJacobi unwraps the capability error for operators the
-// tests know are node-aligned.
-func mustNodeBlockJacobi(t *testing.T, a sparse.Operator, omega float64) *NodeBlockJacobi {
-	t.Helper()
-	s, err := NewNodeBlockJacobi(a, omega)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-func TestNodeBlockJacobiReduces(t *testing.T) {
-	a := blockLaplace(40)
-	checkReduces(t, mustNodeBlockJacobi(t, a, 2.0/3), a, 300, 0.5)
-}
-
-// TestNodeBlockJacobiApply: one application with omega=1 must solve the
-// nodal diagonal exactly — multiplying z back by the diagonal blocks
-// recovers r.
-func TestNodeBlockJacobiApply(t *testing.T) {
-	a := blockLaplace(8)
-	s := mustNodeBlockJacobi(t, a, 1)
-	n := a.Rows()
-	r := make([]float64, n)
-	z := make([]float64, n)
-	for i := range r {
-		r[i] = math.Sin(float64(i + 1))
-	}
-	s.Apply(r, z)
-	db := a.DiagBlocks()
-	for ib := 0; ib < a.NBRows; ib++ {
-		for d := 0; d < 3; d++ {
-			got := 0.0
-			for c := 0; c < 3; c++ {
-				got += db[ib*9+d*3+c] * z[3*ib+c]
-			}
-			if math.Abs(got-r[3*ib+d]) > 1e-12 {
-				t.Fatalf("D·z != r at node %d component %d: %v vs %v", ib, d, got, r[3*ib+d])
-			}
-		}
-	}
-}
-
-func TestGaussSeidelNodalReduces(t *testing.T) {
-	a := blockLaplace(40)
-	checkReduces(t, NewGaussSeidel(a, 1, false), a, 120, 0.2)
-	checkReduces(t, NewGaussSeidel(a, 1, true), a, 60, 0.2)
-}
-
-// TestGaussSeidelNodalMatchesScalar: with diagonal nodal blocks the block
-// solve degenerates to scalar division, so the nodal sweep on BSR must
-// reproduce the scalar sweep on the expanded CSR.
-func TestGaussSeidelNodalMatchesScalar(t *testing.T) {
-	const n = 12
-	bb := sparse.NewBlockBuilder(n, n, 3)
-	diag := []float64{5, 0, 0, 0, 6, 0, 0, 0, 7}
-	off := []float64{-1, 0, 0, 0, -1, 0, 0, 0, -1}
-	for i := 0; i < n; i++ {
-		bb.AddBlock(i, i, diag)
-		if i+1 < n {
-			bb.AddBlock(i, i+1, off)
-			bb.AddBlock(i+1, i, off)
-		}
-	}
-	a := bb.Build()
-	sb := NewGaussSeidel(a, 1, true)
-	sc := NewGaussSeidel(a.ToCSR(), 1, true)
-	b := make([]float64, a.Rows())
-	for i := range b {
-		b[i] = math.Cos(float64(i))
-	}
-	xb := make([]float64, a.Rows())
-	xc := make([]float64, a.Rows())
-	sb.Smooth(xb, b, 3)
-	sc.Smooth(xc, b, 3)
-	for i := range xb {
-		if math.Abs(xb[i]-xc[i]) > 1e-13 {
-			t.Fatalf("nodal and scalar sweeps diverge at dof %d: %v vs %v", i, xb[i], xc[i])
-		}
-	}
-}
-
-func TestChebyshevSmoothsHighFrequency(t *testing.T) {
-	// Chebyshev targets the high end of the spectrum: a high-frequency
-	// error must decay much faster than a smooth one.
-	n := 64
-	a := laplace1D(n)
-	s := NewChebyshev(a, 4, 30)
-	b := make([]float64, n)
-	// Error = x_exact - x; start from x = -e so r = A e.
-	decay := func(mode int) float64 {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = -math.Sin(math.Pi * float64(mode) * float64(i+1) / float64(n+1))
-		}
-		r0 := errorNorm(a, x, b)
-		s.Smooth(x, b, 1)
-		return errorNorm(a, x, b) / r0
-	}
-	hi := decay(n - 2)
-	lo := decay(1)
-	if hi > 0.2 {
-		t.Fatalf("high-frequency decay = %v, want < 0.2", hi)
-	}
-	if hi > lo {
-		t.Fatalf("smoother should damp high frequency faster: hi %v lo %v", hi, lo)
-	}
-}
-
 func TestBlockJacobi(t *testing.T) {
 	a := laplace3D(6)
 	n := a.NRows
@@ -253,7 +116,7 @@ func TestBlockJacobi(t *testing.T) {
 	g := matrixGraph(a)
 	nb := DefaultBlockCount(n)
 	part := graph.GreedyPartition(g, nb)
-	s, err := NewDomainBlockJacobi(a, a, part, nb)
+	s, err := NewDomainBlockJacobi(a, part, nb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,37 +126,47 @@ func TestBlockJacobi(t *testing.T) {
 	if s.SetupFlops <= 0 {
 		t.Fatal("setup flops not counted")
 	}
-	checkReduces(t, s, a, 60, 0.3)
-	// Block Jacobi with one block per dof degenerates to Jacobi.
-	part1 := make([]int, n)
-	for i := range part1 {
-		part1[i] = i
-	}
-	s1, err := NewDomainBlockJacobi(a, a, part1, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := NewJacobi(a, 1)
+	checkReduces(t, NewCGSmoother(a, s), a, 60, 0.3)
+}
+
+// TestJacobiApply: block Jacobi with one block per dof degenerates to
+// pointwise Jacobi, z = D⁻¹·r.
+func TestJacobiApply(t *testing.T) {
+	a := laplace3D(6)
+	n := a.NRows
+	d := a.Diag()
 	r := make([]float64, n)
 	for i := range r {
 		r[i] = float64(i%7) - 3
 	}
-	z1 := make([]float64, n)
-	z2 := make([]float64, n)
-	s1.Apply(r, z1)
-	j.Apply(r, z2)
-	for i := range z1 {
-		if math.Abs(z1[i]-z2[i]) > 1e-12 {
+	z := make([]float64, n)
+	pointJacobi(t, a).Apply(r, z)
+	for i := range z {
+		if math.Abs(z[i]-r[i]/d[i]) > 1e-12 {
 			t.Fatalf("pointwise block Jacobi != Jacobi at %d", i)
 		}
 	}
 }
 
+// pointJacobi is block Jacobi with one block per dof: pointwise Jacobi.
+func pointJacobi(t *testing.T, a *sparse.CSR) *DomainBlockJacobi {
+	t.Helper()
+	part := make([]int, a.NRows)
+	for i := range part {
+		part[i] = i
+	}
+	s, err := NewDomainBlockJacobi(a, part, a.NRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestBlockJacobiSingleBlockIsDirect(t *testing.T) {
-	// One block covering everything solves the system exactly in one sweep.
+	// One block covering everything solves the system exactly.
 	a := laplace1D(20)
 	part := make([]int, 20)
-	s, err := NewDomainBlockJacobi(a, a, part, 1)
+	s, err := NewDomainBlockJacobi(a, part, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +175,7 @@ func TestBlockJacobiSingleBlockIsDirect(t *testing.T) {
 		b[i] = float64(i)
 	}
 	x := make([]float64, 20)
-	s.Smooth(x, b, 1)
+	s.Apply(b, x)
 	if r := errorNorm(a, x, b); r > 1e-10 {
 		t.Fatalf("single-block residual = %v", r)
 	}
@@ -327,7 +200,7 @@ func TestBlockJacobiShiftRetry(t *testing.T) {
 		}
 	}
 	a := b.Build()
-	s, err := NewDomainBlockJacobi(a, a, make([]int, n), 1)
+	s, err := NewDomainBlockJacobi(a, make([]int, n), 1)
 	if err != nil {
 		t.Fatalf("singular block was not rescued by a shift: %v", err)
 	}
@@ -362,7 +235,7 @@ func TestBlockJacobiRejectsBrokenBlock(t *testing.T) {
 		for i := 5; i < 10; i++ {
 			part[i] = 1
 		}
-		_, err := NewDomainBlockJacobi(a, a, part, 2)
+		_, err := NewDomainBlockJacobi(a, part, 2)
 		if !errors.Is(err, la.ErrNotSPD) || !strings.Contains(err.Error(), "smooth: block 1 (5 dofs)") {
 			t.Fatalf("diagonal %v: err = %v, want the wrapped block error", bad, err)
 		}
@@ -392,16 +265,16 @@ func TestCGSmootherBreakdownLeavesX(t *testing.T) {
 	}
 	nan := append([]float64(nil), b...)
 	nan[7] = math.NaN()
-	check("NaN rhs", NewCGSmoother(a, NewJacobi(a, 1), 2), nan)
+	check("NaN rhs", NewCGSmoother(a, pointJacobi(t, a)), nan)
 	inf := append([]float64(nil), b...)
 	inf[7] = math.Inf(1)
-	check("Inf rhs", NewCGSmoother(a, NewJacobi(a, 1), 2), inf)
+	check("Inf rhs", NewCGSmoother(a, pointJacobi(t, a)), inf)
 	neg := a.Clone()
 	neg.Scale(-1)
-	check("negative definite", NewCGSmoother(neg, NewJacobi(a, 1), 2), b)
+	check("negative definite", NewCGSmoother(neg, pointJacobi(t, a)), b)
 }
 
-// TestCGSmootherResidualHandOff pins the ResidualSmoother contract: the
+// TestCGSmootherResidualHandOff pins the residual hand-off contract: the
 // vector SmoothResidual returns is b - A·x of the x it leaves, after full
 // steps and on the breakdown return alike, and a guess declared zero yields
 // the x a zeroed guess does, bit for bit, for one operator product fewer.
@@ -418,7 +291,7 @@ func TestCGSmootherResidualHandOff(t *testing.T) {
 	neg.Scale(-1)
 	want := make([]float64, n)
 	for name, op := range map[string]*sparse.CSR{"three CG steps": a, "breakdown before the first": neg} {
-		var rs ResidualSmoother = NewCGSmoother(op, NewJacobi(a, 1), 1)
+		rs := NewCGSmoother(op, pointJacobi(t, a))
 		x := append([]float64(nil), guess...)
 		r := rs.SmoothResidual(x, b, 3, false)
 		op.Residual(b, x, want)
@@ -428,7 +301,7 @@ func TestCGSmootherResidualHandOff(t *testing.T) {
 			}
 		}
 	}
-	cold, declared := NewCGSmoother(a, NewJacobi(a, 1), 1), NewCGSmoother(a, NewJacobi(a, 1), 1)
+	cold, declared := NewCGSmoother(a, pointJacobi(t, a)), NewCGSmoother(a, pointJacobi(t, a))
 	xc, xd := make([]float64, n), make([]float64, n)
 	rc := cold.SmoothResidual(xc, b, 2, false)
 	rd := declared.SmoothResidual(xd, b, 2, true)
@@ -455,16 +328,16 @@ func TestDefaultBlockCount(t *testing.T) {
 }
 
 func TestSmootherSymmetryForPCG(t *testing.T) {
-	// Apply of Jacobi and BlockJacobi are symmetric operators (M⁻¹ SPD):
-	// check ⟨M⁻¹u, v⟩ = ⟨u, M⁻¹v⟩.
+	// Block Jacobi applies a symmetric operator (M⁻¹ SPD), with one dof per
+	// block and with graph-partitioned blocks: check ⟨M⁻¹u, v⟩ = ⟨u, M⁻¹v⟩.
 	a := laplace3D(4)
 	n := a.NRows
 	part := graph.GreedyPartition(matrixGraph(a), 5)
-	bj, err := NewDomainBlockJacobi(a, a, part, 5)
+	bj, err := NewDomainBlockJacobi(a, part, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []Smoother{NewJacobi(a, 0.8), bj} {
+	for _, s := range []*DomainBlockJacobi{pointJacobi(t, a), bj} {
 		u := make([]float64, n)
 		v := make([]float64, n)
 		for i := range u {
@@ -488,11 +361,11 @@ func TestCGSmootherStrongerThanInner(t *testing.T) {
 	a := laplace3D(5)
 	n := a.NRows
 	part := graph.GreedyPartition(matrixGraph(a), 4)
-	inner, err := NewDomainBlockJacobi(a, a, part, 4)
+	inner, err := NewDomainBlockJacobi(a, part, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg := NewCGSmoother(a, inner, 1)
+	cg := NewCGSmoother(a, inner)
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = math.Sin(float64(i) * 0.7)
@@ -518,31 +391,4 @@ func TestCGSmootherStrongerThanInner(t *testing.T) {
 // matrixGraph builds the adjacency graph of a matrix pattern.
 func matrixGraph(a *sparse.CSR) *graph.Graph {
 	return graph.NewFromPattern(a.NRows, a.RowPtr, a.ColIdx)
-}
-
-func TestBlockJacobiAutoDamp(t *testing.T) {
-	a := laplace3D(4)
-	part := graph.GreedyPartition(matrixGraph(a), 3)
-	s, err := NewDomainBlockJacobi(a, a, part, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Omega != 1 {
-		t.Fatal("default omega should be 1")
-	}
-	s.AutoDamp()
-	if s.Omega <= 0 || s.Omega > 1 {
-		t.Fatalf("omega = %v", s.Omega)
-	}
-	// Damped iteration must contract on an arbitrary error.
-	b := make([]float64, a.NRows)
-	x := make([]float64, a.NRows)
-	for i := range x {
-		x[i] = math.Cos(float64(i))
-	}
-	r0 := errorNorm(a, x, b)
-	s.Smooth(x, b, 10)
-	if errorNorm(a, x, b) >= r0 {
-		t.Fatal("damped block Jacobi did not contract")
-	}
 }

@@ -41,10 +41,6 @@ func (a *BSR) NNZ() int { return len(a.ColIdx) * a.B * a.B }
 // NNZBlocks returns the number of stored blocks.
 func (a *BSR) NNZBlocks() int { return len(a.ColIdx) }
 
-// BlockSize returns the scalar block dimension (the BlockDiagonaler
-// capability).
-func (a *BSR) BlockSize() int { return a.B }
-
 // MulVecFlops returns the flop count of one MulVec (2·nnz).
 func (a *BSR) MulVecFlops() int64 { return 2 * int64(a.NNZ()) }
 
@@ -215,26 +211,6 @@ func (a *BSR) Diag() []float64 {
 		}
 	}
 	return d
-}
-
-// DiagBlocks returns a copy of the BxB diagonal blocks, packed row-major
-// per block row (zero blocks where absent). It feeds the node-block
-// smoothers, which invert each block once at setup.
-func (a *BSR) DiagBlocks() []float64 {
-	if a.NBRows != a.NBCols {
-		panic("sparse: DiagBlocks wants a square matrix")
-	}
-	b := a.B
-	bb := b * b
-	out := make([]float64, a.NBRows*bb)
-	for ib := 0; ib < a.NBRows; ib++ {
-		lo, hi := a.RowPtr[ib], a.RowPtr[ib+1]
-		k := lo + sort.SearchInts(a.ColIdx[lo:hi], ib)
-		if k < hi && a.ColIdx[k] == ib {
-			copy(out[ib*bb:(ib+1)*bb], a.Val[k*bb:(k+1)*bb])
-		}
-	}
-	return out
 }
 
 // FromCSR blocks a scalar matrix with block size b. Every stored scalar

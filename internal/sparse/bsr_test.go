@@ -313,16 +313,6 @@ func TestBSRDiagAndAt(t *testing.T) {
 			}
 		}
 	}
-	db := a.DiagBlocks()
-	for ib := 0; ib < a.NBRows; ib++ {
-		for d := 0; d < 3; d++ {
-			for e := 0; e < 3; e++ {
-				if math.Float64bits(db[ib*9+d*3+e]) != math.Float64bits(a.At(3*ib+d, 3*ib+e)) {
-					t.Fatalf("DiagBlocks[%d](%d,%d) differs from At", ib, d, e)
-				}
-			}
-		}
-	}
 }
 
 // TestStorageBytes pins the bytes-per-storage accounting behind the

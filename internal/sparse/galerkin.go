@@ -17,7 +17,10 @@ import (
 // blocked: both products run over node-level weights and the result is
 // BSR. A BSR A under any other restriction (smoothed aggregation) is
 // expanded to scalar rows, multiplied in scalar form and re-blocked when
-// the result allows it. A CSR A is multiplied in scalar form.
+// that stores no entry the scalar product does not: a coarse operator with
+// block fill would have another pattern than the scalar chain's, and so
+// another smoother partition and coarse ordering. A CSR A is multiplied in
+// scalar form.
 type GalerkinPlan struct {
 	// r and rt are the left and right factors of the product: R and Rᵀ,
 	// or R's node weights and their transpose on the blocked path.
@@ -50,7 +53,7 @@ func PlanGalerkin(r, rt *CSR, a Operator) *GalerkinPlan {
 		expand := m.ScalarPattern()
 		g := planScalarGalerkin(r, rt, expand)
 		g.expand = expand
-		if t := PlanBlock(g.scalar, m.B); t != nil {
+		if t := PlanBlock(g.scalar, m.B); t != nil && t.NNZ() == g.scalar.NNZ() {
 			g.to = t
 		}
 		return g

@@ -11,8 +11,7 @@ import "slices"
 // collect the per-processor Mflop gains.
 //
 // Anything beyond the core apply is a capability: consumers that need
-// row access, diagonal blocks or a SOR sweep assert the corresponding
-// optional interface (RowScanner, BlockDiagonaler, Sweeper) instead of a
+// entry access assert the optional RowScanner interface instead of a
 // concrete type.
 type Operator interface {
 	// Rows and Cols return the operator's dimensions.
@@ -45,40 +44,14 @@ type RowScanner interface {
 	At(i, j int) float64
 }
 
-// BlockDiagonaler is the node-block diagonal capability: storages that
-// know their b-by-b diagonal blocks expose them for block smoothers
-// (NodeBlockJacobi) without the smoother asserting a concrete type.
-type BlockDiagonaler interface {
-	// BlockSize returns the scalar block dimension b.
-	BlockSize() int
-	// DiagBlocks returns a copy of the BxB diagonal blocks, packed
-	// row-major per block in block-row order. Implementations that are
-	// not node-aligned return nil.
-	DiagBlocks() []float64
-}
-
-// Sweeper is the SOR-sweep capability: storages with ordered row
-// traversal provide the Gauss-Seidel kernel themselves, so the smoother
-// package never reaches into storage internals.
-type Sweeper interface {
-	// SORSweep performs one forward (backward=false) or backward sweep of
-	// x for A·x = b in place and returns the flop count. invBlk holds the
-	// inverted diagonal blocks for blocked storages (ignored by scalar
-	// storages); scratch is a caller-provided buffer of at least
-	// BlockSize() float64s for the per-block right-hand side.
-	SORSweep(x, b []float64, omega float64, backward bool, invBlk, scratch []float64) int64
-}
-
 // Compile-time interface conformance for both assembled storage
-// formats, and for the capabilities each provides.
+// formats, and for the capability both provide.
 var (
 	_ Operator = (*CSR)(nil)
 	_ Operator = (*BSR)(nil)
 
 	_ RowScanner = (*CSR)(nil)
 	_ RowScanner = (*BSR)(nil)
-
-	_ BlockDiagonaler = (*BSR)(nil)
 )
 
 // StorageBytes reports the bytes one storage format holds resident per

@@ -8,7 +8,6 @@ import (
 	"prometheus/internal/krylov"
 	"prometheus/internal/multigrid"
 	"prometheus/internal/obs"
-	"prometheus/internal/smooth"
 )
 
 // mallocsPerRun is the pooled path's testing.AllocsPerRun. That function
@@ -59,7 +58,7 @@ func TestPooledPathZeroAlloc(t *testing.T) {
 		for i := range x {
 			x[i], b[i] = float64(i%7)-3, float64(i%5)-2
 		}
-		inner := mg.Levels[0].Smoother.(*smooth.CGSmoother).Inner
+		inner := mg.Levels[0].Smoother.Inner
 		before := obs.Snapshot().Counter("pool.dispatch.pooled")
 		for _, c := range []struct {
 			what string

@@ -275,9 +275,8 @@ func (s *Solver) Preconditioner(kred Operator) (*multigrid.MG, error) {
 		return nil, err
 	}
 	opts := s.Opts.MG
-	if s.Opts.Hierarchy == GeometricMIS && s.dofMap.NodeAligned(3) && opts.Storage == StorageAuto &&
-		(opts.BlockSize == 0 || opts.BlockSize == 3) {
-		opts.Storage, opts.BlockSize = StorageBSR, 3
+	if s.Opts.Hierarchy == GeometricMIS && s.dofMap.NodeAligned(3) && opts.Storage == StorageAuto {
+		opts.Storage = StorageBSR
 	}
 	s.mu.Lock()
 	plan := s.plan
