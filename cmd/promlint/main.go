@@ -2,8 +2,9 @@
 // module with the stdlib go/parser + go/types toolchain and enforces the
 // solver-specific correctness rules (see internal/lint): float equality,
 // library panic conventions, unchecked errors (including defer/go),
-// exported API documentation, per-iteration allocations in kernel hot
-// paths, and check.Enabled guards.
+// exported API documentation, check.Enabled guards, deterministic
+// coarsening, observability names and spans, no synchronization in the
+// compute packages, structured service logging, and the storage seam.
 //
 // Usage:
 //

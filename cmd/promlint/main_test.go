@@ -33,12 +33,14 @@ func TestSelectRulesByName(t *testing.T) {
 
 func TestSelectRulesUnknownListsValidNames(t *testing.T) {
 	// shared-write was a rule until the ownership verifier was retired,
-	// narrowing-discipline until the f32 storages were, the last four
+	// narrowing-discipline until the f32 storages were, the next four
 	// until internal/par's protocol moved to its promdebug run-time
-	// checks; a script still passing any of them must fail, not lint
-	// with nothing.
+	// checks, and the last six until the allocation and service-lifecycle
+	// tests held their properties; a script still passing any of them
+	// must fail, not lint with nothing.
 	for _, unknown := range []string{"no-such-rule", "shared-write", "narrowing-discipline",
-		"naked-type-assert", "comm-protocol", "collective-uniformity", "sendrecv-match"} {
+		"naked-type-assert", "comm-protocol", "collective-uniformity", "sendrecv-match",
+		"hotloop-alloc", "block-shape", "goroutine-lifecycle", "ctx-flow", "resource-release", "bounded-queue"} {
 		_, err := selectRules("float-equality," + unknown)
 		if err == nil {
 			t.Fatalf("unknown rule name %q must be rejected", unknown)

@@ -263,6 +263,35 @@ func TestFPCGHandlesVariablePreconditioner(t *testing.T) {
 	}
 }
 
+// TestFPCGAllocsIndependentOfIterations: FPCG allocates its vectors once
+// per call and nothing per iteration, so a solve stopped after 15
+// iterations makes as many mallocs as one stopped after 9 (both residual
+// histories end in a 16-entry array). testing.AllocsPerRun measures on one
+// core, the serial path; TestPooledPathZeroAlloc at the module root makes
+// the same comparison on the shared worker set.
+func TestFPCGAllocsIndependentOfIterations(t *testing.T) {
+	a := laplace2D(12)
+	b := make([]float64, a.NRows)
+	for i := range b {
+		b[i] = 1
+	}
+	x := make([]float64, a.NRows)
+	var m Preconditioner = diagPrecon{a.Diag()}
+	mallocs := func(iters int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			for i := range x {
+				x[i] = 0
+			}
+			if res := FPCG(a, b, x, m, 1e-30, iters); res.Iterations != iters {
+				t.Fatalf("FPCG stopped after %d iterations (%v), want %d", res.Iterations, res.Reason, iters)
+			}
+		})
+	}
+	if nine, fifteen := mallocs(9), mallocs(15); nine != fifteen {
+		t.Errorf("FPCG makes %.0f mallocs stopped after 9 iterations and %.0f after 15: something allocates per iteration", nine, fifteen)
+	}
+}
+
 // diagPrecon is the Jacobi preconditioner z = D⁻¹·r.
 type diagPrecon struct{ d []float64 }
 

@@ -25,6 +25,20 @@ const DefaultBCEBaselinePath = "internal/lint/testdata/bce_baseline.txt"
 // number of compiler-reported unproven accesses.
 type BCECounts map[string]map[string]int
 
+// KernelPackages is the package set whose bounds checks -bce counts: the
+// per-iteration compute and communication kernels of the solver.
+func KernelPackages() []string {
+	return []string{
+		"prometheus/internal/sparse",
+		"prometheus/internal/la",
+		"prometheus/internal/smooth",
+		"prometheus/internal/krylov",
+		"prometheus/internal/multigrid",
+		"prometheus/internal/par",
+		"prometheus/internal/pool",
+	}
+}
+
 // BCEReport compiles the kernel packages with the check_bce debug flag
 // and returns the parsed counts. dir is the module root; pkgs defaults
 // to KernelPackages(). The Go build cache replays compiler diagnostics,

@@ -10,55 +10,33 @@
 //     a constant message prefixed with the package name ("sparse: ...");
 //   - unchecked-error: error results must not be silently discarded;
 //   - exported-doc: exported solver API needs doc comments;
-//   - hotloop-alloc: no per-iteration heap allocation in the kernel
-//     packages' hot regions (see dataflow.go for the region analysis);
 //   - check-guard: invariant computation must sit under if check.Enabled;
 //   - map-order: the coarsening pipeline must not range over maps while
 //     writing output slices; iterate sortutil.Keys instead so runs are
 //     bitwise reproducible;
-//   - block-shape: a function holding a sparse.BlockBuilder must emit
-//     whole node blocks via AddBlock — scalar Builder.Add calls in the
-//     same scope break the uniform-block invariant the BSR kernels and
-//     the node-granular halo rely on;
 //   - obs-discipline: obs event/metric names must be tree-unique string
 //     constants (never fmt.Sprintf), and every obs.Start span must be
 //     ended on all paths (End/EndFlops, deferred End, or the balanced
 //     obs.Start(id).End() chain);
-//   - sync-discipline: raw synchronization (channels, sync, atomic,
-//     go) is banned from compute-kernel hot paths and confined, in the
-//     substrate, to methods of package-local types or credit channels;
-//   - goroutine-lifecycle: every goroutine spawned in a service package
-//     (internal/serve, cmd/promserve) must have a provable termination
-//     path — blocking channel operations reachable from a go statement
-//     (traced through the package call graph) must be select-guarded by
-//     a default or a done/ctx case, and infinite loops must carry a
-//     done-guarded exit (see lifecycle.go);
-//   - ctx-flow: cancellation must flow through service signatures —
-//     ctx is the first parameter, never minted via context.Background
-//     outside package main, never stored in a struct field, and a
-//     ctx-holding function must not block in ways its ctx cannot
-//     cancel;
-//   - resource-release: every service acquire (admission slots, session
-//     checkouts, cache references, preconditioner leases) must be
-//     released on all paths — deferred, or with no return between
-//     acquire and release outside the acquire's own error guard
-//     (generalizes obs-discipline's Start/End pairing);
+//   - sync-discipline: no go statement, channel, select, sync or
+//     sync/atomic anywhere in the compute packages, which parallelize
+//     only through internal/pool;
 //   - log-discipline: service-package logging is structured and
 //     request-scoped — no fmt/log prints, no context-free slog calls,
 //     and slog attribute keys are compile-time string constants;
-//   - bounded-queue: service channels must have compile-time-constant
-//     capacity, and every send must be seated in a select with a
-//     default or done/ctx case, so backpressure is a 503 rather than a
-//     stuck request;
 //   - operator-seam: type assertions and type switches on the concrete
 //     storage types (*sparse.CSR, *sparse.BSR) are confined to the
 //     storage seam (internal/sparse and internal/multigrid) —
 //     everywhere else must use the sparse capability interfaces or the
 //     sanctioned AsCSR helper, so storage stays a kernel choice.
 //
-// The message protocol of internal/par is not among them: it is checked
-// where it runs, by the promdebug watchdog and the drain check that ends
-// Comm.Run (par/trace.go, par/comm.go).
+// Properties a running test holds are not restated as rules: the message
+// protocol of internal/par (the promdebug watchdog and the drain check
+// that ends Comm.Run), allocation-free kernels (the testing.AllocsPerRun
+// tests beside each kernel, and TestPooledPathZeroAlloc on the worker
+// set), and the service's goroutine, cancellation and release discipline
+// (TestHandleSolveClosesTheBooks and TestCloseStopsTheJanitor in
+// internal/serve).
 //
 // A finding can be suppressed in place with a directive comment on the
 // same line or the line above:
@@ -137,17 +115,11 @@ func DefaultRules() []Rule {
 		LibraryPanic{},
 		UncheckedError{},
 		ExportedDoc{},
-		HotLoopAlloc{},
 		CheckGuard{},
 		MapOrder{},
-		BlockShape{},
 		&ObsDiscipline{},
-		&SyncDiscipline{},
-		GoroutineLifecycle{},
-		CtxFlow{},
+		SyncDiscipline{},
 		LogDiscipline{},
-		ResourceRelease{},
-		BoundedQueue{},
 		OperatorSeam{},
 	}
 }
@@ -249,6 +221,16 @@ func collectSuppressions(pkg *Package) suppressions {
 		}
 	}
 	return out
+}
+
+// pathInSet reports whether path is one of (or below) the set entries.
+func pathInSet(path string, set []string) bool {
+	for _, k := range set {
+		if path == k || (len(path) > len(k) && path[:len(k)] == k && path[len(k)] == '/') {
+			return true
+		}
+	}
+	return false
 }
 
 // issue builds an Issue at the node's position.

@@ -335,102 +335,18 @@ func f(a, b float64) {
 	}
 }
 
-// fakeSparse is the fixture stand-in for the sparse package, so
-// block-shape fixtures can declare Builder and BlockBuilder values under
-// the real import path.
-var fakeSparse = fixtureDep{path: "prometheus/internal/sparse", src: `package sparse
-
-// Builder accumulates scalar triplets.
-type Builder struct{}
-
-// Add adds one scalar entry.
-func (b *Builder) Add(i, j int, v float64) {}
-
-// Build builds.
-func (b *Builder) Build() int { return 0 }
-
-// NewBuilder returns a scalar builder.
-func NewBuilder(r, c int) *Builder { return &Builder{} }
-
-// BlockBuilder accumulates dense node blocks.
-type BlockBuilder struct{}
-
-// AddBlock adds one dense block.
-func (bb *BlockBuilder) AddBlock(i, j int, blk []float64) {}
-
-// NewBlockBuilder returns a block builder.
-func NewBlockBuilder(r, c, b int) *BlockBuilder { return &BlockBuilder{} }
-`}
-
-func TestBlockShape(t *testing.T) {
-	pkg := checkFixtureWith(t, []fixtureDep{fakeSparse}, `package fixture
-
-import "prometheus/internal/sparse"
-
-func mixed() {
-	bb := sparse.NewBlockBuilder(4, 4, 3)
-	kb := sparse.NewBuilder(12, 12)
-	kb.Add(0, 0, 1.0) // flagged: block builder in scope
-	bb.AddBlock(0, 0, nil)
-}
-
-func scalarOnly() {
-	kb := sparse.NewBuilder(12, 12)
-	kb.Add(0, 0, 1.0) // fine: no block builder here
-}
-
-func blockedOnly(bb *sparse.BlockBuilder) {
-	bb.AddBlock(1, 1, nil) // fine: no scalar adds
-}
-`)
-	got := BlockShape{}.Check(pkg)
-	if len(got) != 1 {
-		t.Fatalf("issues = %v, want exactly 1", got)
-	}
-	if got[0].Rule != "block-shape" || got[0].Pos.Line != 8 {
-		t.Fatalf("wrong finding: %+v", got[0])
-	}
-	if !strings.Contains(got[0].Msg, "AddBlock") {
-		t.Fatalf("message should point at AddBlock: %s", got[0].Msg)
-	}
-}
-
-// TestBlockShapeSuppression checks the rule participates in the standard
-// promlint:ignore machinery.
-func TestBlockShapeSuppression(t *testing.T) {
-	pkg := checkFixtureWith(t, []fixtureDep{fakeSparse}, `package fixture
-
-import "prometheus/internal/sparse"
-
-func mixed(bb *sparse.BlockBuilder, kb *sparse.Builder) {
-	//promlint:ignore block-shape boundary rows are genuinely scalar here
-	kb.Add(0, 0, 1.0)
-}
-`)
-	kept, suppressed := RunAll([]*Package{pkg}, []Rule{BlockShape{}})
-	if len(kept) != 0 || len(suppressed) != 1 {
-		t.Fatalf("kept %v suppressed %v, want 0/1", kept, suppressed)
-	}
-}
-
 func TestDefaultRulesComplete(t *testing.T) {
 	want := map[string]bool{
-		"float-equality":      true,
-		"library-panic":       true,
-		"unchecked-error":     true,
-		"exported-doc":        true,
-		"hotloop-alloc":       true,
-		"check-guard":         true,
-		"map-order":           true,
-		"block-shape":         true,
-		"obs-discipline":      true,
-		"sync-discipline":     true,
-		"goroutine-lifecycle": true,
-		"ctx-flow":            true,
-		"log-discipline":      true,
-		"resource-release":    true,
-		"bounded-queue":       true,
-		"operator-seam":       true,
+		"float-equality":  true,
+		"library-panic":   true,
+		"unchecked-error": true,
+		"exported-doc":    true,
+		"check-guard":     true,
+		"map-order":       true,
+		"obs-discipline":  true,
+		"sync-discipline": true,
+		"log-discipline":  true,
+		"operator-seam":   true,
 	}
 	names := make([]string, 0, len(want))
 	for _, r := range DefaultRules() {
@@ -509,4 +425,79 @@ func TestFixtureHelperRejectsBadSource(t *testing.T) {
 		t.Fatal("expected parse error")
 	}
 	_ = fmt.Sprintf // keep fmt linked for the fake importer
+}
+
+func TestUncheckedErrorDeferGo(t *testing.T) {
+	pkg := checkFixture(t, `package fixture
+
+import "fmt"
+
+func mayFail() error { return nil }
+func pure() int      { return 0 }
+
+func caller() {
+	defer mayFail()                  // line 9: flagged
+	go mayFail()                     // line 10: flagged
+	defer func() { _ = mayFail() }() // wrapper handles it: fine
+	go func() { _ = mayFail() }()    // wrapper handles it: fine
+	defer fmt.Println("x")           // print family: excluded
+	go pure()                        // no error result: fine
+}
+`)
+	got := Run([]*Package{pkg}, []Rule{UncheckedError{}})
+	if !sameLines(got, 9, 10) {
+		t.Fatalf("unchecked-error fired on lines %v, want [9 10]\n%v", lines(got), got)
+	}
+}
+
+// TestSelfLintTree asserts the whole module is clean under the full rule
+// set with zero suppressions — the acceptance bar of the analyzer work.
+func TestSelfLintTree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-tree lint skipped in -short mode")
+	}
+	pkgs, err := Load("../..", []string{"./..."}, "")
+	if err != nil {
+		t.Fatalf("Load ./...: %v", err)
+	}
+	if len(pkgs) < 20 {
+		t.Fatalf("Load ./... returned only %d packages", len(pkgs))
+	}
+	kept, suppressed := RunAll(pkgs, DefaultRules())
+	if len(kept) != 0 {
+		msgs := make([]string, len(kept))
+		for i, iss := range kept {
+			msgs[i] = iss.String()
+		}
+		t.Errorf("tree is not lint-clean:\n%s", strings.Join(msgs, "\n"))
+	}
+	if len(suppressed) != 0 {
+		msgs := make([]string, len(suppressed))
+		for i, iss := range suppressed {
+			msgs[i] = iss.String()
+		}
+		t.Errorf("tree must need zero suppressions, found %d:\n%s", len(suppressed), strings.Join(msgs, "\n"))
+	}
+}
+
+func TestJSONReport(t *testing.T) {
+	pkg := checkFixture(t, `package fixture
+
+func cmp(a, b float64) bool {
+	//promlint:ignore float-equality fixture shows a justified suppression
+	x := a == b
+	return x || a != b // line 6: kept
+}
+`)
+	kept, suppressed := RunAll([]*Package{pkg}, []Rule{FloatEquality{}})
+	rep := NewJSONReport(kept, suppressed)
+	if len(rep.Findings) != 1 || rep.Findings[0].Line != 6 || rep.Findings[0].Rule != "float-equality" {
+		t.Fatalf("bad findings: %+v", rep.Findings)
+	}
+	if rep.Suppressed != 1 || rep.SuppressedByRule["float-equality"] != 1 {
+		t.Fatalf("bad suppression accounting: %+v", rep)
+	}
+	if rep.Findings[0].Severity != "error" || rep.Findings[0].File != "fixture.go" {
+		t.Fatalf("bad issue serialization: %+v", rep.Findings[0])
+	}
 }

@@ -31,6 +31,12 @@ type LogDiscipline struct {
 	Services []string
 }
 
+// defaultServicePackages is the tree's service layer.
+var defaultServicePackages = []string{
+	"prometheus/internal/serve",
+	"prometheus/cmd/promserve",
+}
+
 // Name returns the rule identifier.
 func (LogDiscipline) Name() string { return "log-discipline" }
 
@@ -64,7 +70,11 @@ var logAlternating = map[string]bool{
 
 // Check analyzes one package.
 func (r LogDiscipline) Check(pkg *Package) []Issue {
-	if !pathInSet(pkg.Path, serviceSet(r.Services)) {
+	services := r.Services
+	if services == nil {
+		services = defaultServicePackages
+	}
+	if !pathInSet(pkg.Path, services) {
 		return nil
 	}
 	var issues []Issue

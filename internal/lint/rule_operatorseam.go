@@ -103,3 +103,23 @@ func (r OperatorSeam) storageType(pkg *Package, spath string, te ast.Expr) strin
 	}
 	return ""
 }
+
+// isNamedFrom reports whether t (possibly behind a pointer) is the named
+// type path.name.
+func isNamedFrom(t types.Type, path, name string) bool {
+	if t == nil {
+		return false
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := n.Obj()
+	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == path
+}

@@ -12,103 +12,62 @@ func (m *Mutex) Lock()   {}
 func (m *Mutex) Unlock() {}
 `}
 
-func fixtureSyncCompute() *SyncDiscipline {
-	return &SyncDiscipline{Compute: []string{"fixture"}, Substrate: []string{"none"}}
-}
-
-func fixtureSyncSubstrate() *SyncDiscipline {
-	return &SyncDiscipline{Compute: []string{"none"}, Substrate: []string{"fixture"}}
-}
-
 func TestSyncDisciplineComputeBansRawOps(t *testing.T) {
 	pkg := checkFixtureWith(t, []fixtureDep{syncDep}, `package fixture
 
 import "sync"
 
-var mu sync.Mutex
+var mu sync.Mutex // line 5: sync use
 
-// Smooth is a hot root: everything below runs per iteration.
-func Smooth(x []float64, done chan int, n int) {
+func Smooth(x []float64, done chan int, n int) { // line 7: channel type
 	for i := 0; i < n; i++ {
-		mu.Lock() // line 10: sync call in compute
+		mu.Lock() // line 9: sync use
 		x[i] = 0
-		mu.Unlock() // line 12: sync call in compute
+		mu.Unlock() // line 11: sync use
 	}
-	done <- n // line 14: channel send in compute
-	<-done    // line 15: channel receive in compute
+	done <- n // line 13: channel send
+	<-done    // line 14: channel receive
 }
 
-// cold is never reached from a hot root: raw ops are tolerated here.
-func cold(done chan int) {
-	done <- 1
+// setup runs once per solve, not per iteration: the ban covers it all the same.
+func setup(done chan int) { // line 18: channel type
+	select { // line 19: select
+	case done <- 1: // line 20: channel send
+	default:
+	}
+	for range done { // line 23: range over a channel
+	}
+	close(done) // line 25: channel close
 }
 `)
-	got := fixtureSyncCompute().Check(pkg)
-	if !sameLines(got, 10, 12, 14, 15) {
-		t.Fatalf("got %v (lines %v), want lines [10 12 14 15]", got, lines(got))
+	got := SyncDiscipline{Compute: []string{"fixture"}}.Check(pkg)
+	if !sameLines(got, 5, 7, 9, 11, 13, 14, 18, 19, 20, 23, 25) {
+		t.Fatalf("got %v (lines %v), want lines [5 7 9 11 13 14 18 19 20 23 25]", got, lines(got))
 	}
-}
 
-func TestSyncDisciplineSubstrateSanctions(t *testing.T) {
-	pkg := checkFixture(t, `package fixture
-
-type Pool struct {
-	jobs chan int
-	done chan struct{}
-}
-
-// Dispatch is a hot root and a method of a package-local type: its
-// synchronization is the audited protocol surface.
-func (p *Pool) Dispatch(n int) {
-	for w := 0; w < n; w++ {
-		p.jobs <- w // ok: method of local type
-	}
-	for w := 0; w < n; w++ {
-		<-p.done // ok: method of local type
-	}
-}
-
-// credit is a package-local bounded-token channel: its constant buffer
-// is the synchronization budget, so hot ops on it are sanctioned.
-var credit = make(chan struct{}, 4)
-
-// Smooth is hot but a plain function: its ops need a credit channel.
-func Smooth(p *Pool, raw chan int, n int) {
-	for i := 0; i < n; i++ {
-		credit <- struct{}{} // ok: buffered credit channel
-		raw <- i             // line 27: unbuffered, not a method
-		<-credit             // ok: buffered credit channel
-	}
-}
-`)
-	got := fixtureSyncSubstrate().Check(pkg)
-	if !sameLines(got, 27) {
-		t.Fatalf("got %v (lines %v), want line [27]", got, lines(got))
-	}
-}
-
-func TestSyncDisciplineCheckGuardExempt(t *testing.T) {
-	pkg := checkFixtureWith(t, []fixtureDep{
-		{path: "prometheus/internal/check", src: `package check
-
-const Enabled = true
-`},
-	}, `package fixture
-
-import "prometheus/internal/check"
-
-func Smooth(x []float64, trace chan int, n int) {
-	for i := 0; i < n; i++ {
-		if check.Enabled {
-			trace <- i // ok: sanitizer bookkeeping is cold by definition
+	// The default set is every compute package and its sub-packages, and
+	// nothing else: the substrate (pool, par) synchronizes by design.
+	for _, tc := range []struct {
+		path   string
+		banned bool
+	}{
+		{"prometheus/internal/sparse", true},
+		{"prometheus/internal/la", true},
+		{"prometheus/internal/direct", true},
+		{"prometheus/internal/fem", true},
+		{"prometheus/internal/smooth", true},
+		{"prometheus/internal/krylov", true},
+		{"prometheus/internal/multigrid", true},
+		{"prometheus/internal/fem/sub", true},
+		{"prometheus/internal/lattice", false},
+		{"prometheus/internal/pool", false},
+		{"prometheus/internal/par", false},
+		{"prometheus/internal/serve", false},
+	} {
+		pkg.Path = tc.path
+		if got := (SyncDiscipline{}).Check(pkg); (len(got) > 0) != tc.banned {
+			t.Errorf("%s: %d findings, want banned = %v", tc.path, len(got), tc.banned)
 		}
-		x[i] = 0
-	}
-}
-`)
-	got := fixtureSyncCompute().Check(pkg)
-	if len(got) != 0 {
-		t.Fatalf("check.Enabled block flagged: %v", got)
 	}
 }
 
@@ -117,13 +76,13 @@ func TestSyncDisciplineGoSpawnInCompute(t *testing.T) {
 
 func Smooth(x []float64, n int) {
 	for i := 0; i < n; i++ {
-		go step(x, i) // line 5: per-iteration goroutine spawn
+		go step(x, i) // line 5: goroutine spawn
 	}
 }
 
 func step(x []float64, i int) { x[i] = 0 }
 `)
-	got := fixtureSyncCompute().Check(pkg)
+	got := SyncDiscipline{Compute: []string{"fixture"}}.Check(pkg)
 	if !sameLines(got, 5) {
 		t.Fatalf("got %v (lines %v), want line [5]", got, lines(got))
 	}

@@ -7,10 +7,9 @@ import (
 )
 
 // admissionCap is the compile-time upper bound on concurrent admitted
-// solves. The semaphore channel is created at this constant capacity (the
-// bounded-queue rule requires every service channel to have constant
-// capacity); the configured limit only controls how many tokens are
-// seeded, so runtime configuration can never grow the queue.
+// solves. The semaphore channel is created at this constant capacity; the
+// configured limit only controls how many tokens are seeded, so runtime
+// configuration can never grow the queue.
 const admissionCap = 256
 
 // ErrBusy is returned by a non-waiting Acquire when every admission slot
@@ -53,8 +52,8 @@ func newAdmission(limit int) *admission {
 // Acquire takes one admission slot. With wait=false it never blocks:
 // a full service returns ErrBusy immediately. With wait=true it blocks
 // until a slot frees or ctx is cancelled. Every successful Acquire must
-// be paired with exactly one Release (the resource-release rule enforces
-// this at the call sites).
+// be paired with exactly one Release (TestHandleSolveClosesTheBooks holds
+// the handler to it on every exit).
 func (a *admission) Acquire(ctx context.Context, wait bool) error {
 	if !wait {
 		select {

@@ -6,12 +6,13 @@
 // Prometheus mesh-setup and Galerkin-product phases entirely. Served
 // results are bitwise identical to direct solver runs of the same spec.
 //
-// The package is written under the four service-lifecycle lint rules
-// (goroutine-lifecycle, ctx-flow, resource-release, bounded-queue) and
-// carries zero suppressions: every goroutine has a provable termination
-// path, every channel has constant capacity, every request-path channel
-// operation is select-guarded, and every acquire is released on all
-// paths.
+// Every channel has constant capacity, every request-path channel
+// operation is select-guarded, and every acquire is released by a defer
+// directly under it. Running tests hold the result:
+// TestHandleSolveClosesTheBooks drives every exit of the solve handler
+// and requires every slot, session, reference and lease back after each,
+// and TestCloseStopsTheJanitor requires Close to stop the one goroutine
+// the package starts.
 package serve
 
 import (

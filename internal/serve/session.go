@@ -63,8 +63,8 @@ func (s *session) info(now time.Time) SessionInfo {
 }
 
 // sessionManager tracks solves in flight. Checkout registers a session,
-// Checkin retires it; the pair is enforced on all paths by the
-// resource-release rule.
+// Checkin retires it; TestHandleSolveClosesTheBooks holds the handler to
+// the pair on every exit.
 // recentSessionsCap is the compile-time capacity of the retired-session
 // ring kept for the per-request trace endpoint: a completed solve's
 // trace stays fetchable until recentSessionsCap later solves retire.

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	prometheus "prometheus"
 )
@@ -254,6 +255,24 @@ func TestMGLeasePool(t *testing.T) {
 	e.Checkin(mg3)
 	if e.builds.Load() != 2 {
 		t.Fatalf("builds = %d after warm checkout, want 2", e.builds.Load())
+	}
+
+	// A full pool drops a returned lease instead of blocking the request
+	// that returns it.
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		for i := 0; i <= mgPoolCap; i++ {
+			e.Checkin(&lease{})
+		}
+	}()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Checkin into a full lease pool blocked instead of dropping the lease")
+	}
+	if idle := len(e.mgs); idle != mgPoolCap {
+		t.Fatalf("idle pool holds %d leases, want mgPoolCap = %d", idle, mgPoolCap)
 	}
 }
 

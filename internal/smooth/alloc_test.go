@@ -11,9 +11,8 @@ import (
 // checkSweepsZeroAlloc asserts that the smoother on a — CG over block
 // Jacobi in nb blocks — is allocation-free in steady state: Smooth and
 // Apply, and the block solves on their own, with observability recording
-// off and on. All scratch is hoisted into the smoother at construction time
-// (enforced statically by the hotloop-alloc lint rule, locked in
-// dynamically here), and the obs spans land in preallocated buffers.
+// off and on. All scratch is hoisted into the smoother at construction
+// time, and the obs spans land in preallocated buffers.
 func checkSweepsZeroAlloc(t *testing.T, a sparse.Operator, nb int) {
 	t.Helper()
 	view := sparse.AsCSR(a)

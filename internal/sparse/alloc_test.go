@@ -7,9 +7,8 @@ import (
 	"prometheus/internal/obs"
 )
 
-// TestSpMVZeroAlloc locks in the zero-allocation guarantee that the
-// hotloop-alloc lint rule enforces statically: steady-state SpMV must
-// not touch the allocator.
+// TestSpMVZeroAlloc locks in the zero-allocation guarantee: steady-state
+// SpMV must not touch the allocator.
 func TestSpMVZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randCSR(rng, 300, 300, 0.05)
