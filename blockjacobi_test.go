@@ -2,10 +2,12 @@ package prometheus
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
 	"prometheus/internal/graph"
+	"prometheus/internal/krylov"
 	"prometheus/internal/la"
 	"prometheus/internal/multigrid"
 	"prometheus/internal/problems"
@@ -119,16 +121,37 @@ func TestSmootherPartitionMatchesEdgeListGraph(t *testing.T) {
 	}
 }
 
-// TestBlockGatherMatchesAt checks the packed block gather entry by entry
+// envelopeOf returns the envelope the smoother plans for block dofs of a
+// matrix with pattern e, pos[d] being d's position in its own block: row p
+// starts at its first stored in-block column, rounded down to a multiple
+// of 4.
+func envelopeOf(e *sparse.Entries, dofs, pos []int) []int {
+	first := make([]int, len(dofs))
+	for p, i := range dofs {
+		first[p] = p
+		for _, j := range e.ColIdx[e.RowPtr[i]:e.RowPtr[i+1]] {
+			if q := pos[j]; q < first[p] && dofs[q] == j {
+				first[p] = q
+			}
+		}
+		first[p] &^= 3
+	}
+	return la.EnvelopeOffsets(first)
+}
+
+// TestBlockGatherMatchesAt checks the envelope block gather entry by entry
 // against the level operator's own At on both assembled storages, reading
 // each level's own storage (BSR levels through their blocks): the first
 // and last smoother block of every level through one position array for
 // the whole partition (the form concurrent block setup shares), then the
-// first block again in reversed dof order.
+// first block again in reversed dof order, which moves every envelope.
+// Every envelope slot must be overwritten, nothing outside the envelope
+// written, and every entry left of a row's envelope must be zero.
 func TestBlockGatherMatchesAt(t *testing.T) {
 	type gatherer interface {
-		GatherLowerPacked(idx, pos []int, l []float64)
+		GatherLowerEnvelope(idx, pos, off []int, l []float64)
 	}
+	const guard = 8 // sentinel slots on either side of the envelope
 	seen := map[string]bool{}
 	for _, mg := range []*multigrid.MG{spheresSystem(t, false, multigrid.Options{}).hierarchy(t), cubeSystem(t, false, multigrid.Options{}).hierarchy(t)} {
 		for li, lvl := range mg.Levels {
@@ -156,17 +179,31 @@ func TestBlockGatherMatchesAt(t *testing.T) {
 			}
 			for _, c := range []struct{ dofs, pos []int }{{first, pos}, {blocks[nb-1], pos}, {reversed, revPos}} {
 				dofs := c.dofs
-				l := make([]float64, la.PackedLen(len(dofs)))
-				for i := range l {
-					l[i] = -7 // the gather must overwrite every slot
+				off := envelopeOf(e, dofs, c.pos)
+				buf := make([]float64, guard+off[len(dofs)]+guard)
+				for i := range buf {
+					buf[i] = -7 // the gather must overwrite every envelope slot
 				}
+				l := buf[guard : guard+off[len(dofs)]]
 				before := slices.Clone(c.pos)
-				lvl.A.(gatherer).GatherLowerPacked(dofs, c.pos, l)
+				lvl.A.(gatherer).GatherLowerEnvelope(dofs, c.pos, off, l)
 				for p, i := range dofs {
+					row := l[off[p]:off[p+1]]
+					f := p + 1 - len(row)
 					for q, j := range dofs[:p+1] {
-						if got, want := l[la.PackedLen(p)+q], at.At(i, j); got != want {
+						want := at.At(i, j)
+						if q < f {
+							if want != 0 {
+								t.Fatalf("level %d (%T): A(%d,%d) = %v lies left of row %d's envelope at %d", li, lvl.A, i, j, want, p, f)
+							}
+						} else if got := row[q-f]; got != want {
 							t.Fatalf("level %d (%T): gathered (%d,%d) = %v, At(%d,%d) = %v", li, lvl.A, p, q, got, i, j, want)
 						}
+					}
+				}
+				for _, v := range append(slices.Clone(buf[:guard]), buf[guard+len(l):]...) {
+					if v != -7 {
+						t.Fatalf("level %d (%T): the gather wrote outside the envelope", li, lvl.A)
 					}
 				}
 				if !slices.Equal(before, c.pos) {
@@ -178,6 +215,100 @@ func TestBlockGatherMatchesAt(t *testing.T) {
 	for _, st := range []string{"*sparse.CSR", "*sparse.BSR"} {
 		if !seen[st] {
 			t.Errorf("no %s level was exercised", st)
+		}
+	}
+}
+
+// fullBlockPattern returns the n×n pattern that stores, in every row, every
+// column of the row's own block: the pattern whose envelopes are the full
+// triangles.
+func fullBlockPattern(n int, blocks [][]int) *sparse.CSR {
+	rowPtr := make([]int, n+1)
+	for _, dofs := range blocks {
+		for _, d := range dofs {
+			rowPtr[d+1] = len(dofs)
+		}
+	}
+	for i := 0; i < n; i++ {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	colIdx := make([]int, rowPtr[n])
+	for _, dofs := range blocks {
+		sorted := slices.Clone(dofs)
+		slices.Sort(sorted)
+		for _, d := range dofs {
+			copy(colIdx[rowPtr[d]:], sorted)
+		}
+	}
+	return &sparse.CSR{NRows: n, NCols: n, RowPtr: rowPtr, ColIdx: colIdx}
+}
+
+// TestEnvelopeSmootherIsDenseSmoother pins the envelope block factors to
+// full triangles through the one planning path: on every smoothed level of
+// the spheres and cube hierarchies (CSR and BSR levels), the hierarchy's
+// smoother — planned from the level's pattern — against one planned from a
+// pattern that stores every in-block column, over the same blocks and the
+// same level operator. The factors must agree bit for bit inside the
+// envelope and the full triangle must hold +0 outside it; then FPCG
+// preconditioned by the hierarchy must give the same solution bits,
+// iterations and residual history with either set of smoothers.
+func TestEnvelopeSmootherIsDenseSmoother(t *testing.T) {
+	seen := map[string]bool{}
+	for _, sys := range []reducedSystem{spheresSystem(t, false, multigrid.Options{}), cubeSystem(t, false, multigrid.Options{})} {
+		envMG, denseMG := sys.hierarchy(t), sys.hierarchy(t)
+		for li, lvl := range denseMG.Levels {
+			if lvl.Smoother == nil {
+				continue
+			}
+			seen[fmt.Sprintf("%T", lvl.A)] = true
+			env := envMG.Levels[li].Smoother.Inner
+			blocks := env.Blocks()
+			dense, err := smooth.PlanBlocks(fullBlockPattern(lvl.A.Rows(), blocks), blocks).Factor(lvl.A)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := 0
+			for _, dofs := range blocks {
+				full += len(dofs) * (len(dofs) + 1) / 2
+			}
+			if dense.FactorLen() != full || li == 0 && env.FactorLen() >= full {
+				t.Fatalf("level %d (%T): envelope factors hold %d values, full ones %d of %d", li, lvl.A, env.FactorLen(), dense.FactorLen(), full)
+			}
+			t.Logf("level %d (%T, %d dofs): %d of %d factor entries stored", li, lvl.A, lvl.A.Rows(), env.FactorLen(), full)
+			for bi := range blocks {
+				ef, df := env.BlockFactor(bi), dense.BlockFactor(bi)
+				for p := 0; p < ef.N; p++ {
+					f, er := ef.Row(p)
+					_, dr := df.Row(p)
+					for q, v := range dr {
+						if q < f && math.Float64bits(v) != 0 || q >= f && math.Float64bits(v) != math.Float64bits(er[q-f]) {
+							t.Fatalf("level %d block %d: L(%d,%d) = %v full, envelope from column %d", li, bi, p, q, v, f)
+						}
+					}
+				}
+			}
+			lvl.Smoother = smooth.NewCGSmoother(lvl.A, dense)
+		}
+		n := sys.kred.NRows
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = math.Sin(float64(i) + 1)
+		}
+		xe, xd := make([]float64, n), make([]float64, n)
+		re := krylov.FPCG(sys.kred, b, xe, envMG, 1e-8, 200)
+		rd := krylov.FPCG(sys.kred, b, xd, denseMG, 1e-8, 200)
+		if !re.Converged || re.Iterations != rd.Iterations || !slices.Equal(re.Residuals, rd.Residuals) {
+			t.Fatalf("FPCG: envelope %d iterations (converged %v), full %d; residual histories equal: %v", re.Iterations, re.Converged, rd.Iterations, slices.Equal(re.Residuals, rd.Residuals))
+		}
+		for i := range xe {
+			if math.Float64bits(xe[i]) != math.Float64bits(xd[i]) {
+				t.Fatalf("FPCG solution differs at %d: envelope %v, full %v", i, xe[i], xd[i])
+			}
+		}
+	}
+	for _, st := range []string{"*sparse.CSR", "*sparse.BSR"} {
+		if !seen[st] {
+			t.Errorf("no smoothed %s level was exercised", st)
 		}
 	}
 }
@@ -195,9 +326,9 @@ func domainBlockJacobi(b *testing.B, a *sparse.CSR) *smooth.DomainBlockJacobi {
 }
 
 // BenchmarkBlockJacobiSetup measures the domain smoother's setup on the
-// 20.6k-dof spheres fine operator: 123 blocks of ~167 dofs partitioned,
-// gathered and factored. -benchmem shows what it allocates: the packed
-// factors (~14 MB) plus the graph and index arrays.
+// 20.6k-dof spheres fine operator: 114 blocks of ~167 dofs partitioned,
+// planned, gathered and factored. -benchmem shows what it allocates: the
+// envelope factors (8.0 MB) plus the graph and index arrays.
 func BenchmarkBlockJacobiSetup(b *testing.B) {
 	a := spheresSystem(b, true, multigrid.Options{}).kred
 	b.ReportAllocs()
@@ -208,7 +339,7 @@ func BenchmarkBlockJacobiSetup(b *testing.B) {
 }
 
 // BenchmarkBlockSolve measures one application of the factored blocks
-// (forward and back substitution through every packed factor) on the same
+// (forward and back substitution through every envelope factor) on the same
 // operator; it must not allocate.
 func BenchmarkBlockSolve(b *testing.B) {
 	a := spheresSystem(b, true, multigrid.Options{}).kred

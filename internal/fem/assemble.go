@@ -273,63 +273,26 @@ const (
 	integrateGroup = 16
 )
 
-// elemKernel is element integration (kes non-nil) and the material commit
-// (kes nil) at u as a pool.ItemKernel over the elements of one chunk:
-// item s is element e0+s. Integrating, it owns slot s of the chunk's
-// buffers, kes[s·ndof²:(s+1)·ndof²] and fes[s·ndof:(s+1)·ndof];
-// committing, the element's States. Each lane integrates with scratch of
-// its own and counts its flops apart.
-type elemKernel struct {
-	p       *Problem
-	u       []float64
-	e0      int
-	ndof    int
-	kes     []float64
-	fes     []float64
-	scratch [pool.Lanes]*elemScratch
-	flops   [pool.Lanes]int64
-	errs    [assembleChunk]error
+// elemChunk is what element integration and the material commit share:
+// the displacement, the chunk's first element and each element's error.
+// Both are pool.ItemKernels over the elements of one chunk, item s being
+// element e0+s, and each lane works with scratch of its own.
+type elemChunk struct {
+	p    *Problem
+	u    []float64
+	e0   int
+	errs [assembleChunk]error
 }
 
-// newElemKernel allocates, for integration, the chunk's slot buffers.
-func (p *Problem) newElemKernel(integrate bool) *elemKernel {
-	ndof := 3 * p.M.Type.NodesPerElem()
-	k := &elemKernel{p: p, ndof: ndof}
-	if integrate {
-		k.kes = make([]float64, assembleChunk*ndof*ndof)
-		k.fes = make([]float64, assembleChunk*ndof)
-	}
-	return k
-}
-
-// Items implements pool.ItemKernel (see elemKernel).
-func (k *elemKernel) Items(w, lo, hi int) {
-	scr := k.scratch[w]
-	if scr == nil {
-		scr = newElemScratch(k.p.M.Type)
-		k.scratch[w] = scr
-	}
-	ndof := k.ndof
-	for s := lo; s < hi; s++ {
-		if k.kes == nil {
-			k.errs[s] = k.p.commitElement(k.e0+s, k.u, scr.ed)
-			continue
-		}
-		fl, err := k.p.integrateElement(k.e0+s, k.u, scr, k.kes[s*ndof*ndof:(s+1)*ndof*ndof], k.fes[s*ndof:(s+1)*ndof])
-		k.errs[s] = err
-		k.flops[w] += fl
-	}
-}
-
-// run dispatches elements [e0, e1), at most assembleChunk of them, and
-// returns the error of the first one that failed.
-func (k *elemKernel) run(u []float64, e0, e1 int) error {
-	k.u, k.e0 = u, e0
+// run dispatches k over elements [e0, e1), at most assembleChunk of them,
+// and returns the error of the first one that failed.
+func (c *elemChunk) run(k pool.ItemKernel, u []float64, e0, e1 int) error {
+	c.u, c.e0 = u, e0
 	// No cost model: the helpers take part whenever there are two groups
 	// to hand out. A group is some 600 k multiply-adds integrating (a hex8
 	// is about 38 k) and of the order of pool.Grain committing.
 	pool.RunItems(k, e1-e0, integrateGroup, (e1-e0)*pool.Grain)
-	for _, err := range k.errs[:e1-e0] {
+	for _, err := range c.errs[:e1-e0] {
 		if err != nil {
 			return err
 		}
@@ -337,14 +300,68 @@ func (k *elemKernel) run(u []float64, e0, e1 int) error {
 	return nil
 }
 
+// integrateKernel is element integration at u: item s owns slot s of the
+// chunk's buffers, kes[s·ndof²:(s+1)·ndof²] and fes[s·ndof:(s+1)·ndof].
+// Each lane counts its flops apart.
+type integrateKernel struct {
+	elemChunk
+	ndof     int
+	kes, fes []float64
+	scratch  [pool.Lanes]*elemScratch
+	flops    [pool.Lanes]int64
+}
+
+// newIntegrateKernel allocates the chunk's slot buffers.
+func (p *Problem) newIntegrateKernel() *integrateKernel {
+	ndof := 3 * p.M.Type.NodesPerElem()
+	return &integrateKernel{
+		elemChunk: elemChunk{p: p}, ndof: ndof,
+		kes: make([]float64, assembleChunk*ndof*ndof), fes: make([]float64, assembleChunk*ndof),
+	}
+}
+
+// Items implements pool.ItemKernel (see integrateKernel).
+func (k *integrateKernel) Items(w, lo, hi int) {
+	scr := k.scratch[w]
+	if scr == nil {
+		scr = newElemScratch(k.p.M.Type)
+		k.scratch[w] = scr
+	}
+	ndof := k.ndof
+	for s := lo; s < hi; s++ {
+		fl, err := k.p.integrateElement(k.e0+s, k.u, scr, k.kes[s*ndof*ndof:(s+1)*ndof*ndof], k.fes[s*ndof:(s+1)*ndof])
+		k.errs[s] = err
+		k.flops[w] += fl
+	}
+}
+
+// commitKernel is the material commit at u: item s owns the States of
+// element e0+s.
+type commitKernel struct {
+	elemChunk
+	data [pool.Lanes]*elementData
+}
+
+// Items implements pool.ItemKernel (see commitKernel).
+func (k *commitKernel) Items(w, lo, hi int) {
+	ed := k.data[w]
+	if ed == nil {
+		ed = newElementData(k.p.M.Type)
+		k.data[w] = ed
+	}
+	for s := lo; s < hi; s++ {
+		k.errs[s] = k.p.commitElement(k.e0+s, k.u, ed)
+	}
+}
+
 // integrateChunks integrates every element at u and hands each chunk's
 // tangents (ndof² per element, row-major) and internal forces to drain,
 // chunks and the elements inside them in ascending order.
 func (p *Problem) integrateChunks(u []float64, drain func(e0, e1 int, kes, fes []float64)) error {
-	k := p.newElemKernel(true)
+	k := p.newIntegrateKernel()
 	for e0, n := 0, p.M.NumElems(); e0 < n; e0 += assembleChunk {
 		e1 := min(e0+assembleChunk, n)
-		if err := k.run(u, e0, e1); err != nil {
+		if err := k.run(k, u, e0, e1); err != nil {
 			return err
 		}
 		drain(e0, e1, k.kes, k.fes)
@@ -360,7 +377,7 @@ func (p *Problem) integrateChunks(u []float64, drain func(e0, e1 int, kes, fes [
 // tangent and force buffers it writes and its element count, for
 // TestKernelContract.
 func (p *Problem) IntegrationKernel(u []float64) (k pool.ItemKernel, kes, fes []float64, n int) {
-	ek := p.newElemKernel(true)
+	ek := p.newIntegrateKernel()
 	ek.u = u
 	n = min(p.M.NumElems(), assembleChunk)
 	return ek, ek.kes[:n*ek.ndof*ek.ndof], ek.fes[:n*ek.ndof], n
@@ -436,13 +453,21 @@ func (p *Problem) AssembleBlockTangent(u []float64) (*sparse.BSR, []float64, err
 // (called once per converged load step). Elements are independent, so the
 // update runs on the shared worker set like integration.
 func (p *Problem) Commit(u []float64) error {
-	k := p.newElemKernel(false)
+	k := &commitKernel{elemChunk: elemChunk{p: p}}
 	for e0, n := 0, p.M.NumElems(); e0 < n; e0 += assembleChunk {
-		if err := k.run(u, e0, min(e0+assembleChunk, n)); err != nil {
+		if err := k.run(k, u, e0, min(e0+assembleChunk, n)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// CommitKernel returns the material commit at u over the first chunk of
+// the mesh as the kernel Commit dispatches, with its element count, for
+// TestKernelContract.
+func (p *Problem) CommitKernel(u []float64) (k pool.ItemKernel, n int) {
+	ck := &commitKernel{elemChunk: elemChunk{p: p, u: u}}
+	return ck, min(p.M.NumElems(), assembleChunk)
 }
 
 // commitElement stores the material response of element e at u as its

@@ -1,7 +1,8 @@
 // Package la provides the small dense linear-algebra kernels used by the
-// element routines, the block-Jacobi smoother, and the coarsest-grid
-// solver: column-major-free row-major dense matrices with Cholesky and
-// partially pivoted LU factorizations, plus BLAS-1 style vector helpers.
+// element routines and the block-Jacobi smoother: row-major dense
+// matrices, a Cholesky factorization held as its lower envelope (the
+// smoother's block factors, each row stored from the first column its
+// pattern holds), partially pivoted LU, and BLAS-1 style vector helpers.
 package la
 
 import (
@@ -115,58 +116,90 @@ var ErrNotSPD = errors.New("la: matrix is not positive definite")
 var ErrSingular = errors.New("la: matrix is singular")
 
 // Cholesky is the factorization A = L·Lᵀ of a symmetric positive definite
-// matrix, held as one packed row-major lower triangle: row i occupies
-// l[i(i+1)/2 : i(i+1)/2+i+1] and its last slot holds the reciprocal
-// 1/L(i,i), so neither triangular solve divides. n(n+1)/2 values per
-// factor — a quarter of separate full-storage L and Lᵀ copies — keeps a
-// smoother block resident in L2 between the two substitution sweeps.
+// matrix, held as its envelope: row i of L stores columns [first_i, i]
+// contiguously, row after row, and its last slot holds the reciprocal
+// 1/L(i,i), so neither triangular solve divides. Entries of A left of
+// first_i are zero, and so are L's there (a factorization fills only
+// inside the envelope), so they are neither stored nor touched. A dense
+// triangle is the envelope in which every row starts at 0.
 type Cholesky struct {
 	N int
-	l []float64
+	// off[i] is where row i starts in l; off[N] = len(l).
+	off []int
+	l   []float64
 }
 
-// PackedLen returns the length n(n+1)/2 of a packed lower triangle.
-func PackedLen(n int) int { return n * (n + 1) / 2 }
+// EnvelopeOffsets returns the layout of the envelope whose row i starts at
+// column first[i] (0 <= first[i] <= i): row i occupies [off[i], off[i+1])
+// of the storage, and off[len(first)] is its length.
+func EnvelopeOffsets(first []int) []int {
+	off := make([]int, len(first)+1)
+	for i, f := range first {
+		if f < 0 || f > i {
+			panic(fmt.Sprintf("la: row %d of an envelope starts at column %d", i, f))
+		}
+		off[i+1] = off[i] + i + 1 - f
+	}
+	return off
+}
 
 // NewCholesky factors the symmetric positive definite matrix A (only the
-// lower triangle is referenced).
+// lower triangle is referenced) as a dense triangle.
 func NewCholesky(a *Dense) (*Cholesky, error) {
 	if a.Rows != a.Cols {
 		panic("la: Cholesky of non-square matrix")
 	}
 	n := a.Rows
-	l := make([]float64, PackedLen(n))
-	for i, off := 0, 0; i < n; i++ {
-		copy(l[off:off+i+1], a.Data[i*n:i*n+i+1])
-		off += i + 1
+	off := EnvelopeOffsets(make([]int, n))
+	l := make([]float64, off[n])
+	for i := 0; i < n; i++ {
+		copy(l[off[i]:off[i+1]], a.Data[i*n:i*n+i+1])
 	}
-	return FactorPacked(n, l)
+	return FactorEnvelope(off, l)
 }
 
-// FactorPacked factors in place the symmetric positive definite matrix
-// whose packed lower triangle (row i at a[i(i+1)/2:], i+1 values) is a.
-// The returned factor owns a. A pivot that is not a positive finite
-// number — an indefinite, NaN- or Inf-poisoned matrix — returns
+// FactorEnvelope factors in place the symmetric positive definite matrix
+// whose lower envelope, laid out by off (EnvelopeOffsets), is a. The
+// returned factor owns a and shares off. A pivot that is not a positive
+// finite number — an indefinite, NaN- or Inf-poisoned matrix — returns
 // ErrNotSPD and leaves a partially overwritten.
-func FactorPacked(n int, a []float64) (*Cholesky, error) {
-	if len(a) != PackedLen(n) {
-		panic("la: FactorPacked storage length mismatch")
+//
+// Every inner product runs over the columns both rows store, from the
+// later of their first columns. When every row starts at a multiple of 4,
+// the terms left out are the leading ±0 products of a dense factorization,
+// which leave its four accumulators at +0, and the ones kept land in the
+// same accumulator in the same order: the factor is the dense one bit for
+// bit, restricted to the envelope.
+func FactorEnvelope(off []int, a []float64) (*Cholesky, error) {
+	n := len(off) - 1
+	if n < 0 || off[0] != 0 || off[n] != len(a) {
+		panic("la: FactorEnvelope storage length mismatch")
 	}
-	for i, oi := 0, 0; i < n; i++ {
-		ri := a[oi : oi+i+1 : oi+i+1]
-		for j, oj := 0, 0; j < i; j++ {
-			rj := a[oj : oj+j+1 : oj+j+1]
-			ri[j] = (ri[j] - dot4(ri[:j], rj[:j])) * rj[j]
-			oj += j + 1
+	for i := 0; i < n; i++ {
+		ri := a[off[i]:off[i+1]:off[i+1]]
+		fi := i + 1 - len(ri)
+		for j := fi; j < i; j++ {
+			rj := a[off[j]:off[j+1]:off[j+1]]
+			fj := j + 1 - len(rj)
+			m := max(fi, fj)
+			ri[j-fi] = (ri[j-fi] - dot4(ri[m-fi:j-fi], rj[m-fj:])) * rj[len(rj)-1]
 		}
-		s := ri[i] - dot4(ri[:i], ri[:i])
+		d := len(ri) - 1
+		s := ri[d] - dot4(ri[:d], ri)
 		if !(s > 0 && s <= math.MaxFloat64) {
 			return nil, ErrNotSPD
 		}
-		ri[i] = 1 / math.Sqrt(s)
-		oi += i + 1
+		ri[d] = 1 / math.Sqrt(s)
 	}
-	return &Cholesky{N: n, l: a}, nil
+	return &Cholesky{N: n, off: off, l: a}, nil
+}
+
+// Row returns row i of the factor: its first stored column, and the
+// stored values from that column to the diagonal, whose slot holds
+// 1/L(i,i). The slice is the factor's own; callers must not modify it.
+func (c *Cholesky) Row(i int) (first int, row []float64) {
+	row = c.l[c.off[i]:c.off[i+1]]
+	return i + 1 - len(row), row
 }
 
 // dot4 returns Σ a[k]·b[k] over len(a) terms (len(b) >= len(a)) with
@@ -188,7 +221,28 @@ func dot4(a, b []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// Solve computes x with A·x = b, overwriting x. b and x may alias.
+// axpyNeg computes y -= alpha·x over len(x) entries (len(y) >= len(x)),
+// four at a time: every entry is its own rounding, so the unrolling
+// changes no bit.
+func axpyNeg(alpha float64, x, y []float64) {
+	y = y[:len(x)]
+	for len(x) >= 4 && len(y) >= 4 {
+		y[0] -= alpha * x[0]
+		y[1] -= alpha * x[1]
+		y[2] -= alpha * x[2]
+		y[3] -= alpha * x[3]
+		x, y = x[4:], y[4:]
+	}
+	for k, v := range x {
+		y[k] -= alpha * v
+	}
+}
+
+// Solve computes x with A·x = b, overwriting x. b and x may alias. On the
+// envelope of a factor whose rows start at multiples of 4 it gives the
+// dense triangle's bits for every b without a -0 entry: the skipped terms
+// are ±0 products a dense sum starting at +0 absorbs, and subtractions of
+// ±0 from entries that are not -0.
 func (c *Cholesky) Solve(b, x []float64) {
 	n := c.N
 	if len(b) != n || len(x) != n {
@@ -200,26 +254,24 @@ func (c *Cholesky) Solve(b, x []float64) {
 	if &b[0] != &x[0] {
 		copy(x, b)
 	}
+	off := c.off[: n+1 : n+1]
 	// Forward substitution L·y = b: one multi-accumulator dot per row.
-	for i, off := 0, 0; i < n; i++ {
-		row := c.l[off : off+i+1 : off+i+1]
-		x[i] = (x[i] - dot4(row[:i], x)) * row[i]
-		off += i + 1
+	for i := 0; i < n; i++ {
+		row := c.l[off[i]:off[i+1]:off[i+1]]
+		d := len(row) - 1
+		x[i] = (x[i] - dot4(row[:d], x[i-d:])) * row[d]
 	}
 	// Back substitution Lᵀ·x = y in axpy form: once x[i] is final, row i
-	// of L (contiguous) is eliminated from the unknowns above it. The
+	// of L (contiguous) is eliminated from the unknowns it reaches. The
 	// updates are independent, so nothing serializes on a running sum and
-	// the packed triangle is streamed a second time in reverse while it
-	// is still cache resident.
-	for i, off := n-1, PackedLen(n-1); i >= 0; i-- {
-		row := c.l[off : off+i+1 : off+i+1]
-		xi := x[i] * row[i]
+	// the envelope is streamed a second time in reverse while it is still
+	// cache resident.
+	for i := n - 1; i >= 0; i-- {
+		row := c.l[off[i]:off[i+1]:off[i+1]]
+		d := len(row) - 1
+		xi := x[i] * row[d]
 		x[i] = xi
-		xs := x[:i]
-		for k, lv := range row[:i] {
-			xs[k] -= xi * lv
-		}
-		off -= i
+		axpyNeg(xi, row[:d], x[i-d:i])
 	}
 }
 

@@ -84,7 +84,7 @@ func TestMulAssociatesWithMulVec(t *testing.T) {
 	}
 }
 
-// TestCholeskySolve checks the packed factor and both substitution sweeps
+// TestCholeskySolve checks the dense factor and both substitution sweeps
 // against the dense matrix they came from: every size up to 34 (both sides
 // of each unroll boundary of the four-accumulator dot), then up to a few
 // hundred unknowns, with separate and aliased right-hand sides.
@@ -100,8 +100,8 @@ func TestCholeskySolve(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if len(chol.l) != PackedLen(n) {
-			t.Fatalf("n=%d: factor holds %d values, want %d", n, len(chol.l), PackedLen(n))
+		if len(chol.l) != n*(n+1)/2 {
+			t.Fatalf("n=%d: factor holds %d values, want %d", n, len(chol.l), n*(n+1)/2)
 		}
 		xTrue := make([]float64, n)
 		for i := range xTrue {

@@ -23,7 +23,7 @@ import (
 //   - the storage decisions: the fine level's conversion, the pinned
 //     layout each Galerkin product is written in, and the blocked layout a
 //     scalar level is copied into to be applied;
-//   - the smoother's partition, block members and factor layout
+//   - the smoother's partition, block members and factor envelopes
 //     (smooth.BlockPlan);
 //   - on the coarsest level, the Cholesky ordering and profile
 //     (direct.Symbolic).
@@ -238,7 +238,8 @@ func (p *Plan) planStorage(l int) {
 }
 
 // planLevel plans what level l does with its matrix s: the ordering of the
-// coarsest level's factorization, or the smoother's blocks.
+// coarsest level's factorization, or the smoother's blocks and, from s's
+// pattern, the envelopes their factors are stored in.
 func (p *Plan) planLevel(l int, s sparse.Operator) error {
 	sp := obs.Start(evPlan)
 	defer sp.End()
@@ -256,7 +257,7 @@ func (p *Plan) planLevel(l int, s sparse.Operator) error {
 	spp := obs.Start(evSmootherPartition)
 	part := graph.GreedyPartition(graph.NewFromPattern(e.NRows, e.RowPtr, e.ColIdx), nb)
 	spp.End()
-	lp.bj = smooth.PlanBlocks(e.NRows, graph.PartMembers(part, nb))
+	lp.bj = smooth.PlanBlocks(e, graph.PartMembers(part, nb))
 	return nil
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"prometheus/internal/core"
 	"prometheus/internal/krylov"
-	"prometheus/internal/la"
 	"prometheus/internal/sparse"
 )
 
@@ -280,9 +279,7 @@ func hierarchyValueBytes(mg *MG) uint64 {
 			n += int(lvl.Direct.SolveFlops() / 4)
 		}
 		if lvl.Smoother != nil {
-			for _, b := range lvl.Smoother.Inner.Blocks() {
-				n += la.PackedLen(len(b))
-			}
+			n += lvl.Smoother.Inner.FactorLen()
 		}
 	}
 	return 8 * uint64(n)

@@ -17,7 +17,7 @@ func checkSweepsZeroAlloc(t *testing.T, a sparse.Operator, nb int) {
 	t.Helper()
 	view := sparse.AsCSR(a)
 	part := graph.GreedyPartition(matrixGraph(view), nb)
-	bj, err := PlanBlocks(view.NRows, graph.PartMembers(part, nb)).Factor(a)
+	bj, err := PlanBlocks(view, graph.PartMembers(part, nb)).Factor(a)
 	if err != nil {
 		t.Fatal(err)
 	}

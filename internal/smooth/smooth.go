@@ -53,25 +53,31 @@ type DomainBlockJacobi struct {
 	SetupFlops int64
 }
 
-// BlockPlan is the partition half of a DomainBlockJacobi: the blocks and
-// their write sets, the layout of the packed factors, and each dof's
-// position inside its block, which the block gathers read. It depends on
-// the partition only, so one plan serves every operator the partition was
-// made for; it is read-only once made and shared by the smoothers Factor
-// makes from it.
+// BlockPlan is the symbolic half of a DomainBlockJacobi: the blocks and
+// their write sets, each dof's position inside its block, which the block
+// gathers read, and the envelope every block factor is stored in. It
+// depends on the partition and the pattern only, so one plan serves every
+// operator with the pattern it was made from; it is read-only once made
+// and shared by the smoothers Factor makes from it.
 type BlockPlan struct {
 	n      int
 	blocks [][]int // dof indices per block
 	ws     []int32
 	off    []int
-	// facOff places block bi's packed factor at [facOff[bi], facOff[bi+1]).
+	// env[bi] lays out block bi's factor (la.EnvelopeOffsets): row p, in
+	// the block's dof order, stores the columns from its first stored
+	// in-block column, rounded down to a multiple of 4, to p. facOff
+	// places the factor at [facOff[bi], facOff[bi+1]).
+	env    [][]int
 	facOff []int
 	// pos[d] is dof d's position inside its own block: read-only, so every
 	// block gathers through the one array.
 	pos []int
-	// solveWork is the multiply-adds of one application, Σ|block|²: what
-	// the dispatch weighs against pool.Grain and, doubled, the flops every
-	// application adds. factorWork is the factorizations' Σ|block|³/6.
+	// solveWork is the multiply-adds of one application, two per stored
+	// factor entry: what the dispatch weighs against pool.Grain and,
+	// doubled, the flops every application adds. factorWork is the
+	// factorizations' multiply-adds, inner products over the columns both
+	// rows store.
 	solveWork, factorWork int
 	setupFlops            int64
 }
@@ -86,41 +92,76 @@ const blockShiftTries = 5
 const BlocksPerThousand = 6
 
 // NewDomainBlockJacobi factors the diagonal blocks of a given by part
-// (dof -> block): PlanBlocks and Factor in one.
+// (dof -> block): PlanBlocks on a's pattern and Factor in one.
 func NewDomainBlockJacobi(a *sparse.CSR, part []int, nblocks int) (*DomainBlockJacobi, error) {
 	if len(part) != a.NRows {
 		return nil, fmt.Errorf("smooth: partition covers %d of %d dofs", len(part), a.NRows)
 	}
-	return PlanBlocks(a.NRows, graph.PartMembers(part, nblocks)).Factor(a)
+	return PlanBlocks(a, graph.PartMembers(part, nblocks)).Factor(a)
 }
 
-// PlanBlocks plans the smoother on n dofs with the given blocks (dof
-// lists, each dof in at most one): write sets, positions and factor
-// layout.
-func PlanBlocks(n int, blocks [][]int) *BlockPlan {
+// PlanBlocks plans the smoother with the given blocks (dof lists, each dof
+// in at most one) for the matrices with pattern's scalar pattern: write
+// sets, positions, and each block factor's envelope, which starts row p of
+// a block at its first in-block column the pattern stores, rounded down to
+// a multiple of 4. Entries left of it are zero in every such matrix and
+// stay zero through the factorization, so they are neither stored nor
+// touched; the alignment keeps every remaining term of the factorization
+// and the solves in the accumulator of the dense triangle's four-way dot,
+// so the factor and the solves are the dense ones bit for bit.
+func PlanBlocks(pattern *sparse.CSR, blocks [][]int) *BlockPlan {
+	n := pattern.NRows
 	p := &BlockPlan{
 		n: n, blocks: blocks, ws: make([]int32, 0, n), pos: make([]int, n),
-		off: make([]int, len(blocks)+1), facOff: make([]int, len(blocks)+1),
+		off: make([]int, len(blocks)+1), env: make([][]int, len(blocks)),
+		facOff: make([]int, len(blocks)+1),
 	}
 	for bi, dofs := range blocks {
-		nb := len(dofs)
 		for r, d := range dofs {
 			p.pos[d] = r
 			p.ws = append(p.ws, int32(d))
 		}
 		p.off[bi+1] = len(p.ws)
-		p.facOff[bi+1] = p.facOff[bi] + la.PackedLen(nb)
-		p.solveWork += nb * nb
-		p.factorWork += nb * nb * nb / 6
-		p.setupFlops += int64(nb) * int64(nb) * int64(nb) / 3
 	}
+	var first []int
+	for bi, dofs := range blocks {
+		first = first[:0]
+		for r, d := range dofs {
+			f := r
+			for _, j := range pattern.ColIdx[pattern.RowPtr[d]:pattern.RowPtr[d+1]] {
+				if q := p.pos[j]; q < f && dofs[q] == j {
+					f = q
+				}
+			}
+			first = append(first, f&^3)
+		}
+		env := la.EnvelopeOffsets(first)
+		p.env[bi] = env
+		p.facOff[bi+1] = p.facOff[bi] + env[len(dofs)]
+		p.solveWork += 2 * env[len(dofs)]
+		p.factorWork += choleskyWork(first)
+	}
+	p.setupFlops = 2 * int64(p.factorWork)
 	return p
+}
+
+// choleskyWork returns the multiply-adds of factoring an envelope with
+// these row starts: row i's inner product with row j runs over the columns
+// from the later of their starts to j.
+func choleskyWork(first []int) int {
+	w := 0
+	for i, fi := range first {
+		for j := fi; j <= i; j++ {
+			w += j - max(fi, first[j])
+		}
+	}
+	return w
 }
 
 // lowerGatherer is the block gather of the assembled storages
 // (sparse.CSR, sparse.BSR).
 type lowerGatherer interface {
-	GatherLowerPacked(idx, pos []int, l []float64)
+	GatherLowerEnvelope(idx, pos, off []int, l []float64)
 }
 
 // Factor gathers every block from setup, the matrix the partition was
@@ -153,7 +194,7 @@ func (p *BlockPlan) Factor(setup sparse.Operator) (*DomainBlockJacobi, error) {
 type blockFactor struct {
 	s     *DomainBlockJacobi
 	setup lowerGatherer
-	// fac is the packed storage of every factor, block bi's triangle at
+	// fac is the storage of every factor, block bi's envelope at
 	// fac[facOff[bi]:facOff[bi+1]].
 	fac  []float64
 	errs []error
@@ -167,7 +208,7 @@ func (s *DomainBlockJacobi) newBlockFactor(setup lowerGatherer) *blockFactor {
 }
 
 // FactorKernel returns the setup kernel that gathers and factors s's
-// blocks from setup (CSR or BSR), with the packed factors it writes, for
+// blocks from setup (CSR or BSR), with the factor storage it writes, for
 // TestKernelContract: running it factors the blocks again, to the same
 // bits.
 func (s *DomainBlockJacobi) FactorKernel(setup sparse.Operator) (pool.ItemKernel, []float64) {
@@ -196,10 +237,11 @@ func (f *blockFactor) factor(bi int) error {
 		return nil
 	}
 	l := f.fac[p.facOff[bi]:p.facOff[bi+1]:p.facOff[bi+1]]
+	env := p.env[bi]
 	for try, shift := 0, 0.0; ; try++ {
-		f.setup.GatherLowerPacked(dofs, p.pos, l)
-		maxDiag := shiftDiagonal(l, shift)
-		chol, err := la.FactorPacked(len(dofs), l)
+		f.setup.GatherLowerEnvelope(dofs, p.pos, env, l)
+		maxDiag := shiftDiagonal(env, l, shift)
+		chol, err := la.FactorEnvelope(env, l)
 		if err == nil {
 			f.s.chols[bi] = chol
 			return nil
@@ -215,13 +257,14 @@ func (f *blockFactor) factor(bi int) error {
 	}
 }
 
-// shiftDiagonal adds shift to the diagonal of the packed lower triangle l
-// and returns its largest unshifted diagonal entry, 1 when none is
-// positive.
-func shiftDiagonal(l []float64, shift float64) float64 {
+// shiftDiagonal adds shift to the diagonal of the lower envelope l laid
+// out by env and returns its largest unshifted diagonal entry, 1 when none
+// is positive.
+func shiftDiagonal(env []int, l []float64, shift float64) float64 {
 	maxDiag := 0.0
-	// Row p ends with its diagonal, at index p(p+3)/2: 0, 2, 5, 9, …
-	for k, step := 0, 2; k < len(l); k, step = k+step, step+1 {
+	// Row p ends with its diagonal, just before row p+1 starts.
+	for _, end := range env[1:] {
+		k := end - 1
 		if l[k] > maxDiag {
 			maxDiag = l[k]
 		}
@@ -280,6 +323,14 @@ func (s *DomainBlockJacobi) Apply(r, z []float64) {
 
 // Flops returns the accumulated work of the block solves.
 func (s *DomainBlockJacobi) Flops() int64 { return s.flops }
+
+// FactorLen returns the number of values the block factors store, over
+// every block.
+func (s *DomainBlockJacobi) FactorLen() int { return s.plan.facOff[len(s.plan.blocks)] }
+
+// BlockFactor returns block bi's factor, nil for an empty block. It is the
+// smoother's own; callers must not modify it.
+func (s *DomainBlockJacobi) BlockFactor(bi int) *la.Cholesky { return s.chols[bi] }
 
 // Blocks returns the partition: the dof indices of every block, in block
 // order. The slices are the smoother's own; callers must not modify them.

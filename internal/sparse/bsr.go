@@ -351,27 +351,29 @@ func (t *CSR) FillFromBSR(a *BSR) *CSR {
 	return &CSR{NRows: t.NRows, NCols: t.NCols, RowPtr: t.RowPtr, ColIdx: t.ColIdx, Val: val}
 }
 
-// GatherLowerPacked is CSR.GatherLowerPacked for the expanded matrix,
-// read straight from the blocks: scalar row i is row i%B of block row
-// i/B, and column c of stored block k is scalar column B·ColIdx[k]+c.
-func (a *BSR) GatherLowerPacked(idx, pos []int, l []float64) {
+// GatherLowerEnvelope is CSR.GatherLowerEnvelope for the expanded
+// matrix, read straight from the blocks: scalar row i is row i%B of block
+// row i/B, and column c of stored block k is scalar column B·ColIdx[k]+c.
+func (a *BSR) GatherLowerEnvelope(idx, pos, off []int, l []float64) {
 	clear(l)
 	b := a.B
 	bb := b * b
-	off := 0
 	for p, i := range idx {
-		row := l[off : off+p+1]
+		row := l[off[p]:off[p+1]]
+		first := p + 1 - len(row)
 		ib, d := i/b, i%b
 		for k := a.RowPtr[ib]; k < a.RowPtr[ib+1]; k++ {
 			j0 := a.ColIdx[k] * b
 			for c, v := range a.Val[k*bb+d*b : k*bb+d*b+b] {
 				j := j0 + c
-				if q := pos[j]; uint(q) < uint(len(row)) && idx[q] == j {
-					row[q] = v
+				if q := pos[j]; uint(q) <= uint(p) && idx[q] == j {
+					if check.Enabled {
+						check.Assert(q >= first, "sparse: entry (%d,%d) lies left of block row %d's envelope, which starts at %d", i, j, p, first)
+					}
+					row[q-first] = v
 				}
 			}
 		}
-		off += p + 1
 	}
 }
 

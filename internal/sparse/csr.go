@@ -351,30 +351,36 @@ func (a *CSR) IsSymmetric(tol float64) bool {
 	return true
 }
 
-// GatherLowerPacked extracts the lower triangle of the principal
-// submatrix A(idx, idx) into l as a packed row-major triangle: entry
-// (p, q), q <= p, pairing rows idx[p] and idx[q], lands at l[p(p+1)/2+q];
-// positions A does not store are zero. l has len(idx)(len(idx)+1)/2
-// entries — the layout la.FactorPacked factors in place. pos, of length
-// NCols, maps every column in idx to its position there; what it holds
-// for other columns does not matter (membership is checked against idx),
-// so one array holding each column's position inside its own set serves a
-// whole partition, and since it is only read, concurrent gathers too.
-func (a *CSR) GatherLowerPacked(idx, pos []int, l []float64) {
+// GatherLowerEnvelope extracts the lower triangle of the principal
+// submatrix A(idx, idx) into l as an envelope laid out by off
+// (la.EnvelopeOffsets): row p, pairing row idx[p] with columns idx[q] for
+// q from its first stored column p+1-(off[p+1]-off[p]) to p, lands at
+// l[off[p]:off[p+1]]; positions A does not store are zero. That is the
+// layout la.FactorEnvelope factors in place. An in-block entry left of
+// its row's envelope means off was not planned from A's pattern: it is
+// never dropped (a check under promdebug, an index panic without). pos,
+// of length NCols, maps every column in idx to its position there; what it
+// holds for other columns does not matter (membership is checked against
+// idx), so one array holding each column's position inside its own set
+// serves a whole partition, and since it is only read, concurrent gathers
+// too.
+func (a *CSR) GatherLowerEnvelope(idx, pos, off []int, l []float64) {
 	clear(l)
-	off := 0
 	for p, i := range idx {
-		row := l[off : off+p+1]
+		row := l[off[p]:off[p+1]]
+		first := p + 1 - len(row)
 		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
 		cols := a.ColIdx[lo:hi]
 		vals := a.Val[lo:hi:hi]
 		vals = vals[:len(cols)]
 		for k, j := range cols {
-			if q := pos[j]; uint(q) < uint(len(row)) && idx[q] == j {
-				row[q] = vals[k]
+			if q := pos[j]; uint(q) <= uint(p) && idx[q] == j {
+				if check.Enabled {
+					check.Assert(q >= first, "sparse: entry (%d,%d) lies left of block row %d's envelope, which starts at %d", i, j, p, first)
+				}
+				row[q-first] = vals[k]
 			}
 		}
-		off += p + 1
 	}
 }
 

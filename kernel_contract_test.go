@@ -300,7 +300,8 @@ type itemRun struct {
 }
 
 // checkItemContract verifies an item kernel over n items, fresh giving a
-// new one with nothing written. Running each item alone finds the entries
+// new one with nothing written. The full range must write something.
+// Running each item alone finds the entries
 // it owns: no two items may write one entry, and the one full-range call
 // may write no other. Then every window of items — run alone on a lane, or
 // on a lane after another window whose scratch it left behind — must write
@@ -311,6 +312,9 @@ func checkItemContract(fresh func() itemRun, n int) error {
 	full := fresh()
 	full.k.Items(0, 0, n)
 	ref := full.read()
+	if !slices.ContainsFunc(ref, func(v float64) bool { return !same(v, contractSentinel) }) {
+		return fmt.Errorf("the full range of %d items writes nothing", n)
+	}
 	owner := make([]int, len(ref))
 	for i := 0; i < n; i++ {
 		r := fresh()
@@ -379,6 +383,40 @@ func sentinelFilled(v []float64) []float64 {
 		v[i] = contractSentinel
 	}
 	return v
+}
+
+// strainRecorder is linear elasticity whose next state is the strain it
+// was updated with, so every state a commit writes shows.
+type strainRecorder struct{ material.LinearElastic }
+
+// Update implements material.Model.
+func (m strainRecorder) Update(s material.State, eps material.Voigt) (material.Voigt, material.Tangent, material.State) {
+	sig, d, _ := m.LinearElastic.Update(s, eps)
+	return sig, d, material.State{EpsP: eps}
+}
+
+// commitRun is the material commit at u over m's first chunk, on a new
+// problem whose states hold contractSentinel; it reads every state's
+// plastic strain.
+func commitRun(m *mesh.Mesh, u []float64) itemRun {
+	p := fem.NewProblem(m, []material.Model{strainRecorder{material.LinearElastic{E: 1, Nu: 0.3}}}, true)
+	for _, states := range p.States {
+		for g := range states {
+			for c := range states[g].EpsP {
+				states[g].EpsP[c] = contractSentinel
+			}
+		}
+	}
+	k, _ := p.CommitKernel(u)
+	return itemRun{k, func() []float64 {
+		var out []float64
+		for _, states := range p.States {
+			for _, st := range states {
+				out = append(out, st.EpsP[:]...)
+			}
+		}
+		return out
+	}}
 }
 
 // fillRun is a numeric pass writing val, which it returns sentinel-filled.
@@ -521,8 +559,9 @@ func TestKernelContract(t *testing.T) {
 	})
 
 	// Element integration: item s fills slot s of the tangent and force
-	// buffers. The block factorization: item bi gathers and factors block
-	// bi into its stretch of the packed factors.
+	// buffers. The material commit: item s stores element s's states. The
+	// block factorization: item bi gathers and factors block bi into its
+	// stretch of the factor storage.
 	_, _, _, nElems := hexProblem.IntegrationKernel(u)
 	items := []itemCase{
 		{"element integration", func() itemRun {
@@ -531,6 +570,7 @@ func TestKernelContract(t *testing.T) {
 			sentinelFilled(fes)
 			return itemRun{k, func() []float64 { return append(slices.Clone(kes), fes...) }}
 		}, nElems},
+		{"material commit", func() itemRun { return commitRun(hex, u) }, nElems},
 		{"block factor", func() itemRun { return fillRun(bj.FactorKernel(view)) }, len(bj.Blocks())},
 	}
 
