@@ -12,11 +12,11 @@
 //     rank ordering and the chosen within-rank orderings (sections 4.1,
 //     4.2, 4.7);
 //  4. remesh the selected vertices with Delaunay tetrahedra inside a
-//     bounding box, dropping box-attached and (optionally) "far" tetrahedra
-//     (section 4.8);
+//     bounding box, dropping the box-attached tetrahedra (section 4.8);
 //  5. build the restriction operator from linear tetrahedral shape
 //     functions evaluated at the fine vertices, with the lost-vertex
-//     fallback (section 4.8);
+//     fallback (section 4.8), one fine vertex per item on the shared
+//     worker set;
 //  6. recurse on the coarse tetrahedral mesh.
 //
 // Coarse grid operators are formed algebraically by the multigrid package
@@ -25,6 +25,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"prometheus/internal/check"
 	"prometheus/internal/delaunay"
@@ -33,7 +34,6 @@ import (
 	"prometheus/internal/mesh"
 	"prometheus/internal/obs"
 	"prometheus/internal/par"
-	"prometheus/internal/sortutil"
 	"prometheus/internal/sparse"
 	"prometheus/internal/topo"
 )
@@ -68,13 +68,6 @@ type Options struct {
 	MinCoarse int
 	// MaxLevels bounds the total number of grids. Default 16.
 	MaxLevels int
-	// PruneFar enables the section 4.8 heuristic that drops tetrahedra
-	// connecting coarse vertices that were far apart on the fine grid and
-	// contain no fine vertex uniquely.
-	PruneFar bool
-	// GraphDistMax is the fine-graph distance defining "near" for PruneFar
-	// (default 3).
-	GraphDistMax int
 	// Ranks > 1 runs the parallel MIS of section 4.2 on a simulated
 	// communicator with an RCB vertex partition.
 	Ranks int
@@ -97,9 +90,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxLevels == 0 {
 		o.MaxLevels = 16
-	}
-	if o.GraphDistMax == 0 {
-		o.GraphDistMax = 3
 	}
 	if o.Ranks == 0 {
 		o.Ranks = 1
@@ -203,15 +193,9 @@ func coarsenOnce(parent *Grid, level int, opts Options) (*Grid, error) {
 		check.IndependentSet(mis, mg.N, mg.Neighbors, cls.Immortal(), "core.coarsenOnce")
 	}
 
-	// Coarse vertex coordinates. coarseOf and the nearPairs set below are
-	// lookup-only maps — every traversal that builds output (restriction
-	// rows, coarse elements) runs over slices or sortutil.Keys, so the
-	// construction is deterministic; the map-order lint rule enforces this.
 	coords := make([]geom.Vec3, len(mis))
-	coarseOf := make(map[int]int, len(mis)) // parent vertex -> coarse index
 	for i, v := range mis {
 		coords[i] = m.Coords[v]
-		coarseOf[v] = i
 	}
 
 	spr := obs.Start(evRemesh)
@@ -227,176 +211,34 @@ func coarsenOnce(parent *Grid, level int, opts Options) (*Grid, error) {
 		return nil, nil
 	}
 
-	// Optional far-tet pruning (section 4.8).
-	kept := make([]bool, len(tets))
-	for i := range kept {
-		kept[i] = true
-	}
-	if opts.PruneFar {
-		near := nearPairs(g, mis, opts.GraphDistMax)
-		for i, tet := range tets {
-			ok := true
-			for a := 0; a < 4 && ok; a++ {
-				for b := a + 1; b < 4; b++ {
-					pa, pb := mis[tet[a]], mis[tet[b]]
-					if !near[pairKey{pa, pb}] && !near[pairKey{pb, pa}] {
-						ok = false
-						break
-					}
-				}
-			}
-			kept[i] = ok
-		}
-		// Tets containing a fine vertex uniquely are resurrected below.
-	}
-
-	// Restriction: for every parent vertex, interpolation weights on the
-	// coarse vertices. Built node-granularly (one scalar weight per node
-	// pair) and expanded to dof form with w·I₃ blocks at the end — the
-	// weights never couple displacement components (section 3).
-	nf := m.NumVerts()
 	nc := len(mis)
 	spb := obs.Start(evRestrict)
 	defer spb.End()
-	rb := sparse.NewBuilder(nc, nf)
-	lost := 0
-	keptSet := make(map[[4]int]bool, len(tets))
-	// Incidence of coarse vertices on kept tets, for the graph-local
-	// "find a nearby element" fallback of section 4.8.
-	incident := make([][]int, nc)
-	for i, tet := range tets {
-		if !kept[i] {
-			continue
-		}
-		keptSet[tet] = true
-		for _, cv := range tet {
-			incident[cv] = append(incident[cv], i)
-		}
-	}
-	// nearbyElement finds the least-violating kept tetrahedron among those
-	// incident to the coarse vertices closest (in the parent graph) to v.
-	nearbyElement := func(v int) ([4]int, [4]float64, bool) {
-		// BFS until the first layer containing MIS vertices, plus one.
-		dist := map[int]int{v: 0}
-		queue := []int{v}
-		var found []int
-		foundDepth := -1
-		for qi := 0; qi < len(queue); qi++ {
-			u := queue[qi]
-			if foundDepth >= 0 && dist[u] > foundDepth+1 {
-				break
-			}
-			if j, ok := coarseOf[u]; ok {
-				found = append(found, j)
-				if foundDepth < 0 {
-					foundDepth = dist[u]
-				}
-			}
-			if foundDepth >= 0 && dist[u] >= foundDepth+1 {
-				continue
-			}
-			for _, w := range g.Neighbors(u) {
-				if _, seen := dist[w]; !seen {
-					dist[w] = dist[u] + 1
-					queue = append(queue, w)
-				}
-			}
-		}
-		best := -1
-		bestMin := -1e300
-		var bestW [4]float64
-		for _, j := range found {
-			for _, ti := range incident[j] {
-				tet := tets[ti]
-				bw, okB := geom.Barycentric(coords[tet[0]], coords[tet[1]], coords[tet[2]], coords[tet[3]], m.Coords[v])
-				if !okB {
-					continue
-				}
-				minw := bw[0]
-				for _, x := range bw[1:] {
-					if x < minw {
-						minw = x
-					}
-				}
-				if minw > bestMin {
-					bestMin, best, bestW = minw, ti, bw
-				}
-			}
-		}
-		if best < 0 {
-			return [4]int{}, [4]float64{}, false
-		}
-		return tets[best], bestW, true
-	}
-	for v := 0; v < nf; v++ {
-		if j, isCoarse := coarseOf[v]; isCoarse {
-			rb.Add(j, v, 1)
-			continue
-		}
-		verts, w, ok := tri.Interpolate(m.Coords[v])
-		if ok && !keptSet[verts] {
-			ok = false // pruned or box-adjacent tet: treat as lost
-		}
-		if ok {
-			for _, wi := range w {
-				if wi < -opts.Eps {
-					ok = false
-					break
-				}
-			}
-		}
-		if !ok {
-			verts, w, ok = nearbyElement(v)
-			if !ok {
-				verts, w, ok = tri.Nearest(m.Coords[v])
-				if !ok {
-					// Every candidate tetrahedron is degenerate: the coarse
-					// vertex set has collapsed (e.g. a thin body whose MIS
-					// lost one face, Figure 4). Stop coarsening here.
-					return nil, nil
-				}
-			}
-			lost++
-		}
-		for k := 0; k < 4; k++ {
-			if w[k] == 0 {
-				continue
-			}
-			rb.Add(verts[k], v, w[k])
-		}
+	rk := newRestrictKernel(m.Coords, g, mis, tri, tets, opts.Eps)
+	r, lost, ok := rk.build()
+	if !ok {
+		// Every candidate tetrahedron of some fine vertex is degenerate: the
+		// coarse vertex set has collapsed (e.g. a thin body whose MIS lost
+		// one face, Figure 4). Stop coarsening here.
+		return nil, nil
 	}
 
-	// Coarse tetrahedral mesh (kept tets only; if pruning emptied the mesh,
-	// fall back to all tets).
-	var elems [][]int
-	for i, tet := range tets {
-		if kept[i] {
-			elems = append(elems, []int{tet[0], tet[1], tet[2], tet[3]})
-		}
-	}
-	if len(elems) == 0 {
-		for _, tet := range tets {
-			elems = append(elems, []int{tet[0], tet[1], tet[2], tet[3]})
-		}
-	}
-	// Material: majority of parent vertex materials (only used by the
-	// reclassification face heuristics on coarser grids). Ties go to the
-	// lower material id: sorted keys with a strict > keep the first (and
-	// therefore smallest) maximal id, independent of map order.
+	// Coarse tetrahedral mesh: every tetrahedron off the bounding box. Its
+	// material is the majority of its corners' parent vertex materials
+	// (only used by the reclassification face heuristics on coarser
+	// grids), ties to the lower id.
 	vertMat := vertexMaterials(m)
-	mats := make([]int, len(elems))
-	for e, conn := range elems {
-		count := map[int]int{}
-		for _, cv := range conn {
-			count[vertMat[mis[cv]]]++
+	conn := make([]int, 4*len(tets))
+	elems := make([][]int, len(tets))
+	mats := make([]int, len(tets))
+	for e, tet := range tets {
+		elems[e] = conn[4*e : 4*e+4 : 4*e+4]
+		var corner [4]int
+		for i, cv := range tet {
+			elems[e][i] = cv
+			corner[i] = vertMat[mis[cv]]
 		}
-		best, bestN := 0, -1
-		for _, mat := range sortutil.Keys(count) {
-			if n := count[mat]; n > bestN {
-				best, bestN = mat, n
-			}
-		}
-		mats[e] = best
+		mats[e] = majority(corner[:])
 	}
 	cm := &mesh.Mesh{Type: mesh.Tet4, Coords: coords, Elems: elems, Mat: mats}
 
@@ -420,7 +262,7 @@ func coarsenOnce(parent *Grid, level int, opts Options) (*Grid, error) {
 		Mesh:  cm,
 		Class: ncls,
 		Verts: mis,
-		R:     sparse.ExpandBlocks(rb.Build(), 3),
+		R:     r,
 		Lost:  lost,
 	}, nil
 }
@@ -456,50 +298,6 @@ func buildOrder(cls *topo.Classification, opts Options) []int {
 	return graph.RankedOrder(cls.Rank, within)
 }
 
-type pairKey [2]int
-
-// nearPairs returns the pairs of MIS vertices within graph distance maxD of
-// each other on the parent graph.
-func nearPairs(g *graph.Graph, mis []int, maxD int) map[pairKey]bool {
-	inMIS := make(map[int]bool, len(mis))
-	for _, v := range mis {
-		inMIS[v] = true
-	}
-	near := make(map[pairKey]bool)
-	dist := make([]int, g.N)
-	for i := range dist {
-		dist[i] = -1
-	}
-	var queue []int
-	for _, src := range mis {
-		// Bounded BFS.
-		queue = append(queue[:0], src)
-		var touched []int
-		dist[src] = 0
-		touched = append(touched, src)
-		for qi := 0; qi < len(queue); qi++ {
-			v := queue[qi]
-			if dist[v] >= maxD {
-				continue
-			}
-			for _, w := range g.Neighbors(v) {
-				if dist[w] < 0 {
-					dist[w] = dist[v] + 1
-					touched = append(touched, w)
-					queue = append(queue, w)
-					if inMIS[w] {
-						near[pairKey{src, w}] = true
-					}
-				}
-			}
-		}
-		for _, v := range touched {
-			dist[v] = -1
-		}
-	}
-	return near
-}
-
 // VertexReduction returns the per-level vertex counts and reduction ratios
 // (the paper bounds the MIS ratio by 1/2³ and 1/3³ on uniform hexahedral
 // meshes, section 4.7).
@@ -514,26 +312,49 @@ func (h *Hierarchy) VertexReduction() (counts []int, ratios []float64) {
 }
 
 // vertexMaterials assigns each vertex the majority material of its incident
-// elements (ties to the lower id).
+// elements (ties to the lower id; 0 for a vertex no element references).
+// A count pass and a fill pass list each vertex's incident materials in one
+// array.
 func vertexMaterials(m *mesh.Mesh) []int {
-	counts := make([]map[int]int, m.NumVerts())
+	nv := m.NumVerts()
+	ptr := make([]int, nv+1)
+	for _, conn := range m.Elems {
+		for _, v := range conn {
+			ptr[v+1]++
+		}
+	}
+	for v := 0; v < nv; v++ {
+		ptr[v+1] += ptr[v]
+	}
+	inc := make([]int, ptr[nv])
+	next := slices.Clone(ptr[:nv])
 	for e, conn := range m.Elems {
 		for _, v := range conn {
-			if counts[v] == nil {
-				counts[v] = map[int]int{}
-			}
-			counts[v][m.Mat[e]]++
+			inc[next[v]] = m.Mat[e]
+			next[v]++
 		}
 	}
-	out := make([]int, m.NumVerts())
-	for v, cm := range counts {
-		best, bestN := 0, -1
-		for _, mat := range sortutil.Keys(cm) {
-			if n := cm[mat]; n > bestN {
-				best, bestN = mat, n
-			}
-		}
-		out[v] = best
+	out := make([]int, nv)
+	for v := range out {
+		out[v] = majority(inc[ptr[v]:ptr[v+1]])
 	}
 	return out
+}
+
+// majority returns the most frequent id in ids, the lowest of those tied,
+// and 0 for none. It sorts ids.
+func majority(ids []int) int {
+	slices.Sort(ids)
+	best, bestN := 0, 0
+	for i := 0; i < len(ids); {
+		j := i + 1
+		for j < len(ids) && ids[j] == ids[i] {
+			j++
+		}
+		if j-i > bestN {
+			best, bestN = ids[i], j-i
+		}
+		i = j
+	}
+	return best
 }

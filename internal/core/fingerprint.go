@@ -73,12 +73,6 @@ func Fingerprint(m *mesh.Mesh, fixed map[int]float64, opts Options) string {
 	wInt(opts.ReclassifyFrom)
 	wInt(opts.MinCoarse)
 	wInt(opts.MaxLevels)
-	if opts.PruneFar {
-		wInt(1)
-	} else {
-		wInt(0)
-	}
-	wInt(opts.GraphDistMax)
 	wInt(opts.Ranks)
 	wF64(opts.Eps)
 

@@ -15,9 +15,10 @@ package delaunay
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"prometheus/internal/geom"
-	"prometheus/internal/sortutil"
 )
 
 // ErrDegenerate is returned when the point set cannot be tetrahedralized
@@ -40,7 +41,51 @@ type Triangulation struct {
 	nUser   int
 	tets    []tet
 	free    []int // recycled tet slots
-	lastHit int   // walk start hint
+	lastHit int   // walk start of the next insertion
+	ins     insertScratch
+}
+
+// insertScratch is what one insertion works in, kept from one point to the
+// next and dropped when New returns. A tet slot is in the cavity when
+// inCav holds the cavity's generation for it, and reached from the start
+// tet when reached holds the reach pass's; every set takes a generation of
+// its own, so nothing is cleared between sets.
+type insertScratch struct {
+	inCav, reached []uint32
+	gen            uint32
+	stack, cavity  []int
+	boundary       []boundaryFace
+	// The faces through the inserted point that one new tet has and the
+	// new tet across has not yet claimed: face pendingAt[i].f of tet
+	// pendingAt[i].t, with the two vertices besides the point packed in
+	// pendingKey[i] (edgeKey).
+	pendingKey []uint64
+	pendingAt  []faceRef
+}
+
+// boundaryFace is a cavity boundary face, outward from its cavity tet,
+// with the tet across it (-1 on the hull).
+type boundaryFace struct {
+	verts [3]int
+	ext   int
+}
+
+// faceRef names face f of tet t.
+type faceRef struct{ t, f int }
+
+// edgeKey packs two vertex ids in ascending order.
+func edgeKey(a, b int) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(a)<<32 | uint64(b)
+}
+
+// next returns a generation no set has used since the stamps were last
+// cleared.
+func (s *insertScratch) next() uint32 {
+	s.gen++
+	return s.gen
 }
 
 // faceOf returns the vertices of face i (opposite vertex i) of t, oriented
@@ -68,6 +113,19 @@ func New(pts []geom.Vec3) (*Triangulation, error) {
 	if len(pts) == 0 {
 		return nil, ErrDegenerate
 	}
+	tr := boxed(pts)
+	for i := 0; i < tr.nUser; i++ {
+		if err := tr.insert(i); err != nil {
+			return nil, fmt.Errorf("delaunay: inserting point %d: %w", i, err)
+		}
+	}
+	tr.ins = insertScratch{}
+	return tr, nil
+}
+
+// boxed returns the triangulation of the bounding box of pts, with no
+// point inserted yet.
+func boxed(pts []geom.Vec3) *Triangulation {
 	box := geom.NewAABB(pts)
 	diag := box.Diagonal()
 	if diag == 0 {
@@ -113,13 +171,7 @@ func New(pts []geom.Vec3) (*Triangulation, error) {
 		tr.addTet(v)
 	}
 	tr.rebuildAdjacency()
-
-	for i := 0; i < tr.nUser; i++ {
-		if err := tr.insert(i); err != nil {
-			return nil, fmt.Errorf("delaunay: inserting point %d: %w", i, err)
-		}
-	}
-	return tr, nil
+	return tr
 }
 
 // addTet appends (or recycles) a tet slot and returns its index.
@@ -187,28 +239,33 @@ func (tr *Triangulation) inSphereP(t *tet, p int) bool {
 	return -s > 0
 }
 
-// locate walks from the hint tet to a tet containing point p (by perturbed
-// coordinates). Returns the tet index or -1.
-func (tr *Triangulation) locate(p int) int {
-	cur := tr.lastHit
+// Locate walks from tetrahedron hint to the live tetrahedron containing q,
+// judged by the perturbed coordinates of its vertices, and returns its
+// slot, or -1 when q lies outside the bounding box. Any hint is accepted:
+// one that names no live slot starts the walk at the first live one. A walk
+// that cycles (degenerate input) falls back to a scan of every slot in
+// order. Locate writes nothing, so concurrent calls are safe; a caller
+// locating a run of nearby points passes each result as the next hint.
+func (tr *Triangulation) Locate(q geom.Vec3, hint int) int {
+	cur := hint
 	if cur < 0 || cur >= len(tr.tets) || !tr.tets[cur].alive {
 		cur = tr.anyAlive()
 		if cur < 0 {
 			return -1
 		}
 	}
+	// q is strictly outside face f (oriented outward) when the volume of
+	// (face, q) is negative.
+	outside := func(t *tet, f int) bool {
+		fc := t.faceOf(f)
+		return -geom.Orient3D(tr.ppts[fc[0]], tr.ppts[fc[1]], tr.ppts[fc[2]], q) < 0
+	}
 	maxSteps := 4 * (len(tr.tets) + 16)
 	for step := 0; step < maxSteps; step++ {
 		t := &tr.tets[cur]
 		moved := false
 		for f := 0; f < 4; f++ {
-			fc := t.faceOf(f)
-			// p strictly outside face f (face oriented outward): volume of
-			// (face, p) negative.
-			if tr.orientP(fc[0], fc[1], fc[2], p) > 0 {
-				continue
-			}
-			if tr.orientP(fc[0], fc[1], fc[2], p) < 0 {
+			if outside(t, f) {
 				nb := t.adj[f]
 				if nb < 0 || !tr.tets[nb].alive {
 					return -1 // outside hull: cannot happen inside the box
@@ -219,7 +276,6 @@ func (tr *Triangulation) locate(p int) int {
 			}
 		}
 		if !moved {
-			tr.lastHit = cur
 			return cur
 		}
 	}
@@ -231,19 +287,21 @@ func (tr *Triangulation) locate(p int) int {
 		}
 		inside := true
 		for f := 0; f < 4; f++ {
-			fc := t.faceOf(f)
-			if tr.orientP(fc[0], fc[1], fc[2], p) < 0 {
+			if outside(t, f) {
 				inside = false
 				break
 			}
 		}
 		if inside {
-			tr.lastHit = ti
 			return ti
 		}
 	}
 	return -1
 }
+
+// Hint returns a tetrahedron the last insertion created: the walk start
+// New leaves behind, near the last points inserted.
+func (tr *Triangulation) Hint() int { return tr.lastHit }
 
 func (tr *Triangulation) anyAlive() int {
 	for i := range tr.tets {
@@ -256,25 +314,37 @@ func (tr *Triangulation) anyAlive() int {
 
 // insert adds user point p via Bowyer-Watson.
 func (tr *Triangulation) insert(p int) error {
-	start := tr.locate(p)
+	start := tr.Locate(tr.ppts[p], tr.lastHit)
 	if start < 0 {
 		return errors.New("containing tetrahedron not found")
 	}
-	// Cavity: BFS over tets whose circumsphere contains p.
-	inCavity := map[int]bool{start: true}
-	stack := []int{start}
-	var cavity []int
+	s := &tr.ins
+	if n := len(tr.tets); len(s.inCav) < n {
+		s.inCav = append(s.inCav, make([]uint32, n-len(s.inCav))...)
+		s.reached = append(s.reached, make([]uint32, n-len(s.reached))...)
+	}
+	if s.gen > math.MaxUint32/2 {
+		clear(s.inCav)
+		clear(s.reached)
+		s.gen = 0
+	}
+	// Cavity: depth-first search over tets whose circumsphere contains p,
+	// listed in the order they leave the stack.
+	cav := s.next()
+	s.inCav[start] = cav
+	stack := append(s.stack[:0], start)
+	cavity := s.cavity[:0]
 	for len(stack) > 0 {
 		ti := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		cavity = append(cavity, ti)
 		for f := 0; f < 4; f++ {
 			nb := tr.tets[ti].adj[f]
-			if nb < 0 || inCavity[nb] || !tr.tets[nb].alive {
+			if nb < 0 || s.inCav[nb] == cav || !tr.tets[nb].alive {
 				continue
 			}
 			if tr.inSphereP(&tr.tets[nb], p) {
-				inCavity[nb] = true
+				s.inCav[nb] = cav
 				stack = append(stack, nb)
 			}
 		}
@@ -286,38 +356,46 @@ func (tr *Triangulation) insert(p int) error {
 	// shrink the cavity by evicting the tetrahedra owning offending faces
 	// and re-deriving the boundary, which always terminates because the
 	// single containing tetrahedron is star-shaped by construction.
-	type bface struct {
-		verts [3]int
-		ext   int // external tet or -1
-	}
-	var boundary []bface
+	boundary := s.boundary[:0]
 	for repair := 0; ; repair++ {
 		// Keep only the cavity component still face-connected to start
 		// (evictions can strand tetrahedra, which would create an annulus).
-		reach := map[int]bool{start: true}
+		reach := s.next()
+		s.reached[start] = reach
+		nReach := 1
 		stack = append(stack[:0], start)
 		for len(stack) > 0 {
 			ti := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for f := 0; f < 4; f++ {
 				nb := tr.tets[ti].adj[f]
-				if nb >= 0 && inCavity[nb] && !reach[nb] {
-					reach[nb] = true
+				if nb >= 0 && s.inCav[nb] == cav && s.reached[nb] != reach {
+					s.reached[nb] = reach
+					nReach++
 					stack = append(stack, nb)
 				}
 			}
 		}
-		if len(reach) != len(inCavity) {
-			inCavity = reach
-			// Sorted keys keep the construction deterministic.
-			cavity = sortutil.KeysInto(cavity, reach)
+		if nReach != len(cavity) {
+			// The reached set becomes the cavity, listed in ascending slot
+			// order so the construction is deterministic.
+			kept := cavity[:0]
+			for _, ti := range cavity {
+				if s.reached[ti] == reach {
+					kept = append(kept, ti)
+				}
+			}
+			cavity = kept
+			slices.Sort(cavity)
+			s.inCav, s.reached = s.reached, s.inCav
+			cav = reach
 		}
 		boundary = boundary[:0]
 		evict := -1
 		for _, ti := range cavity {
 			for f := 0; f < 4; f++ {
 				nb := tr.tets[ti].adj[f]
-				if nb >= 0 && inCavity[nb] {
+				if nb >= 0 && s.inCav[nb] == cav {
 					continue
 				}
 				fc := tr.tets[ti].faceOf(f)
@@ -325,7 +403,7 @@ func (tr *Triangulation) insert(p int) error {
 					evict = ti
 					break
 				}
-				boundary = append(boundary, bface{fc, nb})
+				boundary = append(boundary, boundaryFace{fc, nb})
 			}
 			if evict >= 0 {
 				break
@@ -337,7 +415,7 @@ func (tr *Triangulation) insert(p int) error {
 		if repair > len(tr.tets) {
 			return errors.New("cavity repair did not terminate")
 		}
-		delete(inCavity, evict)
+		s.inCav[evict] = 0
 		for k, ti := range cavity {
 			if ti == evict {
 				cavity = append(cavity[:k], cavity[k+1:]...)
@@ -345,6 +423,7 @@ func (tr *Triangulation) insert(p int) error {
 			}
 		}
 	}
+	s.stack, s.cavity, s.boundary = stack, cavity, boundary
 	// After repair the start tet's own faces may still be violated only in
 	// truly degenerate inputs.
 	for _, bf := range boundary {
@@ -359,12 +438,14 @@ func (tr *Triangulation) insert(p int) error {
 	}
 	// Create a new tet per boundary face: (face, p) has positive volume
 	// because p is on the inner side of the outward-oriented face.
-	newTets := make([]int, 0, len(boundary))
-	edgeMap := make(map[faceKey]int, 3*len(boundary)) // internal face -> new tet
+	first := -1
+	keys, at := s.pendingKey[:0], s.pendingAt[:0]
 	for _, bf := range boundary {
 		v := [4]int{bf.verts[0], bf.verts[1], bf.verts[2], p}
 		nt := tr.addTet(v)
-		newTets = append(newTets, nt)
+		if first < 0 {
+			first = nt
+		}
 		// Link across the boundary face: in the new tet, p is vertex 3, so
 		// the face opposite p (face 3) is the boundary face.
 		tr.tets[nt].adj[3] = bf.ext
@@ -378,24 +459,24 @@ func (tr *Triangulation) insert(p int) error {
 				}
 			}
 		}
-		// Internal faces (those containing p): register and link pairwise.
+		// Internal faces (those containing p, identified by their other
+		// two vertices): the first new tet to have one lists it, the
+		// second links the pair.
 		for f := 0; f < 3; f++ {
-			k := sortedFace(tr.tets[nt].faceOf(f))
-			if other, ok := edgeMap[k]; ok {
-				// Find matching face index on other.
-				for g := 0; g < 4; g++ {
-					if sortedFace(tr.tets[other].faceOf(g)) == k {
-						tr.tets[other].adj[g] = nt
-						break
-					}
-				}
-				tr.tets[nt].adj[f] = other
-			} else {
-				edgeMap[k] = nt
+			k := edgeKey(v[(f+1)%3], v[(f+2)%3])
+			i := slices.Index(keys, k)
+			if i < 0 {
+				keys = append(keys, k)
+				at = append(at, faceRef{nt, f})
+				continue
 			}
+			other := at[i]
+			tr.tets[other.t].adj[other.f] = nt
+			tr.tets[nt].adj[f] = other.t
 		}
 	}
-	tr.lastHit = newTets[0]
+	s.pendingKey, s.pendingAt = keys, at
+	tr.lastHit = first
 	return nil
 }
 

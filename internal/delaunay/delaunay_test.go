@@ -130,7 +130,7 @@ func TestInterpolatePartitionOfUnity(t *testing.T) {
 		b := pts[rng.Intn(len(pts))]
 		s := rng.Float64()
 		q := a.Scale(s).Add(b.Scale(1 - s))
-		verts, w, ok := tr.Interpolate(q)
+		verts, w, _, ok := tr.Interpolate(q, tr.Hint())
 		if !ok {
 			continue // may fall in a box-attached sliver near the hull
 		}
@@ -167,7 +167,7 @@ func TestInterpolateAtVertices(t *testing.T) {
 		if p.X == 0 || p.X == 1 || p.Y == 0 || p.Y == 1 || p.Z == 0 || p.Z == 1 {
 			continue // hull vertices may land in box-attached tets
 		}
-		verts, w, ok := tr.Interpolate(p)
+		verts, w, _, ok := tr.Interpolate(p, tr.Hint())
 		if !ok {
 			t.Fatalf("vertex %d not located", i)
 		}
@@ -309,7 +309,7 @@ func TestInterpolateOutsideDomain(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Far outside the bounding box: the walk exits; ok must be false.
-	if _, _, ok := tr.Interpolate(geom.Vec3{X: 100, Y: 100, Z: 100}); ok {
+	if _, _, _, ok := tr.Interpolate(geom.Vec3{X: 100, Y: 100, Z: 100}, tr.Hint()); ok {
 		t.Fatal("interpolated a point outside the box")
 	}
 }

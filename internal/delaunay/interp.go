@@ -4,81 +4,30 @@ import (
 	"prometheus/internal/geom"
 )
 
-// Interpolate finds the tetrahedron containing query point q and returns
-// its user-point vertex ids with the barycentric weights of q (computed
-// from the original, unperturbed coordinates). ok is false when the
-// containing tetrahedron touches the bounding box or cannot be found; such
-// query points are the paper's "lost" vertices (section 4.8) and must be
-// interpolated from a nearby element via Nearest.
-func (tr *Triangulation) Interpolate(q geom.Vec3) (verts [4]int, w [4]float64, ok bool) {
-	ti := tr.locateAt(q)
+// Interpolate locates query point q, walking from tetrahedron hint (see
+// Locate), and returns the containing tetrahedron's user-point vertex ids
+// with the barycentric weights of q (computed from the original,
+// unperturbed coordinates), and the slot it found, which is -1 only when
+// the walk found none. ok is false when the containing tetrahedron touches
+// the bounding box or cannot be found; such query points are the paper's
+// "lost" vertices (section 4.8) and must be interpolated from a nearby
+// element via Nearest.
+func (tr *Triangulation) Interpolate(q geom.Vec3, hint int) (verts [4]int, w [4]float64, at int, ok bool) {
+	ti := tr.Locate(q, hint)
 	if ti < 0 {
-		return verts, w, false
+		return verts, w, ti, false
 	}
 	t := &tr.tets[ti]
 	for _, v := range t.v {
 		if v >= tr.nUser {
-			return verts, w, false // box-attached: lost
+			return verts, w, ti, false // box-attached: lost
 		}
 	}
 	w, okB := geom.Barycentric(tr.pts[t.v[0]], tr.pts[t.v[1]], tr.pts[t.v[2]], tr.pts[t.v[3]], q)
 	if !okB {
-		return verts, w, false
+		return verts, w, ti, false
 	}
-	return t.v, w, true
-}
-
-// locateAt walks to the tet containing the literal coordinates q.
-func (tr *Triangulation) locateAt(q geom.Vec3) int {
-	cur := tr.lastHit
-	if cur < 0 || cur >= len(tr.tets) || !tr.tets[cur].alive {
-		cur = tr.anyAlive()
-		if cur < 0 {
-			return -1
-		}
-	}
-	orient := func(f [3]int) float64 {
-		return -geom.Orient3D(tr.ppts[f[0]], tr.ppts[f[1]], tr.ppts[f[2]], q)
-	}
-	maxSteps := 4 * (len(tr.tets) + 16)
-	for step := 0; step < maxSteps; step++ {
-		t := &tr.tets[cur]
-		moved := false
-		for f := 0; f < 4; f++ {
-			if orient(t.faceOf(f)) < 0 {
-				nb := t.adj[f]
-				if nb < 0 || !tr.tets[nb].alive {
-					return -1
-				}
-				cur = nb
-				moved = true
-				break
-			}
-		}
-		if !moved {
-			tr.lastHit = cur
-			return cur
-		}
-	}
-	// Degenerate walk; linear scan.
-	for ti := range tr.tets {
-		t := &tr.tets[ti]
-		if !t.alive {
-			continue
-		}
-		inside := true
-		for f := 0; f < 4; f++ {
-			if orient(t.faceOf(f)) < 0 {
-				inside = false
-				break
-			}
-		}
-		if inside {
-			tr.lastHit = ti
-			return ti
-		}
-	}
-	return -1
+	return t.v, w, ti, true
 }
 
 // Nearest returns, among the non-box tetrahedra, the one whose barycentric

@@ -142,28 +142,47 @@ func (g *Graph) SubgraphWithout(remove [][2]int) *Graph {
 }
 
 // FilterEdges returns a copy of g keeping only edges for which keep returns
-// true. keep is called once per undirected edge with a < b.
+// true. keep is called once per undirected edge with a < b, in ascending
+// order of a, then b. One pass over the adjacency marks what is kept: an
+// entry (v, w) with w < v copies the verdict its mirror (w, v) got when row
+// w was visited, found through a cursor per vertex that walks that row's
+// upper neighbours in the order the rows above reach them. A compacting
+// copy then keeps the marked entries, so every row stays sorted.
 func (g *Graph) FilterEdges(keep func(a, b int) bool) *Graph {
-	adj := make([]map[int]struct{}, g.N)
+	kept := make([]bool, len(g.Adj))
+	// upper[w] is the slot in row w of the next higher neighbour to visit
+	// w's row: its first neighbour above w, to start with.
+	upper := make([]int, g.N)
 	for v := 0; v < g.N; v++ {
-		for _, w := range g.Neighbors(v) {
-			if v >= w {
-				continue
+		row := g.Neighbors(v)
+		upper[v] = g.Ptr[v] + sort.SearchInts(row, v+1)
+	}
+	n := 0
+	for v := 0; v < g.N; v++ {
+		for k := g.Ptr[v]; k < g.Ptr[v+1]; k++ {
+			switch w := g.Adj[k]; {
+			case w < v:
+				kept[k] = kept[upper[w]]
+				upper[w]++
+			case w > v:
+				kept[k] = keep(v, w)
 			}
-			if !keep(v, w) {
-				continue
+			if kept[k] {
+				n++
 			}
-			if adj[v] == nil {
-				adj[v] = make(map[int]struct{}, 8)
-			}
-			if adj[w] == nil {
-				adj[w] = make(map[int]struct{}, 8)
-			}
-			adj[v][w] = struct{}{}
-			adj[w][v] = struct{}{}
 		}
 	}
-	return fromSets(g.N, adj)
+	ptr := make([]int, g.N+1)
+	adj := make([]int, 0, n)
+	for v := 0; v < g.N; v++ {
+		for k := g.Ptr[v]; k < g.Ptr[v+1]; k++ {
+			if kept[k] {
+				adj = append(adj, g.Adj[k])
+			}
+		}
+		ptr[v+1] = len(adj)
+	}
+	return &Graph{N: g.N, Ptr: ptr, Adj: adj}
 }
 
 // Components returns the connected component id of every vertex and the

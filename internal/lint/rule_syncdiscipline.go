@@ -29,6 +29,11 @@ func defaultComputePackages() []string {
 		"prometheus/internal/smooth",
 		"prometheus/internal/krylov",
 		"prometheus/internal/multigrid",
+		"prometheus/internal/core",
+		"prometheus/internal/delaunay",
+		"prometheus/internal/graph",
+		"prometheus/internal/mesh",
+		"prometheus/internal/topo",
 	}
 }
 

@@ -58,6 +58,11 @@ func setup(done chan int) { // line 18: channel type
 		{"prometheus/internal/smooth", true},
 		{"prometheus/internal/krylov", true},
 		{"prometheus/internal/multigrid", true},
+		{"prometheus/internal/core", true},
+		{"prometheus/internal/delaunay", true},
+		{"prometheus/internal/graph", true},
+		{"prometheus/internal/mesh", true},
+		{"prometheus/internal/topo", true},
 		{"prometheus/internal/fem/sub", true},
 		{"prometheus/internal/lattice", false},
 		{"prometheus/internal/pool", false},

@@ -246,78 +246,127 @@ func (m *Mesh) facetNormal(verts []int) geom.Vec3 {
 	return n.Normalize()
 }
 
-// elemFacets yields the facets of element e as vertex id slices (corners
-// first for quadratic facets).
-func (m *Mesh) elemFacets(e int) [][]int {
+// facetShape returns the facets per element of type t and the vertices
+// per facet.
+func (t ElemType) facetShape() (perElem, size int) {
+	switch t {
+	case Hex8:
+		return 6, 4
+	case Hex20:
+		return 6, 8
+	default:
+		return 4, 3
+	}
+}
+
+// facetVerts writes the facets of element e into dst, one after another,
+// as outward-oriented vertex loops (corners first for quadratic facets).
+func (m *Mesh) facetVerts(e int, dst []int) {
 	conn := m.Elems[e]
 	switch m.Type {
 	case Hex8:
-		out := make([][]int, 6)
 		for f, loc := range hexFaces {
-			out[f] = []int{conn[loc[0]], conn[loc[1]], conn[loc[2]], conn[loc[3]]}
-		}
-		return out
-	case Hex20:
-		out := make([][]int, 6)
-		for f, loc := range hex20Faces {
-			fv := make([]int, 8)
 			for i, l := range loc {
-				fv[i] = conn[l]
+				dst[4*f+i] = conn[l]
 			}
-			out[f] = fv
 		}
-		return out
+	case Hex20:
+		for f, loc := range hex20Faces {
+			for i, l := range loc {
+				dst[8*f+i] = conn[l]
+			}
+		}
 	default:
-		out := make([][]int, 4)
 		for f, loc := range tetFaces {
-			out[f] = []int{conn[loc[0]], conn[loc[1]], conn[loc[2]]}
+			for i, l := range loc {
+				dst[3*f+i] = conn[l]
+			}
 		}
-		return out
 	}
 }
 
 // BoundaryFacets extracts the facets on the domain boundary plus the facets
 // on interfaces between different materials (both sides are kept for
-// interfaces, one per adjoining element).
+// interfaces, one per adjoining element). Facets are numbered element by
+// element and bucketed by their smallest corner; within a bucket the first
+// facet with a key leads every later one with that key. A facet led by no
+// other is the exterior boundary, a pair is kept when its two elements'
+// materials differ, and more than two (non-manifold) are each kept. Groups
+// come out in the order of their leaders, each in facet order.
 func (m *Mesh) BoundaryFacets() []Facet {
-	type side struct {
-		elem  int
-		verts []int
-	}
-	sides := make(map[facetKey][]side)
-	var order []facetKey // first-seen order, for deterministic output
+	per, size := m.Type.facetShape()
+	n := len(m.Elems) * per
+	verts := make([]int, n*size)
 	for e := range m.Elems {
-		for _, fv := range m.elemFacets(e) {
-			k := keyOf(fv)
-			if _, ok := sides[k]; !ok {
-				order = append(order, k)
+		m.facetVerts(e, verts[e*per*size:])
+	}
+	keys := make([]facetKey, n)
+	for i := range keys {
+		keys[i] = keyOf(verts[i*size : (i+1)*size])
+	}
+	nv := len(m.Coords)
+	start := make([]int, nv+1)
+	for _, k := range keys {
+		start[k[0]+1]++
+	}
+	for v := 0; v < nv; v++ {
+		start[v+1] += start[v]
+	}
+	bucket := make([]int, n)
+	next := slices.Clone(start[:nv])
+	for i, k := range keys {
+		bucket[next[k[0]]] = i
+		next[k[0]]++
+	}
+	// leader[i] is the first facet with i's key; sides[i] counts the facets
+	// facet i leads, and is zeroed for a group that is not kept.
+	leader := make([]int, n)
+	sides := make([]int, n)
+	for v := 0; v < nv; v++ {
+		b := bucket[start[v]:start[v+1]]
+		for x, i := range b {
+			leader[i] = i
+			for _, j := range b[:x] {
+				if leader[j] == j && keys[j] == keys[i] {
+					leader[i] = j
+					break
+				}
 			}
-			sides[k] = append(sides[k], side{elem: e, verts: fv})
+			sides[leader[i]]++
 		}
 	}
-	var out []Facet
-	for _, k := range order {
-		ss := sides[k]
-		keep := false
-		switch len(ss) {
-		case 1:
-			keep = true // exterior boundary
-		case 2:
-			keep = m.Mat[ss[0].elem] != m.Mat[ss[1].elem] // material interface
-		default:
-			// Non-manifold: treat as boundary of each side.
-			keep = true
+	members := func(i int) []int {
+		return bucket[start[keys[i][0]]:start[keys[i][0]+1]]
+	}
+	nOut := 0
+	for i := range sides {
+		if sides[i] == 2 {
+			for _, j := range members(i) {
+				if j != i && leader[j] == i && m.Mat[i/per] == m.Mat[j/per] {
+					sides[i] = 0 // interior facet between one material
+				}
+			}
 		}
-		if !keep {
+		nOut += sides[i]
+	}
+	if nOut == 0 {
+		return nil
+	}
+	out := make([]Facet, 0, nOut)
+	outVerts := make([]int, 0, nOut*size)
+	for i := range sides {
+		if sides[i] == 0 {
 			continue
 		}
-		for _, s := range ss {
-			out = append(out, Facet{
-				Verts:  s.verts,
-				Elem:   s.elem,
-				Mat:    m.Mat[s.elem],
-				Normal: m.facetNormal(s.verts),
-			})
+		for _, j := range members(i) {
+			if leader[j] != i {
+				continue
+			}
+			k := len(outVerts)
+			outVerts = append(outVerts, verts[j*size:(j+1)*size]...)
+			fv := outVerts[k : k+size : k+size]
+			e := j / per
+			out = append(out, Facet{Verts: fv, Elem: e, Mat: m.Mat[e], Normal: m.facetNormal(fv)})
 		}
 	}
 	return out

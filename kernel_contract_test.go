@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"prometheus/internal/core"
 	"prometheus/internal/fem"
 	"prometheus/internal/geom"
 	"prometheus/internal/graph"
@@ -419,6 +420,40 @@ func commitRun(m *mesh.Mesh, u []float64) itemRun {
 	}}
 }
 
+// restrictRun is the restriction kernel of the unit cube m onto the
+// vertices whose coordinates are all even multiples of m's spacing short
+// of 1 — a coarse cube inside m, so that the fine vertices beyond it are
+// lost and take the fallback —
+// read as ten slots per fine vertex: the entry count, the lost flag, the
+// coarse vertices, the weights.
+func restrictRun(t *testing.T, m *mesh.Mesh) itemRun {
+	n := int(math.Round(math.Cbrt(float64(m.NumVerts())))) - 1
+	even := func(x float64) bool { i := int(math.Round(float64(n) * x)); return i%2 == 0 && i < n }
+	mis := m.VertsWhere(func(p geom.Vec3) bool { return even(p.X) && even(p.Y) && even(p.Z) })
+	k, err := core.RestrictionKernel(m, mis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return itemRun{k, func() []float64 {
+		out := sentinelFilled(make([]float64, 10*m.NumVerts()))
+		for v := 0; v < m.NumVerts(); v++ {
+			coarse, w, lost, ok := k.Row(v)
+			if !ok {
+				continue
+			}
+			slot := out[10*v:]
+			slot[0] = float64(len(coarse))
+			if lost {
+				slot[1] = 1
+			}
+			for i, j := range coarse {
+				slot[2+i], slot[6+i] = float64(j), w[i]
+			}
+		}
+		return out
+	}}
+}
+
 // fillRun is a numeric pass writing val, which it returns sentinel-filled.
 func fillRun(k pool.ItemKernel, val []float64) itemRun {
 	sentinelFilled(val)
@@ -561,7 +596,8 @@ func TestKernelContract(t *testing.T) {
 	// Element integration: item s fills slot s of the tangent and force
 	// buffers. The material commit: item s stores element s's states. The
 	// block factorization: item bi gathers and factors block bi into its
-	// stretch of the factor storage.
+	// stretch of the factor storage. The restriction: item v locates fine
+	// vertex v and writes its row slots.
 	_, _, _, nElems := hexProblem.IntegrationKernel(u)
 	items := []itemCase{
 		{"element integration", func() itemRun {
@@ -572,6 +608,7 @@ func TestKernelContract(t *testing.T) {
 		}, nElems},
 		{"material commit", func() itemRun { return commitRun(hex, u) }, nElems},
 		{"block factor", func() itemRun { return fillRun(bj.FactorKernel(view)) }, len(bj.Blocks())},
+		{"restriction", func() itemRun { return restrictRun(t, hex) }, hex.NumVerts()},
 	}
 
 	// The sparse products' symbolic and numeric passes: a plain product,
