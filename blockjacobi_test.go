@@ -121,6 +121,63 @@ func TestSmootherPartitionMatchesEdgeListGraph(t *testing.T) {
 	}
 }
 
+// TestPartitionOnPatternIsGraphPartition proves that partitioning a
+// level's pattern as it stands — each row's columns, the row itself among
+// them — gives the blocks partitioning NewFromPattern's graph of it gave,
+// on every smoothed level of the cube (its fine level blocked from the
+// reduced CSR, so planned from that CSR's pattern), spheres and
+// smoothed-aggregation hierarchies, and that these are the blocks the
+// hierarchy's smoothers hold. Every level but the cube's fine one is held
+// in the scalar matrix setup read (StorageCSR), and pinned coarse levels —
+// a pinned dof is a row and a column holding only the diagonal — are
+// among them.
+func TestPartitionOnPatternIsGraphPartition(t *testing.T) {
+	sa := func(sys reducedSystem) reducedSystem {
+		solver, err := NewSolver(sys.solver.Mesh, sys.solver.cons, Options{Hierarchy: SmoothedAggregation, MG: multigrid.Options{Storage: multigrid.StorageCSR}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reducedSystem{solver, sys.kred}
+	}
+	csr := multigrid.Options{Storage: multigrid.StorageCSR}
+	pinned := 0
+	for _, tc := range []struct {
+		name string
+		sys  reducedSystem
+	}{
+		{"cube", cubeSystem(t, false, multigrid.Options{})},
+		{"cube CSR", cubeSystem(t, false, csr)},
+		{"spheres", spheresSystem(t, false, csr)},
+		{"aggregation", sa(spheresSystem(t, false, csr))},
+	} {
+		mg := tc.sys.hierarchy(t)
+		for li, lvl := range mg.Levels {
+			if lvl.Smoother == nil {
+				continue
+			}
+			e := sparse.ScalarPatternOf(lvl.A)
+			for i := 0; i < e.NRows; i++ {
+				if e.RowPtr[i+1]-e.RowPtr[i] == 1 && e.ColIdx[e.RowPtr[i]] == i {
+					pinned++
+				}
+			}
+			nb := smooth.DefaultBlockCount(e.NRows)
+			want := graph.GreedyPartition(graph.NewFromPattern(e.NRows, e.RowPtr, e.ColIdx), nb)
+			got := graph.GreedyPartition(&graph.Graph{N: e.NRows, Ptr: e.RowPtr, Adj: e.ColIdx}, nb)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s level %d: the partition of the pattern differs from the partition of its graph", tc.name, li)
+			}
+			blocks := lvl.Smoother.Inner.Blocks()
+			if !slices.EqualFunc(graph.PartMembers(want, nb), blocks, slices.Equal[[]int]) {
+				t.Fatalf("%s level %d: the smoother's blocks are not the graph partition's", tc.name, li)
+			}
+		}
+	}
+	if pinned == 0 {
+		t.Fatal("no level of any hierarchy pins a dof: the pinned case is not covered")
+	}
+}
+
 // envelopeOf returns the envelope the smoother plans for block dofs of a
 // matrix with pattern e, pos[d] being d's position in its own block: row p
 // starts at its first stored in-block column, rounded down to a multiple

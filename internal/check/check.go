@@ -40,6 +40,28 @@ func CSRWellFormed(nRows, nCols int, rowPtr, colIdx []int, nVal int, ctx string)
 	}
 }
 
+// SymmetricPattern asserts that the pattern of an n×n CSR matrix is
+// structurally symmetric: (j, i) is stored wherever (i, j) is. Rows are
+// sorted, so scanning rows in ascending order meets the entries of each
+// column j in ascending row order, and one cursor per row j checks them
+// against row j's columns.
+func SymmetricPattern(n int, rowPtr, colIdx []int, ctx string) {
+	next := append([]int(nil), rowPtr[:n]...)
+	for i := 0; i < n; i++ {
+		for _, j := range colIdx[rowPtr[i]:rowPtr[i+1]] {
+			if next[j] == rowPtr[j+1] || colIdx[next[j]] != i {
+				Assert(false, "%s: entry (%d,%d) is stored and (%d,%d) is not", ctx, i, j, j, i)
+			}
+			next[j]++
+		}
+	}
+	for j := 0; j < n; j++ {
+		if next[j] != rowPtr[j+1] {
+			Assert(false, "%s: entry (%d,%d) is stored and (%d,%d) is not", ctx, j, colIdx[next[j]], colIdx[next[j]], j)
+		}
+	}
+}
+
 // SortedUnique asserts that idx is strictly increasing with every entry in
 // [0, n).
 func SortedUnique(idx []int, n int, ctx string) {

@@ -13,6 +13,9 @@ func Assert(cond bool, format string, args ...interface{}) {}
 // CSRWellFormed is a no-op in release builds.
 func CSRWellFormed(nRows, nCols int, rowPtr, colIdx []int, nVal int, ctx string) {}
 
+// SymmetricPattern is a no-op in release builds.
+func SymmetricPattern(n int, rowPtr, colIdx []int, ctx string) {}
+
 // SortedUnique is a no-op in release builds.
 func SortedUnique(idx []int, n int, ctx string) {}
 

@@ -241,25 +241,77 @@ func (p *Problem) integrateElement(e int, u []float64, scr *elemScratch, ke, fe 
 			}
 		}
 		// ke += w·Bᵀ·(D·B); fe += w·Bᵀ·σ. w·b is rounded once per (i, k),
-		// as the product w·b·x already rounded it first.
+		// as the product w·b·x already rounded it first. Column i = 3a+c
+		// of B is nonzero only in the rows bRows lists for c, so row i of
+		// ke takes those rows' terms in one pass, each entry loaded and
+		// stored once: krow[j] + t₀ + t₁ + … is added left to right, the
+		// order of a pass per row. A structural entry that is exactly zero
+		// is skipped, as a pass per row skips it.
+		rows := &bRows[0]
+		if p.BBar {
+			rows = &bRows[1]
+		}
 		for i := 0; i < ndof; i++ {
 			krow := ke[i*ndof : (i+1)*ndof]
-			for k := 0; k < 6; k++ {
-				bki := scr.b[k][i]
-				if bki == 0 {
-					continue
-				}
-				wb := w * bki
-				fe[i] += wb * sig[k]
-				row := scr.db[k][:len(krow)]
-				for j, v := range row {
-					krow[j] += wb * v
+			if !fusedRow(rows[i%3], i, w, sig, scr, krow, fe) {
+				for _, k := range rows[i%3] {
+					bki := scr.b[k][i]
+					if bki == 0 {
+						continue
+					}
+					wb := w * bki
+					fe[i] += wb * sig[k]
+					row := scr.db[k][:len(krow)]
+					for j, v := range row {
+						krow[j] += wb * v
+					}
 				}
 			}
 		}
 		flops += int64(6*ndof*6*2 + ndof*6*(ndof+1)*2)
 	}
 	return flops, nil
+}
+
+// bRows lists, for the displacement component c of a column of B, the
+// rows in which bMatrix can fill that column, ascending: bRows[0] without
+// B-bar (the normal row of c and its two shear rows), bRows[1] with it
+// (all three normal rows, then the shear rows).
+var bRows = [2][3][]int{
+	{{0, 3, 5}, {1, 3, 4}, {2, 4, 5}},
+	{{0, 1, 2, 3, 5}, {0, 1, 2, 3, 4}, {0, 1, 2, 4, 5}},
+}
+
+// fusedRow adds column i's terms of w·Bᵀ·(D·B) to krow and of w·Bᵀ·σ to
+// fe[i] for the rows ks of B, in one pass over krow. It does nothing and
+// returns false when one of B's entries there is exactly zero.
+func fusedRow(ks []int, i int, w float64, sig material.Voigt, scr *elemScratch, krow, fe []float64) bool {
+	var wb [5]float64
+	for t, k := range ks {
+		bki := scr.b[k][i]
+		if bki == 0 {
+			return false
+		}
+		wb[t] = w * bki
+	}
+	for t, k := range ks {
+		fe[i] += wb[t] * sig[k]
+	}
+	n := len(krow)
+	r0, r1, r2 := scr.db[ks[0]][:n], scr.db[ks[1]][:n], scr.db[ks[2]][:n]
+	w0, w1, w2 := wb[0], wb[1], wb[2]
+	if len(ks) == 3 {
+		for j := range krow {
+			krow[j] = krow[j] + w0*r0[j] + w1*r1[j] + w2*r2[j]
+		}
+		return true
+	}
+	r3, r4 := scr.db[ks[3]][:n], scr.db[ks[4]][:n]
+	w3, w4 := wb[3], wb[4]
+	for j := range krow {
+		krow[j] = krow[j] + w0*r0[j] + w1*r1[j] + w2*r2[j] + w3*r3[j] + w4*r4[j]
+	}
+	return true
 }
 
 // Element integration runs on the shared worker set, assembleChunk
@@ -400,7 +452,8 @@ func (p *Problem) AssembleTangent(u []float64) (*sparse.CSR, []float64, error) {
 // comes back in BSR — the paper's BAIJ storage — ready for the blocked
 // solver stack without a conversion pass. The block pattern is known before
 // any number is: the arrays are allocated once from the mesh's NodePattern
-// and each element's 3x3 node-pair blocks are added straight into Val.
+// and each element's 3x3 node-pair blocks are added straight into Val, a
+// chunk at a time by drainKernel.
 func (p *Problem) AssembleBlockTangent(u []float64) (*sparse.BSR, []float64, error) {
 	sp := obs.Start(evAssemble)
 	defer sp.End()
@@ -409,44 +462,163 @@ func (p *Problem) AssembleBlockTangent(u []float64) (*sparse.BSR, []float64, err
 		return nil, nil, fmt.Errorf("fem: u has %d entries, want %d", len(u), n)
 	}
 	spp := obs.Start(evAssemblePattern)
-	rowPtr, colIdx := p.M.NodePattern()
+	d := p.newDrainKernel()
 	spp.End()
-	val := make([]float64, 9*len(colIdx))
-	fint := make([]float64, n)
-	ndof := 3 * p.M.Type.NodesPerElem()
-
-	// Deterministic accumulation in element order, node pair by node
-	// pair: every stored entry is the same sum in the same order whoever
-	// integrated the elements.
-	err := p.integrateChunks(u, func(e0, e1 int, kes, fes []float64) {
-		for e := e0; e < e1; e++ {
-			conn := p.M.Elems[e]
-			ke := kes[(e-e0)*ndof*ndof : (e-e0+1)*ndof*ndof]
-			fe := fes[(e-e0)*ndof : (e-e0+1)*ndof]
-			for a, va := range conn {
-				for i := 0; i < 3; i++ {
-					fint[3*va+i] += fe[3*a+i]
-				}
-				lo := rowPtr[va]
-				row := colIdx[lo:rowPtr[va+1]]
-				for bn, vb := range conn {
-					k, _ := slices.BinarySearch(row, vb)
-					blk := val[9*(lo+k) : 9*(lo+k)+9]
-					for i := 0; i < 3; i++ {
-						src := ke[(3*a+i)*ndof+3*bn : (3*a+i)*ndof+3*bn+3]
-						blk[3*i+0] += src[0]
-						blk[3*i+1] += src[1]
-						blk[3*i+2] += src[2]
-					}
-				}
-			}
-		}
-	})
-	if err != nil {
+	if err := p.integrateChunks(u, d.run); err != nil {
 		return nil, nil, err
 	}
 	nv := p.M.NumVerts()
-	return &sparse.BSR{NBRows: nv, NBCols: nv, B: 3, RowPtr: rowPtr, ColIdx: colIdx, Val: val}, fint, nil
+	return &sparse.BSR{NBRows: nv, NBCols: nv, B: 3, RowPtr: d.rowPtr, ColIdx: d.colIdx, Val: d.val}, d.fint, nil
+}
+
+// drainKernel adds one chunk's element tangents and forces into the
+// assembled BSR values and the internal force, item s being the chunk's
+// s-th vertex: it owns that vertex's block row and its three fint entries,
+// and adds the vertex's incidences in the chunk in element order. So every
+// stored entry is the sum, in element order, of its elements' terms,
+// whoever drains which vertex, and the work of a chunk is its incidences,
+// not the range of vertices they span.
+type drainKernel struct {
+	elems          [][]int
+	ndof           int
+	rowPtr, colIdx []int
+	val, fint      []float64
+	inc            mesh.Incidence
+	// The vertices chunk c references are verts[chunkPtr[c]:chunkPtr[c+1]],
+	// ascending; first[s] is the position in inc of verts[s]'s first
+	// element in the chunk.
+	chunkPtr, verts, first []int32
+
+	// The chunk being drained: elements [e0, e1), their tangents and
+	// forces in kes and fes slot by slot, and its vertices.
+	e0, e1   int
+	kes, fes []float64
+	cv, cf   []int32
+	// pos is a lane's map from a column vertex to its place in the block
+	// row being drained.
+	pos [pool.Lanes][]int32
+}
+
+// newDrainKernel allocates the assembled arrays from the mesh's pattern
+// and lists the vertices of every chunk: one count pass and one fill pass
+// over the incidence, which holds each vertex's elements in ascending
+// order, so a vertex's chunks come in order too.
+func (p *Problem) newDrainKernel() *drainKernel {
+	rowPtr, colIdx, inc := p.M.NodePattern()
+	nv := p.M.NumVerts()
+	nc := (p.M.NumElems() + assembleChunk - 1) / assembleChunk
+	d := &drainKernel{
+		elems: p.M.Elems, ndof: 3 * p.M.Type.NodesPerElem(),
+		rowPtr: rowPtr, colIdx: colIdx, inc: inc,
+		val:      make([]float64, 9*len(colIdx)),
+		fint:     make([]float64, 3*nv),
+		chunkPtr: make([]int32, nc+1),
+	}
+	chunks := func(v int, visit func(c int, t int32)) {
+		last := -1
+		for t := inc.Ptr[v]; t < inc.Ptr[v+1]; t++ {
+			if c := int(inc.Elem[t]) / assembleChunk; c != last {
+				visit(c, t)
+				last = c
+			}
+		}
+	}
+	for v := 0; v < nv; v++ {
+		chunks(v, func(c int, _ int32) { d.chunkPtr[c+1]++ })
+	}
+	for c := 0; c < nc; c++ {
+		d.chunkPtr[c+1] += d.chunkPtr[c]
+	}
+	d.verts = make([]int32, d.chunkPtr[nc])
+	d.first = make([]int32, d.chunkPtr[nc])
+	next := slices.Clone(d.chunkPtr[:nc])
+	for v := 0; v < nv; v++ {
+		chunks(v, func(c int, t int32) {
+			d.verts[next[c]], d.first[next[c]] = int32(v), t
+			next[c]++
+		})
+	}
+	return d
+}
+
+// chunk points the kernel at elements [e0, e1), one chunk, integrated
+// into kes and fes, and returns its item count.
+func (d *drainKernel) chunk(e0, e1 int, kes, fes []float64) int {
+	c := e0 / assembleChunk
+	d.e0, d.e1, d.kes, d.fes = e0, e1, kes, fes
+	d.cv, d.cf = d.verts[d.chunkPtr[c]:d.chunkPtr[c+1]], d.first[d.chunkPtr[c]:d.chunkPtr[c+1]]
+	return len(d.cv)
+}
+
+// run drains elements [e0, e1), one chunk, on the shared worker set.
+func (d *drainKernel) run(e0, e1 int, kes, fes []float64) {
+	npe := d.ndof / 3
+	pool.RunItems(d, d.chunk(e0, e1, kes, fes), 1, 9*npe*npe*(e1-e0))
+}
+
+// Items implements pool.ItemKernel (see drainKernel).
+func (d *drainKernel) Items(w, lo, hi int) {
+	pos := d.pos[w]
+	if pos == nil {
+		pos = make([]int32, len(d.rowPtr)-1)
+		d.pos[w] = pos
+	}
+	ndof := d.ndof
+	for s := lo; s < hi; s++ {
+		v := int(d.cv[s])
+		p0 := d.rowPtr[v]
+		for k, col := range d.colIdx[p0:d.rowPtr[v+1]] {
+			pos[col] = int32(k)
+		}
+		f := d.fint[3*v : 3*v+3]
+		end := d.inc.Ptr[v+1]
+		// A vertex an element lists twice (a collapsed element) has two
+		// incidences of it in a row, its local nodes in order.
+		prev, a := -1, -1
+		for t := d.cf[s]; t < end && int(d.inc.Elem[t]) < d.e1; t++ {
+			e := int(d.inc.Elem[t])
+			conn := d.elems[e]
+			if e != prev {
+				a = -1
+			}
+			a += 1 + slices.Index(conn[a+1:], v)
+			prev = e
+			ke := d.kes[(e-d.e0)*ndof*ndof : (e-d.e0+1)*ndof*ndof]
+			fe := d.fes[(e-d.e0)*ndof+3*a : (e-d.e0)*ndof+3*a+3]
+			f[0] += fe[0]
+			f[1] += fe[1]
+			f[2] += fe[2]
+			for bn, vb := range conn {
+				k := p0 + int(pos[vb])
+				blk := d.val[9*k : 9*k+9]
+				for i := 0; i < 3; i++ {
+					src := ke[(3*a+i)*ndof+3*bn : (3*a+i)*ndof+3*bn+3]
+					blk[3*i+0] += src[0]
+					blk[3*i+1] += src[1]
+					blk[3*i+2] += src[2]
+				}
+			}
+		}
+	}
+}
+
+// DrainKernels integrates the mesh's first chunk at u and returns its
+// item count and fresh, which gives a new drain of that chunk as
+// AssembleBlockTangent dispatches it, with the zeroed value and force
+// arrays it adds into, for TestKernelContract.
+func (p *Problem) DrainKernels(u []float64) (fresh func() (k pool.ItemKernel, val, fint []float64), n int, err error) {
+	ik := p.newIntegrateKernel()
+	e1 := min(p.M.NumElems(), assembleChunk)
+	if err := ik.run(ik, u, 0, e1); err != nil {
+		return nil, 0, err
+	}
+	fresh = func() (pool.ItemKernel, []float64, []float64) {
+		d := p.newDrainKernel()
+		d.chunk(0, e1, ik.kes, ik.fes)
+		return d, d.val, d.fint
+	}
+	d, _, _ := fresh()
+	return fresh, len(d.(*drainKernel).cv), nil
 }
 
 // Commit recomputes the material response at u and stores the new history

@@ -41,6 +41,10 @@ func TestAssembleMatchesBuilderReference(t *testing.T) {
 	cube := problems.NewCube(cubeN, material.LinearElastic{E: 1, Nu: 0.3}, -0.001)
 	hex := mesh.StructuredHex(5, 4, 3, 5, 4, 3, nil)
 	j2 := []material.Model{material.J2Plasticity{E: 1, Nu: 0.3, SigmaY: 1e-3, H: 0.002}}
+	// A collapsed element lists a vertex twice: its top edge 6–7 is one
+	// vertex.
+	collapsed := mesh.StructuredHex(3, 2, 2, 3, 2, 2, nil)
+	collapsed.Elems[4][7] = collapsed.Elems[4][6]
 	for _, tc := range []struct {
 		name  string
 		p     *fem.Problem
@@ -52,6 +56,7 @@ func TestAssembleMatchesBuilderReference(t *testing.T) {
 		{"tet4 procs=3", fem.NewProblem(mesh.HexToTets(hex), j2, false), 3},
 		{"hex20", fem.NewProblem(mesh.StructuredHex20(3, 2, 2, 3, 2, 2, nil), j2, true), 1},
 		{"hex20 procs=3", fem.NewProblem(mesh.StructuredHex20(3, 2, 2, 3, 2, 2, nil), j2, true), 3},
+		{"collapsed hex8", fem.NewProblem(collapsed, j2, false), 1},
 	} {
 		u := crushed(tc.p.M)
 		want, wantF, err := fem.AssembleBlockTangentBuilder(tc.p, u)
@@ -214,4 +219,56 @@ func dropRow(k *sparse.CSR, r int) *sparse.CSR {
 		out.RowPtr[i] -= hi - lo
 	}
 	return out
+}
+
+// TestAssemblyIndependentOfProcs checks the assembled BSR, fint, and the
+// reduced kred and fred of its expansion against the serial references
+// (the BlockBuilder assembly and the Builder reduction) by Float64bits at
+// GOMAXPROCS 1, 2 and 4, on systems whose drain chunks and conversions
+// are above pool.Grain: the cube under node-aligned constraints, and the
+// crushed B-bar J2 spheres, whose symmetry planes fix single components.
+func TestAssemblyIndependentOfProcs(t *testing.T) {
+	spheres := problems.NewSpheresConfig(problems.SpheresConfig{Layers: 3, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2})
+	cube := problems.NewCube(8, material.LinearElastic{E: 1, Nu: 0.3}, -0.001)
+	for _, tc := range []struct {
+		name string
+		p    *fem.Problem
+		cons *fem.Constraints
+	}{
+		{"cube", fem.NewProblem(cube.Mesh, cube.Models, false), cube.Cons},
+		{"spheres B-bar J2", fem.NewProblem(spheres.Mesh, spheres.Models, true), spheres.Cons.Scaled(0.1)},
+	} {
+		u := crushed(tc.p.M)
+		want, wantF, err := fem.AssembleBlockTangentBuilder(tc.p, u)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", tc.name, err)
+		}
+		dm := tc.cons.NewDofMap(tc.p.M.NumDOF())
+		wantRed, wantRedF := reduceBuilder(tc.cons, want.ToCSR(), wantF, dm)
+		if tc.name != "cube" && dm.NodeAligned(3) {
+			t.Fatalf("%s: the constraints are node-aligned, the case is meant to cover the other kind", tc.name)
+		}
+		for _, procs := range []int{1, 2, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			kb, fint, err := tc.p.AssembleBlockTangent(u)
+			if err != nil {
+				runtime.GOMAXPROCS(prev)
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			kred, fred := tc.cons.Reduce(kb.ToCSR(), fint, dm)
+			runtime.GOMAXPROCS(prev)
+			if !slices.Equal(kb.RowPtr, want.RowPtr) || !slices.Equal(kb.ColIdx, want.ColIdx) || !sameFloatBits(kb.Val, want.Val) {
+				t.Fatalf("%s, GOMAXPROCS=%d: assembled BSR differs from the BlockBuilder reference", tc.name, procs)
+			}
+			if !sameFloatBits(fint, wantF) {
+				t.Fatalf("%s, GOMAXPROCS=%d: fint differs from the reference", tc.name, procs)
+			}
+			if !slices.Equal(kred.RowPtr, wantRed.RowPtr) || !slices.Equal(kred.ColIdx, wantRed.ColIdx) || !sameFloatBits(kred.Val, wantRed.Val) {
+				t.Fatalf("%s, GOMAXPROCS=%d: kred differs from the Builder reduction", tc.name, procs)
+			}
+			if !sameFloatBits(fred, wantRedF) {
+				t.Fatalf("%s, GOMAXPROCS=%d: fred differs from the Builder reduction", tc.name, procs)
+			}
+		}
+	}
 }

@@ -11,6 +11,10 @@ import (
 // unassigned vertex (a graph-growing heuristic standing in for METIS,
 // which the paper uses both for the processor decomposition and for the
 // block-Jacobi smoother blocks). It returns part[v] in [0, nparts).
+// g may list a vertex among its own neighbours, as a square matrix's
+// pattern lists its diagonal: a vertex is assigned before its list is
+// read, so the self entry changes nothing, and the pattern of a
+// structurally symmetric matrix partitions as NewFromPattern's graph of it.
 func GreedyPartition(g *Graph, nparts int) []int {
 	if nparts < 1 {
 		panic("graph: nparts must be >= 1")

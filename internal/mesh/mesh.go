@@ -84,29 +84,36 @@ func (m *Mesh) Validate() error {
 // NodeGraph returns the vertex adjacency graph: two vertices are adjacent
 // when they share an element. This is the graph the MIS coarsening runs on.
 func (m *Mesh) NodeGraph() *graph.Graph {
-	ptr, adj := m.adjacency(false)
+	ptr, adj, _ := m.adjacency(false)
 	return &graph.Graph{N: len(m.Coords), Ptr: ptr, Adj: adj}
 }
 
 // NodePattern returns, in CSR form, the block sparsity pattern of every
 // operator assembled on the mesh: row v lists in ascending order the
 // vertices that share an element with v, v itself included. A vertex no
-// element references has an empty row.
-func (m *Mesh) NodePattern() (ptr, idx []int) {
+// element references has an empty row. It also returns the vertex →
+// element incidence the rows are merged from, which an assembly that
+// scatters element by element into the pattern reuses.
+func (m *Mesh) NodePattern() (ptr, idx []int, inc Incidence) {
 	return m.adjacency(true)
 }
 
-// adjacency is the kernel of NodeGraph and NodePattern. It inverts the
-// connectivity into a vertex→element incidence, then merges the
-// connectivity of each vertex's elements through a marker array: one pass
-// counts the distinct neighbours of every vertex, a second writes and
-// sorts them, so the arrays are allocated once at their final size. With
-// self a vertex is listed in its own row, without it self references
-// (the graph's would-be loops) are skipped.
-func (m *Mesh) adjacency(self bool) (ptr, adj []int) {
+// Incidence is the vertex → element incidence of a mesh: the elements
+// that reference vertex v are Elem[Ptr[v]:Ptr[v+1]], in ascending order.
+type Incidence struct {
+	Ptr, Elem []int32
+}
+
+// adjacency is the kernel of NodeGraph and NodePattern.
+// It inverts the connectivity into the vertex→element incidence, then
+// merges the connectivity of each vertex's elements through a marker
+// array: one pass counts the distinct neighbours of every vertex, a second
+// writes and sorts them, so the arrays are allocated once at their final
+// size. With self a vertex is listed in its own row, without it self
+// references (the graph's would-be loops) are skipped.
+func (m *Mesh) adjacency(self bool) (ptr, adj []int, in Incidence) {
 	nv := len(m.Coords)
-	// Incidence: the elements of vertex v are inc[incPtr[v]:incPtr[v+1]].
-	incPtr := make([]int, nv+1)
+	incPtr := make([]int32, nv+1)
 	for _, conn := range m.Elems {
 		for _, v := range conn {
 			incPtr[v+1]++
@@ -115,12 +122,12 @@ func (m *Mesh) adjacency(self bool) (ptr, adj []int) {
 	for v := 0; v < nv; v++ {
 		incPtr[v+1] += incPtr[v]
 	}
-	inc := make([]int, incPtr[nv])
-	next := make([]int, nv)
+	inc := make([]int32, incPtr[nv])
+	next := make([]int32, nv)
 	copy(next, incPtr)
 	for e, conn := range m.Elems {
 		for _, v := range conn {
-			inc[next[v]] = e
+			inc[next[v]] = int32(e)
 			next[v]++
 		}
 	}
@@ -133,14 +140,15 @@ func (m *Mesh) adjacency(self bool) (ptr, adj []int) {
 	}
 	ptr = make([]int, nv+1)
 	for v := 0; v < nv; v++ {
+		stamp := int32(v)
 		if !self {
-			mark[v] = v
+			mark[v] = stamp
 		}
 		n := 0
 		for _, e := range inc[incPtr[v]:incPtr[v+1]] {
 			for _, w := range m.Elems[e] {
-				if mark[w] != v {
-					mark[w] = v
+				if mark[w] != stamp {
+					mark[w] = stamp
 					n++
 				}
 			}
@@ -149,7 +157,7 @@ func (m *Mesh) adjacency(self bool) (ptr, adj []int) {
 	}
 	adj = make([]int, ptr[nv])
 	for v := 0; v < nv; v++ {
-		stamp := v + nv
+		stamp := int32(v + nv)
 		if !self {
 			mark[v] = stamp
 		}
@@ -165,7 +173,7 @@ func (m *Mesh) adjacency(self bool) (ptr, adj []int) {
 		}
 		slices.Sort(adj[ptr[v]:n])
 	}
-	return ptr, adj
+	return ptr, adj, Incidence{Ptr: incPtr, Elem: inc}
 }
 
 // hexFaces lists the local quad faces of a Hex8 with outward orientation.

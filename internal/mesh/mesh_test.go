@@ -113,7 +113,7 @@ func TestNodeGraphMatchesEdgeList(t *testing.T) {
 		}
 		// NodePattern is the same rows with the diagonal merged in, for
 		// every vertex some element references.
-		ptr, idx := m.NodePattern()
+		ptr, idx, _ := m.NodePattern()
 		for v := 0; v < m.NumVerts(); v++ {
 			row := idx[ptr[v]:ptr[v+1]]
 			wantRow := append([]int(nil), want.Neighbors(v)...)

@@ -222,7 +222,10 @@ func New(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG, 
 // from, for the caller to hand to the next Build. A hierarchy filled from a
 // reused plan is bitwise the one a new plan gives. The fine operator must
 // store its entries (*sparse.CSR or *sparse.BSR): the plan is made from its
-// pattern.
+// pattern. That pattern, and each Galerkin level's, must be structurally
+// symmetric — (j, i) stored wherever (i, j) is — as every assembled or
+// Galerkin operator's is: the smoother's blocks are partitioned on it as a
+// graph (a check under promdebug).
 func Build(plan *Plan, fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG, *Plan, error) {
 	if err := CheckAssembled(fineA); err != nil {
 		return nil, nil, err

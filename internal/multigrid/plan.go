@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 
+	"prometheus/internal/check"
 	"prometheus/internal/direct"
 	"prometheus/internal/graph"
 	"prometheus/internal/obs"
@@ -115,7 +116,7 @@ func (p *Plan) fill(fine sparse.Operator) (*MG, error) {
 			mg.SetupFlops += 4 * int64(s.NNZ())
 		}
 		if planning {
-			if err := p.planLevel(l, s); err != nil {
+			if err := p.planLevel(l, s, fine); err != nil {
 				return nil, err
 			}
 		}
@@ -238,9 +239,14 @@ func (p *Plan) planStorage(l int) {
 }
 
 // planLevel plans what level l does with its matrix s: the ordering of the
-// coarsest level's factorization, or the smoother's blocks and, from s's
-// pattern, the envelopes their factors are stored in.
-func (p *Plan) planLevel(l int, s sparse.Operator) error {
+// coarsest level's factorization, from s's own entries, or the smoother's
+// blocks and, from s's pattern, the envelopes their factors are stored in.
+// A level 0 blocked from a CSR with no fill (expanded) reads the pattern
+// from fine, the CSR it was blocked from, which is exactly s's expansion.
+// The partition runs on the pattern itself: for a structurally symmetric
+// pattern a row's columns are its graph neighbours and the row itself,
+// which the partitioner's search has assigned before it looks.
+func (p *Plan) planLevel(l int, s, fine sparse.Operator) error {
 	sp := obs.Start(evPlan)
 	defer sp.End()
 	lp := p.levels[l]
@@ -252,10 +258,17 @@ func (p *Plan) planLevel(l int, s sparse.Operator) error {
 		lp.chol = ch
 		return nil
 	}
-	e := sparse.ScalarPatternOf(s)
+	pat := s
+	if l == 0 && p.expanded {
+		pat = fine
+	}
+	e := sparse.ScalarPatternOf(pat)
+	if check.Enabled {
+		check.SymmetricPattern(e.NRows, e.RowPtr, e.ColIdx, fmt.Sprintf("multigrid: level %d pattern", l))
+	}
 	nb := p.opts.BlockCount(e.NRows)
 	spp := obs.Start(evSmootherPartition)
-	part := graph.GreedyPartition(graph.NewFromPattern(e.NRows, e.RowPtr, e.ColIdx), nb)
+	part := graph.GreedyPartition(&graph.Graph{N: e.NRows, Ptr: e.RowPtr, Adj: e.ColIdx}, nb)
 	spp.End()
 	lp.bj = smooth.PlanBlocks(e, graph.PartMembers(part, nb))
 	return nil

@@ -263,8 +263,37 @@ func TestServeObsOnOffIdentical(t *testing.T) {
 }
 
 // promLine matches one Prometheus text-format sample line:
-// name{labels} value — where the value is an integer, float or +Inf.
-var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? (\+Inf|-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?)$`)
+// name{labels} value — where labels are comma-separated name="value"
+// pairs, a value any quoted string (braces included, \" and \\ escaped),
+// and the sample value an integer, float or +Inf.
+var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*` +
+	`(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"(,[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")*\})?` +
+	` (\+Inf|-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?)$`)
+
+// TestPromLine pins the sample grammar TestMetricsEndpoint checks /metrics
+// with: a route template's braces inside a quoted label value are valid,
+// an unquoted brace, a label with no value and a malformed number are not.
+func TestPromLine(t *testing.T) {
+	for _, c := range []struct {
+		line string
+		ok   bool
+	}{
+		{`prometheus_obs_enabled 1`, true},
+		{`prometheus_serve_http_requests_total{route="/v1/sessions/{id}/trace",status="200"} 0`, true},
+		{`prometheus_serve_http_request_ns_bucket{route="/v1/solve",le="+Inf"} 2`, true},
+		{`prometheus_pool_spin_seconds 1.5e-06`, true},
+		{`m{path="a \"quoted\" {x}"} 3`, true},
+		{`prometheus_serve_http_requests_total{route=/v1/sessions/{id}/trace} 0`, false},
+		{`prometheus_serve_http_requests_total{route} 0`, false},
+		{`prometheus_serve_http_requests_total{route="/v1/solve",status} 0`, false},
+		{`prometheus_obs_enabled 1.2.3`, false},
+		{`prometheus_obs_enabled --1`, false},
+	} {
+		if got := promLine.MatchString(c.line); got != c.ok {
+			t.Errorf("promLine.MatchString(%q) = %v, want %v", c.line, got, c.ok)
+		}
+	}
+}
 
 // TestMetricsEndpoint scrapes /metrics after a request mix and checks
 // the exposition: correct content type, every non-comment line in

@@ -227,9 +227,10 @@ func FromCSR(a *CSR, b int) (*BSR, error) {
 	return t.FillFromCSR(a), nil
 }
 
-// BlockPattern is the pattern half of FromCSR (Val nil): one pass counts
-// the distinct block columns of every block row, one collects and sorts
-// them.
+// BlockPattern is the pattern half of FromCSR (Val nil): a count pass
+// finds how many distinct block columns every block row has, and after
+// their prefix sum a fill pass collects and sorts them, both over the
+// block rows on the shared worker set (blockKernel).
 func BlockPattern(a *CSR, b int) (*BSR, error) {
 	if b < 1 {
 		return nil, fmt.Errorf("sparse: FromCSR block size %d < 1", b)
@@ -238,65 +239,134 @@ func BlockPattern(a *CSR, b int) (*BSR, error) {
 		return nil, fmt.Errorf("sparse: FromCSR %dx%d not divisible by block size %d", a.NRows, a.NCols, b)
 	}
 	nbr, nbc := a.NRows/b, a.NCols/b
-	rowPtr := make([]int, nbr+1)
-	mark := make([]int, nbc)
-	for i := range mark {
-		mark[i] = -1
-	}
+	t := &BSR{NBRows: nbr, NBCols: nbc, B: b, RowPtr: make([]int, nbr+1)}
+	k := &blockKernel{a: a, t: t}
+	pool.RunItems(k, nbr, 1, a.NNZ())
 	for ib := 0; ib < nbr; ib++ {
-		n := 0
-		for _, j := range a.ColIdx[a.RowPtr[ib*b]:a.RowPtr[ib*b+b]] {
-			if jb := j / b; mark[jb] != ib {
-				mark[jb] = ib
-				n++
-			}
-		}
-		rowPtr[ib+1] = rowPtr[ib] + n
+		t.RowPtr[ib+1] += t.RowPtr[ib]
 	}
-	colIdx := make([]int, rowPtr[nbr])
-	for i := range mark {
-		mark[i] = -1
-	}
-	for ib := 0; ib < nbr; ib++ {
-		n := rowPtr[ib]
-		for _, j := range a.ColIdx[a.RowPtr[ib*b]:a.RowPtr[ib*b+b]] {
-			if jb := j / b; mark[jb] != ib {
-				mark[jb] = ib
-				colIdx[n] = jb
-				n++
-			}
-		}
-		sort.Ints(colIdx[rowPtr[ib]:n])
-	}
+	t.ColIdx = make([]int, t.RowPtr[nbr])
+	k.pass = patternPass
+	pool.RunItems(k, nbr, 1, a.NNZ())
 	if check.Enabled {
-		check.CSRWellFormed(nbr, nbc, rowPtr, colIdx, len(colIdx), "sparse.BlockPattern")
+		check.CSRWellFormed(nbr, nbc, t.RowPtr, t.ColIdx, len(t.ColIdx), "sparse.BlockPattern")
 	}
-	return &BSR{NBRows: nbr, NBCols: nbc, B: b, RowPtr: rowPtr, ColIdx: colIdx}, nil
+	return t, nil
+}
+
+// pass says what one run of a conversion kernel over the rows of its
+// result writes: each row's entry count at RowPtr[i+1] (countPass), its
+// columns (patternPass) or its values (valuesPass).
+type pass uint8
+
+const (
+	countPass pass = iota
+	patternPass
+	valuesPass
+)
+
+// blockKernel is BlockPattern's count and pattern passes over the block
+// rows of t, the blocked pattern of a. A lane marks the block columns of
+// the block row it is on, stamped with the row — plus NBRows in the
+// pattern pass — so that no pass clears the marks of another.
+type blockKernel struct {
+	a    *CSR
+	t    *BSR
+	pass pass
+	mark [pool.Lanes][]int32
+}
+
+// BlockPatternKernels returns BlockPattern's count pass, which writes
+// t.RowPtr[1:] uncumulated, and its pattern pass, which writes t.ColIdx
+// from the summed t.RowPtr, for TestKernelContract.
+func BlockPatternKernels(a *CSR, t *BSR) (count, fill pool.ItemKernel) {
+	return &blockKernel{a: a, t: t}, &blockKernel{a: a, t: t, pass: patternPass}
+}
+
+// Items implements pool.ItemKernel.
+func (k *blockKernel) Items(w, lo, hi int) {
+	t, b, a := k.t, k.t.B, k.a
+	mark := k.mark[w]
+	if mark == nil {
+		mark = make([]int32, t.NBCols)
+		for i := range mark {
+			mark[i] = -1
+		}
+		k.mark[w] = mark
+	}
+	off := 0
+	if k.pass == patternPass {
+		off = t.NBRows
+	}
+	for ib := lo; ib < hi; ib++ {
+		stamp := int32(off + ib)
+		n := 0
+		if k.pass == patternPass {
+			n = t.RowPtr[ib]
+		}
+		for _, j := range a.ColIdx[a.RowPtr[ib*b]:a.RowPtr[ib*b+b]] {
+			if jb := j / b; mark[jb] != stamp {
+				mark[jb] = stamp
+				if k.pass == patternPass {
+					t.ColIdx[n] = jb
+				}
+				n++
+			}
+		}
+		if k.pass == patternPass {
+			sort.Ints(t.ColIdx[t.RowPtr[ib]:n])
+		} else {
+			t.RowPtr[ib+1] = n
+		}
+	}
 }
 
 // FillFromCSR is the value half of FromCSR: a new matrix with t's pattern
 // holding a's values, where t is BlockPattern of a matrix with a's
-// pattern. A scalar row's columns are sorted, so its block columns are
-// met in t's order and one cursor per row finds each entry's block.
+// pattern. It runs over the block rows on the shared worker set
+// (reblockKernel).
 func (t *BSR) FillFromCSR(a *CSR) *BSR {
+	out := &BSR{NBRows: t.NBRows, NBCols: t.NBCols, B: t.B, RowPtr: t.RowPtr, ColIdx: t.ColIdx, Val: make([]float64, t.NNZ())}
+	pool.RunItems(t.FillFromCSRKernel(a, out.Val), t.NBRows, 1, a.NNZ())
+	return out
+}
+
+// reblockKernel is FillFromCSR's pass over the block rows of t: block row
+// ib writes the entries of a's scalar rows ib·B … ib·B+B-1 into its
+// blocks of val. A scalar row's columns are sorted, so its block columns
+// are met in t's order and one cursor per row finds each entry's block.
+// Block positions a does not store are left as they are.
+type reblockKernel struct {
+	a   *CSR
+	t   *BSR
+	val []float64
+}
+
+// FillFromCSRKernel returns FillFromCSR's pass writing a's values into
+// val, laid out as t's, for TestKernelContract.
+func (t *BSR) FillFromCSRKernel(a *CSR, val []float64) pool.ItemKernel {
+	return &reblockKernel{a: a, t: t, val: val}
+}
+
+// Items implements pool.ItemKernel.
+func (k *reblockKernel) Items(_, lo, hi int) {
+	t, a := k.t, k.a
 	b := t.B
 	bb := b * b
-	val := make([]float64, len(t.ColIdx)*bb)
-	for i := 0; i < a.NRows; i++ {
+	for i := lo * b; i < hi*b; i++ {
 		ib, d := i/b, i%b
 		p := t.RowPtr[ib]
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		cols := a.ColIdx[lo:hi]
-		vals := a.Val[lo:hi:hi]
+		p0, p1 := a.RowPtr[i], a.RowPtr[i+1]
+		cols := a.ColIdx[p0:p1]
+		vals := a.Val[p0:p1:p1]
 		vals = vals[:len(cols)]
-		for k, j := range cols {
+		for q, j := range cols {
 			for t.ColIdx[p] != j/b {
 				p++
 			}
-			val[p*bb+d*b+j%b] = vals[k]
+			k.val[p*bb+d*b+j%b] = vals[q]
 		}
 	}
-	return &BSR{NBRows: t.NBRows, NBCols: t.NBCols, B: b, RowPtr: t.RowPtr, ColIdx: t.ColIdx, Val: val}
 }
 
 // ToCSR expands the blocked matrix to scalar CSR, emitting all B*B entries
@@ -307,25 +377,14 @@ func (a *BSR) ToCSR() *CSR {
 	return a.ScalarPattern().FillFromBSR(a)
 }
 
-// ScalarPattern is the pattern half of ToCSR (Val nil).
+// ScalarPattern is the pattern half of ToCSR (Val nil). Every scalar row
+// of block row ib has B entries per block, so its entries start at
+// B²·RowPtr[ib] and no count pass is needed: one pass over the block rows
+// writes the row pointers and columns on the shared worker set
+// (expandKernel).
 func (a *BSR) ScalarPattern() *CSR {
-	b := a.B
-	rowPtr := make([]int, a.Rows()+1)
-	colIdx := make([]int, len(a.ColIdx)*b*b)
-	n := 0
-	for ib := 0; ib < a.NBRows; ib++ {
-		blockCols := a.ColIdx[a.RowPtr[ib]:a.RowPtr[ib+1]]
-		for d := 0; d < b; d++ {
-			for _, jb := range blockCols {
-				for c := 0; c < b; c++ {
-					colIdx[n] = jb*b + c
-					n++
-				}
-			}
-			rowPtr[ib*b+d+1] = n
-		}
-	}
-	out := &CSR{NRows: a.Rows(), NCols: a.Cols(), RowPtr: rowPtr, ColIdx: colIdx}
+	out := &CSR{NRows: a.Rows(), NCols: a.Cols(), RowPtr: make([]int, a.Rows()+1), ColIdx: make([]int, a.NNZ())}
+	pool.RunItems(a.ScalarPatternKernel(out), a.NBRows, 1, a.NNZ())
 	if check.Enabled {
 		check.CSRWellFormed(out.NRows, out.NCols, out.RowPtr, out.ColIdx, len(out.ColIdx), "sparse.BSR.ScalarPattern")
 	}
@@ -334,21 +393,59 @@ func (a *BSR) ScalarPattern() *CSR {
 
 // FillFromBSR is the value half of ToCSR: a new matrix with t's pattern
 // holding a's values, where t is the ScalarPattern of a matrix with a's
-// pattern.
+// pattern, written over a's block rows on the shared worker set.
 func (t *CSR) FillFromBSR(a *BSR) *CSR {
+	out := &CSR{NRows: t.NRows, NCols: t.NCols, RowPtr: t.RowPtr, ColIdx: t.ColIdx, Val: make([]float64, len(t.ColIdx))}
+	pool.RunItems(a.FillFromBSRKernel(out), a.NBRows, 1, a.NNZ())
+	return out
+}
+
+// expandKernel is the ToCSR expansion of a into c over a's block rows:
+// block row ib writes scalar rows ib·B … ib·B+B-1 of c, from position
+// B²·RowPtr[ib] — in the pattern pass their row pointers c.RowPtr[i+1]
+// and columns, in the values pass their values.
+type expandKernel struct {
+	a    *BSR
+	c    *CSR
+	pass pass
+}
+
+// ScalarPatternKernel returns ScalarPattern's pass writing out.RowPtr[1:]
+// and out.ColIdx, and FillFromBSRKernel the value pass writing out.Val,
+// for TestKernelContract.
+func (a *BSR) ScalarPatternKernel(out *CSR) pool.ItemKernel {
+	return &expandKernel{a: a, c: out, pass: patternPass}
+}
+
+// FillFromBSRKernel: see ScalarPatternKernel.
+func (a *BSR) FillFromBSRKernel(out *CSR) pool.ItemKernel {
+	return &expandKernel{a: a, c: out, pass: valuesPass}
+}
+
+// Items implements pool.ItemKernel.
+func (k *expandKernel) Items(_, lo, hi int) {
+	a, c := k.a, k.c
 	b := a.B
 	bb := b * b
-	val := make([]float64, len(t.ColIdx))
-	n := 0
-	for ib := 0; ib < a.NBRows; ib++ {
+	for ib := lo; ib < hi; ib++ {
 		p, q := a.RowPtr[ib], a.RowPtr[ib+1]
+		n := p * bb
 		for d := 0; d < b; d++ {
-			for k := p; k < q; k++ {
-				n += copy(val[n:], a.Val[k*bb+d*b:k*bb+d*b+b])
+			if k.pass == valuesPass {
+				for blk := p; blk < q; blk++ {
+					n += copy(c.Val[n:], a.Val[blk*bb+d*b:blk*bb+d*b+b])
+				}
+				continue
 			}
+			for _, jb := range a.ColIdx[p:q] {
+				for cc := 0; cc < b; cc++ {
+					c.ColIdx[n] = jb*b + cc
+					n++
+				}
+			}
+			c.RowPtr[ib*b+d+1] = n
 		}
 	}
-	return &CSR{NRows: t.NRows, NCols: t.NCols, RowPtr: t.RowPtr, ColIdx: t.ColIdx, Val: val}
 }
 
 // GatherLowerEnvelope is CSR.GatherLowerEnvelope for the expanded

@@ -107,79 +107,137 @@ func (b *Builder) Build() *CSR {
 // are stored as 0+v, as Builder.Add stores them: a stored -0.0 comes out
 // +0.0 and every other value unchanged.
 func (a *CSR) Select(rows, colMap []int, nCols int, pin float64) *CSR {
-	t := a.SelectPattern(rows, colMap, nCols)
-	t.Val = t.selectValues(a, rows, colMap, pin)
-	return t
+	k := a.selectPattern(rows, colMap, nCols)
+	k.t.Val = make([]float64, len(k.t.ColIdx))
+	k.pin, k.pass = pin, valuesPass
+	k.run()
+	return k.result()
 }
 
-// SelectPattern is the pattern half of Select (Val nil): one pass counts
-// what is kept and one writes it, so the result is allocated at its final
-// size.
+// SelectPattern is the pattern half of Select (Val nil): a count pass
+// finds what every row keeps and, after the prefix sum, a pattern pass
+// writes it, so the result is allocated at its final size. Both run over
+// the rows on the shared worker set (selectKernel).
 func (a *CSR) SelectPattern(rows, colMap []int, nCols int) *CSR {
-	rowPtr := make([]int, len(rows)+1)
-	for i, r := range rows {
-		n := 1
-		if r >= 0 {
-			n = 0
-			for _, j := range a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]] {
-				if colMap[j] >= 0 {
-					n++
-				}
-			}
-		}
-		rowPtr[i+1] = rowPtr[i] + n
+	return a.selectPattern(rows, colMap, nCols).result()
+}
+
+// selectPattern runs SelectPattern's passes into a new kernel's result.
+func (a *CSR) selectPattern(rows, colMap []int, nCols int) *selectKernel {
+	k := &selectKernel{a: a, rows: rows, colMap: colMap}
+	k.t = &k.out
+	k.out = CSR{NRows: len(rows), NCols: nCols, RowPtr: make([]int, len(rows)+1)}
+	k.run()
+	for i := range rows {
+		k.out.RowPtr[i+1] += k.out.RowPtr[i]
 	}
-	colIdx := make([]int, rowPtr[len(rows)])
-	n := 0
-	for i, r := range rows {
-		if r < 0 {
-			colIdx[n] = i
-			n++
-			continue
-		}
-		for _, j := range a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]] {
-			if jn := colMap[j]; jn >= 0 {
-				colIdx[n] = jn
-				n++
-			}
-		}
-	}
-	out := &CSR{NRows: len(rows), NCols: nCols, RowPtr: rowPtr, ColIdx: colIdx}
+	k.out.ColIdx = make([]int, k.out.RowPtr[len(rows)])
+	k.pass = patternPass
+	k.run()
 	if check.Enabled {
-		check.CSRWellFormed(out.NRows, out.NCols, out.RowPtr, out.ColIdx, len(out.ColIdx), "sparse.SelectPattern")
+		check.CSRWellFormed(k.out.NRows, k.out.NCols, k.out.RowPtr, k.out.ColIdx, len(k.out.ColIdx), "sparse.SelectPattern")
 	}
-	return out
+	return k
+}
+
+// result returns the matrix the kernel wrote into its own out, which is
+// allocated with it, and drops the kernel's inputs, so that the result
+// keeps no more than a few words alive beside its arrays.
+func (k *selectKernel) result() *CSR {
+	*k = selectKernel{out: k.out}
+	return &k.out
 }
 
 // FillSelect is the value half of Select: a new matrix with t's pattern
 // holding a.Select(rows, colMap, ·, pin)'s values, where t is
 // a.SelectPattern(rows, colMap, ·) of a matrix with a's pattern.
 func (t *CSR) FillSelect(a *CSR, rows, colMap []int, pin float64) *CSR {
-	return &CSR{NRows: t.NRows, NCols: t.NCols, RowPtr: t.RowPtr, ColIdx: t.ColIdx, Val: t.selectValues(a, rows, colMap, pin)}
+	out := &CSR{NRows: t.NRows, NCols: t.NCols, RowPtr: t.RowPtr, ColIdx: t.ColIdx, Val: make([]float64, len(t.ColIdx))}
+	k := &selectKernel{a: a, t: out, rows: rows, colMap: colMap, pin: pin, pass: valuesPass}
+	k.run()
+	return out
 }
 
-// selectValues returns the values FillSelect stores in t's pattern.
-func (t *CSR) selectValues(a *CSR, rows, colMap []int, pin float64) []float64 {
-	val := make([]float64, len(t.ColIdx))
-	n := 0
-	for _, r := range rows {
-		if r < 0 {
-			val[n] = pin
-			n++
-			continue
+// selectKernel is Select's three passes over the rows of its result t:
+// row i counts the entries of a's row rows[i] that colMap keeps into
+// t.RowPtr[i+1], writes their new columns, or writes their values as
+// 0+v; a pinned row (rows[i] < 0) is one entry, column i, value pin.
+type selectKernel struct {
+	a      *CSR
+	t      *CSR
+	rows   []int
+	colMap []int
+	pin    float64
+	pass   pass
+	// out is Select's result, t pointing at it: one allocation for both.
+	out CSR
+}
+
+// SelectKernels returns Select's count pass, which writes t.RowPtr[1:]
+// uncumulated, its pattern pass, which writes t.ColIdx from the summed
+// t.RowPtr, and its values pass, which writes t.Val, for
+// TestKernelContract.
+func (a *CSR) SelectKernels(t *CSR, rows, colMap []int, pin float64) (count, pattern, values pool.ItemKernel) {
+	k := selectKernel{a: a, t: t, rows: rows, colMap: colMap, pin: pin}
+	kp, kv := k, k
+	kp.pass, kv.pass = patternPass, valuesPass
+	return &k, &kp, &kv
+}
+
+// run runs the kernel's pass over every row on the shared worker set.
+func (k *selectKernel) run() {
+	pool.RunItems(k, len(k.rows), 1, k.a.NNZ())
+}
+
+// Items implements pool.ItemKernel.
+func (k *selectKernel) Items(_, lo, hi int) {
+	a, t, colMap := k.a, k.t, k.colMap
+	for i := lo; i < hi; i++ {
+		r := k.rows[i]
+		n := 0
+		if k.pass != countPass {
+			n = t.RowPtr[i]
 		}
-		lo, hi := a.RowPtr[r], a.RowPtr[r+1]
-		cols := a.ColIdx[lo:hi]
-		vals := a.Val[lo:hi:hi]
-		vals = vals[:len(cols)]
-		for k, j := range cols {
-			if colMap[j] >= 0 {
-				val[n] = 0 + vals[k]
-				n++
+		if r < 0 {
+			switch k.pass {
+			case patternPass:
+				t.ColIdx[n] = i
+			case valuesPass:
+				t.Val[n] = k.pin
+			}
+			n++
+		} else {
+			p0, p1 := a.RowPtr[r], a.RowPtr[r+1]
+			cols := a.ColIdx[p0:p1]
+			switch k.pass {
+			case countPass:
+				for _, j := range cols {
+					if colMap[j] >= 0 {
+						n++
+					}
+				}
+			case patternPass:
+				for _, j := range cols {
+					if jn := colMap[j]; jn >= 0 {
+						t.ColIdx[n] = jn
+						n++
+					}
+				}
+			default:
+				vals := a.Val[p0:p1:p1]
+				vals = vals[:len(cols)]
+				for q, j := range cols {
+					if colMap[j] >= 0 {
+						t.Val[n] = 0 + vals[q]
+						n++
+					}
+				}
 			}
 		}
+		if k.pass == countPass {
+			t.RowPtr[i+1] = n
+		}
 	}
-	return val
 }
 
 // At returns A(i,j) (zero when the entry is not stored). O(log row nnz).

@@ -480,6 +480,125 @@ func symbolicRun(k *sparse.SymbolicKernel, n, ncols int) itemRun {
 	}}
 }
 
+// drainRun is a new drain of a chunk, read as its value and force arrays,
+// which start at zero: an entry it leaves at +0 reads as unwritten.
+func drainRun(fresh func() (pool.ItemKernel, []float64, []float64)) itemRun {
+	k, val, fint := fresh()
+	return itemRun{k, func() []float64 {
+		out := append(slices.Clone(val), fint...)
+		for i, v := range out {
+			if math.Float64bits(v) == 0 {
+				out[i] = contractSentinel
+			}
+		}
+		return out
+	}}
+}
+
+// intsRun is a pass writing the index arrays idx, which it fills with -1
+// and reads as floats, -1 as unwritten.
+func intsRun(k pool.ItemKernel, idx ...[]int) itemRun {
+	for _, a := range idx {
+		for i := range a {
+			a[i] = -1
+		}
+	}
+	return itemRun{k, func() []float64 {
+		var out []float64
+		for _, a := range idx {
+			for _, v := range a {
+				if v == -1 {
+					out = append(out, contractSentinel)
+				} else {
+					out = append(out, float64(v))
+				}
+			}
+		}
+		return out
+	}}
+}
+
+// contractConversions returns the item-kernel rows of the storage
+// conversions: the expansion of b to scalar rows (pattern and values),
+// the two Selects a solve makes of a — the reduction to free dofs and the
+// pinned pattern of a level with pins, here with pin 1.5 — in their count,
+// pattern and values passes, and the re-blocking of a (count and pattern
+// passes, then values).
+func contractConversions(b *sparse.BSR, a *sparse.CSR) []itemCase {
+	e := b.ToCSR()
+	cases := []itemCase{
+		{"BSR→CSR pattern", func() itemRun {
+			out := &sparse.CSR{RowPtr: make([]int, len(e.RowPtr)), ColIdx: make([]int, len(e.ColIdx))}
+			return intsRun(b.ScalarPatternKernel(out), out.RowPtr[1:], out.ColIdx)
+		}, b.NBRows},
+		{"BSR→CSR values", func() itemRun {
+			out := &sparse.CSR{RowPtr: e.RowPtr, ColIdx: e.ColIdx, Val: make([]float64, len(e.Val))}
+			return fillRun(b.FillFromBSRKernel(out), out.Val)
+		}, b.NBRows},
+	}
+	// The reduction keeps the columns not ≡ 2 mod 7 and their rows; the
+	// pinned Select keeps every row and column but pins three.
+	full2Red, red2Full := make([]int, a.NCols), []int(nil)
+	for j := range full2Red {
+		full2Red[j] = -1
+		if j%7 != 2 {
+			full2Red[j] = len(red2Full)
+			red2Full = append(red2Full, j)
+		}
+	}
+	keep := identity(a.NRows)
+	keep[1], keep[4], keep[a.NRows-1] = -1, -1, -1
+	for _, sc := range []struct {
+		name         string
+		rows, colMap []int
+		nCols        int
+		pin          float64
+	}{
+		{"Select", red2Full, full2Red, len(red2Full), 0},
+		{"Select pinned", keep, keep, a.NCols, 1.5},
+	} {
+		t := a.Select(sc.rows, sc.colMap, sc.nCols, sc.pin)
+		n := len(sc.rows)
+		cases = append(cases, []itemCase{
+			{sc.name + " count", func() itemRun {
+				out := &sparse.CSR{RowPtr: make([]int, n+1)}
+				k, _, _ := a.SelectKernels(out, sc.rows, sc.colMap, sc.pin)
+				return intsRun(k, out.RowPtr[1:])
+			}, n},
+			{sc.name + " pattern", func() itemRun {
+				out := &sparse.CSR{RowPtr: t.RowPtr, ColIdx: make([]int, len(t.ColIdx))}
+				_, k, _ := a.SelectKernels(out, sc.rows, sc.colMap, sc.pin)
+				return intsRun(k, out.ColIdx)
+			}, n},
+			{sc.name + " values", func() itemRun {
+				out := &sparse.CSR{RowPtr: t.RowPtr, ColIdx: t.ColIdx, Val: make([]float64, len(t.Val))}
+				_, _, k := a.SelectKernels(out, sc.rows, sc.colMap, sc.pin)
+				return fillRun(k, out.Val)
+			}, n},
+		}...)
+	}
+	tb, err := sparse.BlockPattern(a, 3)
+	if err != nil {
+		panic(err)
+	}
+	return append(cases, []itemCase{
+		{"BlockPattern count", func() itemRun {
+			out := &sparse.BSR{NBRows: tb.NBRows, NBCols: tb.NBCols, B: 3, RowPtr: make([]int, tb.NBRows+1)}
+			k, _ := sparse.BlockPatternKernels(a, out)
+			return intsRun(k, out.RowPtr[1:])
+		}, tb.NBRows},
+		{"BlockPattern pattern", func() itemRun {
+			out := &sparse.BSR{NBRows: tb.NBRows, NBCols: tb.NBCols, B: 3, RowPtr: tb.RowPtr, ColIdx: make([]int, len(tb.ColIdx))}
+			_, k := sparse.BlockPatternKernels(a, out)
+			return intsRun(k, out.ColIdx)
+		}, tb.NBRows},
+		{"FillFromCSR", func() itemRun {
+			val := make([]float64, tb.NNZ())
+			return fillRun(tb.FillFromCSRKernel(a, val), val)
+		}, tb.NBRows},
+	}...)
+}
+
 // itemCase is one row of TestKernelContract's item kernels.
 type itemCase struct {
 	name  string
@@ -610,6 +729,15 @@ func TestKernelContract(t *testing.T) {
 		{"block factor", func() itemRun { return fillRun(bj.FactorKernel(view)) }, len(bj.Blocks())},
 		{"restriction", func() itemRun { return restrictRun(t, hex) }, hex.NumVerts()},
 	}
+
+	// The drain: item s adds the chunk's tangents and forces at its s-th
+	// vertex into that vertex's block row and force entries.
+	drain, nDrain, err := hexProblem.DrainKernels(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items = append(items, itemCase{"assembly drain", func() itemRun { return drainRun(drain) }, nDrain})
+	items = append(items, contractConversions(bsr3, contractRagged(csr))...)
 
 	// The sparse products' symbolic and numeric passes: a plain product,
 	// and the Galerkin products on every path a hierarchy takes — blocked
