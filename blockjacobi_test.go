@@ -89,10 +89,10 @@ func edgeListGraph(a *sparse.CSR) *graph.Graph {
 // the ones the edge-list path produced: on every level operator of both
 // benchmark hierarchies (a size down under -short) the pattern graph equals
 // the edge-list graph array for array, and the partitioner returns the same
-// block of every dof. The spheres hierarchy is built with StorageCSR, so that
-// every level holds the scalar matrix the smoother setup reads (under
-// StorageAuto its Galerkin levels are applied as BSR, whose scalar view has
-// the block fill in it).
+// block of every dof. The spheres' Galerkin levels are applied as BSR,
+// whose scalar view has the block fill in it; on the scalar matrices the
+// smoother setup reads, pinned levels among them, the same holds by
+// internal/multigrid's TestReferencePartitionIsGraphPartition.
 func TestSmootherPartitionMatchesEdgeListGraph(t *testing.T) {
 	full := !testing.Short()
 	for _, tc := range []struct {
@@ -100,7 +100,7 @@ func TestSmootherPartitionMatchesEdgeListGraph(t *testing.T) {
 		mg   *multigrid.MG
 		fine string
 	}{
-		{"spheres", spheresSystem(t, full, multigrid.Options{Storage: multigrid.StorageCSR}).hierarchy(t), "*sparse.CSR"},
+		{"spheres", spheresSystem(t, full, multigrid.Options{}).hierarchy(t), "*sparse.CSR"},
 		{"cube", cubeSystem(t, full, multigrid.Options{}).hierarchy(t), "*sparse.BSR"},
 	} {
 		if got := fmt.Sprintf("%T", tc.mg.Levels[0].A); got != tc.fine {
@@ -124,31 +124,29 @@ func TestSmootherPartitionMatchesEdgeListGraph(t *testing.T) {
 // TestPartitionOnPatternIsGraphPartition proves that partitioning a
 // level's pattern as it stands — each row's columns, the row itself among
 // them — gives the blocks partitioning NewFromPattern's graph of it gave,
-// on every smoothed level of the cube (its fine level blocked from the
-// reduced CSR, so planned from that CSR's pattern), spheres and
-// smoothed-aggregation hierarchies, and that these are the blocks the
-// hierarchy's smoothers hold. Every level but the cube's fine one is held
-// in the scalar matrix setup read (StorageCSR), and pinned coarse levels —
-// a pinned dof is a row and a column holding only the diagonal — are
-// among them.
+// on every smoothed level of the cube's geometric and smoothed-aggregation
+// hierarchies (each fine level blocked from the reduced CSR, so planned
+// from that CSR's pattern), and that these are the blocks the hierarchy's
+// smoothers hold. Every level of these two is applied as the matrix setup
+// read or its blocking with no fill; levels applied as a blocked copy with
+// fill (the spheres' pinned Galerkin levels) are covered on the scalar
+// matrices themselves by internal/multigrid's
+// TestReferencePartitionIsGraphPartition.
 func TestPartitionOnPatternIsGraphPartition(t *testing.T) {
 	sa := func(sys reducedSystem) reducedSystem {
-		solver, err := NewSolver(sys.solver.Mesh, sys.solver.cons, Options{Hierarchy: SmoothedAggregation, MG: multigrid.Options{Storage: multigrid.StorageCSR}})
+		solver, err := NewSolver(sys.solver.Mesh, sys.solver.cons, Options{Hierarchy: SmoothedAggregation})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return reducedSystem{solver, sys.kred}
 	}
-	csr := multigrid.Options{Storage: multigrid.StorageCSR}
-	pinned := 0
+	cube := cubeSystem(t, false, multigrid.Options{})
 	for _, tc := range []struct {
 		name string
 		sys  reducedSystem
 	}{
-		{"cube", cubeSystem(t, false, multigrid.Options{})},
-		{"cube CSR", cubeSystem(t, false, csr)},
-		{"spheres", spheresSystem(t, false, csr)},
-		{"aggregation", sa(spheresSystem(t, false, csr))},
+		{"cube", cube},
+		{"aggregation", sa(cube)},
 	} {
 		mg := tc.sys.hierarchy(t)
 		for li, lvl := range mg.Levels {
@@ -156,11 +154,6 @@ func TestPartitionOnPatternIsGraphPartition(t *testing.T) {
 				continue
 			}
 			e := sparse.ScalarPatternOf(lvl.A)
-			for i := 0; i < e.NRows; i++ {
-				if e.RowPtr[i+1]-e.RowPtr[i] == 1 && e.ColIdx[e.RowPtr[i]] == i {
-					pinned++
-				}
-			}
 			nb := smooth.DefaultBlockCount(e.NRows)
 			want := graph.GreedyPartition(graph.NewFromPattern(e.NRows, e.RowPtr, e.ColIdx), nb)
 			got := graph.GreedyPartition(&graph.Graph{N: e.NRows, Ptr: e.RowPtr, Adj: e.ColIdx}, nb)
@@ -172,9 +165,6 @@ func TestPartitionOnPatternIsGraphPartition(t *testing.T) {
 				t.Fatalf("%s level %d: the smoother's blocks are not the graph partition's", tc.name, li)
 			}
 		}
-	}
-	if pinned == 0 {
-		t.Fatal("no level of any hierarchy pins a dof: the pinned case is not covered")
 	}
 }
 

@@ -47,32 +47,6 @@ type DofMap struct {
 // NumFree returns the number of free dofs.
 func (m *DofMap) NumFree() int { return len(m.Red2Full) }
 
-// NodeAligned reports whether the reduced numbering preserves b-dof node
-// blocks: every node has either all b of its dofs free or all b fixed, and
-// free nodes keep their dofs consecutive in the reduced numbering. When
-// true, the reduced operator can be stored in b-block BSR form with node
-// boundaries intact. Constraints built with FixVert satisfy this;
-// component-wise FixDof constraints (e.g. a symmetry plane) do not.
-func (m *DofMap) NodeAligned(b int) bool {
-	if b <= 1 || len(m.Full2Red)%b != 0 {
-		return false
-	}
-	for v := 0; v < len(m.Full2Red); v += b {
-		r0 := m.Full2Red[v]
-		free := r0 >= 0
-		for d := 1; d < b; d++ {
-			r := m.Full2Red[v+d]
-			if (r >= 0) != free {
-				return false
-			}
-			if free && r != r0+d {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // NewDofMap builds the mapping for n total dofs under the constraints.
 func (c *Constraints) NewDofMap(n int) *DofMap {
 	m := &DofMap{Full2Red: make([]int, n)}

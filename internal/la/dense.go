@@ -112,9 +112,6 @@ func (m *Dense) String() string {
 // positive definite (to within roundoff).
 var ErrNotSPD = errors.New("la: matrix is not positive definite")
 
-// ErrSingular is returned by LU when a zero pivot is encountered.
-var ErrSingular = errors.New("la: matrix is singular")
-
 // Cholesky is the factorization A = L·Lᵀ of a symmetric positive definite
 // matrix, held as its envelope: row i of L stores columns [first_i, i]
 // contiguously, row after row, and its last slot holds the reciprocal
@@ -273,99 +270,6 @@ func (c *Cholesky) Solve(b, x []float64) {
 		x[i] = xi
 		axpyNeg(xi, row[:d], x[i-d:i])
 	}
-}
-
-// LU holds a partially pivoted LU factorization P·A = L·U.
-type LU struct {
-	N    int
-	LU   []float64
-	Piv  []int
-	sign int
-}
-
-// NewLU factors A with partial pivoting.
-func NewLU(a *Dense) (*LU, error) {
-	if a.Rows != a.Cols {
-		panic("la: LU of non-square matrix")
-	}
-	n := a.Rows
-	lu := make([]float64, n*n)
-	copy(lu, a.Data)
-	piv := make([]int, n)
-	for i := range piv {
-		piv[i] = i
-	}
-	sign := 1
-	for k := 0; k < n; k++ {
-		// Pivot search.
-		p := k
-		maxv := math.Abs(lu[k*n+k])
-		for i := k + 1; i < n; i++ {
-			if v := math.Abs(lu[i*n+k]); v > maxv {
-				maxv, p = v, i
-			}
-		}
-		if maxv == 0 {
-			return nil, ErrSingular
-		}
-		if p != k {
-			for j := 0; j < n; j++ {
-				lu[p*n+j], lu[k*n+j] = lu[k*n+j], lu[p*n+j]
-			}
-			piv[p], piv[k] = piv[k], piv[p]
-			sign = -sign
-		}
-		pivVal := lu[k*n+k]
-		for i := k + 1; i < n; i++ {
-			m := lu[i*n+k] / pivVal
-			lu[i*n+k] = m
-			if m == 0 {
-				continue
-			}
-			for j := k + 1; j < n; j++ {
-				lu[i*n+j] -= m * lu[k*n+j]
-			}
-		}
-	}
-	return &LU{N: n, LU: lu, Piv: piv, sign: sign}, nil
-}
-
-// Solve computes x with A·x = b. b and x may alias.
-func (f *LU) Solve(b, x []float64) {
-	n := f.N
-	if len(b) != n || len(x) != n {
-		panic("la: LU.Solve dimension mismatch")
-	}
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		y[i] = b[f.Piv[i]]
-	}
-	// L·z = P·b (unit diagonal).
-	for i := 0; i < n; i++ {
-		s := y[i]
-		for k := 0; k < i; k++ {
-			s -= f.LU[i*n+k] * y[k]
-		}
-		y[i] = s
-	}
-	// U·x = z.
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= f.LU[i*n+k] * y[k]
-		}
-		y[i] = s / f.LU[i*n+i]
-	}
-	copy(x, y)
-}
-
-// Det returns the determinant from the factorization.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.N; i++ {
-		d *= f.LU[i*f.N+i]
-	}
-	return d
 }
 
 // Dot returns xᵀ·y.

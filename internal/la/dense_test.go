@@ -157,66 +157,6 @@ func TestCholeskyRejectsNonFinite(t *testing.T) {
 	}
 }
 
-func TestLUSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{1, 3, 10, 40} {
-		a := NewDense(n, n)
-		for i := range a.Data {
-			a.Data[i] = rng.Float64()*2 - 1
-		}
-		for i := 0; i < n; i++ {
-			a.Add(i, i, float64(n)) // diagonally dominant => nonsingular
-		}
-		lu, err := NewLU(a)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		xTrue := make([]float64, n)
-		for i := range xTrue {
-			xTrue[i] = rng.Float64()
-		}
-		b := make([]float64, n)
-		a.MulVec(xTrue, b)
-		x := make([]float64, n)
-		lu.Solve(b, x)
-		for i := range x {
-			if math.Abs(x[i]-xTrue[i]) > 1e-8 {
-				t.Fatalf("n=%d: x[%d]=%v want %v", n, i, x[i], xTrue[i])
-			}
-		}
-	}
-}
-
-func TestLUPivoting(t *testing.T) {
-	// Zero on the initial pivot forces a row swap.
-	a := NewDense(2, 2)
-	a.Set(0, 1, 1)
-	a.Set(1, 0, 1)
-	lu, err := NewLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, 2)
-	lu.Solve([]float64{3, 5}, x)
-	if math.Abs(x[0]-5) > 1e-14 || math.Abs(x[1]-3) > 1e-14 {
-		t.Fatalf("x = %v", x)
-	}
-	if d := lu.Det(); math.Abs(d+1) > 1e-14 {
-		t.Fatalf("Det = %v, want -1", d)
-	}
-}
-
-func TestLUSingular(t *testing.T) {
-	a := NewDense(2, 2)
-	a.Set(0, 0, 1)
-	a.Set(0, 1, 2)
-	a.Set(1, 0, 2)
-	a.Set(1, 1, 4)
-	if _, err := NewLU(a); err != ErrSingular {
-		t.Fatalf("err = %v, want ErrSingular", err)
-	}
-}
-
 func TestVectorHelpers(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{4, 5, 6}

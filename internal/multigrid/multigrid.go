@@ -21,28 +21,6 @@ import (
 	"prometheus/internal/sparse"
 )
 
-// StorageKind selects the per-level matrix storage.
-type StorageKind int
-
-const (
-	// StorageAuto (the default) takes the fine operator as handed in and
-	// gives every Galerkin level the block kernel when that level's own
-	// shape allows (sparse.AutoBlock: dimension divisible by nodeDofs, fill
-	// at most 2x). A BSR fine grid gets BSR coarse grids straight from the
-	// Galerkin product; under a CSR fine grid — or below a level whose
-	// pinned rows take entries out of its blocks, or under a restriction
-	// that is not node-conforming whose product blocks only with fill —
-	// setup and the next product read the scalar matrix of the Galerkin
-	// chain and the cycle applies a BSR copy of it. Blocking is a kernel
-	// choice, not arithmetic: solutions are bitwise those of StorageCSR.
-	StorageAuto StorageKind = iota
-	// StorageCSR forces scalar CSR on every level.
-	StorageCSR
-	// StorageBSR also blocks the fine operator (3x3 node blocks) when its
-	// dimensions and sparsity allow; the levels below follow StorageAuto.
-	StorageBSR
-)
-
 // nodeDofs is the block size of the blocked storage: the three
 // displacement dofs of a vertex.
 const nodeDofs = 3
@@ -66,7 +44,6 @@ type Options struct {
 	PostSmooth int // CG smoothing steps after it (default 1, paper)
 	Cycle      CycleKind
 	BlockCount func(n int) int // block-Jacobi block rule (default: paper's 6/1000)
-	Storage    StorageKind     // per-level storage (default: follow the fine operator)
 }
 
 func (o Options) withDefaults() Options {
@@ -156,25 +133,17 @@ func identity(n int) []int {
 	return id
 }
 
-// fixEmptyRows pins coarse dofs whose basis functions have no free
-// fine-grid support: compressing the first restriction against the
-// Dirichlet constraints can zero entire rows of R, which makes the Galerkin
-// operator exactly singular there. The restriction never transfers residual
-// to (nor prolongs correction from) such dofs, so replacing their zero
-// diagonal with the matrix's largest diagonal keeps the operator SPD
-// without changing the preconditioner's action.
-func fixEmptyRows(a *sparse.CSR) *sparse.CSR {
-	keep, maxd := pinList(a.Diag())
-	if keep == nil {
-		return a
-	}
-	return a.Select(keep, keep, a.NCols, maxd)
-}
-
-// pinList finds the dofs fixEmptyRows pins from the diagonal d: it returns
-// the value to pin them with (the largest diagonal) and the identity list
-// with -1 at every bad dof — read as a row list it pins the bad rows, read
-// as a column map it drops the bad columns — or nil when no dof is bad.
+// pinList finds the coarse dofs a Galerkin operator pins from its diagonal
+// d: dofs whose basis functions have no free fine-grid support, since
+// compressing the first restriction against the Dirichlet constraints can
+// zero entire rows of R, which makes the operator exactly singular there.
+// The restriction never transfers residual to (nor prolongs correction
+// from) such dofs, so replacing their zero diagonal with the matrix's
+// largest diagonal keeps the operator SPD without changing the
+// preconditioner's action. pinList returns that value and the identity
+// list with -1 at every bad dof — read as a row list it pins the bad rows,
+// read as a column map it drops the bad columns — or nil when no dof is
+// bad.
 func pinList(d []float64) (keep []int, maxd float64) {
 	for _, v := range d {
 		if v > maxd {
@@ -222,7 +191,11 @@ func New(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG, 
 // from, for the caller to hand to the next Build. A hierarchy filled from a
 // reused plan is bitwise the one a new plan gives. The fine operator must
 // store its entries (*sparse.CSR or *sparse.BSR): the plan is made from its
-// pattern. That pattern, and each Galerkin level's, must be structurally
+// pattern, and so is the one storage decision, which no option overrides:
+// a CSR that blocks into 3x3 node blocks with no fill is applied in
+// blocks, any other operator as handed in, and every Galerkin level below
+// in blocks where its own shape allows (sparse.PlanBlock). Blocking is a
+// kernel choice: solutions are bitwise those of an all-scalar hierarchy. That pattern, and each Galerkin level's, must be structurally
 // symmetric — (j, i) stored wherever (i, j) is — as every assembled or
 // Galerkin operator's is: the smoother's blocks are partitioned on it as a
 // graph (a check under promdebug).
@@ -406,31 +379,6 @@ func (mg *MG) apply(r, z []float64) {
 	default:
 		mg.fmg(r, z)
 	}
-}
-
-// Solve runs stationary multigrid cycles until the relative residual drops
-// below rtol (or maxCycles is hit), returning the cycle count and final
-// relative residual.
-func (mg *MG) Solve(b, x []float64, rtol float64, maxCycles int) (int, float64) {
-	a := mg.Levels[0].A
-	r := make([]float64, len(b))
-	z := make([]float64, len(b))
-	bn := la.Norm2(b)
-	if bn == 0 {
-		bn = 1
-	}
-	for c := 0; c < maxCycles; c++ {
-		a.Residual(b, x, r)
-		mg.CycleFlops += a.MulVecFlops() + int64(len(b))
-		rn := la.Norm2(r)
-		if rn <= rtol*bn {
-			return c, rn / bn
-		}
-		mg.Apply(r, z)
-		la.Axpy(1, z, x)
-	}
-	a.Residual(b, x, r)
-	return maxCycles, la.Norm2(r) / bn
 }
 
 // Flops returns total work: setup excluded, cycles plus smoother work.

@@ -22,6 +22,12 @@ import (
 // bottom face fixed and a downward surface load on top, plus the compressed
 // restriction chain.
 func buildElasticity(t *testing.T, n int, coarsenOpts core.Options) (*sparse.CSR, []float64, []*sparse.CSR) {
+	return buildCube(t, n, coarsenOpts, nil)
+}
+
+// buildCube is buildElasticity with, for each entry of topComps, that
+// component of the next loaded vertex on the top face fixed as well.
+func buildCube(t *testing.T, n int, coarsenOpts core.Options, topComps []int) (*sparse.CSR, []float64, []*sparse.CSR) {
 	t.Helper()
 	m := mesh.StructuredHex(n, n, n, 1, 1, 1, nil)
 	p := fem.NewProblem(m, []material.Model{material.LinearElastic{E: 1, Nu: 0.3}}, false)
@@ -33,8 +39,12 @@ func buildElasticity(t *testing.T, n int, coarsenOpts core.Options) (*sparse.CSR
 	for _, v := range m.VertsWhere(func(q geom.Vec3) bool { return q.Z == 0 }) {
 		c.FixVert(v, 0, 0, 0)
 	}
+	top := m.VertsWhere(func(q geom.Vec3) bool { return q.Z == 1 })
+	for i, comp := range topComps {
+		c.FixDof(3*top[i]+comp, 0)
+	}
 	f := make([]float64, m.NumDOF())
-	for _, v := range m.VertsWhere(func(q geom.Vec3) bool { return q.Z == 1 }) {
+	for _, v := range top {
 		f[3*v+2] = -0.001
 	}
 	dm := c.NewDofMap(m.NumDOF())
@@ -84,7 +94,7 @@ func TestMGSolveMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, k.NRows)
-	cycles, rel := mg.Solve(f, x, 1e-10, 100)
+	cycles, rel := mg.stationary(f, x, 1e-10, 100)
 	if rel > 1e-10 {
 		t.Fatalf("MG stalled: rel = %v after %d cycles", rel, cycles)
 	}
@@ -208,40 +218,26 @@ func TestGalerkinOperatorsSymmetric(t *testing.T) {
 
 // TestStorageParity pins the central refactor invariant: switching the
 // hierarchy from scalar CSR to node-block BSR changes only the storage
-// layout, never the arithmetic. Galerkin products, smoother sweeps and
-// the Krylov iteration must produce bitwise-identical solutions and the
-// exact same iteration count.
+// layout, never the arithmetic. Under every cycle, Galerkin products,
+// smoother sweeps and the Krylov iteration must produce bitwise-identical
+// solutions and residual histories and the exact same iteration count as
+// the all-scalar reference, and the fine level, handed in as a CSR that
+// blocks with no fill, must actually be blocked.
 func TestStorageParity(t *testing.T) {
 	k, f, rs := buildElasticity(t, 4, core.Options{MinCoarse: 30})
-	solve := func(st StorageKind) ([]float64, int) {
-		mg, err := New(k, rs, Options{Storage: st})
-		if err != nil {
-			t.Fatal(err)
+	for _, cyc := range []CycleKind{FMG, VCycle, WCycle} {
+		opts := Options{Cycle: cyc}
+		scalar := solveOutcomeOf(t, newScalar, k, f, rs, opts)
+		blocked := solveOutcomeOf(t, New, k, f, rs, opts)
+		if blocked.storage[0] != "bsr" {
+			t.Fatalf("cycle %v: level storage %v, want a blocked fine level", cyc, blocked.storage)
 		}
-		x := make([]float64, k.NRows)
-		res := krylov.FPCG(k, f, x, mg, 1e-8, 400)
-		if !res.Converged {
-			t.Fatalf("storage %v did not converge", st)
+		if blocked.iterations != scalar.iterations || !slices.Equal(blocked.residuals, scalar.residuals) {
+			t.Fatalf("cycle %v: iteration counts differ: CSR %d vs BSR %d, or the residual histories differ in bits", cyc, scalar.iterations, blocked.iterations)
 		}
-		return x, res.Iterations
-	}
-	xc, ic := solve(StorageCSR)
-	xb, ib := solve(StorageBSR)
-	if ic != ib {
-		t.Fatalf("iteration counts differ: CSR %d vs BSR %d", ic, ib)
-	}
-	for i := range xc {
-		if math.Float64bits(xc[i]) != math.Float64bits(xb[i]) {
-			t.Fatalf("solutions differ at dof %d: %v vs %v", i, xc[i], xb[i])
+		if !slices.Equal(blocked.solution, scalar.solution) {
+			t.Fatalf("cycle %v: solutions differ in bits", cyc)
 		}
-	}
-	// The BSR hierarchy must actually be blocked on the fine level.
-	mg, err := New(k, rs, Options{Storage: StorageBSR})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := mg.Levels[0].A.(*sparse.BSR); !ok {
-		t.Fatalf("fine level is %T, want *sparse.BSR", mg.Levels[0].A)
 	}
 }
 
@@ -273,13 +269,13 @@ func TestNewRejectsBrokenSmootherBlock(t *testing.T) {
 				a.Val[p] = bad
 			}
 		}
-		for _, opts := range []Options{
-			{Storage: StorageCSR},
-			{Storage: StorageBSR},
-		} {
-			mg, err := New(a, rs, opts)
+		for _, build := range []struct {
+			storage string
+			new     builder
+		}{{"scalar", newScalar}, {"blocked", New}} {
+			mg, err := build.new(a, rs, Options{})
 			if mg != nil || !errors.Is(err, la.ErrNotSPD) || !strings.Contains(err.Error(), "multigrid: block smoother: smooth: block ") {
-				t.Fatalf("%s diagonal, %+v: mg = %v, err = %v; want the wrapped block error", name, opts, mg, err)
+				t.Fatalf("%s diagonal, %s: mg = %v, err = %v; want the wrapped block error", name, build.storage, mg, err)
 			}
 		}
 	}
@@ -313,7 +309,7 @@ func TestStationaryWCycleConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, k.NRows)
-	cycles, rel := mg.Solve(f, x, 1e-10, 100)
+	cycles, rel := mg.stationary(f, x, 1e-10, 100)
 	if rel > 1e-10 {
 		t.Fatalf("W-cycle MG stalled: rel = %v after %d cycles", rel, cycles)
 	}
@@ -363,6 +359,43 @@ func TestApplyCountsApplications(t *testing.T) {
 	if mg.Applies != 2 {
 		t.Fatalf("applies = %d", mg.Applies)
 	}
+}
+
+// stationary runs stationary multigrid cycles until the relative residual
+// drops below rtol (or maxCycles is hit), returning the cycle count and
+// final relative residual.
+func (mg *MG) stationary(b, x []float64, rtol float64, maxCycles int) (int, float64) {
+	a := mg.Levels[0].A
+	r := make([]float64, len(b))
+	z := make([]float64, len(b))
+	bn := la.Norm2(b)
+	if bn == 0 {
+		bn = 1
+	}
+	for c := 0; c < maxCycles; c++ {
+		a.Residual(b, x, r)
+		mg.CycleFlops += a.MulVecFlops() + int64(len(b))
+		rn := la.Norm2(r)
+		if rn <= rtol*bn {
+			return c, rn / bn
+		}
+		mg.Apply(r, z)
+		la.Axpy(1, z, x)
+	}
+	a.Residual(b, x, r)
+	return maxCycles, la.Norm2(r) / bn
+}
+
+// fixEmptyRows is the Galerkin operator a pinned with pinList's pins
+// (Plan.galerkin pins the product as it forms it): pinned rows and columns
+// dropped, a pinned row holding the largest diagonal, a returned as is
+// when nothing is pinned.
+func fixEmptyRows(a *sparse.CSR) *sparse.CSR {
+	keep, maxd := pinList(a.Diag())
+	if keep == nil {
+		return a
+	}
+	return a.Select(keep, keep, a.NCols, maxd)
 }
 
 func TestFixEmptyRows(t *testing.T) {

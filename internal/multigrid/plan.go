@@ -20,10 +20,10 @@ import (
 //
 //   - the prolongation P = Rᵀ and the Galerkin plan (the patterns of R·A
 //     and R·A·Rᵀ, and R's node weights on the blocked path);
-//   - the pin list fixEmptyRows applies to the coarse operator;
-//   - the storage decisions: the fine level's conversion, the pinned
-//     layout each Galerkin product is written in, and the blocked layout a
-//     scalar level is copied into to be applied;
+//   - the pin list pinList finds for the coarse operator;
+//   - the storage decisions: whether the fine level is blocked, the
+//     pinned layout each Galerkin product is written in, and the blocked
+//     layout a scalar level is copied into to be applied;
 //   - the smoother's partition, block members and factor envelopes
 //     (smooth.BlockPlan);
 //   - on the coarsest level, the Cholesky ordering and profile
@@ -47,14 +47,16 @@ type Plan struct {
 	rs   []*sparse.CSR
 	// fine is the pattern of the operator the plan was made from: its
 	// storage, dimensions and pattern are what a later fine operator must
-	// repeat. When a CSR operator was blocked with no fill, fine is the
+	// repeat. When a CSR operator was blocked (planFine), fine is the
 	// blocked pattern instead and expanded is set: the operator's pattern
 	// is its expansion, and the plan keeps no second copy of its columns.
 	fine     sparse.Operator
 	expanded bool
-	// fineAs is the pattern of the storage the fine operator is converted
-	// to (Options.Storage), nil when it is used as handed in.
-	fineAs sparse.Operator
+	// scalar keeps every level in the scalar rows setup reads: the fine
+	// operator is not blocked and no level is copied into blocks. It is
+	// the all-scalar reference the tests pin the blocked hierarchy to, and
+	// only they set it.
+	scalar bool
 	levels []*levelPlan
 }
 
@@ -62,7 +64,7 @@ type Plan struct {
 type levelPlan struct {
 	R, P *sparse.CSR
 	gal  *sparse.GalerkinPlan // nil on level 0
-	// pins is fixEmptyRows' list for this level (nil: no dof pinned).
+	// pins is pinList's list for this level (nil: no dof pinned).
 	pins []int
 	// apply is the blocked layout the level's scalar matrix is copied into
 	// for the cycle to apply; nil when it is applied as formed.
@@ -95,11 +97,8 @@ func (p *Plan) fill(fine sparse.Operator) (*MG, error) {
 	}
 	mg := &MG{Opts: p.opts}
 	s := fine
-	switch t := p.fineAs.(type) {
-	case *sparse.CSR:
-		s = t.FillFromBSR(fine.(*sparse.BSR))
-	case *sparse.BSR:
-		s = t.FillFromCSR(fine.(*sparse.CSR))
+	if p.expanded {
+		s = p.fine.(*sparse.BSR).FillFromCSR(fine.(*sparse.CSR))
 	}
 	for l := 0; l <= len(p.rs); l++ {
 		if planning {
@@ -148,28 +147,24 @@ func (p *Plan) fill(fine sparse.Operator) (*MG, error) {
 	return mg, nil
 }
 
-// planFine plans the fine level's storage: the conversion Options.Storage
-// asks for, if any.
+// planFine plans the fine level's storage, the one storage decision a
+// hierarchy makes from its operator alone: a CSR operator that blocks
+// into node blocks with no fill is applied in blocks, and every other
+// operator as handed in. No fill implies a dimension and an entry count
+// divisible by the block's, which rejects most operators that do not
+// block before their pattern is read.
 func (p *Plan) planFine() {
-	switch p.opts.Storage {
-	case StorageCSR:
-		if b, ok := p.fine.(*sparse.BSR); ok {
-			p.fineAs = b.ScalarPattern()
-		}
-	case StorageBSR:
-		if c, ok := p.fine.(*sparse.CSR); ok {
-			if t := sparse.PlanBlock(c, nodeDofs); t != nil {
-				p.fineAs = t
-				if t.NNZ() == c.NNZ() {
-					p.fine, p.expanded = t, true
-				}
-			}
-		}
+	c, ok := p.fine.(*sparse.CSR)
+	if !ok || p.scalar || c.NRows%nodeDofs != 0 || c.NNZ()%(nodeDofs*nodeDofs) != 0 {
+		return
+	}
+	if t := sparse.PlanBlock(c, nodeDofs); t != nil && t.NNZ() == c.NNZ() {
+		p.fine, p.expanded = t, true
 	}
 }
 
 // galerkin forms level l's matrix from s, the matrix of the level above:
-// the Galerkin product with fixEmptyRows' pins, written in the storage the
+// the Galerkin product with pinList's pins, written in the storage the
 // level is applied in. planning says the plan does not have level l yet:
 // the product's patterns are planned first, and its storage once the
 // values have given the pin list, which is recorded. Otherwise a pin list
@@ -210,7 +205,7 @@ func (lp *levelPlan) planGalerkin(r *sparse.CSR, s sparse.Operator) {
 }
 
 // restrict forms R·A for s, the level above's matrix, and from the
-// diagonal of R·A·Rᵀ the pins fixEmptyRows applies to it.
+// diagonal of R·A·Rᵀ the pins pinList finds for it.
 func (lp *levelPlan) restrict(s sparse.Operator) (ra []float64, keep []int, maxd float64) {
 	defer obs.Start(evGalerkin).End()
 	ra = lp.gal.RA(s)
@@ -219,11 +214,11 @@ func (lp *levelPlan) restrict(s sparse.Operator) (ra []float64, keep []int, maxd
 }
 
 // planStorage plans what level l's Galerkin product is written into — its
-// pattern with the rows and columns fixEmptyRows pins, which a blocked
-// product leaves in scalar rows — and, when that is a scalar matrix on a
-// smoothed level and the block kernel is wanted (any storage but
-// StorageCSR) and fits, the blocked layout it is copied into to be applied.
-// Setup and the next product read the scalar matrix.
+// pattern with the rows and columns pinList pins, which a blocked product
+// leaves in scalar rows — and, when that is a scalar matrix on a smoothed
+// level and the block kernel fits (sparse.PlanBlock), the blocked layout
+// it is copied into to be applied. Setup and the next product read the
+// scalar matrix.
 func (p *Plan) planStorage(l int) {
 	lp := p.levels[l]
 	t := lp.gal.Pattern()
@@ -233,7 +228,7 @@ func (p *Plan) planStorage(l int) {
 		lp.gal.Target(c)
 		t = c
 	}
-	if c, ok := t.(*sparse.CSR); ok && l < len(p.rs) && p.opts.Storage != StorageCSR {
+	if c, ok := t.(*sparse.CSR); ok && l < len(p.rs) && !p.scalar {
 		lp.apply = sparse.PlanBlock(c, nodeDofs)
 	}
 }

@@ -8,7 +8,10 @@ import (
 	"testing"
 
 	"prometheus/internal/core"
+	"prometheus/internal/graph"
 	"prometheus/internal/krylov"
+	"prometheus/internal/problems"
+	"prometheus/internal/smooth"
 	"prometheus/internal/sparse"
 )
 
@@ -93,41 +96,46 @@ func wobble(n int) []float64 {
 // TestPlanFillIsFreshBuild: a hierarchy filled from the plan of an
 // operator with the same pattern computes what a new plan gives, bit for
 // bit, on a blocked and a scalar fine level, with pinned levels reached
-// through the scalar and the blocked product.
+// through the scalar and the blocked product, and on the all-scalar
+// reference.
 func TestPlanFillIsFreshBuild(t *testing.T) {
 	sk, sf, srs := buildSpheres(t)
 	ck, cf, crs := buildElasticity(t, 5, core.Options{MinCoarse: 10})
 	nodeRS := append([]*sparse.CSR{zeroNodeRestriction(crs[0])}, crs[1:]...)
 	for _, tc := range []struct {
-		name string
-		a    *sparse.CSR
-		f    []float64
-		rs   []*sparse.CSR
-		opts Options
+		name   string
+		a      *sparse.CSR
+		f      []float64
+		rs     []*sparse.CSR
+		scalar bool
 	}{
-		{"spheres, CSR fine", sk, sf, srs, Options{}},
-		{"cube, BSR fine", ck, cf, crs, Options{Storage: StorageBSR}},
-		{"cube with a pinned node, BSR fine", ck, cf, nodeRS, Options{Storage: StorageBSR}},
-		{"cube, CSR everywhere", ck, cf, crs, Options{Storage: StorageCSR}},
+		{"spheres, CSR fine", sk, sf, srs, false},
+		{"cube, BSR fine", ck, cf, crs, false},
+		{"cube with a pinned node, BSR fine", ck, cf, nodeRS, false},
+		{"cube, CSR everywhere", ck, cf, crs, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, plan, err := Build(nil, tc.a, tc.rs, tc.opts)
+			build, fresh := Build, New
+			if tc.scalar {
+				build, fresh = scalarBuild, newScalar
+			}
+			_, plan, err := build(nil, tc.a, tc.rs, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			a2 := congruent(tc.a, wobble(tc.a.NRows))
-			mg, again, err := Build(plan, a2, tc.rs, tc.opts)
+			mg, again, err := Build(plan, a2, tc.rs, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if again != plan {
 				t.Fatal("the second build made a new plan")
 			}
-			fresh, err := New(a2, tc.rs, tc.opts)
+			want, err := fresh(a2, tc.rs, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := diffHierarchy(bitsOfHierarchy(t, mg, a2, tc.f), bitsOfHierarchy(t, fresh, a2, tc.f)); d != "" {
+			if d := diffHierarchy(bitsOfHierarchy(t, mg, a2, tc.f), bitsOfHierarchy(t, want, a2, tc.f)); d != "" {
 				t.Fatalf("filled from a reused plan against a new plan: %s", d)
 			}
 		})
@@ -202,37 +210,119 @@ func TestPlanReplansOnNewPattern(t *testing.T) {
 	if a2.NNZ() != k.NNZ()+2 {
 		t.Fatalf("the fixture stores %d entries, want %d", a2.NNZ(), k.NNZ()+2)
 	}
-	for _, opts := range []Options{{}, {Storage: StorageBSR}} {
-		_, plan, err := Build(nil, k, rs, opts)
+	for _, scalar := range []bool{false, true} {
+		name, build := "blocked with no fill", Build
+		if scalar {
+			name, build = "as handed in", scalarBuild
+		}
+		_, plan, err := build(nil, k, rs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan.expanded != (opts.Storage == StorageBSR) {
-			t.Fatalf("storage %v: the plan keeps the fine pattern expanded=%v", opts.Storage, plan.expanded)
+		if plan.expanded == scalar {
+			t.Fatalf("%s: the plan keeps the fine pattern expanded=%v", name, plan.expanded)
 		}
 		if !plan.matches(congruent(k, wobble(k.NRows)), rs, plan.opts) {
-			t.Fatalf("storage %v: the plan does not match its own pattern in other arrays", opts.Storage)
+			t.Fatalf("%s: the plan does not match its own pattern in other arrays", name)
 		}
-		mg, again, err := Build(plan, a2, rs, opts)
+		mg, again, err := Build(plan, a2, rs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if again == plan {
-			t.Fatalf("storage %v: an operator with another pattern reused the plan", opts.Storage)
+			t.Fatalf("%s: an operator with another pattern reused the plan", name)
 		}
-		fresh, err := New(a2, rs, opts)
+		fresh, err := New(a2, rs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if diff := diffHierarchy(bitsOfHierarchy(t, mg, a2, f), bitsOfHierarchy(t, fresh, a2, f)); diff != "" {
-			t.Fatalf("storage %v: re-planned against a new plan: %s", opts.Storage, diff)
+			t.Fatalf("%s: re-planned against a new plan: %s", name, diff)
 		}
 		if plan.matches(sparse.AutoBlock(k, 3), rs, plan.opts) {
-			t.Errorf("storage %v: the plan of a CSR operator matches its blocked form", opts.Storage)
+			t.Errorf("%s: the plan of a CSR operator matches its blocked form", name)
 		}
 		if plan.matches(k, rs[:1], plan.opts) {
-			t.Errorf("storage %v: the plan matches a shorter restriction chain", opts.Storage)
+			t.Errorf("%s: the plan matches a shorter restriction chain", name)
 		}
+	}
+}
+
+// edgeListGraph is the construction the pattern graph replaced: the
+// strict-upper-triangle edge list of the matrix through NewGraph.
+func edgeListGraph(a *sparse.CSR) *graph.Graph {
+	var edges [][2]int
+	for i := 0; i < a.NRows; i++ {
+		cols, _ := a.Row(i)
+		for _, j := range cols {
+			if i < j {
+				edges = append(edges, [2]int{i, j})
+			}
+		}
+	}
+	return graph.NewGraph(a.NRows, edges)
+}
+
+// TestReferencePartitionIsGraphPartition: on every smoothed level of the
+// all-scalar reference hierarchies — each the matrix setup reads, pinned
+// coarse levels among them (a pinned dof is a row and a column holding
+// only the diagonal) — the pattern graph equals the edge-list graph array
+// for array; partitioning the pattern as it stands, the pattern graph and
+// the edge-list graph give the same blocks; and these are the blocks the
+// level's smoother holds. The geometric spheres hierarchy is the
+// benchmark's (a size down under -short).
+func TestReferencePartitionIsGraphPartition(t *testing.T) {
+	cfg := problems.SpheresConfig{Layers: 3, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2}
+	if !testing.Short() {
+		cfg = problems.SpheresConfig{Layers: 5, ElemsPerLayer: 2, CoreElems: 4, OuterElems: 4}
+	}
+	ck, _, crs := buildElasticity(t, 8, core.Options{})
+	sk, _, srs := buildSpheresConfig(t, cfg, false)
+	ak, _, ars := buildSpheresConfig(t, problems.SpheresConfig{Layers: 3, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2}, true)
+	pinned := 0
+	for _, tc := range []struct {
+		name string
+		k    *sparse.CSR
+		rs   []*sparse.CSR
+	}{
+		{"cube", ck, crs},
+		{"spheres", sk, srs},
+		{"aggregation", ak, ars},
+	} {
+		mg, err := newScalar(tc.k, tc.rs, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for li, lvl := range mg.Levels {
+			if lvl.Smoother == nil {
+				continue
+			}
+			a := lvl.A.(*sparse.CSR)
+			for i := 0; i < a.NRows; i++ {
+				if a.RowPtr[i+1]-a.RowPtr[i] == 1 && a.ColIdx[a.RowPtr[i]] == i {
+					pinned++
+				}
+			}
+			g := graph.NewFromPattern(a.NRows, a.RowPtr, a.ColIdx)
+			edges := edgeListGraph(a)
+			if g.N != edges.N || !slices.Equal(g.Ptr, edges.Ptr) || !slices.Equal(g.Adj, edges.Adj) {
+				t.Fatalf("%s level %d (%d dofs): pattern graph differs from the edge-list graph", tc.name, li, a.NRows)
+			}
+			nb := smooth.DefaultBlockCount(a.NRows)
+			want := graph.GreedyPartition(g, nb)
+			if !slices.Equal(graph.GreedyPartition(edges, nb), want) {
+				t.Fatalf("%s level %d: the partitions of the pattern graph and the edge-list graph differ", tc.name, li)
+			}
+			if !slices.Equal(graph.GreedyPartition(&graph.Graph{N: a.NRows, Ptr: a.RowPtr, Adj: a.ColIdx}, nb), want) {
+				t.Fatalf("%s level %d: the partition of the pattern differs from the partition of its graph", tc.name, li)
+			}
+			if !slices.EqualFunc(graph.PartMembers(want, nb), lvl.Smoother.Inner.Blocks(), slices.Equal[[]int]) {
+				t.Fatalf("%s level %d: the smoother's blocks are not the graph partition's", tc.name, li)
+			}
+		}
+	}
+	if pinned == 0 {
+		t.Fatal("no level of any hierarchy pins a dof: the pinned case is not covered")
 	}
 }
 
@@ -242,16 +332,24 @@ func TestPlanReplansOnNewPattern(t *testing.T) {
 // and the patterns the plan keeps beyond the hierarchy's own take less
 // than those values.
 func TestPlanFillAllocatesItsValues(t *testing.T) {
-	k, _, rs := buildElasticity(t, 6, core.Options{MinCoarse: 10})
-	for _, opts := range []Options{{Storage: StorageBSR}, {}} {
-		_, plan, err := Build(nil, k, rs, opts)
+	ck, _, crs := buildElasticity(t, 6, core.Options{MinCoarse: 10})
+	sk, _, srs := buildSpheres(t)
+	for _, tc := range []struct {
+		name string
+		k    *sparse.CSR
+		rs   []*sparse.CSR
+	}{
+		{"cube, BSR fine", ck, crs},
+		{"spheres, CSR fine, levels copied into blocks", sk, srs},
+	} {
+		_, plan, err := Build(nil, tc.k, tc.rs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		a2 := congruent(k, wobble(k.NRows))
+		a2 := congruent(tc.k, wobble(tc.k.NRows))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		mg, _, err := Build(plan, a2, rs, opts)
+		mg, _, err := Build(plan, a2, tc.rs, Options{})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -259,12 +357,12 @@ func TestPlanFillAllocatesItsValues(t *testing.T) {
 		got := after.TotalAlloc - before.TotalAlloc
 		values := hierarchyValueBytes(mg)
 		retained := uint64(plan.PatternBytes())
-		t.Logf("storage %v: %d bytes allocated for %d bytes of values; the plan retains %d bytes of patterns", opts.Storage, got, values, retained)
+		t.Logf("%s: %d bytes allocated for %d bytes of values; the plan retains %d bytes of patterns", tc.name, got, values, retained)
 		if got > 2*values {
-			t.Errorf("storage %v: a repeated-pattern build allocates %d bytes for %d bytes of values", opts.Storage, got, values)
+			t.Errorf("%s: a repeated-pattern build allocates %d bytes for %d bytes of values", tc.name, got, values)
 		}
 		if retained > values {
-			t.Errorf("storage %v: the plan retains %d bytes of patterns beyond the hierarchy's, more than its %d bytes of values", opts.Storage, retained, values)
+			t.Errorf("%s: the plan retains %d bytes of patterns beyond the hierarchy's, more than its %d bytes of values", tc.name, retained, values)
 		}
 	}
 }

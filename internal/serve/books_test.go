@@ -98,12 +98,12 @@ func seedEntry(t *testing.T, svc *Server, spec Spec, cycle string, fill func(*ca
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := solverOptions(1e-4, 1000, cycle, "")
+	opts, err := solverOptions(1e-4, 1000, cycle)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fp := g.Fingerprint(opts.Coarsen)
-	e := &cacheEntry{key: cacheKey(fp, cycle, opts), fp: fp, mgs: make(chan *lease, mgPoolCap)}
+	e := &cacheEntry{key: cacheKey(fp, cycle), fp: fp, mgs: make(chan *lease, mgPoolCap)}
 	e.once.Do(func() { fill(e) })
 	svc.cache.mu.Lock()
 	svc.cache.entries[e.key] = e

@@ -124,7 +124,7 @@ func (e *cacheEntry) Checkin(l *lease) {
 
 // EntryInfo is the JSON view of one cache entry for /v1/cache.
 type EntryInfo struct {
-	// Key is the full cache key (fingerprint/cycle/storage); one entry
+	// Key is the full cache key (fingerprint/cycle); one entry
 	// serves every load scale.
 	Key string `json:"key"`
 	// Fingerprint is the mesh fingerprint component of the key.

@@ -30,9 +30,6 @@ type SolveRequest struct {
 	MaxIters int `json:"max_iters"`
 	// Cycle selects the multigrid cycle: "fmg" (default) or "v".
 	Cycle string `json:"cycle"`
-	// Storage selects the operator storage mode: "auto" (default — follow
-	// the assembled fine matrix), "csr" or "bsr".
-	Storage string `json:"storage"`
 	// Stream switches the response to newline-delimited JSON: one
 	// Progress line per Krylov iteration as it happens, then the final
 	// SolveResponse line.
@@ -218,7 +215,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		failJSON(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	opts, err := solverOptions(req.RTol, req.MaxIters, req.Cycle, req.Storage)
+	opts, err := solverOptions(req.RTol, req.MaxIters, req.Cycle)
 	if err != nil {
 		failJSON(w, http.StatusBadRequest, err.Error())
 		return
@@ -249,7 +246,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fp := g.Fingerprint(opts.Coarsen)
-	key := cacheKey(fp, req.Cycle, opts)
+	key := cacheKey(fp, req.Cycle)
 	sess.setKey(key)
 
 	entry, hit, err := s.cache.Acquire(key, fp, g, opts)
@@ -336,7 +333,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	resp.TaskMsgs = task.Msgs()
 	resp.TaskBytes = task.Bytes()
 	resp.TaskVCycles = task.VCycles()
-	mSolves.With(storageLabel(opts.MG.Storage)).Inc()
+	mSolves.Inc()
 	mSolveStops.With(resp.Reason).Inc()
 
 	if ctx.Err() != nil {

@@ -8,9 +8,8 @@ import (
 // exposed in Prometheus text format by /metrics (obs.WritePrometheus).
 // Names are tree-unique string constants (obs-discipline); the labeled
 // families carry bounded label sets only — routes are the fixed route
-// table, statuses are HTTP codes, storage modes the three storage kinds,
-// stop reasons the six of krylov.StopReason — so series cardinality is
-// bounded by construction.
+// table, statuses are HTTP codes, stop reasons the six of
+// krylov.StopReason — so series cardinality is bounded by construction.
 var (
 	// mHTTPRequests counts requests by route and status code.
 	mHTTPRequests = obs.NewCounterVec("serve.http.requests", "route", "status")
@@ -29,8 +28,8 @@ var (
 	mCacheHits   = obs.NewCounter("serve.cache.hits")
 	mCacheMisses = obs.NewCounter("serve.cache.misses")
 	mCacheEvict  = obs.NewCounter("serve.cache.evictions")
-	// mSolves counts completed solves by resolved storage mode.
-	mSolves = obs.NewCounterVec("serve.solve.total", "storage")
+	// mSolves counts completed solves.
+	mSolves = obs.NewCounter("serve.solve.total")
 	// mSolveStops counts completed solves by why the Krylov iteration
 	// ended (krylov.StopReason: converged, max_iters, indefinite, ...).
 	mSolveStops = obs.NewCounterVec("serve.solve.stops", "reason")

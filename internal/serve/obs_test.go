@@ -329,7 +329,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"prometheus_obs_enabled 1",
 		`prometheus_serve_http_requests_total{route="/v1/solve",status="200"} 2`,
-		`prometheus_serve_solve_total{storage=`,
+		"prometheus_serve_solve_total ",
 		"prometheus_serve_cache_misses_total 1",
 		"prometheus_serve_cache_hits_total 1",
 		`prometheus_serve_http_request_ns_bucket{`,

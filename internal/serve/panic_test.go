@@ -59,12 +59,12 @@ func TestPanicInsideSolveAnswers500(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := solverOptions(1e-4, 1000, "fmg", "")
+	opts, err := solverOptions(1e-4, 1000, "fmg")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fp := g.Fingerprint(opts.Coarsen)
-	broken := &cacheEntry{key: cacheKey(fp, "fmg", opts), fp: fp, mgs: make(chan *lease, mgPoolCap)}
+	broken := &cacheEntry{key: cacheKey(fp, "fmg"), fp: fp, mgs: make(chan *lease, mgPoolCap)}
 	broken.once.Do(func() {})
 	svc.cache.entries[broken.key] = broken
 
@@ -255,7 +255,7 @@ func TestPanickingBuildReleasesWaiters(t *testing.T) {
 	g.Models = []prometheus.Model{gatedPanicModel{gate}}
 	opts := prometheus.Options{}
 	fp := g.Fingerprint(opts.Coarsen)
-	key := cacheKey(fp, "fmg", opts)
+	key := cacheKey(fp, "fmg")
 	c := newHierCache(4)
 
 	var wg sync.WaitGroup

@@ -106,36 +106,19 @@ func (g *Geometry) Fingerprint(opts prometheus.CoarsenOptions) string {
 	return core.Fingerprint(g.Mesh, g.Cons.Fixed, opts)
 }
 
-// storageLabel is the canonical cache-key component for a storage mode.
-// Derived from the resolved options (not the raw request string), so two
-// spellings that configure the same solver can never produce distinct
-// keys, and two modes that cache different products can never collide.
-func storageLabel(k prometheus.StorageKind) string {
-	switch k {
-	case prometheus.StorageCSR:
-		return "csr"
-	case prometheus.StorageBSR:
-		return "bsr"
-	default:
-		return "auto"
-	}
-}
-
-// cacheKey derives the full cache key, fingerprint/cycle/storage: the
-// mesh fingerprint plus the solve-variant parameters that change the
-// cached setup products (cycle shapes the multigrid built from the
-// hierarchy, storage shapes the cached operator hierarchy itself). The
-// load scale is not part of it: an entry keeps the load map, and each
-// request reduces its own scaled load through it. Storage comes from the
-// resolved options, so two spellings of one mode share an entry.
-func cacheKey(fp string, cycle string, opts prometheus.Options) string {
-	return fp + "/" + cycle + "/" + storageLabel(opts.MG.Storage)
+// cacheKey derives the full cache key, fingerprint/cycle: the mesh
+// fingerprint plus the cycle, the one solve-variant parameter that changes
+// the cached setup products (it shapes the multigrid built from the
+// hierarchy). The load scale is not part of it: an entry keeps the load
+// map, and each request reduces its own scaled load through it.
+func cacheKey(fp, cycle string) string {
+	return fp + "/" + cycle
 }
 
 // solverOptions maps request-level solve parameters onto the library
 // options. The same mapping is used by the cache build and by
 // DirectSolve, so the two paths configure identical solvers.
-func solverOptions(rtol float64, maxIters int, cycle, storage string) (prometheus.Options, error) {
+func solverOptions(rtol float64, maxIters int, cycle string) (prometheus.Options, error) {
 	opts := prometheus.Options{RTol: rtol, MaxIters: maxIters}
 	switch cycle {
 	case "", "fmg":
@@ -145,16 +128,6 @@ func solverOptions(rtol float64, maxIters int, cycle, storage string) (prometheu
 	default:
 		return opts, fmt.Errorf("serve: unknown cycle %q (want fmg or v)", cycle)
 	}
-	switch storage {
-	case "", "auto":
-		// Follow the fine operator (assembled CSR on this service).
-	case "csr":
-		opts.MG.Storage = prometheus.StorageCSR
-	case "bsr":
-		opts.MG.Storage = prometheus.StorageBSR
-	default:
-		return opts, fmt.Errorf("serve: unknown storage %q (want auto, csr or bsr)", storage)
-	}
 	return opts, nil
 }
 
@@ -162,11 +135,15 @@ func solverOptions(rtol float64, maxIters int, cycle, storage string) (prometheu
 // service machinery: build, assemble, NewSolver, SolveLinear. It is the
 // reference the serve path is verified bitwise-identical against.
 //
-// The trailing precision parameter is a leftover of the retired
-// single-precision storage mode, kept because bench/ passes it and
-// product PRs may not edit bench/: only "" and "f64" are accepted. The
-// next [benchmark] PR drops it (ROADMAP item 4).
+// The storage and precision parameters are leftovers of the retired
+// storage modes, kept because bench/ passes them and product PRs may not
+// edit bench/: storage accepts only "" and "auto" (the multigrid reads
+// the storage from the operator), precision only "" and "f64". The next
+// [benchmark] PR drops both (ROADMAP item 1(a)).
 func DirectSolve(spec Spec, scale, rtol float64, maxIters int, cycle, storage, precision string) ([]float64, *prometheus.Result, error) {
+	if storage != "" && storage != "auto" {
+		return nil, nil, fmt.Errorf("serve: unknown storage %q (the storage is read from the operator)", storage)
+	}
 	if precision != "" && precision != "f64" {
 		return nil, nil, fmt.Errorf("serve: unknown precision %q (every level is f64)", precision)
 	}
@@ -174,7 +151,7 @@ func DirectSolve(spec Spec, scale, rtol float64, maxIters int, cycle, storage, p
 	if err != nil {
 		return nil, nil, err
 	}
-	opts, err := solverOptions(rtol, maxIters, cycle, storage)
+	opts, err := solverOptions(rtol, maxIters, cycle)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -76,7 +76,7 @@ var servedScales = []float64{1, 0.5, 2, -1, 1e-3, 3}
 // solution vector, residual history and iteration count.
 func checkBitwiseDirect(t *testing.T, req SolveRequest, got SolveResponse) {
 	t.Helper()
-	uDirect, resDirect, err := DirectSolve(req.Spec, req.LoadScale, 1e-4, 1000, "fmg", req.Storage, "")
+	uDirect, resDirect, err := DirectSolve(req.Spec, req.LoadScale, 1e-4, 1000, "fmg", "", "")
 	if err != nil {
 		t.Fatalf("direct solve at scale %g: %v", req.LoadScale, err)
 	}
@@ -101,33 +101,30 @@ func sameBits(a, b []float64) bool {
 
 // TestServeBitwiseIdentical is the end-to-end oracle: a served solve must
 // be bitwise identical — solution vector, residual history, iteration
-// count — to a direct solver run of the same request. Every load scale of
-// a storage mode is served from one cache entry, built by the first
-// request; the others hit it and reduce their own load against it.
+// count — to a direct solver run of the same request. Every load scale is
+// served from one cache entry, built by the first request; the others hit
+// it and reduce their own load against it.
 func TestServeBitwiseIdentical(t *testing.T) {
-	spec := Spec{Problem: "cube", Size: 1}
-	for _, storage := range []string{"auto", "csr", "bsr"} {
-		_, ts := newTestServer(t, Config{})
-		var key string
-		for i, scale := range servedScales {
-			req := SolveRequest{Spec: spec, LoadScale: scale, Storage: storage, ReturnSolution: true}
-			got := postSolve(t, ts, req)
-			checkBitwiseDirect(t, req, got)
-			if i == 0 {
-				key = got.Key
-			}
-			if got.Key != key || got.CacheHit != (i > 0) {
-				t.Fatalf("%s, scale %g: key %s, cache_hit %v; want the first request's key %s and a hit after it", storage, scale, got.Key, got.CacheHit, key)
-			}
+	_, ts := newTestServer(t, Config{})
+	var key string
+	for i, scale := range servedScales {
+		req := SolveRequest{Spec: Spec{Problem: "cube", Size: 1}, LoadScale: scale, ReturnSolution: true}
+		got := postSolve(t, ts, req)
+		checkBitwiseDirect(t, req, got)
+		if i == 0 {
+			key = got.Key
 		}
-		if parts := strings.Split(key, "/"); len(parts) != 3 || parts[2] != storage {
-			t.Fatalf("%s: key %s, want fingerprint/cycle/storage", storage, key)
+		if got.Key != key || got.CacheHit != (i > 0) {
+			t.Fatalf("scale %g: key %s, cache_hit %v; want the first request's key %s and a hit after it", scale, got.Key, got.CacheHit, key)
 		}
-		var cb cacheBody
-		getJSON(t, ts.URL+"/v1/cache", &cb)
-		if cb.Misses != 1 || cb.Hits != int64(len(servedScales)-1) || len(cb.Entries) != 1 {
-			t.Fatalf("%s: %d misses, %d hits, %d entries after %d scales; want 1, %d, 1", storage, cb.Misses, cb.Hits, len(cb.Entries), len(servedScales), len(servedScales)-1)
-		}
+	}
+	if parts := strings.Split(key, "/"); len(parts) != 2 || parts[1] != "fmg" {
+		t.Fatalf("key %s, want fingerprint/cycle", key)
+	}
+	var cb cacheBody
+	getJSON(t, ts.URL+"/v1/cache", &cb)
+	if cb.Misses != 1 || cb.Hits != int64(len(servedScales)-1) || len(cb.Entries) != 1 {
+		t.Fatalf("%d misses, %d hits, %d entries after %d scales; want 1, %d, 1", cb.Misses, cb.Hits, len(cb.Entries), len(servedScales), len(servedScales)-1)
 	}
 }
 
@@ -172,13 +169,17 @@ func TestConcurrentScalesShareOneEntry(t *testing.T) {
 	}
 }
 
-// TestServeMatrixFree: the retired "mf" storage is refused by DirectSolve
-// as it is by the handler (TestServeRequestValidation), with an error that
-// names the field and the modes there are.
+// TestServeMatrixFree: DirectSolve's storage parameter accepts only the
+// default, so the retired "mf" storage is refused, as are "csr" and "bsr"
+// — the handler refuses the "storage" field itself
+// (TestServeRequestValidation) — with an error that names the parameter
+// and says where the storage comes from.
 func TestServeMatrixFree(t *testing.T) {
-	_, _, err := DirectSolve(Spec{Problem: "cube", Size: 1}, 1, 1e-4, 1000, "fmg", "mf", "")
-	if err == nil || !strings.Contains(err.Error(), "storage") || !strings.Contains(err.Error(), "auto, csr or bsr") {
-		t.Fatalf("DirectSolve with storage mf: error %v, want one naming storage and auto, csr or bsr", err)
+	for _, st := range []string{"mf", "csr", "bsr"} {
+		_, _, err := DirectSolve(Spec{Problem: "cube", Size: 1}, 1, 1e-4, 1000, "fmg", st, "")
+		if err == nil || !strings.Contains(err.Error(), "storage") || !strings.Contains(err.Error(), "read from the operator") {
+			t.Fatalf("DirectSolve with storage %s: error %v, want one naming storage and where it is read from", st, err)
+		}
 	}
 }
 
@@ -498,14 +499,11 @@ func TestServeRequestValidation(t *testing.T) {
 	if _, status := postSolveStatus(t, ts, SolveRequest{Spec: Spec{Problem: "cube", Size: 1}, Cycle: "x"}); status != http.StatusBadRequest {
 		t.Fatalf("unknown cycle: status %d, want 400", status)
 	}
-	if _, status := postSolveStatus(t, ts, SolveRequest{Spec: Spec{Problem: "cube", Size: 1}, Storage: "coo"}); status != http.StatusBadRequest {
-		t.Fatalf("unknown storage: status %d, want 400", status)
-	}
 
 	// Hostile numbers and malformed bodies: each must answer 400 with a
 	// JSON error naming the offending field, before any hierarchy is built.
-	// "precision", cycle "w" and storage "mf" are retired: the first is an
-	// unknown field to the strict decoder, the others unknown values.
+	// "precision" and "storage" are retired fields, unknown to the strict
+	// decoder whatever their value, and cycle "w" is an unknown value.
 	for _, tc := range []struct{ body, names string }{
 		{`{"problem":"cube","size":1,"load_scale":1e308,"wait":true}`, "load_scale"},
 		{`{"problem":"cube","size":1,"load_scale":-1e101}`, "load_scale"},
@@ -521,6 +519,7 @@ func TestServeRequestValidation(t *testing.T) {
 		{`{"problem":"cube","size":1,"precision":"f32"}`, "precision"},
 		{`{"problem":"cube","size":1,"cycle":"w"}`, "cycle"},
 		{`{"problem":"cube","size":1,"storage":"mf"}`, "storage"},
+		{`{"problem":"cube","size":1,"storage":"auto"}`, "storage"},
 		{`{"problem":"cube","size":1}{"problem":"cube","size":2}`, "trailing"},
 		{`{"problem":"cube","size":1}]`, "trailing"},
 	} {

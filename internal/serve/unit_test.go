@@ -3,10 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
-	"os"
-	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -98,7 +94,7 @@ func TestCacheEvictionLRU(t *testing.T) {
 			t.Fatal(err)
 		}
 		fp := g.Fingerprint(opts.Coarsen)
-		keys[i] = cacheKey(fp, "fmg", opts)
+		keys[i] = cacheKey(fp, "fmg")
 		e, hit, err := c.Acquire(keys[i], fp, g, opts)
 		if err != nil {
 			t.Fatalf("acquire %d: %v", i, err)
@@ -145,7 +141,7 @@ func TestCachePinnedEntryNotEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp1 := g1.Fingerprint(opts.Coarsen)
-	e1, _, err := c.Acquire(cacheKey(fp1, "fmg", opts), fp1, g1, opts)
+	e1, _, err := c.Acquire(cacheKey(fp1, "fmg"), fp1, g1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +151,7 @@ func TestCachePinnedEntryNotEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp2 := g2.Fingerprint(opts.Coarsen)
-	e2, _, err := c.Acquire(cacheKey(fp2, "fmg", opts), fp2, g2, opts)
+	e2, _, err := c.Acquire(cacheKey(fp2, "fmg"), fp2, g2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,34 +170,21 @@ func TestCachePinnedEntryNotEvicted(t *testing.T) {
 
 // TestCacheKeyDistinguishesVariants is the cache-correctness regression
 // test for the key derivation: every request parameter that changes the
-// cached setup products — fingerprint, cycle, storage mode — must land in
-// the key. A shared key across storage modes would hand one request a
-// hierarchy built for another storage. The load scale changes none of
-// them, so two scales of one geometry must share a key.
+// cached setup products — fingerprint, cycle — must land in the key. The
+// storage is read from the operator, so no request parameter selects it.
+// The load scale changes none of them, so two scales of one geometry must
+// share a key.
 func TestCacheKeyDistinguishesVariants(t *testing.T) {
-	mustOpts := func(storage string) prometheus.Options {
-		t.Helper()
-		opts, err := solverOptions(1e-4, 100, "fmg", storage)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return opts
-	}
-	def := mustOpts("")
 	keys := map[string]bool{
-		cacheKey("fp", "fmg", def):             true,
-		cacheKey("fp", "v", def):               true,
-		cacheKey("fp2", "fmg", def):            true,
-		cacheKey("fp", "fmg", mustOpts("csr")): true,
-		cacheKey("fp", "fmg", mustOpts("bsr")): true,
+		cacheKey("fp", "fmg"):  true,
+		cacheKey("fp", "v"):    true,
+		cacheKey("fp2", "fmg"): true,
 	}
-	if len(keys) != 5 {
+	if len(keys) != 3 {
 		t.Fatalf("cache key variants collide: %v", keys)
 	}
-	// Equivalent spellings of the defaults must share a key: the label is
-	// derived from the resolved options, not the raw request strings.
-	if cacheKey("fp", "fmg", mustOpts("auto")) != cacheKey("fp", "fmg", def) {
-		t.Fatal("canonical default spellings produced distinct cache keys")
+	if k := cacheKey("fp", "fmg"); k != "fp/fmg" {
+		t.Fatalf("cache key %s, want fingerprint/cycle", k)
 	}
 	// Two load scales of one spec resolve to one key, and the second hits.
 	_, ts := newTestServer(t, Config{})
@@ -221,7 +204,7 @@ func TestMGLeasePool(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := g.Fingerprint(opts.Coarsen)
-	e, _, err := c.Acquire(cacheKey(fp, "fmg", opts), fp, g, opts)
+	e, _, err := c.Acquire(cacheKey(fp, "fmg"), fp, g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,23 +261,13 @@ func TestMGLeasePool(t *testing.T) {
 
 func TestSolverOptionsValidation(t *testing.T) {
 	for _, cyc := range []string{"spiral", "w"} {
-		if _, err := solverOptions(1e-4, 100, cyc, ""); err == nil {
+		if _, err := solverOptions(1e-4, 100, cyc); err == nil {
 			t.Fatalf("cycle %q accepted", cyc)
 		}
 	}
-	for _, st := range []string{"ebe", "mf"} {
-		if _, err := solverOptions(1e-4, 100, "fmg", st); err == nil {
-			t.Fatalf("storage %q accepted", st)
-		}
-	}
 	for _, cyc := range []string{"", "fmg", "v"} {
-		if _, err := solverOptions(1e-4, 100, cyc, ""); err != nil {
+		if _, err := solverOptions(1e-4, 100, cyc); err != nil {
 			t.Fatalf("cycle %q rejected: %v", cyc, err)
-		}
-	}
-	for _, st := range []string{"", "auto", "csr", "bsr"} {
-		if _, err := solverOptions(1e-4, 100, "fmg", st); err != nil {
-			t.Fatalf("storage %q rejected: %v", st, err)
 		}
 	}
 	// DirectSolve's trailing precision parameter outlives the mode it
@@ -302,61 +275,6 @@ func TestSolverOptionsValidation(t *testing.T) {
 	// before any work is done.
 	if _, _, err := DirectSolve(Spec{Problem: "cube", Size: 1}, 1, 1e-4, 100, "fmg", "", "f32"); err == nil {
 		t.Fatal(`DirectSolve accepted precision "f32"`)
-	}
-}
-
-// storageModes are the storage modes solverOptions accepts, each the label
-// of the kind it resolves to.
-var storageModes = []string{"auto", "csr", "bsr"}
-
-// checkStorageTable reports whether the `| mode |` table of readme lists
-// exactly storageModes, one row each and in that order.
-func checkStorageTable(readme string) error {
-	_, table, found := strings.Cut(readme, "| mode |")
-	if !found {
-		return errors.New("README.md has no `| mode |` table")
-	}
-	var rows []string
-	for i, line := range strings.Split(table, "\n") {
-		line = strings.TrimSpace(line)
-		if i == 0 || strings.HasPrefix(line, "|---") { // header rest, separator
-			continue
-		}
-		if !strings.HasPrefix(line, "|") {
-			break
-		}
-		rows = append(rows, strings.Trim(strings.TrimSpace(strings.Split(line, "|")[1]), "`"))
-	}
-	if !slices.Equal(rows, storageModes) {
-		return fmt.Errorf("README storage table lists modes %v, solverOptions accepts %v", rows, storageModes)
-	}
-	return nil
-}
-
-// TestReadmeStorageTable: README's storage table lists exactly the modes
-// solverOptions accepts, so it cannot go stale; a row for a retired mode
-// fails it.
-func TestReadmeStorageTable(t *testing.T) {
-	for _, st := range storageModes {
-		opts, err := solverOptions(1e-4, 100, "fmg", st)
-		if err != nil || storageLabel(opts.MG.Storage) != st {
-			t.Fatalf("storage %q: label %q, error %v", st, storageLabel(opts.MG.Storage), err)
-		}
-	}
-	readme, err := os.ReadFile("../../README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := checkStorageTable(string(readme)); err != nil {
-		t.Fatal(err)
-	}
-	bsrRow := strings.Index(string(readme), "| `bsr` |")
-	if bsrRow < 0 {
-		t.Fatal("README storage table has no `bsr` row")
-	}
-	stale := string(readme[:bsrRow]) + "| `mf` | packed element stiffnesses |\n  " + string(readme[bsrRow:])
-	if checkStorageTable(stale) == nil {
-		t.Fatal("a README with an `mf` row passes the storage table check")
 	}
 }
 

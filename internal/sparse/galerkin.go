@@ -83,7 +83,7 @@ func (g *GalerkinPlan) Pattern() Operator {
 }
 
 // Target makes t the pattern Fill writes into: one planned from the
-// scalar form of Pattern(), its rows and columns pinned as fixEmptyRows
+// scalar form of Pattern(), its rows and columns pinned as multigrid
 // pins them. Every entry the product forms outside a pinned row or column
 // must belong to it.
 func (g *GalerkinPlan) Target(t *CSR) {
@@ -126,7 +126,7 @@ func (g *GalerkinPlan) raKernel(a Operator) (*fillKernel, []float64) {
 
 // Diag returns the diagonal of R·A·Rᵀ from R·A's values, every entry the
 // sum Fill forms for it — zero where the product stores none — without
-// forming the product: what fixEmptyRows reads to decide the pins before
+// forming the product: what multigrid reads to decide the pins before
 // Fill writes the product pinned.
 func (g *GalerkinPlan) Diag(ra []float64) []float64 {
 	return g.rar.diag(ra, g.rt.Val)
@@ -163,7 +163,7 @@ func (g *GalerkinPlan) Products() (ra, rar *Product) {
 }
 
 // Fill returns R·A·Rᵀ, from R·A's values, in the target's storage: CSR or
-// BSR. keep and pin are fixEmptyRows' pins (keep nil: none) and must be
+// BSR. keep and pin are multigrid's pins (keep nil: none) and must be
 // the ones the target was planned for: a pinned row holds pin on its
 // diagonal and nothing else, a pinned column nothing. Every other entry is
 // the sum the one-pass product formed, in the same order, so the result is

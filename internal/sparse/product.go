@@ -307,7 +307,7 @@ func sortColumns(row []int, seen []uint64) {
 
 // target is where the numeric pass writes C: its own pattern (nil csr) or
 // another CSR pattern. keep, when set, drops the columns and skips the
-// rows it marks -1 (fixEmptyRows' pins: the caller writes a pinned row's
+// rows it marks -1 (multigrid's pins: the caller writes a pinned row's
 // one entry); contributions to a dropped column go to the slot at index
 // trash+w of the value array, past the target's own, w the lane, so no two
 // participants write one slot.

@@ -2,8 +2,6 @@ package prometheus
 
 import (
 	"fmt"
-	"math"
-	"slices"
 	"testing"
 
 	"prometheus/internal/krylov"
@@ -12,12 +10,14 @@ import (
 )
 
 // TestModeMatrix solves one small clamped cube in every library
-// configuration: storage {auto, csr, bsr} × cycle {fmg, v, w} × hierarchy
-// {geometric MIS, smoothed aggregation}, 18 cells, each hierarchy four
-// levels deep. Storage is a kernel choice, not arithmetic, so within each
-// cycle × hierarchy the three storages must agree in solution bits,
-// residual history and iteration count, and every cell must take the
-// iterations its row records.
+// configuration: cycle {fmg, v, w} × hierarchy {geometric MIS, smoothed
+// aggregation}, 6 cells, each hierarchy four levels deep. The constraints
+// are node-aligned, so under both hierarchies the reduced operator blocks
+// with no fill and the fine level is applied in blocks. Every cell must
+// take the iterations its row records. That blocking is a kernel choice,
+// not arithmetic — the blocked hierarchy solves bit for bit as the
+// all-scalar reference under every cycle — is TestStorageParity (geometric)
+// and TestAggregationBlockingIsAKernelChoice in internal/multigrid.
 func TestModeMatrix(t *testing.T) {
 	c := problems.NewCube(7, LinearElastic{E: 1, Nu: 0.3}, -0.001)
 	k, _, err := NewProblem(c.Mesh, c.Models, false).AssembleTangent(make([]float64, c.Mesh.NumDOF()))
@@ -40,10 +40,6 @@ func TestModeMatrix(t *testing.T) {
 		}
 		solvers[h] = s
 	}
-	storages := []struct {
-		name string
-		kind StorageKind
-	}{{"auto", StorageAuto}, {"csr", StorageCSR}, {"bsr", StorageBSR}}
 	for _, row := range []struct {
 		hierarchy  HierarchyKind
 		cycle      multigrid.CycleKind
@@ -56,38 +52,23 @@ func TestModeMatrix(t *testing.T) {
 		{SmoothedAggregation, VCycle, 6},
 		{SmoothedAggregation, WCycle, 6},
 	} {
-		var ref []uint64
-		for _, st := range storages {
-			cell := fmt.Sprintf("hierarchy %d, cycle %d, storage %s", row.hierarchy, row.cycle, st.name)
-			solver := withoutPlan(solvers[row.hierarchy])
-			solver.Opts.MG = MGOptions{Cycle: row.cycle, Storage: st.kind}
-			mg, err := solver.Preconditioner(kred)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mg.NumLevels() != 4 {
-				t.Fatalf("%s: %d levels, want 4", cell, mg.NumLevels())
-			}
-			// StorageBSR blocks the fine level, and so does StorageAuto on the
-			// node-aligned fine level of a geometric hierarchy.
-			_, blocked := mg.Levels[0].A.(*BSR)
-			if want := st.kind == StorageBSR || st.kind == StorageAuto && row.hierarchy == GeometricMIS; blocked != want {
-				t.Errorf("%s: the fine level is %T", cell, mg.Levels[0].A)
-			}
-			x := make([]float64, kred.NRows)
-			res := krylov.FPCG(kred, fred, x, mg, solver.Opts.RTol, solver.Opts.MaxIters)
-			if !res.Converged || res.Iterations != row.iterations {
-				t.Errorf("%s: converged=%v in %d iterations, want %d", cell, res.Converged, res.Iterations, row.iterations)
-			}
-			bits := make([]uint64, 0, len(x)+len(res.Residuals))
-			for _, v := range append(x, res.Residuals...) {
-				bits = append(bits, math.Float64bits(v))
-			}
-			if ref == nil {
-				ref = bits
-			} else if !slices.Equal(bits, ref) {
-				t.Errorf("%s: solution or residual history differs in bits from storage auto", cell)
-			}
+		cell := fmt.Sprintf("hierarchy %d, cycle %d", row.hierarchy, row.cycle)
+		solver := withoutPlan(solvers[row.hierarchy])
+		solver.Opts.MG = MGOptions{Cycle: row.cycle}
+		mg, err := solver.Preconditioner(kred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mg.NumLevels() != 4 {
+			t.Fatalf("%s: %d levels, want 4", cell, mg.NumLevels())
+		}
+		if _, blocked := mg.Levels[0].A.(*BSR); !blocked {
+			t.Errorf("%s: the fine level is %T", cell, mg.Levels[0].A)
+		}
+		x := make([]float64, kred.NRows)
+		res := krylov.FPCG(kred, fred, x, mg, solver.Opts.RTol, solver.Opts.MaxIters)
+		if !res.Converged || res.Iterations != row.iterations {
+			t.Errorf("%s: converged=%v in %d iterations, want %d", cell, res.Converged, res.Iterations, row.iterations)
 		}
 	}
 }

@@ -62,9 +62,6 @@ type (
 	// operator and constraint set (fem.LoadMap); get one from
 	// Solver.LinearOperator.
 	LoadMap = fem.LoadMap
-	// StorageKind selects the per-level operator storage of the multigrid
-	// hierarchy (multigrid.StorageKind); set it on MGOptions.Storage.
-	StorageKind = multigrid.StorageKind
 	// CoarsenOptions controls the MIS coarsening (core.Options).
 	CoarsenOptions = core.Options
 	// MGOptions controls the multigrid cycle (multigrid.Options).
@@ -93,15 +90,6 @@ const (
 	FMG    = multigrid.FMG
 	VCycle = multigrid.VCycle
 	WCycle = multigrid.WCycle
-)
-
-// Storage modes for MGOptions.Storage: the operator as handed in with
-// blocked Galerkin levels, assembled scalar rows everywhere, or assembled
-// 3x3 node blocks from the fine level down.
-const (
-	StorageAuto = multigrid.StorageAuto
-	StorageCSR  = multigrid.StorageCSR
-	StorageBSR  = multigrid.StorageBSR
 )
 
 // NewStructuredHexMesh builds an nx×ny×nz hexahedral mesh of a box; matFn
@@ -256,10 +244,10 @@ type Result struct {
 // operator (the per-matrix setup phase: Galerkin products, block
 // factorizations). For SmoothedAggregation hierarchies the restriction
 // chain is built from the first operator seen and reused afterwards.
-// Geometric hierarchies on node-aligned constraint sets (every vertex
-// fully free or fully fixed) under the default storage block the fine
-// operator into 3x3-node BSR (multigrid.StorageBSR); the Galerkin levels
-// below are blocked level by level whatever the fine level is.
+// Storage is read from the operator (multigrid.Build): a reduced CSR that
+// blocks into 3x3 node blocks with no fill, as it does when every vertex
+// is fully free or fully fixed, is applied in blocks, and the Galerkin
+// levels below are blocked level by level whatever the fine level is.
 //
 // The solver keeps the plan of the last hierarchy it built — patterns,
 // partitions, orderings (multigrid.Plan). An operator with the same
@@ -274,14 +262,10 @@ func (s *Solver) Preconditioner(kred Operator) (*multigrid.MG, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := s.Opts.MG
-	if s.Opts.Hierarchy == GeometricMIS && s.dofMap.NodeAligned(3) && opts.Storage == StorageAuto {
-		opts.Storage = StorageBSR
-	}
 	s.mu.Lock()
 	plan := s.plan
 	s.mu.Unlock()
-	mg, plan, err := multigrid.Build(plan, kred, rs, opts)
+	mg, plan, err := multigrid.Build(plan, kred, rs, s.Opts.MG)
 	if err != nil {
 		return nil, err
 	}

@@ -69,8 +69,9 @@ func TestPublicAPISolveLinear(t *testing.T) {
 }
 
 // TestPreconditionerAutoBlocks checks the storage decision at the public
-// surface: a node-aligned constraint set (FixVert only) re-blocks the
-// reduced tangent into 3x3 BSR, while component-wise constraints keep CSR.
+// surface: the reduced tangent of a node-aligned constraint set (FixVert
+// only) blocks with no fill and is applied as 3x3 BSR, while component-wise
+// constraints keep CSR.
 func TestPreconditionerAutoBlocks(t *testing.T) {
 	m, cons, f := buildCube(t, 4)
 	solver, err := NewSolver(m, cons, Options{})
