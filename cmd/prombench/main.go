@@ -86,7 +86,7 @@ func main() {
 		"ablations": func(w io.Writer) error {
 			for i, ablation := range []func(io.Writer) error{
 				experiments.AblationTOL, experiments.AblationReclassify, experiments.AblationBlocks,
-				experiments.AblationCycle, experiments.AblationKrylov,
+				experiments.AblationCycle,
 			} {
 				if i > 0 {
 					fmt.Fprintln(w)

@@ -3,8 +3,9 @@
 // semaphore admission control, optional streamed residual progress
 // (application/x-ndjson), and a hierarchy cache keyed by deterministic
 // mesh fingerprint so repeated geometries skip mesh setup and Galerkin
-// products entirely. Results are bitwise identical to direct promsolve
-// runs of the same spec.
+// products entirely. Every solve is flexible CG preconditioned by one full
+// multigrid cycle, and its result is bitwise identical to a direct
+// promsolve run of the same spec.
 //
 // Usage:
 //
@@ -13,12 +14,12 @@
 //
 // Endpoints (one server, one port):
 //
-//	POST /v1/solve     solve {"problem","size","rtol","cycle","stream",...}
+//	POST /v1/solve     solve {"problem","size","load_scale","rtol","max_iters","stream",...}
 //	GET  /v1/sessions  solves in flight
 //	GET  /v1/sessions/{id}/trace   per-request Chrome trace JSON
 //	GET  /v1/cache     hierarchy cache contents + hit/miss/eviction totals
 //	GET  /metrics      Prometheus text exposition (0.0.4) of the obs registry
-//	GET  /healthz      liveness + watchdog status (promdebug builds)
+//	GET  /healthz      liveness and service counters
 //	GET  /debug/vars   expvar, including the obs profile (prometheus_obs)
 //	GET  /debug/pprof  runtime profiling
 //

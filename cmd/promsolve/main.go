@@ -1,11 +1,13 @@
 // Command promsolve builds one of the bundled problems, runs the solver
 // once, and prints the solve breakdown — the "one linear solve" experiment
 // of section 7.1 in miniature, or the full nonlinear crush with -nonlinear.
+// Every linear solve is the paper's: flexible CG preconditioned by one
+// full multigrid cycle.
 //
 // Usage:
 //
-//	promsolve [-problem spheres|cube|cantilever] [-size k] [-nonlinear]
-//	          [-steps n] [-rtol tol] [-cycle fmg|v]
+//	promsolve [-problem spheres|cube|cantilever] [-mesh file] [-size k]
+//	          [-nonlinear] [-steps n] [-rtol tol]
 //	          [-profile] [-profile-dir dir] [-http addr]
 //
 // -profile records every instrumented phase with the internal/obs
@@ -45,7 +47,6 @@ func main() {
 	nonlinear := flag.Bool("nonlinear", false, "run the Newton crush instead of one linear solve")
 	steps := flag.Int("steps", 10, "load steps for -nonlinear")
 	rtol := flag.Float64("rtol", 1e-4, "linear relative tolerance")
-	cycle := flag.String("cycle", "fmg", "multigrid cycle: fmg or v")
 	profile := flag.Bool("profile", false, "record obs events and print the -log_view-style table after the run")
 	profileDir := flag.String("profile-dir", "", "with -profile, write logview.txt, profile.json and trace.json into this directory")
 	httpAddr := flag.String("http", "", "serve /debug/pprof and /debug/vars on this address (e.g. localhost:6060)")
@@ -65,9 +66,6 @@ func main() {
 	}
 
 	opts := prometheus.Options{RTol: *rtol}
-	if *cycle == "v" {
-		opts.MG.Cycle = prometheus.VCycle
-	}
 
 	var m *prometheus.Mesh
 	var cons *prometheus.Constraints

@@ -176,7 +176,6 @@ func TestSlowReportsRender(t *testing.T) {
 		"abl-recl":   func() error { return ablationReclassify(&b, cfg) },
 		"abl-blocks": func() error { return ablationBlocks(&b, cfg) },
 		"abl-cycle":  func() error { return ablationCycle(&b, cfg) },
-		"abl-krylov": func() error { return ablationKrylov(&b, cfg) },
 	} {
 		if err := fn(); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -184,7 +183,7 @@ func TestSlowReportsRender(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{"Figure 13", "smoothed aggregation", "amortization",
-		"tolerance TOL", "reclassification policy", "block Jacobi density", "multigrid cycle", "Krylov"} {
+		"tolerance TOL", "reclassification policy", "block Jacobi density", "multigrid cycle"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q", want)
 		}

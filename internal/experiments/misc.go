@@ -257,7 +257,7 @@ func ablationCycle(w io.Writer, cfg problems.SpheresConfig) error {
 	for _, c := range []struct {
 		name string
 		kind multigrid.CycleKind
-	}{{"FMG (paper)", multigrid.FMG}, {"V-cycle", multigrid.VCycle}, {"W-cycle", multigrid.WCycle}} {
+	}{{"FMG (paper)", multigrid.FMG}, {"V-cycle", multigrid.VCycle}} {
 		its, _, err := solveSpheresWith(cfg, core.Options{}, multigrid.Options{Cycle: c.kind})
 		if err != nil {
 			return err
@@ -351,53 +351,6 @@ func amgCompare(w io.Writer, cfg problems.SpheresConfig) error {
 
 	fmt.Fprintln(w, "Section 8 — MIS geometric coarsening vs smoothed aggregation on the model problem")
 	fmt.Fprint(w, perf.Table([]string{"hierarchy", "levels", "MG-PCG iters (rtol=1e-4)", "op complexity"}, rows))
-	return nil
-}
-
-// AblationKrylov compares the outer Krylov methods with the same multigrid
-// preconditioner: flexible CG (our default), plain PCG, and GMRES(30) (the
-// solver family of the paper's reference [18]).
-func AblationKrylov(w io.Writer) error { return ablationKrylov(w, seriesCfg(1)) }
-
-func ablationKrylov(w io.Writer, cfg problems.SpheresConfig) error {
-	s := problems.NewSpheresConfig(cfg)
-	dm, kred, rred, err := firstSystem(s)
-	if err != nil {
-		return err
-	}
-	h, err := core.Coarsen(s.Mesh, core.Options{})
-	if err != nil {
-		return err
-	}
-	rs := restrictions(h, dm)
-	rows := [][]string{}
-	for _, method := range []struct {
-		name  string
-		solve func(x []float64, mg *multigrid.MG) krylov.Result
-	}{
-		{"flexible CG (default)", func(x []float64, mg *multigrid.MG) krylov.Result {
-			return krylov.FPCG(kred, rred, x, mg, 1e-4, 500)
-		}},
-		{"plain PCG", func(x []float64, mg *multigrid.MG) krylov.Result {
-			return krylov.PCG(kred, rred, x, mg, 1e-4, 500)
-		}},
-		{"GMRES(30) [18]", func(x []float64, mg *multigrid.MG) krylov.Result {
-			return krylov.GMRES(kred, rred, x, mg, 30, 1e-4, 500)
-		}},
-	} {
-		mg, err := multigrid.New(kred, rs, multigrid.Options{})
-		if err != nil {
-			return err
-		}
-		res := method.solve(make([]float64, kred.NRows), mg)
-		conv := "yes"
-		if !res.Converged {
-			conv = "NO"
-		}
-		rows = append(rows, []string{method.name, fmt.Sprintf("%d", res.Iterations), conv})
-	}
-	fmt.Fprintln(w, "Ablation — outer Krylov method with the same FMG preconditioner")
-	fmt.Fprint(w, perf.Table([]string{"method", "iters (rtol=1e-4)", "converged"}, rows))
 	return nil
 }
 

@@ -28,8 +28,9 @@ func (c *Constraints) FixVert(v int, ux, uy, uz float64) {
 // FixDof constrains a single dof (3*vert + comp).
 func (c *Constraints) FixDof(dof int, val float64) { c.Fixed[dof] = val }
 
-// SetScale multiplies every prescribed value by s (load stepping of the
-// displacement-driven problems).
+// Scaled returns a copy of the constraints with every prescribed value
+// multiplied by s (load stepping of the displacement-driven problems); c is
+// left unchanged.
 func (c *Constraints) Scaled(s float64) *Constraints {
 	out := NewConstraints()
 	for d, v := range c.Fixed {

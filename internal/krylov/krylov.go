@@ -1,9 +1,8 @@
-// Package krylov implements the outer iterative solvers: conjugate
-// gradients with and without preconditioning (the paper's solver is CG
-// preconditioned with one full multigrid cycle) and restarted GMRES (the
-// solver family of the Owen et al. comparison [18]). Iteration counts,
-// residual histories and flop counts are recorded for the efficiency
-// analysis of section 6.
+// Package krylov implements the outer iterative solver: flexible
+// conjugate gradients, which the paper preconditions with one full
+// multigrid cycle (section 7.2); with no preconditioner it is plain CG.
+// Iteration counts, residual histories and flop counts are recorded for
+// the efficiency analysis of section 6.
 package krylov
 
 import (
@@ -103,94 +102,6 @@ func (identity) Apply(r, z []float64) { copy(z, r) }
 // later iterate would be NaN, and Inf <= rtol·Inf would read as converged.
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// CG solves A·x = b with plain conjugate gradients.
-func CG(a sparse.Operator, b, x []float64, rtol float64, maxIter int) Result {
-	return PCG(a, b, x, identity{}, rtol, maxIter)
-}
-
-// PCG solves A·x = b with preconditioned conjugate gradients, starting from
-// the given x. Convergence is declared when ‖b - A·x‖₂ ≤ rtol·‖b‖₂ (the
-// paper's relative residual criterion).
-func PCG(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, maxIter int) Result {
-	sp := obs.Start(evPCG)
-	res := pcg(a, b, x, m, rtol, maxIter)
-	sp.EndFlops(res.Flops)
-	cIterations.Add(int64(res.Iterations))
-	return res
-}
-
-func pcg(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, maxIter int) Result {
-	n := a.Rows()
-	if m == nil {
-		m = identity{}
-	}
-	r := make([]float64, n)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
-	var res Result
-
-	a.Residual(b, x, r)
-	res.Flops += a.MulVecFlops() + int64(n)
-	bnorm := la.Norm2(b)
-	if bnorm == 0 {
-		bnorm = 1
-	}
-	rnorm := la.Norm2(r)
-	res.Residuals = append(res.Residuals, rnorm)
-	obs.RecordResidual(0, rnorm)
-	if !finite(rnorm) {
-		res.stop(StopNonFinite)
-		return res
-	}
-	if rnorm <= rtol*bnorm {
-		res.stop(StopConverged)
-		return res
-	}
-	m.Apply(r, z)
-	copy(p, z)
-	rz := la.Dot(r, z)
-	res.Flops += 2 * int64(n)
-
-	for it := 0; it < maxIter; it++ {
-		a.MulVec(p, ap)
-		pap := la.Dot(p, ap)
-		res.Flops += a.MulVecFlops() + 2*int64(n)
-		if !(pap > 0) {
-			// Indefinite or poisoned (NaN) operator: abort.
-			res.stop(curvatureStop(pap, rz))
-			return res
-		}
-		alpha := rz / pap
-		la.Axpy(alpha, p, x)
-		la.Axpy(-alpha, ap, r)
-		res.Flops += 4 * int64(n)
-		rnorm = la.Norm2(r)
-		res.Flops += 2 * int64(n)
-		res.Iterations++
-		res.Residuals = append(res.Residuals, rnorm)
-		obs.RecordResidual(res.Iterations, rnorm)
-		if !finite(rnorm) {
-			res.stop(StopNonFinite)
-			return res
-		}
-		if rnorm <= rtol*bnorm {
-			res.stop(StopConverged)
-			return res
-		}
-		m.Apply(r, z)
-		rzNew := la.Dot(r, z)
-		res.Flops += 2 * int64(n)
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-		res.Flops += 2 * int64(n)
-	}
-	return res
-}
-
 // Monitor observes a solve in flight: it is called once with the initial
 // residual (iter 0) and once per iteration with the current residual norm.
 // Returning false cancels the solve — the iteration stops where it is and
@@ -204,7 +115,8 @@ type Monitor func(iter int, rnorm float64) bool
 // (Polak-Ribière beta), which remains robust when the preconditioner is not
 // exactly symmetric — the full-multigrid (FMG) cycle the paper
 // preconditions with is such an operator. For a symmetric preconditioner
-// FPCG reproduces PCG at the cost of one extra stored vector.
+// FPCG reproduces standard PCG at the cost of one extra stored vector;
+// with a nil preconditioner it is plain CG.
 func FPCG(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, maxIter int) Result {
 	return FPCGMonitoredCtx(context.TODO(), a, b, x, m, rtol, maxIter, nil)
 }
@@ -317,134 +229,6 @@ func fpcg(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, max
 			p[i] = z[i] + beta*p[i]
 		}
 		res.Flops += 2 * int64(n)
-	}
-	return res
-}
-
-// GMRES solves A·x = b with restarted GMRES(m) and left preconditioning.
-func GMRES(a sparse.Operator, b, x []float64, m Preconditioner, restart int, rtol float64, maxIter int) Result {
-	sp := obs.Start(evGMRES)
-	res := gmres(a, b, x, m, restart, rtol, maxIter)
-	sp.EndFlops(res.Flops)
-	cIterations.Add(int64(res.Iterations))
-	return res
-}
-
-func gmres(a sparse.Operator, b, x []float64, m Preconditioner, restart int, rtol float64, maxIter int) Result {
-	n := a.Rows()
-	if m == nil {
-		m = identity{}
-	}
-	if restart < 1 {
-		restart = 30
-	}
-	var res Result
-	r := make([]float64, n)
-	z := make([]float64, n)
-	w := make([]float64, n)
-
-	bnorm := la.Norm2(b)
-	if bnorm == 0 {
-		bnorm = 1
-	}
-
-	// Krylov basis and Hessenberg (restart+1 columns).
-	v := make([][]float64, restart+1)
-	for i := range v {
-		v[i] = make([]float64, n)
-	}
-	h := make([][]float64, restart+1)
-	for i := range h {
-		h[i] = make([]float64, restart)
-	}
-	cs := make([]float64, restart)
-	sn := make([]float64, restart)
-	g := make([]float64, restart+1)
-	yb := make([]float64, restart) // triangular-solve buffer, reused per cycle
-
-	total := 0
-	for total < maxIter {
-		a.Residual(b, x, r)
-		res.Flops += a.MulVecFlops() + int64(n)
-		if len(res.Residuals) == 0 {
-			rn := la.Norm2(r)
-			res.Residuals = append(res.Residuals, rn)
-			obs.RecordResidual(0, rn)
-		}
-		m.Apply(r, z)
-		beta := la.Norm2(z)
-		res.Flops += 2 * int64(n)
-		if beta == 0 {
-			res.stop(StopConverged)
-			return res
-		}
-		for i := range g {
-			g[i] = 0
-		}
-		g[0] = beta
-		copy(v[0], z)
-		la.Scal(1/beta, v[0])
-
-		k := 0
-		for ; k < restart && total < maxIter; k++ {
-			total++
-			a.MulVec(v[k], w)
-			m.Apply(w, z)
-			res.Flops += a.MulVecFlops() + int64(n)
-			// Modified Gram-Schmidt.
-			for i := 0; i <= k; i++ {
-				h[i][k] = la.Dot(z, v[i])
-				la.Axpy(-h[i][k], v[i], z)
-				res.Flops += 4 * int64(n)
-			}
-			h[k+1][k] = la.Norm2(z)
-			res.Flops += 2 * int64(n)
-			if h[k+1][k] != 0 {
-				copy(v[k+1], z)
-				la.Scal(1/h[k+1][k], v[k+1])
-			}
-			// Apply accumulated Givens rotations.
-			for i := 0; i < k; i++ {
-				t := cs[i]*h[i][k] + sn[i]*h[i+1][k]
-				h[i+1][k] = -sn[i]*h[i][k] + cs[i]*h[i+1][k]
-				h[i][k] = t
-			}
-			den := math.Hypot(h[k][k], h[k+1][k])
-			if den == 0 {
-				cs[k], sn[k] = 1, 0
-			} else {
-				cs[k] = h[k][k] / den
-				sn[k] = h[k+1][k] / den
-			}
-			h[k][k] = cs[k]*h[k][k] + sn[k]*h[k+1][k]
-			h[k+1][k] = 0
-			g[k+1] = -sn[k] * g[k]
-			g[k] = cs[k] * g[k]
-			res.Iterations++
-			res.Residuals = append(res.Residuals, math.Abs(g[k+1]))
-			obs.RecordResidual(res.Iterations, math.Abs(g[k+1]))
-			if math.Abs(g[k+1]) <= rtol*bnorm {
-				k++
-				res.stop(StopConverged)
-				break
-			}
-		}
-		// Solve the triangular system and update x.
-		y := yb[:k]
-		for i := k - 1; i >= 0; i-- {
-			s := g[i]
-			for j := i + 1; j < k; j++ {
-				s -= h[i][j] * y[j]
-			}
-			y[i] = s / h[i][i]
-		}
-		for i := 0; i < k; i++ {
-			la.Axpy(y[i], v[i], x)
-			res.Flops += 2 * int64(n)
-		}
-		if res.Converged {
-			return res
-		}
 	}
 	return res
 }

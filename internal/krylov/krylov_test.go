@@ -6,9 +6,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"prometheus/internal/graph"
 	"prometheus/internal/la"
-	"prometheus/internal/smooth"
+	"prometheus/internal/obs"
 	"prometheus/internal/sparse"
 )
 
@@ -50,7 +49,7 @@ func TestCGSolves(t *testing.T) {
 		b[i] = rng.Float64()*2 - 1
 	}
 	x := make([]float64, a.NRows)
-	res := CG(a, b, x, 1e-8, 1000)
+	res := FPCG(a, b, x, nil, 1e-8, 1000)
 	if !res.Converged {
 		t.Fatalf("CG did not converge in %d its", res.Iterations)
 	}
@@ -88,9 +87,9 @@ func TestPCGJacobiFasterThanCG(t *testing.T) {
 		b[i] = 1
 	}
 	x1 := make([]float64, n)
-	plain := CG(a, b, x1, 1e-8, 10000)
+	plain := FPCG(a, b, x1, nil, 1e-8, 10000)
 	x2 := make([]float64, n)
-	pc := PCG(a, b, x2, diagPrecon{a.Diag()}, 1e-8, 10000)
+	pc := FPCG(a, b, x2, diagPrecon{a.Diag()}, 1e-8, 10000)
 	if !plain.Converged || !pc.Converged {
 		t.Fatalf("convergence: plain %v pcg %v", plain.Converged, pc.Converged)
 	}
@@ -103,7 +102,7 @@ func TestPCGZeroRHS(t *testing.T) {
 	a := laplace2D(4)
 	b := make([]float64, a.NRows)
 	x := make([]float64, a.NRows)
-	res := CG(a, b, x, 1e-10, 100)
+	res := FPCG(a, b, x, nil, 1e-10, 100)
 	if !res.Converged || res.Iterations != 0 {
 		t.Fatalf("zero RHS should converge immediately: %+v", res)
 	}
@@ -121,85 +120,9 @@ func TestPCGStartsFromNonzeroX(t *testing.T) {
 	// Start close to the solution: should converge in few iterations.
 	x := append([]float64(nil), xTrue...)
 	x[0] += 1e-6
-	res := CG(a, b, x, 1e-10, 100)
+	res := FPCG(a, b, x, nil, 1e-10, 100)
 	if !res.Converged || res.Iterations > 20 {
 		t.Fatalf("warm start ignored: %d its", res.Iterations)
-	}
-}
-
-func TestGMRESSolvesSymmetric(t *testing.T) {
-	a := laplace2D(10)
-	rng := rand.New(rand.NewSource(3))
-	b := make([]float64, a.NRows)
-	for i := range b {
-		b[i] = rng.Float64()
-	}
-	x := make([]float64, a.NRows)
-	res := GMRES(a, b, x, nil, 30, 1e-8, 2000)
-	if !res.Converged {
-		t.Fatal("GMRES did not converge")
-	}
-	if rr := relResidual(a, x, b); rr > 1e-6 {
-		t.Fatalf("relative residual = %v", rr)
-	}
-}
-
-func TestGMRESSolvesNonsymmetric(t *testing.T) {
-	// Convection-diffusion-like nonsymmetric system (CG would fail).
-	n := 80
-	bld := sparse.NewBuilder(n, n)
-	for i := 0; i < n; i++ {
-		bld.Add(i, i, 3)
-		if i+1 < n {
-			bld.Add(i, i+1, -2) // upwind bias
-			bld.Add(i+1, i, -0.5)
-		}
-	}
-	a := bld.Build()
-	rng := rand.New(rand.NewSource(4))
-	xTrue := make([]float64, n)
-	for i := range xTrue {
-		xTrue[i] = rng.Float64()
-	}
-	b := make([]float64, n)
-	a.MulVec(xTrue, b)
-	x := make([]float64, n)
-	res := GMRES(a, b, x, nil, 20, 1e-10, 2000)
-	if !res.Converged {
-		t.Fatal("GMRES did not converge")
-	}
-	for i := range x {
-		if math.Abs(x[i]-xTrue[i]) > 1e-6 {
-			t.Fatalf("x[%d] = %v want %v", i, x[i], xTrue[i])
-		}
-	}
-}
-
-func TestGMRESWithPreconditioner(t *testing.T) {
-	a := laplace2D(20)
-	b := make([]float64, a.NRows)
-	for i := range b {
-		b[i] = 1
-	}
-	x := make([]float64, a.NRows)
-	plain := GMRES(a, b, x, nil, 25, 1e-8, 3000)
-	x2 := make([]float64, a.NRows)
-	// The diagonal is constant, so pointwise Jacobi would only rescale;
-	// four graph-partitioned blocks solved exactly precondition for real.
-	part := graph.GreedyPartition(graph.NewFromPattern(a.NRows, a.RowPtr, a.ColIdx), 4)
-	bj, err := smooth.NewDomainBlockJacobi(a, part, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := GMRES(a, b, x2, bj, 25, 1e-8, 3000)
-	if !plain.Converged || !pc.Converged {
-		t.Fatal("convergence failure")
-	}
-	if pc.Iterations >= plain.Iterations {
-		t.Fatalf("preconditioned GMRES (%d) should beat plain (%d)", pc.Iterations, plain.Iterations)
-	}
-	if rr := relResidual(a, x2, b); rr > 1e-6 {
-		t.Fatalf("residual = %v", rr)
 	}
 }
 
@@ -213,7 +136,7 @@ func TestCGIterationsScaleWithCondition(t *testing.T) {
 			b[i] = 1
 		}
 		x := make([]float64, a.NRows)
-		res := CG(a, b, x, 1e-8, 100000)
+		res := FPCG(a, b, x, nil, 1e-8, 100000)
 		if !res.Converged {
 			t.Fatal("no convergence")
 		}
@@ -233,7 +156,7 @@ func TestFPCGMatchesPCGSymmetric(t *testing.T) {
 	}
 	m := diagPrecon{a.Diag()}
 	x1 := make([]float64, a.NRows)
-	r1 := PCG(a, b, x1, m, 1e-10, 5000)
+	r1 := pcg(a, b, x1, m, 1e-10, 5000)
 	x2 := make([]float64, a.NRows)
 	r2 := FPCG(a, b, x2, m, 1e-10, 5000)
 	if !r1.Converged || !r2.Converged {
@@ -242,6 +165,82 @@ func TestFPCGMatchesPCGSymmetric(t *testing.T) {
 	if d := r2.Iterations - r1.Iterations; d > 2 || d < -2 {
 		t.Fatalf("FPCG %d its vs PCG %d its", r2.Iterations, r1.Iterations)
 	}
+}
+
+// pcg is standard preconditioned conjugate gradients (Fletcher-Reeves
+// beta), the reference TestFPCGMatchesPCGSymmetric holds FPCG to. It
+// starts from the given x and declares convergence when
+// ‖b - A·x‖₂ ≤ rtol·‖b‖₂, as fpcg does.
+func pcg(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, maxIter int) Result {
+	n := a.Rows()
+	if m == nil {
+		m = identity{}
+	}
+	r := make([]float64, n)
+	z := make([]float64, n)
+	p := make([]float64, n)
+	ap := make([]float64, n)
+	var res Result
+
+	a.Residual(b, x, r)
+	res.Flops += a.MulVecFlops() + int64(n)
+	bnorm := la.Norm2(b)
+	if bnorm == 0 {
+		bnorm = 1
+	}
+	rnorm := la.Norm2(r)
+	res.Residuals = append(res.Residuals, rnorm)
+	obs.RecordResidual(0, rnorm)
+	if !finite(rnorm) {
+		res.stop(StopNonFinite)
+		return res
+	}
+	if rnorm <= rtol*bnorm {
+		res.stop(StopConverged)
+		return res
+	}
+	m.Apply(r, z)
+	copy(p, z)
+	rz := la.Dot(r, z)
+	res.Flops += 2 * int64(n)
+
+	for it := 0; it < maxIter; it++ {
+		a.MulVec(p, ap)
+		pap := la.Dot(p, ap)
+		res.Flops += a.MulVecFlops() + 2*int64(n)
+		if !(pap > 0) {
+			// Indefinite or poisoned (NaN) operator: abort.
+			res.stop(curvatureStop(pap, rz))
+			return res
+		}
+		alpha := rz / pap
+		la.Axpy(alpha, p, x)
+		la.Axpy(-alpha, ap, r)
+		res.Flops += 4 * int64(n)
+		rnorm = la.Norm2(r)
+		res.Flops += 2 * int64(n)
+		res.Iterations++
+		res.Residuals = append(res.Residuals, rnorm)
+		obs.RecordResidual(res.Iterations, rnorm)
+		if !finite(rnorm) {
+			res.stop(StopNonFinite)
+			return res
+		}
+		if rnorm <= rtol*bnorm {
+			res.stop(StopConverged)
+			return res
+		}
+		m.Apply(r, z)
+		rzNew := la.Dot(r, z)
+		res.Flops += 2 * int64(n)
+		beta := rzNew / rz
+		rz = rzNew
+		for i := range p {
+			p[i] = z[i] + beta*p[i]
+		}
+		res.Flops += 2 * int64(n)
+	}
+	return res
 }
 
 func TestFPCGHandlesVariablePreconditioner(t *testing.T) {
@@ -343,11 +342,28 @@ func (zeroPrecon) Apply(r, z []float64) {
 	}
 }
 
+// zeroAfterFirst is the identity on its first call and returns no search
+// direction from its second on: the breakdown that happens inside the
+// loop, after the first update, rather than before it.
+type zeroAfterFirst struct{ calls int }
+
+func (p *zeroAfterFirst) Apply(r, z []float64) {
+	p.calls++
+	if p.calls == 1 {
+		copy(z, r)
+		return
+	}
+	for i := range z {
+		z[i] = 0
+	}
+}
+
 // TestCGStopsOnPoison: NaN fails every ordered comparison, so a poisoned
 // solve must be stopped by tests written for it — not run max_iters of
 // NaN arithmetic, and not read Inf <= rtol·Inf as convergence. Every way
 // out of the loop names itself in Result.Reason, and only convergence sets
-// Converged.
+// Converged. Each stop is pinned on both entry points product code calls:
+// FPCG, and FPCGMonitoredCtx under a context that carries a request task.
 func TestCGStopsOnPoison(t *testing.T) {
 	clean := laplace2D(6)
 	poisoned := laplace2D(6)
@@ -359,30 +375,38 @@ func TestCGStopsOnPoison(t *testing.T) {
 	for i := range ones {
 		ones[i], huge[i] = 1, 1e200
 	}
-	for _, tc := range []struct {
-		name     string
-		a        *sparse.CSR
-		b        []float64
-		m        Preconditioner
-		budget   int // maxIter handed to the solver
-		maxIters int // most iterations the stop may take
-		reason   StopReason
-	}{
-		{"NaN entry in the operator", poisoned, ones, nil, 1000, 1, StopNonFinite},
-		{"right-hand side whose norm overflows", clean, huge, nil, 1000, 1, StopNonFinite},
-		{"NaN from the preconditioner", clean, ones, nanPrecon{}, 1000, 0, StopNonFinite},
-		{"negative definite operator", negative, ones, nil, 1000, 0, StopIndefinite},
-		{"preconditioner that returns no direction", clean, ones, zeroPrecon{}, 1000, 0, StopBreakdown},
-		{"iteration budget of two", clean, ones, nil, 2, 2, StopMaxIters},
-		{"healthy solve", clean, ones, nil, 1000, 1000, StopConverged},
+	ctx := obs.WithTask(context.Background(), obs.NewTask(""))
+	for name, solve := range map[string]func(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, maxIter int) Result{
+		"FPCG": FPCG,
+		"FPCGMonitoredCtx": func(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, maxIter int) Result {
+			return FPCGMonitoredCtx(ctx, a, b, x, m, rtol, maxIter, nil)
+		},
 	} {
-		for name, solve := range map[string]func(a sparse.Operator, b, x []float64, m Preconditioner, rtol float64, maxIter int) Result{
-			"PCG": PCG, "FPCG": FPCG,
+		// The table is built per entry point, so a stateful preconditioner
+		// starts afresh for each.
+		for _, tc := range []struct {
+			name     string
+			a        *sparse.CSR
+			b        []float64
+			m        Preconditioner
+			budget   int // maxIter handed to the solver
+			minIters int // fewest iterations the stop may take
+			maxIters int // most iterations the stop may take
+			reason   StopReason
+		}{
+			{"NaN entry in the operator", poisoned, ones, nil, 1000, 0, 1, StopNonFinite},
+			{"right-hand side whose norm overflows", clean, huge, nil, 1000, 0, 1, StopNonFinite},
+			{"NaN from the preconditioner", clean, ones, nanPrecon{}, 1000, 0, 0, StopNonFinite},
+			{"negative definite operator", negative, ones, nil, 1000, 0, 0, StopIndefinite},
+			{"preconditioner that returns no direction", clean, ones, zeroPrecon{}, 1000, 0, 0, StopBreakdown},
+			{"preconditioner that returns no direction from its second call", clean, ones, &zeroAfterFirst{}, 1000, 1, 1, StopBreakdown},
+			{"iteration budget of two", clean, ones, nil, 2, 2, 2, StopMaxIters},
+			{"healthy solve", clean, ones, nil, 1000, 1, 1000, StopConverged},
 		} {
 			res := solve(tc.a, tc.b, make([]float64, clean.NRows), tc.m, 1e-8, tc.budget)
-			if res.Reason != tc.reason || res.Converged != (tc.reason == StopConverged) || res.Iterations > tc.maxIters {
-				t.Errorf("%s, %s: stopped as %v (converged=%v) after %d iterations, want %v within %d",
-					tc.name, name, res.Reason, res.Converged, res.Iterations, tc.reason, tc.maxIters)
+			if res.Reason != tc.reason || res.Converged != (tc.reason == StopConverged) || res.Iterations < tc.minIters || res.Iterations > tc.maxIters {
+				t.Errorf("%s, %s: stopped as %v (converged=%v) after %d iterations, want %v within %d..%d",
+					tc.name, name, res.Reason, res.Converged, res.Iterations, tc.reason, tc.minIters, tc.maxIters)
 			}
 		}
 	}

@@ -2,14 +2,12 @@ package krylov
 
 import "prometheus/internal/obs"
 
-// Observability events and metrics. Each public solver wraps its body
-// in one whole-solve span (the bodies return early on convergence or
-// breakdown, so the wrapper keeps spans balanced) and streams the
+// Observability events and metrics. FPCGMonitoredCtx wraps fpcg in one
+// whole-solve span (the body returns early on convergence or breakdown,
+// so the wrapper keeps spans balanced), and fpcg streams the
 // per-iteration residual norms into the obs convergence history.
 var (
-	evPCG   = obs.Register("krylov.pcg")
-	evFPCG  = obs.Register("krylov.fpcg")
-	evGMRES = obs.Register("krylov.gmres")
+	evFPCG = obs.Register("krylov.fpcg")
 
 	cIterations = obs.NewCounter("krylov.iterations")
 )

@@ -43,13 +43,6 @@ func visits(c CycleKind, l int) (total, fromZero int) {
 		// The V-cycles started on levels 0..l each pass through once; only
 		// the one started here begins from the prolonged coarse solution.
 		return l + 1, l
-	case WCycle:
-		// Twice per visit of the level above, the first of each pair from
-		// the guess the cycle has just zeroed.
-		if l == 0 {
-			return 1, 1
-		}
-		return 1 << l, 1 << (l - 1)
 	default:
 		return 1, 1
 	}
@@ -76,7 +69,7 @@ func TestCycleOperatorApplications(t *testing.T) {
 	if len(rs) != 3 {
 		t.Fatalf("fixture has %d levels, want 4", len(rs)+1)
 	}
-	for _, cyc := range []CycleKind{FMG, VCycle, WCycle} {
+	for _, cyc := range []CycleKind{FMG, VCycle} {
 		for _, build := range []struct {
 			new     builder
 			storage []string
@@ -349,7 +342,7 @@ func TestAggregationBlockingIsAKernelChoice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cyc := range []CycleKind{FMG, VCycle, WCycle} {
+	for _, cyc := range []CycleKind{FMG, VCycle} {
 		opts := Options{Cycle: cyc}
 		scalar := solveOutcomeOf(t, newScalar, kr, fr, rs, opts)
 		blocked := solveOutcomeOf(t, New, kr, fr, rs, opts)

@@ -5,8 +5,8 @@
 // cycle used in the experiments, the smoother of section 7.2 (one CG step
 // preconditioned by block Jacobi, smooth.CGSmoother) on every level above
 // the coarsest, a direct solve on the coarsest grid, and the preconditioner
-// adapter for PCG. All phases count flops for the efficiency analysis of
-// section 6.
+// adapter for flexible CG. All phases count flops for the efficiency
+// analysis of section 6.
 package multigrid
 
 import (
@@ -33,9 +33,6 @@ const (
 	FMG CycleKind = iota
 	// VCycle is one V-cycle (Figure 1).
 	VCycle
-	// WCycle visits each coarse level twice per descent — more robust on
-	// hard problems at roughly twice the coarse-grid cost.
-	WCycle
 )
 
 // Options configures the solver.
@@ -195,7 +192,8 @@ func New(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG, 
 // a CSR that blocks into 3x3 node blocks with no fill is applied in
 // blocks, any other operator as handed in, and every Galerkin level below
 // in blocks where its own shape allows (sparse.PlanBlock). Blocking is a
-// kernel choice: solutions are bitwise those of an all-scalar hierarchy. That pattern, and each Galerkin level's, must be structurally
+// kernel choice: solutions are bitwise those of an all-scalar hierarchy.
+// The fine pattern, and each Galerkin level's, must be structurally
 // symmetric — (j, i) stored wherever (i, j) is — as every assembled or
 // Galerkin operator's is: the smoother's blocks are partitioned on it as a
 // graph (a check under promdebug).
@@ -280,13 +278,13 @@ func (mg *MG) makeSmoother(a sparse.Operator, bj *smooth.BlockPlan, setup sparse
 // NumLevels returns the number of grids.
 func (mg *MG) NumLevels() int { return len(mg.Levels) }
 
-// cycle improves x for A_l·x = b. gamma is the cycle index: 1 = V-cycle,
-// 2 = W-cycle. zero promises that x is all zeros on entry; otherwise the
-// guess it holds is respected. One visit of a smoothed level applies A_l
-// four times — two per CG step before and after the coarse correction —
-// and three times from a zero guess, whose residual is b: the residual the
+// cycle improves x for A_l·x = b with one V-cycle from level l down.
+// zero promises that x is all zeros on entry; otherwise the guess it
+// holds is respected. One visit of a smoothed level applies A_l four
+// times — two per CG step before and after the coarse correction — and
+// three times from a zero guess, whose residual is b: the residual the
 // cycle restricts is the smoother's own.
-func (mg *MG) cycle(l int, b, x []float64, gamma int, zero bool) {
+func (mg *MG) cycle(l int, b, x []float64, zero bool) {
 	lvl := mg.Levels[l]
 	if lvl.Direct != nil {
 		spd := obs.Start(evCoarse)
@@ -304,12 +302,7 @@ func (mg *MG) cycle(l int, b, x []float64, gamma int, zero bool) {
 	for i := range next.x {
 		next.x[i] = 0
 	}
-	for g := 0; g < gamma; g++ {
-		mg.cycle(l+1, next.b, next.x, gamma, g == 0)
-		if next.Direct != nil {
-			break // the coarsest solve is exact; repeating it is a no-op
-		}
-	}
+	mg.cycle(l+1, next.b, next.x, true)
 	// x += P·xc.
 	next.P.MulVec(next.x, lvl.res)
 	mg.CycleFlops += next.P.MulVecFlops()
@@ -335,7 +328,7 @@ func (mg *MG) fmg(b, x []float64) {
 	}
 	// Coarsest solve.
 	last := mg.Levels[n-1]
-	mg.cycle(n-1, last.b, last.x, 1, false)
+	mg.cycle(n-1, last.b, last.x, false)
 	// Work back up: prolong and V-cycle.
 	for l := n - 2; l >= 0; l-- {
 		lvl := mg.Levels[l]
@@ -343,7 +336,7 @@ func (mg *MG) fmg(b, x []float64) {
 		next.P.MulVec(next.x, lvl.x)
 		mg.CycleFlops += next.P.MulVecFlops()
 		next.Work += next.P.MulVecFlops()
-		mg.cycle(l, lvl.b, lvl.x, 1, false)
+		mg.cycle(l, lvl.b, lvl.x, false)
 	}
 	copy(x, mg.Levels[0].x)
 }
@@ -366,19 +359,14 @@ func (mg *MG) Apply(r, z []float64) {
 
 func (mg *MG) apply(r, z []float64) {
 	mg.Applies++
-	switch mg.Opts.Cycle {
-	case VCycle, WCycle:
-		gamma := 1
-		if mg.Opts.Cycle == WCycle {
-			gamma = 2
-		}
+	if mg.Opts.Cycle == VCycle {
 		for i := range z {
 			z[i] = 0
 		}
-		mg.cycle(0, r, z, gamma, true)
-	default:
-		mg.fmg(r, z)
+		mg.cycle(0, r, z, true)
+		return
 	}
+	mg.fmg(r, z)
 }
 
 // Flops returns total work: setup excluded, cycles plus smoother work.

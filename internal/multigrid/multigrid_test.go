@@ -129,7 +129,7 @@ func TestPCGWithMGBeatsPlainCG(t *testing.T) {
 		t.Fatalf("MG-PCG did not converge in %d its", pcg.Iterations)
 	}
 	x2 := make([]float64, k.NRows)
-	plain := krylov.CG(k, f, x2, 1e-8, 20000)
+	plain := krylov.FPCG(k, f, x2, nil, 1e-8, 20000)
 	if !plain.Converged {
 		t.Fatal("plain CG did not converge")
 	}
@@ -225,7 +225,7 @@ func TestGalerkinOperatorsSymmetric(t *testing.T) {
 // blocks with no fill, must actually be blocked.
 func TestStorageParity(t *testing.T) {
 	k, f, rs := buildElasticity(t, 4, core.Options{MinCoarse: 30})
-	for _, cyc := range []CycleKind{FMG, VCycle, WCycle} {
+	for _, cyc := range []CycleKind{FMG, VCycle} {
 		opts := Options{Cycle: cyc}
 		scalar := solveOutcomeOf(t, newScalar, k, f, rs, opts)
 		blocked := solveOutcomeOf(t, New, k, f, rs, opts)
@@ -281,37 +281,16 @@ func TestNewRejectsBrokenSmootherBlock(t *testing.T) {
 	}
 }
 
-func TestWCycleWorksAndIsStronger(t *testing.T) {
-	k, f, rs := buildElasticity(t, 5, core.Options{MinCoarse: 30})
-	its := func(c CycleKind) int {
-		mg, err := New(k, rs, Options{Cycle: c})
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := make([]float64, k.NRows)
-		res := krylov.FPCG(k, f, x, mg, 1e-8, 400)
-		if !res.Converged {
-			t.Fatalf("cycle %v did not converge", c)
-		}
-		return res.Iterations
-	}
-	v := its(VCycle)
-	w := its(WCycle)
-	if w > v {
-		t.Fatalf("W-cycle (%d its) should not be weaker than V-cycle (%d its)", w, v)
-	}
-}
-
-func TestStationaryWCycleConverges(t *testing.T) {
+func TestStationaryVCycleConverges(t *testing.T) {
 	k, f, rs := buildElasticity(t, 4, core.Options{MinCoarse: 30})
-	mg, err := New(k, rs, Options{Cycle: WCycle})
+	mg, err := New(k, rs, Options{Cycle: VCycle})
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := make([]float64, k.NRows)
 	cycles, rel := mg.stationary(f, x, 1e-10, 100)
 	if rel > 1e-10 {
-		t.Fatalf("W-cycle MG stalled: rel = %v after %d cycles", rel, cycles)
+		t.Fatalf("V-cycle MG stalled: rel = %v after %d cycles", rel, cycles)
 	}
 }
 

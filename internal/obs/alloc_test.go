@@ -77,7 +77,6 @@ func TestTaskRecordingAllocFree(t *testing.T) {
 	})
 	assertZeroAllocs(t, "task counters disabled", func() {
 		offTask.AddFlops(3)
-		offTask.AddComm(1, 64)
 		offTask.AddVCycles(1)
 	})
 
@@ -90,7 +89,6 @@ func TestTaskRecordingAllocFree(t *testing.T) {
 	})
 	assertZeroAllocs(t, "task counters enabled", func() {
 		task.AddFlops(3)
-		task.AddComm(1, 64)
 		task.AddVCycles(1)
 	})
 	// Overflow the task ring: further spans drop (counted), still

@@ -265,9 +265,12 @@ func (s Span) end(flops int64) {
 }
 
 // AddFlops credits flops to an event on a rank without a span, for
-// call sites that account work outside a timed region.
+// call sites that account work outside a timed region. A registered
+// event's id is always below maxEvents; checking it anyway lets the
+// compiler prove the table index wherever AddFlops is inlined, such as
+// par's CountFlops.
 func AddFlops(id EventID, rank int, flops int64) {
-	if !on.Load() || rank < 0 || rank >= MaxRanks {
+	if !on.Load() || uint32(id) >= maxEvents || rank < 0 || rank >= MaxRanks {
 		return
 	}
 	stats[id][rank].flops.Add(flops)

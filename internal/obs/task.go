@@ -33,20 +33,18 @@ type Task struct {
 }
 
 // padCounter is an atomic counter padded out to its own cache line so
-// concurrent rank goroutines crediting different counters of one task
-// never false-share.
+// concurrent goroutines crediting different counters of one task never
+// false-share.
 type padCounter struct {
 	v atomic.Int64
 	_ [7]int64
 }
 
 // Task counter slots. The set mirrors the attribution the paper's
-// efficiency decomposition needs per run: arithmetic work, message
-// traffic, cycle and iteration counts, and cache behaviour.
+// efficiency decomposition needs per run: arithmetic work, cycle and
+// iteration counts, pool rows, and cache behaviour.
 const (
 	ctrFlops = iota
-	ctrMsgs
-	ctrBytes
 	ctrVCycles
 	ctrIterations
 	ctrRows
@@ -113,14 +111,6 @@ func (t *Task) add(slot int, n int64) {
 // AddFlops credits floating point operations to the task.
 func (t *Task) AddFlops(n int64) { t.add(ctrFlops, n) }
 
-// AddComm credits message and byte traffic to the task. The par
-// communicator calls this at the same Send site that feeds the global
-// per-rank comm stats.
-func (t *Task) AddComm(msgs, bytes int64) {
-	t.add(ctrMsgs, msgs)
-	t.add(ctrBytes, bytes)
-}
-
 // AddVCycles credits completed multigrid cycle applications.
 func (t *Task) AddVCycles(n int64) { t.add(ctrVCycles, n) }
 
@@ -138,12 +128,6 @@ func (t *Task) AddCacheMiss() { t.add(ctrCacheMisses, 1) }
 
 // Flops returns the task's accumulated flop count.
 func (t *Task) Flops() int64 { return t.value(ctrFlops) }
-
-// Msgs returns the task's accumulated message count.
-func (t *Task) Msgs() int64 { return t.value(ctrMsgs) }
-
-// Bytes returns the task's accumulated comm byte count.
-func (t *Task) Bytes() int64 { return t.value(ctrBytes) }
 
 // VCycles returns the task's multigrid cycle count.
 func (t *Task) VCycles() int64 { return t.value(ctrVCycles) }
@@ -218,8 +202,6 @@ func (t *Task) Profile() *Profile {
 	}
 	taskCounters := [taskCtrCount]string{
 		ctrFlops:       "task.flops",
-		ctrMsgs:        "task.msgs",
-		ctrBytes:       "task.bytes",
 		ctrVCycles:     "task.vcycles",
 		ctrIterations:  "task.iterations",
 		ctrRows:        "task.pool.rows",

@@ -58,13 +58,12 @@ func TestParseTraceparentRejects(t *testing.T) {
 func TestNilTaskSafe(t *testing.T) {
 	var task *Task
 	task.AddFlops(1)
-	task.AddComm(1, 2)
 	task.AddVCycles(1)
 	task.AddIterations(1)
 	task.AddRows(1)
 	task.AddCacheHit()
 	task.AddCacheMiss()
-	if task.Flops() != 0 || task.Msgs() != 0 || task.Bytes() != 0 || task.VCycles() != 0 {
+	if task.Flops() != 0 || task.VCycles() != 0 || task.Iterations() != 0 || task.Rows() != 0 {
 		t.Fatalf("nil task reports non-zero counters")
 	}
 	if task.TraceID() != "" {
@@ -99,9 +98,9 @@ func TestTaskGating(t *testing.T) {
 		t.Fatalf("explicit trace id not adopted: %q", on.TraceID())
 	}
 	on.AddFlops(100)
-	on.AddComm(2, 64)
-	if on.Flops() != 100 || on.Msgs() != 2 || on.Bytes() != 64 {
-		t.Fatalf("obs-on task counters %d/%d/%d", on.Flops(), on.Msgs(), on.Bytes())
+	on.AddVCycles(2)
+	if on.Flops() != 100 || on.VCycles() != 2 {
+		t.Fatalf("obs-on task counters %d/%d", on.Flops(), on.VCycles())
 	}
 }
 

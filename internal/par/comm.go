@@ -11,7 +11,6 @@
 package par
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -203,22 +202,12 @@ func (c *Comm) Size() int { return c.size }
 
 // Run executes fn concurrently on every rank and waits for all to finish.
 // A panic in any rank is re-raised in the caller.
-func (c *Comm) Run(fn func(r *Rank)) { c.runTask(nil, fn) }
-
-// RunCtx is Run with request-scoped observability: the obs task carried
-// by ctx (if any) is credited with every rank's counted flops and sent
-// message traffic, at the same call sites that feed the process-global
-// per-rank stats. A ctx without a task is exactly Run.
-func (c *Comm) RunCtx(ctx context.Context, fn func(r *Rank)) {
-	c.runTask(obs.FromContext(ctx), fn)
-}
-
-func (c *Comm) runTask(t *obs.Task, fn func(r *Rank)) {
+func (c *Comm) Run(fn func(r *Rank)) {
 	var wg sync.WaitGroup
 	panics := make([]interface{}, c.size)
 	ranks := make([]*Rank, c.size)
 	for id := 0; id < c.size; id++ {
-		ranks[id] = &Rank{comm: c, id: id, pending: make([][]message, c.size), task: t}
+		ranks[id] = &Rank{comm: c, id: id, pending: make([][]message, c.size)}
 	}
 	c.trace.runStart(c)
 	for id := 0; id < c.size; id++ {
@@ -264,7 +253,6 @@ type Rank struct {
 	comm    *Comm
 	id      int
 	pending [][]message // out-of-order receives, per source
-	task    *obs.Task   // request scope for this run's attribution (may be nil)
 
 	// Counters accumulated during the run; read them after Run returns.
 	Flops     int64
@@ -282,7 +270,6 @@ func (r *Rank) Size() int { return r.comm.size }
 func (r *Rank) CountFlops(n int64) {
 	r.Flops += n
 	obs.AddFlops(obsRankEv, r.id, n)
-	r.task.AddFlops(n)
 }
 
 // Send delivers data to rank "to" with the given tag. Sends are buffered
@@ -299,7 +286,6 @@ func (r *Rank) Send(to, tag int, data interface{}, bytes int) {
 	r.BytesSent += int64(bytes)
 	obs.AddComm(obsRankEv, r.id, 1, int64(bytes))
 	obsMsgSize.Observe(int64(bytes))
-	r.task.AddComm(1, int64(bytes))
 	r.comm.chans[r.id][to] <- message{tag: tag, data: data}
 }
 

@@ -17,7 +17,7 @@ import (
 // silent hang — a receive nobody sends, a collective some rank skips —
 // into a diagnostic dump naming each rank's last completed protocol event
 // and the operation it is blocked on. A send nobody receives is caught by
-// the drain check at the end of Comm.runTask.
+// the drain check at the end of Comm.Run.
 //
 // The per-event hooks are allocation-free (fixed rings, per-rank mutexes,
 // one atomic progress counter); all formatting happens at dump time. This

@@ -89,21 +89,16 @@ func postBody(t *testing.T, ts *httptest.Server, body string) (int, string) {
 	return hr.StatusCode, string(raw)
 }
 
-// seedEntry puts an entry for the spec and cycle into the cache whose
-// single-flight build has already run fill instead of the real build, so
-// the next request for that key meets what fill left behind.
-func seedEntry(t *testing.T, svc *Server, spec Spec, cycle string, fill func(*cacheEntry)) *cacheEntry {
+// seedEntry puts an entry for the spec into the cache whose single-flight
+// build has already run fill instead of the real build, so the next
+// request for that key meets what fill left behind.
+func seedEntry(t *testing.T, svc *Server, spec Spec, fill func(*cacheEntry)) *cacheEntry {
 	t.Helper()
 	g, err := BuildGeometry(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := solverOptions(1e-4, 1000, cycle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := g.Fingerprint(opts.Coarsen)
-	e := &cacheEntry{key: cacheKey(fp, cycle), fp: fp, mgs: make(chan *lease, mgPoolCap)}
+	e := &cacheEntry{key: g.Fingerprint(solverOptions(1e-4, 1000).Coarsen), mgs: make(chan *lease, mgPoolCap)}
 	e.once.Do(func() { fill(e) })
 	svc.cache.mu.Lock()
 	svc.cache.entries[e.key] = e
@@ -138,7 +133,7 @@ func TestHandleSolveClosesTheBooks(t *testing.T) {
 		{"a bad body", `{"problem":`, "bad request body"},
 		{"trailing data", `{"problem":"cube","size":1}]`, "trailing"},
 		{"an invalid rtol", `{"problem":"cube","size":1,"rtol":1}`, "rtol"},
-		{"an unknown cycle", `{"problem":"cube","size":1,"cycle":"x"}`, "cycle"},
+		{"a retired field", `{"problem":"cube","size":1,"cycle":"v"}`, "cycle"},
 	} {
 		if status, body := postBody(t, ts, tc.body); status != http.StatusBadRequest || !strings.Contains(body, tc.names) {
 			t.Fatalf("%s: status %d body %q, want 400 naming %q", tc.exit, status, body, tc.names)
@@ -189,10 +184,10 @@ func TestHandleSolveClosesTheBooks(t *testing.T) {
 
 	// A failed build: the entry's single-flight build returned an error,
 	// which the request answers 500 with.
-	seedEntry(t, svc, Spec{Problem: "cube", Size: 1}, "v", func(e *cacheEntry) {
+	seedEntry(t, svc, Spec{Problem: "cube", Size: 2}, func(e *cacheEntry) {
 		e.err = errors.New("serve test: seeded setup failure")
 	})
-	if status, body := postBody(t, ts, `{"problem":"cube","size":1,"cycle":"v"}`); status != http.StatusInternalServerError || !strings.Contains(body, "seeded setup failure") {
+	if status, body := postBody(t, ts, `{"problem":"cube","size":2}`); status != http.StatusInternalServerError || !strings.Contains(body, "seeded setup failure") {
 		t.Fatalf("a failed build: status %d body %q, want 500 with the build's error", status, body)
 	}
 	closedBooks(t, svc, ts, "a failed build")
@@ -202,7 +197,7 @@ func TestHandleSolveClosesTheBooks(t *testing.T) {
 	// slot, the session and the reference are taken. The panic unwinds the
 	// handler's defers before the 500 is written; the seeded entry, which
 	// can never hold a lease, then leaves the cache.
-	broken := seedEntry(t, svc, Spec{Problem: "cantilever", Size: 1}, "fmg", func(*cacheEntry) {})
+	broken := seedEntry(t, svc, Spec{Problem: "cantilever", Size: 1}, func(*cacheEntry) {})
 	if status, body := postBody(t, ts, `{"problem":"cantilever","size":1}`); status != http.StatusInternalServerError || !strings.Contains(body, "panicked") {
 		t.Fatalf("a panicking build: status %d body %q, want 500", status, body)
 	}

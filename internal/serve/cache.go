@@ -27,7 +27,6 @@ const cacheEntryCap = 64
 // of duplicating it.
 type cacheEntry struct {
 	key string
-	fp  string
 
 	once sync.Once
 	err  error
@@ -124,11 +123,9 @@ func (e *cacheEntry) Checkin(l *lease) {
 
 // EntryInfo is the JSON view of one cache entry for /v1/cache.
 type EntryInfo struct {
-	// Key is the full cache key (fingerprint/cycle); one entry
+	// Key is the cache key, the geometry's mesh fingerprint; one entry
 	// serves every load scale.
 	Key string `json:"key"`
-	// Fingerprint is the mesh fingerprint component of the key.
-	Fingerprint string `json:"fingerprint"`
 	// NumDOF is the fine-grid dof count of the cached system.
 	NumDOF int `json:"num_dof"`
 	// Levels is the multigrid level count.
@@ -174,11 +171,11 @@ func newHierCache(maxEntries int) *hierCache {
 // failed build: the panic unwinds through the request that ran it, with
 // its reference released and the key dropped on the way, and the requests
 // waiting on it get errBuildPanicked.
-func (c *hierCache) Acquire(key, fp string, g *Geometry, opts prometheus.Options) (e *cacheEntry, hit bool, err error) {
+func (c *hierCache) Acquire(key string, g *Geometry, opts prometheus.Options) (e *cacheEntry, hit bool, err error) {
 	c.mu.Lock()
 	e, hit = c.entries[key]
 	if !hit {
-		e = &cacheEntry{key: key, fp: fp, mgs: make(chan *lease, mgPoolCap)}
+		e = &cacheEntry{key: key, mgs: make(chan *lease, mgPoolCap)}
 		c.entries[key] = e
 		c.misses++
 		mCacheMisses.Inc()
@@ -273,14 +270,13 @@ func (c *hierCache) snapshot() (infos []EntryInfo, hits, misses, evictions int64
 	defer c.mu.Unlock()
 	for _, e := range c.entries {
 		info := EntryInfo{
-			Key:         e.key,
-			Fingerprint: e.fp,
-			NumDOF:      e.numDOF,
-			Levels:      e.levels,
-			SetupNs:     e.setupNs,
-			IdleMGs:     len(e.mgs),
-			Builds:      e.builds.Load(),
-			Refs:        e.refs,
+			Key:     e.key,
+			NumDOF:  e.numDOF,
+			Levels:  e.levels,
+			SetupNs: e.setupNs,
+			IdleMGs: len(e.mgs),
+			Builds:  e.builds.Load(),
+			Refs:    e.refs,
 		}
 		infos = append(infos, info)
 	}

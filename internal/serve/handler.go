@@ -28,8 +28,6 @@ type SolveRequest struct {
 	RTol float64 `json:"rtol"`
 	// MaxIters bounds the Krylov iterations (default 1000).
 	MaxIters int `json:"max_iters"`
-	// Cycle selects the multigrid cycle: "fmg" (default) or "v".
-	Cycle string `json:"cycle"`
 	// Stream switches the response to newline-delimited JSON: one
 	// Progress line per Krylov iteration as it happens, then the final
 	// SolveResponse line.
@@ -52,9 +50,6 @@ func (r SolveRequest) withDefaults() SolveRequest {
 	}
 	if r.MaxIters == 0 {
 		r.MaxIters = 1000
-	}
-	if r.Cycle == "" {
-		r.Cycle = "fmg"
 	}
 	return r
 }
@@ -107,10 +102,9 @@ type SolveResponse struct {
 	// Problem and Size echo the request spec.
 	Problem string `json:"problem"`
 	Size    int    `json:"size"`
-	// Fingerprint is the deterministic mesh fingerprint; Key the full
-	// cache key derived from it.
-	Fingerprint string `json:"fingerprint"`
-	Key         string `json:"key"`
+	// Key is the hierarchy cache key: the deterministic mesh
+	// fingerprint of the geometry (Geometry.Fingerprint).
+	Key string `json:"key"`
 	// CacheHit reports whether the hierarchy cache already held the
 	// setup products (warm request: coarsening, assembly and Galerkin
 	// products all skipped).
@@ -136,13 +130,11 @@ type SolveResponse struct {
 	Solution     []float64 `json:"solution,omitempty"`
 	// TraceID is the request's W3C trace id (also echoed in the
 	// response Traceparent header); the Task* fields are this request's
-	// own attributed work — flops, modeled messages/bytes and V-cycles
-	// credited to exactly this solve, regardless of what other requests
-	// ran concurrently. All zero unless the server runs with -obs.
+	// own attributed work — flops and multigrid cycles credited to
+	// exactly this solve, regardless of what other requests ran
+	// concurrently. Both zero unless the server runs with -obs.
 	TraceID     string `json:"trace_id,omitempty"`
 	TaskFlops   int64  `json:"task_flops,omitempty"`
-	TaskMsgs    int64  `json:"task_msgs,omitempty"`
-	TaskBytes   int64  `json:"task_bytes,omitempty"`
 	TaskVCycles int64  `json:"task_vcycles,omitempty"`
 	// Error is set when the solve finished abnormally (did not
 	// converge, or the client cancelled mid-stream).
@@ -215,11 +207,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		failJSON(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	opts, err := solverOptions(req.RTol, req.MaxIters, req.Cycle)
-	if err != nil {
-		failJSON(w, http.StatusBadRequest, err.Error())
-		return
-	}
+	opts := solverOptions(req.RTol, req.MaxIters)
 
 	// Admission comes before any geometry: a request the service sheds
 	// builds no mesh.
@@ -245,11 +233,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		failJSON(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	fp := g.Fingerprint(opts.Coarsen)
-	key := cacheKey(fp, req.Cycle)
+	key := g.Fingerprint(opts.Coarsen)
 	sess.setKey(key)
 
-	entry, hit, err := s.cache.Acquire(key, fp, g, opts)
+	entry, hit, err := s.cache.Acquire(key, g, opts)
 	if err != nil {
 		failJSON(w, http.StatusInternalServerError, fmt.Sprintf("serve: setup: %v", err))
 		return
@@ -280,15 +267,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	sp.End()
 
 	resp := SolveResponse{
-		Session:     sess.id,
-		Problem:     req.Problem,
-		Size:        req.Size,
-		Fingerprint: fp,
-		Key:         key,
-		CacheHit:    hit,
-		NumDOF:      entry.numDOF,
-		Levels:      entry.levels,
-		TraceID:     task.TraceID(),
+		Session:  sess.id,
+		Problem:  req.Problem,
+		Size:     req.Size,
+		Key:      key,
+		CacheHit: hit,
+		NumDOF:   entry.numDOF,
+		Levels:   entry.levels,
+		TraceID:  task.TraceID(),
 	}
 	if !hit {
 		resp.SetupNs = entry.setupNs
@@ -330,8 +316,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	resp.Reason = res.Reason.String()
 	resp.Residuals = res.Residuals
 	resp.TaskFlops = task.Flops()
-	resp.TaskMsgs = task.Msgs()
-	resp.TaskBytes = task.Bytes()
 	resp.TaskVCycles = task.VCycles()
 	mSolves.Inc()
 	mSolveStops.With(resp.Reason).Inc()
@@ -467,12 +451,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleHealth is GET /healthz.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	h := s.health()
-	status := http.StatusOK
-	if h.Status != "ok" {
-		status = http.StatusServiceUnavailable
-	}
-	if err := writeJSON(w, status, h); err != nil {
+	if err := writeJSON(w, http.StatusOK, s.health()); err != nil {
 		return
 	}
 }

@@ -59,12 +59,7 @@ func TestPanicInsideSolveAnswers500(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := solverOptions(1e-4, 1000, "fmg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := g.Fingerprint(opts.Coarsen)
-	broken := &cacheEntry{key: cacheKey(fp, "fmg"), fp: fp, mgs: make(chan *lease, mgPoolCap)}
+	broken := &cacheEntry{key: g.Fingerprint(solverOptions(1e-4, 1000).Coarsen), mgs: make(chan *lease, mgPoolCap)}
 	broken.once.Do(func() {})
 	svc.cache.entries[broken.key] = broken
 
@@ -254,8 +249,7 @@ func TestPanickingBuildReleasesWaiters(t *testing.T) {
 	gate := make(chan struct{})
 	g.Models = []prometheus.Model{gatedPanicModel{gate}}
 	opts := prometheus.Options{}
-	fp := g.Fingerprint(opts.Coarsen)
-	key := cacheKey(fp, "fmg")
+	key := g.Fingerprint(opts.Coarsen)
 	c := newHierCache(4)
 
 	var wg sync.WaitGroup
@@ -266,7 +260,7 @@ func TestPanickingBuildReleasesWaiters(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			defer func() { panics[i] = recover() }()
-			_, _, errs[i] = c.Acquire(key, fp, g, opts)
+			_, _, errs[i] = c.Acquire(key, g, opts)
 		}(i)
 	}
 	// Let the build go on only once every request holds its reference:
@@ -306,7 +300,7 @@ func TestPanickingBuildReleasesWaiters(t *testing.T) {
 		t.Fatal("the failed entry stayed in the cache")
 	}
 	g.Models = healthy
-	e, hit, err := c.Acquire(key, fp, g, opts)
+	e, hit, err := c.Acquire(key, g, opts)
 	if err != nil || hit {
 		t.Fatalf("rebuilding the key after the panic: hit=%v err=%v", hit, err)
 	}

@@ -15,8 +15,8 @@ import (
 
 // Spec names one of the bundled parametric problems. It is the part of a
 // solve request that determines the geometry, constraints and reference
-// load — everything the mesh fingerprint (and so the hierarchy cache key)
-// is derived from.
+// load — everything the mesh fingerprint, the hierarchy cache key, is
+// derived from.
 type Spec struct {
 	// Problem is the problem kind: "cube" or "cantilever".
 	Problem string `json:"problem"`
@@ -100,47 +100,37 @@ func (g *Geometry) AssembleLinear(scale float64) (*prometheus.CSR, []float64, er
 }
 
 // Fingerprint returns the deterministic content hash of the geometry
-// under the given coarsening options (core.Fingerprint): the part of the
-// cache key that identifies the hierarchy.
+// under the given coarsening options (core.Fingerprint). It is the
+// hierarchy cache key: the only request parameters that change the cached
+// setup products are the ones that select the geometry. The load scale is
+// not part of it: an entry keeps the load map, and each request reduces
+// its own scaled load through it.
 func (g *Geometry) Fingerprint(opts prometheus.CoarsenOptions) string {
 	return core.Fingerprint(g.Mesh, g.Cons.Fixed, opts)
 }
 
-// cacheKey derives the full cache key, fingerprint/cycle: the mesh
-// fingerprint plus the cycle, the one solve-variant parameter that changes
-// the cached setup products (it shapes the multigrid built from the
-// hierarchy). The load scale is not part of it: an entry keeps the load
-// map, and each request reduces its own scaled load through it.
-func cacheKey(fp, cycle string) string {
-	return fp + "/" + cycle
-}
-
 // solverOptions maps request-level solve parameters onto the library
 // options. The same mapping is used by the cache build and by
-// DirectSolve, so the two paths configure identical solvers.
-func solverOptions(rtol float64, maxIters int, cycle string) (prometheus.Options, error) {
-	opts := prometheus.Options{RTol: rtol, MaxIters: maxIters}
-	switch cycle {
-	case "", "fmg":
-		// FMG is the default cycle (the paper's preconditioner).
-	case "v":
-		opts.MG.Cycle = prometheus.VCycle
-	default:
-		return opts, fmt.Errorf("serve: unknown cycle %q (want fmg or v)", cycle)
-	}
-	return opts, nil
+// DirectSolve, so the two paths configure identical solvers: flexible CG
+// around one FMG cycle, the paper's solver.
+func solverOptions(rtol float64, maxIters int) prometheus.Options {
+	return prometheus.Options{RTol: rtol, MaxIters: maxIters}
 }
 
 // DirectSolve runs the promsolve-style pipeline for a spec without any
 // service machinery: build, assemble, NewSolver, SolveLinear. It is the
 // reference the serve path is verified bitwise-identical against.
 //
-// The storage and precision parameters are leftovers of the retired
-// storage modes, kept because bench/ passes them and product PRs may not
-// edit bench/: storage accepts only "" and "auto" (the multigrid reads
-// the storage from the operator), precision only "" and "f64". The next
-// [benchmark] PR drops both (ROADMAP item 1(a)).
+// The cycle, storage and precision parameters are leftovers of retired
+// options, kept because bench/ passes them and product PRs may not edit
+// bench/: cycle accepts only "" and "fmg" (the service solves with FMG),
+// storage only "" and "auto" (the multigrid reads the storage from the
+// operator), precision only "" and "f64". All three wait for the next
+// [benchmark] PR to drop them (ROADMAP item 1(a)).
 func DirectSolve(spec Spec, scale, rtol float64, maxIters int, cycle, storage, precision string) ([]float64, *prometheus.Result, error) {
+	if cycle != "" && cycle != "fmg" {
+		return nil, nil, fmt.Errorf("serve: unknown cycle %q (the service solves with FMG)", cycle)
+	}
 	if storage != "" && storage != "auto" {
 		return nil, nil, fmt.Errorf("serve: unknown storage %q (the storage is read from the operator)", storage)
 	}
@@ -151,11 +141,7 @@ func DirectSolve(spec Spec, scale, rtol float64, maxIters int, cycle, storage, p
 	if err != nil {
 		return nil, nil, err
 	}
-	opts, err := solverOptions(rtol, maxIters, cycle)
-	if err != nil {
-		return nil, nil, err
-	}
-	solver, err := prometheus.NewSolver(g.Mesh, g.Cons, opts)
+	solver, err := prometheus.NewSolver(g.Mesh, g.Cons, solverOptions(rtol, maxIters))
 	if err != nil {
 		return nil, nil, err
 	}

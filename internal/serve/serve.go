@@ -80,8 +80,6 @@ type Server struct {
 	requests  atomic.Int64
 	rejected  atomic.Int64
 	cancelled atomic.Int64
-
-	watchdogDump atomic.Value // string: last par watchdog dump, if any
 }
 
 // New builds the service and starts its janitor goroutine. The obs
@@ -98,8 +96,6 @@ func New(cfg Config) *Server {
 		done:     make(chan struct{}),
 		start:    time.Now(),
 	}
-	s.watchdogDump.Store("")
-	s.installWatchdog()
 	obs.PublishExpvar()
 	base := cfg.Log
 	if base == nil {
@@ -155,8 +151,7 @@ func (s *Server) janitor() {
 
 // Health is the /healthz JSON document.
 type Health struct {
-	// Status is "ok", or "stalled" when the promdebug communication
-	// watchdog has fired (see WatchdogDump).
+	// Status is "ok" whenever the server answers.
 	Status string `json:"status"`
 	// UptimeNs is time since New.
 	UptimeNs int64 `json:"uptime_ns"`
@@ -177,22 +172,14 @@ type Health struct {
 	Requests  int64 `json:"requests"`
 	Rejected  int64 `json:"rejected"`
 	Cancelled int64 `json:"cancelled"`
-	// WatchdogDump is the last promdebug watchdog dump, when one fired
-	// (empty in release builds or while healthy).
-	WatchdogDump string `json:"watchdog_dump,omitempty"`
 }
 
 // health snapshots the service state.
 func (s *Server) health() Health {
 	live, total, _ := s.sessions.snapshot()
 	entries, hits, misses, evictions := s.cache.snapshot()
-	dump, _ := s.watchdogDump.Load().(string)
-	status := "ok"
-	if dump != "" {
-		status = "stalled"
-	}
 	return Health{
-		Status:         status,
+		Status:         "ok",
 		UptimeNs:       time.Since(s.start).Nanoseconds(),
 		ActiveSessions: len(live),
 		TotalSessions:  total,
@@ -203,6 +190,5 @@ func (s *Server) health() Health {
 		Requests:       s.requests.Load(),
 		Rejected:       s.rejected.Load(),
 		Cancelled:      s.cancelled.Load(),
-		WatchdogDump:   dump,
 	}
 }

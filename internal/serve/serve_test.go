@@ -118,9 +118,6 @@ func TestServeBitwiseIdentical(t *testing.T) {
 			t.Fatalf("scale %g: key %s, cache_hit %v; want the first request's key %s and a hit after it", scale, got.Key, got.CacheHit, key)
 		}
 	}
-	if parts := strings.Split(key, "/"); len(parts) != 2 || parts[1] != "fmg" {
-		t.Fatalf("key %s, want fingerprint/cycle", key)
-	}
 	var cb cacheBody
 	getJSON(t, ts.URL+"/v1/cache", &cb)
 	if cb.Misses != 1 || cb.Hits != int64(len(servedScales)-1) || len(cb.Entries) != 1 {
@@ -453,7 +450,7 @@ func TestServeHealthAndDebug(t *testing.T) {
 	if len(cb.Entries) != 1 || cb.Misses != 1 {
 		t.Fatalf("cache listing: %+v", cb)
 	}
-	if cb.Entries[0].Fingerprint == "" || cb.Entries[0].Levels < 1 {
+	if cb.Entries[0].Key == "" || cb.Entries[0].Levels < 1 {
 		t.Fatalf("cache entry missing fields: %+v", cb.Entries[0])
 	}
 
@@ -496,14 +493,11 @@ func TestServeRequestValidation(t *testing.T) {
 	if _, status := postSolveStatus(t, ts, SolveRequest{Spec: Spec{Problem: "cube", Size: 99}}); status != http.StatusBadRequest {
 		t.Fatalf("oversized problem: status %d, want 400", status)
 	}
-	if _, status := postSolveStatus(t, ts, SolveRequest{Spec: Spec{Problem: "cube", Size: 1}, Cycle: "x"}); status != http.StatusBadRequest {
-		t.Fatalf("unknown cycle: status %d, want 400", status)
-	}
 
 	// Hostile numbers and malformed bodies: each must answer 400 with a
 	// JSON error naming the offending field, before any hierarchy is built.
-	// "precision" and "storage" are retired fields, unknown to the strict
-	// decoder whatever their value, and cycle "w" is an unknown value.
+	// "precision", "cycle" and "storage" are retired fields, unknown to
+	// the strict decoder whatever their value.
 	for _, tc := range []struct{ body, names string }{
 		{`{"problem":"cube","size":1,"load_scale":1e308,"wait":true}`, "load_scale"},
 		{`{"problem":"cube","size":1,"load_scale":-1e101}`, "load_scale"},
@@ -517,7 +511,8 @@ func TestServeRequestValidation(t *testing.T) {
 		{`{"problem":"cube","size":1,"max_iters":1e30}`, "max_iters"},
 		{`{"problem":"cube","size":1,"tolerance":1e-4}`, "tolerance"},
 		{`{"problem":"cube","size":1,"precision":"f32"}`, "precision"},
-		{`{"problem":"cube","size":1,"cycle":"w"}`, "cycle"},
+		{`{"problem":"cube","size":1,"cycle":"v"}`, "cycle"},
+		{`{"problem":"cube","size":1,"cycle":"fmg"}`, "cycle"},
 		{`{"problem":"cube","size":1,"storage":"mf"}`, "storage"},
 		{`{"problem":"cube","size":1,"storage":"auto"}`, "storage"},
 		{`{"problem":"cube","size":1}{"problem":"cube","size":2}`, "trailing"},

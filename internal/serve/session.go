@@ -16,7 +16,7 @@ type SessionInfo struct {
 	Problem string `json:"problem"`
 	// Size is the request's refinement parameter.
 	Size int `json:"size"`
-	// Key is the cache key (fingerprint + solve variant) the session
+	// Key is the cache key (the geometry's fingerprint) the session
 	// resolved to; empty until the spec has been fingerprinted.
 	Key string `json:"key,omitempty"`
 	// StartUnixNs is the wall-clock start of the session.

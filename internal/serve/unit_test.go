@@ -93,9 +93,8 @@ func TestCacheEvictionLRU(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fp := g.Fingerprint(opts.Coarsen)
-		keys[i] = cacheKey(fp, "fmg")
-		e, hit, err := c.Acquire(keys[i], fp, g, opts)
+		keys[i] = g.Fingerprint(opts.Coarsen)
+		e, hit, err := c.Acquire(keys[i], g, opts)
 		if err != nil {
 			t.Fatalf("acquire %d: %v", i, err)
 		}
@@ -122,8 +121,7 @@ func TestCacheEvictionLRU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := g.Fingerprint(opts.Coarsen)
-	e, hit, err := c.Acquire(keys[1], fp, g, opts)
+	e, hit, err := c.Acquire(keys[1], g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +138,7 @@ func TestCachePinnedEntryNotEvicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp1 := g1.Fingerprint(opts.Coarsen)
-	e1, _, err := c.Acquire(cacheKey(fp1, "fmg"), fp1, g1, opts)
+	e1, _, err := c.Acquire(g1.Fingerprint(opts.Coarsen), g1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +147,7 @@ func TestCachePinnedEntryNotEvicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp2 := g2.Fingerprint(opts.Coarsen)
-	e2, _, err := c.Acquire(cacheKey(fp2, "fmg"), fp2, g2, opts)
+	e2, _, err := c.Acquire(g2.Fingerprint(opts.Coarsen), g2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,30 +165,30 @@ func TestCachePinnedEntryNotEvicted(t *testing.T) {
 }
 
 // TestCacheKeyDistinguishesVariants is the cache-correctness regression
-// test for the key derivation: every request parameter that changes the
-// cached setup products — fingerprint, cycle — must land in the key. The
-// storage is read from the operator, so no request parameter selects it.
-// The load scale changes none of them, so two scales of one geometry must
-// share a key.
+// test for the key derivation: the only request parameters that change the
+// cached setup products select the geometry, so the key a reply reports is
+// the geometry's fingerprint, and two geometries get two keys. The storage
+// is read from the operator and the cycle is always FMG, so no request
+// parameter selects either. The load scale changes none of the setup
+// products, so two scales of one geometry must share a key.
 func TestCacheKeyDistinguishesVariants(t *testing.T) {
-	keys := map[string]bool{
-		cacheKey("fp", "fmg"):  true,
-		cacheKey("fp", "v"):    true,
-		cacheKey("fp2", "fmg"): true,
-	}
-	if len(keys) != 3 {
-		t.Fatalf("cache key variants collide: %v", keys)
-	}
-	if k := cacheKey("fp", "fmg"); k != "fp/fmg" {
-		t.Fatalf("cache key %s, want fingerprint/cycle", k)
-	}
-	// Two load scales of one spec resolve to one key, and the second hits.
 	_, ts := newTestServer(t, Config{})
 	spec := Spec{Problem: "cube", Size: 1}
+	g, err := BuildGeometry(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	one := postSolve(t, ts, SolveRequest{Spec: spec, LoadScale: 1})
+	if want := g.Fingerprint(prometheus.Options{}.Coarsen); one.Key != want {
+		t.Fatalf("cache key %s, want the fingerprint %s", one.Key, want)
+	}
+	// Two load scales of one spec resolve to one key, and the second hits.
 	two := postSolve(t, ts, SolveRequest{Spec: spec, LoadScale: 2})
 	if one.Key != two.Key || !two.CacheHit {
 		t.Fatalf("load scales 1 and 2: keys %s and %s, second cache_hit %v; want one key and a hit", one.Key, two.Key, two.CacheHit)
+	}
+	if other := postSolve(t, ts, SolveRequest{Spec: Spec{Problem: "cantilever", Size: 1}}); other.Key == one.Key || other.CacheHit {
+		t.Fatalf("cube and cantilever share key %s (cache_hit %v)", one.Key, other.CacheHit)
 	}
 }
 
@@ -203,8 +199,7 @@ func TestMGLeasePool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := g.Fingerprint(opts.Coarsen)
-	e, _, err := c.Acquire(cacheKey(fp, "fmg"), fp, g, opts)
+	e, _, err := c.Acquire(g.Fingerprint(opts.Coarsen), g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,22 +254,25 @@ func TestMGLeasePool(t *testing.T) {
 	}
 }
 
+// TestSolverOptionsValidation: DirectSolve's cycle, storage and precision
+// parameters outlive the options they selected only for bench/'s sake;
+// anything but the default errors before any work is done, and the
+// defaults solve.
 func TestSolverOptionsValidation(t *testing.T) {
-	for _, cyc := range []string{"spiral", "w"} {
-		if _, err := solverOptions(1e-4, 100, cyc); err == nil {
-			t.Fatalf("cycle %q accepted", cyc)
+	spec := Spec{Problem: "cube", Size: 1}
+	for _, bad := range []struct{ cycle, storage, precision string }{
+		{"v", "", ""}, {"w", "", ""}, {"spiral", "", ""},
+		{"fmg", "bsr", ""},
+		{"fmg", "", "f32"},
+	} {
+		if _, _, err := DirectSolve(spec, 1, 1e-4, 100, bad.cycle, bad.storage, bad.precision); err == nil {
+			t.Fatalf("DirectSolve accepted cycle %q, storage %q, precision %q", bad.cycle, bad.storage, bad.precision)
 		}
 	}
-	for _, cyc := range []string{"", "fmg", "v"} {
-		if _, err := solverOptions(1e-4, 100, cyc); err != nil {
-			t.Fatalf("cycle %q rejected: %v", cyc, err)
+	for _, cyc := range []string{"", "fmg"} {
+		if _, res, err := DirectSolve(spec, 1, 1e-4, 100, cyc, "auto", "f64"); err != nil || !res.Converged {
+			t.Fatalf("DirectSolve with cycle %q: %v", cyc, err)
 		}
-	}
-	// DirectSolve's trailing precision parameter outlives the mode it
-	// selected only for bench/'s sake; anything but the default errors
-	// before any work is done.
-	if _, _, err := DirectSolve(Spec{Problem: "cube", Size: 1}, 1, 1e-4, 100, "fmg", "", "f32"); err == nil {
-		t.Fatal(`DirectSolve accepted precision "f32"`)
 	}
 }
 

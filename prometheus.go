@@ -89,7 +89,6 @@ type (
 const (
 	FMG    = multigrid.FMG
 	VCycle = multigrid.VCycle
-	WCycle = multigrid.WCycle
 )
 
 // NewStructuredHexMesh builds an nx×ny×nz hexahedral mesh of a box; matFn
