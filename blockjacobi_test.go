@@ -89,10 +89,11 @@ func edgeListGraph(a *sparse.CSR) *graph.Graph {
 // the ones the edge-list path produced: on every level operator of both
 // benchmark hierarchies (a size down under -short) the pattern graph equals
 // the edge-list graph array for array, and the partitioner returns the same
-// block of every dof. The spheres' Galerkin levels are applied as BSR,
-// whose scalar view has the block fill in it; on the scalar matrices the
-// smoother setup reads, pinned levels among them, the same holds by
-// internal/multigrid's TestReferencePartitionIsGraphPartition.
+// block of every dof. The spheres' Galerkin levels are BSR, whose scalar
+// view has the block fill and the pinned couplings in it as zeros: the
+// pattern the smoother is partitioned on, as internal/multigrid's
+// TestReferencePartitionIsGraphPartition checks on the scalar-kernel
+// reference.
 func TestSmootherPartitionMatchesEdgeListGraph(t *testing.T) {
 	full := !testing.Short()
 	for _, tc := range []struct {

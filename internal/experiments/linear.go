@@ -79,10 +79,7 @@ func assembleFirstTangent(s *problems.Spheres) (*fem.Problem, *sparse.CSR, []flo
 // incrementDofMap numbers the free dofs of the homogeneous form of the
 // problem's constraints, the form Newton increments satisfy.
 func incrementDofMap(s *problems.Spheres) (*fem.Constraints, *fem.DofMap) {
-	zero := fem.NewConstraints()
-	for d := range s.Cons.Fixed {
-		zero.FixDof(d, 0)
-	}
+	zero := s.Cons.Homogeneous()
 	return zero, zero.NewDofMap(s.Mesh.NumDOF())
 }
 

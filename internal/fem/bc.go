@@ -39,6 +39,18 @@ func (c *Constraints) Scaled(s float64) *Constraints {
 	return out
 }
 
+// Homogeneous returns the constraint set on c's dofs with every prescribed
+// value zero, the form increments and corrections satisfy; c is left
+// unchanged. Every value is FixDof(d, 0), a +0 — Scaled(0) would store -0
+// for a negative one.
+func (c *Constraints) Homogeneous() *Constraints {
+	out := NewConstraints()
+	for d := range c.Fixed {
+		out.FixDof(d, 0)
+	}
+	return out
+}
+
 // DofMap relates the full dof numbering to the reduced (free) numbering.
 type DofMap struct {
 	Full2Red []int // -1 for constrained dofs

@@ -373,6 +373,17 @@ func TestConstraintsHelpers(t *testing.T) {
 	if s.Fixed[6] != 0.5 || s.Fixed[8] != 1.5 {
 		t.Fatalf("scaled = %v", s.Fixed)
 	}
+	// The homogeneous set fixes the same dofs at +0, a negative value too.
+	neg := c.Scaled(-1)
+	z := neg.Homogeneous()
+	if len(z.Fixed) != len(neg.Fixed) || neg.Fixed[6] != -1 {
+		t.Fatalf("homogeneous = %v of %v", z.Fixed, neg.Fixed)
+	}
+	for d := range neg.Fixed {
+		if v, ok := z.Fixed[d]; !ok || math.Float64bits(v) != 0 {
+			t.Fatalf("homogeneous dof %d = %v (fixed %v), want +0", d, v, ok)
+		}
+	}
 	dm := c.NewDofMap(12)
 	if dm.NumFree() != 9 {
 		t.Fatalf("free = %d", dm.NumFree())

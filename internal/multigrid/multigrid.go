@@ -58,10 +58,12 @@ func (o Options) withDefaults() Options {
 
 // Level is one grid of the algebraic hierarchy.
 type Level struct {
-	// A is the level operator the cycle and the smoother apply — CSR or
-	// BSR behind the storage-agnostic interface; the cycles never look
-	// behind it. Setup read the scalar matrix of the Galerkin chain, which
-	// is gone once New returns.
+	// A is the level's one matrix — CSR or BSR behind the
+	// storage-agnostic interface; the cycles never look behind it. The
+	// cycle and the smoother apply it, the smoother's blocks are
+	// partitioned and factored from it, the coarsest Cholesky is planned
+	// from it and the next Galerkin product reads it. A Galerkin level
+	// stores its block fill and pinned couplings as zeros.
 	A sparse.Operator
 	// R restricts residuals from the next finer level to this one; nil on
 	// level 0. P = Rᵀ prolongates corrections.
@@ -161,19 +163,6 @@ func pinList(d []float64) (keep []int, maxd float64) {
 	return keep, maxd
 }
 
-// opSymmetric is the storage-polymorphic symmetry diagnostic used by the
-// promdebug hierarchy checks.
-func opSymmetric(a sparse.Operator, tol float64) bool {
-	switch m := a.(type) {
-	case *sparse.CSR:
-		return m.IsSymmetric(tol)
-	case *sparse.BSR:
-		return m.IsSymmetric(tol)
-	default:
-		return true
-	}
-}
-
 // New assembles the hierarchy: fineA is the (reduced) fine operator and
 // restrictions[l] maps level l dofs to level l+1 dofs, already aligned with
 // fineA's dof numbering on level 0. It is Build without a plan to reuse.
@@ -191,8 +180,10 @@ func New(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG, 
 // pattern, and so is the one storage decision, which no option overrides:
 // a CSR that blocks into 3x3 node blocks with no fill is applied in
 // blocks, any other operator as handed in, and every Galerkin level below
-// in blocks where its own shape allows (sparse.PlanBlock). Blocking is a
-// kernel choice: solutions are bitwise those of an all-scalar hierarchy.
+// is formed, pinned and applied in blocks where its pattern blocks
+// (sparse.PlanBlock), fill stored as zeros, and in CSR otherwise. Each
+// level is one matrix. Blocking is a kernel choice: solutions are bitwise
+// those of the same hierarchy in scalar kernels.
 // The fine pattern, and each Galerkin level's, must be structurally
 // symmetric — (j, i) stored wherever (i, j) is — as every assembled or
 // Galerkin operator's is: the smoother's blocks are partitioned on it as a
@@ -214,7 +205,7 @@ func Build(plan *Plan, fineA sparse.Operator, restrictions []*sparse.CSR, opts O
 		dims := make([]int, len(mg.Levels))
 		for i, lvl := range mg.Levels {
 			dims[i] = lvl.A.Rows()
-			check.Assert(opSymmetric(lvl.A, 1e-8), "multigrid.New: level %d operator not symmetric", i)
+			check.Assert(sparse.OpSymmetric(lvl.A, 1e-8), "multigrid.New: level %d operator not symmetric", i)
 		}
 		check.StrictlyDecreasing(dims, "multigrid.New level dims")
 	}
@@ -262,11 +253,10 @@ func newLevel(a sparse.Operator) *Level {
 }
 
 // makeSmoother builds the smoother that applies a: it factors the blocks
-// bj plans, gathered from setup, the matrix of the Galerkin chain (a
-// itself, or the scalar matrix a was blocked from), and wraps them in CG.
-func (mg *MG) makeSmoother(a sparse.Operator, bj *smooth.BlockPlan, setup sparse.Operator) (*smooth.CGSmoother, error) {
+// bj plans, gathered from a, and wraps them in CG.
+func (mg *MG) makeSmoother(a sparse.Operator, bj *smooth.BlockPlan) (*smooth.CGSmoother, error) {
 	spf := obs.Start(evSmootherFactor)
-	s, err := bj.Factor(setup)
+	s, err := bj.Factor(a)
 	spf.End()
 	if err != nil {
 		return nil, fmt.Errorf("multigrid: block smoother: %w", err)

@@ -210,7 +210,7 @@ func TestGalerkinOperatorsSymmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	for li, l := range mg.Levels {
-		if !opSymmetric(l.A, 1e-8) {
+		if !sparse.OpSymmetric(l.A, 1e-8) {
 			t.Fatalf("level %d operator not symmetric", li)
 		}
 	}
@@ -221,16 +221,17 @@ func TestGalerkinOperatorsSymmetric(t *testing.T) {
 // layout, never the arithmetic. Under every cycle, Galerkin products,
 // smoother sweeps and the Krylov iteration must produce bitwise-identical
 // solutions and residual histories and the exact same iteration count as
-// the all-scalar reference, and the fine level, handed in as a CSR that
-// blocks with no fill, must actually be blocked.
+// the scalar-kernel reference, which stores the same entries, and every
+// level — the fine one handed in as a CSR that blocks with no fill, and
+// the coarsest — must actually be blocked.
 func TestStorageParity(t *testing.T) {
 	k, f, rs := buildElasticity(t, 4, core.Options{MinCoarse: 30})
 	for _, cyc := range []CycleKind{FMG, VCycle} {
 		opts := Options{Cycle: cyc}
 		scalar := solveOutcomeOf(t, newScalar, k, f, rs, opts)
 		blocked := solveOutcomeOf(t, New, k, f, rs, opts)
-		if blocked.storage[0] != "bsr" {
-			t.Fatalf("cycle %v: level storage %v, want a blocked fine level", cyc, blocked.storage)
+		if slices.ContainsFunc(blocked.storage, func(s string) bool { return s != "bsr" }) || !slices.Equal(blocked.nnz, scalar.nnz) {
+			t.Fatalf("cycle %v: level storage %v storing %v entries, want every level blocked, storing the reference's %v", cyc, blocked.storage, blocked.nnz, scalar.nnz)
 		}
 		if blocked.iterations != scalar.iterations || !slices.Equal(blocked.residuals, scalar.residuals) {
 			t.Fatalf("cycle %v: iteration counts differ: CSR %d vs BSR %d, or the residual histories differ in bits", cyc, scalar.iterations, blocked.iterations)

@@ -19,27 +19,29 @@ import (
 // and on the restriction chain. Per level it holds
 //
 //   - the prolongation P = Rᵀ and the Galerkin plan (the patterns of R·A
-//     and R·A·Rᵀ, and R's node weights on the blocked path);
+//     and R·A·Rᵀ, R's node weights on the blocked path, and the layout
+//     the level is formed, pinned and applied in: blocks wherever its
+//     pattern blocks, sparse.PlanBlock);
 //   - the pin list pinList finds for the coarse operator;
-//   - the storage decisions: whether the fine level is blocked, the
-//     pinned layout each Galerkin product is written in, and the blocked
-//     layout a scalar level is copied into to be applied;
 //   - the smoother's partition, block members and factor envelopes
 //     (smooth.BlockPlan);
 //   - on the coarsest level, the Cholesky ordering and profile
 //     (direct.Symbolic).
 //
-// Filling a plan writes values only: the Galerkin products, the value
-// copies into the planned storages, the block factorizations and the
-// coarse Cholesky. A plan is read-only once made, so every MG filled from
-// it shares its patterns and owns its values and scratch, and concurrent
-// fills of one plan are independent.
+// A level is one matrix: the cycle applies it, the smoother is partitioned
+// and factored from it, the coarsest Cholesky is planned from it and the
+// next product reads it. Filling a plan writes values only: the Galerkin
+// products, the pins, the block factorizations and the coarse Cholesky. A
+// plan is read-only once made, so every MG filled from it shares its
+// patterns and owns its values and scratch, and concurrent fills of one
+// plan are independent.
 //
 // The pin list is the one thing about a level that depends on values: a
 // coarse dof is pinned when its diagonal is zero or nearly so, which a
 // restriction weight of 1e-15 gives as surely as a missing one. So a plan
 // is made by the build that first needs it, level by level as the values
-// reach each level, and records the pin lists that build found; every
+// reach each level, and records the pin lists that build found. Pins are
+// written inside the level's pattern and change only values, but every
 // later fill computes them again, and one that finds another list gives
 // the plan up for a new one.
 type Plan struct {
@@ -52,10 +54,11 @@ type Plan struct {
 	// is its expansion, and the plan keeps no second copy of its columns.
 	fine     sparse.Operator
 	expanded bool
-	// scalar keeps every level in the scalar rows setup reads: the fine
-	// operator is not blocked and no level is copied into blocks. It is
-	// the all-scalar reference the tests pin the blocked hierarchy to, and
-	// only they set it.
+	// scalar keeps every level in scalar rows: the fine operator is not
+	// blocked, and every Galerkin level is the scalar expansion of the
+	// layout it is formed in, fill and pinned couplings stored as zeros.
+	// It is the scalar-kernel reference the tests pin the blocked
+	// hierarchy to, and only they set it.
 	scalar bool
 	levels []*levelPlan
 }
@@ -66,11 +69,8 @@ type levelPlan struct {
 	gal  *sparse.GalerkinPlan // nil on level 0
 	// pins is pinList's list for this level (nil: no dof pinned).
 	pins []int
-	// apply is the blocked layout the level's scalar matrix is copied into
-	// for the cycle to apply; nil when it is applied as formed.
-	apply *sparse.BSR
-	bj    *smooth.BlockPlan
-	chol  *direct.Symbolic
+	bj   *smooth.BlockPlan
+	chol *direct.Symbolic
 }
 
 // newPlan returns an empty plan for fine's pattern, these restrictions and
@@ -96,9 +96,9 @@ func (p *Plan) fill(fine sparse.Operator) (*MG, error) {
 		sp.End()
 	}
 	mg := &MG{Opts: p.opts}
-	s := fine
+	a := fine
 	if p.expanded {
-		s = p.fine.(*sparse.BSR).FillFromCSR(fine.(*sparse.CSR))
+		a = p.fine.(*sparse.BSR).FillFromCSR(fine.(*sparse.CSR))
 	}
 	for l := 0; l <= len(p.rs); l++ {
 		if planning {
@@ -107,28 +107,23 @@ func (p *Plan) fill(fine sparse.Operator) (*MG, error) {
 		lp := p.levels[l]
 		if l > 0 {
 			var err error
-			if s, err = p.galerkin(l, s, planning); err != nil {
+			if a, err = p.galerkin(l, a, planning); err != nil {
 				return nil, err
 			}
 			// Galerkin product cost estimate: ~2 flops per multiply-add over
 			// the row-merge; use 4·nnz(A)·avg row of R as a proxy.
-			mg.SetupFlops += 4 * int64(s.NNZ())
+			mg.SetupFlops += 4 * int64(a.NNZ())
 		}
 		if planning {
-			if err := p.planLevel(l, s, fine); err != nil {
+			if err := p.planLevel(l, a, fine); err != nil {
 				return nil, err
 			}
 		}
-		lvl := newLevel(s)
+		lvl := newLevel(a)
 		lvl.R, lvl.P = lp.R, lp.P
 		mg.Levels = append(mg.Levels, lvl)
-		if lp.apply != nil {
-			// The BSR product adds a row's entries in the scalar order, so
-			// the copy changes the kernel and no bit of the result.
-			lvl.A = lp.apply.FillFromCSR(s.(*sparse.CSR))
-		}
 		if lp.chol != nil {
-			ch, err := lp.chol.Factor(sparse.Values(s))
+			ch, err := lp.chol.Factor(sparse.Values(a))
 			if err != nil {
 				return nil, fmt.Errorf("multigrid: coarsest factorization: %w", err)
 			}
@@ -137,7 +132,7 @@ func (p *Plan) fill(fine sparse.Operator) (*MG, error) {
 			continue
 		}
 		sps := obs.Start(evSmoother)
-		sm, err := mg.makeSmoother(lvl.A, lp.bj, s)
+		sm, err := mg.makeSmoother(a, lp.bj)
 		sps.End()
 		if err != nil {
 			return nil, err
@@ -163,81 +158,57 @@ func (p *Plan) planFine() {
 	}
 }
 
-// galerkin forms level l's matrix from s, the matrix of the level above:
-// the Galerkin product with pinList's pins, written in the storage the
-// level is applied in. planning says the plan does not have level l yet:
-// the product's patterns are planned first, and its storage once the
-// values have given the pin list, which is recorded. Otherwise a pin list
-// other than the recorded one is errPinsMoved.
-func (p *Plan) galerkin(l int, s sparse.Operator, planning bool) (sparse.Operator, error) {
+// galerkin forms level l's matrix from a, the matrix of the level above:
+// the Galerkin product in the layout the level is applied in, with
+// pinList's pins, found from its diagonal, written in place. planning says
+// the plan does not have level l yet: the product's patterns are planned
+// first, and the pin list is recorded. Otherwise a pin list other than the
+// recorded one is errPinsMoved.
+func (p *Plan) galerkin(l int, a sparse.Operator, planning bool) (sparse.Operator, error) {
 	lp := p.levels[l]
 	if planning {
 		r := p.rs[l-1]
-		if r.NCols != s.Rows() {
-			return nil, fmt.Errorf("multigrid: restriction %dx%d does not match operator %d", r.NRows, r.NCols, s.Rows())
+		if r.NCols != a.Rows() {
+			return nil, fmt.Errorf("multigrid: restriction %dx%d does not match operator %d", r.NRows, r.NCols, a.Rows())
 		}
-		lp.planGalerkin(r, s)
+		lp.planGalerkin(r, a)
 	}
-	ra, keep, maxd := lp.restrict(s)
+	spg := obs.Start(evGalerkin)
+	c := lp.gal.Fill(lp.gal.RA(a))
+	keep, maxd := pinList(c.Diag())
+	spg.End()
 	switch {
 	case planning:
-		sp := obs.Start(evPlan)
 		lp.pins = keep
-		p.planStorage(l)
-		sp.End()
 	case !slices.Equal(keep, lp.pins):
 		return nil, errPinsMoved
 	}
-	spg := obs.Start(evGalerkin)
-	c := lp.gal.Fill(ra, keep, maxd)
-	spg.End()
+	if keep != nil {
+		sparse.Pin(c, keep, maxd)
+	}
+	if p.scalar {
+		c = sparse.AsCSR(c)
+	}
 	return c, nil
 }
 
 // planGalerkin plans the level's transfers and the patterns of its
-// Galerkin product under restriction r from the level above's matrix s.
-func (lp *levelPlan) planGalerkin(r *sparse.CSR, s sparse.Operator) {
+// Galerkin product under restriction r from the level above's matrix a,
+// laid out in node blocks wherever it blocks.
+func (lp *levelPlan) planGalerkin(r *sparse.CSR, a sparse.Operator) {
 	defer obs.Start(evPlan).End()
 	lp.R, lp.P = r, r.Transpose()
 	spg := obs.Start(evGalerkin)
-	lp.gal = sparse.PlanGalerkin(r, lp.P, s)
+	lp.gal = sparse.PlanGalerkin(r, lp.P, a, nodeDofs)
 	spg.End()
 }
 
-// restrict forms R·A for s, the level above's matrix, and from the
-// diagonal of R·A·Rᵀ the pins pinList finds for it.
-func (lp *levelPlan) restrict(s sparse.Operator) (ra []float64, keep []int, maxd float64) {
-	defer obs.Start(evGalerkin).End()
-	ra = lp.gal.RA(s)
-	keep, maxd = pinList(lp.gal.Diag(ra))
-	return ra, keep, maxd
-}
-
-// planStorage plans what level l's Galerkin product is written into — its
-// pattern with the rows and columns pinList pins, which a blocked product
-// leaves in scalar rows — and, when that is a scalar matrix on a smoothed
-// level and the block kernel fits (sparse.PlanBlock), the blocked layout
-// it is copied into to be applied. Setup and the next product read the
-// scalar matrix.
-func (p *Plan) planStorage(l int) {
-	lp := p.levels[l]
-	t := lp.gal.Pattern()
-	if lp.pins != nil {
-		c := sparse.ScalarPatternOf(t)
-		c = c.SelectPattern(lp.pins, lp.pins, c.NCols)
-		lp.gal.Target(c)
-		t = c
-	}
-	if c, ok := t.(*sparse.CSR); ok && l < len(p.rs) && !p.scalar {
-		lp.apply = sparse.PlanBlock(c, nodeDofs)
-	}
-}
-
 // planLevel plans what level l does with its matrix s: the ordering of the
-// coarsest level's factorization, from s's own entries, or the smoother's
-// blocks and, from s's pattern, the envelopes their factors are stored in.
-// A level 0 blocked from a CSR with no fill (expanded) reads the pattern
-// from fine, the CSR it was blocked from, which is exactly s's expansion.
+// coarsest level's factorization, from s's own entries, fill and pinned
+// couplings included, or the smoother's blocks and, from s's pattern, the
+// envelopes their factors are stored in. A level 0 blocked from a CSR with
+// no fill (expanded) reads the pattern from fine, the CSR it was blocked
+// from, which is exactly s's expansion.
 // The partition runs on the pattern itself: for a structurally symmetric
 // pattern a row's columns are its graph neighbours and the row itself,
 // which the partitioner's search has assigned before it looks.
@@ -300,16 +271,12 @@ func (o Options) sameShape(q Options) bool {
 
 // PatternBytes returns the bytes of the index arrays the plan keeps alive
 // beyond what the hierarchies filled from it hold: the Galerkin plans'
-// patterns of R·A (sparse.GalerkinPlan.PatternBytes), and the scalar
-// pattern of every level applied in blocks.
+// (sparse.GalerkinPlan.PatternBytes).
 func (p *Plan) PatternBytes() int64 {
 	var n int64
 	for _, lp := range p.levels {
 		if lp.gal != nil {
 			n += lp.gal.PatternBytes()
-		}
-		if lp.apply != nil {
-			n += sparse.StorageBytes(lp.gal.Pattern())
 		}
 	}
 	return n

@@ -96,7 +96,7 @@ func wobble(n int) []float64 {
 // TestPlanFillIsFreshBuild: a hierarchy filled from the plan of an
 // operator with the same pattern computes what a new plan gives, bit for
 // bit, on a blocked and a scalar fine level, with pinned levels reached
-// through the scalar and the blocked product, and on the all-scalar
+// through the scalar and the blocked product, and on the scalar-kernel
 // reference.
 func TestPlanFillIsFreshBuild(t *testing.T) {
 	sk, sf, srs := buildSpheres(t)
@@ -264,9 +264,9 @@ func edgeListGraph(a *sparse.CSR) *graph.Graph {
 }
 
 // TestReferencePartitionIsGraphPartition: on every smoothed level of the
-// all-scalar reference hierarchies — each the matrix setup reads, pinned
-// coarse levels among them (a pinned dof is a row and a column holding
-// only the diagonal) — the pattern graph equals the edge-list graph array
+// scalar-kernel reference hierarchies — each the pattern the blocked level
+// stores, pinned coarse levels among them (a pinned dof's row and column
+// hold zeros and its diagonal) — the pattern graph equals the edge-list graph array
 // for array; partitioning the pattern as it stands, the pattern graph and
 // the edge-list graph give the same blocks; and these are the blocks the
 // level's smoother holds. The geometric spheres hierarchy is the
@@ -289,7 +289,7 @@ func TestReferencePartitionIsGraphPartition(t *testing.T) {
 		{"spheres", sk, srs},
 		{"aggregation", ak, ars},
 	} {
-		mg, err := newScalar(tc.k, tc.rs, Options{})
+		mg, plan, err := scalarBuild(nil, tc.k, tc.rs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,8 +298,8 @@ func TestReferencePartitionIsGraphPartition(t *testing.T) {
 				continue
 			}
 			a := lvl.A.(*sparse.CSR)
-			for i := 0; i < a.NRows; i++ {
-				if a.RowPtr[i+1]-a.RowPtr[i] == 1 && a.ColIdx[a.RowPtr[i]] == i {
+			for _, kept := range plan.levels[li].pins {
+				if kept < 0 {
 					pinned++
 				}
 			}
@@ -330,17 +330,22 @@ func TestReferencePartitionIsGraphPartition(t *testing.T) {
 // values it fills and little else — at most twice the bytes of the
 // hierarchy's values (level operators, block factors, coarse factor) —
 // and the patterns the plan keeps beyond the hierarchy's own take less
-// than those values.
+// than an eighth of those values. Each level is one matrix: the spheres
+// hierarchy, whose first Galerkin level is formed in scalar rows and
+// pinned, allocates no more per byte of values than the cube, blocked
+// throughout with no pins, and keeps no scalar copy of a blocked level's
+// pattern.
 func TestPlanFillAllocatesItsValues(t *testing.T) {
 	ck, _, crs := buildElasticity(t, 6, core.Options{MinCoarse: 10})
 	sk, _, srs := buildSpheres(t)
+	var cubeRatio float64
 	for _, tc := range []struct {
 		name string
 		k    *sparse.CSR
 		rs   []*sparse.CSR
 	}{
 		{"cube, BSR fine", ck, crs},
-		{"spheres, CSR fine, levels copied into blocks", sk, srs},
+		{"spheres, CSR fine, pinned level formed in blocks", sk, srs},
 	} {
 		_, plan, err := Build(nil, tc.k, tc.rs, Options{})
 		if err != nil {
@@ -361,8 +366,14 @@ func TestPlanFillAllocatesItsValues(t *testing.T) {
 		if got > 2*values {
 			t.Errorf("%s: a repeated-pattern build allocates %d bytes for %d bytes of values", tc.name, got, values)
 		}
-		if retained > values {
-			t.Errorf("%s: the plan retains %d bytes of patterns beyond the hierarchy's, more than its %d bytes of values", tc.name, retained, values)
+		if 8*retained > values {
+			t.Errorf("%s: the plan retains %d bytes of patterns beyond the hierarchy's, more than an eighth of its %d bytes of values", tc.name, retained, values)
+		}
+		ratio := float64(got) / float64(values)
+		if cubeRatio == 0 {
+			cubeRatio = ratio
+		} else if ratio > cubeRatio {
+			t.Errorf("%s: %.3f bytes allocated per byte of values, more than the cube's %.3f", tc.name, ratio, cubeRatio)
 		}
 	}
 }

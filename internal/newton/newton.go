@@ -88,10 +88,7 @@ func Solve(p *fem.Problem, cons *fem.Constraints, cfg Config, factory PreconFact
 	stats := &Stats{}
 
 	// Homogeneous constraints for the Newton increments.
-	zeroCons := fem.NewConstraints()
-	for d := range cons.Fixed {
-		zeroCons.FixDof(d, 0)
-	}
+	zeroCons := cons.Homogeneous()
 	dm := zeroCons.NewDofMap(n)
 
 	for step := 1; step <= cfg.Steps; step++ {

@@ -165,8 +165,8 @@ type lowerGatherer interface {
 }
 
 // Factor gathers every block from setup, the matrix the partition was
-// made on (the level operator, or the scalar matrix it was blocked from),
-// and factors it. Blocks are independent, so the gathers and
+// made on (the level operator, or the CSR a fine level was blocked from
+// with no fill), and factors it. Blocks are independent, so the gathers and
 // factorizations run on the shared worker set.
 func (p *BlockPlan) Factor(setup sparse.Operator) (*DomainBlockJacobi, error) {
 	g, ok := setup.(lowerGatherer)

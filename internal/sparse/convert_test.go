@@ -186,8 +186,7 @@ func raggedOf(a *CSR) *CSR {
 // above pool.Grain, so that two and four participants do take the passes
 // apart: the expansion of a BSR (ToCSR), the reduction of its expansion to
 // the free dofs of a constraint set that is not node-aligned, the pinned
-// Select of a level with pins and pin 1.5, both from one pattern through
-// FillSelect too, and the re-blocking (FromCSR) of the expansion and of a
+// Select of a level with pins and pin 1.5, and the re-blocking (FromCSR) of the expansion and of a
 // ragged pattern with an empty row.
 func TestConversionsIndependentOfProcs(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
@@ -237,10 +236,6 @@ func TestConversionsIndependentOfProcs(t *testing.T) {
 			want := selectRef(e, sc.rows, sc.colMap, sc.nCols, sc.pin)
 			if !sameCSR(e.Select(sc.rows, sc.colMap, sc.nCols, sc.pin), want) {
 				t.Fatal(at(sc.name + " Select differs from the serial reference"))
-			}
-			pat := e.SelectPattern(sc.rows, sc.colMap, sc.nCols)
-			if !sameCSR(pat.FillSelect(e, sc.rows, sc.colMap, sc.pin), want) {
-				t.Fatal(at(sc.name + " SelectPattern then FillSelect differs from the serial reference"))
 			}
 		}
 		for _, a := range []*CSR{e, ragged} {

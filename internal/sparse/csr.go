@@ -101,8 +101,11 @@ func (b *Builder) Build() *CSR {
 // Select returns the len(rows)×nCols matrix whose row i is row rows[i] of
 // a with its columns renumbered through colMap (old column → new column; a
 // negative value drops the column). A negative rows[i] makes row i the
-// single entry (i, pin) instead: the pinned row of an eliminated dof. It is
-// SelectPattern and FillSelect in one. colMap must be increasing over the
+// single entry (i, pin) instead: the pinned row of an eliminated dof. A
+// count pass finds what every row keeps and, after the prefix sum, a
+// pattern pass writes it, so the result is allocated at its final size;
+// then a values pass fills it. All three run over the rows on the shared
+// worker set (selectKernel). colMap must be increasing over the
 // columns it keeps, which leaves every row sorted without a sort. Values
 // are stored as 0+v, as Builder.Add stores them: a stored -0.0 comes out
 // +0.0 and every other value unchanged.
@@ -114,15 +117,8 @@ func (a *CSR) Select(rows, colMap []int, nCols int, pin float64) *CSR {
 	return k.result()
 }
 
-// SelectPattern is the pattern half of Select (Val nil): a count pass
-// finds what every row keeps and, after the prefix sum, a pattern pass
-// writes it, so the result is allocated at its final size. Both run over
-// the rows on the shared worker set (selectKernel).
-func (a *CSR) SelectPattern(rows, colMap []int, nCols int) *CSR {
-	return a.selectPattern(rows, colMap, nCols).result()
-}
-
-// selectPattern runs SelectPattern's passes into a new kernel's result.
+// selectPattern runs Select's count and pattern passes into a new
+// kernel's result.
 func (a *CSR) selectPattern(rows, colMap []int, nCols int) *selectKernel {
 	k := &selectKernel{a: a, rows: rows, colMap: colMap}
 	k.t = &k.out
@@ -135,7 +131,7 @@ func (a *CSR) selectPattern(rows, colMap []int, nCols int) *selectKernel {
 	k.pass = patternPass
 	k.run()
 	if check.Enabled {
-		check.CSRWellFormed(k.out.NRows, k.out.NCols, k.out.RowPtr, k.out.ColIdx, len(k.out.ColIdx), "sparse.SelectPattern")
+		check.CSRWellFormed(k.out.NRows, k.out.NCols, k.out.RowPtr, k.out.ColIdx, len(k.out.ColIdx), "sparse.Select")
 	}
 	return k
 }
@@ -146,16 +142,6 @@ func (a *CSR) selectPattern(rows, colMap []int, nCols int) *selectKernel {
 func (k *selectKernel) result() *CSR {
 	*k = selectKernel{out: k.out}
 	return &k.out
-}
-
-// FillSelect is the value half of Select: a new matrix with t's pattern
-// holding a.Select(rows, colMap, ·, pin)'s values, where t is
-// a.SelectPattern(rows, colMap, ·) of a matrix with a's pattern.
-func (t *CSR) FillSelect(a *CSR, rows, colMap []int, pin float64) *CSR {
-	out := &CSR{NRows: t.NRows, NCols: t.NCols, RowPtr: t.RowPtr, ColIdx: t.ColIdx, Val: make([]float64, len(t.ColIdx))}
-	k := &selectKernel{a: a, t: out, rows: rows, colMap: colMap, pin: pin, pass: valuesPass}
-	k.run()
-	return out
 }
 
 // selectKernel is Select's three passes over the rows of its result t:

@@ -22,7 +22,7 @@ import (
 // item = row of C). The numeric pass sums every entry of C in the order of
 // the one-pass Gustavson merge it replaces — A's row left to right, each B
 // row it reaches left to right, starting from zero — so a row has the same
-// bits whoever computes it, and wherever it is stored (target).
+// bits whoever computes it, and wherever it is stored (a block layout).
 type Product struct {
 	// NRows, NCols and RowPtr are C's pattern (its block pattern when an
 	// operand is blocked): row i's values sit at [RowPtr[i], RowPtr[i+1])
@@ -46,11 +46,6 @@ type Product struct {
 	aBlocked bool
 	// visits is the number of (A entry, B entry) pairs one pass reads.
 	visits int
-	// C's diagonal entry i is the sum over t in [diagPtr[i], diagPtr[i+1])
-	// of A value diagA[t] times B value diagB[t] (planDiag); planned for
-	// the second product of a Galerkin plan only.
-	diagPtr      []int
-	diagA, diagB []int32
 }
 
 // left is the pattern of a product's left operand: row i's values at
@@ -305,22 +300,10 @@ func sortColumns(row []int, seen []uint64) {
 	}
 }
 
-// target is where the numeric pass writes C: its own pattern (nil csr) or
-// another CSR pattern. keep, when set, drops the columns and skips the
-// rows it marks -1 (multigrid's pins: the caller writes a pinned row's
-// one entry); contributions to a dropped column go to the slot at index
-// trash+w of the value array, past the target's own, w the lane, so no two
-// participants write one slot.
-type target struct {
-	csr   *CSR
-	keep  []int
-	trash int
-}
-
 // Fill computes C's values into c (length ValLen) from the values of A
 // and B, whose patterns must be the ones p was planned from.
 func (p *Product) Fill(aVal, bVal, c []float64) {
-	p.run(p.fillKernel(aVal, bVal, c, target{}))
+	p.run(p.fillKernel(aVal, bVal, c, nil))
 }
 
 // run runs a numeric pass of p on the shared set.
@@ -331,47 +314,45 @@ func (p *Product) run(k *fillKernel) {
 // FillKernel returns Fill's numeric pass as the item kernel it dispatches
 // (item = row of C: its stretch of c), for TestKernelContract.
 func (p *Product) FillKernel(aVal, bVal, c []float64) pool.ItemKernel {
-	return p.fillKernel(aVal, bVal, c, target{})
+	return p.fillKernel(aVal, bVal, c, nil)
 }
 
-func (p *Product) fillKernel(aVal, bVal, c []float64, t target) *fillKernel {
-	return &fillKernel{p: p, a: aVal, b: bVal, c: c, t: t}
+func (p *Product) fillKernel(aVal, bVal, c []float64, into *BSR) *fillKernel {
+	return &fillKernel{p: p, a: aVal, b: bVal, c: c, into: into}
 }
 
-// fillKernel is the numeric pass. pos, per lane, maps a column of the row
-// being filled to its position in c.
+// fillKernel is the numeric pass. It writes C in its own pattern or, for
+// a scalar C, into the block layout into, whose blocks hold every entry of
+// C: scalar row i is row i%B of block row i/B, and the rows of one block
+// row write disjoint stretches of its blocks. pos, per lane, maps a column
+// of the row being filled to its position in c.
 type fillKernel struct {
 	p       *Product
 	a, b, c []float64
-	t       target
+	into    *BSR
 	pos     [pool.Lanes][]int
 }
 
 // Items implements pool.ItemKernel.
 func (k *fillKernel) Items(w, lo, hi int) {
-	p, t := k.p, &k.t
+	p := k.p
 	pos := k.pos[w]
 	if pos == nil {
 		pos = make([]int, p.NCols)
-		for j, kept := range t.keep {
-			if kept < 0 {
-				pos[j] = t.trash + w
-			}
-		}
 		k.pos[w] = pos
 	}
 	bb := p.bs * p.bs
 	for i := lo; i < hi; i++ {
-		if t.keep != nil && t.keep[i] < 0 {
-			continue
-		}
-		switch {
-		case t.csr != nil:
-			q0, q1 := t.csr.RowPtr[i], t.csr.RowPtr[i+1]
-			for n, col := range t.csr.ColIdx[q0:q1] {
-				pos[col] = q0 + n
+		switch t := k.into; {
+		case t != nil:
+			b := t.B
+			for q := t.RowPtr[i/b]; q < t.RowPtr[i/b+1]; q++ {
+				d := (q*b + i%b) * b
+				for f := range b {
+					pos[t.ColIdx[q]*b+f] = d + f
+				}
+				clear(k.c[d : d+b])
 			}
-			clear(k.c[q0:q1])
 		default:
 			q0, q1 := p.RowPtr[i], p.RowPtr[i+1]
 			if p.ColIdx != nil {
@@ -449,58 +430,40 @@ func (k *fillKernel) blockedARow(pos []int, i, bb int) {
 	}
 }
 
-// planDiag records where C's diagonal comes from: row i's entry is the
-// sum, left to right, of the A entries of the row whose B row stores
-// column i, each times that B entry — the terms the numeric pass adds to
-// it, in its order.
-func (p *Product) planDiag() {
-	p.diagPtr = make([]int, p.NRows+1)
+// planDiagonal adds a diagonal entry to every row of square C that lacks
+// one: a slot no term reaches, which the numeric pass leaves zero.
+func (p *Product) planDiagonal() {
+	missing := 0
 	for i := 0; i < p.NRows; i++ {
-		lo := p.a.ptr[i]
-		for n, j := range p.a.row(i) {
-			if kb := searchInts(p.b.idx[p.b.ptr[j]:p.b.ptr[j+1]], i); kb >= 0 {
-				p.diagA = append(p.diagA, int32(lo+n))
-				p.diagB = append(p.diagB, int32(p.b.ptr[j]+kb))
-			}
+		if _, ok := diagonalAt(p.ColIdx[p.RowPtr[i]:p.RowPtr[i+1]], i); !ok {
+			missing++
 		}
-		p.diagPtr[i+1] = len(p.diagA)
 	}
+	if missing == 0 {
+		return
+	}
+	ptr, idx := make([]int, p.NRows+1), make([]int, 0, len(p.ColIdx)+missing)
+	for i := 0; i < p.NRows; i++ {
+		row := p.ColIdx[p.RowPtr[i]:p.RowPtr[i+1]]
+		n, ok := diagonalAt(row, i)
+		idx = append(idx, row[:n]...)
+		if !ok {
+			idx = append(idx, i)
+		}
+		idx = append(idx, row[n:]...)
+		ptr[i+1] = len(idx)
+	}
+	p.RowPtr, p.ColIdx = ptr, idx
 }
 
-// diag returns the diagonal of C from the values of A and B, each entry
-// the sum the numeric pass forms for it, in the same order (planDiag).
-// Row i of a blocked C holds the diagonal entries i·bs+e, e < bs.
-func (p *Product) diag(aVal, bVal []float64) []float64 {
-	bs := p.bs
-	bb := bs * bs
-	d := make([]float64, p.NRows*bs)
-	for i := 0; i < p.NRows; i++ {
-		di := d[i*bs : i*bs+bs]
-		for t := p.diagPtr[i]; t < p.diagPtr[i+1]; t++ {
-			a, sv := aVal[int(p.diagA[t])*bb:][:bb], bVal[p.diagB[t]]
-			for e := range di {
-				di[e] += a[e*bs+e] * sv
-			}
-		}
+// diagonalAt returns where column i is, or would be, in the sorted row,
+// and whether it is there.
+func diagonalAt(row []int, i int) (int, bool) {
+	n := 0
+	for n < len(row) && row[n] < i {
+		n++
 	}
-	return d
-}
-
-// searchInts returns the index of x in the sorted cols, -1 when absent.
-func searchInts(cols []int, x int) int {
-	lo, hi := 0, len(cols)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cols[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(cols) && cols[lo] == x {
-		return lo
-	}
-	return -1
+	return n, n < len(row) && row[n] == i
 }
 
 // csr returns C as a CSR holding val.

@@ -104,6 +104,66 @@ func TestGalerkinBSRIsScalarProduct(t *testing.T) {
 	}
 }
 
+// TestGalerkinLayoutIsScalarProduct: a scalar product planned for 3x3
+// blocks is written straight into the block layout, every entry the bits
+// of the one-pass product and every other stored entry zero, with a
+// diagonal slot on every row — the empty rows of a restriction that lost
+// a whole node and one more row included. Pin then zeroes the pinned rows and columns inside
+// their blocks and sets their diagonals: the values of Select(keep, keep)
+// of the product, at every position.
+func TestGalerkinLayoutIsScalarProduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	const nf, nc = 60, 24
+	a := randCSR(rng, nf, nf, 0.1)
+	a = a.Mul(a.Transpose())
+	r := emptyRows(randCSR(rng, nc, nf, 0.15), 3, 4, 5, 17)
+	keep := identity(nc)
+	keep[3], keep[4], keep[5], keep[17] = -1, -1, -1, -1
+	want := mulGustavson(mulGustavson(r, a), r.Transpose())
+	g := PlanGalerkin(r, r.Transpose(), a, 3)
+	got, ok := g.Fill(g.RA(a)).(*BSR)
+	if !ok {
+		t.Fatal("the scalar product was not written into blocks")
+	}
+	for i := 0; i < nc; i++ {
+		for j := 0; j < nc; j++ {
+			if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
+				t.Fatalf("entry (%d,%d): %v in blocks, %v in the product", i, j, got.At(i, j), want.At(i, j))
+			}
+		}
+	}
+	for ib := 0; ib < got.NBRows; ib++ {
+		if !slices.Contains(got.ColIdx[got.RowPtr[ib]:got.RowPtr[ib+1]], ib) {
+			t.Fatalf("block row %d stores no diagonal block", ib)
+		}
+	}
+	Pin(got, keep, 7)
+	pinned := want.Select(keep, keep, nc, 7)
+	for i := 0; i < nc; i++ {
+		for j := 0; j < nc; j++ {
+			// Select stores 0+v, which turns a -0 the product formed into +0.
+			if math.Float64bits(0+got.At(i, j)) != math.Float64bits(pinned.At(i, j)) {
+				t.Fatalf("pinned entry (%d,%d): %v in place, %v by Select", i, j, got.At(i, j), pinned.At(i, j))
+			}
+		}
+	}
+}
+
+// emptyRows returns r with the given rows storing nothing.
+func emptyRows(r *CSR, rows ...int) *CSR {
+	b := NewBuilder(r.NRows, r.NCols)
+	for i := 0; i < r.NRows; i++ {
+		if slices.Contains(rows, i) {
+			continue
+		}
+		cols, vals := r.Row(i)
+		for k, j := range cols {
+			b.Add(i, j, vals[k])
+		}
+	}
+	return b.Build()
+}
+
 // TestSamePattern: patterns match on storage, dimensions, RowPtr and
 // ColIdx, never on values.
 func TestSamePattern(t *testing.T) {

@@ -607,20 +607,20 @@ type itemCase struct {
 }
 
 // contractGalerkin returns the item-kernel rows of the Galerkin plan of a
-// under r, written into its own pattern (keep nil) or that pattern pinned
-// by keep: both products' symbolic and numeric passes.
-func contractGalerkin(name string, r *sparse.CSR, a sparse.Operator, keep []int) []itemCase {
-	g := sparse.PlanGalerkin(r, r.Transpose(), a)
-	if keep != nil {
-		c := sparse.ScalarPatternOf(g.Pattern())
-		g.Target(c.SelectPattern(keep, keep, c.NCols))
+// under r, laid out in 3x3 blocks as a hierarchy lays its levels out:
+// both products' symbolic and numeric passes. The plan must write the
+// coarse operator in blocks.
+func contractGalerkin(t *testing.T, name string, r *sparse.CSR, a sparse.Operator) []itemCase {
+	g := sparse.PlanGalerkin(r, r.Transpose(), a, 3)
+	if _, ok := g.Fill(g.RA(a)).(*sparse.BSR); !ok {
+		t.Fatalf("%s: the coarse operator is not written in blocks", name)
 	}
 	ra, rar := g.Products()
 	return []itemCase{
 		{name + " R·A symbolic", func() itemRun { return symbolicRun(ra.SymbolicKernel(), ra.NRows, ra.NCols) }, ra.NRows},
 		{name + " R·A·Rᵀ symbolic", func() itemRun { return symbolicRun(rar.SymbolicKernel(), rar.NRows, rar.NCols) }, rar.NRows},
-		{name + " R·A fill", func() itemRun { k, v, _, _ := g.FillKernels(a, keep); return fillRun(k, v) }, ra.NRows},
-		{name + " R·A·Rᵀ fill", func() itemRun { _, _, k, v := g.FillKernels(a, keep); return fillRun(k, v) }, rar.NRows},
+		{name + " R·A fill", func() itemRun { k, v, _, _ := g.FillKernels(a); return fillRun(k, v) }, ra.NRows},
+		{name + " R·A·Rᵀ fill", func() itemRun { _, _, k, v := g.FillKernels(a); return fillRun(k, v) }, rar.NRows},
 	}
 }
 
@@ -741,9 +741,11 @@ func TestKernelContract(t *testing.T) {
 
 	// The sparse products' symbolic and numeric passes: a plain product,
 	// and the Galerkin products on every path a hierarchy takes — blocked
-	// under a node-conforming restriction, scalar into a pinned CSR, and a
-	// BSR operator expanded under a restriction that is not
-	// node-conforming, re-blocked or into a pinned CSR.
+	// under a node-conforming restriction, and formed in scalar rows and
+	// written straight into the block layout: a CSR operator, and a BSR
+	// operator expanded under a restriction that is not node-conforming.
+	// The pinned cases' restrictions lose two rows, so two coarse dofs have
+	// no support and the layout holds diagonal slots no term reaches.
 	mul := sparse.PlanProduct(csr, csr)
 	items = append(items, []itemCase{
 		{"Mul symbolic", func() itemRun { return symbolicRun(mul.SymbolicKernel(), mul.NRows, mul.NCols) }, mul.NRows},
@@ -753,17 +755,12 @@ func TestKernelContract(t *testing.T) {
 		}, mul.NRows},
 	}...)
 	r := contractRestriction(bsr3.NBRows, 8, 3)
-	keep := make([]int, r.NRows)
-	for i := range keep {
-		keep[i] = i
-	}
-	keep[2], keep[5] = -1, -1
 	notConforming := r.Select(identity(r.NRows), identity(r.NCols), r.NCols, 0)
 	notConforming.Val[notConforming.RowPtr[1]] *= 2
-	items = append(items, contractGalerkin("Galerkin blocked", r, bsr3, nil)...)
-	items = append(items, contractGalerkin("Galerkin pinned CSR", r, contractRagged(csr), keep)...)
-	items = append(items, contractGalerkin("Galerkin expanded", notConforming, bsr3, nil)...)
-	items = append(items, contractGalerkin("Galerkin expanded pinned", notConforming, bsr3, keep)...)
+	items = append(items, contractGalerkin(t, "Galerkin blocked", r, bsr3)...)
+	items = append(items, contractGalerkin(t, "Galerkin pinned CSR", contractDropRows(r, 2, 5), contractRagged(csr))...)
+	items = append(items, contractGalerkin(t, "Galerkin expanded", notConforming, bsr3)...)
+	items = append(items, contractGalerkin(t, "Galerkin expanded pinned", contractDropRows(notConforming, 2, 5), bsr3)...)
 	for _, c := range items {
 		if want := r.NRows / 3; strings.HasPrefix(c.name, "Galerkin blocked") != (c.n == want) {
 			t.Fatalf("%s runs over %d rows: the blocked path's products have %d node rows, the others more", c.name, c.n, want)
@@ -786,6 +783,21 @@ func contractRestriction(nf, nc, b int) *sparse.CSR {
 		rb.Add(j%nc, (j+1)%nf, 0.5)
 	}
 	return sparse.ExpandBlocks(rb.Build(), b)
+}
+
+// contractDropRows returns r with the given rows stored empty.
+func contractDropRows(r *sparse.CSR, rows ...int) *sparse.CSR {
+	b := sparse.NewBuilder(r.NRows, r.NCols)
+	for i := 0; i < r.NRows; i++ {
+		if slices.Contains(rows, i) {
+			continue
+		}
+		cols, vals := r.Row(i)
+		for k, j := range cols {
+			b.Add(i, j, vals[k])
+		}
+	}
+	return b.Build()
 }
 
 // contractRagged returns a with a quarter of its off-diagonal entries

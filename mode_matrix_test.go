@@ -16,7 +16,7 @@ import (
 // with no fill and the fine level is applied in blocks. Every cell must
 // take the iterations its row records. That blocking is a kernel choice,
 // not arithmetic — the blocked hierarchy solves bit for bit as the
-// all-scalar reference under every cycle — is TestStorageParity (geometric)
+// scalar-kernel reference under every cycle — is TestStorageParity (geometric)
 // and TestAggregationBlockingIsAKernelChoice in internal/multigrid.
 func TestModeMatrix(t *testing.T) {
 	c := problems.NewCube(7, LinearElastic{E: 1, Nu: 0.3}, -0.001)

@@ -190,12 +190,8 @@ type Solver struct {
 // instead built algebraically from the first assembled operator.
 func NewSolver(m *Mesh, cons *Constraints, opts Options) (*Solver, error) {
 	opts = opts.withDefaults()
-	// Homogeneous variant of the constraints for increments/corrections.
-	zero := fem.NewConstraints()
-	for d := range cons.Fixed {
-		zero.FixDof(d, 0)
-	}
-	dm := zero.NewDofMap(m.NumDOF())
+	// Increments and corrections satisfy the homogeneous constraints.
+	dm := cons.Homogeneous().NewDofMap(m.NumDOF())
 	s := &Solver{Mesh: m, Opts: opts, cons: cons, dofMap: dm}
 	if opts.Hierarchy == SmoothedAggregation {
 		return s, nil // restrictions built lazily from the first operator
@@ -245,8 +241,9 @@ type Result struct {
 // chain is built from the first operator seen and reused afterwards.
 // Storage is read from the operator (multigrid.Build): a reduced CSR that
 // blocks into 3x3 node blocks with no fill, as it does when every vertex
-// is fully free or fully fixed, is applied in blocks, and the Galerkin
-// levels below are blocked level by level whatever the fine level is.
+// is fully free or fully fixed, is applied in blocks, and each Galerkin
+// level below is one matrix, formed, pinned and applied in 3x3 blocks
+// wherever its pattern blocks, whatever the fine level is.
 //
 // The solver keeps the plan of the last hierarchy it built — patterns,
 // partitions, orderings (multigrid.Plan). An operator with the same
