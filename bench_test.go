@@ -1,8 +1,9 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (section 7), plus kernel benchmarks for the substrates. Each experiment
-// bench reports its headline quantities as custom metrics (iterations,
-// efficiency, plastic fraction, ...) so `go test -bench=.` reproduces the
-// paper's numbers alongside Go's timing output. See DESIGN.md for the
+// Benchmarks of the paper's mechanisms (materials, hierarchy, mesh
+// generation, MIS variants, the section 8 hierarchy comparison), plus
+// kernel benchmarks for the substrates. Each reports its headline
+// quantities as custom metrics (levels, face coverage, iterations, ...)
+// alongside Go's timing output. The tables and figures themselves are
+// regenerated by prombench (internal/experiments); see DESIGN.md for the
 // experiment index and EXPERIMENTS.md for the recorded comparison.
 package prometheus
 
@@ -10,24 +11,19 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
-	"prometheus/internal/aggregation"
 	"prometheus/internal/core"
 	"prometheus/internal/delaunay"
-	"prometheus/internal/experiments"
 	"prometheus/internal/fem"
 	"prometheus/internal/geom"
 	"prometheus/internal/graph"
-	"prometheus/internal/krylov"
 	"prometheus/internal/material"
 	"prometheus/internal/mesh"
 	"prometheus/internal/multigrid"
 	"prometheus/internal/obs"
 	"prometheus/internal/par"
-	"prometheus/internal/perf"
 	"prometheus/internal/problems"
 	"prometheus/internal/smooth"
 	"prometheus/internal/sparse"
@@ -46,24 +42,6 @@ func BenchmarkTable1Materials(b *testing.B) {
 		_, _, st = hard.Update(st, eps)
 		_, _, _ = soft.Update(material.State{}, eps)
 	}
-}
-
-// BenchmarkTable2Iterations runs the first linear solve of the scaled
-// model problem (Table 2's iteration column) and reports the iteration
-// count and modeled aggregate Mflop rate.
-func BenchmarkTable2Iterations(b *testing.B) {
-	spec := experiments.Series(1)[0]
-	var last *experiments.LinearRun
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunLinear(spec, perf.PaperIBM(), multigrid.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	b.ReportMetric(float64(last.Iters), "PCG-iters")
-	b.ReportMetric(last.ModelMflops, "model-Mflop/s")
-	b.ReportMetric(float64(last.Dof), "dof")
 }
 
 // BenchmarkFig7Hierarchy builds the coarse grid hierarchy of the model
@@ -98,94 +76,6 @@ func BenchmarkFig9MeshGen(b *testing.B) {
 	}
 	b.ReportMetric(float64(s.Mesh.NumDOF()), "dof")
 	b.ReportMetric(100*s.HardFraction(), "hard-%")
-}
-
-// BenchmarkFig10Solve measures the phase content of Figure 10: one full
-// linear-solve pipeline (partition, mesh setup, fine-grid assembly, matrix
-// setup, solve) on the base size, reporting per-phase milliseconds.
-func BenchmarkFig10Solve(b *testing.B) {
-	spec := experiments.Series(1)[0]
-	var last *experiments.LinearRun
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunLinear(spec, perf.PaperIBM(), multigrid.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	for _, phase := range []string{"partition", "mesh setup", "fine grid", "matrix setup", "solve"} {
-		unit := strings.ReplaceAll(phase, " ", "-") + "-ms"
-		b.ReportMetric(float64(last.Wall[phase].Microseconds())/1000, unit)
-	}
-}
-
-// BenchmarkFig11Efficiency runs the two smallest scaled sizes and reports
-// the Figure 11 decomposition: flop scale efficiency and communication
-// efficiency of the larger run against the base.
-func BenchmarkFig11Efficiency(b *testing.B) {
-	specs := experiments.Series(2)
-	var e perf.Efficiencies
-	for i := 0; i < b.N; i++ {
-		base, err := experiments.RunLinear(specs[0], perf.PaperIBM(), multigrid.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		run, err := experiments.RunLinear(specs[1], perf.PaperIBM(), multigrid.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		e = perf.Decompose(base.Iters, run.Iters, base.SolveFlops, run.SolveFlops,
-			base.Free, run.Free, base.Spec.Ranks, run.Spec.Ranks,
-			base.RatePerProc(), run.RatePerProc(), run.LoadBalance())
-	}
-	b.ReportMetric(e.EFs, "eFs")
-	b.ReportMetric(e.Ec, "ec")
-	b.ReportMetric(e.EIs, "eIs")
-	b.ReportMetric(e.Load, "load-bal")
-}
-
-// BenchmarkFig12Components reports the Figure 12 component efficiencies
-// (paper normalization) between the two smallest sizes.
-func BenchmarkFig12Components(b *testing.B) {
-	specs := experiments.Series(2)
-	var solveEff, setupEff float64
-	for i := 0; i < b.N; i++ {
-		base, err := experiments.RunLinear(specs[0], perf.PaperIBM(), multigrid.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		run, err := experiments.RunLinear(specs[1], perf.PaperIBM(), multigrid.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Work scaling (1.0 = O(N)); the wall clocks are single-process.
-		norm := float64(run.Free) / float64(base.Free)
-		solveEff = norm * float64(base.Wall["solve"]) / float64(run.Wall["solve"])
-		setupEff = norm * float64(base.Wall["matrix setup"]) / float64(run.Wall["matrix setup"])
-	}
-	b.ReportMetric(solveEff, "solve-eff")
-	b.ReportMetric(setupEff, "matrix-setup-eff")
-}
-
-// BenchmarkFig13Nonlinear runs a reduced nonlinear crush (Figure 13) and
-// reports the final plastic fraction and iteration totals.
-func BenchmarkFig13Nonlinear(b *testing.B) {
-	spec := experiments.SizeSpec{
-		Name: "bench",
-		Cfg:  problems.SpheresConfig{Layers: 5, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2},
-	}
-	var r *experiments.NonlinearRun
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = experiments.RunNonlinear(spec, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100*r.Stats.Steps[len(r.Stats.Steps)-1].PlasticFrac, "final-plastic-%")
-	b.ReportMetric(float64(r.Stats.TotalNewton), "newton-iters")
-	b.ReportMetric(float64(r.Stats.TotalPCG), "PCG-iters")
-	b.ReportMetric(float64(r.Stats.FirstSolveIters), "first-solve-iters")
 }
 
 // BenchmarkFig4ThinBody measures the Figures 4-6 mechanism: MIS with the
@@ -246,49 +136,6 @@ func BenchmarkParallelMIS(b *testing.B) {
 		size = len(mis)
 	}
 	b.ReportMetric(float64(size), "MIS-size")
-}
-
-// BenchmarkHeadlineEfficiency reports the section 7 headline: the modeled
-// flop-rate parallel efficiency at the largest bench size vs the base
-// (paper: ~60%).
-func BenchmarkHeadlineEfficiency(b *testing.B) {
-	specs := experiments.Series(2)
-	var eff float64
-	for i := 0; i < b.N; i++ {
-		base, err := experiments.RunLinear(specs[0], perf.PaperIBM(), multigrid.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last, err := experiments.RunLinear(specs[len(specs)-1], perf.PaperIBM(), multigrid.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		eff = last.RatePerProc() / base.RatePerProc()
-	}
-	b.ReportMetric(100*eff, "parallel-eff-%")
-}
-
-// --- Ablation benches for the design choices DESIGN.md calls out ---
-
-// BenchmarkAblationCycle compares FMG against V-cycle preconditioning.
-func BenchmarkAblationCycle(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		kind multigrid.CycleKind
-	}{{"FMG", multigrid.FMG}, {"VCycle", multigrid.VCycle}} {
-		b.Run(bc.name, func(b *testing.B) {
-			spec := experiments.Series(1)[0]
-			var last *experiments.LinearRun
-			for i := 0; i < b.N; i++ {
-				r, err := experiments.RunLinear(spec, perf.PaperIBM(), multigrid.Options{Cycle: bc.kind})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = r
-			}
-			b.ReportMetric(float64(last.Iters), "PCG-iters")
-		})
-	}
 }
 
 // --- Substrate kernel benches ---
@@ -649,78 +496,43 @@ func BenchmarkEndToEnd(b *testing.B) {
 }
 
 // BenchmarkAMGCompare runs the section 8 comparison: MIS geometric
-// coarsening vs smoothed aggregation on the same operator (E20).
+// coarsening vs smoothed aggregation on the same operator (E20), each a
+// Solver's mesh setup and linear solve of the first Newton increment.
 func BenchmarkAMGCompare(b *testing.B) {
 	s := problems.NewSpheresConfig(problems.SpheresConfig{
 		Layers: 5, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2,
 	})
-	p := fem.NewProblem(s.Mesh, s.Models, true)
+	p := NewProblem(s.Mesh, s.Models, true)
 	u := make([]float64, s.Mesh.NumDOF())
 	s.Cons.Scaled(0.1).Apply(u)
-	k, fint, err := p.AssembleTangent(u)
+	k, r, err := p.AssembleTangent(u)
 	if err != nil {
 		b.Fatal(err)
 	}
-	zero := fem.NewConstraints()
-	for d := range s.Cons.Fixed {
-		zero.FixDof(d, 0)
+	for i := range r {
+		r[i] = -r[i] // the Newton right-hand side -fint
 	}
-	dm := zero.NewDofMap(s.Mesh.NumDOF())
-	rhs := make([]float64, len(fint))
-	for i := range rhs {
-		rhs[i] = -fint[i]
-	}
-	kred, rred := zero.Reduce(k, rhs, dm)
-
-	b.Run("geometric", func(b *testing.B) {
-		var its int
-		for i := 0; i < b.N; i++ {
-			h, err := core.Coarsen(s.Mesh, core.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var rs []*sparse.CSR
-			for l := 1; l < h.NumLevels(); l++ {
-				rr := h.Grids[l].R
-				if l == 1 {
-					rr = multigrid.CompressCols(rr, dm.Full2Red, dm.NumFree())
+	zero := s.Cons.Homogeneous()
+	for _, bc := range []struct {
+		name      string
+		hierarchy HierarchyKind
+	}{{"geometric", GeometricMIS}, {"smoothed-aggregation", SmoothedAggregation}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var its int
+			for i := 0; i < b.N; i++ {
+				solver, err := NewSolver(s.Mesh, zero, Options{Hierarchy: bc.hierarchy, MaxIters: 2000})
+				if err != nil {
+					b.Fatal(err)
 				}
-				rs = append(rs, rr)
+				_, res, err := solver.SolveLinear(k, r)
+				if err != nil {
+					b.Fatal(err)
+				}
+				its = res.Iterations
 			}
-			mg, err := multigrid.New(kred, rs, multigrid.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			x := make([]float64, kred.NRows)
-			res := krylov.FPCG(kred, rred, x, mg, 1e-4, 2000)
-			if !res.Converged {
-				b.Fatal("not converged")
-			}
-			its = res.Iterations
-		}
-		b.ReportMetric(float64(its), "PCG-iters")
-	})
-	b.Run("smoothed-aggregation", func(b *testing.B) {
-		var its int
-		for i := 0; i < b.N; i++ {
-			bnn := aggregation.RigidBodyModes(s.Mesh.Coords, dm.Full2Red, dm.NumFree())
-			rs, err := aggregation.BuildRestrictions(kred, bnn, aggregation.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			mg, err := multigrid.New(kred, rs, multigrid.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			x := make([]float64, kred.NRows)
-			res := krylov.FPCG(kred, rred, x, mg, 1e-4, 2000)
-			if !res.Converged {
-				b.Fatal("not converged")
-			}
-			its = res.Iterations
-		}
-		b.ReportMetric(float64(its), "PCG-iters")
-	})
+			b.ReportMetric(float64(its), "PCG-iters")
+		})
+	}
 }
 
 // BenchmarkAssembleReduce measures the per-matrix phases ahead of matrix
@@ -743,6 +555,7 @@ func BenchmarkAssembleReduce(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			dm := tc.cons.NewDofMap(tc.p.M.NumDOF())
+			fred := make([]float64, dm.NumFree())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -750,7 +563,8 @@ func BenchmarkAssembleReduce(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				kred, _ := tc.cons.Reduce(k, f, dm)
+				kred, lm := tc.cons.Reduce(k, dm)
+				lm.Apply(fred, f, 1)
 				if kred.NRows != dm.NumFree() {
 					b.Fatal("reduced system has the wrong size")
 				}

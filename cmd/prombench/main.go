@@ -23,7 +23,6 @@ import (
 	"os"
 
 	"prometheus/internal/experiments"
-	"prometheus/internal/multigrid"
 	"prometheus/internal/obs"
 )
 
@@ -54,7 +53,7 @@ func main() {
 			return nil
 		}
 		var err error
-		runs, err = experiments.RunSeries(maxK, multigrid.Options{})
+		runs, err = experiments.RunSeries(maxK)
 		return err
 	}
 

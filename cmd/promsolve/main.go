@@ -102,7 +102,7 @@ func main() {
 			}
 			s := problems.NewSpheresConfig(cfg)
 			s.Models[material.MatHard] = material.J2Plasticity{
-				E: 1, Nu: 0.3, SigmaY: experiments.ScaledYieldStress(cfg), H: 0.002,
+				E: 1, Nu: 0.3, SigmaY: problems.ScaledYieldStress(cfg), H: 0.002,
 			}
 			m, cons, models = s.Mesh, s.Cons, s.Models
 			hardMat = s.HardMat

@@ -13,14 +13,13 @@ import (
 	"os"
 
 	"prometheus/internal/experiments"
-	"prometheus/internal/multigrid"
 )
 
 func main() {
 	maxK := flag.Int("maxk", 2, "largest series index (3 takes ~20s)")
 	flag.Parse()
 
-	runs, err := experiments.RunSeries(*maxK, multigrid.Options{})
+	runs, err := experiments.RunSeries(*maxK)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"log"
 
 	prometheus "prometheus"
-	"prometheus/internal/experiments"
 	"prometheus/internal/material"
 	"prometheus/internal/problems"
 )
@@ -32,7 +31,7 @@ func main() {
 	// Keep the shell-bending yield regime of the paper's 17-layer geometry
 	// when running with fewer, thicker layers.
 	s.Models[material.MatHard] = material.J2Plasticity{
-		E: 1, Nu: 0.3, SigmaY: experiments.ScaledYieldStress(cfg), H: 0.002,
+		E: 1, Nu: 0.3, SigmaY: problems.ScaledYieldStress(cfg), H: 0.002,
 	}
 	fmt.Printf("spheres octant: %d layers, %d elements, %d dof, %.0f%% hard material\n",
 		cfg.Layers, s.Mesh.NumElems(), s.Mesh.NumDOF(), 100*s.HardFraction())

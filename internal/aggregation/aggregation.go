@@ -297,7 +297,7 @@ func smoothProlongator(a *sparse.CSR, p0 *sparse.CSR, omega float64) *sparse.CSR
 
 // BuildRestrictions constructs the smoothed aggregation restriction chain
 // for operator a with near-null space b (rows = dofs of a, columns = modes).
-// The result plugs directly into multigrid.New.
+// The result plugs directly into multigrid.Build.
 func BuildRestrictions(a *sparse.CSR, b *la.Dense, opts Options) ([]*sparse.CSR, error) {
 	opts = opts.withDefaults()
 	if b.Rows != a.NRows {

@@ -163,7 +163,9 @@ func buildElasticity(t *testing.T, n int) (*sparse.CSR, []float64, *la.Dense) {
 		}
 	}
 	dm := cons.NewDofMap(m.NumDOF())
-	kred, fred := cons.Reduce(k, f, dm)
+	kred, lm := cons.Reduce(k, dm)
+	fred := make([]float64, dm.NumFree())
+	lm.Apply(fred, f, 1)
 	b := RigidBodyModes(m.Coords, dm.Full2Red, dm.NumFree())
 	return kred, fred, b
 }
@@ -177,7 +179,7 @@ func TestSABuildsWorkingHierarchy(t *testing.T) {
 	if len(rs) < 1 {
 		t.Fatal("no levels")
 	}
-	mg, err := multigrid.New(kred, rs, multigrid.Options{})
+	mg, _, err := multigrid.Build(nil, kred, rs, multigrid.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +201,7 @@ func TestSASmoothedBeatsUnsmoothed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mg, err := multigrid.New(kred, rs, multigrid.Options{})
+		mg, _, err := multigrid.Build(nil, kred, rs, multigrid.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +225,7 @@ func TestSAOnScalarProblem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg, err := multigrid.New(a, rs, multigrid.Options{})
+	mg, _, err := multigrid.Build(nil, a, rs, multigrid.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,9 @@
 //     (sections 4.3-4.5), or inherit/reclassify per the section 4.6 policy;
 //  2. build the modified MIS graph: delete edges between exterior vertices
 //     that share no face, make corners immortal (section 4.6);
-//  3. run the (serial or parallel) maximal independent set algorithm with
-//     rank ordering and the chosen within-rank orderings (sections 4.1,
-//     4.2, 4.7);
+//  3. run the maximal independent set algorithm with rank ordering and the
+//     chosen within-rank orderings (sections 4.1, 4.7; the parallel
+//     algorithm of section 4.2 is par.ParallelMIS);
 //  4. remesh the selected vertices with Delaunay tetrahedra inside a
 //     bounding box, dropping the box-attached tetrahedra (section 4.8);
 //  5. build the restriction operator from linear tetrahedral shape
@@ -33,7 +33,6 @@ import (
 	"prometheus/internal/graph"
 	"prometheus/internal/mesh"
 	"prometheus/internal/obs"
-	"prometheus/internal/par"
 	"prometheus/internal/sparse"
 	"prometheus/internal/topo"
 )
@@ -68,9 +67,6 @@ type Options struct {
 	MinCoarse int
 	// MaxLevels bounds the total number of grids. Default 16.
 	MaxLevels int
-	// Ranks > 1 runs the parallel MIS of section 4.2 on a simulated
-	// communicator with an RCB vertex partition.
-	Ranks int
 	// Eps is the interpolation tolerance: fine vertices accept containing
 	// tetrahedra with barycentric weights above -Eps (section 4.8's
 	// "interpolates that are all above -epsilon").
@@ -90,9 +86,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxLevels == 0 {
 		o.MaxLevels = 16
-	}
-	if o.Ranks == 0 {
-		o.Ranks = 1
 	}
 	if o.Eps == 0 {
 		o.Eps = 1e-8
@@ -175,13 +168,7 @@ func coarsenOnce(parent *Grid, level int, opts Options) (*Grid, error) {
 	mg := cls.ModifiedGraph(g)
 
 	order := buildOrder(cls, opts)
-	var mis []int
-	if opts.Ranks > 1 {
-		owner := graph.RCB(m.Coords, opts.Ranks)
-		mis = par.ParallelMIS(par.NewComm(opts.Ranks), mg, owner, order, cls.Rank, cls.Immortal())
-	} else {
-		mis = graph.MIS(mg, order, cls.Rank, cls.Immortal())
-	}
+	mis := graph.MIS(mg, order, cls.Rank, cls.Immortal())
 	spm.End()
 	if len(mis) < 5 || len(mis) >= m.NumVerts() {
 		return nil, nil // too small to remesh, or no reduction

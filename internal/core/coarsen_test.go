@@ -187,31 +187,6 @@ func TestThinBodyCoverage(t *testing.T) {
 	}
 }
 
-func TestParallelCoarsenMatchesInvariants(t *testing.T) {
-	m := cubeMesh(5)
-	h, err := Coarsen(m, Options{MinCoarse: 20, Ranks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.NumLevels() < 2 {
-		t.Fatal("no coarsening")
-	}
-	// Restriction still a partition of unity.
-	r := h.Grids[1].R
-	colSum := make([]float64, r.NCols)
-	for i := 0; i < r.NRows; i++ {
-		cols, vals := r.Row(i)
-		for k, j := range cols {
-			colSum[j] += vals[k]
-		}
-	}
-	for j, s := range colSum {
-		if math.Abs(s-1) > 1e-6 {
-			t.Fatalf("column %d sums to %v", j, s)
-		}
-	}
-}
-
 func TestOrderingAblation(t *testing.T) {
 	// Section 4.7: random interior ordering should give a sparser (or
 	// equal) coarse grid than natural ordering.

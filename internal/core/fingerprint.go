@@ -73,7 +73,6 @@ func Fingerprint(m *mesh.Mesh, fixed map[int]float64, opts Options) string {
 	wInt(opts.ReclassifyFrom)
 	wInt(opts.MinCoarse)
 	wInt(opts.MaxLevels)
-	wInt(opts.Ranks)
 	wF64(opts.Eps)
 
 	return hex.EncodeToString(h.Sum(nil))

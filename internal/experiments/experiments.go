@@ -7,7 +7,6 @@ import (
 
 	"prometheus/internal/core"
 	"prometheus/internal/material"
-	"prometheus/internal/multigrid"
 	"prometheus/internal/perf"
 	"prometheus/internal/problems"
 )
@@ -19,15 +18,15 @@ func fmtDur(d time.Duration) string {
 
 // RunSeries executes the scaled linear study once and reuses it across the
 // Figure 10/11/12 and Table 2 reports.
-func RunSeries(maxK int, mgOpts multigrid.Options) ([]*LinearRun, error) {
-	return runSeries(Series(maxK), mgOpts)
+func RunSeries(maxK int) ([]*LinearRun, error) {
+	return runSeries(Series(maxK))
 }
 
-func runSeries(specs []SizeSpec, mgOpts multigrid.Options) ([]*LinearRun, error) {
+func runSeries(specs []SizeSpec) ([]*LinearRun, error) {
 	machine := perf.PaperIBM()
 	var runs []*LinearRun
 	for _, spec := range specs {
-		r, err := RunLinear(spec, machine, mgOpts)
+		r, err := RunLinear(spec, machine)
 		if err != nil {
 			return nil, fmt.Errorf("series %s: %w", spec.Name, err)
 		}

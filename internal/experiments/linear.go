@@ -12,8 +12,7 @@ import (
 	"fmt"
 	"time"
 
-	"prometheus/internal/core"
-	"prometheus/internal/fem"
+	"prometheus"
 	"prometheus/internal/graph"
 	"prometheus/internal/krylov"
 	"prometheus/internal/multigrid"
@@ -67,57 +66,26 @@ func Series(maxK int) []SizeSpec {
 
 // assembleFirstTangent integrates the tangent and internal force of the
 // first Newton iteration of the crush (the displacement scaled to the
-// first of ten steps): the operator of the section 7.1 linear study.
-func assembleFirstTangent(s *problems.Spheres) (*fem.Problem, *sparse.CSR, []float64, error) {
-	p := fem.NewProblem(s.Mesh, s.Models, true)
+// first of ten steps): the operator of the section 7.1 linear study. It
+// returns the tangent and the Newton right-hand side -fint, negated in
+// place.
+func assembleFirstTangent(s *problems.Spheres) (*prometheus.Problem, *sparse.CSR, []float64, error) {
+	p := prometheus.NewProblem(s.Mesh, s.Models, true)
 	u := make([]float64, s.Mesh.NumDOF())
 	s.Cons.Scaled(0.1).Apply(u)
-	k, fint, err := p.AssembleTangent(u)
-	return p, k, fint, err
-}
-
-// incrementDofMap numbers the free dofs of the homogeneous form of the
-// problem's constraints, the form Newton increments satisfy.
-func incrementDofMap(s *problems.Spheres) (*fem.Constraints, *fem.DofMap) {
-	zero := s.Cons.Homogeneous()
-	return zero, zero.NewDofMap(s.Mesh.NumDOF())
-}
-
-// reduceFirstTangent eliminates the constrained dofs from k and from the
-// Newton right-hand side -fint.
-func reduceFirstTangent(s *problems.Spheres, k *sparse.CSR, fint []float64) (*fem.DofMap, *sparse.CSR, []float64) {
-	zero, dm := incrementDofMap(s)
-	r := make([]float64, len(fint))
+	k, r, err := p.AssembleTangent(u)
 	for i := range r {
-		r[i] = -fint[i]
+		r[i] = -r[i]
 	}
-	kred, rred := zero.Reduce(k, r, dm)
-	return dm, kred, rred
+	return p, k, r, err
 }
 
-// firstSystem is assembleFirstTangent followed by reduceFirstTangent, for
-// the reports that do not time the two apart.
-func firstSystem(s *problems.Spheres) (*fem.DofMap, *sparse.CSR, []float64, error) {
-	_, k, fint, err := assembleFirstTangent(s)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	dm, kred, rred := reduceFirstTangent(s, k, fint)
-	return dm, kred, rred, nil
-}
-
-// restrictions returns the restriction chain of h for a fine operator
-// reduced by dm: the first restriction loses its constrained columns.
-func restrictions(h *core.Hierarchy, dm *fem.DofMap) []*sparse.CSR {
-	var rs []*sparse.CSR
-	for l := 1; l < h.NumLevels(); l++ {
-		r := h.Grids[l].R
-		if l == 1 {
-			r = multigrid.CompressCols(r, dm.Full2Red, dm.NumFree())
-		}
-		rs = append(rs, r)
-	}
-	return rs
+// incrementSolver runs the mesh setup of the model problem for its Newton
+// increment system, whose constraints are the homogeneous form of s.Cons.
+// Coarsening reads no constraint values, so the hierarchy and the free
+// dofs are those of the crush's own solver.
+func incrementSolver(s *problems.Spheres, opts prometheus.Options) (*prometheus.Solver, error) {
+	return prometheus.NewSolver(s.Mesh, s.Cons.Homogeneous(), opts)
 }
 
 // LinearRun is the outcome of one scaled linear solve (the section 7.1
@@ -151,7 +119,7 @@ type LinearRun struct {
 }
 
 // RunLinear executes one point of the scaled study.
-func RunLinear(spec SizeSpec, machine perf.Machine, mgOpts multigrid.Options) (*LinearRun, error) {
+func RunLinear(spec SizeSpec, machine perf.Machine) (*LinearRun, error) {
 	phases := perf.NewPhases()
 	out := &LinearRun{Spec: spec, Wall: phases.Wall}
 
@@ -165,39 +133,38 @@ func RunLinear(spec SizeSpec, machine perf.Machine, mgOpts multigrid.Options) (*
 	})
 
 	// Mesh setup (Prometheus): coarsening and restriction construction.
-	var h *core.Hierarchy
+	var solver *prometheus.Solver
 	var err error
 	phases.Time("mesh setup", func() {
-		h, err = core.Coarsen(s.Mesh, core.Options{})
+		solver, err = incrementSolver(s, prometheus.Options{RTol: 1e-4, MaxIters: 2000})
 	})
 	if err != nil {
 		return nil, err
 	}
-	out.Levels = h.NumLevels()
-	for _, g := range h.Grids {
+	out.Levels = solver.NumLevels()
+	for _, g := range solver.Hier.Grids {
 		out.Lost += g.Lost
 	}
 
 	// Fine grid creation (FEAP): element integration and assembly of the
 	// first Newton tangent.
-	var p *fem.Problem
+	var p *prometheus.Problem
 	var k *sparse.CSR
-	var fint []float64
+	var r []float64
 	phases.Time("fine grid", func() {
-		p, k, fint, err = assembleFirstTangent(s)
+		p, k, r, err = assembleFirstTangent(s)
 	})
 	if err != nil {
 		return nil, err
 	}
 	out.FineFlops = p.AssembleFlops
-	dm, kred, rred := reduceFirstTangent(s, k, fint)
+	kred, rred := solver.ReduceSystem(k, r)
 	out.Free = kred.NRows
 
 	// Matrix setup (Epimetheus/PETSc): Galerkin products, factorizations.
-	rs := restrictions(h, dm)
 	var mg *multigrid.MG
 	phases.Time("matrix setup", func() {
-		mg, err = multigrid.New(kred, rs, mgOpts)
+		mg, err = solver.Preconditioner(kred)
 	})
 	if err != nil {
 		return nil, err
@@ -208,7 +175,7 @@ func RunLinear(spec SizeSpec, machine perf.Machine, mgOpts multigrid.Options) (*
 	x := make([]float64, kred.NRows)
 	var res krylov.Result
 	phases.Time("solve", func() {
-		res = krylov.FPCG(kred, rred, x, mg, 1e-4, 2000)
+		res = krylov.FPCG(kred, rred, x, mg, solver.Opts.RTol, solver.Opts.MaxIters)
 	})
 	if !res.Converged {
 		return nil, fmt.Errorf("experiments: %s did not converge in %d its", spec.Name, res.Iterations)
@@ -218,7 +185,7 @@ func RunLinear(spec SizeSpec, machine perf.Machine, mgOpts multigrid.Options) (*
 
 	// Distribute the measured work over the simulated ranks and model the
 	// solve time.
-	if err := out.model(h, dm, owner, kred, mg, spec.Ranks, machine); err != nil {
+	if err := out.model(solver, owner, mg, spec.Ranks, machine); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -227,18 +194,20 @@ func RunLinear(spec SizeSpec, machine perf.Machine, mgOpts multigrid.Options) (*
 // model distributes measured per-level flops across ranks in proportion to
 // owned matrix rows (nnz) and derives halo communication volumes from the
 // actual level operators under the inherited RCB partition.
-func (lr *LinearRun) model(h *core.Hierarchy, dm *fem.DofMap, fineVertOwner []int,
-	kred *sparse.CSR, mg *multigrid.MG, ranks int, machine perf.Machine) error {
+func (lr *LinearRun) model(solver *prometheus.Solver, fineVertOwner []int,
+	mg *multigrid.MG, ranks int, machine perf.Machine) error {
 
 	// Owner per dof, per level. Level 0: reduced dofs -> fine vertex owner.
 	levelOwners := make([][]int, mg.NumLevels())
-	o0 := make([]int, kred.NRows)
-	for rIdx, full := range dm.Red2Full {
+	free := solver.FreeDofs()
+	o0 := make([]int, len(free))
+	for rIdx, full := range free {
 		o0[rIdx] = fineVertOwner[full/3]
 	}
 	levelOwners[0] = o0
 	// Coarser levels: chain the Verts maps (grid l vertex j came from grid
 	// l-1 vertex Verts[j]).
+	h := solver.Hier
 	vertOwner := fineVertOwner
 	for l := 1; l < h.NumLevels(); l++ {
 		g := h.Grids[l]

@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"io"
 
-	"prometheus/internal/aggregation"
-	"prometheus/internal/core"
-	"prometheus/internal/fem"
+	"prometheus"
 	"prometheus/internal/geom"
 	"prometheus/internal/graph"
 	"prometheus/internal/krylov"
-	"prometheus/internal/material"
 	"prometheus/internal/mesh"
 	"prometheus/internal/multigrid"
 	"prometheus/internal/par"
@@ -59,25 +56,25 @@ func ThinBody(w io.Writer) error {
 	// Convergence consequence: solve a bending problem on the slab with a
 	// 2-level hierarchy from each MIS variant.
 	iters := func(modifiedGraph bool) (int, int, error) {
-		opts := core.Options{MinCoarse: 20, MaxLevels: 3}
+		opts := prometheus.Options{Coarsen: prometheus.CoarsenOptions{MinCoarse: 20, MaxLevels: 3}, RTol: 1e-6, MaxIters: 3000}
 		if !modifiedGraph {
 			// Plain behaviour: classify everything interior, no immortals.
-			opts.TOL = -2 // single face -> no edges deleted, no corners
+			opts.Coarsen.TOL = -2 // single face -> no edges deleted, no corners
 		}
-		h, err := core.Coarsen(m, opts)
-		if err != nil {
-			return 0, 0, err
-		}
-		p := fem.NewProblem(m, []material.Model{material.LinearElastic{E: 1, Nu: 0.3}}, false)
-		k, _, err := p.AssembleTangent(make([]float64, m.NumDOF()))
-		if err != nil {
-			return 0, 0, err
-		}
-		cons := fem.NewConstraints()
+		cons := prometheus.NewConstraints()
 		for v, pt := range m.Coords {
 			if pt.X == 0 {
 				cons.FixVert(v, 0, 0, 0)
 			}
+		}
+		solver, err := prometheus.NewSolver(m, cons, opts)
+		if err != nil {
+			return 0, 0, err
+		}
+		p := prometheus.NewProblem(m, []prometheus.Model{prometheus.LinearElastic{E: 1, Nu: 0.3}}, false)
+		k, _, err := p.AssembleTangent(make([]float64, m.NumDOF()))
+		if err != nil {
+			return 0, 0, err
 		}
 		f := make([]float64, m.NumDOF())
 		for v, pt := range m.Coords {
@@ -85,18 +82,11 @@ func ThinBody(w io.Writer) error {
 				f[3*v+2] = -0.001
 			}
 		}
-		dm := cons.NewDofMap(m.NumDOF())
-		kred, fred := cons.Reduce(k, f, dm)
-		mgp, err := multigrid.New(kred, restrictions(h, dm), multigrid.Options{})
-		if err != nil {
-			return 0, 0, err
+		_, res, err := solver.SolveLinear(k, f)
+		if res == nil {
+			return 0, solver.NumLevels(), err
 		}
-		x := make([]float64, kred.NRows)
-		res := krylov.FPCG(kred, fred, x, mgp, 1e-6, 3000)
-		if !res.Converged {
-			return res.Iterations, h.NumLevels(), fmt.Errorf("not converged")
-		}
-		return res.Iterations, h.NumLevels(), nil
+		return res.Iterations, res.Levels, err
 	}
 	itGood, lvGood, errGood := iters(true)
 	if errGood != nil {
@@ -188,7 +178,7 @@ func AblationTOL(w io.Writer) error { return ablationTOL(w, seriesCfg(1)) }
 func ablationTOL(w io.Writer, cfg problems.SpheresConfig) error {
 	rows := [][]string{}
 	for _, tol := range []float64{0.5, 0.707, 0.866, 0.966} {
-		its, faces, err := solveSpheresWith(cfg, core.Options{TOL: tol}, multigrid.Options{})
+		its, faces, err := solveSpheresWith(cfg, prometheus.Options{Coarsen: prometheus.CoarsenOptions{TOL: tol}})
 		if err != nil {
 			return err
 		}
@@ -211,7 +201,7 @@ func ablationReclassify(w io.Writer, cfg problems.SpheresConfig) error {
 		name string
 		from int
 	}{{"reclassify from grid 2 (paper)", 2}, {"never reclassify", 99}, {"reclassify every grid", 1}} {
-		its, _, err := solveSpheresWith(cfg, core.Options{ReclassifyFrom: rf.from}, multigrid.Options{})
+		its, _, err := solveSpheresWith(cfg, prometheus.Options{Coarsen: prometheus.CoarsenOptions{ReclassifyFrom: rf.from}})
 		if err != nil {
 			return err
 		}
@@ -230,7 +220,7 @@ func ablationBlocks(w io.Writer, cfg problems.SpheresConfig) error {
 	rows := [][]string{}
 	for _, bpt := range []int{1, 6, 24, 96} {
 		bpt := bpt
-		its, _, err := solveSpheresWith(cfg, core.Options{}, multigrid.Options{
+		its, _, err := solveSpheresWith(cfg, prometheus.Options{MG: prometheus.MGOptions{
 			BlockCount: func(n int) int {
 				nb := n * bpt / 1000
 				if nb < 1 {
@@ -238,7 +228,7 @@ func ablationBlocks(w io.Writer, cfg problems.SpheresConfig) error {
 				}
 				return nb
 			},
-		})
+		}})
 		if err != nil {
 			return err
 		}
@@ -257,8 +247,8 @@ func ablationCycle(w io.Writer, cfg problems.SpheresConfig) error {
 	for _, c := range []struct {
 		name string
 		kind multigrid.CycleKind
-	}{{"FMG (paper)", multigrid.FMG}, {"V-cycle", multigrid.VCycle}} {
-		its, _, err := solveSpheresWith(cfg, core.Options{}, multigrid.Options{Cycle: c.kind})
+	}{{"FMG (paper)", prometheus.FMG}, {"V-cycle", prometheus.VCycle}} {
+		its, _, err := solveSpheresWith(cfg, prometheus.Options{MG: prometheus.MGOptions{Cycle: c.kind}})
 		if err != nil {
 			return err
 		}
@@ -269,37 +259,34 @@ func ablationCycle(w io.Writer, cfg problems.SpheresConfig) error {
 	return nil
 }
 
-// solveSpheresWith runs one linear solve of the model problem with custom
-// coarsening and MG options, returning iterations and the fine face count.
-func solveSpheresWith(cfg problems.SpheresConfig, copts core.Options, mopts multigrid.Options) (int, int, error) {
+// solveSpheresWith runs the first linear solve of the model problem with
+// the coarsening and multigrid options of opts, returning iterations and
+// the fine face count.
+func solveSpheresWith(cfg problems.SpheresConfig, opts prometheus.Options) (int, int, error) {
 	s := problems.NewSpheresConfig(cfg)
-	h, err := core.Coarsen(s.Mesh, copts)
+	opts.MaxIters = 3000
+	solver, err := incrementSolver(s, opts)
 	if err != nil {
 		return 0, 0, err
 	}
 	// Count fine faces for reporting.
 	facets := s.Mesh.BoundaryFacets()
 	adjF := mesh.FacetAdjacency(facets)
-	tol := copts.TOL
+	tol := opts.Coarsen.TOL
 	if tol == 0 {
 		tol = topo.DefaultTOL
 	}
 	_, faces := topo.IdentifyFaces(facets, adjF, tol)
 
-	dm, kred, rred, err := firstSystem(s)
+	_, k, r, err := assembleFirstTangent(s)
 	if err != nil {
 		return 0, 0, err
 	}
-	mg, err := multigrid.New(kred, restrictions(h, dm), mopts)
-	if err != nil {
-		return 0, 0, err
+	_, res, err := solver.SolveLinear(k, r)
+	if res == nil {
+		return 0, faces, err
 	}
-	x := make([]float64, kred.NRows)
-	res := krylov.FPCG(kred, rred, x, mg, 1e-4, 3000)
-	if !res.Converged {
-		return res.Iterations, faces, fmt.Errorf("not converged in %d", res.Iterations)
-	}
-	return res.Iterations, faces, nil
+	return res.Iterations, faces, err
 }
 
 // AMGCompare runs the section 8 comparison the paper planned: the MIS
@@ -309,14 +296,19 @@ func AMGCompare(w io.Writer) error { return amgCompare(w, seriesCfg(2)) }
 
 func amgCompare(w io.Writer, cfg problems.SpheresConfig) error {
 	s := problems.NewSpheresConfig(cfg)
-	dm, kred, rred, err := firstSystem(s)
+	_, k, r, err := assembleFirstTangent(s)
 	if err != nil {
 		return err
 	}
 
 	rows := [][]string{}
-	solveWith := func(name string, rs []*sparse.CSR) error {
-		mg, err := multigrid.New(kred, rs, multigrid.Options{})
+	solveWith := func(name string, hierarchy prometheus.HierarchyKind) error {
+		solver, err := incrementSolver(s, prometheus.Options{Hierarchy: hierarchy})
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		kred, rred := solver.ReduceSystem(k, r)
+		mg, err := solver.Preconditioner(kred)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -329,23 +321,12 @@ func amgCompare(w io.Writer, cfg problems.SpheresConfig) error {
 			fmt.Sprintf("%d", res.Iterations), fmt.Sprintf("%.2f", mg.OperatorComplexity())})
 		return nil
 	}
-
-	// Prometheus (this paper): geometric MIS hierarchy.
-	h, err := core.Coarsen(s.Mesh, core.Options{})
-	if err != nil {
+	// Prometheus (this paper): geometric MIS hierarchy; then smoothed
+	// aggregation [25] with rigid body modes.
+	if err := solveWith("MIS geometric (this paper)", prometheus.GeometricMIS); err != nil {
 		return err
 	}
-	if err := solveWith("MIS geometric (this paper)", restrictions(h, dm)); err != nil {
-		return err
-	}
-
-	// Smoothed aggregation [25] with rigid body modes.
-	bnn := aggregation.RigidBodyModes(s.Mesh.Coords, dm.Full2Red, dm.NumFree())
-	rsSA, err := aggregation.BuildRestrictions(kred, bnn, aggregation.Options{})
-	if err != nil {
-		return err
-	}
-	if err := solveWith("smoothed aggregation [25]", rsSA); err != nil {
+	if err := solveWith("smoothed aggregation [25]", prometheus.SmoothedAggregation); err != nil {
 		return err
 	}
 
@@ -366,22 +347,20 @@ func amortization(w io.Writer, cfg problems.SpheresConfig) error {
 	s := problems.NewSpheresConfig(cfg)
 	phases := perf.NewPhases()
 	var k *sparse.CSR
-	var fint []float64
+	var r []float64
 	var err error
-	phases.Time("fine grid (per mesh)", func() { _, k, fint, err = assembleFirstTangent(s) })
+	phases.Time("fine grid (per mesh)", func() { _, k, r, err = assembleFirstTangent(s) })
 	if err != nil {
 		return err
 	}
-	dm, kred, rred := reduceFirstTangent(s, k, fint)
-
-	var h *core.Hierarchy
-	phases.Time("mesh setup (per mesh)", func() { h, err = core.Coarsen(s.Mesh, core.Options{}) })
+	var solver *prometheus.Solver
+	phases.Time("mesh setup (per mesh)", func() { solver, err = incrementSolver(s, prometheus.Options{}) })
 	if err != nil {
 		return err
 	}
-	rs := restrictions(h, dm)
+	kred, rred := solver.ReduceSystem(k, r)
 	var mg *multigrid.MG
-	phases.Time("matrix setup (per matrix)", func() { mg, err = multigrid.New(kred, rs, multigrid.Options{}) })
+	phases.Time("matrix setup (per matrix)", func() { mg, err = solver.Preconditioner(kred) })
 	if err != nil {
 		return err
 	}

@@ -72,14 +72,16 @@ func TestAssembleAllocsIndependentOfSize(t *testing.T) {
 }
 
 // TestReduceAllocBudget locks in that Reduce allocates the reduced arrays
-// and nothing that grows with the matrix.
+// and the load map's, and nothing that grows with the matrix: four for
+// the matrix and five for the map, with one to spare, as a run now and
+// then counts one more.
 func TestReduceAllocBudget(t *testing.T) {
 	if check.Enabled {
 		t.Skip("the promdebug well-formedness check of the reduced matrix boxes its arguments: one allocation per assertion")
 	}
 	m := mesh.StructuredHex(6, 6, 6, 1, 1, 1, nil)
 	p := NewProblem(m, []material.Model{material.LinearElastic{E: 1, Nu: 0.3}}, false)
-	k, f, err := p.AssembleTangent(make([]float64, m.NumDOF()))
+	k, _, err := p.AssembleTangent(make([]float64, m.NumDOF()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,7 @@ func TestReduceAllocBudget(t *testing.T) {
 		c.FixVert(v, 0, 0, 0.01)
 	}
 	dm := c.NewDofMap(m.NumDOF())
-	if allocs := testing.AllocsPerRun(5, func() { c.Reduce(k, f, dm) }); allocs > 6 {
-		t.Fatalf("Reduce allocates %v times, want at most 6", allocs)
+	if allocs := testing.AllocsPerRun(5, func() { c.Reduce(k, dm) }); allocs > 10 {
+		t.Fatalf("Reduce allocates %v times, want at most 10", allocs)
 	}
 }

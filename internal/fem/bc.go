@@ -81,39 +81,21 @@ func (c *Constraints) Apply(u []float64) {
 	}
 }
 
-// Reduce eliminates the constrained dofs from the full system K·u = f:
-// it returns the reduced matrix over free dofs and the reduced right-hand
-// side fRed = f_free - K_fc·u_c with the prescribed values u_c.
-func (c *Constraints) Reduce(k *sparse.CSR, f []float64, m *DofMap) (*sparse.CSR, []float64) {
+// Reduce eliminates the constrained dofs from the full operator K: it
+// returns the reduced matrix over the free dofs and the load map that
+// writes the reduced right-hand side fRed = f_free - K_fc·u_c of any load
+// f, with the prescribed values u_c.
+func (c *Constraints) Reduce(k *sparse.CSR, m *DofMap) (*sparse.CSR, *LoadMap) {
 	sp := obs.Start(evReduce)
 	defer sp.End()
 	kRed := k.Select(m.Red2Full, m.Full2Red, m.NumFree(), 0)
-	fr := make([]float64, m.NumFree())
-	for rRed, rFull := range m.Red2Full {
-		fr[rRed] = f[rFull]
-		cols, vals := k.Row(rFull)
-		for i, cFull := range cols {
-			if m.Full2Red[cFull] < 0 {
-				fr[rRed] -= vals[i] * c.Fixed[cFull]
-			}
-		}
-	}
-	return kRed, fr
+	return kRed, c.newLoadMap(k, kRed, m)
 }
 
-// ReduceOperator is Reduce without a right-hand side: it returns the
-// reduced matrix and the load map that gives the right-hand side of any
-// load, for a system solved under many loads.
-func (c *Constraints) ReduceOperator(k *sparse.CSR, m *DofMap) (*sparse.CSR, *LoadMap) {
-	sp := obs.Start(evReduce)
-	defer sp.End()
-	return k.Select(m.Red2Full, m.Full2Red, m.NumFree(), 0), c.newLoadMap(k, m)
-}
-
-// LoadMap is the right-hand-side half of a reduction kept as an object:
-// it turns a load on the full dof numbering into the reduced right-hand
-// side fRed = (s·f)_free - K_fc·u_c of one operator and constraint set,
-// so a system solved under many loads is reduced once. Only the free rows
+// LoadMap is the right-hand-side half of a reduction: it turns a load on
+// the full dof numbering into the reduced right-hand side
+// fRed = (s·f)_free - K_fc·u_c of one operator and constraint set, so a
+// system solved under many loads is reduced once. Only the free rows
 // that couple to a constrained dof carry terms: row rows[j] subtracts
 // coef[t]·val[t] for t in [ptr[j], ptr[j+1]), the entries of K_fc in
 // column order beside the prescribed values they multiply. A built map is
@@ -127,19 +109,14 @@ type LoadMap struct {
 }
 
 // newLoadMap extracts the load map of the full-numbering matrix k under
-// the constraints. A counting pass over the free rows sizes the map, and
-// a second pass fills it.
-func (c *Constraints) newLoadMap(k *sparse.CSR, m *DofMap) *LoadMap {
+// the constraints, given kRed, k's free rows and columns as Select keeps
+// them. A free row couples to a constrained dof exactly in the entries
+// Select dropped from it, so the row lengths of k and kRed size the map
+// and name the rows to fill: no other row is read.
+func (c *Constraints) newLoadMap(k, kRed *sparse.CSR, m *DofMap) *LoadMap {
 	nrows, nterms := 0, 0
-	for _, rFull := range m.Red2Full {
-		cols, _ := k.Row(rFull)
-		n := 0
-		for _, cFull := range cols {
-			if m.Full2Red[cFull] < 0 {
-				n++
-			}
-		}
-		if n > 0 {
+	for rRed, rFull := range m.Red2Full {
+		if n := k.RowNNZ(rFull) - kRed.RowNNZ(rRed); n > 0 {
 			nrows++
 			nterms += n
 		}
@@ -152,27 +129,27 @@ func (c *Constraints) newLoadMap(k *sparse.CSR, m *DofMap) *LoadMap {
 		val:      make([]float64, 0, nterms),
 	}
 	for rRed, rFull := range m.Red2Full {
+		if k.RowNNZ(rFull) == kRed.RowNNZ(rRed) {
+			continue
+		}
 		cols, vals := k.Row(rFull)
-		n := len(lm.coef)
 		for i, cFull := range cols {
 			if m.Full2Red[cFull] < 0 {
 				lm.coef = append(lm.coef, vals[i])
 				lm.val = append(lm.val, c.Fixed[cFull])
 			}
 		}
-		if len(lm.coef) > n {
-			lm.rows = append(lm.rows, rRed)
-			lm.ptr = append(lm.ptr, len(lm.coef))
-		}
+		lm.rows = append(lm.rows, rRed)
+		lm.ptr = append(lm.ptr, len(lm.coef))
 	}
 	return lm
 }
 
 // Apply writes the reduced right-hand side of the load s·f into dst (one
 // entry per free dof): each row starts from its scaled load and subtracts
-// its terms in column order, the order Reduce uses, so Apply with f and s
-// gives bit for bit what Reduce gives for the vector s·f (s = 1 leaves
-// f's bits as they are). The conversion rounds s·f before the
+// its terms in column order, so Apply with f and s gives bit for bit the
+// reduction of the vector s·f (s = 1 leaves f's bits as they are, s = -1
+// flips only their signs). The conversion rounds s·f before the
 // subtractions, so no fused multiply-add can join them.
 func (lm *LoadMap) Apply(dst, f []float64, s float64) {
 	for r, d := range lm.red2Full {

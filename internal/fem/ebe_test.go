@@ -53,7 +53,7 @@ func buildEBEFixture(t testing.TB, seed int64) *ebeFixture {
 		t.Fatal(err)
 	}
 	f := make([]float64, m.NumDOF())
-	kred, fred := c.Reduce(k, f, dm)
+	kred, fred := ReduceLoad(c, k, f, dm)
 	op, err := NewEBEOperator(p, u, c, dm)
 	if err != nil {
 		t.Fatal(err)

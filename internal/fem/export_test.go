@@ -33,3 +33,12 @@ func AssembleBlockTangentBuilder(p *Problem, u []float64) (*sparse.BSR, []float6
 	}
 	return kb.Build(), fint, nil
 }
+
+// ReduceLoad is Reduce with its load map applied to f at scale 1: the
+// reduced matrix and right-hand side of one load.
+func ReduceLoad(c *Constraints, k *sparse.CSR, f []float64, m *DofMap) (*sparse.CSR, []float64) {
+	kr, lm := c.Reduce(k, m)
+	fr := make([]float64, m.NumFree())
+	lm.Apply(fr, f, 1)
+	return kr, fr
+}

@@ -215,8 +215,7 @@ func TestReducedSystemSPD(t *testing.T) {
 		t.Fatal(err)
 	}
 	dm := c.NewDofMap(m.NumDOF())
-	f := make([]float64, m.NumDOF())
-	kr, _ := c.Reduce(k, f, dm)
+	kr, _ := c.Reduce(k, dm)
 	if kr.NRows != m.NumDOF()-3*9 {
 		t.Fatalf("reduced size %d", kr.NRows)
 	}
@@ -266,7 +265,7 @@ func TestPrescribedDisplacementSolve(t *testing.T) {
 	}
 	dm := c.NewDofMap(m.NumDOF())
 	f := make([]float64, m.NumDOF())
-	kr, fr := c.Reduce(k, f, dm)
+	kr, fr := ReduceLoad(c, k, f, dm)
 	// Direct dense solve of the reduced system.
 	d := la.NewDense(kr.NRows, kr.NCols)
 	for i := 0; i < kr.NRows; i++ {
@@ -313,7 +312,7 @@ func TestBBarRelievesLocking(t *testing.T) {
 			f[3*v+2] = -0.0001
 		}
 		dm := c.NewDofMap(m.NumDOF())
-		kr, fr := c.Reduce(k, f, dm)
+		kr, fr := ReduceLoad(c, k, f, dm)
 		d := la.NewDense(kr.NRows, kr.NCols)
 		for i := 0; i < kr.NRows; i++ {
 			cols, vals := kr.Row(i)
@@ -426,8 +425,7 @@ func TestGalerkinOnFEMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	dm := c.NewDofMap(m.NumDOF())
-	f := make([]float64, m.NumDOF())
-	kr, _ := c.Reduce(k, f, dm)
+	kr, _ := c.Reduce(k, dm)
 	// Injection restriction on every third free dof.
 	var rows [][2]int
 	for r := 0; r < kr.NRows/3; r++ {

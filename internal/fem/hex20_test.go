@@ -199,7 +199,7 @@ func TestHex20BendingBeatsHex8(t *testing.T) {
 			}
 		}
 		dm := c.NewDofMap(m.NumDOF())
-		kred, fred := c.Reduce(k, f, dm)
+		kred, fred := ReduceLoad(c, k, f, dm)
 		ch := mustChol(t, kred)
 		x := make([]float64, kred.NRows)
 		ch.Solve(fred, x)

@@ -111,36 +111,6 @@ func (g *Graph) HasEdge(a, b int) bool {
 	return k < len(nb) && nb[k] == b
 }
 
-// SubgraphWithout returns a copy of g with the given undirected edges
-// removed. The edge set is given as pairs; pairs not present are ignored.
-func (g *Graph) SubgraphWithout(remove [][2]int) *Graph {
-	del := make(map[[2]int]struct{}, len(remove))
-	for _, e := range remove {
-		a, b := e[0], e[1]
-		if a > b {
-			a, b = b, a
-		}
-		del[[2]int{a, b}] = struct{}{}
-	}
-	adj := make([]map[int]struct{}, g.N)
-	for v := 0; v < g.N; v++ {
-		for _, w := range g.Neighbors(v) {
-			a, b := v, w
-			if a > b {
-				a, b = b, a
-			}
-			if _, dead := del[[2]int{a, b}]; dead {
-				continue
-			}
-			if adj[v] == nil {
-				adj[v] = make(map[int]struct{}, g.Degree(v))
-			}
-			adj[v][w] = struct{}{}
-		}
-	}
-	return fromSets(g.N, adj)
-}
-
 // FilterEdges returns a copy of g keeping only edges for which keep returns
 // true. keep is called once per undirected edge with a < b, in ascending
 // order of a, then b. One pass over the adjacency marks what is kept: an
@@ -183,34 +153,4 @@ func (g *Graph) FilterEdges(keep func(a, b int) bool) *Graph {
 		ptr[v+1] = len(adj)
 	}
 	return &Graph{N: g.N, Ptr: ptr, Adj: adj}
-}
-
-// Components returns the connected component id of every vertex and the
-// number of components.
-func (g *Graph) Components() ([]int, int) {
-	comp := make([]int, g.N)
-	for i := range comp {
-		comp[i] = -1
-	}
-	nc := 0
-	queue := make([]int, 0, g.N)
-	for s := 0; s < g.N; s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		comp[s] = nc
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			v := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, w := range g.Neighbors(v) {
-				if comp[w] < 0 {
-					comp[w] = nc
-					queue = append(queue, w)
-				}
-			}
-		}
-		nc++
-	}
-	return comp, nc
 }

@@ -188,20 +188,6 @@ func TestMISOrderingDensity(t *testing.T) {
 	}
 }
 
-func TestSubgraphWithout(t *testing.T) {
-	g := NewGraph(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
-	h := g.SubgraphWithout([][2]int{{2, 1}, {3, 0}})
-	if h.NumEdges() != 2 {
-		t.Fatalf("edges = %d", h.NumEdges())
-	}
-	if h.HasEdge(1, 2) || h.HasEdge(0, 3) {
-		t.Fatal("removed edge still present")
-	}
-	if !h.HasEdge(0, 1) || !h.HasEdge(2, 3) {
-		t.Fatal("kept edge missing")
-	}
-}
-
 func TestFilterEdges(t *testing.T) {
 	g := gridGraph(5, 5)
 	// Keep only edges whose endpoints share the same parity of vertex id.
@@ -212,17 +198,6 @@ func TestFilterEdges(t *testing.T) {
 				t.Fatal("filter violated")
 			}
 		}
-	}
-}
-
-func TestComponents(t *testing.T) {
-	g := NewGraph(6, [][2]int{{0, 1}, {1, 2}, {4, 5}})
-	comp, nc := g.Components()
-	if nc != 3 {
-		t.Fatalf("nc = %d", nc)
-	}
-	if comp[0] != comp[2] || comp[4] != comp[5] || comp[0] == comp[3] || comp[3] == comp[4] {
-		t.Fatalf("comp = %v", comp)
 	}
 }
 

@@ -63,7 +63,7 @@ func levelStorage(mg *MG) []string {
 // a zero guess is b and the residual the cycle restricts is the smoother's
 // own. It also closes the flop books: the Flops() delta of an Apply is the
 // flops of the kernels that ran, nothing more. Both kernels are covered:
-// the hierarchy New blocks and the scalar-kernel reference.
+// the hierarchy Build blocks and the scalar-kernel reference.
 func TestCycleOperatorApplications(t *testing.T) {
 	k, f, rs := buildElasticity(t, 6, core.Options{MinCoarse: 10})
 	if len(rs) != 3 {
@@ -74,8 +74,8 @@ func TestCycleOperatorApplications(t *testing.T) {
 			new     builder
 			storage []string
 		}{
-			{New, []string{"bsr", "bsr", "bsr", "bsr"}},
-			{newScalar, []string{"csr", "csr", "csr", "csr"}},
+			{Build, []string{"bsr", "bsr", "bsr", "bsr"}},
+			{scalarBuild, []string{"csr", "csr", "csr", "csr"}},
 		} {
 			cycleOperatorApplications(t, cyc, build.new, build.storage, k, f, rs)
 		}
@@ -86,7 +86,7 @@ func TestCycleOperatorApplications(t *testing.T) {
 // on the hierarchy build makes, whose levels are stored as storage says.
 func cycleOperatorApplications(t *testing.T, cyc CycleKind, build builder, storage []string, k *sparse.CSR, f []float64, rs []*sparse.CSR) {
 	t.Helper()
-	mg, err := build(k, rs, Options{Cycle: cyc})
+	mg, _, err := build(nil, k, rs, Options{Cycle: cyc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,9 @@ func buildSpheresConfig(t *testing.T, cfg problems.SpheresConfig, aggregate bool
 		t.Fatal(err)
 	}
 	dm := s.Cons.NewDofMap(ndof)
-	kr, fr := s.Cons.Reduce(k, make([]float64, ndof), dm)
+	kr, lm := s.Cons.Reduce(k, dm)
+	fr := make([]float64, dm.NumFree())
+	lm.Apply(fr, make([]float64, ndof), 1)
 	if aggregate {
 		rs, err := aggregation.BuildRestrictions(kr, aggregation.RigidBodyModes(s.Mesh.Coords, dm.Full2Red, dm.NumFree()), aggregation.Options{})
 		if err != nil {
@@ -203,13 +205,13 @@ func bitsOf(xs []float64) []uint64 {
 	return out
 }
 
-// builder makes a hierarchy: New, or newScalar for the scalar-kernel
+// builder makes a hierarchy: Build, or scalarBuild for the scalar-kernel
 // reference.
-type builder func(sparse.Operator, []*sparse.CSR, Options) (*MG, error)
+type builder func(*Plan, sparse.Operator, []*sparse.CSR, Options) (*MG, *Plan, error)
 
 func solveOutcomeOf(t *testing.T, build builder, fine sparse.Operator, f []float64, rs []*sparse.CSR, opts Options) solveOutcome {
 	t.Helper()
-	mg, err := build(fine, rs, opts)
+	mg, _, err := build(nil, fine, rs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +232,7 @@ func solveOutcomeOf(t *testing.T, build builder, fine sparse.Operator, f []float
 }
 
 // TestBlockingIsAKernelChoice: giving a level the block kernel changes
-// how its operator is applied and nothing that is computed. New and the
+// how its operator is applied and nothing that is computed. Build and the
 // scalar-kernel reference — the same levels in scalar rows, fill and
 // pinned couplings stored as zeros — agree in stored entries, solution
 // bits, iteration count, residual history and every level's smoother
@@ -266,8 +268,8 @@ func TestBlockingIsAKernelChoice(t *testing.T) {
 		{"cube with a repaired level, BSR fine", sparse.AutoBlock(ck, 3), cf, rowRS, []string{"bsr", "bsr", "bsr"}},
 		{"cube with a pinned node, BSR fine", sparse.AutoBlock(ck, 3), cf, nodeRS, []string{"bsr", "bsr", "bsr"}},
 	} {
-		scalar := solveOutcomeOf(t, newScalar, tc.fine, tc.f, tc.rs, Options{})
-		auto := solveOutcomeOf(t, New, tc.fine, tc.f, tc.rs, Options{})
+		scalar := solveOutcomeOf(t, scalarBuild, tc.fine, tc.f, tc.rs, Options{})
+		auto := solveOutcomeOf(t, Build, tc.fine, tc.f, tc.rs, Options{})
 		if !slices.Equal(auto.storage, tc.storage) {
 			t.Errorf("%s: level storage %v, want %v", tc.name, auto.storage, tc.storage)
 		}
@@ -294,7 +296,7 @@ func TestBlockingIsAKernelChoice(t *testing.T) {
 }
 
 // TestSmootherIterationsPinned: the smoother takes the iterations it took
-// when it was one of six selectable kinds, on the fine level New blocks
+// when it was one of six selectable kinds, on the fine level Build blocks
 // (handed in as CSR or as BSR) with the Galerkin levels below applied in
 // blocks, and on the scalar-kernel reference.
 func TestSmootherIterationsPinned(t *testing.T) {
@@ -305,11 +307,11 @@ func TestSmootherIterationsPinned(t *testing.T) {
 		fine    sparse.Operator
 		storage string
 	}{
-		{"CSR handed in", New, k, "bsr"},
-		{"BSR handed in", New, sparse.AutoBlock(k, 3), "bsr"},
-		{"scalar reference", newScalar, k, "csr"},
+		{"CSR handed in", Build, k, "bsr"},
+		{"BSR handed in", Build, sparse.AutoBlock(k, 3), "bsr"},
+		{"scalar reference", scalarBuild, k, "csr"},
 	} {
-		mg, err := tc.build(tc.fine, rs, Options{})
+		mg, _, err := tc.build(nil, tc.fine, rs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,15 +340,17 @@ func TestAggregationBlockingIsAKernelChoice(t *testing.T) {
 		t.Fatal(err)
 	}
 	dm := c.Cons.NewDofMap(c.Mesh.NumDOF())
-	kr, fr := c.Cons.Reduce(k, c.Load, dm)
+	kr, lm := c.Cons.Reduce(k, dm)
+	fr := make([]float64, dm.NumFree())
+	lm.Apply(fr, c.Load, 1)
 	rs, err := aggregation.BuildRestrictions(kr, aggregation.RigidBodyModes(c.Mesh.Coords, dm.Full2Red, dm.NumFree()), aggregation.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cyc := range []CycleKind{FMG, VCycle} {
 		opts := Options{Cycle: cyc}
-		scalar := solveOutcomeOf(t, newScalar, kr, fr, rs, opts)
-		blocked := solveOutcomeOf(t, New, kr, fr, rs, opts)
+		scalar := solveOutcomeOf(t, scalarBuild, kr, fr, rs, opts)
+		blocked := solveOutcomeOf(t, Build, kr, fr, rs, opts)
 		if slices.ContainsFunc(blocked.storage, func(s string) bool { return s != "bsr" }) {
 			t.Fatalf("cycle %v: levels %v, want every level blocked", cyc, blocked.storage)
 		}

@@ -17,9 +17,3 @@ func scalarBuild(_ *Plan, fine sparse.Operator, rs []*sparse.CSR, opts Options) 
 	mg, err := p.fill(c)
 	return mg, p, err
 }
-
-// newScalar is scalarBuild without a plan, as New is Build without one.
-func newScalar(fine sparse.Operator, rs []*sparse.CSR, opts Options) (*MG, error) {
-	mg, _, err := scalarBuild(nil, fine, rs, opts)
-	return mg, err
-}

@@ -163,17 +163,11 @@ func pinList(d []float64) (keep []int, maxd float64) {
 	return keep, maxd
 }
 
-// New assembles the hierarchy: fineA is the (reduced) fine operator and
+// Build assembles the hierarchy: fineA is the (reduced) fine operator and
 // restrictions[l] maps level l dofs to level l+1 dofs, already aligned with
-// fineA's dof numbering on level 0. It is Build without a plan to reuse.
-func New(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG, error) {
-	mg, _, err := Build(nil, fineA, restrictions, opts)
-	return mg, err
-}
-
-// Build assembles the hierarchy as New does, from plan when plan was made
-// for fineA's pattern, the same restrictions and the same options, and
-// from a new plan otherwise. It returns the plan the hierarchy was filled
+// fineA's dof numbering on level 0. It fills the hierarchy from plan when
+// plan was made for fineA's pattern, the same restrictions and the same
+// options, and from a new plan otherwise (nil builds one). It returns the plan the hierarchy was filled
 // from, for the caller to hand to the next Build. A hierarchy filled from a
 // reused plan is bitwise the one a new plan gives. The fine operator must
 // store its entries (*sparse.CSR or *sparse.BSR): the plan is made from its
@@ -205,9 +199,9 @@ func Build(plan *Plan, fineA sparse.Operator, restrictions []*sparse.CSR, opts O
 		dims := make([]int, len(mg.Levels))
 		for i, lvl := range mg.Levels {
 			dims[i] = lvl.A.Rows()
-			check.Assert(sparse.OpSymmetric(lvl.A, 1e-8), "multigrid.New: level %d operator not symmetric", i)
+			check.Assert(sparse.OpSymmetric(lvl.A, 1e-8), "multigrid.Build: level %d operator not symmetric", i)
 		}
-		check.StrictlyDecreasing(dims, "multigrid.New level dims")
+		check.StrictlyDecreasing(dims, "multigrid.Build level dims")
 	}
 	for li, lvl := range mg.Levels {
 		obs.RecordLevel(li, lvl.A.Rows(), lvl.A.NNZ(), storageName(lvl.A))

@@ -48,7 +48,9 @@ func buildCube(t *testing.T, n int, coarsenOpts core.Options, topComps []int) (*
 		f[3*v+2] = -0.001
 	}
 	dm := c.NewDofMap(m.NumDOF())
-	kr, fr := c.Reduce(k, f, dm)
+	kr, lm := c.Reduce(k, dm)
+	fr := make([]float64, dm.NumFree())
+	lm.Apply(fr, f, 1)
 
 	h, err := core.Coarsen(m, coarsenOpts)
 	if err != nil {
@@ -89,7 +91,7 @@ func TestMGSolveMatchesDirect(t *testing.T) {
 	if len(rs) == 0 {
 		t.Fatal("no coarse levels")
 	}
-	mg, err := New(k, rs, Options{})
+	mg, _, err := Build(nil, k, rs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func TestMGSolveMatchesDirect(t *testing.T) {
 
 func TestPCGWithMGBeatsPlainCG(t *testing.T) {
 	k, f, rs := buildElasticity(t, 5, core.Options{MinCoarse: 30})
-	mg, err := New(k, rs, Options{})
+	mg, _, err := Build(nil, k, rs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +151,7 @@ func TestIterationCountRoughlyFlat(t *testing.T) {
 		if len(rs) == 0 {
 			t.Fatalf("n=%d: no coarsening", n)
 		}
-		mg, err = New(k, rs, Options{})
+		mg, _, err = Build(nil, k, rs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +178,7 @@ func TestIterationCountRoughlyFlat(t *testing.T) {
 func TestVCycleAndFMGBothWork(t *testing.T) {
 	k, f, rs := buildElasticity(t, 4, core.Options{MinCoarse: 30})
 	for _, cyc := range []CycleKind{VCycle, FMG} {
-		mg, err := New(k, rs, Options{Cycle: cyc})
+		mg, _, err := Build(nil, k, rs, Options{Cycle: cyc})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +192,7 @@ func TestVCycleAndFMGBothWork(t *testing.T) {
 
 func TestOperatorComplexityModest(t *testing.T) {
 	k, _, rs := buildElasticity(t, 5, core.Options{MinCoarse: 30})
-	mg, err := New(k, rs, Options{})
+	mg, _, err := Build(nil, k, rs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +207,7 @@ func TestOperatorComplexityModest(t *testing.T) {
 
 func TestGalerkinOperatorsSymmetric(t *testing.T) {
 	k, _, rs := buildElasticity(t, 4, core.Options{MinCoarse: 30})
-	mg, err := New(k, rs, Options{})
+	mg, _, err := Build(nil, k, rs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +230,8 @@ func TestStorageParity(t *testing.T) {
 	k, f, rs := buildElasticity(t, 4, core.Options{MinCoarse: 30})
 	for _, cyc := range []CycleKind{FMG, VCycle} {
 		opts := Options{Cycle: cyc}
-		scalar := solveOutcomeOf(t, newScalar, k, f, rs, opts)
-		blocked := solveOutcomeOf(t, New, k, f, rs, opts)
+		scalar := solveOutcomeOf(t, scalarBuild, k, f, rs, opts)
+		blocked := solveOutcomeOf(t, Build, k, f, rs, opts)
 		if slices.ContainsFunc(blocked.storage, func(s string) bool { return s != "bsr" }) || !slices.Equal(blocked.nnz, scalar.nnz) {
 			t.Fatalf("cycle %v: level storage %v storing %v entries, want every level blocked, storing the reference's %v", cyc, blocked.storage, blocked.nnz, scalar.nnz)
 		}
@@ -245,13 +247,13 @@ func TestStorageParity(t *testing.T) {
 func TestMGRejectsBadInput(t *testing.T) {
 	b := sparse.NewBuilder(4, 3)
 	b.Add(0, 0, 1)
-	if _, err := New(b.Build(), nil, Options{}); err == nil {
+	if _, _, err := Build(nil, b.Build(), nil, Options{}); err == nil {
 		t.Fatal("non-square should fail")
 	}
 	id := sparse.Identity(4)
 	rbad := sparse.NewBuilder(2, 7)
 	rbad.Add(0, 0, 1)
-	if _, err := New(id, []*sparse.CSR{rbad.Build()}, Options{}); err == nil {
+	if _, _, err := Build(nil, id, []*sparse.CSR{rbad.Build()}, Options{}); err == nil {
 		t.Fatal("mismatched restriction should fail")
 	}
 }
@@ -273,8 +275,8 @@ func TestNewRejectsBrokenSmootherBlock(t *testing.T) {
 		for _, build := range []struct {
 			storage string
 			new     builder
-		}{{"scalar", newScalar}, {"blocked", New}} {
-			mg, err := build.new(a, rs, Options{})
+		}{{"scalar", scalarBuild}, {"blocked", Build}} {
+			mg, _, err := build.new(nil, a, rs, Options{})
 			if mg != nil || !errors.Is(err, la.ErrNotSPD) || !strings.Contains(err.Error(), "multigrid: block smoother: smooth: block ") {
 				t.Fatalf("%s diagonal, %s: mg = %v, err = %v; want the wrapped block error", name, build.storage, mg, err)
 			}
@@ -284,7 +286,7 @@ func TestNewRejectsBrokenSmootherBlock(t *testing.T) {
 
 func TestStationaryVCycleConverges(t *testing.T) {
 	k, f, rs := buildElasticity(t, 4, core.Options{MinCoarse: 30})
-	mg, err := New(k, rs, Options{Cycle: VCycle})
+	mg, _, err := Build(nil, k, rs, Options{Cycle: VCycle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +299,7 @@ func TestStationaryVCycleConverges(t *testing.T) {
 
 func TestLevelWorkAccounting(t *testing.T) {
 	k, f, rs := buildElasticity(t, 4, core.Options{MinCoarse: 30})
-	mg, err := New(k, rs, Options{})
+	mg, _, err := Build(nil, k, rs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +331,7 @@ func TestLevelWorkAccounting(t *testing.T) {
 
 func TestApplyCountsApplications(t *testing.T) {
 	k, f, rs := buildElasticity(t, 3, core.Options{MinCoarse: 20})
-	mg, err := New(k, rs, Options{})
+	mg, _, err := Build(nil, k, rs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 	"prometheus/internal/sparse"
 )
 
-// Plan is the symbolic half of a hierarchy build: everything New does that
+// Plan is the symbolic half of a hierarchy build: everything Build does that
 // does not depend on the values of the fine operator, only on its pattern
 // and on the restriction chain. Per level it holds
 //

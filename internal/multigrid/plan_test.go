@@ -115,9 +115,9 @@ func TestPlanFillIsFreshBuild(t *testing.T) {
 		{"cube, CSR everywhere", ck, cf, crs, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			build, fresh := Build, New
+			build := Build
 			if tc.scalar {
-				build, fresh = scalarBuild, newScalar
+				build = scalarBuild
 			}
 			_, plan, err := build(nil, tc.a, tc.rs, Options{})
 			if err != nil {
@@ -131,7 +131,7 @@ func TestPlanFillIsFreshBuild(t *testing.T) {
 			if again != plan {
 				t.Fatal("the second build made a new plan")
 			}
-			want, err := fresh(a2, tc.rs, Options{})
+			want, _, err := build(nil, a2, tc.rs, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +174,7 @@ func TestPlanReplansWhenPinsMove(t *testing.T) {
 	if again.levels[1].pins == nil || again.levels[1].pins[0] >= 0 {
 		t.Fatalf("coarse dof 0 is not pinned: %v", again.levels[1].pins)
 	}
-	fresh, err := New(a2, rs, Options{})
+	fresh, _, err := Build(nil, a2, rs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestPlanReplansOnNewPattern(t *testing.T) {
 		if again == plan {
 			t.Fatalf("%s: an operator with another pattern reused the plan", name)
 		}
-		fresh, err := New(a2, rs, Options{})
+		fresh, _, err := Build(nil, a2, rs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

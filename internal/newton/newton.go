@@ -55,8 +55,8 @@ func (c Config) withDefaults() Config {
 // PreconFactory builds a preconditioner for a freshly assembled (reduced)
 // tangent — the per-matrix "matrix setup" phase of the paper (Galerkin
 // products and smoother factorizations). The tangent arrives as a storage-
-// agnostic Operator (CSR here; factories may re-block it to BSR before
-// building the hierarchy).
+// agnostic Operator, the reduced CSR; the hierarchy's constructor
+// (multigrid.Build) decides whether to apply it in blocks.
 type PreconFactory func(k sparse.Operator) (krylov.Preconditioner, error)
 
 // StepStats records one load step.
@@ -106,11 +106,9 @@ func Solve(p *fem.Problem, cons *fem.Constraints, cfg Config, factory PreconFact
 			}
 			// Residual r = -fint on free dofs (no external loads; the
 			// drive is the prescribed displacement already in u).
-			rFull := make([]float64, n)
-			for i := range rFull {
-				rFull[i] = -fint[i]
-			}
-			kred, rred := zeroCons.Reduce(k, rFull, dm)
+			kred, lm := zeroCons.Reduce(k, dm)
+			rred := make([]float64, dm.NumFree())
+			lm.Apply(rred, fint, -1)
 			rnorm := la.Norm2(rred)
 			if m == 1 {
 				firstRNorm = rnorm

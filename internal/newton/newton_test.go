@@ -28,7 +28,8 @@ func mgFactory(h *core.Hierarchy, dm *fem.DofMap) PreconFactory {
 		rs = append(rs, r)
 	}
 	return func(k sparse.Operator) (krylov.Preconditioner, error) {
-		return multigrid.New(k, rs, multigrid.Options{})
+		mg, _, err := multigrid.Build(nil, k, rs, multigrid.Options{})
+		return mg, err
 	}
 }
 

@@ -40,34 +40,6 @@ func PaperIBM() Machine {
 	}
 }
 
-// PaperT3E returns the machine model of the paper's second platform: the
-// 640-processor Cray T3E on which the same experiments ran at 57% parallel
-// efficiency "and about twice the total Mflop rate as the corresponding
-// IBM experiment" (section 7).
-func PaperT3E() Machine {
-	return Machine{
-		Name:      "Cray T3E (SC99)",
-		FlopRate:  68e6, // ~2x the IBM solve rate
-		Latency:   10e-6,
-		Bandwidth: 300e6,
-	}
-}
-
-// PaperPeakMflops is the theoretical peak per processor (section 7).
-const PaperPeakMflops = 664.0
-
-// PaperMatVecMflops is the measured uniprocessor MatVec rate (section 7).
-const PaperMatVecMflops = 36.0
-
-// UniprocessorEfficiency returns e_u = sustained/peak, the section 6
-// uniprocessor efficiency (the paper reports 36/664 ≈ 5.4%).
-func UniprocessorEfficiency(sustained, peak float64) float64 {
-	if peak == 0 {
-		return 0
-	}
-	return sustained / peak
-}
-
 // PhaseTime converts per-rank counters into the modeled execution time of
 // one phase: each rank costs flops/rate + msgs·latency + bytes/bandwidth,
 // and the phase completes when the slowest rank does. The average rank
@@ -154,16 +126,15 @@ func Decompose(baseIters, runIters int, baseFlops, runFlops int64,
 }
 
 // Phases accumulates named wall-clock phase timings (the Figure 10
-// component breakdown) alongside modeled times.
+// component breakdown).
 type Phases struct {
-	order   []string
-	Wall    map[string]time.Duration
-	Modeled map[string]float64
+	order []string
+	Wall  map[string]time.Duration
 }
 
 // NewPhases returns an empty phase table.
 func NewPhases() *Phases {
-	return &Phases{Wall: map[string]time.Duration{}, Modeled: map[string]float64{}}
+	return &Phases{Wall: map[string]time.Duration{}}
 }
 
 // Time runs fn, recording its wall-clock duration under name (accumulates
@@ -180,16 +151,6 @@ func (p *Phases) Add(name string, d time.Duration) {
 		p.order = append(p.order, name)
 	}
 	p.Wall[name] += d
-}
-
-// AddModeled accumulates a machine-model time (seconds) under name.
-func (p *Phases) AddModeled(name string, sec float64) {
-	if _, ok := p.Wall[name]; !ok {
-		if _, ok2 := p.Modeled[name]; !ok2 {
-			p.order = append(p.order, name)
-		}
-	}
-	p.Modeled[name] += sec
 }
 
 // Names returns the phase names in first-use order.

@@ -67,17 +67,6 @@ func TestDecompose(t *testing.T) {
 	}
 }
 
-func TestUniprocessorEfficiency(t *testing.T) {
-	// The paper's numbers: 36 of 664 Mflop/s ≈ 5.4%.
-	eu := UniprocessorEfficiency(PaperMatVecMflops, PaperPeakMflops)
-	if eu < 0.05 || eu > 0.06 {
-		t.Fatalf("e_u = %v", eu)
-	}
-	if UniprocessorEfficiency(1, 0) != 0 {
-		t.Fatal("zero peak")
-	}
-}
-
 func TestPaperIBM(t *testing.T) {
 	m := PaperIBM()
 	if m.FlopRate != 34e6 {
@@ -89,13 +78,9 @@ func TestPhases(t *testing.T) {
 	p := NewPhases()
 	p.Time("solve", func() { time.Sleep(time.Millisecond) })
 	p.Add("solve", 2*time.Millisecond)
-	p.AddModeled("solve", 0.5)
-	p.AddModeled("setup", 1.5)
+	p.Add("setup", time.Millisecond)
 	if p.Wall["solve"] < 3*time.Millisecond {
 		t.Fatalf("wall = %v", p.Wall["solve"])
-	}
-	if p.Modeled["setup"] != 1.5 {
-		t.Fatal("modeled")
 	}
 	names := p.Names()
 	if len(names) != 2 || names[0] != "solve" || names[1] != "setup" {
@@ -121,23 +106,5 @@ func TestTable(t *testing.T) {
 func TestSum(t *testing.T) {
 	if Sum([]int64{1, 2, 3}) != 6 {
 		t.Fatal("sum")
-	}
-}
-
-func TestPaperT3E(t *testing.T) {
-	ibm := PaperIBM()
-	t3e := PaperT3E()
-	// Section 7: the T3E runs at about twice the IBM's Mflop rate.
-	if r := t3e.FlopRate / ibm.FlopRate; r < 1.8 || r > 2.2 {
-		t.Fatalf("T3E/IBM rate ratio = %v", r)
-	}
-	// Same workload must run faster on the T3E.
-	flops := []int64{1e9, 2e9}
-	bytes := []int64{1e6, 2e6}
-	msgs := []int64{100, 100}
-	ti, _ := ibm.PhaseTime(flops, msgs, bytes)
-	tc, _ := t3e.PhaseTime(flops, msgs, bytes)
-	if tc >= ti {
-		t.Fatalf("T3E (%v) should beat IBM (%v)", tc, ti)
 	}
 }

@@ -9,18 +9,19 @@ import (
 )
 
 func TestSphereMatLayers(t *testing.T) {
+	paper := SpheresConfig{Layers: NumLayers}
 	// Core and outside are soft.
-	if SphereMat(geom.Vec3{X: 1}) != material.MatSoft {
+	if paper.MatAt(geom.Vec3{X: 1}) != material.MatSoft {
 		t.Fatal("core should be soft")
 	}
-	if SphereMat(geom.Vec3{X: 10}) != material.MatSoft {
+	if paper.MatAt(geom.Vec3{X: 10}) != material.MatSoft {
 		t.Fatal("outside should be soft")
 	}
 	// First layer (just above r=2.5) is hard; alternation holds.
 	layerWidth := (SphereROut - SphereRIn) / NumLayers
 	for l := 0; l < NumLayers; l++ {
 		r := SphereRIn + (float64(l)+0.5)*layerWidth
-		got := SphereMat(geom.Vec3{Z: r})
+		got := paper.MatAt(geom.Vec3{Z: r})
 		want := material.MatSoft
 		if l%2 == 0 {
 			want = material.MatHard

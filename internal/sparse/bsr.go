@@ -38,9 +38,6 @@ func (a *BSR) Cols() int { return a.NBCols * a.B }
 // stored block, explicit zeros included).
 func (a *BSR) NNZ() int { return len(a.ColIdx) * a.B * a.B }
 
-// NNZBlocks returns the number of stored blocks.
-func (a *BSR) NNZBlocks() int { return len(a.ColIdx) }
-
 // MulVecFlops returns the flop count of one MulVec (2·nnz).
 func (a *BSR) MulVecFlops() int64 { return 2 * int64(a.NNZ()) }
 
@@ -523,9 +520,6 @@ func NewBlockBuilder(r, c, b int) *BlockBuilder {
 	}
 	return &BlockBuilder{nbRows: r, nbCols: c, b: b, rows: make([]map[int][]float64, r)}
 }
-
-// BlockSize returns the block size B.
-func (bb *BlockBuilder) BlockSize() int { return bb.b }
 
 // AddBlock accumulates A(i,j) += blk, where blk is a row-major BxB dense
 // block and i, j are block (node) indices.

@@ -6,8 +6,6 @@
 package topo
 
 import (
-	"strconv"
-
 	"prometheus/internal/graph"
 	"prometheus/internal/mesh"
 	"prometheus/internal/sortutil"
@@ -149,25 +147,6 @@ func (c *Classification) ModifiedGraph(g *graph.Graph) *graph.Graph {
 		}
 		return c.sharesFace(a, b)
 	})
-}
-
-// Features enumerates the feature sets of section 4.4 item 2: for every
-// distinct face-id set appearing on edge/corner vertices (and every single
-// face for surfaces), the list of vertices carrying exactly that set. The
-// map key is the face-id set rendered as a sorted string of ids.
-func (c *Classification) Features() map[string][]int {
-	out := make(map[string][]int)
-	for v, ids := range c.Faces {
-		if len(ids) == 0 {
-			continue
-		}
-		key := ""
-		for _, id := range ids {
-			key += strconv.Itoa(id) + ","
-		}
-		out[key] = append(out[key], v)
-	}
-	return out
 }
 
 // Reclassify recomputes ranks for a coarse grid from its own facets

@@ -178,17 +178,6 @@ func TestMISOnModifiedGraphCoversThinBody(t *testing.T) {
 	}
 }
 
-func TestFeatures(t *testing.T) {
-	m, facets, adj := cube(2)
-	faceID, _ := IdentifyFaces(facets, adj, DefaultTOL)
-	c := Classify(m.NumVerts(), facets, faceID)
-	feats := c.Features()
-	// Cube: 6 surface features + 12 edge features + 8 corner features = 26.
-	if len(feats) != 26 {
-		t.Fatalf("features = %d, want 26", len(feats))
-	}
-}
-
 func TestReclassifyMatchesClassify(t *testing.T) {
 	m, facets, adj := cube(3)
 	faceID, _ := IdentifyFaces(facets, adj, DefaultTOL)

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"prometheus/internal/experiments"
 	"prometheus/internal/krylov"
 	"prometheus/internal/material"
 	"prometheus/internal/multigrid"
@@ -85,7 +84,7 @@ func TestNewtonFillsOnePlan(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 	sp := problems.NewSpheresConfig(problems.SpheresConfig{Layers: 5, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2})
-	sp.Models[material.MatHard] = material.J2Plasticity{E: 1, Nu: 0.3, SigmaY: experiments.ScaledYieldStress(sp.Config), H: 0.002}
+	sp.Models[material.MatHard] = material.J2Plasticity{E: 1, Nu: 0.3, SigmaY: problems.ScaledYieldStress(sp.Config), H: 0.002}
 	cons := sp.Cons.Scaled(0.5 * (0.999 + 0.002*rand.New(rand.NewSource(1)).Float64()))
 	solver, err := NewSolver(sp.Mesh, cons, Options{})
 	if err != nil {
@@ -152,7 +151,7 @@ func newPlanCase(t *testing.T, h HierarchyKind) planCase {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ks[i], _ = cons.Reduce(k, f, solver.dofMap)
+		ks[i], _ = solver.ReduceSystem(k, f)
 	}
 	return planCase{solver: solver, k1: ks[0], k2: ks[1]}
 }

@@ -301,7 +301,10 @@ func (s *Solver) restrictions(kred Operator) ([]*sparse.CSR, error) {
 // LinearOperator keeps the load map instead, for an operator solved under
 // many loads.
 func (s *Solver) ReduceSystem(k *CSR, f []float64) (*CSR, []float64) {
-	return s.cons.Reduce(k, f, s.dofMap)
+	kred, lm := s.cons.Reduce(k, s.dofMap)
+	fred := make([]float64, s.dofMap.NumFree())
+	lm.Apply(fred, f, 1)
+	return kred, fred
 }
 
 // ExpandSolution scatters a reduced-system solution back to the full dof
@@ -312,6 +315,11 @@ func (s *Solver) ExpandSolution(x []float64) []float64 {
 	s.cons.Expand(x, s.dofMap, u)
 	return u
 }
+
+// FreeDofs returns the full-numbering index of every free dof, in the
+// order of the reduced system: entry r of a reduced vector belongs to dof
+// FreeDofs()[r]. The slice is the solver's own and must not be written.
+func (s *Solver) FreeDofs() []int { return s.dofMap.Red2Full }
 
 // Fingerprint returns the deterministic content hash of this solver's
 // mesh, constraint set and coarsening options (core.Fingerprint). Two
@@ -346,7 +354,7 @@ func (s *Solver) LinearOperator(p *Problem) (Operator, *LoadMap, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("prometheus: assembly: %w", err)
 	}
-	kred, lm := s.cons.ReduceOperator(k, s.dofMap)
+	kred, lm := s.cons.Reduce(k, s.dofMap)
 	return kred, lm, nil
 }
 
@@ -355,7 +363,7 @@ func (s *Solver) LinearOperator(p *Problem) (Operator, *LoadMap, error) {
 // Dirichlet set, with the multigrid-preconditioned FPCG. The returned u is
 // full-length with the prescribed values in place.
 func (s *Solver) SolveLinear(k *CSR, f []float64) ([]float64, *Result, error) {
-	kred, fred := s.cons.Reduce(k, f, s.dofMap)
+	kred, fred := s.ReduceSystem(k, f)
 	mg, err := s.Preconditioner(kred)
 	if err != nil {
 		return nil, nil, fmt.Errorf("prometheus: matrix setup: %w", err)

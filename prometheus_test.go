@@ -83,7 +83,7 @@ func TestPreconditionerAutoBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kred, _ := cons.Reduce(k, f, solver.dofMap)
+	kred, _ := solver.ReduceSystem(k, f)
 	mg, err := solver.Preconditioner(kred)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestPreconditionerAutoBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kred2, _ := cons2.Reduce(k, f, solver2.dofMap)
+	kred2, _ := solver2.ReduceSystem(k, f)
 	mg2, err := solver2.Preconditioner(kred2)
 	if err != nil {
 		t.Fatal(err)
