@@ -191,3 +191,20 @@ func (c *Cholesky) SolveFlops() int64 { return 4 * int64(c.off[c.n]) }
 
 // N returns the system size.
 func (c *Cholesky) N() int { return c.n }
+
+// Bytes returns the bytes of the factor: owned is what it holds alone,
+// the profile of L, its row headers and Solve's scratch vector; shared is
+// its symbolic half, which every factor made from it holds in common.
+func (c *Cholesky) Bytes() (owned, shared int64) {
+	n := len(c.work)
+	for _, r := range c.rows {
+		n += len(r)
+	}
+	return 8*int64(n) + 24*int64(len(c.rows)), c.Symbolic.bytes()
+}
+
+// bytes returns the bytes of the symbolic factorization's arrays: the
+// ordering, the profile and the scatter from A's values.
+func (s *Symbolic) bytes() int64 {
+	return 8*int64(len(s.perm)+len(s.iperm)+len(s.first)+len(s.off)) + 4*int64(len(s.dst)+len(s.src))
+}

@@ -108,6 +108,13 @@ type LoadMap struct {
 	val      []float64
 }
 
+// Bytes returns the bytes of the map's own arrays: the rows it writes,
+// their extents, and each term's coefficient and prescribed value. The
+// reduced-to-full numbering is the dof map's and is not counted.
+func (lm *LoadMap) Bytes() int64 {
+	return 8 * int64(len(lm.rows)+len(lm.ptr)+len(lm.coef)+len(lm.val))
+}
+
 // newLoadMap extracts the load map of the full-numbering matrix k under
 // the constraints, given kRed, k's free rows and columns as Select keeps
 // them. A free row couples to a constrained dof exactly in the entries

@@ -1,10 +1,8 @@
 // Package meshio reads and writes meshes in a simple "flat" text format
-// modelled on the paper's Athena input path: "Athena reads a large 'flat'
-// finite element mesh input file in parallel (ie, each processor seeks and
-// reads only the part of the input file that it, and it alone, is
-// responsible for)". ReadParallel reproduces that access pattern on the
-// simulated communicator: each rank parses only its contiguous slice of
-// the vertex and element records, and the slices are stitched together.
+// modelled on the paper's Athena input path, whose "large 'flat' finite
+// element mesh input file" each processor reads in part. Here one reader
+// parses the whole file: no solve reads a mesh in parts, so the parallel
+// access pattern is not reproduced.
 //
 // Format (whitespace separated, '#' comments):
 //
@@ -22,7 +20,6 @@ import (
 
 	"prometheus/internal/geom"
 	"prometheus/internal/mesh"
-	"prometheus/internal/par"
 )
 
 // Write serializes the mesh.
@@ -166,80 +163,6 @@ func Read(r io.Reader) (*mesh.Mesh, error) {
 		}
 		m.Mat = append(m.Mat, mat)
 		m.Elems = append(m.Elems, conn)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// ReadParallel parses the mesh with the Athena access pattern: every rank
-// of comm parses only its contiguous share of the vertex and element
-// records (each rank "seeks and reads only the part of the input file that
-// it, and it alone, is responsible for"); rank results are concatenated in
-// rank order. The outcome is identical to Read.
-func ReadParallel(comm *par.Comm, data string) (*mesh.Mesh, error) {
-	lines, err := records(data)
-	if err != nil {
-		return nil, err
-	}
-	h, err := parseHeader(lines[0])
-	if err != nil {
-		return nil, err
-	}
-	if len(lines) != 1+h.nVerts+h.nElems {
-		return nil, fmt.Errorf("meshio: expected %d records, found %d", 1+h.nVerts+h.nElems, len(lines))
-	}
-	p := comm.Size()
-	npe := h.typ.NodesPerElem()
-
-	type slice struct {
-		coords []geom.Vec3
-		mats   []int
-		elems  [][]int
-		err    error
-	}
-	parts := make([]slice, p)
-
-	// share returns the [lo, hi) range of n records owned by rank r.
-	share := func(n, r int) (int, int) {
-		lo := n * r / p
-		hi := n * (r + 1) / p
-		return lo, hi
-	}
-	comm.Run(func(rk *par.Rank) {
-		me := rk.ID()
-		var s slice
-		vlo, vhi := share(h.nVerts, me)
-		for i := vlo; i < vhi; i++ {
-			pt, err := parseVertex(lines[1+i])
-			if err != nil {
-				s.err = err
-				break
-			}
-			s.coords = append(s.coords, pt)
-		}
-		elo, ehi := share(h.nElems, me)
-		for i := elo; i < ehi && s.err == nil; i++ {
-			mat, conn, err := parseElem(lines[1+h.nVerts+i], npe)
-			if err != nil {
-				s.err = err
-				break
-			}
-			s.mats = append(s.mats, mat)
-			s.elems = append(s.elems, conn)
-		}
-		parts[me] = s
-		rk.Barrier()
-	})
-	m := &mesh.Mesh{Type: h.typ}
-	for _, s := range parts {
-		if s.err != nil {
-			return nil, s.err
-		}
-		m.Coords = append(m.Coords, s.coords...)
-		m.Mat = append(m.Mat, s.mats...)
-		m.Elems = append(m.Elems, s.elems...)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err

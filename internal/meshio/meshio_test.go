@@ -8,8 +8,6 @@ import (
 
 	"prometheus/internal/geom"
 	"prometheus/internal/mesh"
-	"prometheus/internal/par"
-	"prometheus/internal/problems"
 )
 
 func TestRoundTripHex(t *testing.T) {
@@ -89,39 +87,6 @@ func TestReadErrors(t *testing.T) {
 		if _, err := Read(strings.NewReader(src)); err == nil {
 			t.Fatalf("expected error for %q", src)
 		}
-	}
-}
-
-func TestReadParallelMatchesSerial(t *testing.T) {
-	s := problems.NewSpheresConfig(problems.SpheresConfig{
-		Layers: 3, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2,
-	})
-	var buf bytes.Buffer
-	if err := Write(&buf, s.Mesh); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.String()
-	serial, err := Read(strings.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{1, 2, 3, 7} {
-		got, err := ReadParallel(par.NewComm(p), data)
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Fatalf("p=%d: parallel read differs from serial", p)
-		}
-	}
-}
-
-func TestReadParallelErrors(t *testing.T) {
-	if _, err := ReadParallel(par.NewComm(2), "mesh tet4 1 1\nv 0 0 0\ne 0 bad 0 0 0"); err == nil {
-		t.Fatal("expected parse error")
-	}
-	if _, err := ReadParallel(par.NewComm(2), ""); err == nil {
-		t.Fatal("expected empty-input error")
 	}
 }
 

@@ -387,3 +387,32 @@ func (mg *MG) LevelWork() []int64 {
 	}
 	return out
 }
+
+// Bytes returns the resident bytes of the hierarchy beyond level 0's
+// matrix, which is the caller's fine operator. owned is what this
+// hierarchy holds alone: the coarse levels' values, the block and coarse
+// factors, and the cycle's and smoothers' scratch. shared is what every
+// hierarchy filled from the same plan holds in common: the coarse levels'
+// index arrays, the transfers R and P, the smoothers' block plans and the
+// coarse factor's ordering and profile. The plan's own patterns are
+// Plan.PatternBytes.
+func (mg *MG) Bytes() (owned, shared int64) {
+	add := func(o, s int64) {
+		owned += o
+		shared += s
+	}
+	for l, lvl := range mg.Levels {
+		owned += 8 * int64(len(lvl.x)+len(lvl.b)+len(lvl.res))
+		if l > 0 {
+			vals := 8 * int64(len(sparse.Values(lvl.A)))
+			add(vals, sparse.StorageBytes(lvl.A)-vals+sparse.StorageBytes(lvl.R)+sparse.StorageBytes(lvl.P))
+		}
+		if lvl.Smoother != nil {
+			add(lvl.Smoother.Bytes())
+		}
+		if lvl.Direct != nil {
+			add(lvl.Direct.Bytes())
+		}
+	}
+	return owned, shared
+}

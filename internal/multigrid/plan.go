@@ -50,8 +50,9 @@ type Plan struct {
 	// fine is the pattern of the operator the plan was made from: its
 	// storage, dimensions and pattern are what a later fine operator must
 	// repeat. When a CSR operator was blocked (planFine), fine is the
-	// blocked pattern instead and expanded is set: the operator's pattern
-	// is its expansion, and the plan keeps no second copy of its columns.
+	// blocked pattern instead and expanded is set: a later operator is
+	// that CSR's pattern, filled into blocks, or a blocked matrix with
+	// fine's pattern, taken as level 0 as it is.
 	fine     sparse.Operator
 	expanded bool
 	// scalar keeps every level in scalar rows: the fine operator is not
@@ -97,8 +98,8 @@ func (p *Plan) fill(fine sparse.Operator) (*MG, error) {
 	}
 	mg := &MG{Opts: p.opts}
 	a := fine
-	if p.expanded {
-		a = p.fine.(*sparse.BSR).FillFromCSR(fine.(*sparse.CSR))
+	if c, ok := fine.(*sparse.CSR); ok && p.expanded {
+		a = p.fine.(*sparse.BSR).FillFromCSR(c)
 	}
 	for l := 0; l <= len(p.rs); l++ {
 		if planning {
@@ -241,7 +242,9 @@ func (p *Plan) planLevel(l int, s, fine sparse.Operator) error {
 }
 
 // matches reports whether the plan was made for fine's storage and
-// pattern, these restrictions and these options.
+// pattern, these restrictions and these options. A plan that blocked its
+// CSR (expanded) matches that CSR's pattern and the blocked matrix itself,
+// so a hierarchy's level 0 is the fine operator of the next fill as it is.
 func (p *Plan) matches(fine sparse.Operator, rs []*sparse.CSR, opts Options) bool {
 	if len(p.rs) != len(rs) {
 		return false
@@ -254,9 +257,8 @@ func (p *Plan) matches(fine sparse.Operator, rs []*sparse.CSR, opts Options) boo
 	if !p.opts.sameShape(opts) {
 		return false
 	}
-	if p.expanded {
-		c, ok := fine.(*sparse.CSR)
-		return ok && p.fine.(*sparse.BSR).Expands(c)
+	if c, ok := fine.(*sparse.CSR); ok && p.expanded {
+		return p.fine.(*sparse.BSR).Expands(c)
 	}
 	return sparse.SamePattern(p.fine, fine)
 }

@@ -142,6 +142,35 @@ func TestPlanFillIsFreshBuild(t *testing.T) {
 	}
 }
 
+// TestPlanTakesItsBlockedLevel0: the blocked level 0 of a hierarchy built
+// on a CSR that blocks with no fill is, handed back in, a fine operator of
+// the same plan: the build reuses the plan, keeps the matrix itself as
+// level 0 and computes what the CSR's build computes, bit for bit.
+func TestPlanTakesItsBlockedLevel0(t *testing.T) {
+	k, f, rs := buildElasticity(t, 5, core.Options{MinCoarse: 10})
+	first, plan, err := Build(nil, k, rs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fine, ok := first.Levels[0].A.(*sparse.BSR)
+	if !ok {
+		t.Fatalf("level 0 of the cube is %T, want *sparse.BSR", first.Levels[0].A)
+	}
+	mg, again, err := Build(plan, fine, rs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != plan {
+		t.Fatal("the blocked level 0 made a new plan")
+	}
+	if mg.Levels[0].A != fine {
+		t.Fatal("the hierarchy built on the blocked level 0 keeps another matrix as level 0")
+	}
+	if d := diffHierarchy(bitsOfHierarchy(t, mg, fine, f), bitsOfHierarchy(t, first, k, f)); d != "" {
+		t.Fatalf("built on the blocked level 0 against built on the CSR: %s", d)
+	}
+}
+
 // TestPlanReplansWhenPinsMove: a coarse dof whose fine support the values
 // make negligible is pinned, which the plan of the first operator did not
 // do; the fill finds another pin list, gives the plan up, and the build is
@@ -184,9 +213,11 @@ func TestPlanReplansWhenPinsMove(t *testing.T) {
 }
 
 // TestPlanReplansOnNewPattern: an operator with one more stored entry
-// (a pair of explicit zeros), another storage or a shorter restriction
-// chain does not match the plan — on a fine level used as handed in, and
-// on one blocked with no fill, whose plan compares against its blocks.
+// (a pair of explicit zeros), in scalar rows or in blocks, or a shorter
+// restriction chain does not match the plan — on a fine level used as
+// handed in, and on one blocked with no fill, whose plan compares against
+// its blocks. Another storage matches only the blocked plan, and only in
+// the blocks it planned.
 func TestPlanReplansOnNewPattern(t *testing.T) {
 	k, f, rs := buildElasticity(t, 5, core.Options{MinCoarse: 10})
 	// Row 0 and the first column it does not store, both ways.
@@ -239,8 +270,13 @@ func TestPlanReplansOnNewPattern(t *testing.T) {
 		if diff := diffHierarchy(bitsOfHierarchy(t, mg, a2, f), bitsOfHierarchy(t, fresh, a2, f)); diff != "" {
 			t.Fatalf("%s: re-planned against a new plan: %s", name, diff)
 		}
-		if plan.matches(sparse.AutoBlock(k, 3), rs, plan.opts) {
-			t.Errorf("%s: the plan of a CSR operator matches its blocked form", name)
+		// A plan that blocked its CSR takes the blocked matrix as level 0
+		// as it is; one that keeps the CSR does not.
+		if got := plan.matches(sparse.AutoBlock(k, 3), rs, plan.opts); got != plan.expanded {
+			t.Errorf("%s: the plan matches the CSR's blocked form: %v, want %v", name, got, plan.expanded)
+		}
+		if plan.matches(sparse.AutoBlock(a2, 3), rs, plan.opts) {
+			t.Errorf("%s: the plan matches the blocked form of another pattern", name)
 		}
 		if plan.matches(k, rs[:1], plan.opts) {
 			t.Errorf("%s: the plan matches a shorter restriction chain", name)

@@ -8,6 +8,7 @@ import (
 
 	prometheus "prometheus"
 	"prometheus/internal/multigrid"
+	"prometheus/internal/sparse"
 )
 
 // mgPoolCap is the compile-time capacity of each entry's idle-multigrid
@@ -22,9 +23,10 @@ const cacheEntryCap = 64
 // cacheEntry is one cached setup product: everything a warm request can
 // reuse, whatever its load scale — the solver (hierarchy + restrictions),
 // the reduced operator, the load map that reduces a load against it, and
-// a pool of ready leases. The entry is built exactly once (single-flight);
-// concurrent first requests for the same key block on the build instead
-// of duplicating it.
+// a pool of ready leases. The reduced operator is stored once: it is
+// level 0 of every lease's hierarchy as well as FPCG's operator. The
+// entry is built exactly once (single-flight); concurrent first requests
+// for the same key block on the build instead of duplicating it.
 type cacheEntry struct {
 	key string
 
@@ -32,13 +34,27 @@ type cacheEntry struct {
 	err  error
 
 	solver *prometheus.Solver
-	// kred is the reduced fine operator.
-	kred prometheus.Operator
-	// loads turns a request's load into kred's right-hand side.
+	// op is the reduced fine operator, level 0 of the first hierarchy:
+	// the reduced CSR in the storage multigrid applies it in (3x3 blocks
+	// for every problem the service serves, whose constraint sets fix
+	// whole nodes). FPCG multiplies by it, and every later lease's
+	// hierarchy is built on it and keeps it, not a copy, as level 0. The
+	// reduced CSR is dropped once the first hierarchy is built.
+	op prometheus.Operator
+	// loads turns a request's load into op's right-hand side.
 	loads   *prometheus.LoadMap
 	numDOF  int
 	levels  int
 	setupNs int64
+	// sharedBytes is what the entry holds once whatever its pool depth:
+	// op, the load map, the plan's patterns and the index arrays and
+	// transfers its leases share. leaseBytes is what each lease holds on
+	// its own; every lease is filled from the same plan, so it is the same
+	// for all of them.
+	sharedBytes, leaseBytes int64
+	// built is set once build has written the fields above: snapshot,
+	// which can run beside a build, reads them only then.
+	built atomic.Bool
 
 	// mgs is the idle lease pool. A multigrid instance carries per-level
 	// scratch vectors, so one instance must never serve two concurrent
@@ -76,22 +92,27 @@ func (e *cacheEntry) build(g *Geometry, opts prometheus.Options) error {
 	}
 	// No right-hand side is built here: each request writes its own load
 	// through the map.
-	kred, loads, err := solver.LinearOperator(prometheus.NewProblem(g.Mesh, g.Models, false))
+	op, loads, err := solver.LinearOperator(prometheus.NewProblem(g.Mesh, g.Models, false))
 	if err != nil {
 		return err
 	}
-	mg, err := solver.Preconditioner(kred)
+	mg, err := solver.Preconditioner(op)
 	if err != nil {
 		return err
 	}
+	owned, shared := mg.Bytes()
 	e.solver = solver
-	e.kred = kred
+	e.op = mg.Levels[0].A
 	e.loads = loads
 	e.numDOF = g.Mesh.NumDOF()
 	e.levels = mg.NumLevels()
+	n := e.op.Rows()
+	e.sharedBytes = sparse.StorageBytes(e.op) + loads.Bytes() + solver.PlanBytes() + shared
+	e.leaseBytes = owned + 8*int64(n)
 	e.setupNs = time.Since(t0).Nanoseconds()
+	e.built.Store(true)
 	e.builds.Add(1)
-	e.Checkin(&lease{mg: mg, fred: make([]float64, kred.Rows())})
+	e.Checkin(&lease{mg: mg, fred: make([]float64, n)})
 	return nil
 }
 
@@ -104,12 +125,12 @@ func (e *cacheEntry) Checkout() (*lease, error) {
 		return l, nil
 	default:
 	}
-	mg, err := e.solver.Preconditioner(e.kred)
+	mg, err := e.solver.Preconditioner(e.op)
 	if err != nil {
 		return nil, err
 	}
 	e.builds.Add(1)
-	return &lease{mg: mg, fred: make([]float64, e.kred.Rows())}, nil
+	return &lease{mg: mg, fred: make([]float64, e.op.Rows())}, nil
 }
 
 // Checkin returns a lease to the idle pool; a full pool drops it (the
@@ -138,6 +159,15 @@ type EntryInfo struct {
 	Builds int64 `json:"builds"`
 	// Refs is the number of requests currently using the entry.
 	Refs int `json:"refs"`
+	// Bytes is the entry's resident size, each shared object counted
+	// once: the reduced operator (sparse.StorageBytes), its load map, the
+	// plan's patterns (Galerkin plans, smoother block plans, the coarse
+	// Cholesky ordering), the coarse index arrays and transfers every
+	// lease shares, and what each idle lease owns — its coarse levels'
+	// values, block and coarse factors, scratch and right-hand side.
+	// Leases checked out and the mesh the entry was built on are not
+	// counted.
+	Bytes int64 `json:"bytes"`
 }
 
 // hierCache maps cache keys to setup products. Lookups are O(1) under
@@ -271,12 +301,13 @@ func (c *hierCache) snapshot() (infos []EntryInfo, hits, misses, evictions int64
 	for _, e := range c.entries {
 		info := EntryInfo{
 			Key:     e.key,
-			NumDOF:  e.numDOF,
-			Levels:  e.levels,
-			SetupNs: e.setupNs,
 			IdleMGs: len(e.mgs),
 			Builds:  e.builds.Load(),
 			Refs:    e.refs,
+		}
+		if e.built.Load() {
+			info.NumDOF, info.Levels, info.SetupNs = e.numDOF, e.levels, e.setupNs
+			info.Bytes = e.sharedBytes + int64(len(e.mgs))*e.leaseBytes
 		}
 		infos = append(infos, info)
 	}

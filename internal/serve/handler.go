@@ -309,7 +309,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	x := make([]float64, len(ls.fred))
 	t0 := time.Now()
-	res := krylov.FPCGMonitoredCtx(ctx, entry.kred, ls.fred, x, mg, req.RTol, req.MaxIters, mon)
+	res := krylov.FPCGMonitoredCtx(ctx, entry.op, ls.fred, x, mg, req.RTol, req.MaxIters, mon)
 	resp.SolveNs = time.Since(t0).Nanoseconds()
 	resp.Iterations = res.Iterations
 	resp.Converged = res.Converged
@@ -331,6 +331,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The reply: the solution expanded to the full numbering, its hash and
+	// the encoded response, all under one span.
+	defer obs.StartTask(evReply, task).End()
 	u := entry.solver.ExpandSolution(x)
 	resp.SolutionHash = SolutionHash(u)
 	if req.ReturnSolution {

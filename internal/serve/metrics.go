@@ -36,4 +36,7 @@ var (
 	// evLoad spans a request's load reduction: its scaled load written
 	// through the entry's load map into the lease's right-hand side.
 	evLoad = obs.Register("serve.load")
+	// evReply spans a solved request's reply: the solution expanded to the
+	// full numbering, its hash, and the response encoded and written.
+	evReply = obs.Register("serve.reply")
 )

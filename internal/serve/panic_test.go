@@ -158,7 +158,7 @@ func TestPanicInsideKernelAnswers500(t *testing.T) {
 	built := postSolve(t, ts, req)
 	svc.cache.mu.Lock()
 	entry := svc.cache.entries[built.Key]
-	entry.kred = panickyOperator{entry.kred}
+	entry.op = panickyOperator{entry.op}
 	svc.cache.mu.Unlock()
 
 	body, err := json.Marshal(req)

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"prometheus/internal/obs"
+	"prometheus/internal/sparse"
 )
 
 // newTestServer spins a service + httptest listener.
@@ -191,6 +192,14 @@ func TestServeCacheSkipsSetup(t *testing.T) {
 
 	_, ts := newTestServer(t, Config{})
 	spec := Spec{Problem: "cube", Size: 1}
+	count := func(p *obs.Profile, name string) int64 {
+		e, ok := p.Event(name)
+		if !ok {
+			return 0
+		}
+		return e.Totals().Count
+	}
+	replies := count(obs.Snapshot(), "serve.reply")
 
 	first := postSolve(t, ts, SolveRequest{Spec: spec})
 	if first.CacheHit {
@@ -200,13 +209,6 @@ func TestServeCacheSkipsSetup(t *testing.T) {
 		t.Fatalf("first request reported setup_ns = %d, want > 0", first.SetupNs)
 	}
 
-	count := func(p *obs.Profile, name string) int64 {
-		e, ok := p.Event(name)
-		if !ok {
-			return 0
-		}
-		return e.Totals().Count
-	}
 	setup := []string{"core.coarsen", "fem.assemble", "fem.reduce", "mg.setup", "mg.setup.galerkin"}
 	before := obs.Snapshot()
 	for _, ev := range setup {
@@ -236,6 +238,98 @@ func TestServeCacheSkipsSetup(t *testing.T) {
 	}
 	if third := postSolve(t, ts, SolveRequest{Spec: spec}); third.SolutionHash != first.SolutionHash {
 		t.Fatalf("warm solution hash %s differs from cold %s", third.SolutionHash, first.SolutionHash)
+	}
+	// Each reply ends its serve.reply span once the response is written,
+	// so the third one may still be open when its client has read it.
+	waitFor(t, "three serve.reply spans", func() bool { return count(obs.Snapshot(), "serve.reply") == replies+3 })
+}
+
+// TestEntryStoresItsOperatorOnce: an entry's reduced operator is the one
+// fine matrix of every lease, and /v1/cache counts it once. The operator
+// is level 0 of the first hierarchy, blocked (the cube fixes whole nodes),
+// and every lease's hierarchy has it itself as level 0, so a lease adds to
+// the entry's bytes exactly what it owns — coarse values, factors, scratch
+// and its right-hand side — and never a copy of the fine matrix; with no
+// lease idle the entry holds the operator, its load map, the plan's
+// patterns and what the leases share.
+func TestEntryStoresItsOperatorOnce(t *testing.T) {
+	svc, ts := newTestServer(t, Config{})
+	built := postSolve(t, ts, SolveRequest{Spec: Spec{Problem: "cube", Size: 1}})
+	svc.cache.mu.Lock()
+	entry := svc.cache.entries[built.Key]
+	svc.cache.mu.Unlock()
+	if _, ok := entry.op.(*sparse.BSR); !ok {
+		t.Fatalf("the entry's operator is %T, want the blocked level 0, a *sparse.BSR", entry.op)
+	}
+	entryBytes := func() int64 {
+		var cb cacheBody
+		getJSON(t, ts.URL+"/v1/cache", &cb)
+		if len(cb.Entries) != 1 {
+			t.Fatalf("%d cache entries, want 1", len(cb.Entries))
+		}
+		return cb.Entries[0].Bytes
+	}
+	// The handler checks its lease in after the reply is written.
+	waitFor(t, "the first request's lease back in the pool", func() bool { return len(entry.mgs) == 1 })
+	withOne := entryBytes()
+	leases := make([]*lease, 3) // the idle one, then two built fresh
+	for i := range leases {
+		l, err := entry.Checkout()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.mg.Levels[0].A != entry.op {
+			t.Fatalf("lease %d: level 0 is not the entry's operator", i)
+		}
+		if owned, _ := l.mg.Bytes(); owned+8*int64(len(l.fred)) != entry.leaseBytes {
+			t.Fatalf("lease %d owns %d bytes, want the entry's %d per lease", i, owned+8*int64(len(l.fred)), entry.leaseBytes)
+		}
+		leases[i] = l
+	}
+	_, shared := leases[0].mg.Bytes()
+	fine := sparse.StorageBytes(entry.op)
+	want := fine + entry.loads.Bytes() + entry.solver.PlanBytes() + shared
+	if got := entryBytes(); got != want {
+		t.Fatalf("no lease idle: %d bytes, want the operator's %d + the load map's %d + the plan's %d + the shared %d",
+			got, fine, entry.loads.Bytes(), entry.solver.PlanBytes(), shared)
+	}
+	if withOne != want+entry.leaseBytes {
+		t.Fatalf("one lease idle: %d bytes, want %d + the lease's %d", withOne, want, entry.leaseBytes)
+	}
+	for i, l := range leases {
+		entry.Checkin(l)
+		if got := entryBytes(); got != want+int64(i+1)*entry.leaseBytes {
+			t.Fatalf("%d leases idle: %d bytes, want %d", i+1, got, want+int64(i+1)*entry.leaseBytes)
+		}
+	}
+}
+
+// TestCacheSnapshotDuringBuild: /v1/cache may be read while an entry is
+// still being built; it reports the entry's key, and its sizes only once
+// the build has written them (a data race under -race otherwise).
+func TestCacheSnapshotDuringBuild(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := trySolve(ts, SolveRequest{Spec: Spec{Problem: "cube", Size: 2}})
+		done <- err
+	}()
+	for {
+		var cb cacheBody
+		getJSON(t, ts.URL+"/v1/cache", &cb)
+		for _, e := range cb.Entries {
+			if (e.NumDOF == 0) != (e.Bytes == 0) {
+				t.Fatalf("entry %+v: sizes half written", e)
+			}
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		default:
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ package smooth
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"prometheus/internal/graph"
 	"prometheus/internal/la"
@@ -459,4 +460,34 @@ func (s *CGSmoother) Flops() int64 { return s.flops + s.Inner.Flops() }
 func (s *CGSmoother) SetTask(t *obs.Task) {
 	s.taskRef.SetTask(t)
 	s.Inner.SetTask(t)
+}
+
+// bytes returns the bytes of the plan's arrays: the blocks and their
+// write sets, each dof's position and the factors' envelopes.
+func (p *BlockPlan) bytes() int64 {
+	n := len(p.off) + len(p.facOff) + len(p.pos)
+	for _, b := range p.blocks {
+		n += len(b)
+	}
+	for _, e := range p.env {
+		n += len(e)
+	}
+	return 8*int64(n) + 24*int64(len(p.blocks)+len(p.env)) + 4*int64(len(p.ws))
+}
+
+// Bytes returns the bytes of the smoother: owned is what it holds alone,
+// its block factors (FactorLen values) and the block solves' scratch;
+// shared is its plan, which every smoother factored from it holds in
+// common.
+func (s *DomainBlockJacobi) Bytes() (owned, shared int64) {
+	// facOff is nondecreasing from 0: its largest entry is FactorLen.
+	return 8 * int64(slices.Max(s.plan.facOff)+len(s.scratch)), s.plan.bytes()
+}
+
+// Bytes returns the bytes of the smoother, split as
+// DomainBlockJacobi.Bytes splits them, with the CG vectors owned. The
+// matrix it smooths is not its own and is not counted.
+func (s *CGSmoother) Bytes() (owned, shared int64) {
+	owned, shared = s.Inner.Bytes()
+	return owned + 8*int64(len(s.r)+len(s.z)+len(s.p)+len(s.ap)), shared
 }

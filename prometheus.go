@@ -243,7 +243,10 @@ type Result struct {
 // blocks into 3x3 node blocks with no fill, as it does when every vertex
 // is fully free or fully fixed, is applied in blocks, and each Galerkin
 // level below is one matrix, formed, pinned and applied in 3x3 blocks
-// wherever its pattern blocks, whatever the fine level is.
+// wherever its pattern blocks, whatever the fine level is. A *BSR is
+// level 0 as handed in: mg.Levels[0].A of a hierarchy built on a blocked
+// CSR serves as the operator of the next build with the same pattern, so
+// every hierarchy built on it shares one fine matrix.
 //
 // The solver keeps the plan of the last hierarchy it built — patterns,
 // partitions, orderings (multigrid.Plan). An operator with the same
@@ -269,6 +272,18 @@ func (s *Solver) Preconditioner(kred Operator) (*multigrid.MG, error) {
 	s.plan = plan
 	s.mu.Unlock()
 	return mg, nil
+}
+
+// PlanBytes returns the bytes of the index arrays that the plan of the
+// last hierarchy built keeps alive beyond the hierarchies filled from it
+// (multigrid.Plan.PatternBytes); 0 before the first Preconditioner call.
+func (s *Solver) PlanBytes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.plan == nil {
+		return 0
+	}
+	return s.plan.PatternBytes()
 }
 
 // restrictions returns the restriction chain, building it from kred on
@@ -361,7 +376,10 @@ func (s *Solver) LinearOperator(p *Problem) (Operator, *LoadMap, error) {
 // SolveLinear solves K·u = f where K and f are assembled on the full dof
 // numbering of the mesh and the solver's constraints prescribe u on the
 // Dirichlet set, with the multigrid-preconditioned FPCG. The returned u is
-// full-length with the prescribed values in place.
+// full-length with the prescribed values in place. FPCG multiplies by the
+// hierarchy's level 0, the reduced matrix in the storage multigrid applies
+// it in: blocking is a kernel choice, so every product is bit for bit the
+// reduced CSR's.
 func (s *Solver) SolveLinear(k *CSR, f []float64) ([]float64, *Result, error) {
 	kred, fred := s.ReduceSystem(k, f)
 	mg, err := s.Preconditioner(kred)
@@ -369,7 +387,7 @@ func (s *Solver) SolveLinear(k *CSR, f []float64) ([]float64, *Result, error) {
 		return nil, nil, fmt.Errorf("prometheus: matrix setup: %w", err)
 	}
 	x := make([]float64, kred.Rows())
-	res := krylov.FPCG(kred, fred, x, mg, s.Opts.RTol, s.Opts.MaxIters)
+	res := krylov.FPCG(mg.Levels[0].A, fred, x, mg, s.Opts.RTol, s.Opts.MaxIters)
 	u := make([]float64, s.Mesh.NumDOF())
 	s.cons.Expand(x, s.dofMap, u)
 	out := &Result{
