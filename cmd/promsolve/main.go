@@ -125,7 +125,7 @@ func main() {
 	solver, err := prometheus.NewSolver(m, cons, opts)
 	fail(err)
 	counts, ratios := solver.VertexReduction()
-	fmt.Printf("mesh setup: %v, %d levels, vertices per level %v (ratios %v)\n",
+	fmt.Printf("mesh setup: %v, %d levels, vertices per grid %v (ratios %v)\n",
 		time.Since(t0).Round(time.Millisecond), solver.NumLevels(), counts, fmtRatios(ratios))
 
 	bbar := *problem == "spheres"

@@ -36,7 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 	counts, _ := solver.VertexReduction()
-	fmt.Printf("grid hierarchy: %d levels, vertices per level %v\n",
+	fmt.Printf("grid hierarchy: %d levels, vertices per grid %v\n",
 		solver.NumLevels(), counts)
 
 	// 4. Assemble the stiffness matrix (steel-like linear elasticity).

@@ -41,7 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 	counts, _ := solver.VertexReduction()
-	fmt.Printf("hierarchy: %d levels, vertices %v\n", solver.NumLevels(), counts)
+	fmt.Printf("hierarchy: %d levels, vertices per grid %v\n", solver.NumLevels(), counts)
 
 	// B-bar elements for the nearly incompressible rubber (nu = 0.49).
 	p := prometheus.NewProblem(s.Mesh, s.Models, true)

@@ -231,8 +231,9 @@ func TestCoarsenRejectsInvalidMesh(t *testing.T) {
 // kernel, kept as the reference the kernel must equal bit for bit: coarse
 // ids, kept tetrahedra and the fallback's distances in maps, one walk
 // whose start is the last tetrahedron found, rows accumulated in a
-// sparse.Builder. It returns R, the lost count, and false where the
-// builder gave up on the level.
+// sparse.Builder, and a fallback that evaluates a tetrahedron at every
+// coarse vertex found that it touches. It returns R, the lost count, and
+// false where the builder gave up on the level.
 func referenceRestriction(m *mesh.Mesh, mis []int, tri *delaunay.Triangulation, eps float64) (*sparse.CSR, int, bool) {
 	g := m.NodeGraph()
 	coords := make([]geom.Vec3, len(mis))
@@ -344,6 +345,39 @@ func referenceRestriction(m *mesh.Mesh, mis []int, tri *delaunay.Triangulation, 
 		}
 	}
 	return sparse.ExpandBlocks(rb.Build(), 3), lost, true
+}
+
+// TestLostVerticesMatchReference: the fallback of section 4.8 evaluates
+// each candidate tetrahedron once, where the reference's loop evaluates it
+// at every coarse vertex found that it touches. On a coarse cube covering
+// an eighth of the fine one, so that most fine vertices are lost and
+// search among many shared tetrahedra, the rows are the reference's bit
+// for bit: the first strict maximum wins in both.
+func TestLostVerticesMatchReference(t *testing.T) {
+	const n = 8
+	m := cubeMesh(n)
+	inner := func(x float64) bool { i := int(math.Round(n * x)); return i%2 == 0 && i <= n/2 }
+	mis := m.VertsWhere(func(p geom.Vec3) bool { return inner(p.X) && inner(p.Y) && inner(p.Z) })
+	coords := make([]geom.Vec3, len(mis))
+	for i, v := range mis {
+		coords[i] = m.Coords[v]
+	}
+	tri, err := delaunay.New(coords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps := Options{}.withDefaults().Eps
+	r, lost, ok := newRestrictKernel(m.Coords, m.NodeGraph(), mis, tri, tri.Tets(), eps).build()
+	want, wantLost, wantOK := referenceRestriction(m, mis, tri, eps)
+	if !ok || !wantOK {
+		t.Fatalf("built %v, the reference %v", ok, wantOK)
+	}
+	if lost != wantLost || 2*lost < m.NumVerts() {
+		t.Fatalf("%d lost vertices of %d, the reference %d", lost, m.NumVerts(), wantLost)
+	}
+	if err := sameCSR(r, want); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // referenceCoarseMesh is the coarse tetrahedral mesh as it was built

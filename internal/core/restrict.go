@@ -59,11 +59,12 @@ type RestrictKernel struct {
 }
 
 // restrictLane is one lane's scratch: the walk hint, and the fallback's
-// breadth-first search over the fine graph, whose visited marks are
-// stamped so no search clears them.
+// breadth-first search over the fine graph and its candidate tetrahedra,
+// whose visited marks are stamped so no search clears them.
 type restrictLane struct {
 	hint         int
-	seen         []int32
+	seen         []int32 // per fine vertex
+	tried        []int32 // per tetrahedron
 	stamp        int32
 	queue, depth []int32
 	found        []int32
@@ -192,9 +193,11 @@ func (k *RestrictKernel) row(ln *restrictLane, v int) {
 func (k *RestrictKernel) nearby(ln *restrictLane, v int) ([4]int, [4]float64, bool) {
 	if ln.seen == nil {
 		ln.seen = make([]int32, len(k.fine))
+		ln.tried = make([]int32, len(k.tets))
 	}
 	if ln.stamp == math.MaxInt32 {
 		clear(ln.seen)
+		clear(ln.tried)
 		ln.stamp = 0
 	}
 	ln.stamp++
@@ -228,11 +231,18 @@ func (k *RestrictKernel) nearby(ln *restrictLane, v int) ([4]int, [4]float64, bo
 	}
 	ln.queue, ln.depth, ln.found = queue, depth, found
 
+	// A tetrahedron incident to several coarse vertices found is evaluated
+	// at its first listing only: a repeat has the same weights, so it could
+	// not be a strict maximum there.
 	best := -1
 	bestMin := -1e300
 	var bestW [4]float64
 	for _, j := range found {
 		for _, ti := range k.inc[k.incPtr[j]:k.incPtr[j+1]] {
+			if ln.tried[ti] == s {
+				continue
+			}
+			ln.tried[ti] = s
 			tet := k.tets[ti]
 			bw, okB := geom.Barycentric(k.tri.Point(tet[0]), k.tri.Point(tet[1]), k.tri.Point(tet[2]), k.tri.Point(tet[3]), k.fine[v])
 			if !okB {

@@ -7,11 +7,14 @@ import (
 	"sync"
 	"testing"
 
+	"prometheus"
+	"prometheus/internal/graph"
 	"prometheus/internal/perf"
 	"prometheus/internal/problems"
 )
 
-// tinySpec is the grid the render tests run on: 648 dof, four levels.
+// tinySpec is the grid the render tests run on: 648 dof, four grids, of
+// which the solver folds one.
 // prombench runs the same report bodies at the paper-series sizes.
 var tinySpec = SizeSpec{
 	Name:  "tiny",
@@ -49,20 +52,20 @@ func TestRunLinearSmallest(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := runs[0]
-	if r.Dof != 3000 || r.Free != 2600 || r.Iters != 22 || r.Levels != 4 || r.Lost != 230 {
-		t.Fatalf("dof %d free %d iters %d levels %d lost %d, want 3000 2600 22 4 230",
+	if r.Dof != 3000 || r.Free != 2600 || r.Iters != 24 || r.Levels != 3 || r.Lost != 230 {
+		t.Fatalf("dof %d free %d iters %d levels %d lost %d, want 3000 2600 24 3 230",
 			r.Dof, r.Free, r.Iters, r.Levels, r.Lost)
 	}
-	if r.SolveFlops != 217639946 || r.SetupFlops != 21947216 {
-		t.Fatalf("solve flops %d setup flops %d, want 217639946 21947216", r.SolveFlops, r.SetupFlops)
+	if r.SolveFlops != 141067832 || r.SetupFlops != 15292180 {
+		t.Fatalf("solve flops %d setup flops %d, want 141067832 15292180", r.SolveFlops, r.SetupFlops)
 	}
 	for _, c := range []struct {
 		name      string
 		got, want []int64
 	}{
-		{"rank flops", r.RankFlops, []int64{137925016, 79714926}},
-		{"rank bytes", r.RankBytes, []int64{2179619, 3078013}},
-		{"rank msgs", r.RankMsgs, []int64{982, 982}},
+		{"rank flops", r.RankFlops, []int64{82448552, 58619277}},
+		{"rank bytes", r.RankBytes, []int64{1593781, 1780828}},
+		{"rank msgs", r.RankMsgs, []int64{616, 616}},
 	} {
 		if !slices.Equal(c.got, c.want) {
 			t.Fatalf("%s %v, want %v", c.name, c.got, c.want)
@@ -121,8 +124,8 @@ func TestReportsRender(t *testing.T) {
 	}
 	out := b.String()
 	wantLines(t, out,
-		"3000 2 22 4 53 0.79",                      // Table 2
-		"2 2600 3804.894 1.00 1.00 0.79 1.00 1.00", // Figure 11
+		"3000 2 24 3 57 0.86",                      // Table 2
+		"2 2600 2260.702 1.00 1.00 0.86 1.00 1.00", // Figure 11
 		"plain MIS (Figure 4) 49 0 49",
 		"modified graph (Figure 5-6) 87 38 49",
 		"MG-PCG on slab bending: modified-graph hierarchy 42 its (3 levels)",
@@ -220,13 +223,13 @@ func TestSlowReportsRender(t *testing.T) {
 	}
 	out := b.String()
 	wantLines(t, out,
-		"MIS geometric (this paper) 4 9 3.15",
+		"MIS geometric (this paper) 3 12 2.17",
 		"smoothed aggregation [25] 2 11 1.59",
-		"8 RHS solved with one mesh + matrix setup (72 total PCG its); transient analyses amortize the setup phases exactly as section 6 describes",
-		"0.500 38 10", "0.707 46 11", "0.866 52 9", "0.966 102 9",
-		"reclassify from grid 2 (paper) 9", "never reclassify 9", "reclassify every grid 10",
-		"1/1000 1", "6/1000 9", "24/1000 15", "96/1000 18",
-		"FMG (paper) 9", "V-cycle 16",
+		"8 RHS solved with one mesh + matrix setup (96 total PCG its); transient analyses amortize the setup phases exactly as section 6 describes",
+		"0.500 38 10", "0.707 46 11", "0.866 52 12", "0.966 102 11",
+		"reclassify from grid 2 (paper) 12", "never reclassify 9", "reclassify every grid 10",
+		"1/1000 1", "6/1000 12", "24/1000 16", "96/1000 18",
+		"FMG (paper) 12", "V-cycle 16",
 	)
 	for _, want := range []string{"Figure 13", "smoothed aggregation", "amortization",
 		"tolerance TOL", "reclassification policy", "block Jacobi density", "multigrid cycle"} {
@@ -274,5 +277,40 @@ func TestWriteSeriesCSV(t *testing.T) {
 	}
 	if err := WriteSeriesCSV(&b, nil); err == nil {
 		t.Fatal("expected error on empty runs")
+	}
+}
+
+// TestLevelOwnersFollowFoldedGrids: tinySpec's grid 2 keeps 0.899 of grid
+// 1 and is folded, so the rank model chains vertex owners through a grid
+// no level stands on; each level's owner list still has that level's
+// dimension and names a simulated rank for every dof.
+func TestLevelOwnersFollowFoldedGrids(t *testing.T) {
+	s := problems.NewSpheresConfig(tinySpec.Cfg)
+	solver, err := incrementSolver(s, prometheus.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counts, _ := solver.VertexReduction(); solver.NumLevels() >= len(counts) {
+		t.Fatalf("%d levels from grids %v: no grid folded", solver.NumLevels(), counts)
+	}
+	_, k, r, err := assembleFirstTangent(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kred, _ := solver.ReduceSystem(k, r)
+	mg, err := solver.Preconditioner(kred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owners := levelOwners(solver, graph.RCB(s.Mesh.Coords, tinySpec.Ranks), mg.NumLevels())
+	for l, lvl := range mg.Levels {
+		if len(owners[l]) != lvl.A.Rows() {
+			t.Fatalf("level %d: %d owners for %d dofs", l, len(owners[l]), lvl.A.Rows())
+		}
+		for _, o := range owners[l] {
+			if o < 0 || o >= tinySpec.Ranks {
+				t.Fatalf("level %d: owner %d of %d ranks", l, o, tinySpec.Ranks)
+			}
+		}
 	}
 }

@@ -191,42 +191,47 @@ func RunLinear(spec SizeSpec, machine perf.Machine) (*LinearRun, error) {
 	return out, nil
 }
 
+// levelOwners returns the simulated rank owning each dof of each of the
+// first n multigrid levels. Level 0's reduced dofs take their fine
+// vertex's owner; a coarse vertex takes the owner of the fine vertex it
+// came from, chained through the Verts maps (grid g vertex j came from
+// grid g-1 vertex Verts[j]) of every grid from the last level's to this
+// level's, folded grids included.
+func levelOwners(solver *prometheus.Solver, fineVertOwner []int, n int) [][]int {
+	owners := make([][]int, n)
+	free := solver.FreeDofs()
+	owners[0] = make([]int, len(free))
+	for rIdx, full := range free {
+		owners[0][rIdx] = fineVertOwner[full/3]
+	}
+	h := solver.Hier
+	vertOwner := fineVertOwner
+	for l := 1; l < n; l++ {
+		for gi := solver.LevelGrid(l-1) + 1; gi <= solver.LevelGrid(l); gi++ {
+			co := make([]int, len(h.Grids[gi].Verts))
+			for j, v := range h.Grids[gi].Verts {
+				co[j] = vertOwner[v]
+			}
+			vertOwner = co
+		}
+		od := make([]int, 3*len(vertOwner))
+		for j, ow := range vertOwner {
+			od[3*j] = ow
+			od[3*j+1] = ow
+			od[3*j+2] = ow
+		}
+		owners[l] = od
+	}
+	return owners
+}
+
 // model distributes measured per-level flops across ranks in proportion to
 // owned matrix rows (nnz) and derives halo communication volumes from the
 // actual level operators under the inherited RCB partition.
 func (lr *LinearRun) model(solver *prometheus.Solver, fineVertOwner []int,
 	mg *multigrid.MG, ranks int, machine perf.Machine) error {
 
-	// Owner per dof, per level. Level 0: reduced dofs -> fine vertex owner.
-	levelOwners := make([][]int, mg.NumLevels())
-	free := solver.FreeDofs()
-	o0 := make([]int, len(free))
-	for rIdx, full := range free {
-		o0[rIdx] = fineVertOwner[full/3]
-	}
-	levelOwners[0] = o0
-	// Coarser levels: chain the Verts maps (grid l vertex j came from grid
-	// l-1 vertex Verts[j]).
-	h := solver.Hier
-	vertOwner := fineVertOwner
-	for l := 1; l < h.NumLevels(); l++ {
-		g := h.Grids[l]
-		co := make([]int, g.Mesh.NumVerts())
-		for j, v := range g.Verts {
-			co[j] = vertOwner[v]
-		}
-		vertOwner = co
-		od := make([]int, 3*g.Mesh.NumVerts())
-		for j, ow := range co {
-			od[3*j] = ow
-			od[3*j+1] = ow
-			od[3*j+2] = ow
-		}
-		if l < mg.NumLevels() {
-			levelOwners[l] = od
-		}
-	}
-
+	dofOwners := levelOwners(solver, fineVertOwner, mg.NumLevels())
 	lr.RankFlops = make([]int64, ranks)
 	lr.RankBytes = make([]int64, ranks)
 	lr.RankMsgs = make([]int64, ranks)
@@ -238,7 +243,7 @@ func (lr *LinearRun) model(solver *prometheus.Solver, fineVertOwner []int,
 		// The communication model traverses rows; take a scalar view of the
 		// level operator (identity for CSR levels, expansion for BSR).
 		a := sparse.AsCSR(lvl.A)
-		owners := levelOwners[l]
+		owners := dofOwners[l]
 		if len(owners) != a.NRows {
 			return fmt.Errorf("experiments: owner mismatch at level %d: %d vs %d", l, len(owners), a.NRows)
 		}

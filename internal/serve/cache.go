@@ -41,16 +41,19 @@ type cacheEntry struct {
 	// hierarchy is built on it and keeps it, not a copy, as level 0. The
 	// reduced CSR is dropped once the first hierarchy is built.
 	op prometheus.Operator
-	// loads turns a request's load into op's right-hand side.
+	// loads turns a request's load into op's right-hand side, and load is
+	// the geometry's reference load (full dof numbering) a request scales,
+	// kept so a warm hit builds no geometry.
 	loads   *prometheus.LoadMap
+	load    []float64
 	numDOF  int
 	levels  int
 	setupNs int64
 	// sharedBytes is what the entry holds once whatever its pool depth:
-	// op, the load map, the plan's patterns and the index arrays and
-	// transfers its leases share. leaseBytes is what each lease holds on
-	// its own; every lease is filled from the same plan, so it is the same
-	// for all of them.
+	// op, the load map and reference load, the plan's patterns and the
+	// index arrays and transfers its leases share. leaseBytes is what each
+	// lease holds on its own; every lease is filled from the same plan, so
+	// it is the same for all of them.
 	sharedBytes, leaseBytes int64
 	// built is set once build has written the fields above: snapshot,
 	// which can run beside a build, reads them only then.
@@ -104,10 +107,11 @@ func (e *cacheEntry) build(g *Geometry, opts prometheus.Options) error {
 	e.solver = solver
 	e.op = mg.Levels[0].A
 	e.loads = loads
+	e.load = g.Load
 	e.numDOF = g.Mesh.NumDOF()
 	e.levels = mg.NumLevels()
 	n := e.op.Rows()
-	e.sharedBytes = sparse.StorageBytes(e.op) + loads.Bytes() + solver.PlanBytes() + shared
+	e.sharedBytes = sparse.StorageBytes(e.op) + loads.Bytes() + 8*int64(len(e.load)) + solver.PlanBytes() + shared
 	e.leaseBytes = owned + 8*int64(n)
 	e.setupNs = time.Since(t0).Nanoseconds()
 	e.built.Store(true)
@@ -161,12 +165,12 @@ type EntryInfo struct {
 	Refs int `json:"refs"`
 	// Bytes is the entry's resident size, each shared object counted
 	// once: the reduced operator (sparse.StorageBytes), its load map, the
-	// plan's patterns (Galerkin plans, smoother block plans, the coarse
-	// Cholesky ordering), the coarse index arrays and transfers every
-	// lease shares, and what each idle lease owns — its coarse levels'
-	// values, block and coarse factors, scratch and right-hand side.
-	// Leases checked out and the mesh the entry was built on are not
-	// counted.
+	// reference load, the plan's patterns (Galerkin plans, smoother block
+	// plans, the coarse Cholesky ordering), the coarse index arrays and
+	// transfers every lease shares, and what each idle lease owns — its
+	// coarse levels' values, block and coarse factors, scratch and
+	// right-hand side. Leases checked out and the mesh the entry was built
+	// on are not counted.
 	Bytes int64 `json:"bytes"`
 }
 
@@ -195,13 +199,14 @@ func newHierCache(maxEntries int) *hierCache {
 }
 
 // Acquire returns the entry for key, building it (single-flight) on a
-// miss. hit reports whether the setup products already existed. A nil
+// miss from the geometry that geometry returns; a hit does not call it.
+// hit reports whether the setup products already existed. A nil
 // error guarantees a usable entry the caller must Release on all paths;
 // on error the reference is already released. A build that panics is a
 // failed build: the panic unwinds through the request that ran it, with
 // its reference released and the key dropped on the way, and the requests
 // waiting on it get errBuildPanicked.
-func (c *hierCache) Acquire(key string, g *Geometry, opts prometheus.Options) (e *cacheEntry, hit bool, err error) {
+func (c *hierCache) Acquire(key string, geometry func() (*Geometry, error), opts prometheus.Options) (e *cacheEntry, hit bool, err error) {
 	c.mu.Lock()
 	e, hit = c.entries[key]
 	if !hit {
@@ -234,6 +239,11 @@ func (c *hierCache) Acquire(key string, g *Geometry, opts prometheus.Options) (e
 	}()
 	e.once.Do(func() {
 		e.err = errBuildPanicked // what the waiters read if build does not return
+		g, err := geometry()
+		if err != nil {
+			e.err = err
+			return
+		}
 		e.err = e.build(g, opts)
 	})
 	if e.err != nil {

@@ -228,15 +228,22 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	sess := s.sessions.Checkout(req.Problem, req.Size, task)
 	defer s.sessions.Checkin(sess)
 
-	g, err := BuildGeometry(req.Spec)
+	key, g, err := s.keys.lookup(req.Spec, opts.Coarsen)
 	if err != nil {
 		failJSON(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	key := g.Fingerprint(opts.Coarsen)
 	sess.setKey(key)
 
-	entry, hit, err := s.cache.Acquire(key, g, opts)
+	// A remembered key built no geometry: a miss on it (a key evicted
+	// since) builds one inside the single-flight build.
+	geometry := func() (*Geometry, error) {
+		if g != nil {
+			return g, nil
+		}
+		return BuildGeometry(req.Spec)
+	}
+	entry, hit, err := s.cache.Acquire(key, geometry, opts)
 	if err != nil {
 		failJSON(w, http.StatusInternalServerError, fmt.Sprintf("serve: setup: %v", err))
 		return
@@ -263,7 +270,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	defer mg.SetTask(nil)
 
 	sp := obs.StartTask(evLoad, task)
-	entry.loads.Apply(ls.fred, g.Load, req.LoadScale)
+	entry.loads.Apply(ls.fred, entry.load, req.LoadScale)
 	sp.End()
 
 	resp := SolveResponse{

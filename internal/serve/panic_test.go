@@ -260,7 +260,7 @@ func TestPanickingBuildReleasesWaiters(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			defer func() { panics[i] = recover() }()
-			_, _, errs[i] = c.Acquire(key, g, opts)
+			_, _, errs[i] = c.Acquire(key, built(g), opts)
 		}(i)
 	}
 	// Let the build go on only once every request holds its reference:
@@ -300,7 +300,7 @@ func TestPanickingBuildReleasesWaiters(t *testing.T) {
 		t.Fatal("the failed entry stayed in the cache")
 	}
 	g.Models = healthy
-	e, hit, err := c.Acquire(key, g, opts)
+	e, hit, err := c.Acquire(key, built(g), opts)
 	if err != nil || hit {
 		t.Fatalf("rebuilding the key after the panic: hit=%v err=%v", hit, err)
 	}

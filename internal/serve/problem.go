@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	prometheus "prometheus"
@@ -26,8 +27,9 @@ type Spec struct {
 
 // Geometry is a built problem: mesh, Dirichlet set, materials and the
 // unit reference load vector. It is cheap relative to hierarchy setup
-// (structured generation, no assembly), so the service rebuilds it per
-// request to compute the fingerprint before consulting the cache.
+// (structured generation, no assembly): the service builds it to learn a
+// spec's fingerprint the first time it sees the spec, and again for a
+// cache miss on a key it already knows.
 type Geometry struct {
 	// Mesh is the fine-grid mesh.
 	Mesh *prometheus.Mesh
@@ -107,6 +109,44 @@ func (g *Geometry) AssembleLinear(scale float64) (*prometheus.CSR, []float64, er
 // its own scaled load through it.
 func (g *Geometry) Fingerprint(opts prometheus.CoarsenOptions) string {
 	return core.Fingerprint(g.Mesh, g.Cons.Fixed, opts)
+}
+
+// specKeys remembers the cache key of each (spec, coarsening options)
+// pair the service has fingerprinted, so a request for a known geometry
+// builds no mesh to find its entry. Requests choose only the spec, whose
+// problem and size validate bounds, so it holds at most 2·maxSize keys.
+type specKeys struct {
+	mu   sync.Mutex
+	keys map[specKey]string
+}
+
+type specKey struct {
+	spec Spec
+	opts prometheus.CoarsenOptions
+}
+
+// lookup returns spec's cache key under opts. The first time it sees the
+// pair it builds the geometry to fingerprint it and returns that geometry
+// too; afterwards g is nil.
+func (k *specKeys) lookup(spec Spec, opts prometheus.CoarsenOptions) (key string, g *Geometry, err error) {
+	sk := specKey{spec, opts}
+	k.mu.Lock()
+	key, ok := k.keys[sk]
+	k.mu.Unlock()
+	if ok {
+		return key, nil, nil
+	}
+	if g, err = BuildGeometry(spec); err != nil {
+		return "", nil, err
+	}
+	key = g.Fingerprint(opts)
+	k.mu.Lock()
+	if k.keys == nil {
+		k.keys = make(map[specKey]string)
+	}
+	k.keys[sk] = key
+	k.mu.Unlock()
+	return key, g, nil
 }
 
 // solverOptions maps request-level solve parameters onto the library

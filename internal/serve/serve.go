@@ -69,6 +69,7 @@ type Server struct {
 	adm      *admission
 	sessions *sessionManager
 	cache    *hierCache
+	keys     specKeys
 
 	log *slog.Logger
 

@@ -250,8 +250,8 @@ func TestServeCacheSkipsSetup(t *testing.T) {
 // and every lease's hierarchy has it itself as level 0, so a lease adds to
 // the entry's bytes exactly what it owns — coarse values, factors, scratch
 // and its right-hand side — and never a copy of the fine matrix; with no
-// lease idle the entry holds the operator, its load map, the plan's
-// patterns and what the leases share.
+// lease idle the entry holds the operator, its load map, the reference
+// load, the plan's patterns and what the leases share.
 func TestEntryStoresItsOperatorOnce(t *testing.T) {
 	svc, ts := newTestServer(t, Config{})
 	built := postSolve(t, ts, SolveRequest{Spec: Spec{Problem: "cube", Size: 1}})
@@ -288,10 +288,11 @@ func TestEntryStoresItsOperatorOnce(t *testing.T) {
 	}
 	_, shared := leases[0].mg.Bytes()
 	fine := sparse.StorageBytes(entry.op)
-	want := fine + entry.loads.Bytes() + entry.solver.PlanBytes() + shared
+	load := 8 * int64(len(entry.load))
+	want := fine + entry.loads.Bytes() + load + entry.solver.PlanBytes() + shared
 	if got := entryBytes(); got != want {
-		t.Fatalf("no lease idle: %d bytes, want the operator's %d + the load map's %d + the plan's %d + the shared %d",
-			got, fine, entry.loads.Bytes(), entry.solver.PlanBytes(), shared)
+		t.Fatalf("no lease idle: %d bytes, want the operator's %d + the load map's %d + the load's %d + the plan's %d + the shared %d",
+			got, fine, entry.loads.Bytes(), load, entry.solver.PlanBytes(), shared)
 	}
 	if withOne != want+entry.leaseBytes {
 		t.Fatalf("one lease idle: %d bytes, want %d + the lease's %d", withOne, want, entry.leaseBytes)
@@ -501,6 +502,37 @@ func TestAdmissionBeforeGeometry(t *testing.T) {
 	}
 	if n := geometryBuilds.Load() - builds; n != 0 {
 		t.Fatalf("requests that were refused built %d geometries", n)
+	}
+}
+
+// TestWarmHitBuildsNoGeometry: the service builds a spec's geometry to
+// learn its key the first time it sees the spec, and again only for a miss
+// on a key it knows (one evicted since); a warm hit builds none. Every
+// reply, hit or rebuilt, is bit for bit the direct solve of its request.
+func TestWarmHitBuildsNoGeometry(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxCacheEntries: 1})
+	cube, cantilever := Spec{Problem: "cube", Size: 1}, Spec{Problem: "cantilever", Size: 2}
+	for _, step := range []struct {
+		spec   Spec
+		scale  float64
+		hit    bool
+		builds int64
+	}{
+		{cube, 1, false, 1},       // first sight: built to learn the key
+		{cube, 2, true, 0},        // warm hit
+		{cube, 1, true, 0},        // warm hit
+		{cantilever, 1, false, 1}, // first sight; evicts the cube
+		{cube, 0.5, false, 1},     // known key, evicted entry: rebuilt
+		{cube, 1, true, 0},        // warm hit again
+	} {
+		req := SolveRequest{Spec: step.spec, LoadScale: step.scale, ReturnSolution: true}
+		before := geometryBuilds.Load()
+		got := postSolve(t, ts, req)
+		if n := geometryBuilds.Load() - before; got.CacheHit != step.hit || n != step.builds {
+			t.Fatalf("%+v at scale %g: hit %v with %d geometries built, want hit %v with %d",
+				step.spec, step.scale, got.CacheHit, n, step.hit, step.builds)
+		}
+		checkBitwiseDirect(t, req, got)
 	}
 }
 

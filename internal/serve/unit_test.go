@@ -94,7 +94,7 @@ func TestCacheEvictionLRU(t *testing.T) {
 			t.Fatal(err)
 		}
 		keys[i] = g.Fingerprint(opts.Coarsen)
-		e, hit, err := c.Acquire(keys[i], g, opts)
+		e, hit, err := c.Acquire(keys[i], built(g), opts)
 		if err != nil {
 			t.Fatalf("acquire %d: %v", i, err)
 		}
@@ -121,7 +121,7 @@ func TestCacheEvictionLRU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, hit, err := c.Acquire(keys[1], g, opts)
+	e, hit, err := c.Acquire(keys[1], built(g), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestCachePinnedEntryNotEvicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1, _, err := c.Acquire(g1.Fingerprint(opts.Coarsen), g1, opts)
+	e1, _, err := c.Acquire(g1.Fingerprint(opts.Coarsen), built(g1), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestCachePinnedEntryNotEvicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, _, err := c.Acquire(g2.Fingerprint(opts.Coarsen), g2, opts)
+	e2, _, err := c.Acquire(g2.Fingerprint(opts.Coarsen), built(g2), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestMGLeasePool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _, err := c.Acquire(g.Fingerprint(opts.Coarsen), g, opts)
+	e, _, err := c.Acquire(g.Fingerprint(opts.Coarsen), built(g), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,4 +297,35 @@ func TestGeometryFingerprintStable(t *testing.T) {
 	if g1.Fingerprint(opts.Coarsen) == g3.Fingerprint(opts.Coarsen) {
 		t.Fatal("different sizes share a fingerprint")
 	}
+}
+
+// TestServedHierarchiesFoldNoGrid: no grid of a served hierarchy keeps
+// more than 0.24 of its parent's vertices, so the solver folds none and
+// an entry's levels are core's grids.
+func TestServedHierarchiesFoldNoGrid(t *testing.T) {
+	var specs []Spec
+	for size := 1; size <= 4; size++ {
+		specs = append(specs, Spec{Problem: "cube", Size: size})
+	}
+	for size := 1; size <= maxSize; size++ {
+		specs = append(specs, Spec{Problem: "cantilever", Size: size})
+	}
+	for _, spec := range specs {
+		g, err := BuildGeometry(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solver, err := prometheus.NewSolver(g.Mesh, g.Cons, solverOptions(1e-6, 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if counts, _ := solver.VertexReduction(); solver.NumLevels() != len(counts) {
+			t.Errorf("%+v: %d levels from grids %v, want every grid", spec, solver.NumLevels(), counts)
+		}
+	}
+}
+
+// built hands an already built geometry to hierCache.Acquire.
+func built(g *Geometry) func() (*Geometry, error) {
+	return func() (*Geometry, error) { return g, nil }
 }

@@ -174,6 +174,8 @@ type Solver struct {
 
 	cons   *Constraints
 	dofMap *fem.DofMap
+	// grids[l] is the index in Hier.Grids of multigrid level l's grid.
+	grids []int
 
 	// mu guards rs, which a smoothed-aggregation solver builds from the
 	// first operator it sees, and plan, the symbolic half of the last
@@ -201,25 +203,62 @@ func NewSolver(m *Mesh, cons *Constraints, opts Options) (*Solver, error) {
 		return nil, fmt.Errorf("prometheus: mesh setup: %w", err)
 	}
 	s.Hier = h
-	for l := 1; l < h.NumLevels(); l++ {
-		r := h.Grids[l].R
-		if l == 1 {
-			r = multigrid.CompressCols(r, dm.Full2Red, dm.NumFree())
+	counts, _ := h.VertexReduction()
+	s.grids = keptGrids(counts)
+	for i := 1; i < len(s.grids); i++ {
+		// The restriction from level i-1 to level i, through every grid
+		// folded between them.
+		var r *sparse.CSR
+		for l := s.grids[i-1] + 1; l <= s.grids[i]; l++ {
+			gr := h.Grids[l].R
+			if l == 1 {
+				gr = multigrid.CompressCols(gr, dm.Full2Red, dm.NumFree())
+			}
+			if r == nil {
+				r = gr
+			} else {
+				r = gr.Mul(r)
+			}
 		}
 		s.rs = append(s.rs, r)
 	}
 	return s, nil
 }
 
-// NumLevels returns the number of grids in the hierarchy (for smoothed
+// keptGrids returns, finest first, the grids the multigrid cycle visits
+// out of a hierarchy with the given vertex counts. A grid that keeps more
+// than 7/10 of the vertices of the last grid kept above it is stalled:
+// FMG smooths level k k+1 times per apply, so such a grid costs about its
+// parent's smoothing again for little coarsening. The solver folds it,
+// composing its restriction into the next grid's, and neither the
+// Galerkin chain nor the cycle sees it. The coarsest grid is always kept.
+func keptGrids(counts []int) []int {
+	kept := []int{0}
+	for l := 1; l < len(counts); l++ {
+		if l == len(counts)-1 || 10*counts[l] <= 7*counts[kept[len(kept)-1]] {
+			kept = append(kept, l)
+		}
+	}
+	return kept
+}
+
+// NumLevels returns the number of levels the multigrid cycle visits: the
+// grids of the hierarchy less those folded as stalled (for smoothed
 // aggregation, the number of operators once the chain has been built).
 func (s *Solver) NumLevels() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.rs) + 1
+}
+
+// LevelGrid returns the index in Hier.Grids of the grid behind multigrid
+// level l: l itself unless a stalled grid above it was folded. It is -1
+// for smoothed-aggregation solvers, which carry no grids.
+func (s *Solver) LevelGrid(l int) int {
 	if s.Hier == nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(s.rs) + 1
+		return -1
 	}
-	return s.Hier.NumLevels()
+	return s.grids[l]
 }
 
 // Result reports a linear solve.
