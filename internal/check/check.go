@@ -2,7 +2,10 @@
 
 package check
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Enabled reports whether invariant checking is compiled in. It is a
 // constant so that "if check.Enabled { ... }" blocks vanish entirely from
@@ -58,6 +61,32 @@ func SymmetricPattern(n int, rowPtr, colIdx []int, ctx string) {
 	for j := 0; j < n; j++ {
 		if next[j] != rowPtr[j+1] {
 			Assert(false, "%s: entry (%d,%d) is stored and (%d,%d) is not", ctx, j, colIdx[next[j]], colIdx[next[j]], j)
+		}
+	}
+}
+
+// SymmetricValues asserts that an n×n block matrix of b×b row-major
+// blocks (b = 1 for CSR) is symmetric bit for bit: its pattern is
+// symmetric and every entry has its mirror's bits, signed zeros included.
+// Each block row's cursor meets the blocks (j, i) in the order the rows i
+// ascend, as in SymmetricPattern.
+func SymmetricValues(n, b int, rowPtr, colIdx []int, val []float64, ctx string) {
+	SymmetricPattern(n, rowPtr, colIdx, ctx)
+	next := append([]int(nil), rowPtr[:n]...)
+	bb := b * b
+	for i := 0; i < n; i++ {
+		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+			j := colIdx[k]
+			m := next[j]
+			next[j]++
+			for r := 0; r < b; r++ {
+				for c := 0; c < b; c++ {
+					x, y := val[bb*k+b*r+c], val[bb*m+b*c+r]
+					if math.Float64bits(x) != math.Float64bits(y) {
+						Assert(false, "%s: entry (%d,%d) = %v and (%d,%d) = %v", ctx, b*i+r, b*j+c, x, b*j+c, b*i+r, y)
+					}
+				}
+			}
 		}
 	}
 }

@@ -16,6 +16,9 @@ func CSRWellFormed(nRows, nCols int, rowPtr, colIdx []int, nVal int, ctx string)
 // SymmetricPattern is a no-op in release builds.
 func SymmetricPattern(n int, rowPtr, colIdx []int, ctx string) {}
 
+// SymmetricValues is a no-op in release builds.
+func SymmetricValues(n, b int, rowPtr, colIdx []int, val []float64, ctx string) {}
+
 // SortedUnique is a no-op in release builds.
 func SortedUnique(idx []int, n int, ctx string) {}
 

@@ -1,6 +1,9 @@
 package check
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // mustPanic runs fn and reports whether it panicked.
 func mustPanic(fn func()) (panicked bool) {
@@ -41,6 +44,62 @@ func TestCSRWellFormed(t *testing.T) {
 		{"col unsorted", func() { CSRWellFormed(1, 3, []int{0, 2}, []int{2, 0}, 2, "test") }},
 		{"col duplicate", func() { CSRWellFormed(1, 3, []int{0, 2}, []int{1, 1}, 2, "test") }},
 		{"val length", func() { CSRWellFormed(1, 3, []int{0, 2}, []int{0, 1}, 3, "test") }},
+	}
+	for _, tc := range bad {
+		if got := mustPanic(tc.fn); got != Enabled {
+			t.Errorf("%s: panicked=%v, want %v", tc.name, got, Enabled)
+		}
+	}
+}
+
+// TestSymmetricValues: a symmetric CSR and a symmetric BSR of 2×2 blocks
+// pass; one entry off by a bit, a -0 mirrored by a +0 (also in a
+// diagonal block) or an entry with no mirror panics under promdebug.
+func TestSymmetricValues(t *testing.T) {
+	// [[1 2 0], [2 5 -0], [0 -0 9]] in CSR, the zeros stored.
+	csrPtr, csrCol := []int{0, 2, 5, 7}, []int{0, 1, 0, 1, 2, 1, 2}
+	csr := func() []float64 { return []float64{1, 2, 2, 5, math.Copysign(0, -1), math.Copysign(0, -1), 9} }
+	// Two block rows of 2×2 blocks: (0,0), (0,1), (1,0), (1,1).
+	bsrPtr, bsrCol := []int{0, 2, 4}, []int{0, 1, 0, 1}
+	bsr := func() []float64 {
+		return []float64{
+			1, 2, 2, 3, // (0,0)
+			4, 5, 6, 7, // (0,1)
+			4, 6, 5, 7, // (1,0), the transpose of (0,1)
+			8, 0, 0, 9, // (1,1)
+		}
+	}
+	if mustPanic(func() { SymmetricValues(3, 1, csrPtr, csrCol, csr(), "test") }) {
+		t.Fatal("a symmetric CSR must pass")
+	}
+	if mustPanic(func() { SymmetricValues(2, 2, bsrPtr, bsrCol, bsr(), "test") }) {
+		t.Fatal("a symmetric BSR must pass")
+	}
+	bad := []struct {
+		name string
+		fn   func()
+	}{
+		{"csr last bit", func() {
+			v := csr()
+			v[1] = math.Nextafter(v[1], 3)
+			SymmetricValues(3, 1, csrPtr, csrCol, v, "test")
+		}},
+		{"csr signed zero", func() {
+			v := csr()
+			v[4] = 0
+			SymmetricValues(3, 1, csrPtr, csrCol, v, "test")
+		}},
+		{"csr pattern", func() { SymmetricValues(2, 1, []int{0, 2, 3}, []int{0, 1, 1}, []float64{1, 0, 1}, "test") }},
+		{"bsr off-diagonal block", func() {
+			v := bsr()
+			v[9] = 5.5
+			SymmetricValues(2, 2, bsrPtr, bsrCol, v, "test")
+		}},
+		{"bsr diagonal block", func() {
+			v := bsr()
+			v[13] = math.Copysign(0, -1)
+			SymmetricValues(2, 2, bsrPtr, bsrCol, v, "test")
+		}},
 	}
 	for _, tc := range bad {
 		if got := mustPanic(tc.fn); got != Enabled {

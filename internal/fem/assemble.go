@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"prometheus/internal/check"
 	"prometheus/internal/geom"
 	"prometheus/internal/material"
 	"prometheus/internal/mesh"
@@ -129,69 +130,49 @@ func (p *Problem) strainAt(e int, ed *elementData, g int, u []float64) material.
 	return eps
 }
 
-// bMatrix fills the 6×(3n) strain-displacement matrix at Gauss point g,
-// with the B-bar volumetric correction when enabled.
-func (p *Problem) bMatrix(ed *elementData, g, nNodes int, b [][]float64) {
-	for i := range b {
-		for j := range b[i] {
-			b[i][j] = 0
-		}
-	}
-	for a := 0; a < nNodes; a++ {
-		gx := ed.dndx[g][a]
-		c := 3 * a
-		b[0][c] = gx.X
-		b[1][c+1] = gx.Y
-		b[2][c+2] = gx.Z
-		b[3][c] = gx.Y
-		b[3][c+1] = gx.X
-		b[4][c+1] = gx.Z
-		b[4][c+2] = gx.Y
-		b[5][c] = gx.Z
-		b[5][c+2] = gx.X
-	}
-	if p.BBar {
-		for a := 0; a < nNodes; a++ {
-			gx := ed.dndx[g][a]
-			gb := ed.bbar[a]
-			d := [3]float64{
-				(gb.X - gx.X) / 3,
-				(gb.Y - gx.Y) / 3,
-				(gb.Z - gx.Z) / 3,
-			}
-			for row := 0; row < 3; row++ {
-				b[row][3*a] += d[0]
-				b[row][3*a+1] += d[1]
-				b[row][3*a+2] += d[2]
-			}
-		}
-	}
-}
-
-// shearComponents lists, for the shear rows of B (strains xy, yz, zx),
-// the displacement components whose columns bMatrix fills; the normal
-// rows hold one component each, all three with B-bar.
-var shearComponents = [3][2]int{{0, 1}, {1, 2}, {0, 2}}
-
-// elemScratch holds the per-worker buffers of element integration.
+// elemScratch holds the per-worker buffers of element integration: at the
+// Gauss point being integrated, each node's w·G and D·G, G being the
+// node's 6×3 slice of B.
 type elemScratch struct {
-	b, db [][]float64
-	ed    *elementData
+	wb []nodeB
+	dg []nodeDG
+	ed *elementData
 }
+
+// nodeB holds the distinct entries of a node's three columns of B, column
+// c being displacement component c and rows 3, 4, 5 the xy, yz and zx
+// shear strains. Without B-bar the gradient g = dN/dx fills them: column c
+// holds g_c in normal row c and the other two components of g in its two
+// shear rows (column 0: rows 0, 3, 5 hold g_x, g_y, g_z; column 1: rows 1,
+// 3, 4 hold g_y, g_x, g_z; column 2: rows 2, 4, 5 hold g_z, g_y, g_x).
+// With B-bar every normal row of column c also holds v_c = (ḡ_c − g_c)/3,
+// the mean-dilatation correction, so row c holds n_c = g_c + v_c and the
+// other two normal rows v_c.
+type nodeB struct{ g, v, n [3]float64 }
+
+// nodeDG is D·G, a node's 6×3 slice of D·B.
+type nodeDG [6][3]float64
 
 func newElemScratch(t mesh.ElemType) *elemScratch {
-	ndof := 3 * t.NodesPerElem()
-	s := &elemScratch{b: make([][]float64, 6), db: make([][]float64, 6), ed: newElementData(t)}
-	for i := range s.b {
-		s.b[i] = make([]float64, ndof)
-		s.db[i] = make([]float64, ndof)
-	}
-	return s
+	npe := t.NodesPerElem()
+	return &elemScratch{wb: make([]nodeB, npe), dg: make([]nodeDG, npe), ed: newElementData(t)}
 }
 
 // integrateElement computes the element tangent (flat, row-major ndof×ndof)
 // and internal force of element e at displacement u, returning the flop
 // estimate.
+//
+// The tangent Σ w·Bᵀ·D·B over the Gauss points is formed one 3×3
+// node-pair block at a time, w·G_aᵀ·(D·G_b) for b ≥ a, and its strict
+// upper triangle is copied into the lower one at the end, so it is
+// symmetric bit for bit. Each upper entry is the sum the loop over all of
+// B and D gives (integrateElementFull in the tests): an entry of D·G_b
+// adds d[i][k]·b[k][j] onto +0, k ascending, over the rows k where
+// column j of B can be nonzero, and an entry of the block adds its
+// (w·b)·(D·G_b) terms to the tangent left to right in the same row order.
+// A sum that starts at +0 never holds -0, so terms that are ±0 for a finite
+// D change no bit: those of B's structural zeros, left out, and those of
+// its entries that happen to be zero, kept.
 func (p *Problem) integrateElement(e int, u []float64, scr *elemScratch, ke, fe []float64) (int64, error) {
 	ed := scr.ed
 	if err := p.geometry(e, ed); err != nil {
@@ -200,118 +181,132 @@ func (p *Problem) integrateElement(e int, u []float64, scr *elemScratch, ke, fe 
 	nNodes := p.M.Type.NodesPerElem()
 	ndof := 3 * nNodes
 	model := p.Models[p.M.Mat[e]]
-	for i := range fe {
-		fe[i] = 0
-	}
-	for i := range ke {
-		ke[i] = 0
-	}
+	clear(fe)
+	clear(ke)
 	var flops int64
 	gps, _ := quadrature(p.M.Type)
 	for g, gp := range gps {
 		eps := p.strainAt(e, ed, g, u)
 		sig, d, _ := model.Update(p.States[e][g], eps)
-		p.bMatrix(ed, g, nNodes, scr.b)
 		w := gp.W * ed.detJ[g]
-		// db = D·B, row by row: onto +0, the terms d[i][k]·b[k][j] for k
-		// ascending, over the columns j where row k of B can be nonzero.
-		// A sum that starts at +0 never holds -0, so the terms left out,
-		// ±0 for a finite D, change no bit.
-		for i := 0; i < 6; i++ {
-			dbi := scr.db[i][:ndof]
-			clear(dbi)
-			for k := 0; k < 6; k++ {
-				dik, bk := d[i][k], scr.b[k][:ndof]
-				switch {
-				case k < 3 && p.BBar:
-					for j, v := range bk {
-						dbi[j] += dik * v
-					}
-				case k < 3:
-					for j := k; j < ndof; j += 3 {
-						dbi[j] += dik * bk[j]
-					}
-				default:
-					c0, c1 := shearComponents[k-3][0], shearComponents[k-3][1]
-					for j := 0; j+2 < ndof; j += 3 {
-						dbi[j+c0] += dik * bk[j+c0]
-						dbi[j+c1] += dik * bk[j+c1]
-					}
-				}
+		wb, dg := scr.wb[:nNodes], scr.dg[:nNodes]
+		for a, gx := range ed.dndx[g][:nNodes] {
+			nb := nodeB{g: [3]float64{gx.X, gx.Y, gx.Z}}
+			if p.BBar {
+				gb := ed.bbar[a]
+				nb.v = [3]float64{(gb.X - gx.X) / 3, (gb.Y - gx.Y) / 3, (gb.Z - gx.Z) / 3}
+				nb.n = [3]float64{gx.X + nb.v[0], gx.Y + nb.v[1], gx.Z + nb.v[2]}
+				dgBBar(&dg[a], &d, &nb)
+			} else {
+				dgPlain(&dg[a], &d, &nb)
 			}
+			wa := &wb[a]
+			for c := range wa.g {
+				wa.g[c], wa.v[c], wa.n[c] = w*nb.g[c], w*nb.v[c], w*nb.n[c]
+			}
+			addForce((*[3]float64)(fe[3*a:3*a+3]), wa, &sig, p.BBar)
 		}
-		// ke += w·Bᵀ·(D·B); fe += w·Bᵀ·σ. w·b is rounded once per (i, k),
-		// as the product w·b·x already rounded it first. Column i = 3a+c
-		// of B is nonzero only in the rows bRows lists for c, so row i of
-		// ke takes those rows' terms in one pass, each entry loaded and
-		// stored once: krow[j] + t₀ + t₁ + … is added left to right, the
-		// order of a pass per row. A structural entry that is exactly zero
-		// is skipped, as a pass per row skips it.
-		rows := &bRows[0]
-		if p.BBar {
-			rows = &bRows[1]
-		}
-		for i := 0; i < ndof; i++ {
-			krow := ke[i*ndof : (i+1)*ndof]
-			if !fusedRow(rows[i%3], i, w, sig, scr, krow, fe) {
-				for _, k := range rows[i%3] {
-					bki := scr.b[k][i]
-					if bki == 0 {
-						continue
-					}
-					wb := w * bki
-					fe[i] += wb * sig[k]
-					row := scr.db[k][:len(krow)]
-					for j, v := range row {
-						krow[j] += wb * v
-					}
-				}
+		for a := range wb {
+			rows := ke[3*a*ndof : (3*a+3)*ndof]
+			if p.BBar {
+				addRowBBar(rows, ndof, a, &wb[a], dg)
+			} else {
+				addRowPlain(rows, ndof, a, &wb[a], dg)
 			}
 		}
 		flops += int64(6*ndof*6*2 + ndof*6*(ndof+1)*2)
 	}
+	for i := 0; i < ndof; i++ {
+		for j := i + 1; j < ndof; j++ {
+			ke[j*ndof+i] = ke[i*ndof+j]
+		}
+	}
 	return flops, nil
 }
 
-// bRows lists, for the displacement component c of a column of B, the
-// rows in which bMatrix can fill that column, ascending: bRows[0] without
-// B-bar (the normal row of c and its two shear rows), bRows[1] with it
-// (all three normal rows, then the shear rows).
-var bRows = [2][3][]int{
-	{{0, 3, 5}, {1, 3, 4}, {2, 4, 5}},
-	{{0, 1, 2, 3, 5}, {0, 1, 2, 3, 4}, {0, 1, 2, 4, 5}},
+// dgPlain writes D·G into dg for a node's columns G of B without B-bar.
+func dgPlain(dg *nodeDG, d *material.Tangent, nb *nodeB) {
+	x, y, z := nb.g[0], nb.g[1], nb.g[2]
+	for i := range dg {
+		di := &d[i]
+		dg[i][0] = 0 + di[0]*x + di[3]*y + di[5]*z
+		dg[i][1] = 0 + di[1]*y + di[3]*x + di[4]*z
+		dg[i][2] = 0 + di[2]*z + di[4]*y + di[5]*x
+	}
 }
 
-// fusedRow adds column i's terms of w·Bᵀ·(D·B) to krow and of w·Bᵀ·σ to
-// fe[i] for the rows ks of B, in one pass over krow. It does nothing and
-// returns false when one of B's entries there is exactly zero.
-func fusedRow(ks []int, i int, w float64, sig material.Voigt, scr *elemScratch, krow, fe []float64) bool {
-	var wb [5]float64
-	for t, k := range ks {
-		bki := scr.b[k][i]
-		if bki == 0 {
-			return false
-		}
-		wb[t] = w * bki
+// dgBBar writes D·G into dg for a node's columns G of B with B-bar.
+func dgBBar(dg *nodeDG, d *material.Tangent, nb *nodeB) {
+	x, y, z := nb.g[0], nb.g[1], nb.g[2]
+	vx, vy, vz := nb.v[0], nb.v[1], nb.v[2]
+	nx, ny, nz := nb.n[0], nb.n[1], nb.n[2]
+	for i := range dg {
+		di := &d[i]
+		dg[i][0] = 0 + di[0]*nx + di[1]*vx + di[2]*vx + di[3]*y + di[5]*z
+		dg[i][1] = 0 + di[0]*vy + di[1]*ny + di[2]*vy + di[3]*x + di[4]*z
+		dg[i][2] = 0 + di[0]*vz + di[1]*vz + di[2]*nz + di[4]*y + di[5]*x
 	}
-	for t, k := range ks {
-		fe[i] += wb[t] * sig[k]
+}
+
+// addForce adds w·G_aᵀ·σ to node a's three internal force entries, wa
+// being w·G_a.
+func addForce(f *[3]float64, wa *nodeB, sig *material.Voigt, bbar bool) {
+	x, y, z := wa.g[0], wa.g[1], wa.g[2]
+	if bbar {
+		vx, vy, vz := wa.v[0], wa.v[1], wa.v[2]
+		nx, ny, nz := wa.n[0], wa.n[1], wa.n[2]
+		f[0] = f[0] + nx*sig[0] + vx*sig[1] + vx*sig[2] + y*sig[3] + z*sig[5]
+		f[1] = f[1] + vy*sig[0] + ny*sig[1] + vy*sig[2] + x*sig[3] + z*sig[4]
+		f[2] = f[2] + vz*sig[0] + vz*sig[1] + nz*sig[2] + y*sig[4] + x*sig[5]
+		return
 	}
-	n := len(krow)
-	r0, r1, r2 := scr.db[ks[0]][:n], scr.db[ks[1]][:n], scr.db[ks[2]][:n]
-	w0, w1, w2 := wb[0], wb[1], wb[2]
-	if len(ks) == 3 {
-		for j := range krow {
-			krow[j] = krow[j] + w0*r0[j] + w1*r1[j] + w2*r2[j]
-		}
-		return true
+	f[0] = f[0] + x*sig[0] + y*sig[3] + z*sig[5]
+	f[1] = f[1] + y*sig[1] + x*sig[3] + z*sig[4]
+	f[2] = f[2] + z*sig[2] + y*sig[4] + x*sig[5]
+}
+
+// addRowPlain adds w·G_aᵀ·(D·G_b) without B-bar into the node-pair blocks
+// (a, b), b ≥ a, of rows, node a's three rows of the tangent: wa is
+// w·G_a and dg[b] is D·G_b.
+func addRowPlain(rows []float64, ndof, a int, wa *nodeB, dg []nodeDG) {
+	x, y, z := wa.g[0], wa.g[1], wa.g[2]
+	k0, k1, k2 := rows[3*a:ndof], rows[ndof+3*a:2*ndof], rows[2*ndof+3*a:3*ndof]
+	dg = dg[a:]
+	for b := range dg {
+		db := &dg[b]
+		r0, r1, r2 := (*[3]float64)(k0[3*b:3*b+3]), (*[3]float64)(k1[3*b:3*b+3]), (*[3]float64)(k2[3*b:3*b+3])
+		r0[0] = r0[0] + x*db[0][0] + y*db[3][0] + z*db[5][0]
+		r0[1] = r0[1] + x*db[0][1] + y*db[3][1] + z*db[5][1]
+		r0[2] = r0[2] + x*db[0][2] + y*db[3][2] + z*db[5][2]
+		r1[0] = r1[0] + y*db[1][0] + x*db[3][0] + z*db[4][0]
+		r1[1] = r1[1] + y*db[1][1] + x*db[3][1] + z*db[4][1]
+		r1[2] = r1[2] + y*db[1][2] + x*db[3][2] + z*db[4][2]
+		r2[0] = r2[0] + z*db[2][0] + y*db[4][0] + x*db[5][0]
+		r2[1] = r2[1] + z*db[2][1] + y*db[4][1] + x*db[5][1]
+		r2[2] = r2[2] + z*db[2][2] + y*db[4][2] + x*db[5][2]
 	}
-	r3, r4 := scr.db[ks[3]][:n], scr.db[ks[4]][:n]
-	w3, w4 := wb[3], wb[4]
-	for j := range krow {
-		krow[j] = krow[j] + w0*r0[j] + w1*r1[j] + w2*r2[j] + w3*r3[j] + w4*r4[j]
+}
+
+// addRowBBar is addRowPlain with B-bar.
+func addRowBBar(rows []float64, ndof, a int, wa *nodeB, dg []nodeDG) {
+	x, y, z := wa.g[0], wa.g[1], wa.g[2]
+	vx, vy, vz := wa.v[0], wa.v[1], wa.v[2]
+	nx, ny, nz := wa.n[0], wa.n[1], wa.n[2]
+	k0, k1, k2 := rows[3*a:ndof], rows[ndof+3*a:2*ndof], rows[2*ndof+3*a:3*ndof]
+	dg = dg[a:]
+	for b := range dg {
+		db := &dg[b]
+		r0, r1, r2 := (*[3]float64)(k0[3*b:3*b+3]), (*[3]float64)(k1[3*b:3*b+3]), (*[3]float64)(k2[3*b:3*b+3])
+		r0[0] = r0[0] + nx*db[0][0] + vx*db[1][0] + vx*db[2][0] + y*db[3][0] + z*db[5][0]
+		r0[1] = r0[1] + nx*db[0][1] + vx*db[1][1] + vx*db[2][1] + y*db[3][1] + z*db[5][1]
+		r0[2] = r0[2] + nx*db[0][2] + vx*db[1][2] + vx*db[2][2] + y*db[3][2] + z*db[5][2]
+		r1[0] = r1[0] + vy*db[0][0] + ny*db[1][0] + vy*db[2][0] + x*db[3][0] + z*db[4][0]
+		r1[1] = r1[1] + vy*db[0][1] + ny*db[1][1] + vy*db[2][1] + x*db[3][1] + z*db[4][1]
+		r1[2] = r1[2] + vy*db[0][2] + ny*db[1][2] + vy*db[2][2] + x*db[3][2] + z*db[4][2]
+		r2[0] = r2[0] + vz*db[0][0] + vz*db[1][0] + nz*db[2][0] + y*db[4][0] + x*db[5][0]
+		r2[1] = r2[1] + vz*db[0][1] + vz*db[1][1] + nz*db[2][1] + y*db[4][1] + x*db[5][1]
+		r2[2] = r2[2] + vz*db[0][2] + vz*db[1][2] + nz*db[2][2] + y*db[4][2] + x*db[5][2]
 	}
-	return true
 }
 
 // Element integration runs on the shared worker set, assembleChunk
@@ -468,6 +463,9 @@ func (p *Problem) AssembleBlockTangent(u []float64) (*sparse.BSR, []float64, err
 		return nil, nil, err
 	}
 	nv := p.M.NumVerts()
+	if check.Enabled {
+		check.SymmetricValues(nv, 3, d.rowPtr, d.colIdx, d.val, "fem: assembled tangent")
+	}
 	return &sparse.BSR{NBRows: nv, NBCols: nv, B: 3, RowPtr: d.rowPtr, ColIdx: d.colIdx, Val: d.val}, d.fint, nil
 }
 

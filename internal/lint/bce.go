@@ -26,9 +26,11 @@ const DefaultBCEBaselinePath = "internal/lint/testdata/bce_baseline.txt"
 type BCECounts map[string]map[string]int
 
 // KernelPackages is the package set whose bounds checks -bce counts: the
-// per-iteration compute and communication kernels of the solver.
+// per-iteration compute and communication kernels of the solver, and
+// element integration and assembly.
 func KernelPackages() []string {
 	return []string{
+		"prometheus/internal/fem",
 		"prometheus/internal/sparse",
 		"prometheus/internal/la",
 		"prometheus/internal/smooth",

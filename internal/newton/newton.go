@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 
+	"prometheus/internal/check"
 	"prometheus/internal/fem"
 	"prometheus/internal/krylov"
 	"prometheus/internal/la"
@@ -107,6 +108,9 @@ func Solve(p *fem.Problem, cons *fem.Constraints, cfg Config, factory PreconFact
 			// Residual r = -fint on free dofs (no external loads; the
 			// drive is the prescribed displacement already in u).
 			kred, lm := zeroCons.Reduce(k, dm)
+			if check.Enabled {
+				check.SymmetricValues(kred.NRows, 1, kred.RowPtr, kred.ColIdx, kred.Val, "newton: reduced tangent")
+			}
 			rred := make([]float64, dm.NumFree())
 			lm.Apply(rred, fint, -1)
 			rnorm := la.Norm2(rred)

@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"prometheus/internal/aggregation"
+	"prometheus/internal/check"
 	"prometheus/internal/core"
 	"prometheus/internal/fem"
 	"prometheus/internal/geom"
@@ -356,6 +357,9 @@ func (s *Solver) restrictions(kred Operator) ([]*sparse.CSR, error) {
 // many loads.
 func (s *Solver) ReduceSystem(k *CSR, f []float64) (*CSR, []float64) {
 	kred, lm := s.cons.Reduce(k, s.dofMap)
+	if check.Enabled {
+		check.SymmetricValues(kred.NRows, 1, kred.RowPtr, kred.ColIdx, kred.Val, "prometheus: reduced operator")
+	}
 	fred := make([]float64, s.dofMap.NumFree())
 	lm.Apply(fred, f, 1)
 	return kred, fred
@@ -409,6 +413,9 @@ func (s *Solver) LinearOperator(p *Problem) (Operator, *LoadMap, error) {
 		return nil, nil, fmt.Errorf("prometheus: assembly: %w", err)
 	}
 	kred, lm := s.cons.Reduce(k, s.dofMap)
+	if check.Enabled {
+		check.SymmetricValues(kred.NRows, 1, kred.RowPtr, kred.ColIdx, kred.Val, "prometheus: reduced operator")
+	}
 	return kred, lm, nil
 }
 
