@@ -2,13 +2,18 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"prometheus"
+	"prometheus/internal/fem"
 	"prometheus/internal/graph"
+	"prometheus/internal/material"
+	"prometheus/internal/mesh"
+	"prometheus/internal/obs"
 	"prometheus/internal/perf"
 	"prometheus/internal/problems"
 )
@@ -130,6 +135,11 @@ func TestReportsRender(t *testing.T) {
 		"modified graph (Figure 5-6) 87 38 49",
 		"MG-PCG on slab bending: modified-graph hierarchy 42 its (3 levels)",
 		"face-blind hierarchy: coarsening collapsed (the coarse vertex set lost a face and could not be remeshed) — exactly the Figure 4 pathology; 1 level(s) built",
+		"serial 125 - yes", // Section 4.2
+		"parallel p=2 108 yes yes",
+		"parallel p=4 103 yes yes",
+		"parallel p=8 98 yes yes",
+		"parallel p=16 85 yes yes",
 	)
 	for _, want := range []string{"Table 1", "Table 2", "Figure 9", "Figure 10",
 		"Figure 11", "Figure 12", "thin body", "ordering", "parallel"} {
@@ -312,5 +322,32 @@ func TestLevelOwnersFollowFoldedGrids(t *testing.T) {
 				t.Fatalf("level %d: owner %d of %d ranks", l, o, tinySpec.Ranks)
 			}
 		}
+	}
+}
+
+// TestMeasuredHaloEfficiency pins the measured halo-SpMV phase behind
+// promsolve -profile on a small elastic tangent: the counted flops,
+// messages and bytes and the load balance they give.
+func TestMeasuredHaloEfficiency(t *testing.T) {
+	m := mesh.StructuredHex(4, 4, 4, 1, 1, 1, nil)
+	p := fem.NewProblem(m, []material.Model{material.LinearElastic{E: 1, Nu: 0.3}}, false)
+	k, _, err := p.AssembleTangent(make([]float64, m.NumDOF()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vertOwner := graph.RCB(m.Coords, 4)
+	owner := make([]int, k.NRows)
+	for i := range owner {
+		owner[i] = vertOwner[i/3]
+	}
+	obs.Enable()
+	defer obs.Disable()
+	eff, err := MeasuredHaloEfficiency(k, owner, 4, 3, perf.PaperIBM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eff.Flops != 118638 || eff.Msgs != 30 || eff.Bytes != 10512 || math.Abs(eff.Load-0.9773131672597865) > 1e-15 {
+		t.Fatalf("flops %d msgs %d bytes %d load %v, want 118638 30 10512 0.9773131672597865",
+			eff.Flops, eff.Msgs, eff.Bytes, eff.Load)
 	}
 }
