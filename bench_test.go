@@ -23,7 +23,6 @@ import (
 	"prometheus/internal/mesh"
 	"prometheus/internal/multigrid"
 	"prometheus/internal/obs"
-	"prometheus/internal/par"
 	"prometheus/internal/problems"
 	"prometheus/internal/smooth"
 	"prometheus/internal/sparse"
@@ -120,22 +119,6 @@ func BenchmarkMISOrdering(b *testing.B) {
 	}
 	b.ReportMetric(float64(nat)/float64(g.N), "natural-ratio")
 	b.ReportMetric(float64(rnd)/float64(g.N), "random-ratio")
-}
-
-// BenchmarkParallelMIS runs the section 4.2 parallel MIS on 8 simulated
-// ranks.
-func BenchmarkParallelMIS(b *testing.B) {
-	m := mesh.StructuredHex(10, 10, 10, 1, 1, 1, nil)
-	g := m.NodeGraph()
-	owner := graph.RCB(m.Coords, 8)
-	order := graph.NaturalOrder(g.N)
-	var size int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mis := par.ParallelMIS(par.NewComm(8), g, owner, order, nil, nil)
-		size = len(mis)
-	}
-	b.ReportMetric(float64(size), "MIS-size")
 }
 
 // --- Substrate kernel benches ---

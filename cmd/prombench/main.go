@@ -23,6 +23,7 @@ import (
 	"os"
 
 	"prometheus/internal/experiments"
+	"prometheus/internal/experiments/parallel"
 	"prometheus/internal/obs"
 )
 
@@ -78,7 +79,7 @@ func main() {
 		"fig13":    func(w io.Writer) error { return experiments.Fig13(w, nlK, steps) },
 		"thinbody": experiments.ThinBody,
 		"ordering": experiments.Ordering,
-		"parmis":   experiments.ParallelMISStudy,
+		"parmis":   parallel.ParallelMISStudy,
 		"amg":      experiments.AMGCompare,
 		"phases":   experiments.Amortization,
 		"headline": onSeries(experiments.Headline),

@@ -30,7 +30,7 @@ import (
 	"time"
 
 	prometheus "prometheus"
-	"prometheus/internal/experiments"
+	"prometheus/internal/experiments/parallel"
 	"prometheus/internal/geom"
 	"prometheus/internal/graph"
 	"prometheus/internal/material"
@@ -217,7 +217,7 @@ func reportProfile(dir string, k *prometheus.CSR, owner []int) {
 	if k == nil {
 		return
 	}
-	eff, err := experiments.MeasuredHaloEfficiency(k, owner, profileRanks, 20, perf.PaperIBM())
+	eff, err := parallel.MeasuredHaloEfficiency(k, owner, profileRanks, 20, perf.PaperIBM())
 	fail(err)
 	fmt.Printf("measured halo SpMV on %d ranks: %d flops, %d msgs, %d bytes\n",
 		eff.Ranks, eff.Flops, eff.Msgs, eff.Bytes)

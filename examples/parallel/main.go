@@ -1,9 +1,9 @@
-// Parallel: the paper's distributed algorithms on the simulated
-// message-passing runtime — the rank-based parallel maximal independent
-// set of section 4.2, the seeded parallel face identification of
-// section 4.5, and a row-partitioned matrix-vector product with halo
-// exchange (the PETSc kernel pattern), with the per-rank communication
-// volumes the efficiency model consumes.
+// Parallel: the paper's distributed algorithms run as rounds of local
+// work on simulated ranks, separated by ghost exchanges — the rank-based
+// parallel maximal independent set of section 4.2, the seeded parallel
+// face identification of section 4.5, and a row-partitioned
+// matrix-vector product with halo exchange (the PETSc kernel pattern),
+// with the per-rank communication volumes the efficiency model consumes.
 //
 //	go run ./examples/parallel [-ranks n]
 package main
@@ -19,6 +19,7 @@ import (
 	"prometheus/internal/material"
 	"prometheus/internal/mesh"
 	"prometheus/internal/par"
+	"prometheus/internal/perf"
 	"prometheus/internal/sparse"
 	"prometheus/internal/topo"
 )
@@ -47,8 +48,8 @@ func main() {
 	facets := m.BoundaryFacets()
 	adj := mesh.FacetAdjacency(facets)
 	_, nSerial := topo.IdentifyFaces(facets, adj, topo.DefaultTOL)
-	fo := topo.FacetOwnerFromVerts(facets, owner)
-	_, nParallel := topo.ParallelIdentifyFaces(par.NewComm(*ranks), facets, adj, fo, topo.DefaultTOL)
+	fo := par.FacetOwnerFromVerts(facets, owner)
+	_, nParallel := par.ParallelIdentifyFaces(par.NewComm(*ranks), facets, adj, fo, topo.DefaultTOL)
 	fmt.Printf("face identification: serial %d faces, parallel %d faces\n", nSerial, nParallel)
 
 	// --- Distributed SpMV with halo exchange and measured traffic.
@@ -68,19 +69,21 @@ func main() {
 	for i := range x {
 		x[i] = float64(i%11) - 5
 	}
+	// Each rank holds only its own entries of x; the halo exchange fills
+	// the ghosts it needs.
+	ownedX := func() [][]float64 {
+		xs := make([][]float64, *ranks)
+		for r := range xs {
+			xs[r] = make([]float64, len(x))
+		}
+		for i, r := range dofOwner {
+			xs[r][i] = x[i]
+		}
+		return xs
+	}
 	y := make([]float64, m.NumDOF())
 	comm := par.NewComm(*ranks)
-	counters := comm.RunCounted(func(r *par.Rank) {
-		// Each rank holds only its own entries of x; the halo exchange
-		// fills the ghosts it needs.
-		xl := make([]float64, len(x))
-		for i := range x {
-			if dofOwner[i] == r.ID() {
-				xl[i] = x[i]
-			}
-		}
-		halo.MulVec(r, k, xl, y)
-	})
+	halo.MulVec(comm, k, ownedX(), y)
 	// Verify against the serial product.
 	want := make([]float64, m.NumDOF())
 	k.MulVec(x, want)
@@ -94,9 +97,9 @@ func main() {
 	fmt.Println("\nrank  flops     bytes-sent  msgs  ghosts")
 	for r := 0; r < *ranks; r++ {
 		fmt.Printf("%4d  %8d  %10d  %4d  %6d\n",
-			r, counters.Flops[r], counters.BytesSent[r], counters.MsgsSent[r], halo.GhostCount(r))
+			r, comm.Flops[r], comm.Bytes[r], comm.Msgs[r], halo.GhostCount(r))
 	}
-	fmt.Printf("load balance (flops): %.2f\n", loadBalance(counters.Flops))
+	fmt.Printf("load balance (flops): %.2f\n", perf.LoadBalance(comm.Flops))
 
 	// --- The same product through the node-granular blocked halo: the
 	// tangent re-blocked to 3x3-node BSR (the PETSc BAIJ analogue), ghosts
@@ -108,15 +111,8 @@ func main() {
 	}
 	bhalo := par.NewBlockHalo(kb, owner, *ranks)
 	yb := make([]float64, m.NumDOF())
-	bcounters := comm.RunCounted(func(r *par.Rank) {
-		xl := make([]float64, len(x))
-		for v := 0; v < m.NumVerts(); v++ {
-			if owner[v] == r.ID() {
-				copy(xl[3*v:3*v+3], x[3*v:3*v+3])
-			}
-		}
-		bhalo.MulVecBSR(r, kb, xl, yb)
-	})
+	bcomm := par.NewComm(*ranks)
+	bhalo.MulVecBSR(bcomm, kb, ownedX(), yb)
 	bitwise := true
 	for i := range want {
 		if math.Float64bits(yb[i]) != math.Float64bits(want[i]) {
@@ -124,25 +120,7 @@ func main() {
 			break
 		}
 	}
-	var msgs, bmsgs int64
-	for r := 0; r < *ranks; r++ {
-		msgs += counters.MsgsSent[r]
-		bmsgs += bcounters.MsgsSent[r]
-	}
 	fmt.Printf("\nblocked SpMV (BSR + node-granular halo): bitwise identical to serial = %v\n", bitwise)
-	fmt.Printf("halo messages: scalar %d, blocked %d; ghost volume unchanged, index traffic /3\n", msgs, bmsgs)
-}
-
-func loadBalance(w []int64) float64 {
-	var sum, max int64
-	for _, v := range w {
-		sum += v
-		if v > max {
-			max = v
-		}
-	}
-	if max == 0 {
-		return 1
-	}
-	return float64(sum) / float64(len(w)) / float64(max)
+	fmt.Printf("halo messages: scalar %d, blocked %d; ghost volume unchanged, index traffic /3\n",
+		perf.Sum(comm.Msgs), perf.Sum(bcomm.Msgs))
 }

@@ -16,7 +16,6 @@ import (
 	"prometheus/internal/graph"
 	"prometheus/internal/krylov"
 	"prometheus/internal/multigrid"
-	"prometheus/internal/par"
 	"prometheus/internal/perf"
 	"prometheus/internal/problems"
 	"prometheus/internal/sparse"
@@ -258,10 +257,10 @@ func (lr *LinearRun) model(solver *prometheus.Solver, fineVertOwner []int,
 		}
 		// Matvec-equivalent applications on this level.
 		apps := float64(levelWork[l]) / float64(2*total)
-		halo := par.NewHalo(a, owners, ranks)
+		ghostCount := ghostCounts(a, owners, ranks)
 		for rk := 0; rk < ranks; rk++ {
 			lr.RankFlops[rk] += int64(float64(levelWork[l]) * float64(nnzOwned[rk]) / float64(total))
-			ghosts := halo.GhostCount(rk)
+			ghosts := ghostCount[rk]
 			lr.RankBytes[rk] += int64(8 * float64(ghosts) * apps)
 			if ghosts > 0 {
 				// One message round per application per neighbouring rank;
@@ -281,6 +280,30 @@ func (lr *LinearRun) model(solver *prometheus.Solver, fineVertOwner []int,
 		lr.ModelMflops = float64(perf.Sum(lr.RankFlops)) / lr.ModelSolveMax / 1e6
 	}
 	return nil
+}
+
+// ghostCounts returns, per rank, the number of distinct columns owned by
+// other ranks that its rows touch: the values one halo exchange of a
+// row-partitioned product brings in (par.Halo.GhostCount).
+func ghostCounts(a *sparse.CSR, owner []int, ranks int) []int {
+	rows := make([][]int, ranks)
+	for i, r := range owner {
+		rows[r] = append(rows[r], i)
+	}
+	out := make([]int, ranks)
+	counted := make([]int, a.NCols) // rank+1 that last counted the column
+	for r, rs := range rows {
+		for _, i := range rs {
+			cols, _ := a.Row(i)
+			for _, j := range cols {
+				if owner[j] != r && counted[j] != r+1 {
+					counted[j] = r + 1
+					out[r]++
+				}
+			}
+		}
+	}
+	return out
 }
 
 // RatePerProc returns the modeled sustained flop rate per simulated

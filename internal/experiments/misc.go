@@ -10,7 +10,6 @@ import (
 	"prometheus/internal/krylov"
 	"prometheus/internal/mesh"
 	"prometheus/internal/multigrid"
-	"prometheus/internal/par"
 	"prometheus/internal/perf"
 	"prometheus/internal/problems"
 	"prometheus/internal/sparse"
@@ -129,45 +128,6 @@ func Ordering(w io.Writer) error {
 	)
 	fmt.Fprintln(w, "Section 4.7 — MIS size vs vertex ordering on a uniform hex node graph (13^3 vertices)")
 	fmt.Fprint(w, perf.Table([]string{"ordering", "|MIS|", "|MIS|/|V|"}, rows))
-	return nil
-}
-
-// ParallelMISStudy reports the section 4.2 algorithm across rank counts:
-// set sizes, determinism and the MIS invariants.
-func ParallelMISStudy(w io.Writer) error {
-	m := mesh.StructuredHex(8, 8, 8, 1, 1, 1, nil)
-	g := m.NodeGraph()
-	cls := topo.Reclassify(m, topo.DefaultTOL)
-	order := graph.RankedOrder(cls.Rank, graph.NaturalOrder(g.N))
-	serial := graph.MIS(cls.ModifiedGraph(g), order, cls.Rank, cls.Immortal())
-	rows := [][]string{{"serial", fmt.Sprintf("%d", len(serial)), "-", "yes"}}
-	for _, p := range []int{2, 4, 8, 16} {
-		owner := graph.RCB(m.Coords, p)
-		mg := cls.ModifiedGraph(g)
-		a := par.ParallelMIS(par.NewComm(p), mg, owner, order, cls.Rank, cls.Immortal())
-		b := par.ParallelMIS(par.NewComm(p), mg, owner, order, cls.Rank, cls.Immortal())
-		det := "yes"
-		if len(a) != len(b) {
-			det = "NO"
-		} else {
-			for i := range a {
-				if a[i] != b[i] {
-					det = "NO"
-					break
-				}
-			}
-		}
-		maximal := "yes"
-		if !graph.IsMaximal(mg, a) {
-			maximal = "NO"
-		}
-		rows = append(rows, []string{
-			fmt.Sprintf("parallel p=%d", p),
-			fmt.Sprintf("%d", len(a)), det, maximal,
-		})
-	}
-	fmt.Fprintln(w, "Section 4.2 — parallel MIS across rank counts (9^3 hex node graph, modified graph + ranks)")
-	fmt.Fprint(w, perf.Table([]string{"variant", "|MIS|", "deterministic", "maximal"}, rows))
 	return nil
 }
 

@@ -1,12 +1,21 @@
-package experiments
+// Package parallel holds the paper's experiments on the simulated
+// parallel runtime (internal/par): the section 4.2 parallel MIS study and
+// the measured halo-SpMV efficiency behind promsolve -profile. They live
+// apart from internal/experiments so that the library's experiments, and
+// the benchmark that imports them, do not link the simulator.
+package parallel
 
 import (
 	"fmt"
+	"io"
 
+	"prometheus/internal/graph"
+	"prometheus/internal/mesh"
 	"prometheus/internal/obs"
 	"prometheus/internal/par"
 	"prometheus/internal/perf"
 	"prometheus/internal/sparse"
+	"prometheus/internal/topo"
 )
 
 // ObsEfficiency is the section 6 efficiency decomposition of a measured
@@ -30,32 +39,27 @@ type ObsEfficiency struct {
 // haloPhase runs iters halo SpMV products over a on ranks simulated
 // ranks and returns the measured per-rank counters from the obs
 // par.rank event. Each rank gets a private x copy (valid on owned
-// entries); y is shared and written without conflict. Resets the obs
+// entries); y is shared, each rank writing its own rows. Resets the obs
 // recording: callers wanting the preceding profile snapshot it first.
 func haloPhase(a *sparse.CSR, owner []int, ranks, iters int) (flops, msgs, bytes []int64, err error) {
 	obs.Reset()
 	h := par.NewHalo(a, owner, ranks)
-	x := make([]float64, a.NRows)
-	for i := range x {
-		x[i] = float64(i%13) - 6
+	xs := make([][]float64, ranks)
+	for r := range xs {
+		xs[r] = make([]float64, a.NRows)
+	}
+	for i, r := range owner {
+		xs[r][i] = float64(i%13) - 6
 	}
 	y := make([]float64, a.NRows)
 	c := par.NewComm(ranks)
-	c.Run(func(r *par.Rank) {
-		xl := make([]float64, len(x))
-		for i := range xl {
-			if owner[i] == r.ID() {
-				xl[i] = x[i]
-			}
-		}
-		for it := 0; it < iters; it++ {
-			h.MulVec(r, a, xl, y)
-		}
-	})
+	for it := 0; it < iters; it++ {
+		h.MulVec(c, a, xs, y)
+	}
 	p := obs.Snapshot()
 	flops, msgs, bytes, ok := p.PerRank("par.rank")
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("experiments: halo phase recorded no par.rank counters")
+		return nil, nil, nil, fmt.Errorf("parallel: halo phase recorded no par.rank counters")
 	}
 	return flops, msgs, bytes, nil
 }
@@ -69,7 +73,7 @@ func haloPhase(a *sparse.CSR, owner []int, ranks, iters int) (flops, msgs, bytes
 // obs to be enabled; resets recorded obs data.
 func MeasuredHaloEfficiency(a *sparse.CSR, owner []int, ranks, iters int, machine perf.Machine) (*ObsEfficiency, error) {
 	if !obs.On() {
-		return nil, fmt.Errorf("experiments: MeasuredHaloEfficiency needs obs enabled")
+		return nil, fmt.Errorf("parallel: MeasuredHaloEfficiency needs obs enabled")
 	}
 	baseOwner := make([]int, a.NRows)
 	bf, bm, bb, err := haloPhase(a, baseOwner, 1, iters)
@@ -99,4 +103,43 @@ func MeasuredHaloEfficiency(a *sparse.CSR, owner []int, ranks, iters int, machin
 	eff.Eff = perf.Decompose(iters, iters, perf.Sum(bf), perf.Sum(rf),
 		a.NRows, a.NRows, 1, ranks, baseRate, eff.RatePerProc, eff.Load)
 	return eff, nil
+}
+
+// ParallelMISStudy reports the section 4.2 algorithm across rank counts:
+// set sizes, determinism and the MIS invariants.
+func ParallelMISStudy(w io.Writer) error {
+	m := mesh.StructuredHex(8, 8, 8, 1, 1, 1, nil)
+	g := m.NodeGraph()
+	cls := topo.Reclassify(m, topo.DefaultTOL)
+	order := graph.RankedOrder(cls.Rank, graph.NaturalOrder(g.N))
+	serial := graph.MIS(cls.ModifiedGraph(g), order, cls.Rank, cls.Immortal())
+	rows := [][]string{{"serial", fmt.Sprintf("%d", len(serial)), "-", "yes"}}
+	for _, p := range []int{2, 4, 8, 16} {
+		owner := graph.RCB(m.Coords, p)
+		mg := cls.ModifiedGraph(g)
+		a := par.ParallelMIS(par.NewComm(p), mg, owner, order, cls.Rank, cls.Immortal())
+		b := par.ParallelMIS(par.NewComm(p), mg, owner, order, cls.Rank, cls.Immortal())
+		det := "yes"
+		if len(a) != len(b) {
+			det = "NO"
+		} else {
+			for i := range a {
+				if a[i] != b[i] {
+					det = "NO"
+					break
+				}
+			}
+		}
+		maximal := "yes"
+		if !graph.IsMaximal(mg, a) {
+			maximal = "NO"
+		}
+		rows = append(rows, []string{
+			fmt.Sprintf("parallel p=%d", p),
+			fmt.Sprintf("%d", len(a)), det, maximal,
+		})
+	}
+	fmt.Fprintln(w, "Section 4.2 — parallel MIS across rank counts (9^3 hex node graph, modified graph + ranks)")
+	fmt.Fprint(w, perf.Table([]string{"variant", "|MIS|", "deterministic", "maximal"}, rows))
+	return nil
 }

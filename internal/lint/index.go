@@ -7,7 +7,7 @@ import (
 
 // calleeObject resolves the called object of a call expression: a
 // *types.Func for ordinary, method and interface calls (including generic
-// instantiations like RecvAs[T](...)), or the bound variable for calls
+// instantiations like NewMail[T](...)), or the bound variable for calls
 // through local closures.
 func calleeObject(pkg *Package, call *ast.CallExpr) types.Object {
 	switch fun := ast.Unparen(call.Fun).(type) {

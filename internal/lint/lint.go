@@ -31,8 +31,8 @@
 //     sanctioned AsCSR helper, so storage stays a kernel choice.
 //
 // Properties a running test holds are not restated as rules: the message
-// protocol of internal/par (the promdebug watchdog and the drain check
-// that ends Comm.Run), allocation-free kernels (the testing.AllocsPerRun
+// protocol of internal/par (a message a round delivers and nobody takes
+// panics under promdebug), allocation-free kernels (the testing.AllocsPerRun
 // tests beside each kernel, and TestPooledPathZeroAlloc on the worker
 // set), and the service's goroutine, cancellation and release discipline
 // (TestHandleSolveClosesTheBooks and TestCloseStopsTheJanitor in

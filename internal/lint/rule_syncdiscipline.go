@@ -11,9 +11,10 @@ import (
 // receive, close, range over a channel), no select and no use of sync or
 // sync/atomic, anywhere in the package: they parallelize by calling
 // internal/pool, and a mutex or channel inside a kernel is a design error
-// whether or not it is correct. Where synchronization does live — the
-// pool and internal/par — it is checked by running it: the race jobs,
-// the promdebug watchdog, check.Owners and TestKernelContract.
+// whether or not it is correct. internal/par is in the set too: its
+// simulated ranks run as serial rounds, so it needs no synchronization.
+// Where synchronization does live — the pool — it is checked by running
+// it: the race jobs, check.Owners and TestKernelContract.
 type SyncDiscipline struct {
 	// Compute is the banned package set (a path covers its
 	// sub-packages); nil means defaultComputePackages.
@@ -34,6 +35,7 @@ func defaultComputePackages() []string {
 		"prometheus/internal/graph",
 		"prometheus/internal/mesh",
 		"prometheus/internal/topo",
+		"prometheus/internal/par",
 	}
 }
 

@@ -66,7 +66,7 @@ func setup(done chan int) { // line 18: channel type
 		{"prometheus/internal/fem/sub", true},
 		{"prometheus/internal/lattice", false},
 		{"prometheus/internal/pool", false},
-		{"prometheus/internal/par", false},
+		{"prometheus/internal/par", true},
 		{"prometheus/internal/serve", false},
 	} {
 		pkg.Path = tc.path

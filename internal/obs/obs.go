@@ -268,7 +268,7 @@ func (s Span) end(flops int64) {
 // call sites that account work outside a timed region. A registered
 // event's id is always below maxEvents; checking it anyway lets the
 // compiler prove the table index wherever AddFlops is inlined, such as
-// par's CountFlops.
+// par's Comm.AddFlops.
 func AddFlops(id EventID, rank int, flops int64) {
 	if !on.Load() || uint32(id) >= maxEvents || rank < 0 || rank >= MaxRanks {
 		return
@@ -288,8 +288,8 @@ func AddCount(id EventID, rank int, n int64) {
 }
 
 // AddComm credits message and byte counts to an event on a rank. The
-// par communicator calls this once per Send, so per-rank traffic is
-// measured rather than modeled.
+// par communicator calls this once per posted message, so per-rank
+// traffic is measured rather than modeled.
 func AddComm(id EventID, rank int, msgs, bytes int64) {
 	if !on.Load() || rank < 0 || rank >= MaxRanks {
 		return

@@ -1,30 +1,31 @@
-package topo
+package par
 
 import (
 	"sort"
 
 	"prometheus/internal/mesh"
-	"prometheus/internal/par"
 )
 
 // ParallelIdentifyFaces runs the distributed face identification of
-// section 4.5. Facets are assigned to ranks by facetOwner; each rank runs
-// the serial algorithm of Figure 3 on its local facets with face ids drawn
-// from the tuple <rank, local id>. Facet pairs that straddle a rank
-// boundary and satisfy the angle test (against both local root normals, the
-// role of the paper's "seed" facets) generate edges in the face-id graph
-// G_fid. G_fid is combined with a global reduction — the paper notes this
-// is not a scalable construct "but the constants are very small" — and
-// every facet takes the largest face id reachable from its own, exactly as
-// in the paper. The resulting faces are not guaranteed to match the serial
-// algorithm's, but are "close enough" (section 4.5); the tests check the
-// structural invariants instead of exact equality.
+// section 4.5. Facets are assigned to ranks by facetOwner; in one round
+// each rank runs the serial algorithm of Figure 3 on its local facets
+// with face ids drawn from the tuple <rank, local id>. In the next round,
+// facet pairs that straddle a rank boundary and satisfy the angle test
+// (against both trees' root normals, read from the ids and roots the
+// neighbour wrote in the first round: the role of the paper's "seed"
+// facets) generate edges in the face-id graph G_fid. The per-rank edge
+// lists are folded in rank order — the paper's global reduction, which it
+// notes is not a scalable construct "but the constants are very small" —
+// and every facet takes the largest face id reachable from its own,
+// exactly as in the paper. The resulting faces are not guaranteed to
+// match the serial algorithm's, but are "close enough" (section 4.5); the
+// tests check the structural invariants instead of exact equality.
 //
 // The returned ids are dense 1-based ints; the face count is also returned.
-func ParallelIdentifyFaces(comm *par.Comm, facets []mesh.Facet, adj [][]int, facetOwner []int, tol float64) ([]int, int) {
+func ParallelIdentifyFaces(comm *Comm, facets []mesh.Facet, adj [][]int, facetOwner []int, tol float64) ([]int, int) {
 	p := comm.Size()
 	if len(facetOwner) != len(facets) {
-		panic("topo: one owner per facet required")
+		panic("par: one owner per facet required")
 	}
 
 	// Encode <rank, local id> as rank*stride + local. Local ids are
@@ -41,14 +42,14 @@ func ParallelIdentifyFaces(comm *par.Comm, facets []mesh.Facet, adj [][]int, fac
 	type fidEdge [2]int
 	edgeSets := make([][]fidEdge, p)
 
-	comm.Run(func(r *par.Rank) {
-		me := r.ID()
+	// Serial Figure-3 BFS restricted to local facets, publishing each
+	// facet's encoded id and tree root.
+	comm.Round(func(me int) {
 		mine := local[me]
 		inMine := make(map[int]bool, len(mine))
 		for _, f := range mine {
 			inMine[f] = true
 		}
-		// Serial Figure-3 BFS restricted to local facets.
 		id := make(map[int]int, len(mine))
 		root := make(map[int]int, len(mine))
 		current := 0
@@ -78,18 +79,16 @@ func ParallelIdentifyFaces(comm *par.Comm, facets []mesh.Facet, adj [][]int, fac
 				}
 			}
 		}
-		// Publish local results (disjoint writes).
 		for _, f := range mine {
 			globalID[f] = me*stride + id[f]
 			rootOf[f] = root[f]
 		}
-		r.Barrier()
-
-		// Cross-rank seed edges: for each local facet adjacent to a facet
-		// on another rank, apply the angle test using both trees' root
-		// normals (the seed facet carries its root normal in the paper).
-		var myEdges []fidEdge
-		for _, f := range mine {
+	})
+	// Cross-rank seed edges: for each local facet adjacent to a facet on
+	// another rank, apply the angle test using both trees' root normals
+	// (the seed facet carries its root normal in the paper).
+	comm.Round(func(me int) {
+		for _, f := range local[me] {
 			for _, f1 := range adj[f] {
 				if facetOwner[f1] == me {
 					continue
@@ -99,14 +98,10 @@ func ParallelIdentifyFaces(comm *par.Comm, facets []mesh.Facet, adj [][]int, fac
 				if rn.Dot(facets[f1].Normal) > tol &&
 					rn1.Dot(facets[f].Normal) > tol &&
 					facets[f].Normal.Dot(facets[f1].Normal) > tol {
-					myEdges = append(myEdges, fidEdge{globalID[f], globalID[f1]})
+					edgeSets[me] = append(edgeSets[me], fidEdge{globalID[f], globalID[f1]})
 				}
 			}
 		}
-		edgeSets[me] = myEdges
-		// Global reduction of G_fid sizes stands in for the all-gather; the
-		// merge below happens after Run returns.
-		r.AllReduceIntSum(len(myEdges))
 	})
 
 	// Union-find over encoded ids; each facet takes the largest id

@@ -21,23 +21,19 @@ type Halo struct {
 	BS    int
 	Owner []int   // column/row (node) index -> owning rank
 	Rows  [][]int // rank -> rows (block rows when BS > 1) it owns, ascending
-	// send[r][nb] = indices owned by r that neighbour nb needs.
-	send []map[int][]int
-	// recv[r][nb] = indices owned by nb that r needs.
-	recv []map[int][]int
-	// credits[r][nb] recycles the packing buffers of the directed edge
-	// r→nb: the sender draws a buffer, the receiver returns it after
-	// unpacking. Two prefilled credits per edge keep Exchange both
-	// allocation-free and deadlock-free: a sender entering round k has
-	// finished round k-1, so its neighbour has finished round k-2 and
-	// returned that round's buffer.
-	credits []map[int]chan *[]float64
+	// send[r] = the indices owned by r that each neighbour needs, with
+	// the packing buffer of that directed edge; recv[r] = the indices r
+	// needs from each neighbour. Both are in ascending neighbour order.
+	send, recv [][]haloEdge
+	mail       *Mail[[]float64] // bound to the last Comm a product ran on
 }
 
-// haloTag is the message tag of ghost-value exchanges. Tags are unique
-// across the package (see pmis.go) so each tag names exactly one payload
-// type; RecvAs panics with both types if one ever carries another.
-const haloTag = 3
+// haloEdge is one direction of one neighbour pair.
+type haloEdge struct {
+	peer int
+	idx  []int
+	buf  []float64 // send edges only: bs values per index
+}
 
 // NewHalo builds the halo pattern for matrix a with the given row/column
 // ownership (square matrices: rows and columns share the partition).
@@ -54,8 +50,7 @@ func NewHalo(a *sparse.CSR, owner []int, nranks int) *Halo {
 // NewBlockHalo builds the node-granular halo pattern for a blocked matrix:
 // nodeOwner assigns each block row/column to a rank, and every exchanged
 // message carries one node index plus a.B scalar values per ghost node —
-// the blocked analogue of PETSc's BAIJ vector scatter. The tag discipline
-// is shared with the scalar halo (one tag, one payload type).
+// the blocked analogue of PETSc's BAIJ vector scatter.
 func NewBlockHalo(a *sparse.BSR, nodeOwner []int, nranks int) *Halo {
 	if len(nodeOwner) != a.NBRows || a.NBRows != a.NBCols {
 		panic("par: NewBlockHalo wants a square block matrix with one owner per node")
@@ -73,67 +68,55 @@ func buildHalo(n int, rowCols func(i int) []int, owner []int, nranks, bs int) *H
 		BS:     bs,
 		Owner:  owner,
 		Rows:   make([][]int, nranks),
-		send:   make([]map[int][]int, nranks),
-		recv:   make([]map[int][]int, nranks),
-	}
-	for r := 0; r < nranks; r++ {
-		h.send[r] = make(map[int][]int)
-		h.recv[r] = make(map[int][]int)
+		send:   make([][]haloEdge, nranks),
+		recv:   make([][]haloEdge, nranks),
 	}
 	for i, o := range owner {
 		h.Rows[o] = append(h.Rows[o], i)
 	}
-	// Collect needed ghost columns per rank.
-	needed := make([]map[int]bool, nranks)
-	for r := range needed {
-		needed[r] = make(map[int]bool)
-	}
+	// needed[r*nranks+o] = the ghost columns rank r needs from rank o.
+	needed := make([]map[int]bool, nranks*nranks)
 	for i := 0; i < n; i++ {
 		r := owner[i]
 		for _, j := range rowCols(i) {
-			if owner[j] != r {
-				needed[r][j] = true
+			if o := owner[j]; o != r {
+				k := r*nranks + o
+				if needed[k] == nil {
+					needed[k] = make(map[int]bool)
+				}
+				needed[k][j] = true
 			}
 		}
 	}
-	for r := 0; r < nranks; r++ {
-		for j := range needed[r] {
-			o := owner[j]
-			h.recv[r][o] = append(h.recv[r][o], j)
+	for k, set := range needed {
+		if set == nil {
+			continue
 		}
-		for o := range h.recv[r] {
-			sort.Ints(h.recv[r][o])
+		r, o := k/nranks, k%nranks
+		idx := make([]int, 0, len(set))
+		for j := range set {
+			idx = append(idx, j)
 		}
+		sort.Ints(idx)
+		h.recv[r] = append(h.recv[r], haloEdge{peer: o, idx: idx})
 	}
+	// The send edge o→r mirrors r's receive edge from o; taking r in
+	// ascending order keeps every rank's send edges in receiver order.
 	for r := 0; r < nranks; r++ {
-		for o, list := range h.recv[r] {
-			h.send[o][r] = list
-		}
-	}
-	h.credits = make([]map[int]chan *[]float64, nranks)
-	for r := 0; r < nranks; r++ {
-		h.credits[r] = make(map[int]chan *[]float64, len(h.send[r]))
-		for nb, idx := range h.send[r] {
-			ch := make(chan *[]float64, 2)
-			for k := 0; k < cap(ch); k++ {
-				buf := make([]float64, bs*len(idx))
-				ch <- &buf
-			}
-			h.credits[r][nb] = ch
+		for _, e := range h.recv[r] {
+			h.send[e.peer] = append(h.send[e.peer], haloEdge{peer: r, idx: e.idx, buf: make([]float64, bs*len(e.idx))})
 		}
 	}
 	if check.Enabled {
 		check.Partition(owner, nranks, "par.NewHalo")
 		for r := 0; r < nranks; r++ {
 			check.SortedUnique(h.Rows[r], n, "par.NewHalo rows")
-			for nb, list := range h.recv[r] {
-				check.Assert(nb != r, "par.NewHalo: rank %d receives ghosts from itself", r)
-				check.SortedUnique(list, n, "par.NewHalo recv list")
-				for _, j := range list {
-					check.Assert(owner[j] == nb, "par.NewHalo: rank %d expects index %d from rank %d, but it is owned by %d", r, j, nb, owner[j])
+			for _, e := range h.recv[r] {
+				check.Assert(e.peer != r, "par.NewHalo: rank %d receives ghosts from itself", r)
+				check.SortedUnique(e.idx, n, "par.NewHalo recv list")
+				for _, j := range e.idx {
+					check.Assert(owner[j] == e.peer, "par.NewHalo: rank %d expects index %d from rank %d, but it is owned by %d", r, j, e.peer, owner[j])
 				}
-				// The mirrored send list must be the identical index set.
-				check.Assert(len(h.send[nb][r]) == len(list), "par.NewHalo: send/recv mismatch between ranks %d and %d", nb, r)
 			}
 		}
 	}
@@ -145,120 +128,107 @@ func buildHalo(n int, rowCols func(i int) []int, owner []int, nranks, bs int) *H
 // halos each ghost node contributes BS values.
 func (h *Halo) GhostCount(r int) int {
 	n := 0
-	for _, l := range h.recv[r] {
-		n += len(l)
+	for _, e := range h.recv[r] {
+		n += len(e.idx)
 	}
 	return h.BS * n
 }
 
-// Exchange updates the ghost entries of x visible to rank r. x is the
-// globally indexed vector replicated on all ranks; only entries owned by r
-// are assumed valid on entry, and on return the ghost entries r needs are
-// valid too. Counts message traffic on the rank.
-func (h *Halo) Exchange(r *Rank, x []float64) {
-	sp := obs.StartRank(obsHaloEv, r.ID())
-	h.exchange(r, x)
-	sp.End()
+// exchange runs the round that packs and posts every rank's ghost values
+// of xs (xs[r] is rank r's globally indexed x, valid on the entries r
+// owns), each rank's under one par.halo.exchange span; unpack, in the
+// next round, takes them.
+func (h *Halo) exchange(c *Comm, xs [][]float64) {
+	if h.mail == nil || h.mail.c != c {
+		h.mail = NewMail[[]float64](c)
+	}
+	bs := h.BS
+	c.Round(func(me int) {
+		sp := obs.StartRank(obsHaloEv, me)
+		x := xs[me]
+		for _, e := range h.send[me] {
+			vals := e.buf
+			if bs == 1 {
+				for k, j := range e.idx {
+					vals[k] = x[j]
+				}
+			} else {
+				for k, j := range e.idx {
+					copy(vals[bs*k:bs*k+bs], x[bs*j:bs*j+bs])
+				}
+			}
+			obs.AddComm(obsHaloEv, me, 1, int64(8*len(vals)))
+			h.mail.Post(me, e.peer, vals, 8*len(vals))
+		}
+		sp.End()
+	})
 }
 
-// exchange is the span-free body of Exchange.
-func (h *Halo) exchange(r *Rank, x []float64) {
-	me := r.ID()
+// unpack writes the ghost values rank me receives into x.
+func (h *Halo) unpack(me int, x []float64) {
 	bs := h.BS
-	for nb, idx := range h.send[me] {
-		bp := <-h.credits[me][nb] // recycled packing buffer for this edge
-		vals := *bp
-		if bs == 1 {
-			for k, j := range idx {
-				vals[k] = x[j]
-			}
-		} else {
-			for k, j := range idx {
-				copy(vals[bs*k:bs*k+bs], x[bs*j:bs*j+bs])
-			}
-		}
-		obs.AddComm(obsHaloEv, me, 1, int64(8*len(vals)))
-		r.Send(nb, haloTag, bp, 8*len(vals))
-	}
-	for nb, idx := range h.recv[me] {
-		bp := RecvAs[*[]float64](r, nb, haloTag)
-		vals := *bp
+	for _, e := range h.recv[me] {
+		vals := h.mail.Take(me, e.peer)
 		if check.Enabled {
-			check.Assert(len(vals) == bs*len(idx), "par.Halo.Exchange: rank %d received %d ghost values from %d, want %d", me, len(vals), nb, bs*len(idx))
+			check.Assert(len(vals) == bs*len(e.idx), "par.Halo: rank %d received %d ghost values from %d, want %d", me, len(vals), e.peer, bs*len(e.idx))
 		}
 		if bs == 1 {
-			for k, j := range idx {
+			for k, j := range e.idx {
 				x[j] = vals[k]
 			}
 		} else {
-			for k, j := range idx {
+			for k, j := range e.idx {
 				copy(x[bs*j:bs*j+bs], vals[bs*k:bs*k+bs])
 			}
 		}
-		h.credits[nb][me] <- bp // return the buffer to the sender's pool
 	}
 }
 
-// MulVec computes y = A·x for the rows owned by rank r, after a ghost
-// exchange. Rows owned by other ranks are left untouched in y, so a shared
-// y across ranks is written without conflicts. Flops are counted.
-func (h *Halo) MulVec(r *Rank, a *sparse.CSR, x, y []float64) {
-	h.Exchange(r, x)
-	me := r.ID()
-	nnz := 0
-	for _, i := range h.Rows[me] {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		cols := a.ColIdx[lo:hi]
-		vals := a.Val[lo:hi:hi]
-		vals = vals[:len(cols)] // equal lengths let the compiler drop bounds checks
-		s := 0.0
-		for k, j := range cols {
-			s += vals[k] * x[j]
+// MulVec computes y = A·x in two rounds on c: the ghost exchange, then
+// every rank's owned rows. xs[r] is rank r's copy of x, valid on the
+// entries r owns on entry and on the ghosts r needs on return; y is
+// shared, each rank writing only its own rows. Flops are counted.
+func (h *Halo) MulVec(c *Comm, a *sparse.CSR, xs [][]float64, y []float64) {
+	h.exchange(c, xs)
+	c.Round(func(me int) {
+		x := xs[me]
+		h.unpack(me, x)
+		nnz := 0
+		for _, i := range h.Rows[me] {
+			lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+			cols := a.ColIdx[lo:hi]
+			vals := a.Val[lo:hi:hi]
+			vals = vals[:len(cols)] // equal lengths let the compiler drop bounds checks
+			s := 0.0
+			for k, j := range cols {
+				s += vals[k] * x[j]
+			}
+			y[i] = s
+			nnz += hi - lo
 		}
-		y[i] = s
-		nnz += hi - lo
-	}
-	r.CountFlops(2 * int64(nnz))
+		c.AddFlops(me, 2*int64(nnz))
+	})
 }
 
-// MulVecBSR computes y = A·x for the block rows owned by rank r, after a
+// MulVecBSR is MulVec for the block rows of a blocked matrix, after a
 // node-granular ghost exchange. Requires a halo built by NewBlockHalo with
 // the same block size as a. The per-node kernel is the same register-blocked
 // micro-kernel as BSR.MulVec, so the owned rows come out bitwise identical
 // to the serial product.
-func (h *Halo) MulVecBSR(r *Rank, a *sparse.BSR, x, y []float64) {
+func (h *Halo) MulVecBSR(c *Comm, a *sparse.BSR, xs [][]float64, y []float64) {
 	if check.Enabled {
 		check.Assert(h.BS == a.B, "par.Halo.MulVecBSR: halo block size %d vs matrix %d", h.BS, a.B)
 	}
-	h.Exchange(r, x)
-	me := r.ID()
-	b := a.B
-	nnzb := 0
-	for _, ib := range h.Rows[me] {
-		a.MulVecRange(x, y, b*ib, b*ib+b)
-		nnzb += a.RowPtr[ib+1] - a.RowPtr[ib]
-	}
-	r.CountFlops(2 * int64(nnzb*b*b))
-}
-
-// Dot returns the global inner product of x and y, each rank contributing
-// its owned entries (BS scalars per owned node on blocked halos), via an
-// all-reduce.
-func (h *Halo) Dot(r *Rank, x, y []float64) float64 {
-	me := r.ID()
-	s := 0.0
-	if h.BS == 1 {
-		for _, i := range h.Rows[me] {
-			s += x[i] * y[i]
-		}
-	} else {
-		bs := h.BS
+	h.exchange(c, xs)
+	c.Round(func(me int) {
+		x := xs[me]
+		h.unpack(me, x)
+		b := a.B
+		nnzb := 0
 		for _, ib := range h.Rows[me] {
-			for d := bs * ib; d < bs*ib+bs; d++ {
-				s += x[d] * y[d]
-			}
+			a.MulVecRange(x, y, b*ib, b*ib+b)
+			nnzb += a.RowPtr[ib+1] - a.RowPtr[ib]
 		}
-	}
-	r.CountFlops(2 * int64(h.BS*len(h.Rows[me])))
-	return r.AllReduceSum(s)
+		c.AddFlops(me, 2*int64(nnzb*b*b))
+	})
 }

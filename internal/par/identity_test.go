@@ -10,6 +10,7 @@ import (
 	"prometheus/internal/material"
 	"prometheus/internal/mesh"
 	"prometheus/internal/par"
+	"prometheus/internal/perf"
 	"prometheus/internal/sparse"
 	"prometheus/internal/topo"
 )
@@ -77,8 +78,8 @@ func runExample(t *testing.T, ranks int) exampleCounts {
 	out.mis = len(par.ParallelMIS(par.NewComm(ranks), cls.ModifiedGraph(g), owner, order, cls.Rank, cls.Immortal()))
 
 	facets := m.BoundaryFacets()
-	fo := topo.FacetOwnerFromVerts(facets, owner)
-	_, out.faces = topo.ParallelIdentifyFaces(par.NewComm(ranks), facets, mesh.FacetAdjacency(facets), fo, topo.DefaultTOL)
+	fo := par.FacetOwnerFromVerts(facets, owner)
+	_, out.faces = par.ParallelIdentifyFaces(par.NewComm(ranks), facets, mesh.FacetAdjacency(facets), fo, topo.DefaultTOL)
 
 	p := fem.NewProblem(m, []material.Model{material.LinearElastic{E: 1, Nu: 0.3}}, false)
 	k, _, err := p.AssembleTangent(make([]float64, m.NumDOF()))
@@ -103,14 +104,15 @@ func runExample(t *testing.T, ranks int) exampleCounts {
 		}
 		return true
 	}
-	ownedX := func(r int) []float64 {
-		xl := make([]float64, len(x))
-		for v := 0; v < m.NumVerts(); v++ {
-			if owner[v] == r {
-				copy(xl[3*v:3*v+3], x[3*v:3*v+3])
-			}
+	ownedX := func() [][]float64 {
+		xs := make([][]float64, ranks)
+		for r := range xs {
+			xs[r] = make([]float64, len(x))
 		}
-		return xl
+		for v, r := range owner {
+			copy(xs[r][3*v:3*v+3], x[3*v:3*v+3])
+		}
+		return xs
 	}
 
 	dofOwner := make([]int, m.NumDOF())
@@ -119,25 +121,18 @@ func runExample(t *testing.T, ranks int) exampleCounts {
 	}
 	halo := par.NewHalo(k, dofOwner, ranks)
 	y := make([]float64, len(x))
-	comm := par.NewComm(ranks)
-	c := comm.RunCounted(func(r *par.Rank) { halo.MulVec(r, k, ownedX(r.ID()), y) })
-	out.flops, out.bytes, out.msgs = c.Flops, c.BytesSent, c.MsgsSent
+	c := par.NewComm(ranks)
+	halo.MulVec(c, k, ownedX(), y)
+	out.flops, out.bytes, out.msgs = c.Flops, c.Bytes, c.Msgs
 	for r := 0; r < ranks; r++ {
 		out.ghosts = append(out.ghosts, halo.GhostCount(r))
 	}
-	out.scalarMsgs, out.scalarBitwise = sum(c.MsgsSent), bitwise(y)
+	out.scalarMsgs, out.scalarBitwise = perf.Sum(c.Msgs), bitwise(y)
 
 	bhalo := par.NewBlockHalo(kb, owner, ranks)
 	yb := make([]float64, len(x))
-	bc := comm.RunCounted(func(r *par.Rank) { bhalo.MulVecBSR(r, kb, ownedX(r.ID()), yb) })
-	out.blockedMsgs, out.blockedBitwise = sum(bc.MsgsSent), bitwise(yb)
+	bc := par.NewComm(ranks)
+	bhalo.MulVecBSR(bc, kb, ownedX(), yb)
+	out.blockedMsgs, out.blockedBitwise = perf.Sum(bc.Msgs), bitwise(yb)
 	return out
-}
-
-func sum(v []int64) int64 {
-	var s int64
-	for _, x := range v {
-		s += x
-	}
-	return s
 }

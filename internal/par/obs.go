@@ -5,9 +5,8 @@ import "prometheus/internal/obs"
 // Observability events. "par.rank" accumulates each rank's measured
 // flop/message/byte counters (the slices Profile.PerRank hands to
 // internal/perf's efficiency decomposition); "par.halo.exchange" times
-// the ghost exchanges and counts their traffic separately. The names
-// are distinct from the eventKind tracer constants in comm.go, which
-// belong to the promdebug protocol watchdog, not to obs.
+// each rank's packing and posting of its ghost values and counts that
+// traffic separately.
 var (
 	obsRankEv  = obs.Register("par.rank")
 	obsHaloEv  = obs.Register("par.halo.exchange")

@@ -1,124 +1,103 @@
 package par
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
+	"prometheus/internal/check"
+	"prometheus/internal/geom"
 	"prometheus/internal/graph"
+	"prometheus/internal/mesh"
+	"prometheus/internal/obs"
+	"prometheus/internal/perf"
 	"prometheus/internal/sparse"
+	"prometheus/internal/topo"
 )
 
-func TestBarrierAndReduce(t *testing.T) {
-	c := NewComm(8)
-	c.Run(func(r *Rank) {
-		for iter := 0; iter < 50; iter++ {
-			s := r.AllReduceSum(float64(r.ID()))
-			if s != 28 {
-				t.Errorf("sum = %v", s)
-			}
-			m := r.AllReduceMax(float64(r.ID()))
-			if m != 7 {
-				t.Errorf("max = %v", m)
-			}
-			n := r.AllReduceIntSum(1)
-			if n != 8 {
-				t.Errorf("count = %v", n)
-			}
-			r.Barrier()
-		}
-	})
-}
-
-func TestSendRecvTags(t *testing.T) {
-	c := NewComm(2)
-	c.Run(func(r *Rank) {
-		if r.ID() == 0 {
-			// Send tag 5 then tag 3; receiver asks for 3 first.
-			r.Send(1, 5, "five", 4)
-			r.Send(1, 3, "three", 5)
-		} else {
-			if got := r.Recv(0, 3); got != "three" {
-				t.Errorf("tag 3 = %v", got)
-			}
-			if got := r.Recv(0, 5); got != "five" {
-				t.Errorf("tag 5 = %v", got)
-			}
-		}
-	})
-}
-
-func TestSelfSend(t *testing.T) {
-	c := NewComm(1)
-	c.Run(func(r *Rank) {
-		r.Send(0, 7, 42, 8)
-		if got := r.Recv(0, 7); got != 42 {
-			t.Errorf("self recv = %v", got)
-		}
-	})
-}
-
-func TestAllGather(t *testing.T) {
-	c := NewComm(5)
-	c.Run(func(r *Rank) {
-		vals := AllGatherAs(r, r.ID()*10)
-		for i, v := range vals {
-			if v != i*10 {
-				t.Errorf("gather[%d] = %v", i, v)
-			}
-		}
-	})
-}
-
-func TestRunCounted(t *testing.T) {
+// TestMailRounds checks the mailbox contract: a message posted in one
+// round is taken in the next, whichever rank posted it; a message to
+// another rank counts one message and its bytes on the sender, a message
+// to itself counts nothing; flops land on the rank that did them.
+func TestMailRounds(t *testing.T) {
 	c := NewComm(3)
-	counters := c.RunCounted(func(r *Rank) {
-		r.CountFlops(int64(100 * (r.ID() + 1)))
-		if r.ID() == 0 {
-			r.Send(1, 1, "x", 16)
-		}
-		if r.ID() == 1 {
-			r.Recv(0, 1)
+	m := NewMail[string](c)
+	c.Round(func(me int) {
+		c.AddFlops(me, int64(100*(me+1)))
+		m.Post(me, (me+2)%3, fmt.Sprint("from ", me), 16)
+		m.Post(me, me, "self", 8)
+	})
+	c.Round(func(me int) {
+		if got, want := m.Take(me, (me+1)%3)+" "+m.Take(me, me), fmt.Sprint("from ", (me+1)%3, " self"); got != want {
+			t.Errorf("rank %d took %q, want %q", me, got, want)
 		}
 	})
-	if counters.Flops[2] != 300 {
-		t.Errorf("flops = %v", counters.Flops)
-	}
-	if counters.BytesSent[0] != 16 || counters.MsgsSent[0] != 1 {
-		t.Errorf("traffic = %v %v", counters.BytesSent, counters.MsgsSent)
+	if !slices.Equal(c.Flops, []int64{100, 200, 300}) || !slices.Equal(c.Msgs, []int64{1, 1, 1}) || !slices.Equal(c.Bytes, []int64{16, 16, 16}) {
+		t.Errorf("flops %v msgs %v bytes %v", c.Flops, c.Msgs, c.Bytes)
 	}
 }
 
-func TestRunPanicsPropagate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewComm(2).Run(func(r *Rank) {
-		if r.ID() == 1 {
-			panic("boom")
-		}
-	})
+// TestSeededFaults plants one protocol fault per row and requires the
+// failure to name it: which ranks, and the payload type.
+func TestSeededFaults(t *testing.T) {
+	post := func(c *Comm, m *Mail[int]) {
+		c.Round(func(me int) { m.Post(me, (me+1)%3, me, 8) })
+	}
+	take := func(c *Comm, m *Mail[int]) {
+		c.Round(func(me int) { m.Take(me, (me+2)%3) })
+	}
+	for _, row := range []struct {
+		name  string
+		debug bool // needs the promdebug drain check
+		run   []func(c *Comm, m *Mail[int])
+		want  string // in the panic; "": must run clean
+	}{
+		// A communicator is reused across products: a protocol that ended
+		// clean must start the next one clean.
+		{name: "clean-second-run", run: []func(*Comm, *Mail[int]){post, take, post, take}},
+		// Rank 1 runs after rank 0 in a round, yet cannot read what rank 0
+		// posted in it.
+		{name: "take-in-same-round", run: []func(*Comm, *Mail[int]){func(c *Comm, m *Mail[int]) {
+			c.Round(func(me int) {
+				if m.Post(me, (me+1)%3, me, 8); me > 0 {
+					m.Take(me, me-1)
+				}
+			})
+		}}, want: "rank 1 takes a int from rank 0, none was posted the round before"},
+		{name: "never-taken", debug: true, run: []func(*Comm, *Mail[int]){post, post},
+			want: "par: rank 0 posted a int to rank 1, never taken"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if row.debug && !check.Enabled {
+				t.Skip("the drain check runs under -tags promdebug")
+			}
+			got := func() (text string) {
+				defer func() { text = fmt.Sprint(recover()) }()
+				c := NewComm(3)
+				m := NewMail[int](c)
+				for _, run := range row.run {
+					run(c, m)
+				}
+				return
+			}()
+			if row.want == "" && got != "<nil>" || !strings.Contains(got, row.want) {
+				t.Fatalf("panic %q, want %q", got, row.want)
+			}
+		})
+	}
 }
 
 // gridGraph3D builds an n³ 6-connected lattice.
 func gridGraph3D(n int) *graph.Graph {
-	id := func(i, j, k int) int { return (i*n+j)*n + k }
 	var edges [][2]int
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			for k := 0; k < n; k++ {
-				if i+1 < n {
-					edges = append(edges, [2]int{id(i, j, k), id(i+1, j, k)})
-				}
-				if j+1 < n {
-					edges = append(edges, [2]int{id(i, j, k), id(i, j+1, k)})
-				}
-				if k+1 < n {
-					edges = append(edges, [2]int{id(i, j, k), id(i, j, k+1)})
-				}
+	for v := 0; v < n*n*n; v++ {
+		for _, stride := range []int{n * n, n, 1} {
+			if v/stride%n+1 < n {
+				edges = append(edges, [2]int{v, v + stride})
 			}
 		}
 	}
@@ -164,19 +143,9 @@ func TestParallelMISSingleRankMatchesInvariants(t *testing.T) {
 	order := graph.NaturalOrder(g.N)
 	serial := graph.MIS(g, order, nil, nil)
 	par1 := ParallelMIS(NewComm(1), g, make([]int, g.N), order, nil, nil)
-	if !reflect.DeepEqual(serial, sortedCopy(par1)) {
+	if !reflect.DeepEqual(serial, par1) {
 		t.Fatalf("1-rank parallel MIS (%d) != serial MIS (%d)", len(par1), len(serial))
 	}
-}
-
-func sortedCopy(s []int) []int {
-	c := append([]int(nil), s...)
-	for i := 1; i < len(c); i++ {
-		for j := i; j > 0 && c[j-1] > c[j]; j-- {
-			c[j-1], c[j] = c[j], c[j-1]
-		}
-	}
-	return c
 }
 
 func TestParallelMISImmortals(t *testing.T) {
@@ -189,15 +158,7 @@ func TestParallelMISImmortals(t *testing.T) {
 		owner[v] = v % 3
 	}
 	mis := ParallelMIS(NewComm(3), g, owner, graph.NaturalOrder(g.N), nil, imm)
-	has := func(v int) bool {
-		for _, m := range mis {
-			if m == v {
-				return true
-			}
-		}
-		return false
-	}
-	if !has(0) || !has(g.N-1) {
+	if !slices.Contains(mis, 0) || !slices.Contains(mis, g.N-1) {
 		t.Fatal("immortal vertices must be selected")
 	}
 	if !graph.IsMaximal(g, mis) {
@@ -205,9 +166,72 @@ func TestParallelMISImmortals(t *testing.T) {
 	}
 }
 
-func TestHaloMulVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 60
+// BenchmarkParallelMIS runs the section 4.2 parallel MIS on 8 simulated
+// ranks.
+func BenchmarkParallelMIS(b *testing.B) {
+	m := mesh.StructuredHex(10, 10, 10, 1, 1, 1, nil)
+	g := m.NodeGraph()
+	owner := graph.RCB(m.Coords, 8)
+	order := graph.NaturalOrder(g.N)
+	var size int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		size = len(ParallelMIS(NewComm(8), g, owner, order, nil, nil))
+	}
+	b.ReportMetric(float64(size), "MIS-size")
+}
+
+// cube returns the boundary facets of an n×n×n unit cube mesh and their
+// adjacency.
+func cube(n int) (*mesh.Mesh, []mesh.Facet, [][]int) {
+	m := mesh.StructuredHex(n, n, n, 1, 1, 1, nil)
+	facets := m.BoundaryFacets()
+	return m, facets, mesh.FacetAdjacency(facets)
+}
+
+func TestParallelIdentifyFacesCube(t *testing.T) {
+	m, facets, adj := cube(4)
+	for _, p := range []int{1, 2, 3, 4} {
+		vertOwner := make([]int, m.NumVerts())
+		for v := range vertOwner {
+			vertOwner[v] = v % p
+		}
+		fo := FacetOwnerFromVerts(facets, vertOwner)
+		faceID, n := ParallelIdentifyFaces(NewComm(p), facets, adj, fo, topo.DefaultTOL)
+		if n != 6 {
+			t.Fatalf("p=%d: faces = %d, want 6", p, n)
+		}
+		// Same-normal facets must end in the same face.
+		byNormal := make(map[geom.Vec3]int)
+		for i, f := range facets {
+			if prev, ok := byNormal[f.Normal]; ok && faceID[i] != prev {
+				t.Fatalf("p=%d: face split on normal %v", p, f.Normal)
+			}
+			byNormal[f.Normal] = faceID[i]
+		}
+	}
+}
+
+func TestParallelFacesClassificationAgreesSerially(t *testing.T) {
+	// The classification derived from parallel faces must match the serial
+	// one on a cube (face identity is unique there).
+	m, facets, adj := cube(3)
+	serialID, _ := topo.IdentifyFaces(facets, adj, topo.DefaultTOL)
+	want := topo.Classify(m.NumVerts(), facets, serialID)
+	vertOwner := graph.GreedyPartition(m.NodeGraph(), 3)
+	fo := FacetOwnerFromVerts(facets, vertOwner)
+	parID, _ := ParallelIdentifyFaces(NewComm(3), facets, adj, fo, topo.DefaultTOL)
+	got := topo.Classify(m.NumVerts(), facets, parID)
+	for v := range want.Rank {
+		if want.Rank[v] != got.Rank[v] {
+			t.Fatalf("rank mismatch at vertex %d: serial %d parallel %d", v, want.Rank[v], got.Rank[v])
+		}
+	}
+}
+
+// scalarTestMatrix builds an n-row tridiagonal test operator with a
+// long-range band at distance far.
+func scalarTestMatrix(n, far int) *sparse.CSR {
 	b := sparse.NewBuilder(n, n)
 	for i := 0; i < n; i++ {
 		b.Add(i, i, 4)
@@ -215,52 +239,9 @@ func TestHaloMulVec(t *testing.T) {
 			b.Add(i, i+1, -1)
 			b.Add(i+1, i, -1)
 		}
-		b.Add(i, (i+17)%n, 0.5)
+		b.Add(i, (i+far)%n, 0.5)
 	}
-	a := b.Build()
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	want := make([]float64, n)
-	a.MulVec(x, want)
-
-	for _, p := range []int{1, 2, 3, 5} {
-		owner := make([]int, n)
-		for i := range owner {
-			owner[i] = i * p / n
-		}
-		h := NewHalo(a, owner, p)
-		got := make([]float64, n)
-		// Each rank gets its own copy of x valid only on owned entries to
-		// prove the exchange works, but shares got.
-		comm := NewComm(p)
-		counters := comm.RunCounted(func(r *Rank) {
-			xl := make([]float64, n)
-			for i := range xl {
-				if owner[i] == r.ID() {
-					xl[i] = x[i]
-				}
-			}
-			h.MulVec(r, a, xl, got)
-		})
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-12 {
-				t.Fatalf("p=%d: y[%d] = %v want %v", p, i, got[i], want[i])
-			}
-		}
-		// Total flops must equal 2·nnz regardless of p.
-		var total int64
-		for _, f := range counters.Flops {
-			total += f
-		}
-		if total != a.MulVecFlops() {
-			t.Fatalf("p=%d: flops %d want %d", p, total, a.MulVecFlops())
-		}
-		if p > 1 && counters.BytesSent[0] == 0 {
-			t.Fatalf("p=%d: expected halo traffic", p)
-		}
-	}
+	return b.Build()
 }
 
 // blockTestMatrix builds an nb-node block tridiagonal test operator with a
@@ -288,11 +269,55 @@ func blockTestMatrix(nb int, rng *rand.Rand) *sparse.BSR {
 	return bb.Build()
 }
 
+// ownedCopies returns each rank's copy of x, valid only on the entries
+// it owns (bs consecutive entries per owned index).
+func ownedCopies(x []float64, owner []int, p, bs int) [][]float64 {
+	xs := make([][]float64, p)
+	for r := range xs {
+		xs[r] = make([]float64, len(x))
+	}
+	for i, o := range owner {
+		copy(xs[o][bs*i:bs*i+bs], x[bs*i:bs*i+bs])
+	}
+	return xs
+}
+
+func TestHaloMulVec(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	n := 60
+	a := scalarTestMatrix(n, 17)
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = rng.Float64()
+	}
+	want := make([]float64, n)
+	a.MulVec(x, want)
+
+	for _, p := range []int{1, 2, 3, 5} {
+		owner := contiguous(n, p)
+		h := NewHalo(a, owner, p)
+		got := make([]float64, n)
+		comm := NewComm(p)
+		h.MulVec(comm, a, ownedCopies(x, owner, p, 1), got)
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-12 {
+				t.Fatalf("p=%d: y[%d] = %v want %v", p, i, got[i], want[i])
+			}
+		}
+		// Total flops must equal 2·nnz regardless of p.
+		if total := perf.Sum(comm.Flops); total != a.MulVecFlops() {
+			t.Fatalf("p=%d: flops %d want %d", p, total, a.MulVecFlops())
+		}
+		if p > 1 && comm.Bytes[0] == 0 {
+			t.Fatalf("p=%d: expected halo traffic", p)
+		}
+	}
+}
+
 // TestBlockHaloMulVec checks the node-granular halo: the distributed
 // blocked product must be bitwise identical to the serial BSR product on
-// every rank count, with the same total flop count, and the blocked
-// exchange must move fewer messages than a scalar halo over the expanded
-// matrix (one index + 3 values per ghost node).
+// every rank count, with the same total flop count and the same ghost
+// volume as a scalar halo over the expanded matrix.
 func TestBlockHaloMulVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	nb := 40
@@ -306,42 +331,23 @@ func TestBlockHaloMulVec(t *testing.T) {
 	a.MulVec(x, want)
 
 	for _, p := range []int{1, 2, 3, 5} {
-		nodeOwner := make([]int, nb)
-		for i := range nodeOwner {
-			nodeOwner[i] = i * p / nb
-		}
+		nodeOwner := contiguous(nb, p)
 		h := NewBlockHalo(a, nodeOwner, p)
 		got := make([]float64, n)
 		comm := NewComm(p)
-		counters := comm.RunCounted(func(r *Rank) {
-			xl := make([]float64, n)
-			for ib := 0; ib < nb; ib++ {
-				if nodeOwner[ib] == r.ID() {
-					copy(xl[3*ib:3*ib+3], x[3*ib:3*ib+3])
-				}
-			}
-			h.MulVecBSR(r, a, xl, got)
-		})
+		h.MulVecBSR(comm, a, ownedCopies(x, nodeOwner, p, 3), got)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("p=%d: y[%d] = %v want %v (not bitwise)", p, i, got[i], want[i])
 			}
 		}
-		var total int64
-		for _, f := range counters.Flops {
-			total += f
-		}
-		if total != a.MulVecFlops() {
+		if total := perf.Sum(comm.Flops); total != a.MulVecFlops() {
 			t.Fatalf("p=%d: flops %d want %d", p, total, a.MulVecFlops())
 		}
-		if p > 1 {
-			// Same ghost volume as the scalar halo on the expanded matrix,
-			// from one third of the messages' index entries.
-			hs := NewHalo(a.ToCSR(), expandOwner(nodeOwner, 3), p)
-			for rk := 0; rk < p; rk++ {
-				if h.GhostCount(rk) != hs.GhostCount(rk) {
-					t.Fatalf("p=%d rank %d: blocked ghosts %d vs scalar %d", p, rk, h.GhostCount(rk), hs.GhostCount(rk))
-				}
+		hs := NewHalo(a.ToCSR(), expandOwner(nodeOwner, 3), p)
+		for rk := 0; rk < p; rk++ {
+			if h.GhostCount(rk) != hs.GhostCount(rk) {
+				t.Fatalf("p=%d rank %d: blocked ghosts %d vs scalar %d", p, rk, h.GhostCount(rk), hs.GhostCount(rk))
 			}
 		}
 	}
@@ -357,54 +363,61 @@ func expandOwner(nodeOwner []int, b int) []int {
 	return out
 }
 
-// TestBlockHaloDot checks the blocked distributed inner product covers
-// every scalar entry exactly once.
-func TestBlockHaloDot(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	nb := 24
-	a := blockTestMatrix(nb, rng)
-	nodeOwner := make([]int, nb)
-	for i := range nodeOwner {
-		nodeOwner[i] = i % 4
-	}
-	h := NewBlockHalo(a, nodeOwner, 4)
-	n := a.Rows()
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = 1
-		y[i] = 2
-	}
-	comm := NewComm(4)
-	comm.Run(func(r *Rank) {
-		if d := h.Dot(r, x, y); d != float64(2*n) {
-			t.Errorf("dot = %v want %v", d, float64(2*n))
-		}
-	})
-}
-
-func TestHaloDot(t *testing.T) {
-	n := 40
-	a := sparse.Identity(n)
+// contiguous assigns n rows to p ranks in contiguous ranges.
+func contiguous(n, p int) []int {
 	owner := make([]int, n)
 	for i := range owner {
-		owner[i] = i % 4
+		owner[i] = i * p / n
 	}
-	h := NewHalo(a, owner, 4)
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = 1
-		y[i] = 2
+	return owner
+}
+
+// TestSteadyStateAllocs requires a warm halo product, scalar and blocked,
+// with obs off and on, to allocate nothing: the edge buffers and the
+// mailbox are reused, and obs records into preallocated atomics.
+func TestSteadyStateAllocs(t *testing.T) {
+	const p = 4
+	a, owner := scalarTestMatrix(96, 29), contiguous(96, p)
+	ab, nodeOwner := blockTestMatrix(32, rand.New(rand.NewSource(1))), contiguous(32, p)
+	products := []struct {
+		name    string
+		product func(c *Comm) func()
+	}{
+		{"scalar", func(c *Comm) func() {
+			h, xs, y := NewHalo(a, owner, p), ownedCopies(make([]float64, a.NRows), owner, p, 1), make([]float64, a.NRows)
+			return func() { h.MulVec(c, a, xs, y) }
+		}},
+		{"blocked", func(c *Comm) func() {
+			h, xs, y := NewBlockHalo(ab, nodeOwner, p), ownedCopies(make([]float64, ab.Rows()), nodeOwner, p, 3), make([]float64, ab.Rows())
+			return func() { h.MulVecBSR(c, ab, xs, y) }
+		}},
 	}
-	comm := NewComm(4)
-	comm.Run(func(r *Rank) {
-		d := h.Dot(r, x, y)
-		if d != float64(2*n) {
-			t.Errorf("dot = %v", d)
+	for _, pr := range products {
+		for _, obsOn := range []bool{false, true} {
+			name := pr.name + "-obs-off"
+			if obsOn {
+				name = pr.name + "-obs-on"
+			}
+			t.Run(name, func(t *testing.T) {
+				if obsOn {
+					obs.EnableWith(obs.Config{Ranks: p, RingCap: 1 << 12})
+					defer obs.Disable()
+				}
+				c := NewComm(p)
+				run := pr.product(c)
+				run()
+				if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+					t.Errorf("warm product allocates %v objects", allocs)
+				}
+				if !obsOn {
+					return
+				}
+				// The instrumentation must actually have measured the traffic.
+				flops, msgs, bytes, ok := obs.Snapshot().PerRank("par.rank")
+				if !ok || perf.Sum(flops) == 0 || perf.Sum(msgs) == 0 || perf.Sum(bytes) == 0 {
+					t.Fatalf("par.rank counters %v %v %v (present %v), want all non-zero", flops, msgs, bytes, ok)
+				}
+			})
 		}
-	})
-	if h.GhostCount(0) != 0 {
-		t.Error("identity matrix should need no ghosts")
 	}
 }

@@ -1,6 +1,8 @@
 package par
 
 import (
+	"slices"
+
 	"prometheus/internal/check"
 	"prometheus/internal/graph"
 )
@@ -13,8 +15,10 @@ import (
 // number does not exceed v1's (the paper's tie-break), with the immortal
 // (corner) rule layered on top: immortal vertices are always selectable and
 // can never be deleted, and an undone immortal neighbour blocks everyone
-// else. Ghost vertex states are exchanged between rounds; the loop ends
-// when a global reduction finds no undone vertices.
+// else. Each iteration is three rounds: the sweep, which posts the ghost
+// deletions to their owners; applying them and posting the owned boundary
+// states; applying those states. The loop ends when the folded per-rank
+// counts find no undone vertices.
 //
 // The returned slice is the sorted selected set; it satisfies the MIS
 // invariants (independence among mortals, maximality) for any number of
@@ -37,191 +41,182 @@ func ParallelMIS(comm *Comm, g *graph.Graph, owner []int, order []int, rank []in
 	}
 	imm := func(v int) bool { return immortal != nil && immortal[v] }
 
-	// Per rank: local vertices in traversal order, and neighbouring ranks.
+	// Per rank: local vertices in traversal order, neighbouring ranks in
+	// ascending order, and owned boundary vertices (those with a
+	// cross-rank edge). A boundary vertex's authoritative state is
+	// re-broadcast every round so that third-party deletions reach every
+	// rank that ghosts it.
 	localOrder := make([][]int, p)
 	for _, v := range order {
 		localOrder[owner[v]] = append(localOrder[owner[v]], v)
 	}
-	neighbours := make([]map[int]bool, p)
-	for i := range neighbours {
-		neighbours[i] = make(map[int]bool)
-	}
+	isNeighbour := make([]bool, p*p)
+	boundary := make([][]int, p)
 	for v := 0; v < g.N; v++ {
+		onBoundary := false
 		for _, w := range g.Neighbors(v) {
 			if owner[v] != owner[w] {
-				neighbours[owner[v]][owner[w]] = true
+				isNeighbour[owner[v]*p+owner[w]] = true
+				onBoundary = true
 			}
 		}
+		if onBoundary {
+			boundary[owner[v]] = append(boundary[owner[v]], v)
+		}
 	}
-
-	selected := make([]bool, g.N)
-	merge := make(chan struct{}, 1)
-	merge <- struct{}{}
+	neighbours := make([][]int, p)
+	for k, nb := range isNeighbour {
+		if nb {
+			neighbours[k/p] = append(neighbours[k/p], k%p)
+		}
+	}
 
 	type update struct {
 		v int
 		s int8
 	}
-
-	// Message tags of the two exchange sub-phases.
-	const (
-		pmisDelTag   = 1
-		pmisStateTag = 2
-	)
-
-	// Owned boundary vertices per rank: those with a cross-rank edge. Their
-	// authoritative state is re-broadcast every round so that third-party
-	// deletions reach every rank that ghosts them.
-	boundary := make([][]int, p)
-	for v := 0; v < g.N; v++ {
-		for _, w := range g.Neighbors(v) {
-			if owner[w] != owner[v] {
-				boundary[owner[v]] = append(boundary[owner[v]], v)
-				break
-			}
-		}
+	state := make([][]int8, p)     // per rank's view: Undone/Selected/Deleted
+	ghostDel := make([][][]int, p) // ghostDel[me][k]: deletions of neighbours[me][k]'s vertices
+	out := make([][]update, p)     // per rank's boundary states
+	for me := range state {
+		state[me] = make([]int8, g.N)
+		ghostDel[me] = make([][]int, len(neighbours[me]))
 	}
+	delMail := NewMail[[]int](comm)
+	stateMail := NewMail[[]update](comm)
+	undone := make([]int, p)
+	changed := make([]int, p)
 
-	comm.Run(func(r *Rank) {
-		me := r.ID()
-		state := make([]int8, g.N) // local view: Undone/Selected/Deleted
-		mine := localOrder[me]
-
-		// Reusable message buffers, hoisted out of the round loop and
-		// passed by pointer so the steady state neither allocates nor
-		// boxes. Resetting them at the top of a round is safe: the
-		// all-reduce that ended the previous round is a barrier, so every
-		// receiver has already consumed them.
-		ghostDel := make(map[int]*[]int, len(neighbours[me]))
-		for nb := range neighbours[me] {
-			var buf []int
-			ghostDel[nb] = &buf
-		}
-		out := make([]update, 0, len(boundary[me]))
-
-		// exchange runs the two sub-phases: (1) deletions of ghost vertices
-		// are reported to their owners; (2) owners broadcast the states of
-		// their boundary vertices to every neighbouring rank. State views
-		// only advance (states are facts: Undone -> Selected/Deleted).
-		exchange := func() {
-			for nb := range neighbours[me] {
-				r.Send(nb, pmisDelTag, ghostDel[nb], 8*len(*ghostDel[nb])+8)
-			}
-			for nb := range neighbours[me] {
-				for _, v := range *RecvAs[*[]int](r, nb, pmisDelTag) {
-					if state[v] == graph.Undone {
-						state[v] = graph.Deleted
-					}
-				}
-			}
-			out = out[:0]
-			for _, v := range boundary[me] {
-				out = append(out, update{v, state[v]})
-			}
-			for nb := range neighbours[me] {
-				r.Send(nb, pmisStateTag, &out, 9*len(out)+8)
-			}
-			for nb := range neighbours[me] {
-				for _, u := range *RecvAs[*[]update](r, nb, pmisStateTag) {
-					if state[u.v] == graph.Undone {
-						state[u.v] = u.s
-					}
-				}
-			}
-		}
-
-		// canSelect implements the paper's test: all neighbours deleted, or
-		// outranked, or rank tie broken by processor number (local ties are
-		// resolved by the sweep order itself).
-		canSelect := func(v int) bool {
-			if imm(v) {
-				return true
-			}
-			for _, w := range g.Neighbors(v) {
-				if state[w] != graph.Undone {
-					continue
-				}
-				if imm(w) {
-					return false
-				}
-				switch {
-				case rk(v) > rk(w):
-					// outranks w: fine
-				case rk(v) == rk(w) && me <= owner[w]:
-					// tie broken in our favour (same rank: local order)
-				default:
-					return false
-				}
-			}
+	// canSelect implements the paper's test: all neighbours deleted, or
+	// outranked, or rank tie broken by processor number (local ties are
+	// resolved by the sweep order itself).
+	canSelect := func(me int, st []int8, v int) bool {
+		if imm(v) {
 			return true
 		}
-
-		for {
-			for nb := range ghostDel {
-				*ghostDel[nb] = (*ghostDel[nb])[:0]
+		for _, w := range g.Neighbors(v) {
+			if st[w] != graph.Undone {
+				continue
 			}
-			changed := 0
-			for _, v := range mine {
-				if state[v] != graph.Undone {
+			if imm(w) {
+				return false
+			}
+			switch {
+			case rk(v) > rk(w):
+				// outranks w: fine
+			case rk(v) == rk(w) && me <= owner[w]:
+				// tie broken in our favour (same rank: local order)
+			default:
+				return false
+			}
+		}
+		return true
+	}
+
+	for {
+		// Sweep the local vertices; deletions of ghosts go to their owners.
+		comm.Round(func(me int) {
+			st := state[me]
+			del := ghostDel[me]
+			for k := range del {
+				del[k] = del[k][:0]
+			}
+			changed[me] = 0
+			for _, v := range localOrder[me] {
+				if st[v] != graph.Undone {
 					continue
 				}
 				// A selected neighbour covers v.
 				if !imm(v) {
 					covered := false
 					for _, w := range g.Neighbors(v) {
-						if state[w] == graph.Selected {
+						if st[w] == graph.Selected {
 							covered = true
 							break
 						}
 					}
 					if covered {
-						state[v] = graph.Deleted
-						changed++
+						st[v] = graph.Deleted
+						changed[me]++
 						continue
 					}
 				}
-				if !canSelect(v) {
+				if !canSelect(me, st, v) {
 					continue
 				}
-				state[v] = graph.Selected
-				changed++
+				st[v] = graph.Selected
+				changed[me]++
 				for _, w := range g.Neighbors(v) {
-					if state[w] == graph.Undone && !imm(w) {
-						state[w] = graph.Deleted
-						changed++
+					if st[w] == graph.Undone && !imm(w) {
+						st[w] = graph.Deleted
+						changed[me]++
 						if owner[w] != me {
-							lst := ghostDel[owner[w]]
-							*lst = append(*lst, w)
+							k := slices.Index(neighbours[me], owner[w])
+							del[k] = append(del[k], w)
 						}
 					}
 				}
 			}
-			exchange()
-			undone := 0
-			for _, v := range mine {
-				if state[v] == graph.Undone {
-					undone++
+			for k, nb := range neighbours[me] {
+				delMail.Post(me, nb, del[k], 8*len(del[k])+8)
+			}
+		})
+		// Apply the deletions of owned vertices, then broadcast the owned
+		// boundary states. State views only advance (states are facts:
+		// Undone -> Selected/Deleted).
+		comm.Round(func(me int) {
+			st := state[me]
+			for _, nb := range neighbours[me] {
+				for _, v := range delMail.Take(me, nb) {
+					if st[v] == graph.Undone {
+						st[v] = graph.Deleted
+					}
 				}
 			}
-			if r.AllReduceIntSum(undone) == 0 {
-				break
+			out[me] = out[me][:0]
+			for _, v := range boundary[me] {
+				out[me] = append(out[me], update{v, st[v]})
 			}
-			// The algorithm provably makes global progress each round (the
-			// globally best-ranked undone vertex is always selectable); a
-			// stalled round would be a bug, not a livelock to spin on.
-			if r.AllReduceIntSum(changed) == 0 {
-				panic("par: ParallelMIS stalled")
+			for _, nb := range neighbours[me] {
+				stateMail.Post(me, nb, out[me], 9*len(out[me])+8)
 			}
+		})
+		// Apply the neighbours' boundary states and count what is left.
+		comm.Round(func(me int) {
+			st := state[me]
+			for _, nb := range neighbours[me] {
+				for _, u := range stateMail.Take(me, nb) {
+					if st[u.v] == graph.Undone {
+						st[u.v] = u.s
+					}
+				}
+			}
+			undone[me] = 0
+			for _, v := range localOrder[me] {
+				if st[v] == graph.Undone {
+					undone[me]++
+				}
+			}
+		})
+		if sum(undone) == 0 {
+			break
 		}
+		// The algorithm provably makes global progress each round (the
+		// globally best-ranked undone vertex is always selectable); a
+		// stalled round would be a bug, not a livelock to spin on.
+		if sum(changed) == 0 {
+			panic("par: ParallelMIS stalled")
+		}
+	}
 
-		<-merge
+	selected := make([]bool, g.N)
+	for me, mine := range localOrder {
 		for _, v := range mine {
-			if state[v] == graph.Selected {
+			if state[me][v] == graph.Selected {
 				selected[v] = true
 			}
 		}
-		merge <- struct{}{}
-	})
+	}
 
 	var mis []int
 	for v, s := range selected {
@@ -234,4 +229,13 @@ func ParallelMIS(comm *Comm, g *graph.Graph, owner []int, order []int, rank []in
 		check.IndependentSet(mis, g.N, g.Neighbors, immortal, "par.ParallelMIS")
 	}
 	return mis
+}
+
+// sum folds a per-rank reduction slice in rank order.
+func sum(v []int) int {
+	s := 0
+	for _, x := range v {
+		s += x
+	}
+	return s
 }

@@ -6,7 +6,6 @@ import (
 	"prometheus/internal/geom"
 	"prometheus/internal/graph"
 	"prometheus/internal/mesh"
-	"prometheus/internal/par"
 )
 
 // cube returns an n×n×n unit cube mesh with its boundary machinery.
@@ -186,47 +185,6 @@ func TestReclassifyMatchesClassify(t *testing.T) {
 	for v := range want.Rank {
 		if want.Rank[v] != got.Rank[v] {
 			t.Fatalf("rank mismatch at %d: %d vs %d", v, want.Rank[v], got.Rank[v])
-		}
-	}
-}
-
-func TestParallelIdentifyFacesCube(t *testing.T) {
-	m, facets, adj := cube(4)
-	for _, p := range []int{1, 2, 3, 4} {
-		vertOwner := make([]int, m.NumVerts())
-		for v := range vertOwner {
-			vertOwner[v] = v % p
-		}
-		fo := FacetOwnerFromVerts(facets, vertOwner)
-		comm := par.NewComm(p)
-		faceID, n := ParallelIdentifyFaces(comm, facets, adj, fo, DefaultTOL)
-		if n != 6 {
-			t.Fatalf("p=%d: faces = %d, want 6", p, n)
-		}
-		// Same-normal facets must end in the same face.
-		byNormal := make(map[geom.Vec3]int)
-		for i, f := range facets {
-			if prev, ok := byNormal[f.Normal]; ok && faceID[i] != prev {
-				t.Fatalf("p=%d: face split on normal %v", p, f.Normal)
-			}
-			byNormal[f.Normal] = faceID[i]
-		}
-	}
-}
-
-func TestParallelFacesClassificationAgreesSerially(t *testing.T) {
-	// The classification derived from parallel faces must match the serial
-	// one on a cube (face identity is unique there).
-	m, facets, adj := cube(3)
-	serialID, _ := IdentifyFaces(facets, adj, DefaultTOL)
-	want := Classify(m.NumVerts(), facets, serialID)
-	vertOwner := graph.GreedyPartition(m.NodeGraph(), 3)
-	fo := FacetOwnerFromVerts(facets, vertOwner)
-	parID, _ := ParallelIdentifyFaces(par.NewComm(3), facets, adj, fo, DefaultTOL)
-	got := Classify(m.NumVerts(), facets, parID)
-	for v := range want.Rank {
-		if want.Rank[v] != got.Rank[v] {
-			t.Fatalf("rank mismatch at vertex %d: serial %d parallel %d", v, want.Rank[v], got.Rank[v])
 		}
 	}
 }
