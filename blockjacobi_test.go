@@ -85,15 +85,24 @@ func edgeListGraph(a *sparse.CSR) *graph.Graph {
 	return graph.NewGraph(a.NRows, edges)
 }
 
-// TestSmootherPartitionMatchesEdgeListGraph proves the smoother blocks are
-// the ones the edge-list path produced: on every level operator of both
-// benchmark hierarchies (a size down under -short) the pattern graph equals
-// the edge-list graph array for array, and the partitioner returns the same
-// block of every dof. The spheres' Galerkin levels are BSR, whose scalar
-// view has the block fill and the pinned couplings in it as zeros: the
-// pattern the smoother is partitioned on, as internal/multigrid's
-// TestReferencePartitionIsGraphPartition checks on the scalar-kernel
-// reference.
+// unitView returns the pattern the smoother of a level stored as op is
+// partitioned on, as a CSR, and the dofs of each of its rows: a BSR's
+// block pattern (rows are nodes, values zero), a CSR itself (rows are
+// dofs).
+func unitView(op sparse.Operator) (*CSR, int) {
+	if b, ok := op.(*sparse.BSR); ok {
+		return &CSR{NRows: b.NBRows, NCols: b.NBCols, RowPtr: b.RowPtr, ColIdx: b.ColIdx, Val: make([]float64, len(b.ColIdx))}, b.B
+	}
+	return op.(*CSR), 1
+}
+
+// TestSmootherPartitionMatchesEdgeListGraph proves the smoother's unit
+// graph is the one the edge-list path produced: on every level operator of
+// both benchmark hierarchies (a size down under -short) the graph of the
+// pattern the level's smoother is partitioned on — the block pattern of a
+// BSR level, whose vertices are nodes, the pattern of a CSR level — equals
+// the edge-list graph array for array, and the partitioner returns the
+// same part of every vertex.
 func TestSmootherPartitionMatchesEdgeListGraph(t *testing.T) {
 	full := !testing.Short()
 	for _, tc := range []struct {
@@ -108,13 +117,13 @@ func TestSmootherPartitionMatchesEdgeListGraph(t *testing.T) {
 			t.Fatalf("%s: fine level is %s, want %s", tc.name, got, tc.fine)
 		}
 		for li, lvl := range tc.mg.Levels {
-			view := sparse.AsCSR(lvl.A)
+			view, _ := unitView(lvl.A)
 			want := edgeListGraph(view)
 			got := graph.NewFromPattern(view.NRows, view.RowPtr, view.ColIdx)
 			if got.N != want.N || !slices.Equal(got.Ptr, want.Ptr) || !slices.Equal(got.Adj, want.Adj) {
-				t.Fatalf("%s level %d (%d dofs): pattern graph differs from the edge-list graph", tc.name, li, view.NRows)
+				t.Fatalf("%s level %d (%d units): pattern graph differs from the edge-list graph", tc.name, li, view.NRows)
 			}
-			nb := smooth.DefaultBlockCount(view.NRows)
+			nb := smooth.DefaultBlockCount(lvl.A.Rows())
 			if !slices.Equal(graph.GreedyPartition(got, nb), graph.GreedyPartition(want, nb)) {
 				t.Fatalf("%s level %d: partitions differ", tc.name, li)
 			}
@@ -122,17 +131,17 @@ func TestSmootherPartitionMatchesEdgeListGraph(t *testing.T) {
 	}
 }
 
-// TestPartitionOnPatternIsGraphPartition proves that partitioning a
-// level's pattern as it stands — each row's columns, the row itself among
-// them — gives the blocks partitioning NewFromPattern's graph of it gave,
-// on every smoothed level of the cube's geometric and smoothed-aggregation
-// hierarchies (each fine level blocked from the reduced CSR, so planned
-// from that CSR's pattern), and that these are the blocks the hierarchy's
-// smoothers hold. Every level of these two is applied as the matrix setup
-// read or its blocking with no fill; levels applied as a blocked copy with
-// fill (the spheres' pinned Galerkin levels) are covered on the scalar
-// matrices themselves by internal/multigrid's
-// TestReferencePartitionIsGraphPartition.
+// TestPartitionOnPatternIsGraphPartition proves that the smoother of every
+// smoothed level of the cube's geometric and smoothed-aggregation
+// hierarchies (each fine level blocked from the reduced CSR with no fill)
+// is partitioned on the graph of the level's units: the nodes of a
+// blocked level, the dofs of a scalar one. Partitioning the unit pattern
+// as it stands — each row's columns, the row itself among them — gives
+// the parts partitioning NewFromPattern's graph of it gives, and the
+// smoother's blocks are those parts, each unit expanded to its dofs.
+// internal/multigrid's TestReferencePartitionIsGraphPartition covers the
+// spheres' scalar fine level and pinned Galerkin levels on the
+// scalar-kernel reference.
 func TestPartitionOnPatternIsGraphPartition(t *testing.T) {
 	sa := func(sys reducedSystem) reducedSystem {
 		solver, err := NewSolver(sys.solver.Mesh, sys.solver.cons, Options{Hierarchy: SmoothedAggregation})
@@ -142,6 +151,7 @@ func TestPartitionOnPatternIsGraphPartition(t *testing.T) {
 		return reducedSystem{solver, sys.kred}
 	}
 	cube := cubeSystem(t, false, multigrid.Options{})
+	nodeLevels := 0
 	for _, tc := range []struct {
 		name string
 		sys  reducedSystem
@@ -154,18 +164,34 @@ func TestPartitionOnPatternIsGraphPartition(t *testing.T) {
 			if lvl.Smoother == nil {
 				continue
 			}
-			e := sparse.ScalarPatternOf(lvl.A)
-			nb := smooth.DefaultBlockCount(e.NRows)
-			want := graph.GreedyPartition(graph.NewFromPattern(e.NRows, e.RowPtr, e.ColIdx), nb)
-			got := graph.GreedyPartition(&graph.Graph{N: e.NRows, Ptr: e.RowPtr, Adj: e.ColIdx}, nb)
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s level %d: the partition of the pattern differs from the partition of its graph", tc.name, li)
+			u, dofs := unitView(lvl.A)
+			n, ptr, adj := u.NRows, u.RowPtr, u.ColIdx
+			if dofs > 1 {
+				nodeLevels++
+			}
+			nb := smooth.DefaultBlockCount(lvl.A.Rows())
+			want := graph.GreedyPartition(graph.NewFromPattern(n, ptr, adj), nb)
+			if got := graph.GreedyPartition(&graph.Graph{N: n, Ptr: ptr, Adj: adj}, nb); !slices.Equal(got, want) {
+				t.Fatalf("%s level %d: the partition of the unit pattern differs from the partition of its graph", tc.name, li)
 			}
 			blocks := lvl.Smoother.Inner.Blocks()
-			if !slices.EqualFunc(graph.PartMembers(want, nb), blocks, slices.Equal[[]int]) {
-				t.Fatalf("%s level %d: the smoother's blocks are not the graph partition's", tc.name, li)
+			for bi, units := range graph.PartMembers(want, nb) {
+				var expanded []int
+				for _, u := range units {
+					for c := 0; c < dofs; c++ {
+						expanded = append(expanded, dofs*u+c)
+					}
+				}
+				held := slices.Clone(blocks[bi])
+				slices.Sort(held)
+				if !slices.Equal(held, expanded) {
+					t.Fatalf("%s level %d block %d: the smoother holds other dofs than the unit partition's", tc.name, li, bi)
+				}
 			}
 		}
+	}
+	if nodeLevels == 0 {
+		t.Fatal("no blocked level was partitioned")
 	}
 }
 

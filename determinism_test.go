@@ -138,11 +138,15 @@ func TestSolverDeterminismSpheres(t *testing.T) {
 // again when element tangents began to be formed from their upper
 // node-pair blocks and mirrored: the upper triangle kept its bits, the
 // lower one took the upper's, so the assembled operator is symmetric bit
-// for bit and every solve ends on other last bits. The word is
+// for bit and every solve ends on other last bits. It was recorded again
+// when the smoother of every blocked level began to be partitioned on its
+// node graph rather than on its scalar pattern: the coarse levels' blocks
+// moved, the fine level (scalar rows, partitioned on its dofs) did not.
+// The word is
 // amd64's: where the compiler fuses s += v*x into one rounding (arm64,
 // ppc64le, s390x) the same deterministic solve ends on other bits, and
 // the in-process comparison across GOMAXPROCS is the whole test.
-const spheresHashSerial = 0x85563de1f6de91cb
+const spheresHashSerial = 0x73c5a3414bc79d67
 
 // TestSolverDeterminismAcrossGOMAXPROCS: the shared worker set follows
 // GOMAXPROCS — no helper on one core, one on two, three on four (more

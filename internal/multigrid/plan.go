@@ -55,11 +55,12 @@ type Plan struct {
 	// fine's pattern, taken as level 0 as it is.
 	fine     sparse.Operator
 	expanded bool
-	// scalar keeps every level in scalar rows: the fine operator is not
-	// blocked, and every Galerkin level is the scalar expansion of the
-	// layout it is formed in, fill and pinned couplings stored as zeros.
-	// It is the scalar-kernel reference the tests pin the blocked
-	// hierarchy to, and only they set it.
+	// scalar keeps every level in scalar rows: each level is planned in
+	// the layout it is formed in, its smoother partitioned on that
+	// layout's units, and then stored as the layout's scalar expansion,
+	// fill and pinned couplings as zeros. It is the scalar-kernel
+	// reference the tests pin the blocked hierarchy to, and only they set
+	// it.
 	scalar bool
 	levels []*levelPlan
 }
@@ -115,8 +116,12 @@ func (p *Plan) fill(fine sparse.Operator) (*MG, error) {
 			// the row-merge; use 4·nnz(A)·avg row of R as a proxy.
 			mg.SetupFlops += 4 * int64(a.NNZ())
 		}
+		layout := a
+		if p.scalar {
+			a = sparse.AsCSR(a)
+		}
 		if planning {
-			if err := p.planLevel(l, a, fine); err != nil {
+			if err := p.planLevel(l, a, layout, fine); err != nil {
 				return nil, err
 			}
 		}
@@ -151,7 +156,7 @@ func (p *Plan) fill(fine sparse.Operator) (*MG, error) {
 // block before their pattern is read.
 func (p *Plan) planFine() {
 	c, ok := p.fine.(*sparse.CSR)
-	if !ok || p.scalar || c.NRows%nodeDofs != 0 || c.NNZ()%(nodeDofs*nodeDofs) != 0 {
+	if !ok || c.NRows%nodeDofs != 0 || c.NNZ()%(nodeDofs*nodeDofs) != 0 {
 		return
 	}
 	if t := sparse.PlanBlock(c, nodeDofs); t != nil && t.NNZ() == c.NNZ() {
@@ -187,9 +192,6 @@ func (p *Plan) galerkin(l int, a sparse.Operator, planning bool) (sparse.Operato
 	if keep != nil {
 		sparse.Pin(c, keep, maxd)
 	}
-	if p.scalar {
-		c = sparse.AsCSR(c)
-	}
 	return c, nil
 }
 
@@ -210,10 +212,12 @@ func (lp *levelPlan) planGalerkin(r *sparse.CSR, a sparse.Operator) {
 // envelopes their factors are stored in. A level 0 blocked from a CSR with
 // no fill (expanded) reads the pattern from fine, the CSR it was blocked
 // from, which is exactly s's expansion.
-// The partition runs on the pattern itself: for a structurally symmetric
-// pattern a row's columns are its graph neighbours and the row itself,
-// which the partitioner's search has assigned before it looks.
-func (p *Plan) planLevel(l int, s, fine sparse.Operator) error {
+//
+// The blocks partition the units of layout, the storage s was formed in
+// (s itself outside the scalar reference): the nodes of a blocked level,
+// the dofs of a scalar one (unitGraph). A node's dofs therefore share a
+// block, as the paper's block Jacobi (§7.2) partitions mesh vertices.
+func (p *Plan) planLevel(l int, s, layout, fine sparse.Operator) error {
 	sp := obs.Start(evPlan)
 	defer sp.End()
 	lp := p.levels[l]
@@ -235,10 +239,55 @@ func (p *Plan) planLevel(l int, s, fine sparse.Operator) error {
 	}
 	nb := p.opts.BlockCount(e.NRows)
 	spp := obs.Start(evSmootherPartition)
-	part := graph.GreedyPartition(&graph.Graph{N: e.NRows, Ptr: e.RowPtr, Adj: e.ColIdx}, nb)
+	g, dofs := unitGraph(layout)
+	units := graph.PartMembers(graph.GreedyPartition(g, nb), nb)
 	spp.End()
-	lp.bj = smooth.PlanBlocks(e, graph.PartMembers(part, nb))
+	lp.bj = smooth.PlanBlocks(e, unitDofs(units, dofs))
 	return nil
+}
+
+// unitGraph returns the graph the smoother of a level stored as s is
+// partitioned on, and the dofs of each of its vertices: a BSR's block
+// pattern, whose vertices are nodes, and a CSR's own pattern, whose
+// vertices are dofs. For a structurally symmetric pattern a row's columns
+// are its graph neighbours and the row itself, which the partitioner's
+// search has assigned before it looks.
+func unitGraph(s sparse.Operator) (*graph.Graph, int) {
+	if b, ok := s.(*sparse.BSR); ok {
+		return &graph.Graph{N: b.NBRows, Ptr: b.RowPtr, Adj: b.ColIdx}, b.B
+	}
+	e := sparse.ScalarPatternOf(s)
+	return &graph.Graph{N: e.NRows, Ptr: e.RowPtr, Adj: e.ColIdx}, 1
+}
+
+// unitDofs returns the blocks of dofs the blocks of units hold, unit u
+// holding dofs [b·u, b·u+b): each block lists its units' dofs in the
+// order of its units.
+func unitDofs(units [][]int, b int) [][]int {
+	if b == 1 {
+		return units
+	}
+	blocks := make([][]int, len(units))
+	flat := make([]int, 0, b*sumLen(units))
+	for bi, us := range units {
+		lo := len(flat)
+		for _, u := range us {
+			for c := 0; c < b; c++ {
+				flat = append(flat, b*u+c)
+			}
+		}
+		blocks[bi] = flat[lo:len(flat):len(flat)]
+	}
+	return blocks
+}
+
+// sumLen returns the total length of the lists.
+func sumLen(lists [][]int) int {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	return n
 }
 
 // matches reports whether the plan was made for fine's storage and

@@ -7,9 +7,12 @@ import (
 	"slices"
 	"testing"
 
+	"prometheus/internal/aggregation"
 	"prometheus/internal/core"
+	"prometheus/internal/fem"
 	"prometheus/internal/graph"
 	"prometheus/internal/krylov"
+	"prometheus/internal/material"
 	"prometheus/internal/problems"
 	"prometheus/internal/smooth"
 	"prometheus/internal/sparse"
@@ -214,43 +217,34 @@ func TestPlanReplansWhenPinsMove(t *testing.T) {
 
 // TestPlanReplansOnNewPattern: an operator with one more stored entry
 // (a pair of explicit zeros), in scalar rows or in blocks, or a shorter
-// restriction chain does not match the plan — on a fine level used as
-// handed in, and on one blocked with no fill, whose plan compares against
-// its blocks. Another storage matches only the blocked plan, and only in
-// the blocks it planned.
+// restriction chain does not match the plan — on a fine level blocked
+// with no fill, whose plan compares against its blocks, and on one used
+// as handed in (the cube with three single components fixed, which blocks
+// only with fill). Another storage matches only the blocked plan, and only
+// in the blocks it planned.
 func TestPlanReplansOnNewPattern(t *testing.T) {
-	k, f, rs := buildElasticity(t, 5, core.Options{MinCoarse: 10})
-	// Row 0 and the first column it does not store, both ways.
-	j := 0
-	for _, c := range k.ColIdx[k.RowPtr[0]:k.RowPtr[1]] {
-		if c != j {
-			break
+	ck, cf, crs := buildElasticity(t, 5, core.Options{MinCoarse: 10})
+	pk, pf, prs := buildCube(t, 5, core.Options{MinCoarse: 10}, []int{0, 1, 2})
+	for _, tc := range []struct {
+		name     string
+		k        *sparse.CSR
+		f        []float64
+		rs       []*sparse.CSR
+		expanded bool
+	}{
+		{"blocked with no fill", ck, cf, crs, true},
+		{"as handed in", pk, pf, prs, false},
+	} {
+		k, f, rs, name := tc.k, tc.f, tc.rs, tc.name
+		a2 := withZeroPair(k)
+		if a2.NNZ() != k.NNZ()+2 {
+			t.Fatalf("%s: the fixture stores %d entries, want %d", name, a2.NNZ(), k.NNZ()+2)
 		}
-		j++
-	}
-	b := sparse.NewBuilder(k.NRows, k.NCols)
-	for i := 0; i < k.NRows; i++ {
-		cols, vals := k.Row(i)
-		for n, c := range cols {
-			b.Add(i, c, vals[n])
-		}
-	}
-	b.Add(0, j, 0)
-	b.Add(j, 0, 0)
-	a2 := b.Build()
-	if a2.NNZ() != k.NNZ()+2 {
-		t.Fatalf("the fixture stores %d entries, want %d", a2.NNZ(), k.NNZ()+2)
-	}
-	for _, scalar := range []bool{false, true} {
-		name, build := "blocked with no fill", Build
-		if scalar {
-			name, build = "as handed in", scalarBuild
-		}
-		_, plan, err := build(nil, k, rs, Options{})
+		_, plan, err := Build(nil, k, rs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan.expanded == scalar {
+		if plan.expanded != tc.expanded {
 			t.Fatalf("%s: the plan keeps the fine pattern expanded=%v", name, plan.expanded)
 		}
 		if !plan.matches(congruent(k, wobble(k.NRows)), rs, plan.opts) {
@@ -284,6 +278,28 @@ func TestPlanReplansOnNewPattern(t *testing.T) {
 	}
 }
 
+// withZeroPair returns k with one more pair of stored entries, explicit
+// zeros: row 0 at the first column it does not store, and its mirror.
+func withZeroPair(k *sparse.CSR) *sparse.CSR {
+	j := 0
+	for _, c := range k.ColIdx[k.RowPtr[0]:k.RowPtr[1]] {
+		if c != j {
+			break
+		}
+		j++
+	}
+	b := sparse.NewBuilder(k.NRows, k.NCols)
+	for i := 0; i < k.NRows; i++ {
+		cols, vals := k.Row(i)
+		for n, c := range cols {
+			b.Add(i, c, vals[n])
+		}
+	}
+	b.Add(0, j, 0)
+	b.Add(j, 0, 0)
+	return b.Build()
+}
+
 // edgeListGraph is the construction the pattern graph replaced: the
 // strict-upper-triangle edge list of the matrix through NewGraph.
 func edgeListGraph(a *sparse.CSR) *graph.Graph {
@@ -299,14 +315,41 @@ func edgeListGraph(a *sparse.CSR) *graph.Graph {
 	return graph.NewGraph(a.NRows, edges)
 }
 
+// unitPattern returns the pattern the smoother of a level stored as a is
+// partitioned on, as a pattern-only CSR, and the dofs of each of its rows:
+// a BSR's block pattern (rows are nodes, values zero), a CSR's own pattern
+// (rows are dofs).
+func unitPattern(a sparse.Operator) (*sparse.CSR, int) {
+	if b, ok := a.(*sparse.BSR); ok {
+		return &sparse.CSR{NRows: b.NBRows, NCols: b.NBCols, RowPtr: b.RowPtr, ColIdx: b.ColIdx, Val: make([]float64, len(b.ColIdx))}, b.B
+	}
+	c := a.(*sparse.CSR)
+	return c, 1
+}
+
+// sameBlocks reports whether got and want hold the same dofs block for
+// block, in any order within a block.
+func sameBlocks(got, want [][]int) bool {
+	sorted := func(b []int) []int {
+		c := slices.Clone(b)
+		slices.Sort(c)
+		return c
+	}
+	return slices.EqualFunc(got, want, func(g, w []int) bool { return slices.Equal(sorted(g), sorted(w)) })
+}
+
 // TestReferencePartitionIsGraphPartition: on every smoothed level of the
 // scalar-kernel reference hierarchies — each the pattern the blocked level
-// stores, pinned coarse levels among them (a pinned dof's row and column
-// hold zeros and its diagonal) — the pattern graph equals the edge-list graph array
-// for array; partitioning the pattern as it stands, the pattern graph and
-// the edge-list graph give the same blocks; and these are the blocks the
-// level's smoother holds. The geometric spheres hierarchy is the
-// benchmark's (a size down under -short).
+// stores, in scalar rows, pinned coarse levels among them (a pinned dof's
+// row and column hold zeros and its diagonal) — the smoother's blocks are
+// the partition of the units the blocked hierarchy stores that level in:
+// its nodes where Build blocks it (the block pattern), its dofs where Build
+// keeps scalar rows, each part expanded to its units' dofs. On the unit
+// pattern the pattern graph equals the edge-list graph array for array,
+// and partitioning the pattern as it stands, the pattern graph and the
+// edge-list graph give the same parts. The geometric spheres hierarchy is
+// the benchmark's (a size down under -short), with a scalar fine level and
+// blocked Galerkin levels.
 func TestReferencePartitionIsGraphPartition(t *testing.T) {
 	cfg := problems.SpheresConfig{Layers: 3, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2}
 	if !testing.Short() {
@@ -316,6 +359,7 @@ func TestReferencePartitionIsGraphPartition(t *testing.T) {
 	sk, _, srs := buildSpheresConfig(t, cfg, false)
 	ak, _, ars := buildSpheresConfig(t, problems.SpheresConfig{Layers: 3, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2}, true)
 	pinned := 0
+	seen := map[int]bool{}
 	for _, tc := range []struct {
 		name string
 		k    *sparse.CSR
@@ -329,36 +373,110 @@ func TestReferencePartitionIsGraphPartition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		blocked, _, err := Build(nil, tc.k, tc.rs, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for li, lvl := range mg.Levels {
 			if lvl.Smoother == nil {
 				continue
 			}
-			a := lvl.A.(*sparse.CSR)
 			for _, kept := range plan.levels[li].pins {
 				if kept < 0 {
 					pinned++
 				}
 			}
-			g := graph.NewFromPattern(a.NRows, a.RowPtr, a.ColIdx)
-			edges := edgeListGraph(a)
+			u, dofs := unitPattern(blocked.Levels[li].A)
+			seen[dofs] = true
+			g := graph.NewFromPattern(u.NRows, u.RowPtr, u.ColIdx)
+			edges := edgeListGraph(u)
 			if g.N != edges.N || !slices.Equal(g.Ptr, edges.Ptr) || !slices.Equal(g.Adj, edges.Adj) {
-				t.Fatalf("%s level %d (%d dofs): pattern graph differs from the edge-list graph", tc.name, li, a.NRows)
+				t.Fatalf("%s level %d (%d units): pattern graph differs from the edge-list graph", tc.name, li, u.NRows)
 			}
-			nb := smooth.DefaultBlockCount(a.NRows)
+			nb := smooth.DefaultBlockCount(lvl.A.Rows())
 			want := graph.GreedyPartition(g, nb)
 			if !slices.Equal(graph.GreedyPartition(edges, nb), want) {
 				t.Fatalf("%s level %d: the partitions of the pattern graph and the edge-list graph differ", tc.name, li)
 			}
-			if !slices.Equal(graph.GreedyPartition(&graph.Graph{N: a.NRows, Ptr: a.RowPtr, Adj: a.ColIdx}, nb), want) {
+			if !slices.Equal(graph.GreedyPartition(&graph.Graph{N: u.NRows, Ptr: u.RowPtr, Adj: u.ColIdx}, nb), want) {
 				t.Fatalf("%s level %d: the partition of the pattern differs from the partition of its graph", tc.name, li)
 			}
-			if !slices.EqualFunc(graph.PartMembers(want, nb), lvl.Smoother.Inner.Blocks(), slices.Equal[[]int]) {
-				t.Fatalf("%s level %d: the smoother's blocks are not the graph partition's", tc.name, li)
+			if !sameBlocks(lvl.Smoother.Inner.Blocks(), unitDofs(graph.PartMembers(want, nb), dofs)) {
+				t.Fatalf("%s level %d: the smoother's blocks are not the unit graph partition's", tc.name, li)
 			}
 		}
 	}
 	if pinned == 0 {
 		t.Fatal("no level of any hierarchy pins a dof: the pinned case is not covered")
+	}
+	if !seen[1] || !seen[3] {
+		t.Fatalf("units of %v dofs partitioned, want both dofs and nodes", seen)
+	}
+}
+
+// TestSmootherBlocksAreWholeNodes: every smoother block of every level
+// Build stores in blocks holds every dof of each node it holds, and the
+// scalar-kernel reference holds the same blocks, on the cube, the spheres,
+// the cube with three single components fixed (a scalar fine level above
+// blocked ones) and smoothed aggregation on the cube.
+func TestSmootherBlocksAreWholeNodes(t *testing.T) {
+	ck, _, crs := buildElasticity(t, 5, core.Options{MinCoarse: 10})
+	sk, _, srs := buildSpheres(t)
+	pk, _, prs := buildCube(t, 5, core.Options{MinCoarse: 10}, []int{0, 1, 2})
+	c := problems.NewCube(5, material.LinearElastic{E: 1, Nu: 0.3}, -0.001)
+	k, _, err := fem.NewProblem(c.Mesh, c.Models, false).AssembleTangent(make([]float64, c.Mesh.NumDOF()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm := c.Cons.NewDofMap(c.Mesh.NumDOF())
+	ak, _ := c.Cons.Reduce(k, dm)
+	ars, err := aggregation.BuildRestrictions(ak, aggregation.RigidBodyModes(c.Mesh.Coords, dm.Full2Red, dm.NumFree()), aggregation.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		k    *sparse.CSR
+		rs   []*sparse.CSR
+	}{
+		{"cube", ck, crs},
+		{"spheres", sk, srs},
+		{"cube with three components fixed", pk, prs},
+		{"aggregation", ak, ars},
+	} {
+		mg, _, err := Build(nil, tc.k, tc.rs, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, _, err := scalarBuild(nil, tc.k, tc.rs, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for li, lvl := range mg.Levels {
+			b, ok := lvl.A.(*sparse.BSR)
+			if !ok || lvl.Smoother == nil {
+				continue
+			}
+			checked++
+			block := make([]int, b.Rows())
+			for bi, dofs := range lvl.Smoother.Inner.Blocks() {
+				for _, d := range dofs {
+					block[d] = bi
+				}
+			}
+			for d := range block {
+				if node := d / b.B; block[d] != block[node*b.B] {
+					t.Fatalf("%s level %d: node %d is split between blocks %d and %d", tc.name, li, node, block[node*b.B], block[d])
+				}
+			}
+			if !slices.EqualFunc(lvl.Smoother.Inner.Blocks(), ref.Levels[li].Smoother.Inner.Blocks(), slices.Equal[[]int]) {
+				t.Fatalf("%s level %d: the scalar reference holds other blocks", tc.name, li)
+			}
+		}
+		if checked == 0 {
+			t.Fatalf("%s: no smoothed level is blocked", tc.name)
+		}
 	}
 }
 

@@ -24,9 +24,13 @@ func TestIterationsAtScale(t *testing.T) {
 		k, iters int
 	}{
 		// NewSpheres(1)'s grid 2 keeps 0.723 of grid 1 and is folded;
-		// NewSpheres(2)'s hierarchy folds no grid.
+		// NewSpheres(2)'s hierarchy folds no grid. NewSpheres(2) took 15
+		// while the blocked levels' smoothers were partitioned on their
+		// scalar patterns, which let a block split a node's three dofs;
+		// partitioned on the node graph, as the paper's block Jacobi
+		// partitions mesh vertices, it takes 11 again.
 		{1, 35},
-		{2, 15},
+		{2, 11},
 	} {
 		s := problems.NewSpheres(c.k)
 		s.Models[material.MatHard] = material.J2Plasticity{
