@@ -142,11 +142,13 @@ func TestSolverDeterminismSpheres(t *testing.T) {
 // when the smoother of every blocked level began to be partitioned on its
 // node graph rather than on its scalar pattern: the coarse levels' blocks
 // moved, the fine level (scalar rows, partitioned on its dofs) did not.
-// The word is
+// It was recorded again when each block's units began to be ordered by
+// reverse Cuthill–McKee: the same blocks and iterations, other factors'
+// envelopes and so other rounding. The word is
 // amd64's: where the compiler fuses s += v*x into one rounding (arm64,
 // ppc64le, s390x) the same deterministic solve ends on other bits, and
 // the in-process comparison across GOMAXPROCS is the whole test.
-const spheresHashSerial = 0x73c5a3414bc79d67
+const spheresHashSerial = 0x84e24f3c12daac96
 
 // TestSolverDeterminismAcrossGOMAXPROCS: the shared worker set follows
 // GOMAXPROCS — no helper on one core, one on two, three on four (more

@@ -10,6 +10,7 @@ import (
 	"prometheus/internal/direct"
 	"prometheus/internal/graph"
 	"prometheus/internal/obs"
+	"prometheus/internal/pool"
 	"prometheus/internal/smooth"
 	"prometheus/internal/sparse"
 )
@@ -217,6 +218,10 @@ func (lp *levelPlan) planGalerkin(r *sparse.CSR, a sparse.Operator) {
 // (s itself outside the scalar reference): the nodes of a blocked level,
 // the dofs of a scalar one (unitGraph). A node's dofs therefore share a
 // block, as the paper's block Jacobi (§7.2) partitions mesh vertices.
+// Each block's units are then ordered by reverse Cuthill–McKee on the
+// block's own subgraph (graph.PartOrder, block by block on the shared
+// worker set), and its factor rows are its units' dofs in that order,
+// which narrows the envelope the factor is stored and solved in.
 func (p *Plan) planLevel(l int, s, layout, fine sparse.Operator) error {
 	sp := obs.Start(evPlan)
 	defer sp.End()
@@ -240,9 +245,10 @@ func (p *Plan) planLevel(l int, s, layout, fine sparse.Operator) error {
 	nb := p.opts.BlockCount(e.NRows)
 	spp := obs.Start(evSmootherPartition)
 	g, dofs := unitGraph(layout)
-	units := graph.PartMembers(graph.GreedyPartition(g, nb), nb)
+	ord := graph.NewPartOrder(g, graph.GreedyPartition(g, nb), nb)
+	pool.RunItems(ord, nb, 1, len(g.Adj))
 	spp.End()
-	lp.bj = smooth.PlanBlocks(e, unitDofs(units, dofs))
+	lp.bj = smooth.PlanBlocks(e, unitDofs(ord.Parts(), dofs))
 	return nil
 }
 

@@ -109,8 +109,27 @@ func NewDomainBlockJacobi(a *sparse.CSR, part []int, nblocks int) (*DomainBlockJ
 // stay zero through the factorization, so they are neither stored nor
 // touched; the alignment keeps every remaining term of the factorization
 // and the solves in the accumulator of the dense triangle's four-way dot,
-// so the factor and the solves are the dense ones bit for bit.
+// so the factor and the solves are the dense ones bit for bit. A block's
+// factor rows are its dofs in the order given, which is what decides the
+// envelope: the caller orders each block (multigrid orders it by reverse
+// Cuthill–McKee), PlanBlocks keeps it. The envelopes are laid out block by
+// block on the shared worker set.
 func PlanBlocks(pattern *sparse.CSR, blocks [][]int) *BlockPlan {
+	p, k := newEnvelopeScan(pattern, blocks)
+	pool.RunItems(k, len(blocks), 1, len(pattern.ColIdx))
+	for bi, env := range p.env {
+		p.facOff[bi+1] = p.facOff[bi] + env[len(env)-1]
+		p.solveWork += 2 * env[len(env)-1]
+		p.factorWork += k.work[bi]
+	}
+	p.setupFlops = 2 * int64(p.factorWork)
+	return p
+}
+
+// newEnvelopeScan returns the plan of these blocks with their write sets
+// and positions laid out, and the item kernel that lays out their
+// envelopes.
+func newEnvelopeScan(pattern *sparse.CSR, blocks [][]int) (*BlockPlan, *envelopeScan) {
 	n := pattern.NRows
 	p := &BlockPlan{
 		n: n, blocks: blocks, ws: make([]int32, 0, n), pos: make([]int, n),
@@ -124,26 +143,49 @@ func PlanBlocks(pattern *sparse.CSR, blocks [][]int) *BlockPlan {
 		}
 		p.off[bi+1] = len(p.ws)
 	}
-	var first []int
-	for bi, dofs := range blocks {
-		first = first[:0]
+	return p, &envelopeScan{p: p, pattern: pattern, work: make([]int, len(blocks))}
+}
+
+// envelopeScan is PlanBlocks' envelope pass as a pool.ItemKernel over
+// blocks: item bi scans block bi's rows of the pattern for each row's
+// first in-block column and stores the block's envelope (p.env[bi]) and
+// factorization work (work[bi]). It reads the positions, which every block
+// shares and none writes.
+type envelopeScan struct {
+	p       *BlockPlan
+	pattern *sparse.CSR
+	work    []int
+	first   [pool.Lanes][]int // per-lane scratch
+}
+
+// EnvelopeKernel returns PlanBlocks' envelope pass over blocks as the item
+// kernel it dispatches, nothing laid out yet, with what it writes: each
+// block's envelope offsets (nil until laid out) and factorization work.
+// For TestKernelContract.
+func EnvelopeKernel(pattern *sparse.CSR, blocks [][]int) (k pool.ItemKernel, env [][]int, work []int) {
+	p, scan := newEnvelopeScan(pattern, blocks)
+	return scan, p.env, scan.work
+}
+
+// Items implements pool.ItemKernel over the blocks [lo, hi).
+func (k *envelopeScan) Items(w, lo, hi int) {
+	pattern, pos := k.pattern, k.p.pos
+	for bi := lo; bi < hi; bi++ {
+		dofs := k.p.blocks[bi]
+		first := k.first[w][:0]
 		for r, d := range dofs {
 			f := r
 			for _, j := range pattern.ColIdx[pattern.RowPtr[d]:pattern.RowPtr[d+1]] {
-				if q := p.pos[j]; q < f && dofs[q] == j {
+				if q := pos[j]; q < f && dofs[q] == j {
 					f = q
 				}
 			}
 			first = append(first, f&^3)
 		}
-		env := la.EnvelopeOffsets(first)
-		p.env[bi] = env
-		p.facOff[bi+1] = p.facOff[bi] + env[len(dofs)]
-		p.solveWork += 2 * env[len(dofs)]
-		p.factorWork += choleskyWork(first)
+		k.first[w] = first
+		k.p.env[bi] = la.EnvelopeOffsets(first)
+		k.work[bi] = choleskyWork(first)
 	}
-	p.setupFlops = 2 * int64(p.factorWork)
-	return p
 }
 
 // choleskyWork returns the multiply-adds of factoring an envelope with

@@ -495,6 +495,27 @@ func drainRun(fresh func() (pool.ItemKernel, []float64, []float64)) itemRun {
 	}}
 }
 
+// envelopeRun is the smoother plan's envelope pass over blocks of a's
+// pattern, read block by block as its envelope offsets, contractSentinel
+// until laid out, and its factorization work.
+func envelopeRun(a *sparse.CSR, blocks [][]int) itemRun {
+	k, env, work := smooth.EnvelopeKernel(a, blocks)
+	return itemRun{k, func() []float64 {
+		var out []float64
+		for bi, dofs := range blocks {
+			slot := sentinelFilled(make([]float64, len(dofs)+2))
+			if env[bi] != nil {
+				for r, o := range env[bi] {
+					slot[r] = float64(o)
+				}
+				slot[len(dofs)+1] = float64(work[bi])
+			}
+			out = append(out, slot...)
+		}
+		return out
+	}}
+}
+
 // intsRun is a pass writing the index arrays idx, which it fills with -1
 // and reads as floats, -1 as unwritten.
 func intsRun(k pool.ItemKernel, idx ...[]int) itemRun {
@@ -738,6 +759,19 @@ func TestKernelContract(t *testing.T) {
 	}
 	items = append(items, itemCase{"assembly drain", func() itemRun { return drainRun(drain) }, nDrain})
 	items = append(items, contractConversions(bsr3, contractRagged(csr))...)
+
+	// The smoother's plan on the same operator's pattern, cut in six: the
+	// reverse Cuthill-McKee order of each part (item = part), and each
+	// block's envelope (item = block).
+	vg := &graph.Graph{N: view.NRows, Ptr: view.RowPtr, Adj: view.ColIdx}
+	vpart := graph.GreedyPartition(vg, 6)
+	items = append(items, []itemCase{
+		{"block order", func() itemRun {
+			o := graph.NewPartOrder(vg, vpart, 6)
+			return intsRun(o, o.Order())
+		}, 6},
+		{"block envelope", func() itemRun { return envelopeRun(view, graph.PartMembers(vpart, 6)) }, 6},
+	}...)
 
 	// The sparse products' symbolic and numeric passes: a plain product,
 	// and the Galerkin products on every path a hierarchy takes — blocked
