@@ -29,6 +29,22 @@ type mgOutcome struct {
 
 func outcomeOf(t *testing.T, mg *multigrid.MG, fine Operator) mgOutcome {
 	t.Helper()
+	o := levelsOf(mg)
+	b := make([]float64, fine.Rows())
+	for i := range b {
+		b[i] = math.Cos(float64(i))
+	}
+	res := krylov.FPCG(fine, b, make([]float64, fine.Rows()), mg, 1e-8, 500)
+	if !res.Converged {
+		t.Errorf("FPCG did not converge in %d iterations", res.Iterations)
+	}
+	o.residuals = floatBits(res.Residuals)
+	return o
+}
+
+// levelsOf is outcomeOf without the solve: every level's storage and
+// values, and one smoother application or coarse solve on it.
+func levelsOf(mg *multigrid.MG) mgOutcome {
 	var o mgOutcome
 	for _, lvl := range mg.Levels {
 		r, z := make([]float64, lvl.A.Rows()), make([]float64, lvl.A.Rows())
@@ -43,15 +59,6 @@ func outcomeOf(t *testing.T, mg *multigrid.MG, fine Operator) mgOutcome {
 		o.storage = append(o.storage, fmt.Sprintf("%T", lvl.A))
 		o.levels = append(o.levels, floatBits(sparse.Values(lvl.A)), floatBits(z))
 	}
-	b := make([]float64, fine.Rows())
-	for i := range b {
-		b[i] = math.Cos(float64(i))
-	}
-	res := krylov.FPCG(fine, b, make([]float64, fine.Rows()), mg, 1e-8, 500)
-	if !res.Converged {
-		t.Errorf("FPCG did not converge in %d iterations", res.Iterations)
-	}
-	o.residuals = floatBits(res.Residuals)
 	return o
 }
 
@@ -76,7 +83,11 @@ func withoutPlan(s *Solver) *Solver {
 // TestNewtonFillsOnePlan runs the spheres_newton workload's Newton solve
 // (the benchmark's seed-1 crush): its twelve tangents share one pattern,
 // so the Solver plans once and fills twelve times, and every fill is bit
-// for bit the hierarchy a Solver without a plan builds for that tangent.
+// for bit the hierarchy a Solver without a plan builds for that tangent:
+// the same level values, smoother and coarse factors, and the same output
+// for every residual the Newton solve's own Krylov iterations hand it
+// (twinPreconditioner), so the solve that exercises the plan is the one
+// that checks it.
 func TestNewtonFillsOnePlan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("twelve Newton tangents, each built twice")
@@ -91,7 +102,7 @@ func TestNewtonFillsOnePlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := obs.Snapshot()
-	tangents := 0
+	var twins []*twinPreconditioner
 	factory := func(k sparse.Operator) (krylov.Preconditioner, error) {
 		mg, err := solver.Preconditioner(k)
 		if err != nil {
@@ -101,25 +112,58 @@ func TestNewtonFillsOnePlan(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		tangents++
-		if d := outcomeOf(t, mg, k).diff(outcomeOf(t, fresh, k)); d != "" {
-			t.Fatalf("tangent %d: filled from the plan against a new plan: %s", tangents, d)
+		if d := levelsOf(mg).diff(levelsOf(fresh)); d != "" {
+			t.Fatalf("tangent %d: filled from the plan against a new plan: %s", len(twins)+1, d)
 		}
-		return mg, nil
+		tw := &twinPreconditioner{t: t, tangent: len(twins) + 1, mg: mg, fresh: fresh}
+		twins = append(twins, tw)
+		return tw, nil
 	}
 	_, stats, err := newton.Solve(NewProblem(sp.Mesh, sp.Models, true), cons, newton.Config{Steps: 2, MaxNewton: 30}, factory, sp.HardMat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tangents != 12 || stats.TotalNewton != 12 {
-		t.Fatalf("%d tangents in %d Newton iterations, want 12", tangents, stats.TotalNewton)
+	if len(twins) != 12 || stats.TotalNewton != 12 {
+		t.Fatalf("%d tangents in %d Newton iterations, want 12", len(twins), stats.TotalNewton)
+	}
+	for _, tw := range twins {
+		if tw.applies == 0 {
+			t.Fatalf("tangent %d: the Newton solve never applied its preconditioner", tw.tangent)
+		}
 	}
 	after := obs.Snapshot()
 	built := after.Counter("multigrid.plan.built") - before.Counter("multigrid.plan.built")
 	reused := after.Counter("multigrid.plan.reused") - before.Counter("multigrid.plan.reused")
 	// Every plan-less Solver plans once more.
-	if built != 1+int64(tangents) || reused != int64(tangents)-1 {
-		t.Fatalf("%d plans built and %d reused, want 1 + %d and %d", built, reused, tangents, tangents-1)
+	if built != 1+int64(len(twins)) || reused != int64(len(twins))-1 {
+		t.Fatalf("%d plans built and %d reused, want 1 + %d and %d", built, reused, len(twins), len(twins)-1)
+	}
+}
+
+// twinPreconditioner applies a hierarchy filled from a plan and the one a
+// Solver without a plan built for the same tangent to every residual, and
+// fails the test unless the two give the same bits; the solve goes on with
+// the planned one's.
+type twinPreconditioner struct {
+	t         *testing.T
+	tangent   int
+	mg, fresh *multigrid.MG
+	z         []float64
+	applies   int
+}
+
+// Apply implements krylov.Preconditioner.
+func (w *twinPreconditioner) Apply(r, z []float64) {
+	w.mg.Apply(r, z)
+	if len(w.z) != len(z) {
+		w.z = make([]float64, len(z))
+	}
+	w.fresh.Apply(r, w.z)
+	w.applies++
+	for i := range z {
+		if math.Float64bits(z[i]) != math.Float64bits(w.z[i]) {
+			w.t.Fatalf("tangent %d, application %d: z[%d] = %v filled from the plan, %v from a new plan", w.tangent, w.applies, i, z[i], w.z[i])
+		}
 	}
 }
 
