@@ -274,26 +274,16 @@ func unitDofs(units [][]int, b int) [][]int {
 		return units
 	}
 	blocks := make([][]int, len(units))
-	flat := make([]int, 0, b*sumLen(units))
 	for bi, us := range units {
-		lo := len(flat)
+		dofs := make([]int, 0, b*len(us))
 		for _, u := range us {
 			for c := 0; c < b; c++ {
-				flat = append(flat, b*u+c)
+				dofs = append(dofs, b*u+c)
 			}
 		}
-		blocks[bi] = flat[lo:len(flat):len(flat)]
+		blocks[bi] = dofs
 	}
 	return blocks
-}
-
-// sumLen returns the total length of the lists.
-func sumLen(lists [][]int) int {
-	n := 0
-	for _, l := range lists {
-		n += len(l)
-	}
-	return n
 }
 
 // matches reports whether the plan was made for fine's storage and

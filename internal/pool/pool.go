@@ -95,8 +95,8 @@ type IndexedKernel interface {
 // ItemKernel is a range-partitioned kernel whose results land in storage it
 // owns rather than in a y vector: the symbolic and numeric passes of a
 // sparse product (item = row of the result), element integration (item =
-// element) and the block factorizations of the domain smoother (item =
-// block). Items(w, lo, hi) must write
+// element) and the block plan and factorizations of the domain smoother
+// (item = block). Items(w, lo, hi) must write
 // exactly what items [lo, hi) own and give an item the same bits whatever
 // range it arrives in. w is the calling participant's lane, in [0, Lanes):
 // no two calls with the same lane overlap in time, so a kernel may keep

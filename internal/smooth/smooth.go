@@ -1,10 +1,21 @@
 // Package smooth implements the paper's multigrid smoother (section 7.2):
 // one step of conjugate gradients per smoothing step, preconditioned by a
 // domain-decomposed block Jacobi whose graph-partitioned blocks ("block
-// Jacobi with 6 blocks for every 1,000 unknowns") are factored with dense
+// Jacobi with 6 blocks for every 1,000 unknowns") are factored with
 // Cholesky at setup. The CG iteration is written against sparse.Operator
 // and the block setup gathers from either assembled storage, so CSR and BSR
 // levels run through the same algorithm.
+//
+// The blocks arrive planned (multigrid plans them): each is a part of the
+// level's node graph on a blocked level, every node's dofs together, or of
+// its dof graph on a scalar one, and lists its dofs in the reverse
+// Cuthill–McKee order of its units. PlanBlocks keeps that order and lays
+// each block's factor out as an envelope from it: the order decides how
+// many values the factor stores. The factorization and the solves run on
+// row pairs (la.FactorEnvelope, la.Cholesky.Solve) and give the bits of a
+// row at a time, so of the three — partition, order, kernels — the
+// partition moves blocks and iteration counts, the order moves rounding,
+// and the kernels move nothing.
 package smooth
 
 import (
