@@ -208,8 +208,8 @@ func FactorEnvelope(off []int, a []float64) (*Cholesky, error) {
 				rb[j-fb] = (rb[j-fb] - qb.sum()) * rj[len(rj)-1]
 			}
 		}
-		// Row i+1 starts at a multiple of 4 short of the odd i+1, so it
-		// stores column i.
+		// Row i+1 starts at a multiple of 4, which the odd i+1 is not, so
+		// it stores column i.
 		if !pivot(ra) {
 			return nil, ErrNotSPD
 		}
