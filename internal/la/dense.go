@@ -143,7 +143,7 @@ func EnvelopeOffsets(first []int) []int {
 // for row i.
 func checkRowStart(i, f int) {
 	if f < 0 || f > i || f%4 != 0 {
-		panic(fmt.Sprintf("la: row %d of an envelope starts at column %d", i, f))
+		panic(fmt.Sprintf("la: row %d of an envelope starts at column %d, not a multiple of 4 in [0, %d]", i, f, i))
 	}
 }
 

@@ -169,3 +169,27 @@ func FuzzPairedKernelsMatchRows(f *testing.F) {
 		}
 	})
 }
+
+// TestEnvelopeRejectsUnalignedStarts: a row start that is not a multiple
+// of 4 in [0, i] would put the paired kernels' terms in other lanes than
+// a row at a time, so EnvelopeOffsets refuses it, and so does
+// FactorEnvelope on offsets built by hand.
+func TestEnvelopeRejectsUnalignedStarts(t *testing.T) {
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	for _, first := range [][]int{{0, 1}, {0, 0, 0, 0, 0, 2}, {0, 0, 4}, {-4}} {
+		if !panics(func() { EnvelopeOffsets(first) }) {
+			t.Errorf("EnvelopeOffsets(%v) accepted", first)
+		}
+	}
+	// Rows 0 and 1 stored from column 0, row 2 from column 1.
+	if !panics(func() { _, _ = FactorEnvelope([]int{0, 1, 3, 5}, []float64{1, 0, 1, 0, 1}) }) {
+		t.Error("FactorEnvelope accepted a row starting at column 1")
+	}
+	if off := EnvelopeOffsets([]int{0, 0, 0, 0, 4, 4}); !slices.Equal(off, []int{0, 1, 3, 6, 10, 11, 13}) {
+		t.Errorf("EnvelopeOffsets = %v", off)
+	}
+}
