@@ -38,6 +38,7 @@ import (
 	"prometheus/internal/obs"
 	"prometheus/internal/perf"
 	"prometheus/internal/problems"
+	"prometheus/internal/sparse"
 )
 
 func main() {
@@ -190,10 +191,11 @@ func main() {
 const profileRanks = 4
 
 // reportProfile prints the obs event table and, when k is non-nil, the
-// measured-counter parallel efficiency of a halo SpMV phase over k.
+// measured-counter parallel efficiency of a halo SpMV phase over k's
+// scalar expansion.
 // With dir non-empty it also writes logview.txt, profile.json and
 // trace.json (Chrome trace_event format) there.
-func reportProfile(dir string, k *prometheus.CSR, owner []int) {
+func reportProfile(dir string, k *prometheus.BSR, owner []int) {
 	// Snapshot before the halo phase below resets the recording.
 	p := obs.Snapshot()
 	fmt.Println()
@@ -217,7 +219,7 @@ func reportProfile(dir string, k *prometheus.CSR, owner []int) {
 	if k == nil {
 		return
 	}
-	eff, err := parallel.MeasuredHaloEfficiency(k, owner, profileRanks, 20, perf.PaperIBM())
+	eff, err := parallel.MeasuredHaloEfficiency(sparse.AsCSR(k), owner, profileRanks, 20, perf.PaperIBM())
 	fail(err)
 	fmt.Printf("measured halo SpMV on %d ranks: %d flops, %d msgs, %d bytes\n",
 		eff.Ranks, eff.Flops, eff.Msgs, eff.Bytes)

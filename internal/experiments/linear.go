@@ -68,7 +68,7 @@ func Series(maxK int) []SizeSpec {
 // first of ten steps): the operator of the section 7.1 linear study. It
 // returns the tangent and the Newton right-hand side -fint, negated in
 // place.
-func assembleFirstTangent(s *problems.Spheres) (*prometheus.Problem, *sparse.CSR, []float64, error) {
+func assembleFirstTangent(s *problems.Spheres) (*prometheus.Problem, *sparse.BSR, []float64, error) {
 	p := prometheus.NewProblem(s.Mesh, s.Models, true)
 	u := make([]float64, s.Mesh.NumDOF())
 	s.Cons.Scaled(0.1).Apply(u)
@@ -148,7 +148,7 @@ func RunLinear(spec SizeSpec, machine perf.Machine) (*LinearRun, error) {
 	// Fine grid creation (FEAP): element integration and assembly of the
 	// first Newton tangent.
 	var p *prometheus.Problem
-	var k *sparse.CSR
+	var k *sparse.BSR
 	var r []float64
 	phases.Time("fine grid", func() {
 		p, k, r, err = assembleFirstTangent(s)

@@ -306,7 +306,7 @@ func Amortization(w io.Writer) error { return amortization(w, seriesCfg(1)) }
 func amortization(w io.Writer, cfg problems.SpheresConfig) error {
 	s := problems.NewSpheresConfig(cfg)
 	phases := perf.NewPhases()
-	var k *sparse.CSR
+	var k *sparse.BSR
 	var r []float64
 	var err error
 	phases.Time("fine grid (per mesh)", func() { _, k, r, err = assembleFirstTangent(s) })

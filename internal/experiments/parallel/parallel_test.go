@@ -44,10 +44,11 @@ func TestParallelMISStudy(t *testing.T) {
 func TestMeasuredHaloEfficiency(t *testing.T) {
 	m := mesh.StructuredHex(4, 4, 4, 1, 1, 1, nil)
 	p := fem.NewProblem(m, []material.Model{material.LinearElastic{E: 1, Nu: 0.3}}, false)
-	k, _, err := p.AssembleTangent(make([]float64, m.NumDOF()))
+	kb, _, err := p.AssembleTangent(make([]float64, m.NumDOF()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	k := kb.ToCSR()
 	vertOwner := graph.RCB(m.Coords, 4)
 	owner := make([]int, k.NRows)
 	for i := range owner {

@@ -60,14 +60,14 @@ func TestAssembleAllocsIndependentOfSize(t *testing.T) {
 		p := NewProblem(m, []material.Model{material.LinearElastic{E: 1, Nu: 0.3}}, false)
 		u := make([]float64, m.NumDOF())
 		return testing.AllocsPerRun(3, func() {
-			if _, _, err := p.AssembleBlockTangent(u); err != nil {
+			if _, _, err := p.AssembleTangent(u); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	small, large := count(4), count(9) // 64 and 729 elements: 1 and 3 chunks
 	if small != large {
-		t.Fatalf("AssembleBlockTangent allocates %v times on 64 elements and %v on 729", small, large)
+		t.Fatalf("AssembleTangent allocates %v times on 64 elements and %v on 729", small, large)
 	}
 }
 

@@ -420,7 +420,7 @@ func (p *Problem) integrateChunks(u []float64, drain func(e0, e1 int, kes, fes [
 }
 
 // IntegrationKernel returns element integration at u over the first chunk
-// of the mesh as the kernel AssembleBlockTangent dispatches, with the
+// of the mesh as the kernel AssembleTangent dispatches, with the
 // tangent and force buffers it writes and its element count, for
 // TestKernelContract.
 func (p *Problem) IntegrationKernel(u []float64) (k pool.ItemKernel, kes, fes []float64, n int) {
@@ -432,24 +432,13 @@ func (p *Problem) IntegrationKernel(u []float64) (k pool.ItemKernel, kes, fes []
 
 // AssembleTangent computes the global consistent tangent K(u) and internal
 // force vector fint(u) from the committed material states. Both use the
-// full 3·NumVerts dof numbering; apply Constraints to reduce. The scalar
-// matrix is the expansion of the blocked assembly — same pattern (elements
-// touch all 9 entries of every node pair) and bitwise-identical values.
-func (p *Problem) AssembleTangent(u []float64) (*sparse.CSR, []float64, error) {
-	k, fint, err := p.AssembleBlockTangent(u)
-	if err != nil {
-		return nil, nil, err
-	}
-	return k.ToCSR(), fint, nil
-}
-
-// AssembleBlockTangent is the blocked form of AssembleTangent: the tangent
+// full 3·NumVerts dof numbering; apply Constraints to reduce. The tangent
 // comes back in BSR — the paper's BAIJ storage — ready for the blocked
 // solver stack without a conversion pass. The block pattern is known before
 // any number is: the arrays are allocated once from the mesh's NodePattern
 // and each element's 3x3 node-pair blocks are added straight into Val, a
 // chunk at a time by drainKernel.
-func (p *Problem) AssembleBlockTangent(u []float64) (*sparse.BSR, []float64, error) {
+func (p *Problem) AssembleTangent(u []float64) (*sparse.BSR, []float64, error) {
 	sp := obs.Start(evAssemble)
 	defer sp.End()
 	n := p.M.NumDOF()
@@ -602,7 +591,7 @@ func (d *drainKernel) Items(w, lo, hi int) {
 
 // DrainKernels integrates the mesh's first chunk at u and returns its
 // item count and fresh, which gives a new drain of that chunk as
-// AssembleBlockTangent dispatches it, with the zeroed value and force
+// AssembleTangent dispatches it, with the zeroed value and force
 // arrays it adds into, for TestKernelContract.
 func (p *Problem) DrainKernels(u []float64) (fresh func() (k pool.ItemKernel, val, fint []float64), n int, err error) {
 	ik := p.newIntegrateKernel()

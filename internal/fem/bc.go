@@ -1,6 +1,7 @@
 package fem
 
 import (
+	"prometheus/internal/check"
 	"prometheus/internal/obs"
 	"prometheus/internal/sparse"
 )
@@ -81,14 +82,19 @@ func (c *Constraints) Apply(u []float64) {
 	}
 }
 
-// Reduce eliminates the constrained dofs from the full operator K: it
-// returns the reduced matrix over the free dofs and the load map that
+// Reduce eliminates the constrained dofs from the full blocked operator
+// K: it returns the reduced scalar matrix over the free dofs, read
+// straight from K's blocks (sparse.BSR.Select), and the load map that
 // writes the reduced right-hand side fRed = f_free - K_fc·u_c of any load
-// f, with the prescribed values u_c.
-func (c *Constraints) Reduce(k *sparse.CSR, m *DofMap) (*sparse.CSR, *LoadMap) {
+// f, with the prescribed values u_c. Under promdebug the reduced matrix
+// must be symmetric bit for bit.
+func (c *Constraints) Reduce(k *sparse.BSR, m *DofMap) (*sparse.CSR, *LoadMap) {
 	sp := obs.Start(evReduce)
 	defer sp.End()
 	kRed := k.Select(m.Red2Full, m.Full2Red, m.NumFree(), 0)
+	if check.Enabled {
+		check.SymmetricValues(kRed.NRows, 1, kRed.RowPtr, kRed.ColIdx, kRed.Val, "fem: reduced operator")
+	}
 	return kRed, c.newLoadMap(k, kRed, m)
 }
 
@@ -119,11 +125,16 @@ func (lm *LoadMap) Bytes() int64 {
 // the constraints, given kRed, k's free rows and columns as Select keeps
 // them. A free row couples to a constrained dof exactly in the entries
 // Select dropped from it, so the row lengths of k and kRed size the map
-// and name the rows to fill: no other row is read.
-func (c *Constraints) newLoadMap(k, kRed *sparse.CSR, m *DofMap) *LoadMap {
+// and name the rows to fill: no other row is read. Scalar row r of k is
+// row r%B of the blocks of block row r/B, walked as Select walks it.
+func (c *Constraints) newLoadMap(k *sparse.BSR, kRed *sparse.CSR, m *DofMap) *LoadMap {
+	b := k.B
+	dropped := func(rRed, rFull int) int {
+		return b*(k.RowPtr[rFull/b+1]-k.RowPtr[rFull/b]) - kRed.RowNNZ(rRed)
+	}
 	nrows, nterms := 0, 0
 	for rRed, rFull := range m.Red2Full {
-		if n := k.RowNNZ(rFull) - kRed.RowNNZ(rRed); n > 0 {
+		if n := dropped(rRed, rFull); n > 0 {
 			nrows++
 			nterms += n
 		}
@@ -136,14 +147,16 @@ func (c *Constraints) newLoadMap(k, kRed *sparse.CSR, m *DofMap) *LoadMap {
 		val:      make([]float64, 0, nterms),
 	}
 	for rRed, rFull := range m.Red2Full {
-		if k.RowNNZ(rFull) == kRed.RowNNZ(rRed) {
+		if dropped(rRed, rFull) == 0 {
 			continue
 		}
-		cols, vals := k.Row(rFull)
-		for i, cFull := range cols {
-			if m.Full2Red[cFull] < 0 {
-				lm.coef = append(lm.coef, vals[i])
-				lm.val = append(lm.val, c.Fixed[cFull])
+		ib, d := rFull/b, rFull%b
+		for q := k.RowPtr[ib]; q < k.RowPtr[ib+1]; q++ {
+			for cc := 0; cc < b; cc++ {
+				if cFull := k.ColIdx[q]*b + cc; m.Full2Red[cFull] < 0 {
+					lm.coef = append(lm.coef, k.Val[(q*b+d)*b+cc])
+					lm.val = append(lm.val, c.Fixed[cFull])
+				}
 			}
 		}
 		lm.rows = append(lm.rows, rRed)

@@ -64,7 +64,7 @@ func TestAssembleMatchesBuilderReference(t *testing.T) {
 			t.Fatalf("%s: reference: %v", tc.name, err)
 		}
 		prev := runtime.GOMAXPROCS(tc.procs)
-		got, gotF, err := tc.p.AssembleBlockTangent(u)
+		got, gotF, err := tc.p.AssembleTangent(u)
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -126,10 +126,26 @@ func nodeAligned(m *fem.DofMap) bool {
 	return true
 }
 
-// TestSelectMatchesBuilder pins Reduce, now a caller of sparse.Select, to
-// the Builder copy it replaced: matrix bits and right-hand-side bits, on
-// component-wise constraints (spheres) and node-aligned ones (cube), with
-// an emptied row and a stored -0.0 planted in the tangent.
+// splitCons returns the cube's constraints with, besides its clamped
+// base, the x dof of every other vertex on the face x = 0 fixed by FixDof
+// to a value that is mostly nonzero: the block rows of those nodes split
+// between free and fixed columns.
+func splitCons(c *problems.Cube) *fem.Constraints {
+	cons := c.Cons.Scaled(1)
+	for v, q := range c.Mesh.Coords {
+		if q.X == 0 && q.Z != 0 {
+			cons.FixDof(3*v, 1e-3*q.Y)
+		}
+	}
+	return cons
+}
+
+// TestSelectMatchesBuilder pins Reduce, which reads the blocked tangent
+// through sparse.BSR.Select, to the Builder copy of its scalar expansion:
+// matrix bits and right-hand-side bits, on component-wise constraints
+// (spheres, and the cube with single dofs fixed) and node-aligned ones
+// (cube), with an isolated node's emptied rows and a stored -0.0 planted
+// in the tangent.
 func TestSelectMatchesBuilder(t *testing.T) {
 	spheres := problems.NewSpheresConfig(problems.SpheresConfig{Layers: 3, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2})
 	cube := problems.NewCube(6, material.LinearElastic{E: 1, Nu: 0.3}, -0.001)
@@ -141,25 +157,25 @@ func TestSelectMatchesBuilder(t *testing.T) {
 	}{
 		{"spheres", fem.NewProblem(spheres.Mesh, spheres.Models, true), spheres.Cons.Scaled(0.1), false},
 		{"cube", fem.NewProblem(cube.Mesh, cube.Models, false), cube.Cons, true},
+		{"cube FixDof", fem.NewProblem(cube.Mesh, cube.Models, false), splitCons(cube), false},
 	} {
 		k, fint, err := tc.p.AssembleTangent(crushed(tc.p.M))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		dm := tc.cons.NewDofMap(k.NRows)
+		dm := tc.cons.NewDofMap(k.Rows())
 		if nodeAligned(dm) != tc.nodeAligned {
 			t.Fatalf("%s: node-aligned = %v, the case is meant to cover %v", tc.name, !tc.nodeAligned, tc.nodeAligned)
 		}
 		// The -0.0 goes on a diagonal, so that it stays in the reduced
 		// matrix rather than in the right-hand-side correction.
 		free := dm.Red2Full[dm.NumFree()/2]
-		diag, _ := slices.BinarySearch(k.ColIdx[k.RowPtr[free]:k.RowPtr[free+1]], free)
-		k.Val[k.RowPtr[free]+diag] = math.Copysign(0, -1)
-		empty := dm.Red2Full[dm.NumFree()/3]
-		k = dropRow(k, empty)
+		diag, _ := slices.BinarySearch(k.ColIdx[k.RowPtr[free/3]:k.RowPtr[free/3+1]], free/3)
+		k.Val[(k.RowPtr[free/3]+diag)*9+free%3*4] = math.Copysign(0, -1)
+		k = isolate(k, dm.Red2Full[dm.NumFree()/3]/3)
 
 		got, gotF := fem.ReduceLoad(tc.cons, k, fint, dm)
-		want, wantF := reduceBuilder(tc.cons, k, fint, dm)
+		want, wantF := reduceBuilder(tc.cons, k.ToCSR(), fint, dm)
 		if got.NRows != want.NRows || got.NCols != want.NCols ||
 			!slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
 			t.Fatalf("%s: reduced pattern differs from the Builder reference", tc.name)
@@ -199,12 +215,13 @@ func TestLoadMapIsReduce(t *testing.T) {
 		{"cube", fem.NewProblem(cube.Mesh, cube.Models, false), cube.Cons, cube.Load},
 		{"cantilever", fem.NewProblem(beam.Mesh, beam.Models, false), beam.Cons, beam.Load},
 		{"spheres crush", fem.NewProblem(spheres.Mesh, spheres.Models, true), spheres.Cons, sphereLoad},
+		{"cube FixDof", fem.NewProblem(cube.Mesh, cube.Models, false), splitCons(cube), cube.Load},
 	} {
 		k, _, err := tc.p.AssembleTangent(make([]float64, tc.p.M.NumDOF()))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		dm := tc.cons.NewDofMap(k.NRows)
+		dm := tc.cons.NewDofMap(k.Rows())
 		_, lm := tc.cons.Reduce(k, dm)
 		got := make([]float64, dm.NumFree())
 		sf := make([]float64, len(tc.f))
@@ -213,7 +230,7 @@ func TestLoadMapIsReduce(t *testing.T) {
 				sf[i] = s * v
 			}
 			lm.Apply(got, tc.f, s)
-			if _, want := reduceBuilder(tc.cons, k, sf, dm); !sameFloatBits(got, want) {
+			if _, want := reduceBuilder(tc.cons, k.ToCSR(), sf, dm); !sameFloatBits(got, want) {
 				t.Fatalf("%s, scale %g: the load map differs from the reference loop", tc.name, s)
 			}
 			if s < 0 && !slices.ContainsFunc(got, func(x float64) bool { return x == 0 && math.Signbit(x) }) {
@@ -223,21 +240,25 @@ func TestLoadMapIsReduce(t *testing.T) {
 	}
 }
 
-// dropRow returns a copy of k with row r emptied.
-func dropRow(k *sparse.CSR, r int) *sparse.CSR {
-	lo, hi := k.RowPtr[r], k.RowPtr[r+1]
-	out := &sparse.CSR{NRows: k.NRows, NCols: k.NCols,
-		RowPtr: slices.Clone(k.RowPtr),
-		ColIdx: slices.Delete(slices.Clone(k.ColIdx), lo, hi),
-		Val:    slices.Delete(slices.Clone(k.Val), lo, hi)}
-	for i := r + 1; i <= k.NRows; i++ {
-		out.RowPtr[i] -= hi - lo
+// isolate returns a copy of k with block row and block column v
+// dropped: node v's rows come out empty, and k stays symmetric.
+func isolate(k *sparse.BSR, v int) *sparse.BSR {
+	out := &sparse.BSR{NBRows: k.NBRows, NBCols: k.NBCols, B: k.B, RowPtr: make([]int, 1, k.NBRows+1)}
+	bb := k.B * k.B
+	for ib := 0; ib < k.NBRows; ib++ {
+		for q := k.RowPtr[ib]; q < k.RowPtr[ib+1]; q++ {
+			if ib != v && k.ColIdx[q] != v {
+				out.ColIdx = append(out.ColIdx, k.ColIdx[q])
+				out.Val = append(out.Val, k.Val[q*bb:q*bb+bb]...)
+			}
+		}
+		out.RowPtr = append(out.RowPtr, len(out.ColIdx))
 	}
 	return out
 }
 
 // TestAssemblyIndependentOfProcs checks the assembled BSR, fint, and the
-// reduced kred and fred of its expansion against the serial references
+// reduced kred and fred read from its blocks against the serial references
 // (the BlockBuilder assembly and the Builder reduction) by Float64bits at
 // GOMAXPROCS 1, 2 and 4, on systems whose drain chunks and conversions
 // are above pool.Grain: the cube under node-aligned constraints, and the
@@ -265,12 +286,12 @@ func TestAssemblyIndependentOfProcs(t *testing.T) {
 		}
 		for _, procs := range []int{1, 2, 4} {
 			prev := runtime.GOMAXPROCS(procs)
-			kb, fint, err := tc.p.AssembleBlockTangent(u)
+			kb, fint, err := tc.p.AssembleTangent(u)
 			if err != nil {
 				runtime.GOMAXPROCS(prev)
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			kred, fred := fem.ReduceLoad(tc.cons, kb.ToCSR(), fint, dm)
+			kred, fred := fem.ReduceLoad(tc.cons, kb, fint, dm)
 			runtime.GOMAXPROCS(prev)
 			if !slices.Equal(kb.RowPtr, want.RowPtr) || !slices.Equal(kb.ColIdx, want.ColIdx) || !sameFloatBits(kb.Val, want.Val) {
 				t.Fatalf("%s, GOMAXPROCS=%d: assembled BSR differs from the BlockBuilder reference", tc.name, procs)

@@ -5,7 +5,7 @@ import "prometheus/internal/sparse"
 // AssembleBlockTangentBuilder is the reference the pattern-first assembly
 // is pinned to: the same element loop poured block by block into a
 // sparse.BlockBuilder (a map per node row, sorted at Build), the way
-// AssembleBlockTangent was written before the pattern came first.
+// AssembleTangent was written before the pattern came first.
 func AssembleBlockTangentBuilder(p *Problem, u []float64) (*sparse.BSR, []float64, error) {
 	return assembleBuilder(p, u, -1)
 }
@@ -70,7 +70,7 @@ func assembleBuilder(p *Problem, u []float64, broken int) (*sparse.BSR, []float6
 
 // ReduceLoad is Reduce with its load map applied to f at scale 1: the
 // reduced matrix and right-hand side of one load.
-func ReduceLoad(c *Constraints, k *sparse.CSR, f []float64, m *DofMap) (*sparse.CSR, []float64) {
+func ReduceLoad(c *Constraints, k *sparse.BSR, f []float64, m *DofMap) (*sparse.CSR, []float64) {
 	kr, lm := c.Reduce(k, m)
 	fr := make([]float64, m.NumFree())
 	lm.Apply(fr, f, 1)

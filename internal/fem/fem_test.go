@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -463,7 +464,7 @@ func TestParallelAssemblyMatchesSerial(t *testing.T) {
 		u[i] = (rng.Float64() - 0.5) * 0.01
 	}
 	serial := NewProblem(m, models, true)
-	var kS *sparse.CSR
+	var kS *sparse.BSR
 	var fS []float64
 	var err error
 	withProcs(1, func() { kS, fS, err = serial.AssembleTangent(u) })
@@ -472,7 +473,7 @@ func TestParallelAssemblyMatchesSerial(t *testing.T) {
 	}
 	for _, workers := range []int{2, 4, 7} {
 		par := NewProblem(m, models, true)
-		var kP *sparse.CSR
+		var kP *sparse.BSR
 		var fP []float64
 		withProcs(workers, func() { kP, fP, err = par.AssembleTangent(u) })
 		if err != nil {
@@ -481,8 +482,11 @@ func TestParallelAssemblyMatchesSerial(t *testing.T) {
 		if kP.NNZ() != kS.NNZ() {
 			t.Fatalf("workers=%d: nnz %d vs %d", workers, kP.NNZ(), kS.NNZ())
 		}
+		if !slices.Equal(kS.RowPtr, kP.RowPtr) || !slices.Equal(kS.ColIdx, kP.ColIdx) {
+			t.Fatalf("workers=%d: block pattern differs", workers)
+		}
 		for i := range kS.Val {
-			if kS.Val[i] != kP.Val[i] || kS.ColIdx[i] != kP.ColIdx[i] {
+			if kS.Val[i] != kP.Val[i] {
 				t.Fatalf("workers=%d: matrix differs at entry %d", workers, i)
 			}
 		}

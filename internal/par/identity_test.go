@@ -11,7 +11,6 @@ import (
 	"prometheus/internal/mesh"
 	"prometheus/internal/par"
 	"prometheus/internal/perf"
-	"prometheus/internal/sparse"
 	"prometheus/internal/topo"
 )
 
@@ -82,14 +81,11 @@ func runExample(t *testing.T, ranks int) exampleCounts {
 	_, out.faces = par.ParallelIdentifyFaces(par.NewComm(ranks), facets, mesh.FacetAdjacency(facets), fo, topo.DefaultTOL)
 
 	p := fem.NewProblem(m, []material.Model{material.LinearElastic{E: 1, Nu: 0.3}}, false)
-	k, _, err := p.AssembleTangent(make([]float64, m.NumDOF()))
+	kb, _, err := p.AssembleTangent(make([]float64, m.NumDOF()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	kb, err := sparse.FromCSR(k, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := kb.ToCSR()
 	x := make([]float64, m.NumDOF())
 	for i := range x {
 		x[i] = float64(i%11) - 5

@@ -84,10 +84,11 @@ func BuildGeometry(spec Spec) (*Geometry, error) {
 // service is memory-bounded by construction, like its queues.
 const maxSize = 8
 
-// AssembleLinear assembles the tangent stiffness at zero displacement and
-// the scaled load vector — the expensive fine-grid-creation phase, run
-// once per cache entry and skipped on warm hits.
-func (g *Geometry) AssembleLinear(scale float64) (*prometheus.CSR, []float64, error) {
+// AssembleLinear assembles the blocked tangent stiffness at zero
+// displacement and the scaled load vector — the expensive
+// fine-grid-creation phase, run once per cache entry and skipped on warm
+// hits.
+func (g *Geometry) AssembleLinear(scale float64) (*prometheus.BSR, []float64, error) {
 	p := prometheus.NewProblem(g.Mesh, g.Models, false)
 	u := make([]float64, g.Mesh.NumDOF())
 	k, _, err := p.AssembleTangent(u)

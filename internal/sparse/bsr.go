@@ -210,30 +210,19 @@ func (a *BSR) Diag() []float64 {
 	return d
 }
 
-// FromCSR blocks a scalar matrix with block size b. Every stored scalar
-// entry lands in a block; positions never stored in the scalar matrix
-// become explicit zeros (fill). Assembly-produced elasticity matrices
-// block with zero fill because the element loop touches all b*b entries of
-// every node pair. Dimensions must be divisible by b. It is BlockPattern
-// and FillFromCSR in one.
-func FromCSR(a *CSR, b int) (*BSR, error) {
-	t, err := BlockPattern(a, b)
-	if err != nil {
-		return nil, err
-	}
-	return t.FillFromCSR(a), nil
-}
-
-// BlockPattern is the pattern half of FromCSR (Val nil): a count pass
+// BlockPattern is the pattern of a scalar matrix blocked with block size
+// b (Val nil; FillFromCSR writes the values): every stored scalar entry
+// lands in a block, and positions the scalar matrix never stores become
+// explicit zeros (fill). Dimensions must be divisible by b. A count pass
 // finds how many distinct block columns every block row has, and after
 // their prefix sum a fill pass collects and sorts them, both over the
 // block rows on the shared worker set (blockKernel).
 func BlockPattern(a *CSR, b int) (*BSR, error) {
 	if b < 1 {
-		return nil, fmt.Errorf("sparse: FromCSR block size %d < 1", b)
+		return nil, fmt.Errorf("sparse: BlockPattern block size %d < 1", b)
 	}
 	if a.NRows%b != 0 || a.NCols%b != 0 {
-		return nil, fmt.Errorf("sparse: FromCSR %dx%d not divisible by block size %d", a.NRows, a.NCols, b)
+		return nil, fmt.Errorf("sparse: BlockPattern %dx%d not divisible by block size %d", a.NRows, a.NCols, b)
 	}
 	nbr, nbc := a.NRows/b, a.NCols/b
 	t := &BSR{NBRows: nbr, NBCols: nbc, B: b, RowPtr: make([]int, nbr+1)}
@@ -318,9 +307,9 @@ func (k *blockKernel) Items(w, lo, hi int) {
 	}
 }
 
-// FillFromCSR is the value half of FromCSR: a new matrix with t's pattern
-// holding a's values, where t is BlockPattern of a matrix with a's
-// pattern. It runs over the block rows on the shared worker set
+// FillFromCSR is the value half of the re-blocking: a new matrix with
+// t's pattern holding a's values, where t is BlockPattern of a matrix
+// with a's pattern. It runs over the block rows on the shared worker set
 // (reblockKernel).
 func (t *BSR) FillFromCSR(a *CSR) *BSR {
 	out := &BSR{NBRows: t.NBRows, NBCols: t.NBCols, B: t.B, RowPtr: t.RowPtr, ColIdx: t.ColIdx, Val: make([]float64, t.NNZ())}
@@ -368,7 +357,8 @@ func (k *reblockKernel) Items(_, lo, hi int) {
 
 // ToCSR expands the blocked matrix to scalar CSR, emitting all B*B entries
 // of every stored block (explicit zeros included). The expansion of an
-// assembled matrix round-trips bitwise through FromCSR. It is
+// assembled matrix round-trips bitwise through BlockPattern and
+// FillFromCSR. It is
 // ScalarPattern and FillFromBSR in one.
 func (a *BSR) ToCSR() *CSR {
 	return a.ScalarPattern().FillFromBSR(a)

@@ -90,6 +90,16 @@ func selectRef(a *CSR, rows, colMap []int, nCols int, pin float64) *CSR {
 	return &CSR{NRows: len(rows), NCols: nCols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
 }
 
+// FromCSR blocks a scalar matrix with block size b: BlockPattern and
+// FillFromCSR in one, the re-blocking the tests round-trip through.
+func FromCSR(a *CSR, b int) (*BSR, error) {
+	t, err := BlockPattern(a, b)
+	if err != nil {
+		return nil, err
+	}
+	return t.FillFromCSR(a), nil
+}
+
 // fromCSRRef is BlockPattern and FillFromCSR as serial loops: a count
 // pass and a collect-and-sort pass through one marker array, then one
 // cursor per scalar row.
@@ -236,6 +246,9 @@ func TestConversionsIndependentOfProcs(t *testing.T) {
 			want := selectRef(e, sc.rows, sc.colMap, sc.nCols, sc.pin)
 			if !sameCSR(e.Select(sc.rows, sc.colMap, sc.nCols, sc.pin), want) {
 				t.Fatal(at(sc.name + " Select differs from the serial reference"))
+			}
+			if !sameCSR(b.Select(sc.rows, sc.colMap, sc.nCols, sc.pin), want) {
+				t.Fatal(at(sc.name + " Select of the blocks differs from the serial reference of their expansion"))
 			}
 		}
 		for _, a := range []*CSR{e, ragged} {

@@ -98,29 +98,28 @@ func (b *Builder) Build() *CSR {
 	return out
 }
 
-// Select returns the len(rows)×nCols matrix whose row i is row rows[i] of
-// a with its columns renumbered through colMap (old column → new column; a
-// negative value drops the column). A negative rows[i] makes row i the
-// single entry (i, pin) instead: the pinned row of an eliminated dof. A
-// count pass finds what every row keeps and, after the prefix sum, a
-// pattern pass writes it, so the result is allocated at its final size;
-// then a values pass fills it. All three run over the rows on the shared
-// worker set (selectKernel). colMap must be increasing over the
-// columns it keeps, which leaves every row sorted without a sort. Values
-// are stored as 0+v, as Builder.Add stores them: a stored -0.0 comes out
-// +0.0 and every other value unchanged.
+// Select is BSR.Select on a viewed as a matrix of 1×1 blocks over its
+// own arrays.
 func (a *CSR) Select(rows, colMap []int, nCols int, pin float64) *CSR {
-	k := a.selectPattern(rows, colMap, nCols)
-	k.t.Val = make([]float64, len(k.t.ColIdx))
-	k.pin, k.pass = pin, valuesPass
-	k.run()
-	return k.result()
+	v := BSR{NBRows: a.NRows, NBCols: a.NCols, B: 1, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: a.Val}
+	return v.Select(rows, colMap, nCols, pin)
 }
 
-// selectPattern runs Select's count and pattern passes into a new
-// kernel's result.
-func (a *CSR) selectPattern(rows, colMap []int, nCols int) *selectKernel {
-	k := &selectKernel{a: a, rows: rows, colMap: colMap}
+// Select returns the len(rows)×nCols scalar matrix whose row i is scalar
+// row rows[i] of a — row rows[i]%B of block row rows[i]/B, read straight
+// from the blocks — with its columns renumbered through colMap (old
+// column → new column; a negative value drops the column). A negative
+// rows[i] makes row i the single entry (i, pin) instead: the pinned row
+// of an eliminated dof. A count pass finds what every row keeps and,
+// after the prefix sum, a pattern pass writes it, so the result is
+// allocated at its final size; then a values pass fills it. All three
+// run over the rows on the shared worker set (selectKernel). colMap must
+// be increasing over the columns it keeps, which leaves every row sorted
+// without a sort, and the result is bit for bit the Select of a.ToCSR().
+// Values are stored as 0+v, as Builder.Add stores them: a stored -0.0
+// comes out +0.0 and every other value unchanged.
+func (a *BSR) Select(rows, colMap []int, nCols int, pin float64) *CSR {
+	k := &selectKernel{a: *a, rows: rows, colMap: colMap}
 	k.t = &k.out
 	k.out = CSR{NRows: len(rows), NCols: nCols, RowPtr: make([]int, len(rows)+1)}
 	k.run()
@@ -133,23 +132,21 @@ func (a *CSR) selectPattern(rows, colMap []int, nCols int) *selectKernel {
 	if check.Enabled {
 		check.CSRWellFormed(k.out.NRows, k.out.NCols, k.out.RowPtr, k.out.ColIdx, len(k.out.ColIdx), "sparse.Select")
 	}
-	return k
-}
-
-// result returns the matrix the kernel wrote into its own out, which is
-// allocated with it, and drops the kernel's inputs, so that the result
-// keeps no more than a few words alive beside its arrays.
-func (k *selectKernel) result() *CSR {
+	k.out.Val = make([]float64, len(k.out.ColIdx))
+	k.pin, k.pass = pin, valuesPass
+	k.run()
+	// The result drops the kernel's inputs, so that it keeps no more than
+	// a few words alive beside its arrays.
 	*k = selectKernel{out: k.out}
 	return &k.out
 }
 
 // selectKernel is Select's three passes over the rows of its result t:
-// row i counts the entries of a's row rows[i] that colMap keeps into
-// t.RowPtr[i+1], writes their new columns, or writes their values as
-// 0+v; a pinned row (rows[i] < 0) is one entry, column i, value pin.
+// row i counts the entries of a's scalar row rows[i] that colMap keeps
+// into t.RowPtr[i+1], writes their new columns, or writes their values
+// as 0+v; a pinned row (rows[i] < 0) is one entry, column i, value pin.
 type selectKernel struct {
-	a      *CSR
+	a      BSR
 	t      *CSR
 	rows   []int
 	colMap []int
@@ -163,8 +160,8 @@ type selectKernel struct {
 // uncumulated, its pattern pass, which writes t.ColIdx from the summed
 // t.RowPtr, and its values pass, which writes t.Val, for
 // TestKernelContract.
-func (a *CSR) SelectKernels(t *CSR, rows, colMap []int, pin float64) (count, pattern, values pool.ItemKernel) {
-	k := selectKernel{a: a, t: t, rows: rows, colMap: colMap, pin: pin}
+func (a *BSR) SelectKernels(t *CSR, rows, colMap []int, pin float64) (count, pattern, values pool.ItemKernel) {
+	k := selectKernel{a: *a, t: t, rows: rows, colMap: colMap, pin: pin}
 	kp, kv := k, k
 	kp.pass, kv.pass = patternPass, valuesPass
 	return &k, &kp, &kv
@@ -175,9 +172,13 @@ func (k *selectKernel) run() {
 	pool.RunItems(k, len(k.rows), 1, k.a.NNZ())
 }
 
-// Items implements pool.ItemKernel.
+// Items implements pool.ItemKernel. Scalar row r walks the blocks of
+// block row r/B in order and, in each, row r%B's B entries: the order of
+// r's entries in the expansion.
 func (k *selectKernel) Items(_, lo, hi int) {
-	a, t, colMap := k.a, k.t, k.colMap
+	a, t, colMap := &k.a, k.t, k.colMap
+	b := a.B
+	bb := b * b
 	for i := lo; i < hi; i++ {
 		r := k.rows[i]
 		n := 0
@@ -193,29 +194,35 @@ func (k *selectKernel) Items(_, lo, hi int) {
 			}
 			n++
 		} else {
-			p0, p1 := a.RowPtr[r], a.RowPtr[r+1]
-			cols := a.ColIdx[p0:p1]
+			p0, p1 := a.RowPtr[r/b], a.RowPtr[r/b+1]
+			blockCols := a.ColIdx[p0:p1]
 			switch k.pass {
 			case countPass:
-				for _, j := range cols {
-					if colMap[j] >= 0 {
-						n++
+				for _, jb := range blockCols {
+					for _, jn := range colMap[jb*b : jb*b+b] {
+						if jn >= 0 {
+							n++
+						}
 					}
 				}
 			case patternPass:
-				for _, j := range cols {
-					if jn := colMap[j]; jn >= 0 {
-						t.ColIdx[n] = jn
-						n++
+				for _, jb := range blockCols {
+					for _, jn := range colMap[jb*b : jb*b+b] {
+						if jn >= 0 {
+							t.ColIdx[n] = jn
+							n++
+						}
 					}
 				}
 			default:
-				vals := a.Val[p0:p1:p1]
-				vals = vals[:len(cols)]
-				for q, j := range cols {
-					if colMap[j] >= 0 {
-						t.Val[n] = 0 + vals[q]
-						n++
+				vals := a.Val[p0*bb+r%b*b:]
+				for q, jb := range blockCols {
+					row := vals[q*bb : q*bb+b]
+					for c, jn := range colMap[jb*b : jb*b+b] {
+						if jn >= 0 {
+							t.Val[n] = 0 + row[c]
+							n++
+						}
 					}
 				}
 			}

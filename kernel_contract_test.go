@@ -541,10 +541,10 @@ func intsRun(k pool.ItemKernel, idx ...[]int) itemRun {
 
 // contractConversions returns the item-kernel rows of the storage
 // conversions: the expansion of b to scalar rows (pattern and values),
-// the two Selects a solve makes of a — the reduction to free dofs and the
-// pinned pattern of a level with pins, here with pin 1.5 — in their count,
-// pattern and values passes, and the re-blocking of a (count and pattern
-// passes, then values).
+// the two Selects a solve makes — the reduction to free dofs and the
+// pinned pattern of a level with pins, here with pin 1.5 — of a and of b
+// in their count, pattern and values passes, and the re-blocking of a
+// (count and pattern passes, then values).
 func contractConversions(b *sparse.BSR, a *sparse.CSR) []itemCase {
 	e := b.ToCSR()
 	cases := []itemCase{
@@ -558,7 +558,9 @@ func contractConversions(b *sparse.BSR, a *sparse.CSR) []itemCase {
 		}, b.NBRows},
 	}
 	// The reduction keeps the columns not ≡ 2 mod 7 and their rows; the
-	// pinned Select keeps every row and column but pins three.
+	// pinned Select keeps every row and column but pins three. Each reads
+	// the blocks of b, the assembled tangent's storage, and a as CSR.Select
+	// sees it: a matrix of 1×1 blocks over its arrays.
 	full2Red, red2Full := make([]int, a.NCols), []int(nil)
 	for j := range full2Red {
 		full2Red[j] = -1
@@ -569,34 +571,41 @@ func contractConversions(b *sparse.BSR, a *sparse.CSR) []itemCase {
 	}
 	keep := identity(a.NRows)
 	keep[1], keep[4], keep[a.NRows-1] = -1, -1, -1
-	for _, sc := range []struct {
-		name         string
-		rows, colMap []int
-		nCols        int
-		pin          float64
-	}{
-		{"Select", red2Full, full2Red, len(red2Full), 0},
-		{"Select pinned", keep, keep, a.NCols, 1.5},
-	} {
-		t := a.Select(sc.rows, sc.colMap, sc.nCols, sc.pin)
-		n := len(sc.rows)
-		cases = append(cases, []itemCase{
-			{sc.name + " count", func() itemRun {
-				out := &sparse.CSR{RowPtr: make([]int, n+1)}
-				k, _, _ := a.SelectKernels(out, sc.rows, sc.colMap, sc.pin)
-				return intsRun(k, out.RowPtr[1:])
-			}, n},
-			{sc.name + " pattern", func() itemRun {
-				out := &sparse.CSR{RowPtr: t.RowPtr, ColIdx: make([]int, len(t.ColIdx))}
-				_, k, _ := a.SelectKernels(out, sc.rows, sc.colMap, sc.pin)
-				return intsRun(k, out.ColIdx)
-			}, n},
-			{sc.name + " values", func() itemRun {
-				out := &sparse.CSR{RowPtr: t.RowPtr, ColIdx: t.ColIdx, Val: make([]float64, len(t.Val))}
-				_, _, k := a.SelectKernels(out, sc.rows, sc.colMap, sc.pin)
-				return fillRun(k, out.Val)
-			}, n},
-		}...)
+	scalar := &sparse.BSR{NBRows: a.NRows, NBCols: a.NCols, B: 1, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: a.Val}
+	for _, src := range []struct {
+		name string
+		m    *sparse.BSR
+	}{{"", scalar}, {" BSR3", b}} {
+		for _, sc := range []struct {
+			name         string
+			rows, colMap []int
+			nCols        int
+			pin          float64
+		}{
+			{"Select", red2Full, full2Red, len(red2Full), 0},
+			{"Select pinned", keep, keep, a.NCols, 1.5},
+		} {
+			m, sc, name := src.m, sc, sc.name+src.name
+			t := m.Select(sc.rows, sc.colMap, sc.nCols, sc.pin)
+			n := len(sc.rows)
+			cases = append(cases, []itemCase{
+				{name + " count", func() itemRun {
+					out := &sparse.CSR{RowPtr: make([]int, n+1)}
+					k, _, _ := m.SelectKernels(out, sc.rows, sc.colMap, sc.pin)
+					return intsRun(k, out.RowPtr[1:])
+				}, n},
+				{name + " pattern", func() itemRun {
+					out := &sparse.CSR{RowPtr: t.RowPtr, ColIdx: make([]int, len(t.ColIdx))}
+					_, k, _ := m.SelectKernels(out, sc.rows, sc.colMap, sc.pin)
+					return intsRun(k, out.ColIdx)
+				}, n},
+				{name + " values", func() itemRun {
+					out := &sparse.CSR{RowPtr: t.RowPtr, ColIdx: t.ColIdx, Val: make([]float64, len(t.Val))}
+					_, _, k := m.SelectKernels(out, sc.rows, sc.colMap, sc.pin)
+					return fillRun(k, out.Val)
+				}, n},
+			}...)
+		}
 	}
 	tb, err := sparse.BlockPattern(a, 3)
 	if err != nil {

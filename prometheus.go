@@ -20,7 +20,6 @@ import (
 	"sync"
 
 	"prometheus/internal/aggregation"
-	"prometheus/internal/check"
 	"prometheus/internal/core"
 	"prometheus/internal/fem"
 	"prometheus/internal/geom"
@@ -349,17 +348,14 @@ func (s *Solver) restrictions(kred Operator) ([]*sparse.CSR, error) {
 }
 
 // ReduceSystem eliminates the Dirichlet-constrained dofs from a
-// full-numbering stiffness matrix and load vector, returning the reduced
-// operator and right-hand side FPCG actually solves. It exposes the first
-// half of SolveLinear so callers can split the solve into setup and
-// iteration while staying bitwise identical to SolveLinear;
-// LinearOperator keeps the load map instead, for an operator solved under
-// many loads.
-func (s *Solver) ReduceSystem(k *CSR, f []float64) (*CSR, []float64) {
+// full-numbering blocked stiffness matrix (Problem.AssembleTangent's) and
+// load vector, returning the reduced scalar operator and right-hand side
+// FPCG actually solves. It exposes the first half of SolveLinear so
+// callers can split the solve into setup and iteration while staying
+// bitwise identical to SolveLinear; LinearOperator keeps the load map
+// instead, for an operator solved under many loads.
+func (s *Solver) ReduceSystem(k *BSR, f []float64) (*CSR, []float64) {
 	kred, lm := s.cons.Reduce(k, s.dofMap)
-	if check.Enabled {
-		check.SymmetricValues(kred.NRows, 1, kred.RowPtr, kred.ColIdx, kred.Val, "prometheus: reduced operator")
-	}
 	fred := make([]float64, s.dofMap.NumFree())
 	lm.Apply(fred, f, 1)
 	return kred, fred
@@ -413,20 +409,18 @@ func (s *Solver) LinearOperator(p *Problem) (Operator, *LoadMap, error) {
 		return nil, nil, fmt.Errorf("prometheus: assembly: %w", err)
 	}
 	kred, lm := s.cons.Reduce(k, s.dofMap)
-	if check.Enabled {
-		check.SymmetricValues(kred.NRows, 1, kred.RowPtr, kred.ColIdx, kred.Val, "prometheus: reduced operator")
-	}
 	return kred, lm, nil
 }
 
-// SolveLinear solves K·u = f where K and f are assembled on the full dof
-// numbering of the mesh and the solver's constraints prescribe u on the
-// Dirichlet set, with the multigrid-preconditioned FPCG. The returned u is
+// SolveLinear solves K·u = f where K (blocked, as Problem.AssembleTangent
+// returns it) and f are assembled on the full dof numbering of the mesh
+// and the solver's constraints prescribe u on the Dirichlet set, with the
+// multigrid-preconditioned FPCG. The returned u is
 // full-length with the prescribed values in place. FPCG multiplies by the
 // hierarchy's level 0, the reduced matrix in the storage multigrid applies
 // it in: blocking is a kernel choice, so every product is bit for bit the
 // reduced CSR's.
-func (s *Solver) SolveLinear(k *CSR, f []float64) ([]float64, *Result, error) {
+func (s *Solver) SolveLinear(k *BSR, f []float64) ([]float64, *Result, error) {
 	kred, fred := s.ReduceSystem(k, f)
 	mg, err := s.Preconditioner(kred)
 	if err != nil {
@@ -434,8 +428,7 @@ func (s *Solver) SolveLinear(k *CSR, f []float64) ([]float64, *Result, error) {
 	}
 	x := make([]float64, kred.Rows())
 	res := krylov.FPCG(mg.Levels[0].A, fred, x, mg, s.Opts.RTol, s.Opts.MaxIters)
-	u := make([]float64, s.Mesh.NumDOF())
-	s.cons.Expand(x, s.dofMap, u)
+	u := s.ExpandSolution(x)
 	out := &Result{
 		Iterations: res.Iterations,
 		Residuals:  res.Residuals,
