@@ -199,7 +199,7 @@ func TestPartitionOnPatternIsGraphPartition(t *testing.T) {
 // matrix with pattern e, pos[d] being d's position in its own block: row p
 // starts at its first stored in-block column, rounded down to a multiple
 // of 4.
-func envelopeOf(e *sparse.Entries, dofs, pos []int) []int {
+func envelopeOf(e *sparse.CSR, dofs, pos []int) []int {
 	first := make([]int, len(dofs))
 	for p, i := range dofs {
 		first[p] = p
@@ -231,7 +231,7 @@ func TestBlockGatherMatchesAt(t *testing.T) {
 		for li, lvl := range mg.Levels {
 			seen[fmt.Sprintf("%T", lvl.A)] = true
 			at := lvl.A.(sparse.RowScanner)
-			e := sparse.EntriesOf(lvl.A)
+			e := sparse.ScalarPatternOf(lvl.A)
 			nb := smooth.DefaultBlockCount(e.NRows)
 			g := graph.NewFromPattern(e.NRows, e.RowPtr, e.ColIdx)
 			blocks := graph.PartMembers(graph.GreedyPartition(g, nb), nb)
@@ -426,7 +426,7 @@ func BenchmarkBlockSolve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bj.Apply(r, z)
+		bj.Solve(r, z)
 	}
 	b.ReportMetric(float64(bj.Flops())/b.Elapsed().Seconds()/1e6, "Mflop/s")
 }

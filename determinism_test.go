@@ -144,11 +144,15 @@ func TestSolverDeterminismSpheres(t *testing.T) {
 // moved, the fine level (scalar rows, partitioned on its dofs) did not.
 // It was recorded again when each block's units began to be ordered by
 // reverse Cuthill–McKee: the same blocks and iterations, other factors'
-// envelopes and so other rounding. The word is
+// envelopes and so other rounding. It was recorded again when the
+// coarsest grid's direct solve became the smoother's block factor with one
+// block: the coarse order, the envelope's row starts rounded down to
+// multiples of 4 and the four-way sums of its kernels moved the coarse
+// solve's rounding, and the iterations stayed. The word is
 // amd64's: where the compiler fuses s += v*x into one rounding (arm64,
 // ppc64le, s390x) the same deterministic solve ends on other bits, and
 // the in-process comparison across GOMAXPROCS is the whole test.
-const spheresHashSerial = 0x84e24f3c12daac96
+const spheresHashSerial = 0xd4ba86b12d085527
 
 // TestSolverDeterminismAcrossGOMAXPROCS: the shared worker set follows
 // GOMAXPROCS — no helper on one core, one on two, three on four (more

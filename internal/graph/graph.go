@@ -48,7 +48,9 @@ func NewGraph(n int, edges [][2]int) *Graph {
 // entry with i < j. One counting pass sizes the adjacency, one fill pass
 // writes it; no sorting is needed because a vertex receives its lower
 // neighbours from earlier rows in ascending row order and its upper
-// neighbours from its own row in ascending column order.
+// neighbours from its own row in ascending column order. The solver
+// partitions a level's pattern as it stands (GreedyPartition); this graph
+// of it is the reference the tests compare that partition against.
 func NewFromPattern(n int, rowPtr, colIdx []int) *Graph {
 	ptr := make([]int, n+1)
 	for i := 0; i < n; i++ {

@@ -44,8 +44,11 @@ func CuthillMcKee(g *Graph) []int {
 	return perm
 }
 
-// ReverseCuthillMcKee returns the RCM ordering (CM reversed), the standard
-// fill-reducing ordering used by the sparse Cholesky coarsest-grid solver.
+// ReverseCuthillMcKee returns the RCM ordering (CM reversed) of the whole
+// graph, the standard envelope-reducing ordering. The solver orders its
+// block factors, the coarsest level's one block included, part by part
+// (PartOrder); this whole-graph form is the reference the tests compare
+// PartOrder against.
 func ReverseCuthillMcKee(g *Graph) []int {
 	p := CuthillMcKee(g)
 	slices.Reverse(p)

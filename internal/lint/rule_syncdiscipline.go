@@ -25,7 +25,6 @@ func defaultComputePackages() []string {
 	return []string{
 		"prometheus/internal/sparse",
 		"prometheus/internal/la",
-		"prometheus/internal/direct",
 		"prometheus/internal/fem",
 		"prometheus/internal/smooth",
 		"prometheus/internal/krylov",

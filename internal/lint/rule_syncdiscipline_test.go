@@ -53,7 +53,6 @@ func setup(done chan int) { // line 18: channel type
 	}{
 		{"prometheus/internal/sparse", true},
 		{"prometheus/internal/la", true},
-		{"prometheus/internal/direct", true},
 		{"prometheus/internal/fem", true},
 		{"prometheus/internal/smooth", true},
 		{"prometheus/internal/krylov", true},

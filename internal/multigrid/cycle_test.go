@@ -111,7 +111,7 @@ func cycleOperatorApplications(t *testing.T, cyc CycleKind, build builder, stora
 	for l, lvl := range mg.Levels[:n-1] {
 		cg := lvl.Smoother
 		f0 := cg.Inner.Flops()
-		cg.Inner.Apply(lvl.b, lvl.res)
+		cg.Inner.Solve(lvl.b, lvl.res)
 		inner[l] = cg.Inner.Flops() - f0
 		ops[l] = &countingOp{Operator: lvl.A}
 		lvl.A, cg.A = ops[l], ops[l]

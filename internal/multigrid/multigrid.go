@@ -4,9 +4,9 @@
 // section 3), provides the V-cycle of Figure 1 and the full multigrid (FMG)
 // cycle used in the experiments, the smoother of section 7.2 (one CG step
 // preconditioned by block Jacobi, smooth.CGSmoother) on every level above
-// the coarsest, a direct solve on the coarsest grid, and the preconditioner
-// adapter for flexible CG. All phases count flops for the efficiency
-// analysis of section 6.
+// the coarsest, a direct solve on the coarsest grid (the same block Jacobi
+// with one block), and the preconditioner adapter for flexible CG. All
+// phases count flops for the efficiency analysis of section 6.
 package multigrid
 
 import (
@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"prometheus/internal/check"
-	"prometheus/internal/direct"
 	"prometheus/internal/la"
 	"prometheus/internal/obs"
 	"prometheus/internal/smooth"
@@ -40,7 +39,7 @@ type Options struct {
 	PreSmooth  int // CG smoothing steps before the coarse correction (default 1, paper)
 	PostSmooth int // CG smoothing steps after it (default 1, paper)
 	Cycle      CycleKind
-	BlockCount func(n int) int // block-Jacobi block rule (default: paper's 6/1000)
+	BlockCount func(n int) int // block-Jacobi block rule above the coarsest level, which takes one (default: paper's 6/1000)
 }
 
 func (o Options) withDefaults() Options {
@@ -60,16 +59,18 @@ func (o Options) withDefaults() Options {
 type Level struct {
 	// A is the level's one matrix — CSR or BSR behind the
 	// storage-agnostic interface; the cycles never look behind it. The
-	// cycle and the smoother apply it, the smoother's blocks are
-	// partitioned and factored from it, the coarsest Cholesky is planned
-	// from it and the next Galerkin product reads it. A Galerkin level
-	// stores its block fill and pinned couplings as zeros.
+	// cycle and the smoother apply it, its block Jacobi's blocks are
+	// partitioned and factored from it and the next Galerkin product
+	// reads it. A Galerkin level stores its block fill and pinned
+	// couplings as zeros.
 	A sparse.Operator
 	// R restricts residuals from the next finer level to this one; nil on
 	// level 0. P = Rᵀ prolongates corrections.
 	R, P     *sparse.CSR
 	Smoother *smooth.CGSmoother // nil on the coarsest level
-	Direct   *direct.Cholesky   // coarsest level only
+	// Direct is the coarsest level's direct solve: a block Jacobi with one
+	// block, the level's whole matrix factored. Nil on every other level.
+	Direct *smooth.DomainBlockJacobi
 
 	// Work counts the flops attributed to this level by the cycles run so
 	// far (matvecs, transfers into the level, direct solves); smoother
@@ -194,8 +195,8 @@ func Build(plan *Plan, fineA sparse.Operator, restrictions []*sparse.CSR, opts O
 	}
 	if check.Enabled {
 		// The hierarchy the cycles recurse over must strictly shrink, and
-		// every Galerkin operator must stay symmetric for the SPD smoothers
-		// and the coarsest Cholesky factorization.
+		// every Galerkin operator must stay symmetric for the Cholesky
+		// factors of its blocks.
 		dims := make([]int, len(mg.Levels))
 		for i, lvl := range mg.Levels {
 			dims[i] = lvl.A.Rows()
@@ -246,17 +247,16 @@ func newLevel(a sparse.Operator) *Level {
 	return &Level{A: a, x: make([]float64, n), b: make([]float64, n), res: make([]float64, n)}
 }
 
-// makeSmoother builds the smoother that applies a: it factors the blocks
-// bj plans, gathered from a, and wraps them in CG.
-func (mg *MG) makeSmoother(a sparse.Operator, bj *smooth.BlockPlan) (*smooth.CGSmoother, error) {
+// factor factors the blocks bj plans, gathered from a.
+func (mg *MG) factor(a sparse.Operator, bj *smooth.BlockPlan) (*smooth.DomainBlockJacobi, error) {
 	spf := obs.Start(evSmootherFactor)
 	s, err := bj.Factor(a)
 	spf.End()
 	if err != nil {
-		return nil, fmt.Errorf("multigrid: block smoother: %w", err)
+		return nil, err
 	}
 	mg.SetupFlops += s.SetupFlops
-	return smooth.NewCGSmoother(a, s), nil
+	return s, nil
 }
 
 // NumLevels returns the number of grids.
@@ -273,9 +273,10 @@ func (mg *MG) cycle(l int, b, x []float64, zero bool) {
 	if lvl.Direct != nil {
 		spd := obs.Start(evCoarse)
 		lvl.Direct.Solve(b, x)
-		spd.EndFlops(lvl.Direct.SolveFlops())
-		mg.CycleFlops += lvl.Direct.SolveFlops()
-		lvl.Work += lvl.Direct.SolveFlops()
+		f := lvl.Direct.SolveFlops()
+		spd.EndFlops(f)
+		mg.CycleFlops += f
+		lvl.Work += f
 		return
 	}
 	res := lvl.Smoother.SmoothResidual(x, b, mg.Opts.PreSmooth, zero)
@@ -390,12 +391,11 @@ func (mg *MG) LevelWork() []int64 {
 
 // Bytes returns the resident bytes of the hierarchy beyond level 0's
 // matrix, which is the caller's fine operator. owned is what this
-// hierarchy holds alone: the coarse levels' values, the block and coarse
-// factors, and the cycle's and smoothers' scratch. shared is what every
-// hierarchy filled from the same plan holds in common: the coarse levels'
-// index arrays, the transfers R and P, the smoothers' block plans and the
-// coarse factor's ordering and profile. The plan's own patterns are
-// Plan.PatternBytes.
+// hierarchy holds alone: the coarse levels' values, the block factors
+// (the coarsest level's one among them), and the cycle's and smoothers'
+// scratch. shared is what every hierarchy filled from the same plan holds
+// in common: the coarse levels' index arrays, the transfers R and P and
+// the block plans. The plan's own patterns are Plan.PatternBytes.
 func (mg *MG) Bytes() (owned, shared int64) {
 	add := func(o, s int64) {
 		owned += o

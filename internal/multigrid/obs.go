@@ -7,10 +7,10 @@ import (
 
 // Observability events and metrics for the Epimetheus layer: hierarchy
 // setup (with its symbolic phase, the Galerkin triple products — symbolic
-// and numeric — and the per-level smoother construction — graph partition
-// and block gather/factorization for the domain smoother — timed
-// separately), the preconditioner applies, and the coarsest-grid direct
-// solves.
+// and numeric — and the per-level block Jacobi construction — graph
+// partition and block gather/factorization, the coarsest level's one block
+// included — timed separately), the preconditioner applies, and the
+// coarsest-grid direct solves.
 var (
 	evSetup             = obs.Register("mg.setup")
 	evPlan              = obs.Register("mg.setup.plan")

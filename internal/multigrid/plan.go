@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"prometheus/internal/check"
-	"prometheus/internal/direct"
 	"prometheus/internal/graph"
 	"prometheus/internal/obs"
 	"prometheus/internal/pool"
@@ -24,18 +23,17 @@ import (
 //     the level is formed, pinned and applied in: blocks wherever its
 //     pattern blocks, sparse.PlanBlock);
 //   - the pin list pinList finds for the coarse operator;
-//   - the smoother's partition, block members and factor envelopes
-//     (smooth.BlockPlan);
-//   - on the coarsest level, the Cholesky ordering and profile
-//     (direct.Symbolic).
+//   - the block Jacobi's partition, block members and factor envelopes
+//     (smooth.BlockPlan): the smoother's on every level above the
+//     coarsest, and on the coarsest one block, whose factor is the
+//     coarse grid's direct solve.
 //
-// A level is one matrix: the cycle applies it, the smoother is partitioned
-// and factored from it, the coarsest Cholesky is planned from it and the
-// next product reads it. Filling a plan writes values only: the Galerkin
-// products, the pins, the block factorizations and the coarse Cholesky. A
-// plan is read-only once made, so every MG filled from it shares its
-// patterns and owns its values and scratch, and concurrent fills of one
-// plan are independent.
+// A level is one matrix: the cycle applies it, its blocks are partitioned
+// and factored from it and the next product reads it. Filling a plan
+// writes values only: the Galerkin products, the pins and the block
+// factorizations. A plan is read-only once made, so every MG filled from
+// it shares its patterns and owns its values and scratch, and concurrent
+// fills of one plan are independent.
 //
 // The pin list is the one thing about a level that depends on values: a
 // coarse dof is pinned when its diagonal is zero or nearly so, which a
@@ -73,7 +71,6 @@ type levelPlan struct {
 	// pins is pinList's list for this level (nil: no dof pinned).
 	pins []int
 	bj   *smooth.BlockPlan
-	chol *direct.Symbolic
 }
 
 // newPlan returns an empty plan for fine's pattern, these restrictions and
@@ -122,29 +119,24 @@ func (p *Plan) fill(fine sparse.Operator) (*MG, error) {
 			a = sparse.AsCSR(a)
 		}
 		if planning {
-			if err := p.planLevel(l, a, layout, fine); err != nil {
-				return nil, err
-			}
+			p.planLevel(l, a, layout, fine)
 		}
 		lvl := newLevel(a)
 		lvl.R, lvl.P = lp.R, lp.P
 		mg.Levels = append(mg.Levels, lvl)
-		if lp.chol != nil {
-			ch, err := lp.chol.Factor(sparse.Values(a))
-			if err != nil {
-				return nil, fmt.Errorf("multigrid: coarsest factorization: %w", err)
-			}
-			lvl.Direct = ch
-			mg.SetupFlops += ch.FactorFlops
-			continue
-		}
 		sps := obs.Start(evSmoother)
-		sm, err := mg.makeSmoother(a, lp.bj)
+		bj, err := mg.factor(a, lp.bj)
 		sps.End()
-		if err != nil {
-			return nil, err
+		switch {
+		case err != nil && l == len(p.rs):
+			return nil, fmt.Errorf("multigrid: coarsest factorization: %w", err)
+		case err != nil:
+			return nil, fmt.Errorf("multigrid: block smoother: %w", err)
+		case l == len(p.rs):
+			lvl.Direct = bj
+		default:
+			lvl.Smoother = smooth.NewCGSmoother(a, bj)
 		}
-		lvl.Smoother = sm
 	}
 	return mg, nil
 }
@@ -207,12 +199,13 @@ func (lp *levelPlan) planGalerkin(r *sparse.CSR, a sparse.Operator) {
 	spg.End()
 }
 
-// planLevel plans what level l does with its matrix s: the ordering of the
-// coarsest level's factorization, from s's own entries, fill and pinned
-// couplings included, or the smoother's blocks and, from s's pattern, the
-// envelopes their factors are stored in. A level 0 blocked from a CSR with
-// no fill (expanded) reads the pattern from fine, the CSR it was blocked
-// from, which is exactly s's expansion.
+// planLevel plans the block Jacobi of level l from its matrix s: its
+// blocks and, from s's pattern, the envelopes their factors are stored in.
+// Every level takes Options.BlockCount blocks but the coarsest, which
+// takes one: a block Jacobi with one block is the direct solve the cycle
+// ends in. A level 0 blocked from a CSR with no fill (expanded) reads the
+// pattern from fine, the CSR it was blocked from, which is exactly s's
+// expansion.
 //
 // The blocks partition the units of layout, the storage s was formed in
 // (s itself outside the scalar reference): the nodes of a blocked level,
@@ -222,18 +215,9 @@ func (lp *levelPlan) planGalerkin(r *sparse.CSR, a sparse.Operator) {
 // block's own subgraph (graph.PartOrder, block by block on the shared
 // worker set), and its factor rows are its units' dofs in that order,
 // which narrows the envelope the factor is stored and solved in.
-func (p *Plan) planLevel(l int, s, layout, fine sparse.Operator) error {
+func (p *Plan) planLevel(l int, s, layout, fine sparse.Operator) {
 	sp := obs.Start(evPlan)
 	defer sp.End()
-	lp := p.levels[l]
-	if l == len(p.rs) {
-		ch, err := direct.Plan(sparse.EntriesOf(s))
-		if err != nil {
-			return fmt.Errorf("multigrid: coarsest factorization: %w", err)
-		}
-		lp.chol = ch
-		return nil
-	}
 	pat := s
 	if l == 0 && p.expanded {
 		pat = fine
@@ -242,14 +226,16 @@ func (p *Plan) planLevel(l int, s, layout, fine sparse.Operator) error {
 	if check.Enabled {
 		check.SymmetricPattern(e.NRows, e.RowPtr, e.ColIdx, fmt.Sprintf("multigrid: level %d pattern", l))
 	}
-	nb := p.opts.BlockCount(e.NRows)
+	nb := 1
+	if l < len(p.rs) {
+		nb = p.opts.BlockCount(e.NRows)
+	}
 	spp := obs.Start(evSmootherPartition)
 	g, dofs := unitGraph(layout)
 	ord := graph.NewPartOrder(g, graph.GreedyPartition(g, nb), nb)
 	pool.RunItems(ord, nb, 1, len(g.Adj))
 	spp.End()
-	lp.bj = smooth.PlanBlocks(e, unitDofs(ord.Parts(), dofs))
-	return nil
+	p.levels[l].bj = smooth.PlanBlocks(e, unitDofs(ord.Parts(), dofs))
 }
 
 // unitGraph returns the graph the smoother of a level stored as s is

@@ -539,7 +539,7 @@ func hierarchyValueBytes(mg *MG) uint64 {
 	for _, lvl := range mg.Levels {
 		n += len(sparse.Values(lvl.A))
 		if lvl.Direct != nil {
-			n += int(lvl.Direct.SolveFlops() / 4)
+			n += lvl.Direct.FactorLen()
 		}
 		if lvl.Smoother != nil {
 			n += lvl.Smoother.Inner.FactorLen()

@@ -165,11 +165,11 @@ type EntryInfo struct {
 	Refs int `json:"refs"`
 	// Bytes is the entry's resident size, each shared object counted
 	// once: the reduced operator (sparse.StorageBytes), its load map, the
-	// reference load, the plan's patterns (Galerkin plans, smoother block
-	// plans, the coarse Cholesky ordering), the coarse index arrays and
-	// transfers every lease shares, and what each idle lease owns — its
-	// coarse levels' values, block and coarse factors, scratch and
-	// right-hand side. Leases checked out and the mesh the entry was built
+	// reference load, the plan's patterns (Galerkin plans, the block
+	// plans of every level, the coarsest one's one block included), the
+	// coarse index arrays and transfers every lease shares, and what each
+	// idle lease owns — its coarse levels' values, block factors, scratch
+	// and right-hand side. Leases checked out and the mesh the entry was built
 	// on are not counted.
 	Bytes int64 `json:"bytes"`
 }

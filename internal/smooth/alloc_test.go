@@ -37,7 +37,7 @@ func checkSweepsZeroAlloc(t *testing.T, a sparse.Operator, nb int) {
 	}{
 		{"CGSmoother.Smooth", func() { cg.Smooth(x, b, 2) }},
 		{"CGSmoother.Apply", func() { cg.Apply(r, z) }},
-		{"DomainBlockJacobi.Apply", func() { bj.Apply(r, z) }},
+		{"DomainBlockJacobi.Solve", func() { bj.Solve(r, z) }},
 	} {
 		if got := testing.AllocsPerRun(20, c.f); got != 0 {
 			t.Errorf("%T: %s allocates %.1f per call, want 0", a, c.name, got)

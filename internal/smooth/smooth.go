@@ -4,7 +4,9 @@
 // Jacobi with 6 blocks for every 1,000 unknowns") are factored with
 // Cholesky at setup. The CG iteration is written against sparse.Operator
 // and the block setup gathers from either assembled storage, so CSR and BSR
-// levels run through the same algorithm.
+// levels run through the same algorithm. A block Jacobi with one block is
+// the whole matrix factored: multigrid's coarsest grid solve is that, with
+// no CG around it.
 //
 // The blocks arrive planned (multigrid plans them): each is a part of the
 // level's node graph on a blocked level, every node's dofs together, or of
@@ -345,7 +347,7 @@ func DefaultBlockCount(n int) int {
 type blockSolve DomainBlockJacobi
 
 // SolveKernel returns the block solves of one application as the indexed
-// kernel Apply dispatches, for TestKernelContract.
+// kernel Solve dispatches, for TestKernelContract.
 func (s *DomainBlockJacobi) SolveKernel() pool.IndexedKernel { return (*blockSolve)(s) }
 
 // ApplyOne implements pool.IndexedKernel: z = M⁻¹·r on block bi, through
@@ -368,12 +370,16 @@ func (k *blockSolve) ApplyOne(r, z []float64, bi int) {
 // WriteSet implements pool.IndexedKernel.
 func (k *blockSolve) WriteSet(bi int) []int32 { return k.plan.ws[k.plan.off[bi]:k.plan.off[bi+1]] }
 
-// Apply solves M·z = r, every block against its own entries of r (r and z
-// may alias): the blocks are the items of one indexed dispatch.
-func (s *DomainBlockJacobi) Apply(r, z []float64) {
+// Solve solves M·z = r, every block against its own entries of r (r and z
+// may alias): the blocks are the items of one indexed dispatch. With one
+// block M is the whole matrix, and Solve is its direct solve.
+func (s *DomainBlockJacobi) Solve(r, z []float64) {
 	pool.RunIndexed(s.task, (*blockSolve)(s), r, z, len(s.plan.blocks), s.plan.solveWork)
-	s.flops += 2 * int64(s.plan.solveWork)
+	s.flops += s.SolveFlops()
 }
+
+// SolveFlops returns the flops of one Solve: two per stored factor value.
+func (s *DomainBlockJacobi) SolveFlops() int64 { return 2 * int64(s.plan.solveWork) }
 
 // Flops returns the accumulated work of the block solves.
 func (s *DomainBlockJacobi) Flops() int64 { return s.flops }
@@ -460,7 +466,7 @@ func (s *CGSmoother) smooth(x, b []float64, n int, zero bool) {
 		s.A.Residual(b, x, r)
 		s.flops += s.A.MulVecFlops() + int64(nn)
 	}
-	s.Inner.Apply(r, z)
+	s.Inner.Solve(r, z)
 	copy(p, z)
 	rz := la.Dot(r, z)
 	s.flops += 2 * int64(nn)
@@ -484,7 +490,7 @@ func (s *CGSmoother) smooth(x, b []float64, n int, zero bool) {
 		if it == n-1 {
 			return
 		}
-		s.Inner.Apply(r, z)
+		s.Inner.Solve(r, z)
 		rzNew := la.Dot(r, z)
 		beta := rzNew / rz
 		rz = rzNew

@@ -140,7 +140,7 @@ func TestJacobiApply(t *testing.T) {
 		r[i] = float64(i%7) - 3
 	}
 	z := make([]float64, n)
-	pointJacobi(t, a).Apply(r, z)
+	pointJacobi(t, a).Solve(r, z)
 	for i := range z {
 		if math.Abs(z[i]-r[i]/d[i]) > 1e-12 {
 			t.Fatalf("pointwise block Jacobi != Jacobi at %d", i)
@@ -175,7 +175,7 @@ func TestBlockJacobiSingleBlockIsDirect(t *testing.T) {
 		b[i] = float64(i)
 	}
 	x := make([]float64, 20)
-	s.Apply(b, x)
+	s.Solve(b, x)
 	if r := errorNorm(a, x, b); r > 1e-10 {
 		t.Fatalf("single-block residual = %v", r)
 	}
@@ -210,7 +210,7 @@ func TestBlockJacobiShiftRetry(t *testing.T) {
 	r := make([]float64, n)
 	r[0], r[n-1] = 1, -1
 	z := make([]float64, n)
-	s.Apply(r, z)
+	s.Solve(r, z)
 	az := make([]float64, n)
 	a.MulVec(z, az)
 	for i := range az {
@@ -346,8 +346,8 @@ func TestSmootherSymmetryForPCG(t *testing.T) {
 		}
 		mu := make([]float64, n)
 		mv := make([]float64, n)
-		s.Apply(u, mu)
-		s.Apply(v, mv)
+		s.Solve(u, mu)
+		s.Solve(v, mv)
 		if d := la.Dot(mu, v) - la.Dot(u, mv); math.Abs(d) > 1e-10 {
 			t.Fatalf("preconditioner not symmetric: %v", d)
 		}

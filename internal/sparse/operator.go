@@ -114,46 +114,6 @@ func PlanBlock(a *CSR, b int) *BSR {
 	return t
 }
 
-// Entries is an assembled operator's pattern in scalar rows, together with
-// where each entry's value sits in the operator's value array: what setup
-// plans on for either storage — the smoother's partition graph and block
-// gathers, the coarse factorization's profile — without a scalar copy of
-// the values.
-type Entries struct {
-	NRows, NCols   int
-	RowPtr, ColIdx []int
-	// Src[k] is the index in Values(op) of entry k; nil means k itself.
-	Src []int
-}
-
-// EntriesOf returns op's Entries. Only the pattern is read, so a
-// pattern-only operator (nil Val) is fine; on BSR the scalar rows are the
-// ToCSR expansion.
-func EntriesOf(op Operator) *Entries {
-	switch a := op.(type) {
-	case *CSR:
-		return &Entries{NRows: a.NRows, NCols: a.NCols, RowPtr: a.RowPtr, ColIdx: a.ColIdx}
-	case *BSR:
-		c := a.ScalarPattern()
-		b := a.B
-		src := make([]int, len(c.ColIdx))
-		n := 0
-		for ib := 0; ib < a.NBRows; ib++ {
-			for d := 0; d < b; d++ {
-				for k := a.RowPtr[ib]; k < a.RowPtr[ib+1]; k++ {
-					for cc := 0; cc < b; cc++ {
-						src[n] = (k*b+d)*b + cc
-						n++
-					}
-				}
-			}
-		}
-		return &Entries{NRows: c.NRows, NCols: c.NCols, RowPtr: c.RowPtr, ColIdx: c.ColIdx, Src: src}
-	default:
-		panic("sparse: EntriesOf needs an assembled operator (CSR or BSR)")
-	}
-}
-
 // ScalarPatternOf returns op's pattern in scalar rows as a CSR with no
 // values: a CSR's own index arrays, the ToCSR expansion of a BSR.
 func ScalarPatternOf(op Operator) *CSR {

@@ -66,7 +66,7 @@ func TestPooledPathZeroAlloc(t *testing.T) {
 		}{
 			{"MulVec", func() { fine.MulVec(x, y) }},
 			{"Residual", func() { fine.Residual(b, x, y) }},
-			{"block-Jacobi Apply", func() { inner.Apply(b, y) }},
+			{"block-Jacobi Solve", func() { inner.Solve(b, y) }},
 			{"Smoother.Smooth", func() { mg.Levels[0].Smoother.Smooth(y, b, 1) }},
 			{"MG.Apply", func() { mg.Apply(b, y) }},
 		} {
