@@ -297,21 +297,23 @@ func TestNewRejectsBrokenSmootherBlock(t *testing.T) {
 	}
 }
 
-// TestCoarsestSolveIsDirect: the coarsest level's one-block factor is a
-// direct solve on the geometric cube and spheres hierarchies, the
+// coarsestLevel is the coarsest level of one hierarchy the coarse-solve
+// tests check.
+type coarsestLevel struct {
+	name string
+	lvl  *Level
+}
+
+// coarsestLevels builds the geometric cube and spheres hierarchies, the
 // smoothed-aggregation one and the cube's fine operator as a hierarchy of
-// one level. It leaves a relative residual of at most 1e-10, an aliased
-// solve gives the bits of a separate output, and reverse Cuthill–McKee
-// makes the factor's size independent of the numbering: the same coarse
-// operator, its nodes (or, off node alignment, its dofs) scrambled, stores
-// a factor within 3× of the original's. The coarse levels of 84–95 dofs
-// store nearly their dense triangles whatever the order; the one-level
-// cube (1 944 dofs) stores 0.27 of its triangle, so there an order that
-// did not follow the graph would fail the bound.
-func TestCoarsestSolveIsDirect(t *testing.T) {
+// one level, checks that each coarsest level is one factored block, and
+// returns those levels.
+func coarsestLevels(t *testing.T) []coarsestLevel {
+	t.Helper()
 	ck, _, crs := buildElasticity(t, 8, core.Options{})
 	sk, _, srs := buildSpheres(t)
 	ak, _, ars := buildSpheresConfig(t, problems.SpheresConfig{Layers: 3, ElemsPerLayer: 1, CoreElems: 2, OuterElems: 2}, true)
+	var out []coarsestLevel
 	for _, tc := range []struct {
 		name string
 		k    *sparse.CSR
@@ -330,31 +332,69 @@ func TestCoarsestSolveIsDirect(t *testing.T) {
 		if lvl.Smoother != nil || lvl.Direct == nil || len(lvl.Direct.Blocks()) != 1 {
 			t.Fatalf("%s: the coarsest level is not one factored block", tc.name)
 		}
-		n := lvl.A.Rows()
-		b, x, r := make([]float64, n), make([]float64, n), make([]float64, n)
-		for i := range b {
-			b[i] = math.Sin(float64(i) + 0.5)
-		}
-		lvl.Direct.Solve(b, x)
-		lvl.A.Residual(b, x, r)
+		out = append(out, coarsestLevel{tc.name, lvl})
+	}
+	return out
+}
+
+// coarsestRHS returns a smooth right-hand side of length n.
+func coarsestRHS(n int) []float64 {
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = math.Sin(float64(i) + 0.5)
+	}
+	return b
+}
+
+// TestCoarsestSolveIsDirect: on every hierarchy of coarsestLevels the
+// coarsest level's one-block factor is a direct solve: it leaves a relative
+// residual of at most 1e-10.
+func TestCoarsestSolveIsDirect(t *testing.T) {
+	for _, c := range coarsestLevels(t) {
+		n := c.lvl.A.Rows()
+		b, x, r := coarsestRHS(n), make([]float64, n), make([]float64, n)
+		c.lvl.Direct.Solve(b, x)
+		c.lvl.A.Residual(b, x, r)
 		if rel := la.Norm2(r) / la.Norm2(b); rel > 1e-10 {
-			t.Errorf("%s: coarsest solve leaves relative residual %g", tc.name, rel)
+			t.Errorf("%s: coarsest solve leaves relative residual %g", c.name, rel)
 		}
+	}
+}
+
+// TestCoarsestSolveAliasing: on every hierarchy of coarsestLevels a coarsest
+// solve whose output aliases its input gives the bits of a separate output.
+func TestCoarsestSolveAliasing(t *testing.T) {
+	for _, c := range coarsestLevels(t) {
+		n := c.lvl.A.Rows()
+		b, x := coarsestRHS(n), make([]float64, n)
+		c.lvl.Direct.Solve(b, x)
 		aliased := slices.Clone(b)
-		lvl.Direct.Solve(aliased, aliased)
+		c.lvl.Direct.Solve(aliased, aliased)
 		if !slices.Equal(bitsOf(aliased), bitsOf(x)) {
-			t.Errorf("%s: the aliased coarsest solve differs from the separate one", tc.name)
+			t.Errorf("%s: the aliased coarsest solve differs from the separate one", c.name)
 		}
+	}
+}
+
+// TestCoarsestFactorIgnoresNumbering: reverse Cuthill–McKee makes the
+// coarsest factor's size independent of the numbering. The same coarse
+// operator, its nodes (or, off node alignment, its dofs) scrambled, stores
+// a factor within 3× of the original's. The coarse levels of 84–95 dofs
+// store nearly their dense triangles whatever the order; the one-level
+// cube (1 944 dofs) stores 0.27 of its triangle, so there an order that
+// did not follow the graph would fail the bound.
+func TestCoarsestFactorIgnoresNumbering(t *testing.T) {
+	for _, c := range coarsestLevels(t) {
 		unit := nodeDofs
-		if n%unit != 0 {
+		if c.lvl.A.Rows()%unit != 0 {
 			unit = 1
 		}
-		scrambled, _, err := Build(nil, scramble(sparse.AsCSR(lvl.A), unit), nil, Options{})
+		scrambled, _, err := Build(nil, scramble(sparse.AsCSR(c.lvl.A), unit), nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ratio := float64(scrambled.Levels[0].Direct.FactorLen()) / float64(lvl.Direct.FactorLen()); ratio > 3 || ratio < 1.0/3 {
-			t.Errorf("%s: scrambled coarse operator stores %.2f× the factor", tc.name, ratio)
+		if ratio := float64(scrambled.Levels[0].Direct.FactorLen()) / float64(c.lvl.Direct.FactorLen()); ratio > 3 || ratio < 1.0/3 {
+			t.Errorf("%s: scrambled coarse operator stores %.2f× the factor", c.name, ratio)
 		}
 	}
 }
