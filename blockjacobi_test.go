@@ -61,6 +61,16 @@ func reduce(t testing.TB, m *Mesh, cons *Constraints, p *Problem, u0 []float64, 
 	return reducedSystem{solver, kred}
 }
 
+// saSystem is sys under the smoothed-aggregation hierarchy.
+func saSystem(t testing.TB, sys reducedSystem) reducedSystem {
+	t.Helper()
+	solver, err := NewSolver(sys.solver.Mesh, sys.solver.cons, Options{Hierarchy: SmoothedAggregation})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reducedSystem{solver, sys.kred}
+}
+
 func (s reducedSystem) hierarchy(t testing.TB) *multigrid.MG {
 	t.Helper()
 	mg, err := s.solver.Preconditioner(s.kred)
@@ -143,13 +153,6 @@ func TestSmootherPartitionMatchesEdgeListGraph(t *testing.T) {
 // spheres' scalar fine level and pinned Galerkin levels on the
 // scalar-kernel reference.
 func TestPartitionOnPatternIsGraphPartition(t *testing.T) {
-	sa := func(sys reducedSystem) reducedSystem {
-		solver, err := NewSolver(sys.solver.Mesh, sys.solver.cons, Options{Hierarchy: SmoothedAggregation})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reducedSystem{solver, sys.kred}
-	}
 	cube := cubeSystem(t, false, multigrid.Options{})
 	nodeLevels := 0
 	for _, tc := range []struct {
@@ -157,7 +160,7 @@ func TestPartitionOnPatternIsGraphPartition(t *testing.T) {
 		sys  reducedSystem
 	}{
 		{"cube", cube},
-		{"aggregation", sa(cube)},
+		{"aggregation", saSystem(t, cube)},
 	} {
 		mg := tc.sys.hierarchy(t)
 		for li, lvl := range mg.Levels {
@@ -213,6 +216,64 @@ func envelopeOf(e *sparse.CSR, dofs, pos []int) []int {
 	return la.EnvelopeOffsets(first)
 }
 
+// TestUnitEnvelopesAreScalarScan pins the envelopes smooth.PlanBlocks lays
+// out from a level's unit graph to the scan of the level's scalar pattern
+// (envelopeOf), row for row in every block of every level, the coarsest
+// one-block factor included: on the geometric cube (BSR fine level),
+// spheres (CSR fine level, BSR Galerkin levels) and cantilever
+// hierarchies and on smoothed aggregation over the spheres and the cube.
+func TestUnitEnvelopesAreScalarScan(t *testing.T) {
+	spheres, cube := spheresSystem(t, false, multigrid.Options{}), cubeSystem(t, false, multigrid.Options{})
+	beam := problems.NewCantilever(12, 2, 2, 6, LinearElastic{E: 1, Nu: 0.3}, -0.0001)
+	cantilever := reduce(t, beam.Mesh, beam.Cons, NewProblem(beam.Mesh, beam.Models, false), make([]float64, beam.Mesh.NumDOF()), multigrid.Options{})
+	seen := map[string]bool{}
+	for _, tc := range []struct {
+		name string
+		sys  reducedSystem
+	}{
+		{"cube", cube},
+		{"spheres", spheres},
+		{"cantilever", cantilever},
+		{"aggregation on the spheres", saSystem(t, spheres)},
+		{"aggregation on the cube", saSystem(t, cube)},
+	} {
+		for li, lvl := range tc.sys.hierarchy(t).Levels {
+			seen[fmt.Sprintf("%T", lvl.A)] = true
+			bj := lvl.Direct
+			if lvl.Smoother != nil {
+				bj = lvl.Smoother.Inner
+			}
+			e := sparse.AsCSR(lvl.A)
+			pos := make([]int, e.NRows)
+			for _, dofs := range bj.Blocks() {
+				for k, d := range dofs {
+					pos[d] = k
+				}
+			}
+			stored := 0
+			for bi, dofs := range bj.Blocks() {
+				off := envelopeOf(e, dofs, pos)
+				stored += off[len(dofs)]
+				l := bj.BlockFactor(bi)
+				for p := range dofs {
+					f, _ := l.Row(p)
+					if want := p + 1 - (off[p+1] - off[p]); f != want {
+						t.Fatalf("%s level %d (%T) block %d row %d: envelope from column %d, the scalar scan %d", tc.name, li, lvl.A, bi, p, f, want)
+					}
+				}
+			}
+			if bj.FactorLen() != stored {
+				t.Fatalf("%s level %d: the factors store %d values, the scalar scan's envelopes %d", tc.name, li, bj.FactorLen(), stored)
+			}
+		}
+	}
+	for _, st := range []string{"*sparse.CSR", "*sparse.BSR"} {
+		if !seen[st] {
+			t.Errorf("no %s level was exercised", st)
+		}
+	}
+}
+
 // TestBlockGatherMatchesAt checks the envelope block gather entry by entry
 // against the level operator's own At on both assembled storages, reading
 // each level's own storage (BSR levels through their blocks): the first
@@ -224,14 +285,15 @@ func envelopeOf(e *sparse.CSR, dofs, pos []int) []int {
 func TestBlockGatherMatchesAt(t *testing.T) {
 	type gatherer interface {
 		GatherLowerEnvelope(idx, pos, off []int, l []float64)
+		At(i, j int) float64
 	}
 	const guard = 8 // sentinel slots on either side of the envelope
 	seen := map[string]bool{}
 	for _, mg := range []*multigrid.MG{spheresSystem(t, false, multigrid.Options{}).hierarchy(t), cubeSystem(t, false, multigrid.Options{}).hierarchy(t)} {
 		for li, lvl := range mg.Levels {
 			seen[fmt.Sprintf("%T", lvl.A)] = true
-			at := lvl.A.(sparse.RowScanner)
-			e := sparse.ScalarPatternOf(lvl.A)
+			at := lvl.A.(gatherer)
+			e := sparse.AsCSR(lvl.A)
 			nb := smooth.DefaultBlockCount(e.NRows)
 			g := graph.NewFromPattern(e.NRows, e.RowPtr, e.ColIdx)
 			blocks := graph.PartMembers(graph.GreedyPartition(g, nb), nb)
@@ -260,7 +322,7 @@ func TestBlockGatherMatchesAt(t *testing.T) {
 				}
 				l := buf[guard : guard+off[len(dofs)]]
 				before := slices.Clone(c.pos)
-				lvl.A.(gatherer).GatherLowerEnvelope(dofs, c.pos, off, l)
+				at.GatherLowerEnvelope(dofs, c.pos, off, l)
 				for p, i := range dofs {
 					row := l[off[p]:off[p+1]]
 					f := p + 1 - len(row)
@@ -293,36 +355,48 @@ func TestBlockGatherMatchesAt(t *testing.T) {
 	}
 }
 
-// fullBlockPattern returns the n×n pattern that stores, in every row, every
-// column of the row's own block: the pattern whose envelopes are the full
-// triangles.
-func fullBlockPattern(n int, blocks [][]int) *sparse.CSR {
-	rowPtr := make([]int, n+1)
-	for _, dofs := range blocks {
-		for _, d := range dofs {
-			rowPtr[d+1] = len(dofs)
+// unitParts returns the units of a smoother's blocks of dofs, b dofs a
+// unit: each block's every b-th dof, over b.
+func unitParts(blocks [][]int, b int) [][]int {
+	parts := make([][]int, len(blocks))
+	for bi, dofs := range blocks {
+		for k := 0; k < len(dofs); k += b {
+			parts[bi] = append(parts[bi], dofs[k]/b)
 		}
 	}
-	for i := 0; i < n; i++ {
-		rowPtr[i+1] += rowPtr[i]
+	return parts
+}
+
+// fullUnitGraph returns the graph over n units that joins every unit to
+// every unit of its own part, itself included: the graph whose envelopes
+// are the full triangles.
+func fullUnitGraph(n int, parts [][]int) *graph.Graph {
+	ptr := make([]int, n+1)
+	for _, units := range parts {
+		for _, u := range units {
+			ptr[u+1] = len(units)
+		}
 	}
-	colIdx := make([]int, rowPtr[n])
-	for _, dofs := range blocks {
-		sorted := slices.Clone(dofs)
+	for u := 0; u < n; u++ {
+		ptr[u+1] += ptr[u]
+	}
+	adj := make([]int, ptr[n])
+	for _, units := range parts {
+		sorted := slices.Clone(units)
 		slices.Sort(sorted)
-		for _, d := range dofs {
-			copy(colIdx[rowPtr[d]:], sorted)
+		for _, u := range units {
+			copy(adj[ptr[u]:], sorted)
 		}
 	}
-	return &sparse.CSR{NRows: n, NCols: n, RowPtr: rowPtr, ColIdx: colIdx}
+	return &graph.Graph{N: n, Ptr: ptr, Adj: adj}
 }
 
 // TestEnvelopeSmootherIsDenseSmoother pins the envelope block factors to
 // full triangles through the one planning path: on every smoothed level of
 // the spheres and cube hierarchies (CSR and BSR levels), the hierarchy's
-// smoother — planned from the level's pattern — against one planned from a
-// pattern that stores every in-block column, over the same blocks and the
-// same level operator. The factors must agree bit for bit inside the
+// smoother — planned from the level's unit graph — against one planned
+// from a unit graph that joins every unit of a block, over the same blocks
+// and the same level operator. The factors must agree bit for bit inside the
 // envelope and the full triangle must hold +0 outside it; then FPCG
 // preconditioned by the hierarchy must give the same solution bits,
 // iterations and residual history with either set of smoothers.
@@ -337,7 +411,8 @@ func TestEnvelopeSmootherIsDenseSmoother(t *testing.T) {
 			seen[fmt.Sprintf("%T", lvl.A)] = true
 			env := envMG.Levels[li].Smoother.Inner
 			blocks := env.Blocks()
-			dense, err := smooth.PlanBlocks(fullBlockPattern(lvl.A.Rows(), blocks), blocks).Factor(lvl.A)
+			u, b := unitView(lvl.A)
+			dense, err := smooth.PlanBlocks(fullUnitGraph(u.NRows, unitParts(blocks, b)), b, unitParts(blocks, b)).Factor(lvl.A)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -391,8 +466,8 @@ func TestEnvelopeSmootherIsDenseSmoother(t *testing.T) {
 // level: graph from the pattern, partition, gather and factor.
 func domainBlockJacobi(b *testing.B, a *sparse.CSR) *smooth.DomainBlockJacobi {
 	nb := smooth.DefaultBlockCount(a.NRows)
-	part := graph.GreedyPartition(graph.NewFromPattern(a.NRows, a.RowPtr, a.ColIdx), nb)
-	bj, err := smooth.NewDomainBlockJacobi(a, part, nb)
+	g := &graph.Graph{N: a.NRows, Ptr: a.RowPtr, Adj: a.ColIdx}
+	bj, err := smooth.PlanBlocks(g, 1, graph.PartMembers(graph.GreedyPartition(g, nb), nb)).Factor(a)
 	if err != nil {
 		b.Fatal(err)
 	}

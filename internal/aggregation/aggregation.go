@@ -24,37 +24,19 @@ import (
 	"prometheus/internal/sparse"
 )
 
-// Options controls the SA setup.
-type Options struct {
-	// Theta is the strength threshold: i and j are strongly connected when
-	// |a_ij| > Theta·sqrt(a_ii·a_jj). Default 0.08.
-	Theta float64
-	// Omega scales the prolongator smoothing step relative to 1/λmax of
-	// D⁻¹A; the classical choice is 4/3. Default 4/3.
-	Omega float64
-	// MinCoarse stops coarsening at this many dofs. Default 200.
-	MinCoarse int
-	// MaxLevels bounds the hierarchy depth. Default 16.
-	MaxLevels int
-	// Unsmoothed disables prolongator smoothing (plain aggregation).
-	Unsmoothed bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.Theta == 0 {
-		o.Theta = 0.08
-	}
-	if o.Omega == 0 {
-		o.Omega = 4.0 / 3.0
-	}
-	if o.MinCoarse == 0 {
-		o.MinCoarse = 200
-	}
-	if o.MaxLevels == 0 {
-		o.MaxLevels = 16
-	}
-	return o
-}
+// The SA setup's constants.
+const (
+	// theta is the strength threshold: i and j are strongly connected
+	// when |a_ij| > theta·sqrt(a_ii·a_jj).
+	theta = 0.08
+	// omega scales the prolongator smoothing step relative to 1/λmax of
+	// D⁻¹A; the classical choice is 4/3.
+	omega = 4.0 / 3.0
+	// minCoarse stops coarsening at this many dofs.
+	minCoarse = 200
+	// maxLevels bounds the hierarchy depth.
+	maxLevels = 16
+)
 
 // RigidBodyModes returns the 6 rigid body modes of a 3-dof-per-vertex
 // elasticity discretization, restricted to the free dofs: three
@@ -104,7 +86,7 @@ func Constants(n int) *la.Dense {
 }
 
 // strengthGraph returns the strongly connected neighbours of every row.
-func strengthGraph(a *sparse.CSR, theta float64) [][]int {
+func strengthGraph(a *sparse.CSR) [][]int {
 	d := a.Diag()
 	out := make([][]int, a.NRows)
 	for i := 0; i < a.NRows; i++ {
@@ -246,7 +228,7 @@ func tentative(agg []int, nAgg int, b *la.Dense) (*sparse.CSR, *la.Dense, error)
 }
 
 // smoothProlongator returns P = (I - omega/λmax · D⁻¹A)·P0.
-func smoothProlongator(a *sparse.CSR, p0 *sparse.CSR, omega float64) *sparse.CSR {
+func smoothProlongator(a *sparse.CSR, p0 *sparse.CSR) *sparse.CSR {
 	d := a.Diag()
 	inv := make([]float64, len(d))
 	for i, v := range d {
@@ -298,19 +280,18 @@ func smoothProlongator(a *sparse.CSR, p0 *sparse.CSR, omega float64) *sparse.CSR
 // BuildRestrictions constructs the smoothed aggregation restriction chain
 // for operator a with near-null space b (rows = dofs of a, columns = modes).
 // The result plugs directly into multigrid.Build.
-func BuildRestrictions(a *sparse.CSR, b *la.Dense, opts Options) ([]*sparse.CSR, error) {
-	opts = opts.withDefaults()
+func BuildRestrictions(a *sparse.CSR, b *la.Dense) ([]*sparse.CSR, error) {
 	if b.Rows != a.NRows {
 		return nil, fmt.Errorf("aggregation: near-null space has %d rows for a %d-dof operator", b.Rows, a.NRows)
 	}
 	var rs []*sparse.CSR
 	cur := a
 	curB := b
-	for level := 1; level < opts.MaxLevels; level++ {
-		if cur.NRows <= opts.MinCoarse {
+	for level := 1; level < maxLevels; level++ {
+		if cur.NRows <= minCoarse {
 			break
 		}
-		strong := strengthGraph(cur, opts.Theta)
+		strong := strengthGraph(cur)
 		agg, nAgg := aggregate(strong)
 		if nAgg >= cur.NRows {
 			break // no coarsening possible
@@ -319,11 +300,7 @@ func BuildRestrictions(a *sparse.CSR, b *la.Dense, opts Options) ([]*sparse.CSR,
 		if err != nil {
 			break
 		}
-		p := p0
-		if !opts.Unsmoothed {
-			p = smoothProlongator(cur, p0, opts.Omega)
-		}
-		r := p.Transpose()
+		r := smoothProlongator(cur, p0).Transpose()
 		rs = append(rs, r)
 		cur = sparse.Galerkin(r, cur)
 		curB = bc

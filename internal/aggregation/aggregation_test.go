@@ -53,7 +53,7 @@ func laplace3D(n int) *sparse.CSR {
 
 func TestAggregateCoversAllRows(t *testing.T) {
 	a := laplace3D(5)
-	strong := strengthGraph(a, 0.08)
+	strong := strengthGraph(a)
 	agg, nAgg := aggregate(strong)
 	if nAgg < 2 || nAgg >= a.NRows {
 		t.Fatalf("nAgg = %d of %d", nAgg, a.NRows)
@@ -76,7 +76,7 @@ func TestTentativePreservesNearNullSpace(t *testing.T) {
 	// P0 must reproduce B exactly: B = P0·Bc.
 	a := laplace3D(4)
 	bnn := Constants(a.NRows)
-	strong := strengthGraph(a, 0.08)
+	strong := strengthGraph(a)
 	agg, nAgg := aggregate(strong)
 	p0, bc, err := tentative(agg, nAgg, bnn)
 	if err != nil {
@@ -172,7 +172,7 @@ func buildElasticity(t *testing.T, n int) (*sparse.CSR, []float64, *la.Dense) {
 
 func TestSABuildsWorkingHierarchy(t *testing.T) {
 	kred, fred, b := buildElasticity(t, 6)
-	rs, err := BuildRestrictions(kred, b, Options{MinCoarse: 60})
+	rs, err := BuildRestrictions(kred, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,34 +194,9 @@ func TestSABuildsWorkingHierarchy(t *testing.T) {
 	}
 }
 
-func TestSASmoothedBeatsUnsmoothed(t *testing.T) {
-	kred, fred, b := buildElasticity(t, 6)
-	its := func(unsmoothed bool) int {
-		rs, err := BuildRestrictions(kred, b, Options{MinCoarse: 60, Unsmoothed: unsmoothed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mg, _, err := multigrid.Build(nil, kred, rs, multigrid.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := make([]float64, kred.NRows)
-		res := krylov.FPCG(kred, fred, x, mg, 1e-8, 1000)
-		if !res.Converged {
-			t.Fatalf("unsmoothed=%v stalled", unsmoothed)
-		}
-		return res.Iterations
-	}
-	sm, un := its(false), its(true)
-	t.Logf("smoothed %d its, unsmoothed %d its", sm, un)
-	if sm > un {
-		t.Fatalf("prolongator smoothing should help: %d vs %d", sm, un)
-	}
-}
-
 func TestSAOnScalarProblem(t *testing.T) {
 	a := laplace3D(8)
-	rs, err := BuildRestrictions(a, Constants(a.NRows), Options{MinCoarse: 40})
+	rs, err := BuildRestrictions(a, Constants(a.NRows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,12 +218,12 @@ func TestSAOnScalarProblem(t *testing.T) {
 func TestBuildRestrictionsValidation(t *testing.T) {
 	a := laplace3D(3)
 	wrong := la.NewDense(5, 1)
-	if _, err := BuildRestrictions(a, wrong, Options{}); err == nil {
+	if _, err := BuildRestrictions(a, wrong); err == nil {
 		t.Fatal("dimension mismatch should fail")
 	}
 	// Already coarse enough: no levels -> error.
 	small := laplace3D(2)
-	if _, err := BuildRestrictions(small, Constants(small.NRows), Options{MinCoarse: 1000}); err == nil {
+	if _, err := BuildRestrictions(small, Constants(small.NRows)); err == nil {
 		t.Fatal("expected no-levels error")
 	}
 }

@@ -9,7 +9,7 @@
 //  2. build the modified MIS graph: delete edges between exterior vertices
 //     that share no face, make corners immortal (section 4.6);
 //  3. run the maximal independent set algorithm with rank ordering and the
-//     chosen within-rank orderings (sections 4.1, 4.7; the parallel
+//     natural order within a rank (sections 4.1, 4.7; the parallel
 //     algorithm of section 4.2 is par.ParallelMIS);
 //  4. remesh the selected vertices with Delaunay tetrahedra inside a
 //     bounding box, dropping the box-attached tetrahedra (section 4.8);
@@ -37,27 +37,10 @@ import (
 	"prometheus/internal/topo"
 )
 
-// Ordering selects the within-rank vertex traversal order (section 4.7).
-type Ordering int
-
-const (
-	// Natural visits vertices in mesh order (dense MISs; the paper's
-	// suggestion for exterior vertices).
-	Natural Ordering = iota
-	// Random visits vertices in a deterministic pseudo-random order
-	// (sparse MISs; the paper's suggestion for interior vertices).
-	Random
-)
-
 // Options controls the coarsening.
 type Options struct {
 	// TOL is the face identification tolerance (cosine); default 0.866.
 	TOL float64
-	// OrderExterior/OrderInterior are the within-rank orderings.
-	OrderExterior Ordering
-	OrderInterior Ordering
-	// Seed drives the random orderings.
-	Seed uint64
 	// ReclassifyFrom is the first grid index whose classification is
 	// recomputed from its own mesh rather than inherited; the paper
 	// reclassifies "the third and subsequent grids", i.e. index 2.
@@ -67,11 +50,12 @@ type Options struct {
 	MinCoarse int
 	// MaxLevels bounds the total number of grids. Default 16.
 	MaxLevels int
-	// Eps is the interpolation tolerance: fine vertices accept containing
-	// tetrahedra with barycentric weights above -Eps (section 4.8's
-	// "interpolates that are all above -epsilon").
-	Eps float64
 }
+
+// eps is the interpolation tolerance: fine vertices accept containing
+// tetrahedra with barycentric weights above -eps (section 4.8's
+// "interpolates that are all above -epsilon").
+const eps = 1e-8
 
 // withDefaults fills zero fields.
 func (o Options) withDefaults() Options {
@@ -86,9 +70,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxLevels == 0 {
 		o.MaxLevels = 16
-	}
-	if o.Eps == 0 {
-		o.Eps = 1e-8
 	}
 	return o
 }
@@ -167,7 +148,7 @@ func coarsenOnce(parent *Grid, level int, opts Options) (*Grid, error) {
 	g := m.NodeGraph()
 	mg := cls.ModifiedGraph(g)
 
-	order := buildOrder(cls, opts)
+	order := graph.RankedOrder(cls.Rank, nil)
 	mis := graph.MIS(mg, order, cls.Rank, cls.Immortal())
 	spm.End()
 	if len(mis) < 5 || len(mis) >= m.NumVerts() {
@@ -201,7 +182,7 @@ func coarsenOnce(parent *Grid, level int, opts Options) (*Grid, error) {
 	nc := len(mis)
 	spb := obs.Start(evRestrict)
 	defer spb.End()
-	rk := newRestrictKernel(m.Coords, g, mis, tri, tets, opts.Eps)
+	rk := newRestrictKernel(m.Coords, g, mis, tri, tets)
 	r, lost, ok := rk.build()
 	if !ok {
 		// Every candidate tetrahedron of some fine vertex is degenerate: the
@@ -252,37 +233,6 @@ func coarsenOnce(parent *Grid, level int, opts Options) (*Grid, error) {
 		R:     r,
 		Lost:  lost,
 	}, nil
-}
-
-// buildOrder constructs the MIS traversal order: ranks descending, with the
-// configured within-rank orderings (natural for exterior / random for
-// interior by default — section 4.7).
-func buildOrder(cls *topo.Classification, opts Options) []int {
-	n := len(cls.Rank)
-	within := make([]int, 0, n)
-	ext := make([]int, 0)
-	inter := make([]int, 0)
-	for v := 0; v < n; v++ {
-		if cls.Rank[v] == topo.RankInterior {
-			inter = append(inter, v)
-		} else {
-			ext = append(ext, v)
-		}
-	}
-	permute := func(list []int, ord Ordering) []int {
-		if ord == Natural {
-			return list
-		}
-		p := graph.RandomOrder(len(list), opts.Seed+uint64(len(list)))
-		out := make([]int, len(list))
-		for i, k := range p {
-			out[i] = list[k]
-		}
-		return out
-	}
-	within = append(within, permute(ext, opts.OrderExterior)...)
-	within = append(within, permute(inter, opts.OrderInterior)...)
-	return graph.RankedOrder(cls.Rank, within)
 }
 
 // VertexReduction returns the per-level vertex counts and reduction ratios

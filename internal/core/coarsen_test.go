@@ -187,27 +187,6 @@ func TestThinBodyCoverage(t *testing.T) {
 	}
 }
 
-func TestOrderingAblation(t *testing.T) {
-	// Section 4.7: random interior ordering should give a sparser (or
-	// equal) coarse grid than natural ordering.
-	m := cubeMesh(8)
-	hNat, err := Coarsen(m, Options{MinCoarse: 20, MaxLevels: 2,
-		OrderInterior: Natural, OrderExterior: Natural})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hRnd, err := Coarsen(m, Options{MinCoarse: 20, MaxLevels: 2,
-		OrderInterior: Random, OrderExterior: Natural, Seed: 123})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nNat := hNat.Grids[1].Mesh.NumVerts()
-	nRnd := hRnd.Grids[1].Mesh.NumVerts()
-	if nRnd > nNat {
-		t.Fatalf("random ordering should not be denser: natural %d random %d", nNat, nRnd)
-	}
-}
-
 func TestCoarsenStopsAtMinCoarse(t *testing.T) {
 	m := cubeMesh(3)
 	h, err := Coarsen(m, Options{MinCoarse: 1000})
@@ -366,8 +345,7 @@ func TestLostVerticesMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := Options{}.withDefaults().Eps
-	r, lost, ok := newRestrictKernel(m.Coords, m.NodeGraph(), mis, tri, tri.Tets(), eps).build()
+	r, lost, ok := newRestrictKernel(m.Coords, m.NodeGraph(), mis, tri, tri.Tets()).build()
 	want, wantLost, wantOK := referenceRestriction(m, mis, tri, eps)
 	if !ok || !wantOK {
 		t.Fatalf("built %v, the reference %v", ok, wantOK)
@@ -483,7 +461,7 @@ func TestHierarchyIndependentOfProcs(t *testing.T) {
 				t.Fatalf("%s, GOMAXPROCS %d: %d grids, %d on one core", name, procs, h.NumLevels(), base.NumLevels())
 			}
 			for l := 1; l < h.NumLevels(); l++ {
-				if err := checkGrid(h.Grids[l-1], h.Grids[l], base.Grids[l], h.Opts); err != nil {
+				if err := checkGrid(h.Grids[l-1], h.Grids[l], base.Grids[l]); err != nil {
 					t.Fatalf("%s, GOMAXPROCS %d, grid %d: %v", name, procs, l, err)
 				}
 			}
@@ -493,7 +471,7 @@ func TestHierarchyIndependentOfProcs(t *testing.T) {
 
 // checkGrid compares grid gr, built from parent, with the reference and
 // with base, the same grid built on one core.
-func checkGrid(parent, gr, base *Grid, opts Options) error {
+func checkGrid(parent, gr, base *Grid) error {
 	if !slices.Equal(gr.Verts, base.Verts) {
 		return fmt.Errorf("%d vertices, %d on one core, or other ones", len(gr.Verts), len(base.Verts))
 	}
@@ -508,7 +486,7 @@ func checkGrid(parent, gr, base *Grid, opts Options) error {
 	if err != nil {
 		return err
 	}
-	r, lost, ok := referenceRestriction(parent.Mesh, gr.Verts, tri, opts.Eps)
+	r, lost, ok := referenceRestriction(parent.Mesh, gr.Verts, tri, eps)
 	if !ok {
 		return fmt.Errorf("the reference gives up on a grid the kernel built")
 	}

@@ -67,13 +67,9 @@ func Fingerprint(m *mesh.Mesh, fixed map[int]float64, opts Options) string {
 	// the defaulted form makes Options{} and an explicitly-defaulted
 	// Options hash identically.
 	wF64(opts.TOL)
-	wInt(int(opts.OrderExterior))
-	wInt(int(opts.OrderInterior))
-	w64(opts.Seed)
 	wInt(opts.ReclassifyFrom)
 	wInt(opts.MinCoarse)
 	wInt(opts.MaxLevels)
-	wF64(opts.Eps)
 
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -15,7 +15,7 @@ import (
 func fpFixture() (*mesh.Mesh, map[int]float64, Options) {
 	m := mesh.StructuredHex(3, 3, 3, 1, 1, 1, nil)
 	fixed := map[int]float64{0: 0, 1: 0, 2: 0, 5: 0.25, 9: -1.5}
-	opts := Options{Seed: 42, MaxLevels: 3}
+	opts := Options{MinCoarse: 42, MaxLevels: 3}
 	return m, fixed, opts
 }
 
@@ -72,9 +72,9 @@ func TestFingerprintSensitivity(t *testing.T) {
 	})
 	t.Run("options", func(t *testing.T) {
 		m2, f2, o2 := fpFixture()
-		o2.Seed = 43
+		o2.MinCoarse = 43
 		if Fingerprint(m2, f2, o2) == base {
-			t.Fatal("seed change did not change fingerprint")
+			t.Fatal("MinCoarse change did not change fingerprint")
 		}
 	})
 	t.Run("signed-zero", func(t *testing.T) {

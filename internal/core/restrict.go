@@ -31,7 +31,7 @@ const (
 // vertex per item. A coarse vertex restricts to itself with weight 1. Any
 // other fine vertex takes the linear shape functions of the coarse
 // tetrahedron containing it; when that tetrahedron is box-attached or one
-// of its weights is below -Eps, the vertex is lost and takes those of the
+// of its weights is below -eps, the vertex is lost and takes those of the
 // least-violating tetrahedron around the coarse vertices nearest it in the
 // fine graph, and failing that of the least-violating tetrahedron
 // anywhere. Item v writes its four (coarse vertex, weight) slots and its
@@ -50,7 +50,6 @@ type RestrictKernel struct {
 	// The tetrahedra incident to coarse vertex j are
 	// inc[incPtr[j]:incPtr[j+1]], in ascending order.
 	incPtr, inc []int32
-	eps         float64
 
 	coarse []int32
 	weight []float64
@@ -73,10 +72,10 @@ type restrictLane struct {
 // newRestrictKernel returns the kernel restricting the fine vertices at
 // fine (node graph g) to the coarse set mis, triangulated as tri, whose
 // non-box tetrahedra are tets.
-func newRestrictKernel(fine []geom.Vec3, g *graph.Graph, mis []int, tri *delaunay.Triangulation, tets [][4]int, eps float64) *RestrictKernel {
+func newRestrictKernel(fine []geom.Vec3, g *graph.Graph, mis []int, tri *delaunay.Triangulation, tets [][4]int) *RestrictKernel {
 	nf, nc := len(fine), len(mis)
 	k := &RestrictKernel{
-		fine: fine, g: g, tri: tri, tets: tets, eps: eps,
+		fine: fine, g: g, tri: tri, tets: tets,
 		coarseOf: make([]int32, nf),
 		incPtr:   make([]int32, nc+1),
 		inc:      make([]int32, 4*len(tets)),
@@ -123,7 +122,7 @@ func RestrictionKernel(m *mesh.Mesh, mis []int) (*RestrictKernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newRestrictKernel(m.Coords, m.NodeGraph(), mis, tri, tri.Tets(), Options{}.withDefaults().Eps), nil
+	return newRestrictKernel(m.Coords, m.NodeGraph(), mis, tri, tri.Tets()), nil
 }
 
 // Items implements pool.ItemKernel.
@@ -157,7 +156,7 @@ func (k *RestrictKernel) row(ln *restrictLane, v int) {
 	}
 	if ok {
 		for _, wi := range w {
-			if wi < -k.eps {
+			if wi < -eps {
 				ok = false
 				break
 			}

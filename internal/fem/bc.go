@@ -91,7 +91,7 @@ func (c *Constraints) Apply(u []float64) {
 func (c *Constraints) Reduce(k *sparse.BSR, m *DofMap) (*sparse.CSR, *LoadMap) {
 	sp := obs.Start(evReduce)
 	defer sp.End()
-	kRed := k.Select(m.Red2Full, m.Full2Red, m.NumFree(), 0)
+	kRed := k.Select(m.Red2Full, m.Full2Red, m.NumFree())
 	if check.Enabled {
 		check.SymmetricValues(kRed.NRows, 1, kRed.RowPtr, kRed.ColIdx, kRed.Val, "fem: reduced operator")
 	}

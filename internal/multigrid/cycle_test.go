@@ -173,7 +173,7 @@ func buildSpheresConfig(t *testing.T, cfg problems.SpheresConfig, aggregate bool
 	fr := make([]float64, dm.NumFree())
 	lm.Apply(fr, make([]float64, ndof), 1)
 	if aggregate {
-		rs, err := aggregation.BuildRestrictions(kr, aggregation.RigidBodyModes(s.Mesh.Coords, dm.Full2Red, dm.NumFree()), aggregation.Options{})
+		rs, err := aggregation.BuildRestrictions(kr, aggregation.RigidBodyModes(s.Mesh.Coords, dm.Full2Red, dm.NumFree()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +343,7 @@ func TestAggregationBlockingIsAKernelChoice(t *testing.T) {
 	kr, lm := c.Cons.Reduce(k, dm)
 	fr := make([]float64, dm.NumFree())
 	lm.Apply(fr, c.Load, 1)
-	rs, err := aggregation.BuildRestrictions(kr, aggregation.RigidBodyModes(c.Mesh.Coords, dm.Full2Red, dm.NumFree()), aggregation.Options{})
+	rs, err := aggregation.BuildRestrictions(kr, aggregation.RigidBodyModes(c.Mesh.Coords, dm.Full2Red, dm.NumFree()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,7 +122,7 @@ func (mg *MG) SetTask(t *obs.Task) {
 // full dof -> reduced dof or -1. Used to align the first restriction
 // operator (built on all vertex dofs) with the reduced fine system.
 func CompressCols(r *sparse.CSR, full2red []int, nred int) *sparse.CSR {
-	return r.Select(identity(r.NRows), full2red, nred, 0)
+	return r.Select(identity(r.NRows), full2red, nred)
 }
 
 func identity(n int) []int {

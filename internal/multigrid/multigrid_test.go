@@ -554,16 +554,30 @@ func (mg *MG) stationary(b, x []float64, rtol float64, maxCycles int) (int, floa
 	return maxCycles, la.Norm2(r) / bn
 }
 
-// fixEmptyRows is the Galerkin operator a pinned with pinList's pins
-// (Plan.galerkin pins the product as it forms it): pinned rows and columns
-// dropped, a pinned row holding the largest diagonal, a returned as is
-// when nothing is pinned.
+// fixEmptyRows is the Galerkin operator a pinned with pinList's pins,
+// spelled with Builder: pinned rows and columns dropped, a pinned row
+// holding the largest diagonal, a returned as is when nothing is pinned.
+// Plan.galerkin pins the product in place instead (sparse.Pin), to the
+// same values.
 func fixEmptyRows(a *sparse.CSR) *sparse.CSR {
 	keep, maxd := pinList(a.Diag())
 	if keep == nil {
 		return a
 	}
-	return a.Select(keep, keep, a.NCols, maxd)
+	b := sparse.NewBuilder(a.NRows, a.NCols)
+	for i := 0; i < a.NRows; i++ {
+		if keep[i] < 0 {
+			b.Set(i, i, maxd)
+			continue
+		}
+		cols, vals := a.Row(i)
+		for k, j := range cols {
+			if keep[j] >= 0 {
+				b.Add(i, j, vals[k])
+			}
+		}
+	}
+	return b.Build()
 }
 
 func TestFixEmptyRows(t *testing.T) {
@@ -588,9 +602,8 @@ func TestFixEmptyRows(t *testing.T) {
 	}
 }
 
-// compressColsBuilder and fixEmptyRowsBuilder are the references the
-// Select-based functions are pinned to: the same filters poured entry by
-// entry through sparse.Builder.
+// compressColsBuilder is the reference CompressCols is pinned to: the
+// same filter poured entry by entry through sparse.Builder.
 func compressColsBuilder(r *sparse.CSR, full2red []int, nred int) *sparse.CSR {
 	b := sparse.NewBuilder(r.NRows, nred)
 	for i := 0; i < r.NRows; i++ {
@@ -604,42 +617,11 @@ func compressColsBuilder(r *sparse.CSR, full2red []int, nred int) *sparse.CSR {
 	return b.Build()
 }
 
-func fixEmptyRowsBuilder(a *sparse.CSR) *sparse.CSR {
-	d := a.Diag()
-	maxd := 0.0
-	for _, v := range d {
-		maxd = math.Max(maxd, v)
-	}
-	if maxd == 0 {
-		maxd = 1
-	}
-	isBad := make(map[int]bool)
-	for i, v := range d {
-		if v <= 1e-13*maxd {
-			isBad[i] = true
-		}
-	}
-	b := sparse.NewBuilder(a.NRows, a.NCols)
-	for i := 0; i < a.NRows; i++ {
-		if isBad[i] {
-			b.Set(i, i, maxd)
-			continue
-		}
-		cols, vals := a.Row(i)
-		for k, j := range cols {
-			if !isBad[j] {
-				b.Add(i, j, vals[k])
-			}
-		}
-	}
-	return b.Build()
-}
-
 // emptyRowRestriction returns a copy of r that leaves coarse dof 2 without
 // fine support (row 2 emptied) and coarse dof 7 with support of weight zero
 // (stored zeros on row 7): the two kinds of row fixEmptyRows pins.
 func emptyRowRestriction(r *sparse.CSR) *sparse.CSR {
-	rBad := r.Select(identity(r.NRows), identity(r.NCols), r.NCols, 0)
+	rBad := r.Select(identity(r.NRows), identity(r.NCols), r.NCols)
 	lo, hi := rBad.RowPtr[2], rBad.RowPtr[3]
 	rBad.ColIdx = slices.Delete(rBad.ColIdx, lo, hi)
 	rBad.Val = slices.Delete(rBad.Val, lo, hi)
@@ -657,7 +639,7 @@ func emptyRowRestriction(r *sparse.CSR) *sparse.CSR {
 // stored zeros): r stays node-conforming, so the Galerkin product stays
 // blocked and pins a whole node.
 func zeroNodeRestriction(r *sparse.CSR) *sparse.CSR {
-	rBad := r.Select(identity(r.NRows), identity(r.NCols), r.NCols, 0)
+	rBad := r.Select(identity(r.NRows), identity(r.NCols), r.NCols)
 	for k := rBad.RowPtr[3]; k < rBad.RowPtr[6]; k++ {
 		rBad.Val[k] = 0
 	}
@@ -685,10 +667,11 @@ func plantNegZero(t *testing.T, a *sparse.CSR, i int, kept func(j int) bool) {
 	t.Fatalf("row %d keeps no entry to plant -0.0 on", i)
 }
 
-// TestSelectMatchesBuilder pins CompressCols and fixEmptyRows, now callers
-// of sparse.Select, to the Builder copies they replaced, bit for bit: on a
-// restriction that loses a whole row to the constraints, and on a Galerkin
-// operator with an empty row, a bad row of stored zeros and a stored -0.0.
+// TestSelectMatchesBuilder pins CompressCols, a caller of sparse.Select,
+// to the Builder copy it replaced, bit for bit, on a restriction that
+// loses a whole row to the constraints; and the pins Plan.galerkin writes
+// in place to the Builder reference fixEmptyRows, value for value, on a
+// Galerkin operator with an empty row and a bad row of stored zeros.
 func TestSelectMatchesBuilder(t *testing.T) {
 	kr, _, rs := buildElasticity(t, 4, core.Options{MinCoarse: 10})
 	r := rs[0]
@@ -710,21 +693,30 @@ func TestSelectMatchesBuilder(t *testing.T) {
 		t.Fatal("CompressCols differs from the Builder reference")
 	}
 
-	// fixEmptyRows: coarse dof 2 has no fine support at all (an empty
-	// row and column of the Galerkin operator), coarse dof 7 has support
-	// of weight zero (stored zeros on row and column 7).
+	// Pins: coarse dof 2 has no fine support at all (an empty row and
+	// column of the one-pass product), coarse dof 7 has support of weight
+	// zero (stored zeros on row and column 7). The product formed as
+	// Plan.galerkin forms it stores both diagonals.
 	rBad := emptyRowRestriction(r)
 	ac := sparse.Galerkin(rBad, kr)
 	if ac.RowNNZ(2) != 0 || ac.RowNNZ(7) == 0 {
 		t.Fatal("the fixture lost a case it is meant to cover")
 	}
-	plantNegZero(t, ac, 4, func(j int) bool { return j != 2 && j != 4 && j != 7 })
 	fixed := fixEmptyRows(ac)
 	if fixed == ac || fixed.RowNNZ(2) != 1 || fixed.RowNNZ(7) != 1 || fixed.At(7, 7) <= 0 {
 		t.Fatal("bad rows not pinned")
 	}
-	if !sameBits(fixed, fixEmptyRowsBuilder(ac)) {
-		t.Fatal("fixEmptyRows differs from the Builder reference")
+	g := sparse.PlanGalerkin(rBad, rBad.Transpose(), kr, nodeDofs)
+	c := g.Fill(g.RA(kr))
+	keep, maxd := pinList(c.Diag())
+	sparse.Pin(c, keep, maxd)
+	inPlace := sparse.AsCSR(c)
+	for i := 0; i < ac.NRows; i++ {
+		for j := 0; j < ac.NCols; j++ {
+			if math.Float64bits(0+inPlace.At(i, j)) != math.Float64bits(fixed.At(i, j)) {
+				t.Fatalf("entry (%d,%d): %v pinned in place, %v by the Builder reference", i, j, inPlace.At(i, j), fixed.At(i, j))
+			}
+		}
 	}
 }
 

@@ -119,7 +119,7 @@ func (p *Plan) fill(fine sparse.Operator) (*MG, error) {
 			a = sparse.AsCSR(a)
 		}
 		if planning {
-			p.planLevel(l, a, layout, fine)
+			p.planLevel(l, layout)
 		}
 		lvl := newLevel(a)
 		lvl.R, lvl.P = lp.R, lp.P
@@ -199,77 +199,53 @@ func (lp *levelPlan) planGalerkin(r *sparse.CSR, a sparse.Operator) {
 	spg.End()
 }
 
-// planLevel plans the block Jacobi of level l from its matrix s: its
-// blocks and, from s's pattern, the envelopes their factors are stored in.
-// Every level takes Options.BlockCount blocks but the coarsest, which
-// takes one: a block Jacobi with one block is the direct solve the cycle
-// ends in. A level 0 blocked from a CSR with no fill (expanded) reads the
-// pattern from fine, the CSR it was blocked from, which is exactly s's
-// expansion.
+// planLevel plans the block Jacobi of level l from layout, the storage its
+// matrix was formed in (the matrix itself outside the scalar reference):
+// its blocks and the envelopes their factors are stored in. Every level
+// takes Options.BlockCount blocks but the coarsest, which takes one: a
+// block Jacobi with one block is the direct solve the cycle ends in.
 //
-// The blocks partition the units of layout, the storage s was formed in
-// (s itself outside the scalar reference): the nodes of a blocked level,
-// the dofs of a scalar one (unitGraph). A node's dofs therefore share a
+// The blocks partition the units of layout (unitGraph): the nodes of a
+// blocked level, the dofs of a scalar one. A node's dofs therefore share a
 // block, as the paper's block Jacobi (§7.2) partitions mesh vertices.
 // Each block's units are then ordered by reverse Cuthill–McKee on the
 // block's own subgraph (graph.PartOrder, block by block on the shared
-// worker set), and its factor rows are its units' dofs in that order,
-// which narrows the envelope the factor is stored and solved in.
-func (p *Plan) planLevel(l int, s, layout, fine sparse.Operator) {
+// worker set), and smooth.PlanBlocks lays out the factors from the same
+// graph: rows are the units' dofs in that order, which narrows the
+// envelope the factor is stored and solved in.
+func (p *Plan) planLevel(l int, layout sparse.Operator) {
 	sp := obs.Start(evPlan)
 	defer sp.End()
-	pat := s
-	if l == 0 && p.expanded {
-		pat = fine
-	}
-	e := sparse.ScalarPatternOf(pat)
+	g, b := unitGraph(layout)
 	if check.Enabled {
-		check.SymmetricPattern(e.NRows, e.RowPtr, e.ColIdx, fmt.Sprintf("multigrid: level %d pattern", l))
+		check.SymmetricPattern(g.N, g.Ptr, g.Adj, fmt.Sprintf("multigrid: level %d unit graph", l))
 	}
 	nb := 1
 	if l < len(p.rs) {
-		nb = p.opts.BlockCount(e.NRows)
+		nb = p.opts.BlockCount(layout.Rows())
 	}
 	spp := obs.Start(evSmootherPartition)
-	g, dofs := unitGraph(layout)
 	ord := graph.NewPartOrder(g, graph.GreedyPartition(g, nb), nb)
 	pool.RunItems(ord, nb, 1, len(g.Adj))
 	spp.End()
-	p.levels[l].bj = smooth.PlanBlocks(e, unitDofs(ord.Parts(), dofs))
+	p.levels[l].bj = smooth.PlanBlocks(g, b, ord.Parts())
 }
 
 // unitGraph returns the graph the smoother of a level stored as s is
-// partitioned on, and the dofs of each of its vertices: a BSR's block
-// pattern, whose vertices are nodes, and a CSR's own pattern, whose
-// vertices are dofs. For a structurally symmetric pattern a row's columns
-// are its graph neighbours and the row itself, which the partitioner's
-// search has assigned before it looks.
+// partitioned and planned on, and the dofs of each of its vertices: a
+// BSR's block pattern, whose vertices are nodes, and a CSR's own pattern,
+// whose vertices are dofs. For a structurally symmetric pattern a row's
+// columns are its graph neighbours and the row itself, which the
+// partitioner's search has assigned before it looks.
 func unitGraph(s sparse.Operator) (*graph.Graph, int) {
-	if b, ok := s.(*sparse.BSR); ok {
-		return &graph.Graph{N: b.NBRows, Ptr: b.RowPtr, Adj: b.ColIdx}, b.B
+	switch m := s.(type) {
+	case *sparse.BSR:
+		return &graph.Graph{N: m.NBRows, Ptr: m.RowPtr, Adj: m.ColIdx}, m.B
+	case *sparse.CSR:
+		return &graph.Graph{N: m.NRows, Ptr: m.RowPtr, Adj: m.ColIdx}, 1
+	default:
+		panic(fmt.Sprintf("multigrid: no unit graph for %T", s))
 	}
-	e := sparse.ScalarPatternOf(s)
-	return &graph.Graph{N: e.NRows, Ptr: e.RowPtr, Adj: e.ColIdx}, 1
-}
-
-// unitDofs returns the blocks of dofs the blocks of units hold, unit u
-// holding dofs [b·u, b·u+b): each block lists its units' dofs in the
-// order of its units.
-func unitDofs(units [][]int, b int) [][]int {
-	if b == 1 {
-		return units
-	}
-	blocks := make([][]int, len(units))
-	for bi, us := range units {
-		dofs := make([]int, 0, b*len(us))
-		for _, u := range us {
-			for c := 0; c < b; c++ {
-				dofs = append(dofs, b*u+c)
-			}
-		}
-		blocks[bi] = dofs
-	}
-	return blocks
 }
 
 // matches reports whether the plan was made for fine's storage and

@@ -2,7 +2,7 @@
 // (section 7.2): displacement-driven load stepping with a full Newton
 // method, the dynamic linear-solve tolerance heuristic
 // rtol_1 = 1e-4, rtol_m = min(1e-3, 1e-1·‖r_m‖/‖r_{m-1}‖), and convergence
-// declared when the energy norm of the correction falls to EnergyTol times
+// declared when the energy norm of the correction falls to 1e-20 times
 // that of the first correction.
 package newton
 
@@ -16,35 +16,27 @@ import (
 	"prometheus/internal/sparse"
 )
 
+// The paper's Newton schedule (section 7.2).
+const (
+	energyTol  = 1e-20 // relative energy-norm convergence
+	rtol1      = 1e-4  // first linear tolerance of a load step
+	rtolMax    = 1e-3  // cap for later tolerances
+	rtolFactor = 1e-1  // residual-ratio factor of later tolerances
+)
+
 // Config drives the nonlinear solve.
 type Config struct {
-	Steps      int     // load steps (paper: 10)
-	EnergyTol  float64 // relative energy-norm convergence (paper: 1e-20)
-	MaxNewton  int     // Newton iterations per step (safety bound)
-	RTol1      float64 // first linear tolerance (paper: 1e-4)
-	RTolMax    float64 // cap for later tolerances (paper: 1e-3)
-	RTolFactor float64 // residual-ratio factor (paper: 1e-1)
-	MaxPCG     int     // PCG iteration bound per linear solve
+	Steps     int // load steps (paper: 10)
+	MaxNewton int // Newton iterations per step (safety bound)
+	MaxPCG    int // PCG iteration bound per linear solve
 }
 
 func (c Config) withDefaults() Config {
 	if c.Steps == 0 {
 		c.Steps = 10
 	}
-	if c.EnergyTol == 0 {
-		c.EnergyTol = 1e-20
-	}
 	if c.MaxNewton == 0 {
 		c.MaxNewton = 30
-	}
-	if c.RTol1 == 0 {
-		c.RTol1 = 1e-4
-	}
-	if c.RTolMax == 0 {
-		c.RTolMax = 1e-3
-	}
-	if c.RTolFactor == 0 {
-		c.RTolFactor = 1e-1
 	}
 	if c.MaxPCG == 0 {
 		c.MaxPCG = 500
@@ -97,7 +89,7 @@ func Solve(p *fem.Problem, cons *fem.Constraints, cfg Config, factory PreconFact
 
 		ss := StepStats{}
 		var firstEnergy, prevRNorm, firstRNorm float64
-		rtol := cfg.RTol1
+		rtol := rtol1
 
 		for m := 1; m <= cfg.MaxNewton; m++ {
 			k, fint, err := p.AssembleTangent(u)
@@ -114,9 +106,9 @@ func Solve(p *fem.Problem, cons *fem.Constraints, cfg Config, factory PreconFact
 				firstRNorm = rnorm
 			} else {
 				// Dynamic tolerance heuristic.
-				rtol = math.Min(cfg.RTolMax, cfg.RTolFactor*rnorm/prevRNorm)
+				rtol = math.Min(rtolMax, rtolFactor*rnorm/prevRNorm)
 				if rtol <= 0 || math.IsNaN(rtol) {
-					rtol = cfg.RTolMax
+					rtol = rtolMax
 				}
 			}
 			prevRNorm = rnorm
@@ -154,7 +146,7 @@ func Solve(p *fem.Problem, cons *fem.Constraints, cfg Config, factory PreconFact
 			}
 			ss.NewtonIters = m
 			stats.TotalNewton++
-			if firstEnergy == 0 || energy <= cfg.EnergyTol*firstEnergy {
+			if firstEnergy == 0 || energy <= energyTol*firstEnergy {
 				break
 			}
 		}

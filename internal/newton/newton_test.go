@@ -145,11 +145,10 @@ func TestPlasticFractionMonotoneGrowth(t *testing.T) {
 }
 
 func TestDynamicToleranceBounds(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if cfg.RTol1 != 1e-4 || cfg.RTolMax != 1e-3 || cfg.RTolFactor != 1e-1 {
-		t.Fatalf("paper defaults wrong: %+v", cfg)
+	if rtol1 != 1e-4 || rtolMax != 1e-3 || rtolFactor != 1e-1 || energyTol != 1e-20 {
+		t.Fatalf("paper schedule wrong: rtol1 %v rtolMax %v rtolFactor %v energyTol %v", rtol1, rtolMax, rtolFactor, energyTol)
 	}
-	if cfg.Steps != 10 || cfg.EnergyTol != 1e-20 {
+	if cfg := (Config{}).withDefaults(); cfg.Steps != 10 {
 		t.Fatalf("paper defaults wrong: %+v", cfg)
 	}
 }
@@ -175,7 +174,7 @@ func TestLinearProblemConvergesInOneIteration(t *testing.T) {
 	}
 	dm := zero.NewDofMap(c.Mesh.NumDOF())
 	factory := mgFactory(h, dm)
-	_, stats, err := Solve(p, c.Cons, Config{Steps: 1, MaxNewton: 10, EnergyTol: 1e-12}, factory, -1)
+	_, stats, err := Solve(p, c.Cons, Config{Steps: 1, MaxNewton: 10}, factory, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,15 +9,21 @@ import (
 )
 
 // checkSweepsZeroAlloc asserts that the smoother on a — CG over block
-// Jacobi in nb blocks — is allocation-free in steady state: Smooth and
-// Apply, and the block solves on their own, with observability recording
-// off and on. All scratch is hoisted into the smoother at construction
+// Jacobi in nb blocks of a's units, its nodes or its dofs — is
+// allocation-free in steady state: Smooth and Apply, and the block solves
+// on their own, with observability recording off and on. All scratch is hoisted into the smoother at construction
 // time, and the obs spans land in preallocated buffers.
 func checkSweepsZeroAlloc(t *testing.T, a sparse.Operator, nb int) {
 	t.Helper()
-	view := sparse.AsCSR(a)
-	part := graph.GreedyPartition(matrixGraph(view), nb)
-	bj, err := PlanBlocks(view, graph.PartMembers(part, nb)).Factor(a)
+	g, unit := &graph.Graph{}, 1
+	switch m := a.(type) {
+	case *sparse.BSR:
+		g, unit = &graph.Graph{N: m.NBRows, Ptr: m.RowPtr, Adj: m.ColIdx}, m.B
+	case *sparse.CSR:
+		g = &graph.Graph{N: m.NRows, Ptr: m.RowPtr, Adj: m.ColIdx}
+	}
+	part := graph.GreedyPartition(g, nb)
+	bj, err := PlanBlocks(g, unit, graph.PartMembers(part, nb)).Factor(a)
 	if err != nil {
 		t.Fatal(err)
 	}

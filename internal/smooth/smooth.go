@@ -8,11 +8,12 @@
 // the whole matrix factored: multigrid's coarsest grid solve is that, with
 // no CG around it.
 //
-// The blocks arrive planned (multigrid plans them): each is a part of the
-// level's node graph on a blocked level, every node's dofs together, or of
-// its dof graph on a scalar one, and lists its dofs in the reverse
-// Cuthill–McKee order of its units. PlanBlocks keeps that order and lays
-// each block's factor out as an envelope from it: the order decides how
+// The blocks arrive planned (multigrid plans them) as ordered parts of the
+// level's unit graph: its node graph on a blocked level, so a node's dofs
+// share a block, or its dof graph on a scalar one, each part in the
+// reverse Cuthill–McKee order of its units. PlanBlocks expands every part
+// to its units' dofs in that order and lays each block's factor out as an
+// envelope from it, reading the unit graph only: the order decides how
 // many values the factor stores. The factorization and the solves run on
 // row pairs (la.FactorEnvelope, la.Cholesky.Solve) and give the bits of a
 // row at a time, so of the three — partition, order, kernels — the
@@ -105,31 +106,28 @@ const blockShiftTries = 5
 // 6 blocks per 1000 unknowns.
 const BlocksPerThousand = 6
 
-// NewDomainBlockJacobi factors the diagonal blocks of a given by part
-// (dof -> block): PlanBlocks on a's pattern and Factor in one.
-func NewDomainBlockJacobi(a *sparse.CSR, part []int, nblocks int) (*DomainBlockJacobi, error) {
-	if len(part) != a.NRows {
-		return nil, fmt.Errorf("smooth: partition covers %d of %d dofs", len(part), a.NRows)
-	}
-	return PlanBlocks(a, graph.PartMembers(part, nblocks)).Factor(a)
-}
-
-// PlanBlocks plans the smoother with the given blocks (dof lists, each dof
-// in at most one) for the matrices with pattern's scalar pattern: write
-// sets, positions, and each block factor's envelope, which starts row p of
-// a block at its first in-block column the pattern stores, rounded down to
-// a multiple of 4. Entries left of it are zero in every such matrix and
-// stay zero through the factorization, so they are neither stored nor
-// touched; the alignment keeps every remaining term of the factorization
-// and the solves in the accumulator of the dense triangle's four-way dot,
-// so the factor and the solves are the dense ones bit for bit. A block's
-// factor rows are its dofs in the order given, which is what decides the
-// envelope: the caller orders each block (multigrid orders it by reverse
-// Cuthill–McKee), PlanBlocks keeps it. The envelopes are laid out block by
-// block on the shared worker set.
-func PlanBlocks(pattern *sparse.CSR, blocks [][]int) *BlockPlan {
-	p, k := newEnvelopeScan(pattern, blocks)
-	pool.RunItems(k, len(blocks), 1, len(pattern.ColIdx))
+// PlanBlocks plans the smoother for the matrices stored over the units of
+// graph g — nodes of b dofs each, unit u holding dofs [b·u, b·u+b), or
+// dofs with b = 1 — whose pattern is g's, every block of an edge stored
+// and the diagonal block of every unit: g lists each unit's neighbours
+// and may list the unit itself. parts lists the units of every block, each
+// unit in at most one, in the order its factor rows take: a block's dofs
+// are its units' dofs in that order. PlanBlocks lays out the write sets,
+// each dof's position and each block factor's envelope, which starts the
+// row of dof c of the unit at position r at b·f, rounded down to a
+// multiple of 4, where f is the first position held by r or one of its
+// neighbours in the block: the first in-block column the row stores.
+// Entries left of it are zero in every such matrix and stay zero through
+// the factorization, so they are neither stored nor touched; the
+// alignment keeps every remaining term of the factorization and the
+// solves in the accumulator of the dense triangle's four-way dot, so the
+// factor and the solves are the dense ones bit for bit. The caller orders
+// each block (multigrid orders it by reverse Cuthill–McKee), PlanBlocks
+// keeps it. The envelopes are laid out block by block on the shared
+// worker set.
+func PlanBlocks(g *graph.Graph, b int, parts [][]int) *BlockPlan {
+	p, k := newEnvelopeScan(g, b, parts)
+	pool.RunItems(k, len(parts), 1, len(g.Adj))
 	for bi, env := range p.env {
 		p.facOff[bi+1] = p.facOff[bi] + env[len(env)-1]
 		p.solveWork += 2 * env[len(env)-1]
@@ -139,61 +137,83 @@ func PlanBlocks(pattern *sparse.CSR, blocks [][]int) *BlockPlan {
 	return p
 }
 
-// newEnvelopeScan returns the plan of these blocks with their write sets
-// and positions laid out, and the item kernel that lays out their
+// newEnvelopeScan returns the plan of these parts with their dofs, write
+// sets and positions laid out, and the item kernel that lays out their
 // envelopes.
-func newEnvelopeScan(pattern *sparse.CSR, blocks [][]int) (*BlockPlan, *envelopeScan) {
-	n := pattern.NRows
+func newEnvelopeScan(g *graph.Graph, b int, parts [][]int) (*BlockPlan, *envelopeScan) {
+	n := b * g.N
 	p := &BlockPlan{
-		n: n, blocks: blocks, ws: make([]int32, 0, n), pos: make([]int, n),
-		off: make([]int, len(blocks)+1), env: make([][]int, len(blocks)),
-		facOff: make([]int, len(blocks)+1),
+		n: n, blocks: parts, ws: make([]int32, 0, n), pos: make([]int, n),
+		off: make([]int, 1, len(parts)+1), env: make([][]int, len(parts)),
+		facOff: make([]int, len(parts)+1),
 	}
-	for bi, dofs := range blocks {
+	upos := p.pos
+	if b > 1 {
+		p.blocks, upos = make([][]int, 0, len(parts)), make([]int, g.N)
+	}
+	for _, units := range parts {
+		dofs := units
+		if b > 1 {
+			dofs = make([]int, 0, b*len(units))
+			for r, u := range units {
+				upos[u] = r
+				for c := 0; c < b; c++ {
+					dofs = append(dofs, b*u+c)
+				}
+			}
+			p.blocks = append(p.blocks, dofs)
+		}
 		for r, d := range dofs {
 			p.pos[d] = r
 			p.ws = append(p.ws, int32(d))
 		}
-		p.off[bi+1] = len(p.ws)
+		p.off = append(p.off, len(p.ws))
 	}
-	return p, &envelopeScan{p: p, pattern: pattern, work: make([]int, len(blocks))}
+	return p, &envelopeScan{p: p, g: g, b: b, parts: parts, upos: upos, work: make([]int, len(parts))}
 }
 
 // envelopeScan is PlanBlocks' envelope pass as a pool.ItemKernel over
-// blocks: item bi scans block bi's rows of the pattern for each row's
-// first in-block column and stores the block's envelope (p.env[bi]) and
-// factorization work (work[bi]). It reads the positions, which every block
-// shares and none writes.
+// blocks: item bi scans the neighbours of block bi's units for each
+// unit's first in-block position and stores the block's envelope
+// (p.env[bi]) and factorization work (work[bi]). It reads the unit
+// positions, which every block shares and none writes.
 type envelopeScan struct {
-	p       *BlockPlan
-	pattern *sparse.CSR
-	work    []int
-	first   [pool.Lanes][]int // per-lane scratch
+	p     *BlockPlan
+	g     *graph.Graph
+	b     int
+	parts [][]int
+	// upos[u] is unit u's position inside its own block: the plan's dof
+	// positions when units are dofs.
+	upos  []int
+	work  []int
+	first [pool.Lanes][]int // per-lane scratch
 }
 
-// EnvelopeKernel returns PlanBlocks' envelope pass over blocks as the item
+// EnvelopeKernel returns PlanBlocks' envelope pass over parts as the item
 // kernel it dispatches, nothing laid out yet, with what it writes: each
 // block's envelope offsets (nil until laid out) and factorization work.
 // For TestKernelContract.
-func EnvelopeKernel(pattern *sparse.CSR, blocks [][]int) (k pool.ItemKernel, env [][]int, work []int) {
-	p, scan := newEnvelopeScan(pattern, blocks)
+func EnvelopeKernel(g *graph.Graph, b int, parts [][]int) (k pool.ItemKernel, env [][]int, work []int) {
+	p, scan := newEnvelopeScan(g, b, parts)
 	return scan, p.env, scan.work
 }
 
 // Items implements pool.ItemKernel over the blocks [lo, hi).
 func (k *envelopeScan) Items(w, lo, hi int) {
-	pattern, pos := k.pattern, k.p.pos
+	g, b, upos := k.g, k.b, k.upos
 	for bi := lo; bi < hi; bi++ {
-		dofs := k.p.blocks[bi]
+		units := k.parts[bi]
 		first := k.first[w][:0]
-		for r, d := range dofs {
+		for r, u := range units {
 			f := r
-			for _, j := range pattern.ColIdx[pattern.RowPtr[d]:pattern.RowPtr[d+1]] {
-				if q := pos[j]; q < f && dofs[q] == j {
+			for _, v := range g.Adj[g.Ptr[u]:g.Ptr[u+1]] {
+				if q := upos[v]; q < f && units[q] == v {
 					f = q
 				}
 			}
-			first = append(first, f&^3)
+			for c := 0; c < b; c++ {
+				first = append(first, (b*f)&^3)
+			}
 		}
 		k.first[w] = first
 		k.p.env[bi] = la.EnvelopeOffsets(first)

@@ -57,16 +57,13 @@ func fillFromBSRRef(a *BSR) []float64 {
 
 // selectRef is Select as a serial count loop, a serial pattern loop and a
 // serial values loop.
-func selectRef(a *CSR, rows, colMap []int, nCols int, pin float64) *CSR {
+func selectRef(a *CSR, rows, colMap []int, nCols int) *CSR {
 	rowPtr := make([]int, len(rows)+1)
 	for i, r := range rows {
-		n := 1
-		if r >= 0 {
-			n = 0
-			for _, j := range a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]] {
-				if colMap[j] >= 0 {
-					n++
-				}
+		n := 0
+		for _, j := range a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]] {
+			if colMap[j] >= 0 {
+				n++
 			}
 		}
 		rowPtr[i+1] = rowPtr[i] + n
@@ -74,12 +71,7 @@ func selectRef(a *CSR, rows, colMap []int, nCols int, pin float64) *CSR {
 	colIdx := make([]int, rowPtr[len(rows)])
 	val := make([]float64, rowPtr[len(rows)])
 	n := 0
-	for i, r := range rows {
-		if r < 0 {
-			colIdx[n], val[n] = i, pin
-			n++
-			continue
-		}
+	for _, r := range rows {
 		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
 			if jn := colMap[a.ColIdx[k]]; jn >= 0 {
 				colIdx[n], val[n] = jn, 0+a.Val[k]
@@ -195,9 +187,9 @@ func raggedOf(a *CSR) *CSR {
 // serial reference by Float64bits at GOMAXPROCS 1, 2 and 4, on matrices
 // above pool.Grain, so that two and four participants do take the passes
 // apart: the expansion of a BSR (ToCSR), the reduction of its expansion to
-// the free dofs of a constraint set that is not node-aligned, the pinned
-// Select of a level with pins and pin 1.5, and the re-blocking (FromCSR) of the expansion and of a
-// ragged pattern with an empty row.
+// the free dofs of a constraint set that is not node-aligned (Select), and
+// the re-blocking (FromCSR) of the expansion and of a ragged pattern with
+// an empty row.
 func TestConversionsIndependentOfProcs(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	b := bandedBSR(rng, 5000)
@@ -215,23 +207,6 @@ func TestConversionsIndependentOfProcs(t *testing.T) {
 			red2Full = append(red2Full, j)
 		}
 	}
-	keep := make([]int, e.NRows)
-	for i := range keep {
-		keep[i] = i
-		if i%97 == 3 {
-			keep[i] = -1
-		}
-	}
-	selects := []struct {
-		name         string
-		rows, colMap []int
-		nCols        int
-		pin          float64
-	}{
-		{"reduction", red2Full, full2Red, len(red2Full), 0},
-		{"pinned", keep, keep, e.NCols, 1.5},
-	}
-
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
@@ -242,14 +217,12 @@ func TestConversionsIndependentOfProcs(t *testing.T) {
 		if !sameCSR(b.ToCSR(), want) {
 			t.Fatal(at("ToCSR differs from the serial expansion"))
 		}
-		for _, sc := range selects {
-			want := selectRef(e, sc.rows, sc.colMap, sc.nCols, sc.pin)
-			if !sameCSR(e.Select(sc.rows, sc.colMap, sc.nCols, sc.pin), want) {
-				t.Fatal(at(sc.name + " Select differs from the serial reference"))
-			}
-			if !sameCSR(b.Select(sc.rows, sc.colMap, sc.nCols, sc.pin), want) {
-				t.Fatal(at(sc.name + " Select of the blocks differs from the serial reference of their expansion"))
-			}
+		want = selectRef(e, red2Full, full2Red, len(red2Full))
+		if !sameCSR(e.Select(red2Full, full2Red, len(red2Full)), want) {
+			t.Fatal(at("reduction Select differs from the serial reference"))
+		}
+		if !sameCSR(b.Select(red2Full, full2Red, len(red2Full)), want) {
+			t.Fatal(at("reduction Select of the blocks differs from the serial reference of their expansion"))
 		}
 		for _, a := range []*CSR{e, ragged} {
 			want := fromCSRRef(a, 3)

@@ -100,25 +100,24 @@ func (b *Builder) Build() *CSR {
 
 // Select is BSR.Select on a viewed as a matrix of 1×1 blocks over its
 // own arrays.
-func (a *CSR) Select(rows, colMap []int, nCols int, pin float64) *CSR {
+func (a *CSR) Select(rows, colMap []int, nCols int) *CSR {
 	v := BSR{NBRows: a.NRows, NBCols: a.NCols, B: 1, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: a.Val}
-	return v.Select(rows, colMap, nCols, pin)
+	return v.Select(rows, colMap, nCols)
 }
 
 // Select returns the len(rows)×nCols scalar matrix whose row i is scalar
 // row rows[i] of a — row rows[i]%B of block row rows[i]/B, read straight
 // from the blocks — with its columns renumbered through colMap (old
-// column → new column; a negative value drops the column). A negative
-// rows[i] makes row i the single entry (i, pin) instead: the pinned row
-// of an eliminated dof. A count pass finds what every row keeps and,
-// after the prefix sum, a pattern pass writes it, so the result is
-// allocated at its final size; then a values pass fills it. All three
+// column → new column; a negative value drops the column). A count pass
+// finds what every row keeps and, after the prefix sum, a pattern pass
+// writes it, so the result is allocated at its final size; then a values
+// pass fills it. All three
 // run over the rows on the shared worker set (selectKernel). colMap must
 // be increasing over the columns it keeps, which leaves every row sorted
 // without a sort, and the result is bit for bit the Select of a.ToCSR().
 // Values are stored as 0+v, as Builder.Add stores them: a stored -0.0
 // comes out +0.0 and every other value unchanged.
-func (a *BSR) Select(rows, colMap []int, nCols int, pin float64) *CSR {
+func (a *BSR) Select(rows, colMap []int, nCols int) *CSR {
 	k := &selectKernel{a: *a, rows: rows, colMap: colMap}
 	k.t = &k.out
 	k.out = CSR{NRows: len(rows), NCols: nCols, RowPtr: make([]int, len(rows)+1)}
@@ -133,7 +132,7 @@ func (a *BSR) Select(rows, colMap []int, nCols int, pin float64) *CSR {
 		check.CSRWellFormed(k.out.NRows, k.out.NCols, k.out.RowPtr, k.out.ColIdx, len(k.out.ColIdx), "sparse.Select")
 	}
 	k.out.Val = make([]float64, len(k.out.ColIdx))
-	k.pin, k.pass = pin, valuesPass
+	k.pass = valuesPass
 	k.run()
 	// The result drops the kernel's inputs, so that it keeps no more than
 	// a few words alive beside its arrays.
@@ -144,13 +143,12 @@ func (a *BSR) Select(rows, colMap []int, nCols int, pin float64) *CSR {
 // selectKernel is Select's three passes over the rows of its result t:
 // row i counts the entries of a's scalar row rows[i] that colMap keeps
 // into t.RowPtr[i+1], writes their new columns, or writes their values
-// as 0+v; a pinned row (rows[i] < 0) is one entry, column i, value pin.
+// as 0+v.
 type selectKernel struct {
 	a      BSR
 	t      *CSR
 	rows   []int
 	colMap []int
-	pin    float64
 	pass   pass
 	// out is Select's result, t pointing at it: one allocation for both.
 	out CSR
@@ -160,8 +158,8 @@ type selectKernel struct {
 // uncumulated, its pattern pass, which writes t.ColIdx from the summed
 // t.RowPtr, and its values pass, which writes t.Val, for
 // TestKernelContract.
-func (a *BSR) SelectKernels(t *CSR, rows, colMap []int, pin float64) (count, pattern, values pool.ItemKernel) {
-	k := selectKernel{a: *a, t: t, rows: rows, colMap: colMap, pin: pin}
+func (a *BSR) SelectKernels(t *CSR, rows, colMap []int) (count, pattern, values pool.ItemKernel) {
+	k := selectKernel{a: *a, t: t, rows: rows, colMap: colMap}
 	kp, kv := k, k
 	kp.pass, kv.pass = patternPass, valuesPass
 	return &k, &kp, &kv
@@ -185,44 +183,34 @@ func (k *selectKernel) Items(_, lo, hi int) {
 		if k.pass != countPass {
 			n = t.RowPtr[i]
 		}
-		if r < 0 {
-			switch k.pass {
-			case patternPass:
-				t.ColIdx[n] = i
-			case valuesPass:
-				t.Val[n] = k.pin
+		p0, p1 := a.RowPtr[r/b], a.RowPtr[r/b+1]
+		blockCols := a.ColIdx[p0:p1]
+		switch k.pass {
+		case countPass:
+			for _, jb := range blockCols {
+				for _, jn := range colMap[jb*b : jb*b+b] {
+					if jn >= 0 {
+						n++
+					}
+				}
 			}
-			n++
-		} else {
-			p0, p1 := a.RowPtr[r/b], a.RowPtr[r/b+1]
-			blockCols := a.ColIdx[p0:p1]
-			switch k.pass {
-			case countPass:
-				for _, jb := range blockCols {
-					for _, jn := range colMap[jb*b : jb*b+b] {
-						if jn >= 0 {
-							n++
-						}
+		case patternPass:
+			for _, jb := range blockCols {
+				for _, jn := range colMap[jb*b : jb*b+b] {
+					if jn >= 0 {
+						t.ColIdx[n] = jn
+						n++
 					}
 				}
-			case patternPass:
-				for _, jb := range blockCols {
-					for _, jn := range colMap[jb*b : jb*b+b] {
-						if jn >= 0 {
-							t.ColIdx[n] = jn
-							n++
-						}
-					}
-				}
-			default:
-				vals := a.Val[p0*bb+r%b*b:]
-				for q, jb := range blockCols {
-					row := vals[q*bb : q*bb+b]
-					for c, jn := range colMap[jb*b : jb*b+b] {
-						if jn >= 0 {
-							t.Val[n] = 0 + row[c]
-							n++
-						}
+			}
+		default:
+			vals := a.Val[p0*bb+r%b*b:]
+			for q, jb := range blockCols {
+				row := vals[q*bb : q*bb+b]
+				for c, jn := range colMap[jb*b : jb*b+b] {
+					if jn >= 0 {
+						t.Val[n] = 0 + row[c]
+						n++
 					}
 				}
 			}

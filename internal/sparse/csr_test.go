@@ -74,15 +74,11 @@ func TestBuilderPanicsOutOfRange(t *testing.T) {
 	}
 }
 
-// selectReference is Select spelled with Builder, the way Reduce,
-// CompressCols and fixEmptyRows were written before Select.
-func selectReference(a *CSR, rows, colMap []int, nCols int, pin float64) *CSR {
+// selectReference is Select spelled with Builder, the way Reduce and
+// CompressCols were written before Select.
+func selectReference(a *CSR, rows, colMap []int, nCols int) *CSR {
 	b := NewBuilder(len(rows), nCols)
 	for i, r := range rows {
-		if r < 0 {
-			b.Set(i, i, pin)
-			continue
-		}
 		cols, vals := a.Row(r)
 		for k, j := range cols {
 			if jn := colMap[j]; jn >= 0 {
@@ -138,18 +134,14 @@ func TestSelectMatchesBuilder(t *testing.T) {
 	var rows []int
 	for i := 0; i < a.NRows; i++ {
 		switch rng.Intn(5) {
-		case 0: // dropped
-		case 1:
-			if len(rows) < nCols {
-				rows = append(rows, -1) // pinned
-			}
+		case 0, 1: // dropped
 		default:
 			rows = append(rows, i)
 		}
 	}
 	rows = append(rows, 3, 10, 20)
 
-	got, want := a.Select(rows, colMap, nCols, 2.5), selectReference(a, rows, colMap, nCols, 2.5)
+	got, want := a.Select(rows, colMap, nCols), selectReference(a, rows, colMap, nCols)
 	if !sameBits(got, want) {
 		t.Fatal("Select differs from the Builder reference")
 	}

@@ -9,10 +9,6 @@ import "slices"
 // the algorithms never look behind it: this is the PETSc Mat-object
 // decoupling that let the paper swap AIJ for the blocked BAIJ format and
 // collect the per-processor Mflop gains.
-//
-// Anything beyond the core apply is a capability: consumers that need
-// entry access assert the optional RowScanner interface instead of a
-// concrete type.
 type Operator interface {
 	// Rows and Cols return the operator's dimensions.
 	Rows() int
@@ -36,22 +32,11 @@ type Operator interface {
 	MulVecFlops() int64
 }
 
-// RowScanner is the row-access capability: entry lookup for code that
-// genuinely needs to inspect stored values (setup-time graph work, tests,
-// diagnostics).
-type RowScanner interface {
-	// At returns A(i,j), zero when the entry is not stored.
-	At(i, j int) float64
-}
-
 // Compile-time interface conformance for both assembled storage
-// formats, and for the capability both provide.
+// formats.
 var (
 	_ Operator = (*CSR)(nil)
 	_ Operator = (*BSR)(nil)
-
-	_ RowScanner = (*CSR)(nil)
-	_ RowScanner = (*BSR)(nil)
 )
 
 // StorageBytes reports the bytes one storage format holds resident per
@@ -112,19 +97,6 @@ func PlanBlock(a *CSR, b int) *BSR {
 		return nil
 	}
 	return t
-}
-
-// ScalarPatternOf returns op's pattern in scalar rows as a CSR with no
-// values: a CSR's own index arrays, the ToCSR expansion of a BSR.
-func ScalarPatternOf(op Operator) *CSR {
-	switch a := op.(type) {
-	case *CSR:
-		return &CSR{NRows: a.NRows, NCols: a.NCols, RowPtr: a.RowPtr, ColIdx: a.ColIdx}
-	case *BSR:
-		return a.ScalarPattern()
-	default:
-		panic("sparse: ScalarPatternOf needs an assembled operator (CSR or BSR)")
-	}
 }
 
 // Values returns the value array of an assembled operator, the array

@@ -495,20 +495,21 @@ func drainRun(fresh func() (pool.ItemKernel, []float64, []float64)) itemRun {
 	}}
 }
 
-// envelopeRun is the smoother plan's envelope pass over blocks of a's
-// pattern, read block by block as its envelope offsets, contractSentinel
+// envelopeRun is the smoother plan's envelope pass over parts of g's units
+// of b dofs, read block by block as its envelope offsets, contractSentinel
 // until laid out, and its factorization work.
-func envelopeRun(a *sparse.CSR, blocks [][]int) itemRun {
-	k, env, work := smooth.EnvelopeKernel(a, blocks)
+func envelopeRun(g *graph.Graph, b int, parts [][]int) itemRun {
+	k, env, work := smooth.EnvelopeKernel(g, b, parts)
 	return itemRun{k, func() []float64 {
 		var out []float64
-		for bi, dofs := range blocks {
-			slot := sentinelFilled(make([]float64, len(dofs)+2))
+		for bi, units := range parts {
+			n := b * len(units)
+			slot := sentinelFilled(make([]float64, n+2))
 			if env[bi] != nil {
 				for r, o := range env[bi] {
 					slot[r] = float64(o)
 				}
-				slot[len(dofs)+1] = float64(work[bi])
+				slot[n+1] = float64(work[bi])
 			}
 			out = append(out, slot...)
 		}
@@ -557,10 +558,9 @@ func contractConversions(b *sparse.BSR, a *sparse.CSR) []itemCase {
 			return fillRun(b.FillFromBSRKernel(out), out.Val)
 		}, b.NBRows},
 	}
-	// The reduction keeps the columns not ≡ 2 mod 7 and their rows; the
-	// pinned Select keeps every row and column but pins three. Each reads
-	// the blocks of b, the assembled tangent's storage, and a as CSR.Select
-	// sees it: a matrix of 1×1 blocks over its arrays.
+	// The reduction keeps the columns not ≡ 2 mod 7 and their rows. It
+	// reads the blocks of b, the assembled tangent's storage, and a as
+	// CSR.Select sees it: a matrix of 1×1 blocks over its arrays.
 	full2Red, red2Full := make([]int, a.NCols), []int(nil)
 	for j := range full2Red {
 		full2Red[j] = -1
@@ -569,43 +569,31 @@ func contractConversions(b *sparse.BSR, a *sparse.CSR) []itemCase {
 			red2Full = append(red2Full, j)
 		}
 	}
-	keep := identity(a.NRows)
-	keep[1], keep[4], keep[a.NRows-1] = -1, -1, -1
 	scalar := &sparse.BSR{NBRows: a.NRows, NBCols: a.NCols, B: 1, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: a.Val}
 	for _, src := range []struct {
 		name string
 		m    *sparse.BSR
 	}{{"", scalar}, {" BSR3", b}} {
-		for _, sc := range []struct {
-			name         string
-			rows, colMap []int
-			nCols        int
-			pin          float64
-		}{
-			{"Select", red2Full, full2Red, len(red2Full), 0},
-			{"Select pinned", keep, keep, a.NCols, 1.5},
-		} {
-			m, sc, name := src.m, sc, sc.name+src.name
-			t := m.Select(sc.rows, sc.colMap, sc.nCols, sc.pin)
-			n := len(sc.rows)
-			cases = append(cases, []itemCase{
-				{name + " count", func() itemRun {
-					out := &sparse.CSR{RowPtr: make([]int, n+1)}
-					k, _, _ := m.SelectKernels(out, sc.rows, sc.colMap, sc.pin)
-					return intsRun(k, out.RowPtr[1:])
-				}, n},
-				{name + " pattern", func() itemRun {
-					out := &sparse.CSR{RowPtr: t.RowPtr, ColIdx: make([]int, len(t.ColIdx))}
-					_, k, _ := m.SelectKernels(out, sc.rows, sc.colMap, sc.pin)
-					return intsRun(k, out.ColIdx)
-				}, n},
-				{name + " values", func() itemRun {
-					out := &sparse.CSR{RowPtr: t.RowPtr, ColIdx: t.ColIdx, Val: make([]float64, len(t.Val))}
-					_, _, k := m.SelectKernels(out, sc.rows, sc.colMap, sc.pin)
-					return fillRun(k, out.Val)
-				}, n},
-			}...)
-		}
+		m, name := src.m, "Select"+src.name
+		t := m.Select(red2Full, full2Red, len(red2Full))
+		n := len(red2Full)
+		cases = append(cases, []itemCase{
+			{name + " count", func() itemRun {
+				out := &sparse.CSR{RowPtr: make([]int, n+1)}
+				k, _, _ := m.SelectKernels(out, red2Full, full2Red)
+				return intsRun(k, out.RowPtr[1:])
+			}, n},
+			{name + " pattern", func() itemRun {
+				out := &sparse.CSR{RowPtr: t.RowPtr, ColIdx: make([]int, len(t.ColIdx))}
+				_, k, _ := m.SelectKernels(out, red2Full, full2Red)
+				return intsRun(k, out.ColIdx)
+			}, n},
+			{name + " values", func() itemRun {
+				out := &sparse.CSR{RowPtr: t.RowPtr, ColIdx: t.ColIdx, Val: make([]float64, len(t.Val))}
+				_, _, k := m.SelectKernels(out, red2Full, full2Red)
+				return fillRun(k, out.Val)
+			}, n},
+		}...)
 	}
 	tb, err := sparse.BlockPattern(a, 3)
 	if err != nil {
@@ -693,8 +681,8 @@ func reducedCube(t *testing.T, n int) *sparse.CSR {
 func contractSmoother(t *testing.T, a *sparse.CSR) *smooth.DomainBlockJacobi {
 	t.Helper()
 	nb := max(2, smooth.DefaultBlockCount(a.NRows))
-	g := graph.NewFromPattern(a.NRows, a.RowPtr, a.ColIdx)
-	s, err := smooth.NewDomainBlockJacobi(a, graph.GreedyPartition(g, nb), nb)
+	g := &graph.Graph{N: a.NRows, Ptr: a.RowPtr, Adj: a.ColIdx}
+	s, err := smooth.PlanBlocks(g, 1, graph.PartMembers(graph.GreedyPartition(g, nb), nb)).Factor(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -771,15 +759,19 @@ func TestKernelContract(t *testing.T) {
 
 	// The smoother's plan on the same operator's pattern, cut in six: the
 	// reverse Cuthill-McKee order of each part (item = part), and each
-	// block's envelope (item = block).
+	// block's envelope (item = block); then the envelopes of six parts of
+	// bsr3's node graph, three dofs a unit.
 	vg := &graph.Graph{N: view.NRows, Ptr: view.RowPtr, Adj: view.ColIdx}
 	vpart := graph.GreedyPartition(vg, 6)
+	ng := &graph.Graph{N: bsr3.NBRows, Ptr: bsr3.RowPtr, Adj: bsr3.ColIdx}
+	nparts := graph.PartMembers(graph.GreedyPartition(ng, 6), 6)
 	items = append(items, []itemCase{
 		{"block order", func() itemRun {
 			o := graph.NewPartOrder(vg, vpart, 6)
 			return intsRun(o, o.Order())
 		}, 6},
-		{"block envelope", func() itemRun { return envelopeRun(view, graph.PartMembers(vpart, 6)) }, 6},
+		{"block envelope", func() itemRun { return envelopeRun(vg, 1, graph.PartMembers(vpart, 6)) }, 6},
+		{"block envelope BSR3", func() itemRun { return envelopeRun(ng, 3, nparts) }, 6},
 	}...)
 
 	// The sparse products' symbolic and numeric passes: a plain product,
@@ -798,7 +790,7 @@ func TestKernelContract(t *testing.T) {
 		}, mul.NRows},
 	}...)
 	r := contractRestriction(bsr3.NBRows, 8, 3)
-	notConforming := r.Select(identity(r.NRows), identity(r.NCols), r.NCols, 0)
+	notConforming := r.Select(identity(r.NRows), identity(r.NCols), r.NCols)
 	notConforming.Val[notConforming.RowPtr[1]] *= 2
 	items = append(items, contractGalerkin(t, "Galerkin blocked", r, bsr3)...)
 	items = append(items, contractGalerkin(t, "Galerkin pinned CSR", contractDropRows(r, 2, 5), contractRagged(csr))...)

@@ -339,7 +339,7 @@ func (s *Solver) restrictions(kred Operator) ([]*sparse.CSR, error) {
 		return nil, err
 	}
 	b := aggregation.RigidBodyModes(s.Mesh.Coords, s.dofMap.Full2Red, s.dofMap.NumFree())
-	rs, err := aggregation.BuildRestrictions(sparse.AsCSR(kred), b, aggregation.Options{})
+	rs, err := aggregation.BuildRestrictions(sparse.AsCSR(kred), b)
 	if err != nil {
 		return nil, fmt.Errorf("prometheus: aggregation setup: %w", err)
 	}
