@@ -412,7 +412,8 @@ func TestEnvelopeSmootherIsDenseSmoother(t *testing.T) {
 			env := envMG.Levels[li].Smoother.Inner
 			blocks := env.Blocks()
 			u, b := unitView(lvl.A)
-			dense, err := smooth.PlanBlocks(fullUnitGraph(u.NRows, unitParts(blocks, b)), b, unitParts(blocks, b)).Factor(lvl.A)
+			parts := unitParts(blocks, b)
+			dense, err := smooth.PlanBlocks(fullUnitGraph(u.NRows, parts), b, parts).Factor(lvl.A)
 			if err != nil {
 				t.Fatal(err)
 			}
